@@ -234,7 +234,7 @@ func BenchmarkAdmissionScale(b *testing.B) {
 		b.Run(name+"/star-each-ADPS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctrl := core.NewController(core.Config{DPS: core.ADPS{}})
-				_, errs := ctrl.RequestEach(specs)
+				_, errs := ctrl.AdmitEach(core.Unicast(specs))
 				for _, err := range errs {
 					if err != nil {
 						b.Fatal(err)

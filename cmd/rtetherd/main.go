@@ -173,7 +173,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		go func() { _ = http.Serve(pprofLn, nil) }()
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A peer gets ten seconds to finish its request headers (slow-loris bound).
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)

@@ -27,19 +27,9 @@ func (e *RejectionError) Error() string {
 // Unwrap lets errors.Is match ErrInfeasible.
 func (e *RejectionError) Unwrap() error { return ErrInfeasible }
 
-// Stats counts admission outcomes, mirroring what the switch's RT channel
-// management software would expose.
-type Stats struct {
-	Requests             int // total Request calls
-	Accepted             int // channels admitted
-	RejectedInvalid      int // spec validation failures
-	RejectedUtilization  int // first-constraint rejections
-	RejectedDemand       int // second-constraint rejections
-	RejectedInconclusive int // analysis hit configured limits
-	Released             int // channels torn down
-	LinksChecked         int // cumulative feasibility tests run
-	Repartitions         int // repartition passes run by the kernel
-}
+// Stats counts admission outcomes; the struct and its rejection
+// classification are shared with the fabric controller (admit.Stats).
+type Stats = admit.Stats
 
 // Config tunes the admission controller.
 type Config struct {
@@ -158,7 +148,7 @@ func (c *Controller) SweepNs() int64 { return c.eng.SweepNs() }
 func (c *Controller) State() *State { return &State{k: c.eng.State()} }
 
 // Repartitioned returns the IDs (ascending) of the channels whose
-// partitions changed in the last successful Request, RequestAll or
+// partitions changed in the last successful Admit, AdmitEach or
 // Release — establishments include the new channels. The slice is
 // invalidated by the next state mutation.
 func (c *Controller) Repartitioned() []ChannelID { return c.eng.Repartitioned() }
@@ -167,114 +157,9 @@ func (c *Controller) Repartitioned() []ChannelID { return c.eng.Repartitioned() 
 // accepted spec.
 func (c *Controller) GuaranteedDelay(s ChannelSpec) int64 { return s.D + c.cfg.Latency }
 
-// Request runs the admission test for a new RT channel and, if feasible,
-// commits it and returns the established channel. The decision procedure
-// follows §18.3.2 and §18.4:
-//
-//  1. Validate the spec (including D >= 2C, condition (9)).
-//  2. Build the tentative state: current channels plus the new one.
-//  3. Apply the DPS to the (tentative) system state — the DPS is a
-//     function of the system state, so existing channels may be
-//     repartitioned.
-//  4. Test EDF feasibility of every link whose task set changed (or every
-//     link under FullRecheck). If any link fails, reject and leave the
-//     committed state untouched.
-//
-// With an IncrementalDPS (SDPS/ADPS/FixedDPS) and FullRecheck off, steps
-// 2-4 run copy-on-write on the live state: only channels the DPS actually
-// repartitions are touched and rolled back on rejection, instead of
-// deep-cloning all N channels per request. Decisions are identical either
-// way — only Stats.LinksChecked can differ from FullRecheck mode.
-func (c *Controller) Request(spec ChannelSpec) (*Channel, error) {
-	c.stats.Requests++
-	if err := spec.Validate(); err != nil {
-		c.stats.RejectedInvalid++
-		return nil, err
-	}
-	chs, rej := c.admit([]ChannelSpec{spec})
-	if rej != nil {
-		c.noteRejection(rej)
-		return nil, rej
-	}
-	c.stats.Accepted++
-	return chs[0], nil
-}
-
-// RequestAll runs one admission test for a whole batch of RT channels:
-// the batch is validated, added to a single tentative state, partitioned
-// once, and every affected link verified once — one repartition instead
-// of len(specs). Either every channel commits (returned in spec order) or
-// none does and the first failure is returned.
-//
-// Stats account the batch as len(specs) requests; on success all are
-// accepted, on rejection one rejection is recorded for the batch (the
-// constraint that failed first).
-func (c *Controller) RequestAll(specs []ChannelSpec) ([]*Channel, error) {
-	c.stats.Requests += len(specs)
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			c.stats.RejectedInvalid++
-			return nil, fmt.Errorf("batch spec %d (%v): %w", i, spec, err)
-		}
-	}
-	chs, rej := c.admit(specs)
-	if rej != nil {
-		c.noteRejection(rej)
-		return nil, rej
-	}
-	c.stats.Accepted += len(specs)
-	return chs, nil
-}
-
-// RequestEach runs per-spec admission for a merged batch: every spec
-// gets its own accept/reject verdict (unlike RequestAll's all-or-nothing
-// decision), while the kernel runs far fewer repartition passes than
-// len(specs) sequential Requests — greedy bisection tries the whole
-// group first and only narrows down around failures
-// (admit.Engine.AdmitEach). Verdicts are decision-equivalent to
-// submitting the specs one by one with Request; see AdmitEach for the
-// exactness contract per scheme.
-//
-// The returned slices are parallel to specs: chs[i] is the committed
-// channel when errs[i] is nil, and errs[i] is the spec's own validation
-// error or *RejectionError otherwise. Stats account the batch as
-// len(specs) requests with per-spec outcomes.
-func (c *Controller) RequestEach(specs []ChannelSpec) ([]*Channel, []error) {
-	c.stats.Requests += len(specs)
-	chs := make([]*Channel, len(specs))
-	errs := make([]error, len(specs))
-	valid := make([]int, 0, len(specs))
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			c.stats.RejectedInvalid++
-			errs[i] = err
-			continue
-		}
-		valid = append(valid, i)
-	}
-	got, rejs := c.eng.AdmitEach(len(valid), func(i int, id ChannelID) *Channel {
-		return &Channel{ID: id, Spec: specs[valid[i]]}
-	}, c.schemes)
-	for vi, i := range valid {
-		if rej := rejs[vi]; rej != nil {
-			re := &RejectionError{Link: rej.Link, Result: rej.Result}
-			c.noteRejection(re)
-			errs[i] = re
-			continue
-		}
-		c.stats.Accepted++
-		chs[i] = got[vi]
-	}
-	return chs, errs
-}
-
-// Req is one entry of a mixed establishment batch handed to
-// RequestEachReq: a unicast channel when Sinks is nil, a multicast tree
-// otherwise (Spec is then the MulticastSpec's ChannelSpec projection,
-// Dst = Sinks[0]).
+// Req is the one request type of the management plane: a unicast channel
+// when Sinks is nil, a multicast tree otherwise (Spec is then the
+// MulticastSpec's ChannelSpec projection, Dst = Sinks[0]).
 type Req struct {
 	Spec  ChannelSpec
 	Sinks []NodeID
@@ -286,54 +171,165 @@ type Req struct {
 	KeepID bool
 }
 
+// Unicast lifts channel specs into requests.
+func Unicast(specs []ChannelSpec) []Req {
+	reqs := make([]Req, len(specs))
+	for i, s := range specs {
+		reqs[i].Spec = s
+	}
+	return reqs
+}
+
+// Multicast reports whether the request is for a one-to-many channel.
+func (r Req) Multicast() bool { return r.Sinks != nil }
+
 // MulticastSpec reconstructs the multicast spec of a multicast Req.
 func (r Req) MulticastSpec() MulticastSpec {
 	return MulticastSpec{Src: r.Spec.Src, Sinks: r.Sinks, P: r.Spec.P, C: r.Spec.C, D: r.Spec.D, Priority: r.Spec.Priority}
 }
 
-// RequestEachReq is RequestEach over a mixed unicast/multicast batch:
-// every request is validated and decided on its own with the same
-// merged-batch kernel machinery (greedy bisection, undo-on-reject
-// rollback, decision-equivalence with sequential submission). It is the
-// primitive behind both multicast-aware request coalescing and
-// post-failure batch re-admission.
+// Validate checks the request against the paper's constraints: the
+// unicast or the multicast form, whichever the request is.
+func (r Req) Validate() error {
+	if r.Multicast() {
+		return r.MulticastSpec().Validate()
+	}
+	return r.Spec.Validate()
+}
+
+// String renders the request as the spec it was submitted as.
+func (r Req) String() string {
+	if r.Multicast() {
+		return r.MulticastSpec().String()
+	}
+	return r.Spec.String()
+}
+
+// ReqError is what Admit returns when request Index of the list fails
+// before the feasibility test (validation; on a fabric also routing; on
+// the simulated star an unattached endpoint). It reads as its cause, so a
+// one-request caller needs no unwrapping; list callers attribute it with
+// BatchError.
+type ReqError struct {
+	Index int
+	Err   error
+}
+
+// Error implements error.
+func (e *ReqError) Error() string { return e.Err.Error() }
+
+// Unwrap exposes the cause to errors.Is and errors.As.
+func (e *ReqError) Unwrap() error { return e.Err }
+
+// BatchError names the failing entry of an atomic list in a ReqError
+// ("batch spec i (…): cause"); every other error passes through.
+func BatchError(reqs []Req, err error) error {
+	var re *ReqError
+	if errors.As(err, &re) {
+		return fmt.Errorf("batch spec %d (%v): %w", re.Index, reqs[re.Index], re.Err)
+	}
+	return err
+}
+
+// One returns the single result of a one-request Admit.
+func One[T any](got []T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return got[0], nil
+}
+
+// newChannel builds the tentative channel the kernel decides on.
+func newChannel(r Req, id ChannelID) *Channel {
+	if r.KeepID {
+		id = r.ID
+	}
+	ch := &Channel{ID: id, Spec: r.Spec}
+	if r.Multicast() {
+		ch.Sinks = append([]NodeID(nil), r.Sinks...)
+	}
+	return ch
+}
+
+// Admit runs one admission test for a whole list of requests and, if
+// feasible, commits them all (returned in request order); otherwise none
+// commits and the first failure is returned — a *ReqError for a request
+// that fails validation, a *RejectionError for the link that failed. The
+// decision procedure follows §18.3.2 and §18.4:
 //
-// The returned slices are parallel to reqs, exactly as in RequestEach.
-func (c *Controller) RequestEachReq(reqs []Req) ([]*Channel, []error) {
+//  1. Validate every spec (including D >= 2C, condition (9)).
+//  2. Build the tentative state: current channels plus the new ones. A
+//     multicast request is one channel whose task appears on the source
+//     uplink and on every sink downlink, sharing one partition.
+//  3. Apply the DPS to the (tentative) system state — the DPS is a
+//     function of the system state, so existing channels may be
+//     repartitioned. One repartition for the list, not one per request.
+//  4. Test EDF feasibility of every link whose task set changed (or every
+//     link under FullRecheck). If any link fails, reject and leave the
+//     committed state untouched.
+//
+// With an IncrementalDPS (SDPS/ADPS/FixedDPS) and FullRecheck off, steps
+// 2-4 run copy-on-write on the live state: only channels the DPS actually
+// repartitions are touched and rolled back on rejection, instead of
+// deep-cloning all N channels per request. Decisions are identical either
+// way — only Stats.LinksChecked can differ from FullRecheck mode.
+//
+// Stats account the list as len(reqs) requests; on success all are
+// accepted, on rejection one rejection is recorded for the list (the
+// constraint that failed first).
+func (c *Controller) Admit(reqs []Req) ([]*Channel, error) {
+	c.stats.Requests += len(reqs)
+	for i, r := range reqs {
+		if err := r.Validate(); err != nil {
+			c.stats.RejectedInvalid++
+			return nil, &ReqError{Index: i, Err: err}
+		}
+	}
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	chs, rej := c.eng.Admit(len(reqs), func(i int, id ChannelID) *Channel {
+		return newChannel(reqs[i], id)
+	}, c.schemes)
+	if rej != nil {
+		return nil, c.reject(rej)
+	}
+	c.stats.Accepted += len(reqs)
+	return chs, nil
+}
+
+// AdmitEach decides a merged list with one verdict per request: unlike
+// Admit's all-or-nothing decision every request is accepted or rejected
+// on its own, while the kernel runs far fewer repartition passes than
+// len(reqs) sequential requests — greedy bisection tries the whole group
+// first and only narrows down around failures (admit.Engine.AdmitEach,
+// which also states the decision-equivalence contract with sequential
+// submission per scheme). It is the primitive behind request coalescing
+// and post-failure batch re-admission.
+//
+// The returned slices are parallel to reqs: chs[i] is the committed
+// channel when errs[i] is nil, and errs[i] is the request's own
+// validation error or *RejectionError otherwise. Stats account the list
+// as len(reqs) requests with per-request outcomes.
+func (c *Controller) AdmitEach(reqs []Req) ([]*Channel, []error) {
 	c.stats.Requests += len(reqs)
 	chs := make([]*Channel, len(reqs))
 	errs := make([]error, len(reqs))
 	valid := make([]int, 0, len(reqs))
 	for i, r := range reqs {
-		var err error
-		if len(r.Sinks) == 0 {
-			err = r.Spec.Validate()
-		} else {
-			err = r.MulticastSpec().Validate()
-		}
-		if err != nil {
+		if errs[i] = r.Validate(); errs[i] != nil {
 			c.stats.RejectedInvalid++
-			errs[i] = err
 			continue
 		}
 		valid = append(valid, i)
 	}
 	got, rejs := c.eng.AdmitEach(len(valid), func(vi int, id ChannelID) *Channel {
-		r := reqs[valid[vi]]
-		if r.KeepID {
-			id = r.ID
-		}
-		ch := &Channel{ID: id, Spec: r.Spec}
-		if len(r.Sinks) > 0 {
-			ch.Sinks = append([]NodeID(nil), r.Sinks...)
-		}
-		return ch
+		return newChannel(reqs[valid[vi]], id)
 	}, c.schemes)
 	for vi, i := range valid {
-		if rej := rejs[vi]; rej != nil {
-			re := &RejectionError{Link: rej.Link, Result: rej.Result}
-			c.noteRejection(re)
-			errs[i] = re
+		if rejs[vi] != nil {
+			errs[i] = c.reject(rejs[vi])
 			continue
 		}
 		c.stats.Accepted++
@@ -342,28 +338,38 @@ func (c *Controller) RequestEachReq(reqs []Req) ([]*Channel, []error) {
 	return chs, errs
 }
 
-// admit runs the kernel decision for pre-validated specs.
-func (c *Controller) admit(specs []ChannelSpec) ([]*Channel, *RejectionError) {
-	chs, rej := c.eng.Admit(len(specs), func(i int, id ChannelID) *Channel {
-		return &Channel{ID: id, Spec: specs[i]}
-	}, c.schemes)
-	if rej != nil {
-		return nil, &RejectionError{Link: rej.Link, Result: rej.Result}
-	}
-	return chs, nil
+// reject counts a kernel rejection and converts it to the public error.
+func (c *Controller) reject(rej *admit.Rejection[Link]) *RejectionError {
+	c.stats.NoteRejection(rej.Result)
+	return &RejectionError{Link: rej.Link, Result: rej.Result}
 }
 
-// noteRejection classifies a feasibility rejection into the stats
-// counters.
-func (c *Controller) noteRejection(rej *RejectionError) {
-	switch rej.Result.Verdict {
-	case edf.InfeasibleUtilization:
-		c.stats.RejectedUtilization++
-	case edf.InfeasibleDemand:
-		c.stats.RejectedDemand++
-	default:
-		c.stats.RejectedInconclusive++
-	}
+// RejectNoRoute counts a list of n requests (1 for a per-verdict entry)
+// refused before admission because one of its endpoints is not an
+// attached node. The controller knows no topology; the surrounding
+// switch model does and reports here, so the counters have one owner.
+func (c *Controller) RejectNoRoute(n int) {
+	c.stats.Requests += n
+	c.stats.RejectedNoRoute++
+}
+
+// Request is Admit of one unicast channel.
+func (c *Controller) Request(spec ChannelSpec) (*Channel, error) {
+	return One(c.Admit([]Req{{Spec: spec}}))
+}
+
+// RequestMulticast is Admit of one multicast channel: the whole sink
+// tree is one admission object, rolled back as one on any rejection.
+func (c *Controller) RequestMulticast(spec MulticastSpec) (*Channel, error) {
+	return One(c.Admit([]Req{spec.Req()}))
+}
+
+// RequestAll is Admit of a list of unicast channels, with a failing
+// spec named in the error ("batch spec i (…)").
+func (c *Controller) RequestAll(specs []ChannelSpec) ([]*Channel, error) {
+	reqs := Unicast(specs)
+	chs, err := c.Admit(reqs)
+	return chs, BatchError(reqs, err)
 }
 
 // ForceAdd installs a channel without any feasibility test, using the

@@ -50,24 +50,14 @@ func (s MulticastSpec) Validate() error {
 		}
 		seen[sink] = true
 	}
-	switch {
-	case s.C <= 0:
-		return fmt.Errorf("%w (C=%d)", ErrNonPositiveC, s.C)
-	case s.P <= 0:
-		return fmt.Errorf("%w (P=%d)", ErrNonPositiveP, s.P)
-	case s.C > s.P:
-		return fmt.Errorf("%w (C=%d > P=%d)", ErrCExceedsP, s.C, s.P)
-	case s.D < 2*s.C:
-		return fmt.Errorf("%w (D=%d < 2C=%d)", ErrDeadlineTooShort, s.D, 2*s.C)
-	}
-	return nil
+	return s.ChannelSpec().Validate()
 }
 
 // ChannelSpec projects the multicast spec onto the unicast shape the
 // rest of the state machinery stores: Dst is the first sink (the full
 // sink set lives on Channel.Sinks).
 func (s MulticastSpec) ChannelSpec() ChannelSpec {
-	return ChannelSpec{Src: s.Src, Dst: s.Sinks[0], C: s.C, P: s.P, D: s.D, Priority: s.Priority}
+	return s.Req().Spec
 }
 
 // String implements fmt.Stringer. Priority is shown only when set.
@@ -78,34 +68,13 @@ func (s MulticastSpec) String() string {
 	return fmt.Sprintf("mcast{%d→%v C=%d P=%d D=%d}", s.Src, s.Sinks, s.C, s.P, s.D)
 }
 
-// RequestMulticast runs the admission test for a new multicast RT
-// channel and, if feasible, commits it. The whole sink tree — the
-// source uplink plus one downlink per sink — is one admission object:
-// the kernel builds a single tentative channel whose task appears on
-// every traversed link, verifies every affected link, and on any
-// rejection rolls the entire tree back, leaving the committed state
-// bit-identical to before the request. The partition is shared: the
-// uplink carries the data once with budget d_iu and every sink downlink
-// schedules its copy with the same d_id = D - d_iu, so shared capacity
-// is reserved once rather than once per sink.
-func (c *Controller) RequestMulticast(spec MulticastSpec) (*Channel, error) {
-	c.stats.Requests++
-	if err := spec.Validate(); err != nil {
-		c.stats.RejectedInvalid++
-		return nil, err
+// Req projects the spec onto the request vocabulary. An empty sink set
+// stays a multicast request, which Req.Validate refuses with ErrNoSinks.
+func (s MulticastSpec) Req() Req {
+	spec := ChannelSpec{Src: s.Src, C: s.C, P: s.P, D: s.D, Priority: s.Priority}
+	if len(s.Sinks) == 0 {
+		return Req{Spec: spec, Sinks: []NodeID{}}
 	}
-	chs, rej := c.eng.Admit(1, func(_ int, id ChannelID) *Channel {
-		return &Channel{
-			ID:    id,
-			Spec:  spec.ChannelSpec(),
-			Sinks: append([]NodeID(nil), spec.Sinks...),
-		}
-	}, c.schemes)
-	if rej != nil {
-		re := &RejectionError{Link: rej.Link, Result: rej.Result}
-		c.noteRejection(re)
-		return nil, re
-	}
-	c.stats.Accepted++
-	return chs[0], nil
+	spec.Dst = s.Sinks[0]
+	return Req{Spec: spec, Sinks: s.Sinks}
 }

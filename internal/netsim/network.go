@@ -173,13 +173,11 @@ func (n *Network) Run(untilSlot int64) {
 // The handshake consumes simulated time (control frames queue behind
 // other traffic), so establishment is itself part of the experiment.
 func (n *Network) EstablishChannel(spec core.ChannelSpec) (core.ChannelID, error) {
+	if err := n.checkEndpoints(core.Req{Spec: spec}); err != nil {
+		n.ctrl.RejectNoRoute(1)
+		return 0, err
+	}
 	src := n.nodes[spec.Src]
-	if src == nil {
-		return 0, fmt.Errorf("%w: source node %d", ErrUnknownNode, spec.Src)
-	}
-	if n.nodes[spec.Dst] == nil {
-		return 0, fmt.Errorf("%w: destination node %d", ErrUnknownNode, spec.Dst)
-	}
 	type outcome struct {
 		id  core.ChannelID
 		err error
@@ -210,21 +208,24 @@ func (n *Network) EstablishChannel(spec core.ChannelSpec) (core.ChannelID, error
 	return result.id, nil
 }
 
-// EstablishChannels admits a whole batch of channels through the
-// management plane as one admission decision
-// (core.Controller.RequestAll): the batch is validated, partitioned and
-// verified against a single tentative state. No wire handshake runs and
-// no virtual time elapses — this is the bulk-provisioning path (scenario
-// loading, offline what-if tools), not a model of the paper's
-// per-channel establishment protocol. Either every channel is committed
-// and registered with the switch dataplane, or none is.
-func (n *Network) EstablishChannels(specs []core.ChannelSpec) ([]core.ChannelID, error) {
-	for _, s := range specs {
-		if err := n.checkEndpoints(s); err != nil {
-			return nil, err
+// EstablishAll admits a list of requests — unicast channels and
+// multicast trees alike — through the management plane as one atomic
+// admission decision (core.Controller.Admit): the list is validated,
+// partitioned and verified against a single tentative state, and any
+// rejection rolls all of it back. No wire handshake runs and no virtual
+// time elapses — this is the bulk-provisioning path (scenario loading,
+// offline what-if tools), not a model of the paper's per-channel
+// establishment protocol. Either every channel is committed and
+// registered with the switch dataplane (a multicast one fanned out to
+// every sink), or none is.
+func (n *Network) EstablishAll(reqs []core.Req) ([]core.ChannelID, error) {
+	for i, r := range reqs {
+		if err := n.checkEndpoints(r); err != nil {
+			n.ctrl.RejectNoRoute(len(reqs))
+			return nil, &core.ReqError{Index: i, Err: err}
 		}
 	}
-	chs, err := n.ctrl.RequestAll(specs)
+	chs, err := n.ctrl.Admit(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -236,113 +237,60 @@ func (n *Network) EstablishChannels(specs []core.ChannelSpec) ([]core.ChannelID,
 	return ids, nil
 }
 
-// checkEndpoints verifies both endpoints of a spec are attached nodes.
-func (n *Network) checkEndpoints(s core.ChannelSpec) error {
-	if n.nodes[s.Src] == nil {
-		return fmt.Errorf("%w: source node %d", ErrUnknownNode, s.Src)
+// EstablishChannels is EstablishAll of unicast specs, with a failing
+// spec named in the error ("batch spec i (…)").
+func (n *Network) EstablishChannels(specs []core.ChannelSpec) ([]core.ChannelID, error) {
+	reqs := core.Unicast(specs)
+	ids, err := n.EstablishAll(reqs)
+	return ids, core.BatchError(reqs, err)
+}
+
+// checkEndpoints verifies that the source and the destination — every
+// sink of a multicast request — are attached nodes.
+func (n *Network) checkEndpoints(r core.Req) error {
+	if n.nodes[r.Spec.Src] == nil {
+		return fmt.Errorf("%w: source node %d", ErrUnknownNode, r.Spec.Src)
 	}
-	if n.nodes[s.Dst] == nil {
-		return fmt.Errorf("%w: destination node %d", ErrUnknownNode, s.Dst)
+	if !r.Multicast() && n.nodes[r.Spec.Dst] == nil {
+		return fmt.Errorf("%w: destination node %d", ErrUnknownNode, r.Spec.Dst)
+	}
+	for _, s := range r.Sinks {
+		if n.nodes[s] == nil {
+			return fmt.Errorf("%w: sink node %d", ErrUnknownNode, s)
+		}
 	}
 	return nil
 }
 
-// EstablishEachChannels admits a merged batch of channels through the
-// management plane with one verdict per spec (core.Controller.RequestEach):
-// unlike EstablishChannels, a rejected spec does not fail the others —
-// each accepted channel is committed and registered with the switch
+// EstablishEach admits a merged list through the management plane with
+// one verdict per request (core.Controller.AdmitEach): unlike
+// EstablishAll, a rejected request does not fail the others — each
+// accepted channel is committed and registered with the switch
 // dataplane, each rejected one carries its own error. The returned
-// slices are parallel to specs (ids[i] is valid iff errs[i] is nil).
-// Like the all-or-nothing batch path, no wire handshake runs and no
-// virtual time elapses.
-func (n *Network) EstablishEachChannels(specs []core.ChannelSpec) ([]core.ChannelID, []error) {
-	ids := make([]core.ChannelID, len(specs))
-	errs := make([]error, len(specs))
-	valid := make([]int, 0, len(specs))
-	routable := make([]core.ChannelSpec, 0, len(specs))
-	for i, s := range specs {
-		if err := n.checkEndpoints(s); err != nil {
-			errs[i] = err
-			continue
-		}
-		valid = append(valid, i)
-		routable = append(routable, s)
-	}
-	chs, cerrs := n.ctrl.RequestEach(routable)
-	for vi, i := range valid {
-		if cerrs[vi] != nil {
-			errs[i] = cerrs[vi]
-			continue
-		}
-		ch := chs[vi]
-		n.sw.dataplane[ch.ID] = fanout(ch)
-		ids[i] = ch.ID
-	}
-	return ids, errs
-}
-
-// EstablishEachReqChannels is EstablishEachChannels over a mixed
-// unicast/multicast batch (core.Controller.RequestEachReq): each Req
-// with a nil sink set is a unicast channel, the rest are multicast
-// trees, and every request is accepted or rejected on its own inside
-// one merged kernel pass. The returned slices are parallel to reqs.
-func (n *Network) EstablishEachReqChannels(reqs []core.Req) ([]core.ChannelID, []error) {
+// slices are parallel to reqs (ids[i] is valid iff errs[i] is nil).
+// Like the all-or-nothing path, no wire handshake runs and no virtual
+// time elapses.
+func (n *Network) EstablishEach(reqs []core.Req) ([]core.ChannelID, []error) {
 	ids := make([]core.ChannelID, len(reqs))
 	errs := make([]error, len(reqs))
 	valid := make([]int, 0, len(reqs))
 	routable := make([]core.Req, 0, len(reqs))
 	for i, r := range reqs {
-		err := n.checkEndpoints(r.Spec)
-		if err == nil {
-			for _, s := range r.Sinks {
-				if n.nodes[s] == nil {
-					err = fmt.Errorf("%w: sink node %d", ErrUnknownNode, s)
-					break
-				}
-			}
-		}
-		if err != nil {
-			errs[i] = err
+		if errs[i] = n.checkEndpoints(r); errs[i] != nil {
+			n.ctrl.RejectNoRoute(1)
 			continue
 		}
 		valid = append(valid, i)
 		routable = append(routable, r)
 	}
-	chs, cerrs := n.ctrl.RequestEachReq(routable)
+	chs, cerrs := n.ctrl.AdmitEach(routable)
 	for vi, i := range valid {
-		if cerrs[vi] != nil {
-			errs[i] = cerrs[vi]
-			continue
+		if errs[i] = cerrs[vi]; errs[i] == nil {
+			n.sw.dataplane[chs[vi].ID] = fanout(chs[vi])
+			ids[i] = chs[vi].ID
 		}
-		ch := chs[vi]
-		n.sw.dataplane[ch.ID] = fanout(ch)
-		ids[i] = ch.ID
 	}
 	return ids, errs
-}
-
-// EstablishMulticastChannel admits a one-to-many channel through the
-// management plane as one atomic admission decision
-// (core.Controller.RequestMulticast): the source uplink plus every sink
-// downlink is verified against a single tentative state, and any
-// rejection rolls the whole tree back. On acceptance the switch
-// dataplane fans the channel's frames out to every sink. Like the batch
-// paths, no wire handshake runs and no virtual time elapses.
-func (n *Network) EstablishMulticastChannel(spec core.MulticastSpec) (core.ChannelID, error) {
-	if n.nodes[spec.Src] == nil {
-		return 0, fmt.Errorf("%w: source node %d", ErrUnknownNode, spec.Src)
-	}
-	for _, s := range spec.Sinks {
-		if n.nodes[s] == nil {
-			return 0, fmt.Errorf("%w: sink node %d", ErrUnknownNode, s)
-		}
-	}
-	ch, err := n.ctrl.RequestMulticast(spec)
-	if err != nil {
-		return 0, err
-	}
-	n.sw.dataplane[ch.ID] = fanout(ch)
-	return ch.ID, nil
 }
 
 // SetLinkUp marks the full-duplex link between a node and the switch as

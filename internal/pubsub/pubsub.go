@@ -42,7 +42,9 @@ const subBuffer = 256
 // Hooks lets the embedding server observe the channel lifecycle the
 // registry drives, e.g. to republish admissions and releases on the
 // /v1/watch feed. Either hook may be nil. Hooks are called outside the
-// registry lock.
+// registry lock, on the goroutine of the call that caused them and in the
+// order the registry acted (a re-admission fires Released, then Admitted),
+// before that call returns.
 type Hooks struct {
 	// Admitted fires after a topic's multicast tree is (re-)established.
 	Admitted func(topic string, ch *rtether.Channel)
@@ -121,6 +123,8 @@ type Registry struct {
 	hooks  Hooks
 	topics map[string]*topic
 	closed bool
+	// pending queues hook calls while mu is held; unlock fires them.
+	pending []func()
 }
 
 // NewRegistry builds a registry over the given network.
@@ -193,7 +197,7 @@ func (r *Registry) Snapshot() []Info {
 // and the join is rejected.
 func (r *Registry) Subscribe(name string, node rtether.NodeID) (*Subscription, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	if r.closed {
 		return nil, ErrClosed
 	}
@@ -224,7 +228,7 @@ func (r *Registry) Subscribe(name string, node rtether.NodeID) (*Subscription, e
 // or released outright when the last subscriber leaves.
 func (r *Registry) Unsubscribe(sub *Subscription) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock()
 	t, ok := r.topics[sub.Topic]
 	if !ok {
 		return
@@ -293,13 +297,24 @@ func (r *Registry) readmit(t *topic, sinks []rtether.NodeID) error {
 
 func (r *Registry) notifyAdmitted(name string, ch *rtether.Channel) {
 	if r.hooks.Admitted != nil {
-		go r.hooks.Admitted(name, ch)
+		r.pending = append(r.pending, func() { r.hooks.Admitted(name, ch) })
 	}
 }
 
 func (r *Registry) notifyReleased(name string, id rtether.ChannelID) {
 	if r.hooks.Released != nil {
-		go r.hooks.Released(name, id)
+		r.pending = append(r.pending, func() { r.hooks.Released(name, id) })
+	}
+}
+
+// unlock releases the registry lock, then fires the hooks queued while
+// it was held, in order.
+func (r *Registry) unlock() {
+	pending := r.pending
+	r.pending = nil
+	r.mu.Unlock()
+	for _, fire := range pending {
+		fire()
 	}
 }
 

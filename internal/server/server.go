@@ -300,10 +300,14 @@ func writeWireErr(w http.ResponseWriter, we *wire.Error) {
 	_ = json.NewEncoder(w).Encode(wire.Envelope{Err: we})
 }
 
-// decode parses a JSON request body, reporting a bad_request envelope
-// on failure.
+// maxBodyBytes caps an HTTP request body at the binary transport's frame
+// payload cap: a request is the same message on either transport.
+const maxBodyBytes = wire.MaxFramePayload
+
+// decode parses a JSON request body of at most maxBodyBytes, reporting a
+// bad_request envelope on failure (an oversized body included).
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
 		writeWireErr(w, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("parsing request body: %v", err)})
 		return false
 	}

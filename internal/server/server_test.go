@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -396,4 +398,47 @@ func TestReconfigure(t *testing.T) {
 	if infos[0].Spec.D != 60 {
 		t.Errorf("spec after reconfigure = %+v", infos[0].Spec)
 	}
+}
+
+// TestOversizedBodyRefused posts a 2 MiB body — twice the cap shared
+// with the binary transport — and expects the bad_request envelope
+// without the server buffering the body: the decoder stops at the cap.
+func TestOversizedBodyRefused(t *testing.T) {
+	net := starNet(2)
+	srv := server.New(server.Config{Network: net})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close(); _ = net.Close() })
+
+	// One never-ending JSON string, streamed so the test itself holds no
+	// copy of the body.
+	body := io.MultiReader(strings.NewReader(`{"specs":"`), io.LimitReader(zeros{}, 2*wire.MaxFramePayload))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/v1/establishAll", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	var env wire.Envelope
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != http.StatusBadRequest || env.Err == nil || env.Err.Code != wire.CodeBadRequest ||
+		!strings.Contains(env.Err.Message, "request body too large") {
+		t.Fatalf("2 MiB body → %d %+v, want 400 bad_request (request body too large)", resp.StatusCode, env.Err)
+	}
+	// The JSON decoder's doubling buffer costs about 4x the cap before the
+	// limit trips; reading this body unbounded costs about 8x.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 6*wire.MaxFramePayload {
+		t.Errorf("refusing a 2 MiB body allocated %d bytes, want at most %d", grown, 6*wire.MaxFramePayload)
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }

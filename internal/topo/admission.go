@@ -61,13 +61,11 @@ type Config struct {
 // moved, and rolls back on rejection; custom schemes fall back to the
 // clone-based reference engine with identical decisions.
 type Controller struct {
-	topo   *Topology
-	cfg    Config
-	eng    *admit.Engine[Edge, *HChannel, []int64]
-	scheme admit.Scheme[Edge, *HChannel, []int64]
-
-	requests int
-	accepted int
+	topo    *Topology
+	cfg     Config
+	eng     *admit.Engine[Edge, *HChannel, []int64]
+	schemes []admit.Scheme[Edge, *HChannel, []int64] // exactly one: fabrics have no fallback search
+	stats   admit.Stats
 }
 
 // NewController builds a controller over a fixed topology.
@@ -83,16 +81,17 @@ func NewController(t *Topology, cfg Config) *Controller {
 		NoSweepCache: cfg.NoSweepCache,
 		Workers:      cfg.VerifyWorkers,
 	})
-	c.scheme = admit.Scheme[Edge, *HChannel, []int64]{
+	scheme := admit.Scheme[Edge, *HChannel, []int64]{
 		Partition: func(k *admit.State[Edge, *HChannel, []int64]) map[core.ChannelID][]int64 {
 			return cfg.DPS.Partition(&State{k: k})
 		},
 	}
 	if inc, ok := cfg.DPS.(IncrementalHDPS); ok {
-		c.scheme.PartitionTouched = func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
+		scheme.PartitionTouched = func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
 			return inc.PartitionTouched(&State{k: k}, touched)
 		}
 	}
+	c.schemes = []admit.Scheme[Edge, *HChannel, []int64]{scheme}
 	return c
 }
 
@@ -102,16 +101,19 @@ func (c *Controller) State() *State { return &State{k: c.eng.State()} }
 // DPS returns the active partitioning scheme.
 func (c *Controller) DPS() HDPS { return c.cfg.DPS }
 
-// Accepted returns how many requests have been admitted.
-func (c *Controller) Accepted() int { return c.accepted }
-
-// Requests returns how many requests have been made.
-func (c *Controller) Requests() int { return c.requests }
+// Stats returns a copy of the admission counters — the same struct and
+// rejection classification the star controller reports.
+func (c *Controller) Stats() admit.Stats {
+	s := c.stats
+	s.LinksChecked = c.eng.LinksChecked()
+	s.Repartitions = c.eng.Repartitions()
+	return s
+}
 
 // Repartitioned returns the IDs (ascending) of the channels whose hop
-// budgets changed in the last successful Request, RequestAll,
-// RequestEach or Release — the precise set a running simulation must
-// re-sync. The slice is invalidated by the next state mutation.
+// budgets changed in the last successful Admit, AdmitEach or Release —
+// the precise set a running simulation must re-sync. The slice is
+// invalidated by the next state mutation.
 func (c *Controller) Repartitioned() []core.ChannelID { return c.eng.Repartitioned() }
 
 // LinksChecked returns the cumulative number of per-edge feasibility
@@ -134,250 +136,172 @@ func (c *Controller) SweepSkips() int { return c.eng.SweepSkips() }
 // not deterministic).
 func (c *Controller) SweepNs() int64 { return c.eng.SweepNs() }
 
-// validate routes a spec and checks the route-generalized deadline
-// condition, returning the route.
-func (c *Controller) validate(spec core.ChannelSpec) ([]Edge, error) {
-	if err := spec.Validate(); err != nil {
+// Req is the one request type of the management plane — see core.Req.
+type Req = core.Req
+
+// prepare validates one request, routes it via the active router and
+// checks the route-generalized deadline condition: every root→leaf path
+// needs D >= hops*C. Failures are counted by cause. The result is the
+// channel to decide on, still without budgets; its ID is set only for a
+// KeepID request (instance fills in an allocated one otherwise).
+func (c *Controller) prepare(r Req) (*HChannel, error) {
+	if err := r.Validate(); err != nil {
+		c.stats.RejectedInvalid++
 		return nil, err
 	}
-	route, err := c.topo.Route(spec.Src, spec.Dst)
+	route, parents, leaves, err := c.topo.RouteOf(r)
 	if err != nil {
+		c.stats.RejectedNoRoute++
 		return nil, err
 	}
-	if spec.D < int64(len(route))*spec.C {
+	if hops := Depth(route, parents, leaves); r.Spec.D < int64(hops)*r.Spec.C {
+		c.stats.RejectedInvalid++
 		return nil, fmt.Errorf("%w (D=%d, hops=%d, C=%d)",
-			ErrDeadlineTooShortForRoute, spec.D, len(route), spec.C)
+			ErrDeadlineTooShortForRoute, r.Spec.D, hops, r.Spec.C)
 	}
-	return route, nil
+	hc := &HChannel{Spec: r.Spec, Route: route, Parents: parents, Leaves: leaves}
+	if r.KeepID {
+		hc.ID = r.ID
+	}
+	if r.Multicast() {
+		hc.Sinks = append([]core.NodeID(nil), r.Sinks...)
+	}
+	return hc, nil
 }
 
-// Request routes and admission-tests a channel; on success it is
-// committed and returned.
-func (c *Controller) Request(spec core.ChannelSpec) (*HChannel, error) {
-	c.requests++
-	route, err := c.validate(spec)
-	if err != nil {
-		return nil, err
+// instance returns a tentative copy of a prepared channel for the kernel,
+// which may construct a request more than once while it narrows down
+// failures. IDs start at 1, so 0 marks "allocate".
+func instance(prepared *HChannel, id core.ChannelID) *HChannel {
+	hc := *prepared
+	if hc.ID == 0 {
+		hc.ID = id
 	}
-	chs, rej := c.admit([]core.ChannelSpec{spec}, [][]Edge{route})
-	if rej != nil {
-		return nil, rej
-	}
-	c.accepted++
-	return chs[0], nil
+	return &hc
 }
 
-// RequestAll routes and admission-tests a batch of channels as one
-// decision: all specs are validated and routed, added to one tentative
-// state, partitioned once, and every affected edge verified once — one
-// repartition instead of len(specs). Either every channel commits
-// (returned in spec order) or none does and the first failure is
-// returned.
-func (c *Controller) RequestAll(specs []core.ChannelSpec) ([]*HChannel, error) {
-	c.requests += len(specs)
-	if len(specs) == 0 {
-		return nil, nil
+// Depth returns the hop count of the deepest root→leaf path of a route:
+// its length for a unicast chain (nil parents), the longest walk from a
+// leaf up to the root for a multicast tree.
+func Depth(route []Edge, parents, leaves []int) int {
+	if parents == nil {
+		return len(route)
 	}
-	routes := make([][]Edge, len(specs))
-	for i, spec := range specs {
-		route, err := c.validate(spec)
-		if err != nil {
-			return nil, fmt.Errorf("batch spec %d (%v): %w", i, spec, err)
-		}
-		routes[i] = route
-	}
-	chs, rej := c.admit(specs, routes)
-	if rej != nil {
-		return nil, rej
-	}
-	c.accepted += len(specs)
-	return chs, nil
-}
-
-// RequestEach runs per-spec admission for a merged batch: every spec is
-// validated, routed and decided on its own (unlike RequestAll's
-// all-or-nothing decision), while the kernel runs far fewer repartition
-// passes than len(specs) sequential Requests — greedy bisection tries
-// the whole group first and narrows down around failures
-// (admit.Engine.AdmitEach, which also states the decision-equivalence
-// contract with sequential submission).
-//
-// The returned slices are parallel to specs: chs[i] is the committed
-// channel when errs[i] is nil, and errs[i] is the spec's validation or
-// routing error, or a *RejectionError, otherwise.
-func (c *Controller) RequestEach(specs []core.ChannelSpec) ([]*HChannel, []error) {
-	c.requests += len(specs)
-	chs := make([]*HChannel, len(specs))
-	errs := make([]error, len(specs))
-	valid := make([]int, 0, len(specs))
-	routes := make([][]Edge, 0, len(specs))
-	for i, spec := range specs {
-		route, err := c.validate(spec)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		valid = append(valid, i)
-		routes = append(routes, route)
-	}
-	got, rejs := c.eng.AdmitEach(len(valid), func(i int, id core.ChannelID) *HChannel {
-		return &HChannel{ID: id, Spec: specs[valid[i]], Route: routes[i]}
-	}, []admit.Scheme[Edge, *HChannel, []int64]{c.scheme})
-	for vi, i := range valid {
-		if rej := rejs[vi]; rej != nil {
-			errs[i] = &RejectionError{Edge: rej.Link, Result: rej.Result}
-			continue
-		}
-		c.accepted++
-		chs[i] = got[vi]
-	}
-	return chs, errs
-}
-
-// validateMulticast validates a multicast spec, routes its distribution
-// tree via the active router and checks the tree-generalized deadline
-// condition: every root→leaf path needs D >= hops*C.
-func (c *Controller) validateMulticast(spec core.MulticastSpec) (route []Edge, parents []int, leaves []int, err error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	route, parents, leaves, err = c.topo.MulticastTree(spec.Src, spec.Sinks)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	maxDepth := 0
+	deepest := 0
 	for _, leaf := range leaves {
 		depth := 0
 		for e := leaf; e >= 0; e = parents[e] {
 			depth++
 		}
-		if depth > maxDepth {
-			maxDepth = depth
-		}
+		deepest = max(deepest, depth)
 	}
-	if spec.D < int64(maxDepth)*spec.C {
-		return nil, nil, nil, fmt.Errorf("%w (D=%d, deepest path hops=%d, C=%d)",
-			ErrDeadlineTooShortForRoute, spec.D, maxDepth, spec.C)
-	}
-	return route, parents, leaves, nil
+	return deepest
 }
 
-// Req is one entry of a mixed establishment batch handed to
-// RequestEachReq: a unicast channel when Sinks is nil, a multicast tree
-// otherwise (Spec is then the MulticastSpec's ChannelSpec projection,
-// Dst = Sinks[0]). KeepID re-admits a released channel under its old ID
-// — see core.Req.
-type Req = core.Req
+// Admit routes and admission-tests a whole list of requests as one
+// decision: every request is validated and routed (a multicast one as a
+// shortest-path tree whose shared-prefix edges carry a single budget and
+// a single task), all are added to one tentative state, partitioned once,
+// and every affected edge verified once — one repartition instead of
+// len(reqs). Either every channel commits (returned in request order) or
+// none does, the committed state stays bit-identical, and the first
+// failure is returned: a *core.ReqError for a request that fails
+// validation or routing, a *RejectionError for the edge that failed.
+func (c *Controller) Admit(reqs []Req) ([]*HChannel, error) {
+	c.stats.Requests += len(reqs)
+	prepared := make([]*HChannel, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if prepared[i], err = c.prepare(r); err != nil {
+			return nil, &core.ReqError{Index: i, Err: err}
+		}
+	}
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	chs, rej := c.eng.Admit(len(reqs), func(i int, id core.ChannelID) *HChannel {
+		return instance(prepared[i], id)
+	}, c.schemes)
+	if rej != nil {
+		return nil, c.reject(rej)
+	}
+	c.stats.Accepted += len(reqs)
+	return chs, nil
+}
 
-// RequestEachReq is RequestEach over a mixed unicast/multicast batch:
-// every request is validated, routed via the active router and decided
-// on its own through the same merged-batch kernel machinery (greedy
-// bisection, undo-on-reject rollback, decision-equivalence with
-// sequential submission). It is the primitive behind multicast-aware
+// AdmitEach decides a merged list with one verdict per request: every
+// request is validated, routed and decided on its own (unlike Admit's
+// all-or-nothing decision), while the kernel runs far fewer repartition
+// passes than len(reqs) sequential requests — greedy bisection tries the
+// whole group first and narrows down around failures
+// (admit.Engine.AdmitEach, which also states the decision-equivalence
+// contract with sequential submission). It is the primitive behind
 // request coalescing and behind post-failure batch re-admission, where
 // KeepID keeps released channels' IDs stable across the re-route.
 //
-// The returned slices are parallel to reqs, exactly as in RequestEach.
-func (c *Controller) RequestEachReq(reqs []Req) ([]*HChannel, []error) {
-	c.requests += len(reqs)
+// The returned slices are parallel to reqs: chs[i] is the committed
+// channel when errs[i] is nil, and errs[i] is the request's validation
+// or routing error, or a *RejectionError, otherwise.
+func (c *Controller) AdmitEach(reqs []Req) ([]*HChannel, []error) {
+	c.stats.Requests += len(reqs)
 	chs := make([]*HChannel, len(reqs))
 	errs := make([]error, len(reqs))
-	type routed struct {
-		i       int // index into reqs
-		route   []Edge
-		parents []int
-		leaves  []int
-	}
-	valid := make([]routed, 0, len(reqs))
+	valid := make([]int, 0, len(reqs))
+	prepared := make([]*HChannel, 0, len(reqs))
 	for i, r := range reqs {
-		if len(r.Sinks) == 0 {
-			rt, err := c.validate(r.Spec)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			valid = append(valid, routed{i: i, route: rt})
+		p, err := c.prepare(r)
+		if errs[i] = err; err != nil {
 			continue
 		}
-		rt, parents, leaves, err := c.validateMulticast(r.MulticastSpec())
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		valid = append(valid, routed{i: i, route: rt, parents: parents, leaves: leaves})
+		valid = append(valid, i)
+		prepared = append(prepared, p)
 	}
 	got, rejs := c.eng.AdmitEach(len(valid), func(vi int, id core.ChannelID) *HChannel {
-		v := valid[vi]
-		r := reqs[v.i]
-		if r.KeepID {
-			id = r.ID
-		}
-		hc := &HChannel{ID: id, Spec: r.Spec, Route: v.route, Parents: v.parents, Leaves: v.leaves}
-		if len(r.Sinks) > 0 {
-			hc.Sinks = append([]core.NodeID(nil), r.Sinks...)
-		}
-		return hc
-	}, []admit.Scheme[Edge, *HChannel, []int64]{c.scheme})
-	for vi, v := range valid {
-		if rej := rejs[vi]; rej != nil {
-			errs[v.i] = &RejectionError{Edge: rej.Link, Result: rej.Result}
+		return instance(prepared[vi], id)
+	}, c.schemes)
+	for vi, i := range valid {
+		if rejs[vi] != nil {
+			errs[i] = c.reject(rejs[vi])
 			continue
 		}
-		c.accepted++
-		chs[v.i] = got[vi]
+		c.stats.Accepted++
+		chs[i] = got[vi]
 	}
 	return chs, errs
 }
 
-// admit runs the kernel decision for pre-routed specs.
-func (c *Controller) admit(specs []core.ChannelSpec, routes [][]Edge) ([]*HChannel, *RejectionError) {
-	chs, rej := c.eng.Admit(len(specs), func(i int, id core.ChannelID) *HChannel {
-		return &HChannel{ID: id, Spec: specs[i], Route: routes[i]}
-	}, []admit.Scheme[Edge, *HChannel, []int64]{c.scheme})
-	if rej != nil {
-		return nil, &RejectionError{Edge: rej.Link, Result: rej.Result}
-	}
-	return chs, nil
+// reject counts a kernel rejection and converts it to the public error.
+func (c *Controller) reject(rej *admit.Rejection[Edge]) *RejectionError {
+	c.stats.NoteRejection(rej.Result)
+	return &RejectionError{Edge: rej.Link, Result: rej.Result}
 }
 
-// RequestMulticast routes a shortest-path tree from the spec's source to
-// every sink and admission-tests the whole tree as one decision: a
-// single tentative channel whose task appears on every tree edge, one
-// repartition pass, one verification sweep over the affected edges, and
-// on any rejection a rollback that leaves the committed state
-// bit-identical to before the request. Each root→leaf path's budgets
-// sum to D (the deadline is end-to-end per sink), while shared-prefix
-// edges — the source uplink and any common trunks — carry a single
-// budget and a single task, not one per sink.
+// Request is Admit of one unicast channel.
+func (c *Controller) Request(spec core.ChannelSpec) (*HChannel, error) {
+	return core.One(c.Admit([]Req{{Spec: spec}}))
+}
+
+// RequestMulticast is Admit of one multicast tree: every tree edge
+// admits, or the whole tree rolls back.
 func (c *Controller) RequestMulticast(spec core.MulticastSpec) (*HChannel, error) {
-	c.requests++
-	route, parents, leaves, err := c.validateMulticast(spec)
-	if err != nil {
-		return nil, err
-	}
-	chs, rej := c.eng.Admit(1, func(_ int, id core.ChannelID) *HChannel {
-		return &HChannel{
-			ID:      id,
-			Spec:    spec.ChannelSpec(),
-			Route:   route,
-			Parents: parents,
-			Sinks:   append([]core.NodeID(nil), spec.Sinks...),
-			Leaves:  leaves,
-		}
-	}, []admit.Scheme[Edge, *HChannel, []int64]{c.scheme})
-	if rej != nil {
-		return nil, &RejectionError{Edge: rej.Link, Result: rej.Result}
-	}
-	c.accepted++
-	return chs[0], nil
+	return core.One(c.Admit([]Req{spec.Req()}))
+}
+
+// RequestAll is Admit of a list of unicast channels, with a failing
+// spec named in the error ("batch spec i (…)").
+func (c *Controller) RequestAll(specs []core.ChannelSpec) ([]*HChannel, error) {
+	reqs := core.Unicast(specs)
+	chs, err := c.Admit(reqs)
+	return chs, core.BatchError(reqs, err)
 }
 
 // Release tears down a channel; remaining channels are repartitioned when
 // that keeps every edge feasible, otherwise partitions stay as they were.
 func (c *Controller) Release(id core.ChannelID) error {
-	if !c.eng.Release(id, c.scheme) {
+	if !c.eng.Release(id, c.schemes[0]) {
 		return fmt.Errorf("topo: release of unknown channel %d", id)
 	}
+	c.stats.Released++
 	return nil
 }
 

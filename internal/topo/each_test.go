@@ -90,7 +90,7 @@ func TestRequestEachMatchesSequentialFabric(t *testing.T) {
 			specs := randomFabricSpecs(rng, 300)
 
 			merged := NewController(eachTestTopology(t), Config{DPS: tc.dps})
-			chs, errs := merged.RequestEach(specs)
+			chs, errs := merged.AdmitEach(core.Unicast(specs))
 
 			seq := NewController(eachTestTopology(t), Config{DPS: tc.dps})
 			accepted, rejected, noRoute, invalid := 0, 0, 0, 0
@@ -131,9 +131,9 @@ func TestRequestEachMatchesSequentialFabric(t *testing.T) {
 			if got, want := hchFingerprint(merged), hchFingerprint(seq); got != want {
 				t.Fatalf("committed states differ:\n  merged     %s\n  sequential %s", got, want)
 			}
-			if merged.Accepted() != seq.Accepted() || merged.Requests() != seq.Requests() {
+			if merged.Stats().Accepted != seq.Stats().Accepted || merged.Stats().Requests != seq.Stats().Requests {
 				t.Fatalf("counters differ: merged %d/%d, sequential %d/%d",
-					merged.Accepted(), merged.Requests(), seq.Accepted(), seq.Requests())
+					merged.Stats().Accepted, merged.Stats().Requests, seq.Stats().Accepted, seq.Stats().Requests)
 			}
 			t.Logf("%s: accepted %d rejected %d no-route %d invalid %d; repartition passes merged=%d sequential=%d",
 				tc.name, accepted, rejected, noRoute, invalid, merged.Repartitions(), seq.Repartitions())

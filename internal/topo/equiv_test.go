@@ -99,9 +99,9 @@ func TestFabricDecisionEquivalence(t *testing.T) {
 			if got, want := fabricStateKey(inc.State()), fabricStateKey(ref.State()); got != want {
 				t.Fatalf("committed states diverge:\nincremental: %s\nclone:       %s", got, want)
 			}
-			if inc.Accepted() != ref.Accepted() || inc.Requests() != ref.Requests() {
+			if inc.Stats().Accepted != ref.Stats().Accepted || inc.Stats().Requests != ref.Stats().Requests {
 				t.Fatalf("counters diverge: %d/%d vs %d/%d",
-					inc.Accepted(), inc.Requests(), ref.Accepted(), ref.Requests())
+					inc.Stats().Accepted, inc.Stats().Requests, ref.Stats().Accepted, ref.Stats().Requests)
 			}
 		})
 	}
@@ -162,9 +162,9 @@ func TestFabricSweepCacheEquivalence(t *testing.T) {
 				if got, want := fabricStateKey(ctrls[j].State()), fabricStateKey(ctrls[0].State()); got != want {
 					t.Fatalf("states diverge (%s vs %s):\n%s\nvs\n%s", names[j], names[0], got, want)
 				}
-				if ctrls[j].Accepted() != ctrls[0].Accepted() {
+				if ctrls[j].Stats().Accepted != ctrls[0].Stats().Accepted {
 					t.Fatalf("accept counts diverge: %s %d vs %s %d",
-						names[j], ctrls[j].Accepted(), names[0], ctrls[0].Accepted())
+						names[j], ctrls[j].Stats().Accepted, names[0], ctrls[0].Stats().Accepted)
 				}
 			}
 			if cached.LinksChecked() != uncached.LinksChecked() {

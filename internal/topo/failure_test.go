@@ -98,7 +98,7 @@ func (w *churnWorld) failTrunk(t *testing.T, a, b SwitchID) string {
 		}
 		reqs[i] = Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true}
 	}
-	chs, errs := w.ctrl.RequestEachReq(reqs)
+	chs, errs := w.ctrl.AdmitEach(reqs)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fail %d-%d affected=%d:", a, b, len(affected))
 	for i := range reqs {
@@ -193,7 +193,7 @@ func replayChurn(t *testing.T, seed int64) string {
 				}
 			}
 			line := step("establish", func(w *churnWorld) string {
-				chs, errs := w.ctrl.RequestEachReq([]Req{{Spec: spec, Sinks: sinks}})
+				chs, errs := w.ctrl.AdmitEach([]Req{{Spec: spec, Sinks: sinks}})
 				if errs[0] != nil {
 					return fmt.Sprintf("est %v sinks=%v rej(%v)", spec, sinks, errs[0])
 				}

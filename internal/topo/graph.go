@@ -130,6 +130,16 @@ func (t *Topology) MulticastTree(src core.NodeID, sinks []core.NodeID) (route []
 	return t.router.Tree(t.graph, src, sinks)
 }
 
+// RouteOf routes a request: a chain (nil parents and leaves) for a
+// unicast, a distribution tree for a multicast.
+func (t *Topology) RouteOf(r core.Req) (route []Edge, parents, leaves []int, err error) {
+	if r.Multicast() {
+		return t.MulticastTree(r.Spec.Src, r.Sinks)
+	}
+	route, err = t.Route(r.Spec.Src, r.Spec.Dst)
+	return route, nil, nil, err
+}
+
 // Line builds a chain of k switches (IDs 0..k-1) with trunks between
 // neighbours — the canonical multi-switch evaluation fabric.
 func Line(k int) *Topology {

@@ -283,7 +283,7 @@ func TestFabricCommittedStateAlwaysFeasible(t *testing.T) {
 				}
 			}
 		}
-		if c.Accepted() == 0 {
+		if c.Stats().Accepted == 0 {
 			t.Fatalf("%s accepted nothing in the fuzz", dps.Name())
 		}
 	}

@@ -1,12 +1,11 @@
 package rtether
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/admit"
 	"repro/internal/core"
-	"repro/internal/edf"
 	"repro/internal/fabricsim"
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -14,9 +13,11 @@ import (
 )
 
 // AdmissionStats summarizes admission-control activity: what was
-// requested, what was admitted, and why rejections happened. Both
-// backends report the full rejection breakdown, the cumulative per-link
-// feasibility-test count and the repartition-pass count.
+// requested, what was admitted, and why rejections happened. The
+// counters are the admission controller's own and mean the same on a
+// star and on a fabric: an atomic list counts as len(list) requests and
+// at most one rejection, and failure recovery's releases and
+// re-admissions count like any others.
 type AdmissionStats struct {
 	Requests             int // establishment requests seen
 	Accepted             int // channels admitted
@@ -61,11 +62,14 @@ type AdmissionStats struct {
 // protocol) or the routed multi-switch simulator (internal/fabricsim).
 type backend interface {
 	addNode(id NodeID) error
-	establish(spec ChannelSpec) (ChannelID, []int64, error)
-	establishMulticast(spec MulticastSpec) (ChannelID, []int64, error)
-	establishAll(specs []ChannelSpec) ([]ChannelID, error)
-	establishEach(specs []ChannelSpec) ([]ChannelID, []error)
-	establishEachReq(reqs []core.Req) ([]ChannelID, []error)
+	// The three establishment calls. establishWire plays the paper's
+	// RequestFrame/ResponseFrame handshake for one channel where the
+	// backend models it (the star); admitAll decides a list atomically and
+	// admitEach with one verdict per request, both through the management
+	// plane. Feasibility rejections come back as *AdmissionError.
+	establishWire(spec ChannelSpec) (ChannelID, error)
+	admitAll(reqs []core.Req) ([]ChannelID, error)
+	admitEach(reqs []core.Req) ([]ChannelID, []error)
 	setLinkUp(a, b SwitchID, up bool) (*FailoverReport, error)
 	setSwitchUp(s SwitchID, up bool) (*FailoverReport, error)
 	setNodeLinkUp(id NodeID, up bool) error
@@ -78,10 +82,10 @@ type backend interface {
 	now() int64
 	run(untilSlot int64)
 	report() *Report
-	channelInfo(id ChannelID) (ChannelSpec, []int64, bool)
+	budgets(id ChannelID) []int64
 	channelIDs() []ChannelID
 	metrics(id ChannelID) *ChannelMetrics
-	guaranteedDelay(spec ChannelSpec) int64
+	guaranteedDelay(id ChannelID, r core.Req) int64
 	linkLoadUp(id NodeID) int
 	linkLoadDown(id NodeID) int
 	setTracer(t Tracer) bool
@@ -94,11 +98,6 @@ type backend interface {
 
 type starBackend struct {
 	inner *netsim.Network
-	// noRoute counts establishment attempts rejected before admission
-	// control because an endpoint is not an attached node — the star
-	// "no route" condition. The controller never sees these, so the
-	// backend accounts them (and folds them into Requests) itself.
-	noRoute int
 }
 
 func newStarBackend(cfg netsim.Config, nodes []NodeID) *starBackend {
@@ -114,90 +113,22 @@ func (b *starBackend) addNode(id NodeID) error {
 	return err
 }
 
-func (b *starBackend) establish(spec ChannelSpec) (ChannelID, []int64, error) {
+func (b *starBackend) establishWire(spec ChannelSpec) (ChannelID, error) {
 	id, err := b.inner.EstablishChannel(spec)
-	if err != nil {
-		b.noteNoRoute(err)
-		return 0, nil, starAdmissionError(spec, err)
-	}
-	_, budgets, _ := b.channelInfo(id)
-	return id, budgets, nil
+	return id, starDiagnostic([]core.Req{{Spec: spec}}, err)
 }
 
-func (b *starBackend) establishMulticast(spec MulticastSpec) (ChannelID, []int64, error) {
-	id, err := b.inner.EstablishMulticastChannel(spec)
-	if err != nil {
-		b.noteNoRoute(err)
-		return 0, nil, starMulticastAdmissionError(spec, err)
-	}
-	_, budgets, _ := b.channelInfo(id)
-	return id, budgets, nil
+func (b *starBackend) admitAll(reqs []core.Req) ([]ChannelID, error) {
+	ids, err := b.inner.EstablishAll(reqs)
+	return ids, starDiagnostic(reqs, err)
 }
 
-func (b *starBackend) establishAll(specs []ChannelSpec) ([]ChannelID, error) {
-	ids, err := b.inner.EstablishChannels(specs)
-	if err != nil {
-		b.noteNoRoute(err)
-		return nil, batchAdmissionError(specs, err)
-	}
-	return ids, nil
-}
-
-func (b *starBackend) establishEach(specs []ChannelSpec) ([]ChannelID, []error) {
-	ids, errs := b.inner.EstablishEachChannels(specs)
+func (b *starBackend) admitEach(reqs []core.Req) ([]ChannelID, []error) {
+	ids, errs := b.inner.EstablishEach(reqs)
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		b.noteNoRoute(err)
-		errs[i] = starAdmissionError(specs[i], err)
+		errs[i] = starDiagnostic(reqs[i:i+1], err)
 	}
 	return ids, errs
-}
-
-// establishEachReq admits a mixed unicast/multicast batch with one
-// verdict per request (netsim.Network.EstablishEachReqChannels).
-func (b *starBackend) establishEachReq(reqs []core.Req) ([]ChannelID, []error) {
-	ids, errs := b.inner.EstablishEachReqChannels(reqs)
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		b.noteNoRoute(err)
-		if len(reqs[i].Sinks) > 0 {
-			errs[i] = starMulticastAdmissionError(reqs[i].MulticastSpec(), err)
-		} else {
-			errs[i] = starAdmissionError(reqs[i].Spec, err)
-		}
-	}
-	return ids, errs
-}
-
-// noteNoRoute counts an unknown-endpoint rejection, which fails before
-// reaching the admission controller's own counters.
-func (b *starBackend) noteNoRoute(err error) {
-	if errors.Is(err, netsim.ErrUnknownNode) {
-		b.noRoute++
-	}
-}
-
-// batchAdmissionError attributes a batch rejection to the batch spec that
-// traverses the rejecting link (the failure may also sit on a link of a
-// repartitioned pre-existing channel; then the first spec stands in).
-func batchAdmissionError(specs []ChannelSpec, err error) error {
-	rej, ok := err.(*core.RejectionError)
-	if !ok || len(specs) == 0 {
-		return err
-	}
-	spec := specs[0]
-	for _, s := range specs {
-		if (rej.Link.Dir == core.Up && s.Src == rej.Link.Node) ||
-			(rej.Link.Dir == core.Down && s.Dst == rej.Link.Node) {
-			spec = s
-			break
-		}
-	}
-	return starAdmissionError(spec, err)
 }
 
 func (b *starBackend) release(id ChannelID) error {
@@ -261,12 +192,12 @@ func cloneMetrics(m *netsim.ChannelMetrics) *ChannelMetrics {
 	return &ChannelMetrics{Delivered: m.Delivered, Misses: m.Misses, Delays: m.Delays.Clone()}
 }
 
-func (b *starBackend) channelInfo(id ChannelID) (ChannelSpec, []int64, bool) {
+func (b *starBackend) budgets(id ChannelID) []int64 {
 	ch := b.inner.Controller().State().Get(id)
 	if ch == nil {
-		return ChannelSpec{}, nil, false
+		return nil
 	}
-	return ch.Spec, []int64{ch.Part.Up, ch.Part.Down}, true
+	return []int64{ch.Part.Up, ch.Part.Down}
 }
 
 func (b *starBackend) channelIDs() []ChannelID {
@@ -282,8 +213,8 @@ func (b *starBackend) metrics(id ChannelID) *ChannelMetrics {
 	return cloneMetrics(b.inner.ChannelMetrics(id))
 }
 
-func (b *starBackend) guaranteedDelay(spec ChannelSpec) int64 {
-	return spec.D + b.inner.ExtraLatency()
+func (b *starBackend) guaranteedDelay(_ ChannelID, r core.Req) int64 {
+	return r.Spec.D + b.inner.ExtraLatency()
 }
 
 func (b *starBackend) linkLoadUp(id NodeID) int {
@@ -300,24 +231,34 @@ func (b *starBackend) setTracer(t Tracer) bool {
 }
 
 func (b *starBackend) admissionStats() AdmissionStats {
-	st := b.inner.Controller().Stats()
 	state := b.inner.Controller().State()
-	return AdmissionStats{
-		Requests:             st.Requests + b.noRoute,
-		Accepted:             st.Accepted,
-		RejectedInvalid:      st.RejectedInvalid,
-		RejectedNoRoute:      b.noRoute,
-		RejectedUtilization:  st.RejectedUtilization,
-		RejectedDemand:       st.RejectedDemand,
-		RejectedInconclusive: st.RejectedInconclusive,
-		Released:             st.Released,
-		LinksChecked:         st.LinksChecked,
-		VerifyCacheHits:      b.inner.Controller().SweepSkips(),
-		SweepNs:              b.inner.Controller().SweepNs(),
-		Repartitions:         st.Repartitions,
-		MeanLinkUtilization:  state.MeanLinkUtilization(),
-		LoadedLinks:          len(state.Links()),
-	}
+	return assembleStats(AdmissionStats{}, b.inner.Controller(), len(state.Links()), state.MeanLinkUtilization())
+}
+
+// assembleStats fills the admission counters of st from a controller —
+// the single owner of Requests, Accepted, the rejection breakdown and
+// Released on either backend — and its kernel's sweep accounting.
+func assembleStats(st AdmissionStats, c interface {
+	Stats() admit.Stats
+	SweepSkips() int
+	SweepNs() int64
+}, loadedLinks int, meanUtilization float64) AdmissionStats {
+	cs := c.Stats()
+	st.Requests = cs.Requests
+	st.Accepted = cs.Accepted
+	st.RejectedInvalid = cs.RejectedInvalid
+	st.RejectedNoRoute = cs.RejectedNoRoute
+	st.RejectedUtilization = cs.RejectedUtilization
+	st.RejectedDemand = cs.RejectedDemand
+	st.RejectedInconclusive = cs.RejectedInconclusive
+	st.Released = cs.Released
+	st.LinksChecked = cs.LinksChecked
+	st.Repartitions = cs.Repartitions
+	st.VerifyCacheHits = c.SweepSkips()
+	st.SweepNs = c.SweepNs()
+	st.LoadedLinks = loadedLinks
+	st.MeanLinkUtilization = meanUtilization
+	return st
 }
 
 func (b *starBackend) writeSnapshot(w io.Writer) error {
@@ -341,7 +282,10 @@ type fabricBackend struct {
 	// failAndRecover (failures) and refreshDeadEdges (repairs).
 	deadEdges map[topo.Edge]bool
 
-	stats AdmissionStats
+	// tally holds the survivability counters (Rerouted, Degraded,
+	// Preempted, Lost); every other AdmissionStats field is read off the
+	// controller in admissionStats.
+	tally AdmissionStats
 }
 
 func newFabricBackend(top *Topology, hdps topo.HDPS, cfg netsim.Config, policy FailurePolicy) *fabricBackend {
@@ -367,163 +311,50 @@ func (b *fabricBackend) addNode(id NodeID) error {
 	return fmt.Errorf("rtether: node %d: attach end-nodes via Topology.Attach before New on a multi-switch network", id)
 }
 
-func (b *fabricBackend) establish(spec ChannelSpec) (ChannelID, []int64, error) {
-	b.stats.Requests++
-	ch, err := b.ctrl.Request(spec)
-	if err != nil {
-		b.noteRejection(spec.Src, err)
-		route, _ := b.top.inner.Route(spec.Src, spec.Dst)
-		return 0, nil, fabricAdmissionError(spec, err, route)
-	}
-	b.stats.Accepted++
-	if err := b.sim.Install(ch); err != nil {
-		// Admission and the simulator disagree on the channel's identity —
-		// a programming error, not a runtime condition.
-		panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
-	}
-	b.syncBudgets(b.ctrl.Repartitioned())
-	return ch.ID, append([]int64(nil), ch.Hops...), nil
+// establishWire on a fabric is admitAll of one: the multi-switch model
+// has no establishment handshake to play out.
+func (b *fabricBackend) establishWire(spec ChannelSpec) (ChannelID, error) {
+	return core.One(b.admitAll([]core.Req{{Spec: spec}}))
 }
 
-func (b *fabricBackend) establishMulticast(spec MulticastSpec) (ChannelID, []int64, error) {
-	b.stats.Requests++
-	ch, err := b.ctrl.RequestMulticast(spec)
+func (b *fabricBackend) admitAll(reqs []core.Req) ([]ChannelID, error) {
+	chs, err := b.ctrl.Admit(reqs)
 	if err != nil {
-		b.noteRejection(spec.Src, err)
-		tree, parents, leaves, _ := b.top.inner.MulticastTree(spec.Src, spec.Sinks)
-		return 0, nil, fabricMulticastAdmissionError(spec, err, tree, parents, leaves, spec.Sinks)
+		b.sim.TraceAdmission(reqs[0].Spec.Src, 0, false, 0)
+		return nil, b.diagnostic(reqs, err)
 	}
-	b.stats.Accepted++
-	if err := b.sim.Install(ch); err != nil {
-		panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
-	}
-	b.syncBudgets(b.ctrl.Repartitioned())
-	return ch.ID, append([]int64(nil), ch.Hops...), nil
+	return b.commit(chs), nil
 }
 
-func (b *fabricBackend) establishAll(specs []ChannelSpec) ([]ChannelID, error) {
-	b.stats.Requests += len(specs)
-	chs, err := b.ctrl.RequestAll(specs)
-	if err != nil {
-		src := NodeID(0)
-		if len(specs) > 0 {
-			src = specs[0].Src
+func (b *fabricBackend) admitEach(reqs []core.Req) ([]ChannelID, []error) {
+	chs, errs := b.ctrl.AdmitEach(reqs)
+	for i, err := range errs {
+		if err != nil {
+			b.sim.TraceAdmission(reqs[i].Spec.Src, 0, false, 0)
+			errs[i] = b.diagnostic(reqs[i:i+1], err)
 		}
-		b.noteRejection(src, err)
-		return nil, b.fabricBatchError(specs, err)
 	}
-	b.stats.Accepted += len(specs)
+	return b.commit(chs), errs
+}
+
+// commit installs the channels one decision admitted (nil entries are
+// its rejected requests) in the running simulation and re-syncs the
+// budgets the decision repartitioned, once for the whole list.
+func (b *fabricBackend) commit(chs []*topo.HChannel) []ChannelID {
 	ids := make([]ChannelID, len(chs))
 	for i, ch := range chs {
+		if ch == nil {
+			continue
+		}
 		if err := b.sim.Install(ch); err != nil {
+			// Admission and the simulator disagree on the channel's identity —
+			// a programming error, not a runtime condition.
 			panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
 		}
 		ids[i] = ch.ID
 	}
 	b.syncBudgets(b.ctrl.Repartitioned())
-	return ids, nil
-}
-
-// fabricBatchError attributes a batch rejection to the batch spec whose
-// route crosses the rejecting edge (falling back to the first spec when
-// the failure sits on a repartitioned pre-existing channel's edge).
-func (b *fabricBackend) fabricBatchError(specs []ChannelSpec, err error) error {
-	rej, ok := err.(*topo.RejectionError)
-	if !ok || len(specs) == 0 {
-		return err
-	}
-	spec := specs[0]
-	route, _ := b.top.inner.Route(spec.Src, spec.Dst)
-	for _, s := range specs {
-		r, rErr := b.top.inner.Route(s.Src, s.Dst)
-		if rErr != nil {
-			continue
-		}
-		for _, e := range r {
-			if e == rej.Edge {
-				return fabricAdmissionError(s, err, r)
-			}
-		}
-	}
-	return fabricAdmissionError(spec, err, route)
-}
-
-// establishEach admits a merged batch with one verdict per spec
-// (topo.Controller.RequestEach): accepted channels are installed in the
-// running simulation and rejected specs carry their own *AdmissionError,
-// with a single budget re-sync for the whole group.
-func (b *fabricBackend) establishEach(specs []ChannelSpec) ([]ChannelID, []error) {
-	b.stats.Requests += len(specs)
-	chs, errs := b.ctrl.RequestEach(specs)
-	ids := make([]ChannelID, len(specs))
-	for i, err := range errs {
-		if err != nil {
-			b.noteRejection(specs[i].Src, err)
-			route, _ := b.top.inner.Route(specs[i].Src, specs[i].Dst)
-			errs[i] = fabricAdmissionError(specs[i], err, route)
-			continue
-		}
-		b.stats.Accepted++
-		ch := chs[i]
-		if err := b.sim.Install(ch); err != nil {
-			panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
-		}
-		ids[i] = ch.ID
-	}
-	b.syncBudgets(b.ctrl.Repartitioned())
-	return ids, errs
-}
-
-// establishEachReq admits a mixed unicast/multicast batch with one
-// verdict per request (topo.Controller.RequestEachReq), installing
-// accepted channels in the running simulation exactly as establishEach.
-func (b *fabricBackend) establishEachReq(reqs []core.Req) ([]ChannelID, []error) {
-	b.stats.Requests += len(reqs)
-	chs, errs := b.ctrl.RequestEachReq(reqs)
-	ids := make([]ChannelID, len(reqs))
-	for i, err := range errs {
-		if err != nil {
-			b.noteRejection(reqs[i].Spec.Src, err)
-			if len(reqs[i].Sinks) > 0 {
-				spec := reqs[i].MulticastSpec()
-				tree, parents, leaves, _ := b.top.inner.MulticastTree(spec.Src, spec.Sinks)
-				errs[i] = fabricMulticastAdmissionError(spec, err, tree, parents, leaves, spec.Sinks)
-			} else {
-				route, _ := b.top.inner.Route(reqs[i].Spec.Src, reqs[i].Spec.Dst)
-				errs[i] = fabricAdmissionError(reqs[i].Spec, err, route)
-			}
-			continue
-		}
-		b.stats.Accepted++
-		ch := chs[i]
-		if err := b.sim.Install(ch); err != nil {
-			panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
-		}
-		ids[i] = ch.ID
-	}
-	b.syncBudgets(b.ctrl.Repartitioned())
-	return ids, errs
-}
-
-func (b *fabricBackend) noteRejection(src NodeID, err error) {
-	b.sim.TraceAdmission(src, 0, false, 0)
-	rej, ok := err.(*topo.RejectionError)
-	if !ok {
-		if errors.Is(err, topo.ErrNoRoute) || errors.Is(err, topo.ErrUnknownNode) {
-			b.stats.RejectedNoRoute++
-		} else {
-			b.stats.RejectedInvalid++
-		}
-		return
-	}
-	switch rej.Result.Verdict {
-	case edf.InfeasibleUtilization:
-		b.stats.RejectedUtilization++
-	case edf.InfeasibleDemand:
-		b.stats.RejectedDemand++
-	default:
-		b.stats.RejectedInconclusive++
-	}
+	return ids
 }
 
 // syncBudgets pushes committed per-hop budgets into the running
@@ -550,7 +381,6 @@ func (b *fabricBackend) release(id ChannelID) error {
 	if err := b.ctrl.Release(id); err != nil {
 		return err
 	}
-	b.stats.Released++
 	if err := b.sim.Remove(id); err != nil {
 		// The controller released a channel the simulation does not know —
 		// admission state and the running sim have diverged, which is a
@@ -609,12 +439,12 @@ func (b *fabricBackend) report() *Report {
 	return r
 }
 
-func (b *fabricBackend) channelInfo(id ChannelID) (ChannelSpec, []int64, bool) {
+func (b *fabricBackend) budgets(id ChannelID) []int64 {
 	hch := b.ctrl.State().Get(id)
 	if hch == nil {
-		return ChannelSpec{}, nil, false
+		return nil
 	}
-	return hch.Spec, append([]int64(nil), hch.Hops...), true
+	return append([]int64(nil), hch.Hops...)
 }
 
 func (b *fabricBackend) channelIDs() []ChannelID {
@@ -638,15 +468,22 @@ func (b *fabricBackend) metrics(id ChannelID) *ChannelMetrics {
 	return &ChannelMetrics{Delivered: m.Delivered, Misses: m.Misses, Delays: m.Delays.Clone()}
 }
 
-func (b *fabricBackend) guaranteedDelay(spec ChannelSpec) int64 {
-	route, err := b.top.inner.Route(spec.Src, spec.Dst)
+// guaranteedDelay pads D with one propagation delay per hop of the
+// deepest root→leaf path (Eq. 18.1 holds for the farthest sink): of the
+// committed route while channel id is established, otherwise of the
+// route r would get now (id 0 names no channel).
+func (b *fabricBackend) guaranteedDelay(id ChannelID, r core.Req) int64 {
+	if hch := b.ctrl.State().Get(id); hch != nil {
+		return hch.Spec.D + int64(topo.Depth(hch.Route, hch.Parents, hch.Leaves))*b.prop
+	}
+	route, parents, leaves, err := b.top.inner.RouteOf(r)
 	if err != nil {
 		// No route between the endpoints: there is no delivery guarantee
 		// to state. Fabricating a hop count here would hand callers a
 		// bound admission control can never back.
 		return 0
 	}
-	return spec.D + int64(len(route))*b.prop
+	return r.Spec.D + int64(topo.Depth(route, parents, leaves))*b.prop
 }
 
 func (b *fabricBackend) linkLoadUp(id NodeID) int {
@@ -674,15 +511,8 @@ func (b *fabricBackend) setTracer(t Tracer) bool {
 }
 
 func (b *fabricBackend) admissionStats() AdmissionStats {
-	st := b.stats
 	state := b.ctrl.State()
-	st.LinksChecked = b.ctrl.LinksChecked()
-	st.VerifyCacheHits = b.ctrl.SweepSkips()
-	st.SweepNs = b.ctrl.SweepNs()
-	st.Repartitions = b.ctrl.Repartitions()
-	st.LoadedLinks = len(state.Edges())
-	st.MeanLinkUtilization = state.MeanLinkUtilization()
-	return st
+	return assembleStats(b.tally, b.ctrl, len(state.Edges()), state.MeanLinkUtilization())
 }
 
 func (b *fabricBackend) writeSnapshot(w io.Writer) error {

@@ -86,7 +86,9 @@ func (c *Channel) Teardown() error { return c.net.teardownChannel(c) }
 func (c *Channel) Metrics() *ChannelMetrics { return c.net.channelMetrics(c) }
 
 // GuaranteedDelay returns the delivery guarantee for this channel,
-// T_max = d + T_latency (Eq. 18.1). An established channel always has a
-// route, so the value is positive (see Network.GuaranteedDelay for the
-// 0 = "no route" convention on raw specs).
-func (c *Channel) GuaranteedDelay() int64 { return c.net.GuaranteedDelay(c.spec) }
+// T_max = d + T_latency (Eq. 18.1); on a fabric T_latency scales with the
+// hop count of the channel's committed route — for a multicast channel
+// that of its farthest sink, so the bound holds for every sink. An
+// established channel always has a route, so the value is positive (see
+// Network.GuaranteedDelay for the 0 = "no route" convention on raw specs).
+func (c *Channel) GuaranteedDelay() int64 { return c.net.channelGuarantee(c) }

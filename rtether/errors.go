@@ -104,136 +104,105 @@ func slackOf(res edf.Result) int64 {
 	return 0
 }
 
-// starAdmissionError converts a star-network rejection into the typed
-// public diagnostic. Non-rejection errors pass through unchanged.
-func starAdmissionError(spec ChannelSpec, err error) error {
-	rej, ok := err.(*core.RejectionError)
-	if !ok {
-		return err
+// blame builds the public diagnostic of a rejection of the list reqs (one
+// request for a per-verdict rejection). locate places the rejecting link
+// on a request's route: its hop, and the index of the first sink whose
+// delivery path crosses it, or a negative hop when the route avoids the
+// link. The first request whose route crosses the link is named; the
+// failure may instead sit on a link of a repartitioned pre-existing
+// channel, and then the first request stands in with Hop -1. A unicast
+// is the one-branch case and reports no Branch.
+func blame(reqs []core.Req, link fmt.Stringer, res edf.Result, locate func(core.Req) (hop, branch int)) *AdmissionError {
+	r, hop, branch := reqs[0], -1, -1
+	for _, cand := range reqs {
+		if h, b := locate(cand); h >= 0 {
+			r, hop, branch = cand, h, b
+			break
+		}
 	}
 	ae := &AdmissionError{
-		Spec:        spec,
-		Link:        rej.Link.String(),
-		Node:        rej.Link.Node,
-		Utilization: rej.Result.Utilization,
-		Slack:       slackOf(rej.Result),
-		Reason:      rej.Result.String(),
-		Hop:         -1,
+		Spec:        r.Spec,
+		Link:        link.String(),
+		Utilization: res.Utilization,
+		Slack:       slackOf(res),
+		Reason:      res.String(),
+		Hop:         hop,
 		Branch:      -1,
 	}
-	switch rej.Link.Dir {
-	case core.Up:
-		ae.Dir = DirUp
-		if rej.Link.Node == spec.Src {
-			ae.Hop = 0
-		}
-	case core.Down:
-		ae.Dir = DirDown
-		if rej.Link.Node == spec.Dst {
-			ae.Hop = 1
-		}
+	if r.Multicast() && hop >= 0 && branch >= 0 {
+		ae.Branch, ae.Sink = branch, r.Sinks[branch]
 	}
 	return ae
 }
 
-// fabricAdmissionError converts a fabric rejection into the typed public
-// diagnostic. route is the requested channel's route (nil when routing
-// itself failed); non-rejection errors pass through unchanged.
-func fabricAdmissionError(spec ChannelSpec, err error, route []topo.Edge) error {
+// starDiagnostic converts a star-network rejection into the typed public
+// diagnostic. A request's tree is its source uplink (hop 0, shared by
+// every branch: the first sink stands in) plus one downlink per sink
+// (hop 1). Non-rejection errors, nil included, pass through unchanged.
+func starDiagnostic(reqs []core.Req, err error) error {
+	rej, ok := err.(*core.RejectionError)
+	if !ok {
+		return err
+	}
+	ae := blame(reqs, rej.Link, rej.Result, func(r core.Req) (hop, branch int) {
+		switch {
+		case rej.Link.Dir == core.Up:
+			if rej.Link.Node == r.Spec.Src {
+				return 0, 0
+			}
+		case !r.Multicast():
+			if rej.Link.Node == r.Spec.Dst {
+				return 1, 0
+			}
+		default:
+			for k, sink := range r.Sinks {
+				if rej.Link.Node == sink {
+					return 1, k
+				}
+			}
+		}
+		return -1, -1
+	})
+	ae.Node, ae.Dir = rej.Link.Node, DirUp
+	if rej.Link.Dir == core.Down {
+		ae.Dir = DirDown
+	}
+	return ae
+}
+
+// diagnostic converts a fabric rejection into the typed public
+// diagnostic. Hop is the rejecting edge's index on the request's route
+// as routed now — the chain of a unicast, the distribution tree of a
+// multicast. Non-rejection errors pass through unchanged.
+func (b *fabricBackend) diagnostic(reqs []core.Req, err error) error {
 	rej, ok := err.(*topo.RejectionError)
 	if !ok {
 		return err
 	}
-	ae := &AdmissionError{
-		Spec:        spec,
-		Link:        rej.Edge.String(),
-		Utilization: rej.Result.Utilization,
-		Slack:       slackOf(rej.Result),
-		Reason:      rej.Result.String(),
-		Hop:         -1,
-		Branch:      -1,
-	}
+	ae := blame(reqs, rej.Edge, rej.Result, func(r core.Req) (hop, branch int) {
+		tree, parents, leaves, _ := b.top.inner.RouteOf(r) // nil when routing itself failed
+		for i, e := range tree {
+			if e != rej.Edge {
+				continue
+			}
+			for k, leaf := range leaves {
+				for up := leaf; up >= 0; up = parents[up] {
+					if up == i {
+						return i, k
+					}
+				}
+			}
+			return i, -1
+		}
+		return -1, -1
+	})
 	switch {
 	case !rej.Edge.From.Switch:
-		ae.Dir = DirUp
-		ae.Node = NodeID(rej.Edge.From.ID)
+		ae.Dir, ae.Node = DirUp, NodeID(rej.Edge.From.ID)
 	case !rej.Edge.To.Switch:
-		ae.Dir = DirDown
-		ae.Node = NodeID(rej.Edge.To.ID)
+		ae.Dir, ae.Node = DirDown, NodeID(rej.Edge.To.ID)
 	default:
 		ae.Dir = DirTrunk
-	}
-	for i, e := range route {
-		if e == rej.Edge {
-			ae.Hop = i
-			break
-		}
-	}
-	return ae
-}
-
-// starMulticastAdmissionError converts a star-network rejection of a
-// multicast request into the typed public diagnostic, attributing the
-// failure to the tree branch that traverses the rejecting link: the
-// source uplink belongs to every branch (the first sink stands in), a
-// sink downlink to exactly one. Non-rejection errors pass through.
-func starMulticastAdmissionError(spec MulticastSpec, err error) error {
-	rej, ok := err.(*core.RejectionError)
-	if !ok {
-		return err
-	}
-	ae := starAdmissionError(spec.ChannelSpec(), err).(*AdmissionError)
-	ae.Hop = -1
-	switch rej.Link.Dir {
-	case core.Up:
-		if rej.Link.Node == spec.Src {
-			ae.Hop = 0
-			ae.Branch = 0
-			ae.Sink = spec.Sinks[0]
-		}
-	case core.Down:
-		for k, sink := range spec.Sinks {
-			if rej.Link.Node == sink {
-				ae.Hop = 1
-				ae.Branch = k
-				ae.Sink = sink
-				break
-			}
-		}
-	}
-	return ae
-}
-
-// fabricMulticastAdmissionError converts a fabric rejection of a
-// multicast request into the typed public diagnostic. tree, parents and
-// leaves describe the requested distribution tree (nil when routing
-// itself failed): Hop becomes the rejecting edge's tree-edge index and
-// Branch/Sink name the first sink whose root→leaf path traverses it.
-func fabricMulticastAdmissionError(spec MulticastSpec, err error, tree []topo.Edge, parents, leaves []int, sinks []NodeID) error {
-	rej, ok := err.(*topo.RejectionError)
-	if !ok {
-		return err
-	}
-	ae := fabricAdmissionError(spec.ChannelSpec(), err, nil).(*AdmissionError)
-	hop := -1
-	for i, e := range tree {
-		if e == rej.Edge {
-			hop = i
-			break
-		}
-	}
-	ae.Hop = hop
-	if hop < 0 {
-		return ae
-	}
-	for k, leaf := range leaves {
-		for e := leaf; e >= 0; e = parents[e] {
-			if e == hop {
-				ae.Branch = k
-				ae.Sink = sinks[k]
-				return ae
-			}
-		}
 	}
 	return ae
 }

@@ -346,7 +346,7 @@ func (b *fabricBackend) failAndRecover(dead []topo.Edge) *FailoverReport {
 		}
 		reqs[i] = core.Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true}
 	}
-	chs, errs := b.ctrl.RequestEachReq(reqs)
+	chs, errs := b.ctrl.AdmitEach(reqs)
 	for i, err := range errs {
 		if err == nil {
 			b.adoptSurvivor(chs[i], rep, Rerouted, 0)
@@ -354,7 +354,10 @@ func (b *fabricBackend) failAndRecover(dead []topo.Edge) *FailoverReport {
 		}
 		b.recoverFailed(reqs[i], err, rep)
 	}
-	b.syncAllBudgets()
+	// Recovery runs several kernel mutations back to back, so the one-shot
+	// Repartitioned delta is not enough: re-sync every surviving channel
+	// (the simple, always-correct sweep; failures are rare).
+	b.syncBudgets(b.channelIDs())
 	return rep
 }
 
@@ -365,7 +368,7 @@ func (b *fabricBackend) recoverFailed(req core.Req, admErr error, rep *FailoverR
 	case FailDegrade:
 		relaxed := req
 		relaxed.Spec.D *= 2
-		chs, errs := b.ctrl.RequestEachReq([]core.Req{relaxed})
+		chs, errs := b.ctrl.AdmitEach([]core.Req{relaxed})
 		if errs[0] == nil {
 			b.adoptSurvivor(chs[0], rep, Degraded, relaxed.Spec.D)
 			return
@@ -386,7 +389,7 @@ func (b *fabricBackend) recoverFailed(req core.Req, admErr error, rep *FailoverR
 // eviction and fail immediately.
 func (b *fabricBackend) tryPreempt(req core.Req, rep *FailoverReport) bool {
 	for {
-		chs, errs := b.ctrl.RequestEachReq([]core.Req{req})
+		chs, errs := b.ctrl.AdmitEach([]core.Req{req})
 		if errs[0] == nil {
 			b.adoptSurvivor(chs[0], rep, Rerouted, 0)
 			return true
@@ -406,7 +409,7 @@ func (b *fabricBackend) tryPreempt(req core.Req, rep *FailoverReport) bool {
 			panic(fmt.Sprintf("rtether: removing preempted channel from simulation: %v", err))
 		}
 		rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: victim.ID, Spec: victim.Spec, Outcome: Preempted})
-		b.stats.Preempted++
+		b.tally.Preempted++
 	}
 }
 
@@ -447,9 +450,9 @@ func (b *fabricBackend) adoptSurvivor(hch *topo.HChannel, rep *FailoverReport, o
 	rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: hch.ID, Spec: hch.Spec, Outcome: outcome, NewD: newD})
 	switch outcome {
 	case Degraded:
-		b.stats.Degraded++
+		b.tally.Degraded++
 	default:
-		b.stats.Rerouted++
+		b.tally.Rerouted++
 	}
 }
 
@@ -460,26 +463,6 @@ func (b *fabricBackend) loseChannel(req core.Req, admErr error, rep *FailoverRep
 	if err := b.sim.Remove(req.ID); err != nil {
 		panic(fmt.Sprintf("rtether: removing lost channel from simulation: %v", err))
 	}
-	if len(req.Sinks) > 0 {
-		spec := req.MulticastSpec()
-		tree, parents, leaves, _ := b.top.inner.MulticastTree(spec.Src, spec.Sinks)
-		admErr = fabricMulticastAdmissionError(spec, admErr, tree, parents, leaves, spec.Sinks)
-	} else {
-		route, _ := b.top.inner.Route(req.Spec.Src, req.Spec.Dst)
-		admErr = fabricAdmissionError(req.Spec, admErr, route)
-	}
-	rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: req.ID, Spec: req.Spec, Outcome: Lost, Err: admErr})
-	b.stats.Lost++
-}
-
-// syncAllBudgets pushes every surviving channel's committed hop budgets
-// into the simulator. Failure recovery runs several kernel mutations
-// back to back, so the one-shot Repartitioned delta is not enough; the
-// full sweep is the simple, always-correct re-sync (failures are rare).
-func (b *fabricBackend) syncAllBudgets() {
-	for _, hch := range b.ctrl.State().Channels() {
-		if err := b.sim.SetBudgets(hch.ID, hch.Hops); err != nil {
-			panic(fmt.Sprintf("rtether: syncing hop budgets after recovery: %v", err))
-		}
-	}
+	rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: req.ID, Spec: req.Spec, Outcome: Lost, Err: b.diagnostic([]core.Req{req}, admErr)})
+	b.tally.Lost++
 }

@@ -200,3 +200,26 @@ func TestEstablishMulticastValidation(t *testing.T) {
 		t.Fatalf("closed network: got %v, want ErrClosed", err)
 	}
 }
+
+// TestMulticastGuaranteedDelayFarthestSink pins Eq. 18.1 on trees: the
+// handle's guarantee pads D with the propagation delay of the deepest
+// root→leaf path, so it bounds delivery to every sink — not just to
+// Sinks[0], which here sits two hops from the source while the far sink
+// sits five hops away.
+func TestMulticastGuaranteedDelayFarthestSink(t *testing.T) {
+	n := New(WithTopology(lineTopology(t, 4)), WithPropagation(1))
+	ch, err := n.EstablishMulticast(MulticastSpec{Src: 0, Sinks: []NodeID{1, 100}, C: 2, P: 100, D: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ch.GuaranteedDelay(); got != 40+5 {
+		t.Errorf("multicast GuaranteedDelay = %d, want %d (far sink: uplink, 3 trunks, downlink)", got, 40+5)
+	}
+	near, err := n.Establish(ChannelSpec{Src: 0, Dst: 1, C: 2, P: 100, D: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := near.GuaranteedDelay(); got != 40+2 {
+		t.Errorf("unicast GuaranteedDelay = %d, want %d", got, 40+2)
+	}
+}

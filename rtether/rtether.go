@@ -312,13 +312,21 @@ func (n *Network) Establish(spec ChannelSpec) (*Channel, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	id, _, err := n.be.establish(spec)
+	id, err := n.be.establishWire(spec)
 	if err != nil {
 		return nil, err
 	}
-	ch := &Channel{net: n, id: id, spec: spec}
+	return n.register(id, core.Req{Spec: spec}), nil
+}
+
+// register creates and records the handle of an admitted request.
+func (n *Network) register(id ChannelID, r core.Req) *Channel {
+	ch := &Channel{net: n, id: id, spec: r.Spec}
+	if r.Multicast() {
+		ch.sinks = append([]NodeID(nil), r.Sinks...)
+	}
 	n.handles[id] = ch
-	return ch, nil
+	return ch
 }
 
 // EstablishMulticast requests a multicast RT channel — one source, N
@@ -339,17 +347,7 @@ func (n *Network) Establish(spec ChannelSpec) (*Channel, error) {
 // the management plane on both topologies — no wire handshake, no
 // virtual time.
 func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
-	defer n.lk.unlock(n.lk.lock())
-	if n.closed {
-		return nil, ErrClosed
-	}
-	id, _, err := n.be.establishMulticast(spec)
-	if err != nil {
-		return nil, err
-	}
-	ch := &Channel{net: n, id: id, spec: spec.ChannelSpec(), sinks: append([]NodeID(nil), spec.Sinks...)}
-	n.handles[id] = ch
-	return ch, nil
+	return core.One(n.admitAll([]core.Req{spec.Req()}))
 }
 
 // EstablishAll requests a whole batch of RT channels as one atomic
@@ -367,19 +365,25 @@ func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
 // EstablishAll does it once, and its verification sweep fans out over the
 // WithVerifyWorkers pool (see BenchmarkAdmissionScale).
 func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
+	reqs := core.Unicast(specs)
+	chs, err := n.admitAll(reqs)
+	return chs, core.BatchError(reqs, err)
+}
+
+// admitAll is the atomic adapter behind EstablishMulticast and
+// EstablishAll.
+func (n *Network) admitAll(reqs []core.Req) ([]*Channel, error) {
 	defer n.lk.unlock(n.lk.lock())
 	if n.closed {
 		return nil, ErrClosed
 	}
-	ids, err := n.be.establishAll(specs)
+	ids, err := n.be.admitAll(reqs)
 	if err != nil {
 		return nil, err
 	}
 	chs := make([]*Channel, len(ids))
 	for i, id := range ids {
-		ch := &Channel{net: n, id: id, spec: specs[i]}
-		n.handles[id] = ch
-		chs[i] = ch
+		chs[i] = n.register(id, reqs[i])
 	}
 	return chs, nil
 }
@@ -407,23 +411,26 @@ func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
 // handshake, no virtual time — on both topologies. On a closed network
 // every verdict is ErrClosed.
 func (n *Network) EstablishEach(specs []ChannelSpec) ([]*Channel, []error) {
+	return n.admitEach(core.Unicast(specs))
+}
+
+// admitEach is the per-verdict adapter behind EstablishEach and
+// EstablishEachMixed.
+func (n *Network) admitEach(reqs []core.Req) ([]*Channel, []error) {
 	defer n.lk.unlock(n.lk.lock())
-	chs := make([]*Channel, len(specs))
+	chs := make([]*Channel, len(reqs))
 	if n.closed {
-		errs := make([]error, len(specs))
+		errs := make([]error, len(reqs))
 		for i := range errs {
 			errs[i] = ErrClosed
 		}
 		return chs, errs
 	}
-	ids, errs := n.be.establishEach(specs)
+	ids, errs := n.be.admitEach(reqs)
 	for i, err := range errs {
-		if err != nil {
-			continue
+		if err == nil {
+			chs[i] = n.register(ids[i], reqs[i])
 		}
-		ch := &Channel{net: n, id: ids[i], spec: specs[i]}
-		n.handles[ids[i]] = ch
-		chs[i] = ch
 	}
 	return chs, errs
 }
@@ -445,35 +452,14 @@ type EstablishReq struct {
 // admission server's multicast-aware request coalescing: concurrent
 // unicast and multicast clients merge into a single admission decision.
 func (n *Network) EstablishEachMixed(reqs []EstablishReq) ([]*Channel, []error) {
-	defer n.lk.unlock(n.lk.lock())
-	chs := make([]*Channel, len(reqs))
-	if n.closed {
-		errs := make([]error, len(reqs))
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return chs, errs
-	}
 	creqs := make([]core.Req, len(reqs))
 	for i, r := range reqs {
-		creqs[i] = core.Req{Spec: r.Spec, Sinks: r.Sinks}
+		creqs[i].Spec = r.Spec
 		if len(r.Sinks) > 0 {
-			creqs[i].Spec.Dst = r.Sinks[0]
+			creqs[i].Spec.Dst, creqs[i].Sinks = r.Sinks[0], r.Sinks
 		}
 	}
-	ids, errs := n.be.establishEachReq(creqs)
-	for i, err := range errs {
-		if err != nil {
-			continue
-		}
-		ch := &Channel{net: n, id: ids[i], spec: creqs[i].Spec}
-		if len(reqs[i].Sinks) > 0 {
-			ch.sinks = append([]NodeID(nil), reqs[i].Sinks...)
-		}
-		n.handles[ids[i]] = ch
-		chs[i] = ch
-	}
-	return chs, errs
+	return n.admitEach(creqs)
 }
 
 // Close shuts the network down: every established channel's traffic is
@@ -578,8 +564,7 @@ func (n *Network) channelBudgets(c *Channel) []int64 {
 	if c.closed {
 		return nil
 	}
-	_, budgets, _ := n.be.channelInfo(c.id)
-	return budgets
+	return n.be.budgets(c.id)
 }
 
 // channelMetrics snapshots a channel's measurements.
@@ -659,7 +644,15 @@ func (n *Network) Report() *Report {
 // channel admission control could never accept.
 func (n *Network) GuaranteedDelay(spec ChannelSpec) int64 {
 	defer n.lk.runlock(n.lk.rlock())
-	return n.be.guaranteedDelay(spec)
+	return n.be.guaranteedDelay(0, core.Req{Spec: spec})
+}
+
+// channelGuarantee is GuaranteedDelay for an established channel: the
+// bound of its committed route, for a multicast tree that of the
+// farthest sink.
+func (n *Network) channelGuarantee(c *Channel) int64 {
+	defer n.lk.runlock(n.lk.rlock())
+	return n.be.guaranteedDelay(c.id, core.Req{Spec: c.spec, Sinks: c.sinks})
 }
 
 // LinkLoadUp returns the number of channels on a node's uplink — LL in
