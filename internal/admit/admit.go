@@ -186,6 +186,10 @@ func (st *State[K, Ch, P]) ChannelsOn(l K) []Ref[Ch] { return st.byLink[l] }
 // LinkLoad returns LL(l): the number of channels traversing the link.
 func (st *State[K, Ch, P]) LinkLoad(l K) int { return st.loads[l] }
 
+// LoadedLinks returns the number of links with at least one channel,
+// len(Links()) without listing and sorting them.
+func (st *State[K, Ch, P]) LoadedLinks() int { return len(st.loads) }
+
 // Links returns every link with at least one channel, in the
 // deterministic verification order.
 func (st *State[K, Ch, P]) Links() []K {

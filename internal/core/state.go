@@ -121,6 +121,9 @@ func (st *State) utilExceedsOne(l Link) bool { return st.k.UtilExceedsOne(l) }
 // (§18.4.2). Links with no channels have load zero.
 func (st *State) LinkLoad(l Link) int { return st.k.LinkLoad(l) }
 
+// LoadedLinks returns the number of links with at least one channel.
+func (st *State) LoadedLinks() int { return st.k.LoadedLinks() }
+
 // Links returns every link with at least one channel, in a deterministic
 // order (by node, uplinks before downlinks).
 func (st *State) Links() []Link { return st.k.Links() }

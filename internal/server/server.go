@@ -170,13 +170,14 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) noteVerdict(spec rtether.ChannelSpec, sinks []rtether.NodeID, ch *rtether.Channel, err error) {
 	ws := wire.FromSpec(spec)
 	if ch != nil {
+		budgets := ch.Budgets()
 		if len(sinks) > 0 {
-			s.logf("admit RT#%d %v sinks=%v budgets=%v", ch.ID(), spec, sinks, ch.Budgets())
+			s.logf("admit RT#%d %v sinks=%v budgets=%v", ch.ID(), spec, sinks, budgets)
 		} else {
-			s.logf("admit RT#%d %v budgets=%v", ch.ID(), spec, ch.Budgets())
+			s.logf("admit RT#%d %v budgets=%v", ch.ID(), spec, budgets)
 		}
 		s.metrics.admits.Inc()
-		s.hub.publish(wire.WatchEvent{Type: wire.EventAdmit, ID: uint32(ch.ID()), Spec: &ws, Budgets: ch.Budgets()})
+		s.hub.publish(wire.WatchEvent{Type: wire.EventAdmit, ID: uint32(ch.ID()), Spec: &ws, Budgets: budgets})
 		return
 	}
 	s.logf("reject %v: %v", spec, err)

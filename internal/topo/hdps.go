@@ -136,6 +136,9 @@ func (st *State) Channels() []*HChannel { return st.k.Channels() }
 // LinkLoad returns the number of channels traversing the directed edge.
 func (st *State) LinkLoad(e Edge) int { return st.k.LinkLoad(e) }
 
+// LoadedLinks returns the number of loaded edges.
+func (st *State) LoadedLinks() int { return st.k.LoadedLinks() }
+
 // Edges returns every loaded edge in deterministic order.
 func (st *State) Edges() []Edge { return st.k.Links() }
 

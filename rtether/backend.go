@@ -232,7 +232,7 @@ func (b *starBackend) setTracer(t Tracer) bool {
 
 func (b *starBackend) admissionStats() AdmissionStats {
 	state := b.inner.Controller().State()
-	return assembleStats(AdmissionStats{}, b.inner.Controller(), len(state.Links()), state.MeanLinkUtilization())
+	return assembleStats(AdmissionStats{}, b.inner.Controller(), state.LoadedLinks(), state.MeanLinkUtilization())
 }
 
 // assembleStats fills the admission counters of st from a controller —
@@ -512,7 +512,7 @@ func (b *fabricBackend) setTracer(t Tracer) bool {
 
 func (b *fabricBackend) admissionStats() AdmissionStats {
 	state := b.ctrl.State()
-	return assembleStats(b.tally, b.ctrl, len(state.Edges()), state.MeanLinkUtilization())
+	return assembleStats(b.tally, b.ctrl, state.LoadedLinks(), state.MeanLinkUtilization())
 }
 
 func (b *fabricBackend) writeSnapshot(w io.Writer) error {

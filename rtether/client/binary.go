@@ -14,6 +14,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -155,9 +156,10 @@ func (bc *binConn) close(err error) {
 
 // readLoop demultiplexes reply frames until the connection dies.
 func (bc *binConn) readLoop() {
+	br := bufio.NewReader(bc.c) // header and payload of a reply in one read(2)
 	var buf []byte
 	for {
-		f, nbuf, err := wire.ReadFrame(bc.c, buf)
+		f, nbuf, err := wire.ReadFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			bc.close(fmt.Errorf("client: binary connection: %w", err))

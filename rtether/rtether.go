@@ -52,7 +52,9 @@
 // GuaranteedDelay, AdmissionStats, Lookup, Now, Report, link loads) take
 // a shared read lock and proceed in parallel. Callbacks registered with
 // Schedule run on the goroutine driving the simulation with the lock
-// held, and may call freely back into the Network.
+// held, and may call freely back into the Network: the lock is reentrant
+// for a Schedule callback and for nothing else — any other code invoked
+// under it (a Tracer) must not call back in.
 //
 // Concurrency does not cost determinism where it matters: the virtual
 // clock only advances under the exclusive lock, admission decisions are
@@ -601,7 +603,10 @@ func (n *Network) Schedule(t int64, fn func()) {
 	if n.closed {
 		return
 	}
-	n.be.schedule(t, fn)
+	n.be.schedule(t, func() {
+		n.lk.arm()
+		fn()
+	})
 }
 
 // Now returns the current virtual time in slots.

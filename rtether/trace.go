@@ -39,7 +39,9 @@ func NewRingTracer(capacity int) *RingTracer { return netsim.NewRingTracer(capac
 // (star and multi-switch fabric emit the same event-kind vocabulary; a
 // parity test pins it), so the result is true on every current
 // topology. The tracer is invoked on the goroutine driving the
-// simulation, under the network lock.
+// simulation, under the network lock, and must not call back into the
+// Network or its channel handles: the lock is reentrant only for
+// Schedule callbacks, so a tracer that did would deadlock.
 func (n *Network) SetTracer(t Tracer) bool {
 	defer n.lk.unlock(n.lk.lock())
 	return n.be.setTracer(t)
