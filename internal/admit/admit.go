@@ -16,7 +16,9 @@ package admit
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 	"sort"
 
 	"repro/internal/edf"
@@ -47,7 +49,7 @@ type Ops[K comparable, Ch any, P any] struct {
 	// traversed link carries C/P utilization.
 	UtilCP func(Ch) (c, p int64)
 	// Links returns the traversed link keys in route order. Called once
-	// per Add; the kernel retains the slice, so it must not be mutated.
+	// per Add; the kernel keeps only the keys' dense indices.
 	Links func(Ch) []K
 	// Task materializes the EDF task the channel induces on its hop-th
 	// traversed link, under the channel's current partition.
@@ -71,88 +73,123 @@ type Ops[K comparable, Ch any, P any] struct {
 
 var ratOne = big.NewRat(1, 1)
 
-// entry is one channel plus its cached traversed-links sequence.
-type entry[K comparable, Ch any] struct {
-	ch    Ch
-	links []K
+// entry is one channel plus its traversed-links sequence as dense link
+// indices (idx[hop] is the index of Ops.Links(ch)[hop]).
+type entry[Ch any] struct {
+	ch  Ch
+	idx []int32
 }
 
 // State is the generic system state SS = {N, K}: the set of currently
 // active channels together with the per-link bookkeeping the admission
-// hot path depends on. byLink maps every loaded link to the channel hops
-// traversing it (in establishment order, the per-link restriction of the
-// global order), taskCache memoizes each link's EDF task set, and utilSum
-// keeps each link's exact rational utilization sum(C/P) — rational
-// arithmetic is exact, so the running sum always equals a fresh summation
-// bit for bit. All three are maintained incrementally by
-// Add/Remove/SetPart, so TasksShared and the verification sweep never
-// scan the full channel map.
+// hot path depends on.
+//
+// Links live in a dense table. The Add that first names a link key
+// interns it into an int32 index, which is never reused: a link drained
+// to load 0 keeps its index and its history. Every per-link table is a
+// slice over that index, so the hot path hashes no link key: byLink lists
+// the channel hops traversing each link (in establishment order, the
+// per-link restriction of the global order), taskCache memoizes each
+// link's EDF task set, and utilSum keeps each link's exact rational
+// utilization sum(C/P) — rational arithmetic is exact, so the running sum
+// always equals a fresh summation bit for bit. All are maintained
+// incrementally by Add/Remove/SetPart, so TasksOn and the
+// verification sweep never scan the full channel map. The key type K
+// stays the public vocabulary: methods taking a K look it up once.
 //
 // State is not safe for concurrent use; the surrounding controller
 // serializes access.
 type State[K comparable, Ch any, P any] struct {
 	ops *Ops[K, Ch, P]
 
-	channels map[ID]entry[K, Ch]
+	channels map[ID]entry[Ch]
 	order    []ID // insertion order, for deterministic iteration
 	// stale holds IDs of removed channels whose order entry has not been
 	// compacted away yet. Add consults it so that re-admitting a channel
 	// under its kept ID (failure recovery) purges the old entry instead
 	// of double-listing the channel in Channels().
 	stale  map[ID]bool
-	loads  map[K]int
 	nextID ID
 
-	byLink    map[K][]Ref[Ch]
-	taskCache map[K][]edf.Task
-	utilSum   map[K]*big.Rat
+	// index interns link keys; keys inverts it. sorted holds every
+	// interned index in Less order, kept sorted by insertion at intern
+	// time so the read-locked queries (Links, MeanLinkUtilization) only
+	// iterate it; rank inverts sorted, so the sweep orders links by Less
+	// with integer compares. loaded counts the links with load > 0.
+	index  map[K]int32
+	keys   []K
+	sorted []int32
+	rank   []int32
+	loaded int
+
+	loads     []int
+	byLink    [][]Ref[Ch]
+	taskCache [][]edf.Task // nil: stale (a loaded link's set is never empty)
+	utilSum   []*big.Rat
 	// utilOver caches the exact U > 1 answer per link, refreshed whenever
 	// utilSum changes — the verify sweep reads a bool instead of paying a
-	// big.Rat comparison (which allocates) per link per sweep.
-	utilOver map[K]bool
+	// big.Rat comparison per link per sweep.
+	utilOver []bool
 
-	// gens assigns every loaded link a generation stamp: the value of the
-	// monotone genCtr at the moment the link's task-set CONTENT last
+	// gens assigns every interned link a generation stamp: the value of
+	// the monotone genCtr at the moment the link's task-set CONTENT last
 	// changed. Add/UndoAdd/Remove/SetPart bump every affected link;
-	// SetPartDiff bumps only links whose materialized task actually
+	// setPartDiff bumps only links whose materialized task actually
 	// differs, which is what lets the engine's feasibility-verdict cache
 	// skip links a repartition pass touched but did not move. genCtr is
 	// never rolled back (an undo bumps again rather than restoring), so a
 	// generation value is never reused for different content — the
-	// soundness invariant the verdict cache rests on.
+	// soundness invariant the verdict cache rests on. Stamps start at 1.
 	genCtr uint64
-	gens   map[K]uint64
+	gens   []uint64
 
-	// oldTasks and diffLinks are scratch buffers for SetPartDiff.
+	// ratTmp, oldTasks and diffLinks are scratch buffers.
+	ratTmp    big.Rat
 	oldTasks  []edf.Task
-	diffLinks []K
+	diffLinks []int32
 }
 
 // NewState returns an empty state speaking the given adapter vocabulary.
 func NewState[K comparable, Ch any, P any](ops *Ops[K, Ch, P]) *State[K, Ch, P] {
 	return &State[K, Ch, P]{
-		ops:       ops,
-		channels:  make(map[ID]entry[K, Ch]),
-		stale:     make(map[ID]bool),
-		loads:     make(map[K]int),
-		nextID:    1,
-		byLink:    make(map[K][]Ref[Ch]),
-		taskCache: make(map[K][]edf.Task),
-		utilSum:   make(map[K]*big.Rat),
-		utilOver:  make(map[K]bool),
-		gens:      make(map[K]uint64),
+		ops:      ops,
+		channels: make(map[ID]entry[Ch]),
+		stale:    make(map[ID]bool),
+		nextID:   1,
+		index:    make(map[K]int32),
 	}
+}
+
+// intern returns the dense index of a link key, assigning the next one
+// (and extending every per-link table) the first time the key is named.
+func (st *State[K, Ch, P]) intern(l K) int32 {
+	if i, ok := st.index[l]; ok {
+		return i
+	}
+	i := int32(len(st.keys))
+	st.index[l] = i
+	st.keys = append(st.keys, l)
+	st.loads = append(st.loads, 0)
+	st.byLink = append(st.byLink, nil)
+	st.taskCache = append(st.taskCache, nil)
+	st.utilSum = append(st.utilSum, new(big.Rat))
+	st.utilOver = append(st.utilOver, false)
+	st.gens = append(st.gens, 0)
+	pos := sort.Search(len(st.sorted), func(j int) bool { return st.ops.Less(l, st.keys[st.sorted[j]]) })
+	for _, j := range st.sorted[pos:] {
+		st.rank[j]++
+	}
+	st.sorted = slices.Insert(st.sorted, pos, i)
+	st.rank = append(st.rank, int32(pos))
+	return i
 }
 
 // bumpGen stamps a link with a fresh generation: its task-set content
 // (set membership or task parameters) just changed.
-func (st *State[K, Ch, P]) bumpGen(l K) {
+func (st *State[K, Ch, P]) bumpGen(i int32) {
 	st.genCtr++
-	st.gens[l] = st.genCtr
+	st.gens[i] = st.genCtr
 }
-
-// Gen returns the link's current task-set generation stamp.
-func (st *State[K, Ch, P]) Gen(l K) uint64 { return st.gens[l] }
 
 // Len returns the number of active channels, size(K).
 func (st *State[K, Ch, P]) Len() int { return len(st.channels) }
@@ -181,28 +218,45 @@ func (st *State[K, Ch, P]) Channels() []Ch {
 // ChannelsOn returns the channel hops traversing a link in establishment
 // order. The returned slice is the live cache — callers must not mutate
 // or retain it.
-func (st *State[K, Ch, P]) ChannelsOn(l K) []Ref[Ch] { return st.byLink[l] }
+func (st *State[K, Ch, P]) ChannelsOn(l K) []Ref[Ch] {
+	if i, ok := st.index[l]; ok {
+		return st.byLink[i]
+	}
+	return nil
+}
 
 // LinkLoad returns LL(l): the number of channels traversing the link.
-func (st *State[K, Ch, P]) LinkLoad(l K) int { return st.loads[l] }
+func (st *State[K, Ch, P]) LinkLoad(l K) int {
+	if i, ok := st.index[l]; ok {
+		return st.loads[i]
+	}
+	return 0
+}
+
+// HopLoads appends LL of every link the channel traverses, in hop order,
+// to dst: LinkLoad of each LinksOf key, read through the channel's
+// interned indices with no key lookup. The channel must be active.
+func (st *State[K, Ch, P]) HopLoads(ch Ch, dst []int64) []int64 {
+	for _, i := range st.channels[st.ops.ID(ch)].idx {
+		dst = append(dst, int64(st.loads[i]))
+	}
+	return dst
+}
 
 // LoadedLinks returns the number of links with at least one channel,
-// len(Links()) without listing and sorting them.
-func (st *State[K, Ch, P]) LoadedLinks() int { return len(st.loads) }
+// len(Links()) without listing them.
+func (st *State[K, Ch, P]) LoadedLinks() int { return st.loaded }
 
 // Links returns every link with at least one channel, in the
 // deterministic verification order.
 func (st *State[K, Ch, P]) Links() []K {
-	out := make([]K, 0, len(st.loads))
-	for l := range st.loads {
-		out = append(out, l)
+	out := make([]K, 0, st.loaded)
+	for _, i := range st.sorted {
+		if st.loads[i] > 0 {
+			out = append(out, st.keys[i])
+		}
 	}
-	st.sortLinks(out)
 	return out
-}
-
-func (st *State[K, Ch, P]) sortLinks(ls []K) {
-	sort.Slice(ls, func(i, j int) bool { return st.ops.Less(ls[i], ls[j]) })
 }
 
 // NextID returns the next channel ID the allocator will try.
@@ -253,52 +307,46 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		delete(st.stale, id)
 	}
 	links := st.ops.Links(ch)
-	st.channels[id] = entry[K, Ch]{ch: ch, links: links}
+	idx := make([]int32, len(links))
+	for hop, l := range links {
+		idx[hop] = st.intern(l)
+	}
+	st.channels[id] = entry[Ch]{ch: ch, idx: idx}
 	st.order = append(st.order, id)
 	c, p := st.ops.UtilCP(ch)
-	for hop, l := range links {
-		st.loads[l]++
-		st.byLink[l] = append(st.byLink[l], Ref[Ch]{Ch: ch, Hop: hop})
-		delete(st.taskCache, l)
-		st.bumpGen(l)
-		st.addUtil(l, c, p)
+	for hop, i := range idx {
+		if st.loads[i] == 0 {
+			st.loaded++
+		}
+		st.loads[i]++
+		st.byLink[i] = append(st.byLink[i], Ref[Ch]{Ch: ch, Hop: hop})
+		st.taskCache[i] = nil
+		st.bumpGen(i)
+		u := st.utilSum[i]
+		u.Add(u, st.ratTmp.SetFrac64(c, p))
+		st.utilOver[i] = u.Cmp(ratOne) > 0
 	}
 }
 
-// addUtil folds one channel's C/P into a link's running utilization sum.
-func (st *State[K, Ch, P]) addUtil(l K, c, p int64) {
-	u := st.utilSum[l]
-	if u == nil {
-		u = new(big.Rat)
-		st.utilSum[l] = u
+// unload takes one channel hop off a link whose hop list the caller has
+// already updated: load, utilization sum, task cache and generation.
+func (st *State[K, Ch, P]) unload(i int32, c, p int64) {
+	st.taskCache[i] = nil
+	st.bumpGen(i)
+	u := st.utilSum[i]
+	if st.loads[i]--; st.loads[i] == 0 {
+		st.loaded--
+		u.SetInt64(0)
+	} else {
+		u.Sub(u, st.ratTmp.SetFrac64(c, p))
 	}
-	u.Add(u, new(big.Rat).SetFrac64(c, p))
-	st.utilOver[l] = u.Cmp(ratOne) > 0
-}
-
-// subUtil removes one channel's C/P from a link's running sum, dropping
-// the entry when the link is no longer loaded.
-func (st *State[K, Ch, P]) subUtil(l K, c, p int64) {
-	if st.loads[l] == 0 {
-		delete(st.utilSum, l)
-		delete(st.utilOver, l)
-		return
-	}
-	if u := st.utilSum[l]; u != nil {
-		u.Sub(u, new(big.Rat).SetFrac64(c, p))
-		st.utilOver[l] = u.Cmp(ratOne) > 0
-	}
-}
-
-// UtilExceedsOne reports the exact first-constraint answer (U > 1) for a
-// link from the incrementally maintained sum.
-func (st *State[K, Ch, P]) UtilExceedsOne(l K) bool {
-	return st.utilOver[l]
+	st.utilOver[i] = u.Cmp(ratOne) > 0
 }
 
 // UndoAdd reverses the most recent Add exactly: the channel must be the
 // last one added and still present. Unlike Remove it restores the order
-// slice verbatim, so a rolled-back tentative admission leaves no trace.
+// slice verbatim, so a rolled-back tentative admission leaves no trace
+// beyond the interned link indices, which are never reused anyway.
 func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	id := st.ops.ID(ch)
 	if len(st.order) == 0 || st.order[len(st.order)-1] != id {
@@ -308,19 +356,11 @@ func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	delete(st.channels, id)
 	st.order = st.order[:len(st.order)-1]
 	c, p := st.ops.UtilCP(ch)
-	for _, l := range e.links {
-		if st.loads[l]--; st.loads[l] == 0 {
-			delete(st.loads, l)
-		}
-		refs := st.byLink[l]
-		if len(refs) == 1 {
-			delete(st.byLink, l)
-		} else {
-			st.byLink[l] = refs[:len(refs)-1]
-		}
-		delete(st.taskCache, l)
-		st.bumpGen(l)
-		st.subUtil(l, c, p)
+	for _, i := range e.idx {
+		refs := st.byLink[i]
+		refs[len(refs)-1] = Ref[Ch]{}
+		st.byLink[i] = refs[:len(refs)-1]
+		st.unload(i, c, p)
 	}
 }
 
@@ -333,25 +373,17 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 	}
 	delete(st.channels, id)
 	c, p := st.ops.UtilCP(e.ch)
-	for _, l := range e.links {
-		if st.loads[l]--; st.loads[l] == 0 {
-			delete(st.loads, l)
-		}
-		refs := st.byLink[l]
+	for _, i := range e.idx {
+		refs := st.byLink[i]
 		kept := refs[:0]
 		for _, r := range refs {
 			if st.ops.ID(r.Ch) != id {
 				kept = append(kept, r)
 			}
 		}
-		if len(kept) == 0 {
-			delete(st.byLink, l)
-		} else {
-			st.byLink[l] = kept
-		}
-		delete(st.taskCache, l)
-		st.bumpGen(l)
-		st.subUtil(l, c, p)
+		clear(refs[len(kept):])
+		st.byLink[i] = kept
+		st.unload(i, c, p)
 	}
 	// Compact the order slice lazily: rebuild when over half are gone.
 	st.stale[id] = true
@@ -371,16 +403,16 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 // SetPart installs a new partition on a channel and invalidates the task
 // caches (and generation stamps) of all its links, whether or not the new
 // partition actually moves them. All repartitioning goes through here or
-// SetPartDiff so the caches can never go stale.
+// setPartDiff so the caches can never go stale.
 func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
 	st.ops.SetPart(ch, p)
-	for _, l := range st.channels[st.ops.ID(ch)].links {
-		delete(st.taskCache, l)
-		st.bumpGen(l)
+	for _, i := range st.channels[st.ops.ID(ch)].idx {
+		st.taskCache[i] = nil
+		st.bumpGen(i)
 	}
 }
 
-// SetPartDiff installs a new partition on a channel that already holds a
+// setPartDiff installs a new partition on a channel that already holds a
 // valid one and invalidates only the links whose materialized EDF task
 // actually changed, leaving the task cache and generation stamp of
 // content-stable links intact. A repartition pass frequently recomputes
@@ -388,56 +420,50 @@ func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
 // per-link load, and most loads did not change); keeping their
 // generations lets the engine's verdict cache skip re-sweeping them.
 //
-// The returned slice lists the content-changed links in hop order; it is
-// a scratch buffer invalidated by the next SetPartDiff call. The channel
-// MUST already hold a partition under which Ops.Task is well-defined for
-// every hop — use SetPart for freshly constructed channels.
-func (st *State[K, Ch, P]) SetPartDiff(ch Ch, p P) []K {
-	links := st.channels[st.ops.ID(ch)].links
+// The returned slice lists the content-changed link indices in hop
+// order; it is a scratch buffer invalidated by the next setPartDiff call.
+// The channel MUST already hold a partition under which Ops.Task is
+// well-defined for every hop — use SetPart for freshly constructed
+// channels.
+func (st *State[K, Ch, P]) setPartDiff(ch Ch, p P) []int32 {
+	idx := st.channels[st.ops.ID(ch)].idx
 	old := st.oldTasks[:0]
-	for hop := range links {
+	for hop := range idx {
 		old = append(old, st.ops.Task(ch, hop))
 	}
 	st.oldTasks = old
 	st.ops.SetPart(ch, p)
 	diff := st.diffLinks[:0]
-	for hop, l := range links {
+	for hop, i := range idx {
 		if st.ops.Task(ch, hop) != old[hop] {
-			delete(st.taskCache, l)
-			st.bumpGen(l)
-			diff = append(diff, l)
+			st.taskCache[i] = nil
+			st.bumpGen(i)
+			diff = append(diff, i)
 		}
 	}
 	st.diffLinks = diff
 	return diff
 }
 
-// LinksOf returns the cached traversed-links sequence of an active
-// channel. The returned slice must not be mutated.
-func (st *State[K, Ch, P]) LinksOf(ch Ch) []K {
-	return st.channels[st.ops.ID(ch)].links
-}
-
 // TasksOn derives the periodic task set of one link pseudo-processor. The
 // returned slice is freshly allocated; the internal cache backing it is
 // maintained incrementally.
 func (st *State[K, Ch, P]) TasksOn(l K) []edf.Task {
-	cached := st.TasksShared(l)
-	if cached == nil {
+	i, ok := st.index[l]
+	if !ok {
 		return nil
 	}
-	return append([]edf.Task(nil), cached...)
+	return slices.Clone(st.tasksAt(i))
 }
 
-// TasksShared returns the memoized task set of a link, rebuilding it from
-// the per-link channel list when stale. The returned slice is shared —
-// internal read-only callers (the feasibility test) use it to avoid the
-// defensive copy TasksOn makes.
-func (st *State[K, Ch, P]) TasksShared(l K) []edf.Task {
-	if tasks, ok := st.taskCache[l]; ok {
+// tasksAt returns the memoized task set of link i, rebuilding it from the
+// per-link channel list when stale. The returned slice is shared — the
+// feasibility sweep reads it without the defensive copy TasksOn makes.
+func (st *State[K, Ch, P]) tasksAt(i int32) []edf.Task {
+	if tasks := st.taskCache[i]; tasks != nil {
 		return tasks
 	}
-	refs := st.byLink[l]
+	refs := st.byLink[i]
 	if len(refs) == 0 {
 		return nil
 	}
@@ -445,7 +471,7 @@ func (st *State[K, Ch, P]) TasksShared(l K) []edf.Task {
 	for _, r := range refs {
 		tasks = append(tasks, st.ops.Task(r.Ch, r.Hop))
 	}
-	st.taskCache[l] = tasks
+	st.taskCache[i] = tasks
 	return tasks
 }
 
@@ -453,70 +479,75 @@ func (st *State[K, Ch, P]) TasksShared(l K) []edf.Task {
 // utilizations over all loaded links — a coarse load metric used in
 // reports. Returns 0 for an empty state.
 //
-// The sum is taken directly over the per-link channel lists (same order,
-// bit-identical to edf.UtilizationFloat over the link's task set) rather
-// than through the lazy task cache, so this query never mutates the
-// state — rtether.Network serves it under a read lock.
+// The sum is taken directly over the per-link channel lists in Links()
+// order (bit-identical to edf.UtilizationFloat over each link's task set)
+// rather than through the lazy task cache, so this query never mutates
+// the state — rtether.Network serves it under a read lock.
 func (st *State[K, Ch, P]) MeanLinkUtilization() float64 {
-	links := st.Links()
-	if len(links) == 0 {
+	if st.loaded == 0 {
 		return 0
 	}
 	var sum float64
-	for _, l := range links {
+	for _, i := range st.sorted {
+		if st.loads[i] == 0 {
+			continue
+		}
 		var u float64
-		for _, r := range st.byLink[l] {
+		for _, r := range st.byLink[i] {
 			c, p := st.ops.UtilCP(r.Ch)
 			u += float64(c) / float64(p)
 		}
 		sum += u
 	}
-	return sum / float64(len(links))
+	return sum / float64(st.loaded)
 }
 
 // Clone returns a deep copy of the state sharing no mutable data with the
 // original. Channels are copied through Ops.Clone so tentative partitions
 // can be applied without touching the committed state; the task cache
-// starts empty and is rebuilt lazily.
+// starts empty and is rebuilt lazily. The clone extends the original's
+// link index: every interned link keeps its index, so per-link tables
+// kept beside the original (the engine's verdict cache and slack
+// history) stay valid for the clone.
 func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
+	n := len(st.keys)
 	cp := &State[K, Ch, P]{
 		ops:       st.ops,
-		channels:  make(map[ID]entry[K, Ch], len(st.channels)),
-		order:     append([]ID(nil), st.order...),
+		channels:  make(map[ID]entry[Ch], len(st.channels)),
+		order:     slices.Clone(st.order),
 		stale:     make(map[ID]bool, len(st.stale)),
-		loads:     make(map[K]int, len(st.loads)),
 		nextID:    st.nextID,
-		byLink:    make(map[K][]Ref[Ch], len(st.byLink)),
-		taskCache: make(map[K][]edf.Task),
-		utilSum:   make(map[K]*big.Rat, len(st.utilSum)),
-		utilOver:  make(map[K]bool, len(st.utilOver)),
+		index:     maps.Clone(st.index),
+		keys:      slices.Clone(st.keys),
+		sorted:    slices.Clone(st.sorted),
+		rank:      slices.Clone(st.rank),
+		loaded:    st.loaded,
+		loads:     slices.Clone(st.loads),
+		byLink:    make([][]Ref[Ch], n),
+		taskCache: make([][]edf.Task, n),
+		utilSum:   make([]*big.Rat, n),
+		utilOver:  slices.Clone(st.utilOver),
 		genCtr:    st.genCtr,
-		gens:      make(map[K]uint64, len(st.gens)),
-	}
-	for l, g := range st.gens {
-		cp.gens[l] = g
+		gens:      slices.Clone(st.gens),
 	}
 	for id := range st.stale {
 		cp.stale[id] = true
 	}
 	for id, e := range st.channels {
-		cp.channels[id] = entry[K, Ch]{ch: st.ops.Clone(e.ch), links: e.links}
+		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx}
 	}
-	for l, n := range st.loads {
-		cp.loads[l] = n
-	}
-	for l, refs := range st.byLink {
-		rs := make([]Ref[Ch], len(refs))
-		for i, r := range refs {
-			rs[i] = Ref[Ch]{Ch: cp.channels[st.ops.ID(r.Ch)].ch, Hop: r.Hop}
+	for i, refs := range st.byLink {
+		if len(refs) == 0 {
+			continue
 		}
-		cp.byLink[l] = rs
+		rs := make([]Ref[Ch], len(refs))
+		for j, r := range refs {
+			rs[j] = Ref[Ch]{Ch: cp.channels[st.ops.ID(r.Ch)].ch, Hop: r.Hop}
+		}
+		cp.byLink[i] = rs
 	}
-	for l, u := range st.utilSum {
-		cp.utilSum[l] = new(big.Rat).Set(u)
-	}
-	for l, over := range st.utilOver {
-		cp.utilOver[l] = over
+	for i, u := range st.utilSum {
+		cp.utilSum[i] = new(big.Rat).Set(u)
 	}
 	return cp
 }

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/edf"
@@ -120,23 +121,25 @@ func TestApplyPanicsOnInvalidPartition(t *testing.T) {
 	}, bad)
 }
 
-func TestDedupKeysPreservesOrder(t *testing.T) {
-	got := dedupKeys([]int{5, 3, 5, 1, 3, 5, 1})
-	want := []int{5, 3, 1}
-	if len(got) != len(want) {
-		t.Fatalf("dedupKeys = %v, want %v", got, want)
+func TestLinkSetDedupPreservesOrder(t *testing.T) {
+	e := newToyEngine(Config{Workers: 1})
+	st := e.State()
+	for l := 0; l < 8; l++ {
+		st.intern(l)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedupKeys = %v, want %v", got, want)
-		}
+	e.newSet(st)
+	got := e.addToSet(nil, []int32{5, 3, 5, 1, 3, 5, 1})
+	if want := []int32{5, 3, 1}; !slices.Equal(got, want) {
+		t.Fatalf("addToSet = %v, want %v", got, want)
 	}
-	long := make([]int, 100)
+	// A new epoch starts empty: the marks of the last set do not leak.
+	e.newSet(st)
+	long := make([]int32, 100)
 	for i := range long {
-		long[i] = i % 7
+		long[i] = int32(i % 7)
 	}
-	if got := dedupKeys(long); len(got) != 7 || got[0] != 0 || got[6] != 6 {
-		t.Fatalf("dedupKeys(long) = %v", got)
+	if got := e.addToSet(nil, long); !slices.Equal(got, []int32{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("addToSet(long) = %v", got)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 
 // loadVerifyState fills an engine with channels whose tasks have D < P
 // (so the demand sweep actually runs) spread over several links, and
-// returns the changed-set covering every loaded link.
-func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) map[int]struct{} {
+// returns the changed set covering every loaded link.
+func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) []int32 {
 	t.Helper()
 	schemes := []Scheme[int, *toyChan, int64]{constScheme(40)}
 	for i := 0; i < 64; i++ {
@@ -19,9 +19,9 @@ func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) map[int]stru
 			t.Fatalf("setup admit %d rejected: %v", i, rej.Result)
 		}
 	}
-	changed := make(map[int]struct{})
+	var changed []int32
 	for _, l := range e.state.Links() {
-		changed[l] = struct{}{}
+		changed = append(changed, e.state.index[l])
 	}
 	return changed
 }

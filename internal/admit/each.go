@@ -1,5 +1,7 @@
 package admit
 
+import "slices"
+
 // AdmitEach runs per-spec admission for a merged batch of n channel
 // requests: every request gets its own accept/reject verdict — unlike
 // Admit, which treats the batch as one all-or-nothing decision — at a
@@ -58,7 +60,7 @@ func (e *Engine[K, Ch, P]) AdmitEach(n int, mk func(i int, id ID) Ch, schemes []
 	for id := range repart {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	e.repartitioned = ids
 	return chs, rejs
 }

@@ -1,11 +1,11 @@
 package admit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +88,11 @@ type Engine[K comparable, Ch any, P any] struct {
 	// and decision equivalence requires the delta engine to do the same.
 	staleParts map[ID]struct{}
 
-	// Feasibility-verdict cache: feasGen[l] is the generation stamp
-	// (State.Gen) at which link l was last PROVEN feasible. A sweep skips
+	// The per-link tables below are slices over the state's dense link
+	// index (see State), grown by fit as the state interns links.
+	//
+	// Feasibility-verdict cache: feasGen[i] is the generation stamp at
+	// which link i was last PROVEN feasible (0: never). A sweep skips
 	// any link whose current generation still equals its proven one — the
 	// link's task-set content has not changed, so the cached verdict
 	// stands. The cache is consulted and updated only for sweeps over the
@@ -100,7 +103,7 @@ type Engine[K comparable, Ch any, P any] struct {
 	// undo bumps again rather than restoring), which makes a stamp match
 	// a sound proof of content equality.
 	cacheOn    bool
-	feasGen    map[K]uint64
+	feasGen    []uint64
 	sweepSkips int
 
 	// sweepNs accumulates wall time spent inside verification sweeps
@@ -109,22 +112,31 @@ type Engine[K comparable, Ch any, P any] struct {
 	// deterministic counters above it varies run to run.
 	sweepNs int64
 
-	// slackHist[l] is the MinSlack (tightest demand-criterion margin) the
-	// link showed at its most recent COMMITTED sweep. Sweeps visit links
-	// in ascending recorded slack — historically tightest first — so an
+	// slackHist[i] is the MinSlack (tightest demand-criterion margin) the
+	// link showed at its most recent COMMITTED sweep, noSlack before any.
+	// Sweeps visit links in ascending recorded slack — historically
+	// tightest first, unswept links first of all — so an
 	// infeasible repartition fails as early as possible. Only committed
 	// sweeps update the history: every engine flavor (delta, clone,
 	// FullRecheck, cache on or off) then holds bit-identical histories
 	// after identical decision sequences, which keeps the sweep order —
 	// and therefore the named rejection link — identical across them.
-	slackHist map[K]int64
+	slackHist []int64
+
+	// Link sets (the touched set a repartition covers, the changed set a
+	// sweep verifies) are epoch-stamped marks: marks[i] == epoch means
+	// link i is in the set being built. Starting a set is one increment,
+	// with no map and no clearing pass.
+	marks []uint64
+	epoch uint64
 
 	// Reusable sweep buffers: with these plus the per-worker Scratch
 	// arenas the steady-state sequential verify sweep allocates nothing.
 	scratch       edf.Scratch
 	workerScratch []edf.Scratch
-	touchBuf      []K
-	sweepLinks    []K
+	touchIdx      []int32
+	touchKeys     []K
+	sweepLinks    []int32
 	sweepSkip     []bool
 	sweepTasks    [][]edf.Task
 	sweepExceeds  []bool
@@ -147,8 +159,6 @@ func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Eng
 		state:         NewState(ops),
 		staleParts:    make(map[ID]struct{}),
 		cacheOn:       !cfg.FullRecheck && !cfg.NoSweepCache,
-		feasGen:       make(map[K]uint64),
-		slackHist:     make(map[K]int64),
 		workerScratch: make([]edf.Scratch, workers),
 		freshIDs:      make(map[ID]struct{}),
 	}
@@ -159,12 +169,49 @@ func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Eng
 func (e *Engine[K, Ch, P]) State() *State[K, Ch, P] { return e.state }
 
 // ReplaceState swaps in a state assembled elsewhere (snapshot restore).
-// The verdict cache and slack history are reset: they describe the old
-// state's generations.
+// Every per-link table is reset: link indices, like the verdict cache's
+// generations, belong to one state.
 func (e *Engine[K, Ch, P]) ReplaceState(st *State[K, Ch, P]) {
 	e.state = st
-	clear(e.feasGen)
-	clear(e.slackHist)
+	e.feasGen = e.feasGen[:0]
+	e.slackHist = e.slackHist[:0]
+	e.marks = e.marks[:0]
+}
+
+// noSlack is the slack history of a link no committed sweep has tested:
+// below every real slack, so such links sweep first.
+const noSlack = math.MinInt64
+
+// fit grows the per-link tables to cover every link st has interned. A
+// tentative clone extends the live state's index, so the tables stay
+// valid for it and for the live state it may replace.
+func (e *Engine[K, Ch, P]) fit(st *State[K, Ch, P]) {
+	for len(e.feasGen) < len(st.keys) {
+		e.feasGen = append(e.feasGen, 0)
+		e.slackHist = append(e.slackHist, noSlack)
+		e.marks = append(e.marks, 0)
+	}
+}
+
+// newSet starts an empty link set over st's index space.
+func (e *Engine[K, Ch, P]) newSet(st *State[K, Ch, P]) {
+	e.fit(st)
+	e.epoch++
+}
+
+// addToSet appends to set each link of idx not yet in the current set,
+// preserving first-occurrence order. A batch of thousands of channels
+// names the same few trunk links over and over; listing each link once
+// keeps the incremental repartition O(sum of link loads) rather than
+// O(batch x load), and the sweep from testing a link twice.
+func (e *Engine[K, Ch, P]) addToSet(set, idx []int32) []int32 {
+	for _, i := range idx {
+		if e.marks[i] != e.epoch {
+			e.marks[i] = e.epoch
+			set = append(set, i)
+		}
+	}
+	return set
 }
 
 // LinksChecked returns the cumulative number of per-link feasibility
@@ -274,18 +321,19 @@ func (e *Engine[K, Ch, P]) admitDelta(n int, mk func(i int, id ID) Ch, schemes [
 	for _, scheme := range schemes {
 		savedNext := e.state.nextID
 		chs := make([]Ch, n)
-		touched := e.touchBuf[:0]
 		clear(e.freshIDs)
 		for i := 0; i < n; i++ {
 			ch := mk(i, e.state.AllocID())
 			e.state.Add(ch)
 			chs[i] = ch
-			touched = append(touched, e.state.LinksOf(ch)...)
 			e.freshIDs[e.ops.ID(ch)] = struct{}{}
 		}
-		touched = e.withStaleLinks(touched)
-		e.touchBuf = touched[:0]
-		touched = dedupKeys(touched)
+		e.newSet(e.state)
+		e.touchIdx = e.touchIdx[:0]
+		for _, ch := range chs {
+			e.touchIdx = e.addToSet(e.touchIdx, e.state.channels[e.ops.ID(ch)].idx)
+		}
+		touched := e.touchedKeys()
 
 		e.repartitions++
 		parts := scheme.PartitionTouched(e.state, touched)
@@ -310,42 +358,6 @@ func (e *Engine[K, Ch, P]) admitDelta(n int, mk func(i int, id ID) Ch, schemes [
 	return nil, firstRej
 }
 
-// dedupKeys removes duplicate link keys preserving first-occurrence
-// order. A batch of thousands of channels names the same few trunk links
-// over and over; scanning each link's channel list once instead of once
-// per occurrence keeps the incremental repartition O(sum of link loads)
-// rather than O(batch x load). Scheme results are unaffected — the
-// incremental contract makes PartitionTouched a pure function of the
-// touched link set.
-func dedupKeys[K comparable](keys []K) []K {
-	if len(keys) <= 8 {
-		out := keys[:0:0]
-		for _, k := range keys {
-			dup := false
-			for _, seen := range out {
-				if seen == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	seen := make(map[K]struct{}, len(keys))
-	out := make([]K, 0, len(keys))
-	for _, k := range keys {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
 // Release tears down a channel. The remaining channels are repartitioned
 // (a scheme is a function of the system state); in the unlikely event
 // that repartitioning a smaller system makes some link infeasible, the
@@ -362,10 +374,11 @@ func (e *Engine[K, Ch, P]) Release(id ID, scheme Scheme[K, Ch, P]) bool {
 	if scheme.PartitionTouched != nil && !e.cfg.FullRecheck {
 		e.state.Remove(id)
 		delete(e.staleParts, id)
-		links := e.withStaleLinks(entry.links)
-		links = dedupKeys(links)
+		e.newSet(e.state)
+		e.touchIdx = e.addToSet(e.touchIdx[:0], entry.idx)
+		touched := e.touchedKeys()
 		e.repartitions++
-		parts := scheme.PartitionTouched(e.state, links)
+		parts := scheme.PartitionTouched(e.state, touched)
 		undo, changed, changedIDs := e.applyDelta(e.state, parts, nil)
 		if rej := e.verify(e.state, changed); rej != nil {
 			e.rollback(e.state, undo)
@@ -411,27 +424,31 @@ func (e *Engine[K, Ch, P]) markStale(changedIDs []ID) {
 	}
 }
 
-// withStaleLinks widens a touched link set with the routes of every
-// stale channel, so the next incremental repartition recomputes — and,
-// where the new values stick, re-verifies — exactly what the reference
-// engine's full Partition pass would heal. The input slice is not
-// mutated; a fresh slice is returned whenever anything is appended.
-func (e *Engine[K, Ch, P]) withStaleLinks(links []K) []K {
-	if len(e.staleParts) == 0 {
-		return links
-	}
-	ids := make([]ID, 0, len(e.staleParts))
-	for id := range e.staleParts {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	out := append([]K(nil), links...)
-	for _, id := range ids {
-		if ent, ok := e.state.channels[id]; ok {
-			out = append(out, ent.links...)
+// touchedKeys closes the touched set under construction in touchIdx: it
+// widens it with the routes of every stale channel, so the next
+// incremental repartition recomputes — and, where the new values stick,
+// re-verifies — exactly what the reference engine's full Partition pass
+// would heal, then returns the set's link keys in first-occurrence order
+// (the scheme's vocabulary). The slice is reused by the next call.
+func (e *Engine[K, Ch, P]) touchedKeys() []K {
+	if len(e.staleParts) > 0 {
+		ids := make([]ID, 0, len(e.staleParts))
+		for id := range e.staleParts {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			if ent, ok := e.state.channels[id]; ok {
+				e.touchIdx = e.addToSet(e.touchIdx, ent.idx)
+			}
 		}
 	}
-	return out
+	keys := e.touchKeys[:0]
+	for _, i := range e.touchIdx {
+		keys = append(keys, e.state.keys[i])
+	}
+	e.touchKeys = keys
+	return keys
 }
 
 // apply installs the computed partitions into the state's channels,
@@ -442,8 +459,9 @@ func (e *Engine[K, Ch, P]) withStaleLinks(links []K) []K {
 // sweep. The reference-engine contract: a partition must be present for
 // every channel. Partition validation is the adapter's Validate hook — a
 // violation is a scheme implementation bug and panics.
-func (e *Engine[K, Ch, P]) apply(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) (map[K]struct{}, []ID) {
-	changed := make(map[K]struct{})
+func (e *Engine[K, Ch, P]) apply(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) ([]int32, []ID) {
+	e.newSet(st)
+	var changed []int32
 	var changedIDs []ID
 	for _, id := range st.order {
 		entry, ok := st.channels[id]
@@ -462,16 +480,12 @@ func (e *Engine[K, Ch, P]) apply(st *State[K, Ch, P], parts map[ID]P, fresh map[
 		changedIDs = append(changedIDs, id)
 		if _, isFresh := fresh[id]; isFresh {
 			st.SetPart(ch, p)
-			for _, l := range entry.links {
-				changed[l] = struct{}{}
-			}
+			changed = e.addToSet(changed, entry.idx)
 		} else {
-			for _, l := range st.SetPartDiff(ch, p) {
-				changed[l] = struct{}{}
-			}
+			changed = e.addToSet(changed, st.setPartDiff(ch, p))
 		}
 	}
-	sortIDs(changedIDs)
+	slices.Sort(changedIDs)
 	return changed, changedIDs
 }
 
@@ -489,9 +503,10 @@ type partUndo[Ch any, P any] struct {
 // are untouched by contract — an incremental scheme covers every channel
 // that can have moved. fresh marks channels with no prior partition
 // (establishment batches); nil means none (release).
-func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) ([]partUndo[Ch, P], map[K]struct{}, []ID) {
+func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) ([]partUndo[Ch, P], []int32, []ID) {
 	var undo []partUndo[Ch, P]
-	changed := make(map[K]struct{})
+	e.newSet(st)
+	var changed []int32
 	var changedIDs []ID
 	for id, p := range parts {
 		entry, ok := st.channels[id]
@@ -508,7 +523,7 @@ func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh
 		// The changed (= to-sweep) set is channel-granular: every link of
 		// every repartitioned channel, exactly as the reference engine
 		// sweeps it. The generation bumps underneath are finer: for a
-		// pre-existing channel SetPartDiff stamps only the hops whose
+		// pre-existing channel setPartDiff stamps only the hops whose
 		// materialized task actually moved, which is what lets the
 		// verdict cache skip the links a repartition pass touched but did
 		// not change — without ever shrinking the swept set itself, so
@@ -517,27 +532,21 @@ func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh
 		if _, isFresh := fresh[id]; isFresh {
 			st.SetPart(ch, p) // no valid prior partition to diff against
 		} else {
-			st.SetPartDiff(ch, p)
+			st.setPartDiff(ch, p)
 		}
-		for _, l := range entry.links {
-			changed[l] = struct{}{}
-		}
+		changed = e.addToSet(changed, entry.idx)
 	}
-	sortIDs(changedIDs)
+	slices.Sort(changedIDs)
 	return undo, changed, changedIDs
 }
 
 // rollback restores the previous partitions recorded by applyDelta.
-// SetPart (not SetPartDiff) on purpose: it bumps every affected link's
+// SetPart (not setPartDiff) on purpose: it bumps every affected link's
 // generation, invalidating any verdict the failed attempt recorded.
 func (e *Engine[K, Ch, P]) rollback(st *State[K, Ch, P], undo []partUndo[Ch, P]) {
 	for _, u := range undo {
 		st.SetPart(u.ch, u.old)
 	}
-}
-
-func sortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // verify tests feasibility of the changed links — every loaded link under
@@ -550,38 +559,24 @@ func sortIDs(ids []ID) {
 // engine flavors (it advances only on commits), which makes the order —
 // and therefore the first failure — identical too, regardless of worker
 // count or cache mode.
-func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed map[K]struct{}) *Rejection[K] {
+func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
+	e.fit(st)
 	links := e.sweepLinks[:0]
 	if e.cfg.FullRecheck {
-		for l := range st.loads {
-			links = append(links, l)
+		for i, n := range st.loads {
+			if n > 0 {
+				links = append(links, int32(i))
+			}
 		}
 	} else {
-		for l := range changed {
-			links = append(links, l)
-		}
+		links = append(links, changed...)
 	}
-	slices.SortFunc(links, func(a, b K) int {
-		sa, oka := e.slackHist[a]
-		if !oka {
-			sa = math.MinInt64 // no history: assume tightest, sweep first
+	slices.SortFunc(links, func(a, b int32) int {
+		if c := cmp.Compare(e.slackHist[a], e.slackHist[b]); c != 0 {
+			return c
 		}
-		sb, okb := e.slackHist[b]
-		if !okb {
-			sb = math.MinInt64
-		}
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		case e.ops.Less(a, b):
-			return -1
-		case e.ops.Less(b, a):
-			return 1
-		}
-		return 0
+		return cmp.Compare(st.rank[a], st.rank[b])
 	})
 	e.sweepLinks = links
 
@@ -590,14 +585,11 @@ func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed map[K]struct{}) *
 	useCache := e.cacheOn && st == e.state
 	skip := growBuf(e.sweepSkip, len(links))
 	live := 0
-	for i, l := range links {
-		skip[i] = false
-		if useCache {
-			if g, ok := e.feasGen[l]; ok && g == st.gens[l] {
-				skip[i] = true
-				e.sweepSkips++
-				continue
-			}
+	for j, i := range links {
+		skip[j] = useCache && e.feasGen[i] == st.gens[i]
+		if skip[j] {
+			e.sweepSkips++
+			continue
 		}
 		live++
 	}
@@ -654,23 +646,23 @@ func growBuf[T any](buf []T, n int) []T {
 // failure. The first constraint (U > 1, exact) comes from the state's
 // incrementally maintained per-link sum — rational arithmetic is exact,
 // so the answer matches a fresh summation bit for bit.
-func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []K, skip []bool) (int, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []int32, skip []bool) (int, *Rejection[K]) {
 	opts := e.cfg.Feasibility
 	results := growBuf(e.sweepResults, len(links))
 	e.sweepResults = results
-	for i, l := range links {
-		if skip[i] {
+	for j, i := range links {
+		if skip[j] {
 			continue
 		}
 		// e.exceedsBuf lives on the (heap-resident) engine: taking its
 		// address does not force a per-link stack-to-heap escape the way
 		// &localBool would, keeping the sequential sweep allocation-free.
-		e.exceedsBuf = st.UtilExceedsOne(l)
+		e.exceedsBuf = st.utilOver[i]
 		opts.UtilizationExceeds = &e.exceedsBuf
-		res := edf.TestScratch(st.TasksShared(l), opts, &e.scratch)
-		results[i] = res
+		res := edf.TestScratch(st.tasksAt(i), opts, &e.scratch)
+		results[j] = res
 		if !res.OK() {
-			return i + 1, &Rejection[K]{Link: l, Result: res}
+			return j + 1, &Rejection[K]{Link: st.keys[i], Result: res}
 		}
 	}
 	return len(links), nil
@@ -684,19 +676,19 @@ func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []K, skip 
 // index found so far, and the lowest failing index wins — the verdict,
 // the named link and the reported check count are identical to the
 // sequential sweep.
-func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []K, skip []bool) (int, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []int32, skip []bool) (int, *Rejection[K]) {
 	n := len(links)
 	tasks := growBuf(e.sweepTasks, n)
 	exceeds := growBuf(e.sweepExceeds, n)
 	results := growBuf(e.sweepResults, n)
 	e.sweepTasks, e.sweepExceeds, e.sweepResults = tasks, exceeds, results
-	for i, l := range links {
-		if skip[i] {
-			tasks[i] = nil
+	for j, i := range links {
+		if skip[j] {
+			tasks[j] = nil
 			continue
 		}
-		tasks[i] = st.TasksShared(l)
-		exceeds[i] = st.UtilExceedsOne(l)
+		tasks[j] = st.tasksAt(i)
+		exceeds[j] = st.utilOver[i]
 	}
 
 	var next atomic.Int64
@@ -740,7 +732,7 @@ func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []K, skip []
 	wg.Wait()
 
 	if f := minFail.Load(); f < int64(n) {
-		return int(f) + 1, &Rejection[K]{Link: links[f], Result: results[f]}
+		return int(f) + 1, &Rejection[K]{Link: st.keys[links[f]], Result: results[f]}
 	}
 	return n, nil
 }

@@ -1,0 +1,278 @@
+package admit
+
+import (
+	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+func toy(st *State[int, *toyChan, int64], c, p int64, links ...int) *toyChan {
+	return &toyChan{id: st.AllocID(), c: c, p: p, links: links, part: p}
+}
+
+// TestDrainedLinkKeepsIndex drains a link to load 0 through Remove and
+// through UndoAdd, reloads it, and checks it keeps its dense index, its
+// per-link tables restart from an exact zero, and its generation stamps
+// never repeat.
+func TestDrainedLinkKeepsIndex(t *testing.T) {
+	st := NewState(toyOps)
+	a := toy(st, 1, 3, 7, 3)
+	st.Add(a)
+	i7 := st.index[7]
+	gens := []uint64{st.gens[i7]}
+	stamp := func(what string) {
+		t.Helper()
+		g := st.gens[i7]
+		if g <= gens[len(gens)-1] {
+			t.Fatalf("%s: generation %d after %v, want strictly increasing", what, g, gens)
+		}
+		gens = append(gens, g)
+	}
+
+	st.Remove(a.id)
+	stamp("remove")
+	if st.LinkLoad(7) != 0 || st.LoadedLinks() != 0 || len(st.Links()) != 0 || st.TasksOn(7) != nil {
+		t.Fatalf("drained state: load %d, loaded %d, links %v, tasks %v",
+			st.LinkLoad(7), st.LoadedLinks(), st.Links(), st.TasksOn(7))
+	}
+	if st.utilSum[i7].Sign() != 0 || st.utilOver[i7] {
+		t.Fatalf("drained link keeps utilization %v (over=%v)", st.utilSum[i7], st.utilOver[i7])
+	}
+
+	b := toy(st, 2, 5, 7)
+	st.Add(b)
+	stamp("reload")
+	if got := st.index[7]; got != i7 {
+		t.Fatalf("reloaded link 7 has index %d, had %d", got, i7)
+	}
+	if len(st.keys) != 2 {
+		t.Fatalf("reload interned a new index: keys %v", st.keys)
+	}
+	if st.utilSum[i7].Cmp(big.NewRat(2, 5)) != 0 || len(st.TasksOn(7)) != 1 {
+		t.Fatalf("reloaded link: U=%v tasks %v, want 2/5 and one task", st.utilSum[i7], st.TasksOn(7))
+	}
+
+	c := toy(st, 1, 4, 7, 9)
+	st.Add(c)
+	stamp("add")
+	i9 := st.index[9]
+	st.UndoAdd(c)
+	stamp("undo")
+	if st.LinkLoad(9) != 0 || st.LoadedLinks() != 1 {
+		t.Fatalf("after UndoAdd: load(9)=%d loaded=%d", st.LinkLoad(9), st.LoadedLinks())
+	}
+	st.Add(toy(st, 1, 4, 9))
+	if st.index[9] != i9 {
+		t.Fatalf("link 9 re-interned after UndoAdd: %d, had %d", st.index[9], i9)
+	}
+	st.SetPart(b, 6)
+	stamp("setpart")
+}
+
+// TestCloneIsIndependent mutates a Clone every way the engines do and
+// checks the original saw none of it, while the clone extends the
+// original's link index rather than renumbering it.
+func TestCloneIsIndependent(t *testing.T) {
+	st := NewState(toyOps)
+	for _, links := range [][]int{{4, 1}, {1, 2}, {2, 8}, {8}} {
+		st.Add(toy(st, 1, 10, links...))
+	}
+	fingerprint := func(s *State[int, *toyChan, int64]) string {
+		out := fmt.Sprintf("len=%d next=%d loaded=%d gen=%d mean=%v|", s.Len(), s.NextID(), s.LoadedLinks(), s.genCtr, s.MeanLinkUtilization())
+		for _, l := range s.Links() {
+			i := s.index[l]
+			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.ChannelsOn(l)[0].Ch.part)
+		}
+		return out
+	}
+	before := fingerprint(st)
+	keys := slices.Clone(st.keys)
+
+	cp := st.Clone()
+	first := cp.Channels()[0]
+	cp.SetPart(first, 5)
+	cp.setPartDiff(cp.Channels()[1], 7)
+	cp.Remove(cp.Channels()[2].id)
+	cp.Add(toy(cp, 3, 10, 8, 42))
+	cp.Add(toy(cp, 1, 10, 0))
+	cp.UndoAdd(cp.Channels()[cp.Len()-1])
+
+	if got := fingerprint(st); got != before {
+		t.Fatalf("original changed by clone mutations:\n before %s\n after  %s", before, got)
+	}
+	if _, ok := st.index[42]; ok || !slices.Equal(st.keys, keys) {
+		t.Fatalf("clone interned into the original: keys %v", st.keys)
+	}
+	for l, i := range st.index {
+		if cp.index[l] != i {
+			t.Fatalf("clone renumbered link %d: %d, original %d", l, cp.index[l], i)
+		}
+	}
+	if got := cp.index[42]; got != int32(len(keys)) {
+		t.Fatalf("clone gave new link 42 index %d, want the next one %d", got, len(keys))
+	}
+}
+
+// TestLinksMatchFreshSort churns a state at random and checks after
+// every step that Links equals a fresh sort by Less of the loaded links,
+// and that MeanLinkUtilization is bit-identical to a recomputation in
+// that order.
+func TestLinksMatchFreshSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	st := NewState(toyOps)
+	var live []*toyChan
+	for step := 0; step < 2000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(live) == 0:
+			links := rng.Perm(60)[:1+rng.Intn(3)]
+			ch := toy(st, int64(1+rng.Intn(3)), int64(5+rng.Intn(40)), links...)
+			st.Add(ch)
+			live = append(live, ch)
+		case r < 6:
+			last := live[len(live)-1]
+			if st.order[len(st.order)-1] == last.id {
+				st.UndoAdd(last)
+				live = live[:len(live)-1]
+			}
+		default:
+			k := rng.Intn(len(live))
+			st.Remove(live[k].id)
+			live = append(live[:k], live[k+1:]...)
+		}
+
+		load := map[int]int{}
+		for _, ch := range live {
+			for _, l := range ch.links {
+				load[l]++
+			}
+		}
+		var want []int
+		for l := range load {
+			want = append(want, l)
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			if toyOps.Less(a, b) {
+				return -1
+			}
+			return 1
+		})
+		if got := st.Links(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Links = %v, want %v", step, got, want)
+		}
+		if st.LoadedLinks() != len(want) {
+			t.Fatalf("step %d: LoadedLinks = %d, want %d", step, st.LoadedLinks(), len(want))
+		}
+		var sum float64
+		for _, l := range want {
+			var u float64
+			for _, ch := range st.Channels() {
+				if slices.Contains(ch.links, l) {
+					u += float64(ch.c) / float64(ch.p)
+				}
+			}
+			sum += u
+		}
+		mean := 0.0
+		if len(want) > 0 {
+			mean = sum / float64(len(want))
+		}
+		if got := st.MeanLinkUtilization(); got != mean {
+			t.Fatalf("step %d: MeanLinkUtilization = %v, recomputed %v", step, got, mean)
+		}
+	}
+}
+
+// TestReplaceStateMatchesFreshEngine gives an engine a history (verdict
+// cache, slack history, interned links) on one state, swaps in a state
+// assembled elsewhere whose links are interned in a different order,
+// and requires every later decision — verdict, named link, diagnostic,
+// LinksChecked and cache hits — to match a fresh engine handed an
+// identical state. A per-link table surviving the swap would read
+// another link's history.
+func TestReplaceStateMatchesFreshEngine(t *testing.T) {
+	schemes := []Scheme[int, *toyChan, int64]{constScheme(8)}
+	assemble := func() *State[int, *toyChan, int64] {
+		st := NewState(toyOps)
+		for i := 0; i < 12; i++ {
+			ch := toy(st, 1, 60, 5-i%6, 6+i%3)
+			ch.part = 8
+			st.Add(ch)
+		}
+		return st
+	}
+
+	used := newToyEngine(Config{Workers: 1})
+	rng := rand.New(rand.NewSource(11))
+	for _, mk := range randomToySpecs(rng, 40) {
+		used.Admit(1, func(_ int, id ID) *toyChan { return mk(id) }, schemes)
+	}
+	if len(used.slackHist) == 0 || used.LinksChecked() == 0 {
+		t.Fatal("history engine built no history")
+	}
+	used.ReplaceState(assemble())
+	if len(used.feasGen) != 0 || len(used.slackHist) != 0 {
+		t.Fatalf("ReplaceState kept %d verdicts and %d slack entries of the old state", len(used.feasGen), len(used.slackHist))
+	}
+	fresh := newToyEngine(Config{Workers: 1})
+	fresh.ReplaceState(assemble())
+
+	checked0, skips0 := used.LinksChecked(), used.SweepSkips()
+	mks := randomToySpecs(rand.New(rand.NewSource(12)), 60)
+	for i, mk := range mks {
+		gen := func(_ int, id ID) *toyChan {
+			ch := mk(id)
+			ch.links = []int{ch.links[0] + 3, ch.links[1] + 3}
+			return ch
+		}
+		_, ru := used.Admit(1, gen, schemes)
+		_, rf := fresh.Admit(1, gen, schemes)
+		if (ru == nil) != (rf == nil) {
+			t.Fatalf("decision %d: replaced engine rejected=%v, fresh rejected=%v", i, ru != nil, rf != nil)
+		}
+		if ru != nil && (ru.Link != rf.Link || ru.Result.String() != rf.Result.String()) {
+			t.Fatalf("decision %d: replaced %v@%d, fresh %v@%d", i, ru.Result, ru.Link, rf.Result, rf.Link)
+		}
+		if i%5 == 4 {
+			victim := fresh.State().Channels()[0].id
+			used.Release(victim, schemes[0])
+			fresh.Release(victim, schemes[0])
+		}
+	}
+	if got, want := used.LinksChecked()-checked0, fresh.LinksChecked(); got != want {
+		t.Fatalf("LinksChecked after swap = %d, fresh engine %d", got, want)
+	}
+	if got, want := used.SweepSkips()-skips0, fresh.SweepSkips(); got != want {
+		t.Fatalf("SweepSkips after swap = %d, fresh engine %d", got, want)
+	}
+}
+
+// TestSweepTiesFollowLessNotInternOrder interns links in reverse key
+// order and fails every link from 40 up: with no slack history every
+// link ties, so the sweep must fall back to Less order (maintained at
+// intern time) and name link 40 after 41 checks, not the first-interned
+// failing link 63.
+func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		e := newToyEngine(Config{Workers: workers})
+		scheme := Scheme[int, *toyChan, int64]{
+			PartitionTouched: func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
+				parts := make(map[ID]int64)
+				for _, ch := range st.Channels() {
+					parts[ch.id] = 10
+					if ch.links[0] >= 40 {
+						parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
+					}
+				}
+				return parts
+			},
+		}
+		_, rej := e.Admit(128, func(i int, id ID) *toyChan {
+			return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
+		}, []Scheme[int, *toyChan, int64]{scheme})
+		if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
+			t.Fatalf("workers=%d: rejection %v after %d checks, want link 40 after 41", workers, rej, e.LinksChecked())
+		}
+	}
+}

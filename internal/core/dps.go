@@ -152,13 +152,15 @@ func (a ADPS) Partition(st *State) map[ChannelID]Partition {
 // — shared by the full and incremental paths so they agree bit for bit.
 // For a multicast channel the downlink weight is the load of its most
 // loaded sink downlink: the shared d_id must hold on every branch, so
-// the bottleneck branch sets the asymmetry.
+// the bottleneck branch sets the asymmetry. The loads are read by hop
+// (uplink first, then the downlinks; Dst is Sinks[0] for multicast).
 func (ADPS) partitionOf(st *State, ch *Channel) Partition {
-	llUp := int64(st.LinkLoad(Uplink(ch.Spec.Src)))
-	llDown := int64(st.LinkLoad(Downlink(ch.Spec.Dst)))
-	for _, sink := range ch.Sinks {
-		if ll := int64(st.LinkLoad(Downlink(sink))); ll > llDown {
-			llDown = ll
+	var buf [2]int64
+	var llUp, llDown int64
+	if ll := st.k.HopLoads(ch, buf[:0]); len(ll) > 0 {
+		llUp = ll[0]
+		for _, l := range ll[1:] {
+			llDown = max(llDown, l)
 		}
 	}
 	total := llUp + llDown

@@ -101,21 +101,9 @@ func (st *State) allocID() ChannelID { return st.k.AllocID() }
 // channel's ID must be unused.
 func (st *State) add(ch *Channel) { st.k.Add(ch) }
 
-// undoAdd reverses the most recent add exactly; see admit.State.UndoAdd.
-func (st *State) undoAdd(ch *Channel) { st.k.UndoAdd(ch) }
-
 // remove deletes a channel and updates link loads and per-link caches. It
 // reports whether the channel existed.
 func (st *State) remove(id ChannelID) bool { return st.k.Remove(id) }
-
-// setPart installs a new deadline partition on a channel and invalidates
-// the task caches of its links. All repartitioning goes through here so
-// the caches can never go stale.
-func (st *State) setPart(ch *Channel, p Partition) { st.k.SetPart(ch, p) }
-
-// utilExceedsOne reports the exact first-constraint answer (U > 1) for a
-// link from the incrementally maintained sum.
-func (st *State) utilExceedsOne(l Link) bool { return st.k.UtilExceedsOne(l) }
 
 // LinkLoad returns LL(l): the number of channels traversing the link
 // (§18.4.2). Links with no channels have load zero.
@@ -134,11 +122,6 @@ func (st *State) Links() []Link { return st.k.Links() }
 // task {C_i, P_i, d_id}. The returned slice is freshly allocated; the
 // internal cache backing it is maintained incrementally.
 func (st *State) TasksOn(l Link) []edf.Task { return st.k.TasksOn(l) }
-
-// tasksCached returns the memoized task set of a link. The returned slice
-// is shared — internal read-only callers use it to avoid the defensive
-// copy TasksOn makes.
-func (st *State) tasksCached(l Link) []edf.Task { return st.k.TasksShared(l) }
 
 // clone returns a deep copy of the state sharing nothing mutable with the
 // original.

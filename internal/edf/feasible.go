@@ -51,7 +51,7 @@ type Result struct {
 	DemandAt     int64   // h(ViolationAt)
 	MinSlack     int64   // min over evaluated checkpoints of t - h(t); math.MaxInt64 when none was evaluated
 	Checked      int     // number of checkpoints evaluated
-	ShortCircuit bool    // true when the Liu & Layland D==P shortcut applied
+	ShortCircuit bool    // true when every task has D >= P, so U <= 1 alone proved feasibility (h(t) <= U*t)
 }
 
 // OK reports whether the task set was proven feasible.
@@ -107,8 +107,11 @@ var ErrBusyPeriodDiverged = errors.New("edf: busy period iteration diverged")
 //  2. Second constraint: h(t) <= t for every checkpoint t = m*P_i + D_i in
 //     [1, busy period].
 //
-// When every task has D == P the first constraint alone is necessary and
-// sufficient (Liu & Layland) and step 2 is skipped.
+// When every task has D >= P the first constraint alone is necessary and
+// sufficient and step 2 is skipped: then h(t) <= U*t <= t for every t
+// (Baruah, Rosier & Howell 1990; Liu & Layland's D == P is the special
+// case the paper cites). No busy period is computed and no checkpoint is
+// walked, so such a set is never Inconclusive.
 func Test(tasks []Task, opts Options) Result {
 	return TestScratch(tasks, opts, nil)
 }
@@ -140,9 +143,9 @@ func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 		return res
 	}
 
-	// Liu & Layland shortcut: with implicit deadlines the utilization test
-	// is exact, as the paper notes.
-	if ImplicitDeadlines(tasks) {
+	// Utilization-only exit: with every D >= P, h(t) <= U*t, so U <= 1 is
+	// exact (the paper's Liu & Layland remark, widened from D == P).
+	if DeadlinesCoverPeriods(tasks) {
 		res.ShortCircuit = true
 		return res
 	}

@@ -159,11 +159,80 @@ func TestFeasibleDiagnostics(t *testing.T) {
 func TestFeasibleShortCircuitImplicitDeadlines(t *testing.T) {
 	res := TestDefault(repeatTask(Task{C: 1, P: 4, D: 4}, 4))
 	if !res.OK() || !res.ShortCircuit {
-		t.Fatalf("implicit-deadline set: %v, want feasible via Liu&Layland shortcut", res)
+		t.Fatalf("implicit-deadline set: %v, want feasible via the utilization-only exit", res)
 	}
-	if res.Checked != 0 {
-		t.Errorf("shortcut evaluated %d checkpoints, want 0", res.Checked)
+	if res.Checked != 0 || res.BusyPeriod != 0 {
+		t.Errorf("shortcut evaluated %d checkpoints over busy period %d, want neither", res.Checked, res.BusyPeriod)
 	}
+}
+
+// TestFeasibleShortCircuitDeadlinesCoverPeriods pins the widened exit:
+// with every D >= P, h(t) <= U*t, so U <= 1 decides alone. The second
+// set has U == 1 exactly and a busy period of 10000022 slots with over
+// five million checkpoints; the demand walk gives up Inconclusive at the
+// DefaultMaxCheckpoints cap, while the exit proves it feasible at once.
+func TestFeasibleShortCircuitDeadlinesCoverPeriods(t *testing.T) {
+	for _, tasks := range [][]Task{
+		{{C: 1, P: 4, D: 9}, {C: 2, P: 10, D: 10}, {C: 1, P: 5, D: 6}},
+		{{C: 1, P: 2, D: 2}, {C: 5000011, P: 10000022, D: 10000023}},
+	} {
+		res := TestDefault(tasks)
+		if !res.OK() || !res.ShortCircuit {
+			t.Fatalf("%v: %v, want feasible via the D >= P exit", tasks, res)
+		}
+		if res.Checked != 0 || res.BusyPeriod != 0 {
+			t.Errorf("%v: walked %d checkpoints over busy period %d, want neither", tasks, res.Checked, res.BusyPeriod)
+		}
+	}
+
+	// The exit comes after the first constraint: D >= P never hides U > 1.
+	over := []Task{{C: 3, P: 4, D: 9}, {C: 1, P: 2, D: 5}}
+	if res := TestDefault(over); res.Verdict != InfeasibleUtilization || res.ShortCircuit {
+		t.Fatalf("overloaded D >= P set: %v, want infeasible(utilization) without shortcut", res)
+	}
+	// One D < P task is enough to need the walk.
+	mixed := []Task{{C: 1, P: 4, D: 9}, {C: 2, P: 10, D: 5}}
+	if res := TestDefault(mixed); !res.OK() || res.ShortCircuit {
+		t.Fatalf("mixed set: %v, want feasible via the demand walk", res)
+	}
+}
+
+// FuzzDeadlinesCoverPeriods checks the utilization-only exit against the
+// demand criterion it replaces: for random sets with every D >= P and
+// U <= 1, Test must answer feasible with no walk, and Demand(t) <= t must
+// hold at every checkpoint up to the busy period (capped, since U == 1
+// busy periods reach the hyperperiod; the bound h(t) <= U*t holds for
+// every t, so any prefix is a valid check). Each input byte triple is one
+// task.
+func FuzzDeadlinesCoverPeriods(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 9, 4, 5})
+	f.Add([]byte{1, 0, 0, 1, 0, 0})
+	f.Add([]byte{5, 2, 7, 9, 3, 0, 29, 7, 31, 1, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tasks []Task
+		for i := 0; i+2 < len(data) && len(tasks) < 8; i += 3 {
+			p := 1 + int64(data[i]%64)
+			c := 1 + int64(data[i+1])%p
+			tasks = append(tasks, Task{C: c, P: p, D: p + int64(data[i+2]%64)})
+		}
+		for len(tasks) > 0 && UtilizationExceedsOne(tasks) {
+			tasks = tasks[:len(tasks)-1]
+		}
+		res := TestDefault(tasks)
+		if !res.OK() || res.Checked != 0 || (len(tasks) > 0 && !res.ShortCircuit) {
+			t.Fatalf("%v: %v, want feasible with no checkpoint walked", tasks, res)
+		}
+		bound, ok := BusyPeriod(tasks)
+		if !ok || bound > 1<<14 {
+			bound = 1 << 14
+		}
+		Checkpoints(tasks, bound, func(cp int64) bool {
+			if h := Demand(tasks, cp); h > cp {
+				t.Fatalf("%v: h(%d) = %d > t; the exit would be unsound", tasks, cp, h)
+			}
+			return true
+		})
+	})
 }
 
 func TestFeasibleBusyPeriodShorterThanFirstDeadline(t *testing.T) {

@@ -13,7 +13,8 @@
 //     h(n,t), Eq. 18.3),
 //   - the synchronous busy period used to bound the demand check (Eq. 18.4),
 //   - checkpoint enumeration t = m*P_i + d_i (Eq. 18.5), and
-//   - the combined feasibility test.
+//   - the combined feasibility test, which skips the demand walk when
+//     every task has D >= P: then h(t) <= U*t, so U <= 1 is exact.
 package edf
 
 import (
@@ -90,13 +91,16 @@ func TotalCapacity(tasks []Task) int64 {
 	return sum
 }
 
-// ImplicitDeadlines reports whether every task has D == P. In that case the
-// Liu & Layland utilization bound (first constraint) is both necessary and
-// sufficient for EDF feasibility and the demand check can be skipped, as
-// the paper notes in §18.3.2.
-func ImplicitDeadlines(tasks []Task) bool {
+// DeadlinesCoverPeriods reports whether every task has D >= P. In that
+// case the utilization bound (first constraint) is both necessary and
+// sufficient for EDF feasibility and the demand check can be skipped: each
+// task contributes at most floor(t/P_i)*C_i <= t*C_i/P_i to h(t), so
+// h(t) <= U*t <= t whenever U <= 1 (Baruah, Rosier & Howell 1990). The
+// implicit-deadline case D == P the paper notes in §18.3.2 is the special
+// case Liu & Layland proved.
+func DeadlinesCoverPeriods(tasks []Task) bool {
 	for _, t := range tasks {
-		if t.D != t.P {
+		if t.D < t.P {
 			return false
 		}
 	}

@@ -80,15 +80,18 @@ func TestTotalCapacity(t *testing.T) {
 	}
 }
 
-func TestImplicitDeadlines(t *testing.T) {
-	if !ImplicitDeadlines(nil) {
-		t.Error("ImplicitDeadlines(nil) = false, want true")
+func TestDeadlinesCoverPeriods(t *testing.T) {
+	if !DeadlinesCoverPeriods(nil) {
+		t.Error("DeadlinesCoverPeriods(nil) = false, want true")
 	}
-	if !ImplicitDeadlines([]Task{{C: 1, P: 10, D: 10}, {C: 2, P: 5, D: 5}}) {
-		t.Error("ImplicitDeadlines(all D==P) = false, want true")
+	if !DeadlinesCoverPeriods([]Task{{C: 1, P: 10, D: 10}, {C: 2, P: 5, D: 5}}) {
+		t.Error("DeadlinesCoverPeriods(all D==P) = false, want true")
 	}
-	if ImplicitDeadlines([]Task{{C: 1, P: 10, D: 10}, {C: 2, P: 5, D: 4}}) {
-		t.Error("ImplicitDeadlines(one D<P) = true, want false")
+	if !DeadlinesCoverPeriods([]Task{{C: 1, P: 10, D: 10}, {C: 2, P: 5, D: 9}}) {
+		t.Error("DeadlinesCoverPeriods(D==P and D>P) = false, want true")
+	}
+	if DeadlinesCoverPeriods([]Task{{C: 1, P: 10, D: 12}, {C: 2, P: 5, D: 4}}) {
+		t.Error("DeadlinesCoverPeriods(one D<P) = true, want false")
 	}
 }
 

@@ -1,0 +1,87 @@
+package topo
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// BenchmarkHADPSChurn replays the fabric-churn workload's kernel load
+// without a daemon: a 4-switch line with 100 nodes per side (west nodes
+// 1..100 on switches 0 and 1, east nodes 101..200 on switches 2 and 3),
+// H-ADPS, 500 standing channels (250 each way) with D > P, then one
+// establish (one in eight a 3-5 sink multicast) or release per
+// iteration, with the churn population of each direction held in the
+// band the shared trunks cannot all carry, so a steady share of
+// establishes is refused. One iteration is one kernel decision.
+//
+//	go test -run '^$' -bench HADPSChurn -benchmem ./internal/topo
+func BenchmarkHADPSChurn(b *testing.B) {
+	const perSide, preload, lo, hi = 100, 250, 60, 90
+	tp := Line(4)
+	for i := 0; i < perSide; i++ {
+		if err := tp.AttachNode(core.NodeID(1+i), SwitchID(i%2)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tp.AttachNode(core.NodeID(101+i), SwitchID(2+i%2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c := NewController(tp, Config{DPS: HADPS{}})
+	rng := rand.New(rand.NewSource(7))
+	type side struct {
+		src, dst int
+		live     []core.ChannelID
+	}
+	sides := []*side{{src: 0, dst: 100}, {src: 100, dst: 0}}
+	node := func(base int) core.NodeID { return core.NodeID(base + 1 + rng.Intn(perSide)) }
+	req := func(s *side) Req {
+		r := Req{Spec: core.ChannelSpec{
+			Src: node(s.src), Dst: node(s.dst),
+			C: int64(1 + rng.Intn(2)),
+			P: []int64{400, 450, 500}[rng.Intn(3)],
+			D: []int64{4000, 5000, 6000}[rng.Intn(3)],
+		}}
+		if rng.Intn(8) == 0 {
+			seen := map[core.NodeID]bool{}
+			for n := 3 + rng.Intn(3); len(r.Sinks) < n; {
+				if s := node(s.dst); !seen[s] {
+					seen[s] = true
+					r.Sinks = append(r.Sinks, s)
+				}
+			}
+			r.Spec.Dst = r.Sinks[0]
+		}
+		return r
+	}
+	for _, s := range sides {
+		for i := 0; i < preload; i++ {
+			if _, err := c.Admit([]Req{req(s)}); err != nil {
+				b.Fatalf("preload %d: %v", i, err)
+			}
+		}
+	}
+
+	rejected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sides[i%2]
+		if len(s.live) < lo || (len(s.live) < hi && rng.Intn(2) == 0) {
+			chs, err := c.Admit([]Req{req(s)})
+			if err != nil {
+				rejected++
+				continue
+			}
+			s.live = append(s.live, chs[0].ID)
+			continue
+		}
+		j := rng.Intn(len(s.live))
+		if err := c.Release(s.live[j]); err != nil {
+			b.Fatal(err)
+		}
+		s.live = append(s.live[:j], s.live[j+1:]...)
+	}
+	b.ReportMetric(float64(rejected)/float64(b.N), "rejects/op")
+}

@@ -172,11 +172,6 @@ func edgeLess(a, b Edge) bool {
 // maintained incrementally.
 func (st *State) TasksOn(e Edge) []edf.Task { return st.k.TasksOn(e) }
 
-// tasksCached returns the memoized task set of an edge. The returned
-// slice is shared — internal read-only callers use it to avoid the
-// defensive copy TasksOn makes.
-func (st *State) tasksCached(e Edge) []edf.Task { return st.k.TasksShared(e) }
-
 // channelsOn returns the channel hops traversing an edge in establishment
 // order. The returned slice is the live kernel cache — callers must not
 // mutate or retain it.
@@ -186,16 +181,11 @@ func (st *State) channelsOn(e Edge) []admit.Ref[*HChannel] { return st.k.Channel
 // utilizations over all loaded edges. Returns 0 for an empty state.
 func (st *State) MeanLinkUtilization() float64 { return st.k.MeanLinkUtilization() }
 
-// add, remove and clone delegate to the kernel (tests use them to build
-// states directly).
+// add, remove and allocID delegate to the kernel (tests use them to
+// build states directly).
 func (st *State) add(ch *HChannel)              { st.k.Add(ch) }
 func (st *State) remove(id core.ChannelID) bool { return st.k.Remove(id) }
 func (st *State) allocID() core.ChannelID       { return st.k.AllocID() }
-func (st *State) clone() *State                 { return &State{k: st.k.Clone()} }
-
-// setHops installs a new hop-budget vector on a channel and invalidates
-// the task caches of its route edges.
-func (st *State) setHops(ch *HChannel, v []int64) { st.k.SetPart(ch, v) }
 
 // HDPS is a hop-count-general deadline partitioning scheme: it assigns a
 // per-hop deadline vector to every channel in the state such that the
@@ -308,10 +298,7 @@ func (HADPS) Name() string { return "H-ADPS" }
 // chains use splitDeadline exactly as before; multicast trees use the
 // tree recursion with per-edge link-load weights.
 func (HADPS) vectorOf(st *State, ch *HChannel) []int64 {
-	weights := make([]int64, len(ch.Route))
-	for i, e := range ch.Route {
-		weights[i] = int64(st.LinkLoad(e))
-	}
+	weights := st.k.HopLoads(ch, make([]int64, 0, len(ch.Route)))
 	if ch.Multicast() {
 		return splitDeadlineTree(ch, weights)
 	}
