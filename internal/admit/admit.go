@@ -36,6 +36,10 @@ type ID uint32
 type Ref[Ch any] struct {
 	Ch  Ch
 	Hop int
+	// pos points at the channel entry's record of this hop's position on
+	// the link's lists, so a removal renumbers the hops it shifts without
+	// looking their channels up.
+	pos *int32
 }
 
 // Ops is the adapter-supplied vocabulary the kernel manipulates channels
@@ -52,7 +56,9 @@ type Ops[K comparable, Ch any, P any] struct {
 	// per Add; the kernel keeps only the keys' dense indices.
 	Links func(Ch) []K
 	// Task materializes the EDF task the channel induces on its hop-th
-	// traversed link, under the channel's current partition.
+	// traversed link, under the channel's current partition. It must be
+	// total: on a channel with no partition yet it returns a task with
+	// D = 0 (Add stores it; the SetPart that follows overwrites it).
 	Task func(ch Ch, hop int) edf.Task
 	// Less is the deterministic verification order on link keys.
 	Less func(a, b K) bool
@@ -74,10 +80,12 @@ type Ops[K comparable, Ch any, P any] struct {
 var ratOne = big.NewRat(1, 1)
 
 // entry is one channel plus its traversed-links sequence as dense link
-// indices (idx[hop] is the index of Ops.Links(ch)[hop]).
+// indices (idx[hop] is the index of Ops.Links(ch)[hop]) and the position
+// of each hop on its link's lists (byLink[idx[hop]][pos[hop]] is the hop,
+// tasks[idx[hop]][pos[hop]] its task).
 type entry[Ch any] struct {
-	ch  Ch
-	idx []int32
+	ch       Ch
+	idx, pos []int32
 }
 
 // State is the generic system state SS = {N, K}: the set of currently
@@ -89,13 +97,15 @@ type entry[Ch any] struct {
 // to load 0 keeps its index and its history. Every per-link table is a
 // slice over that index, so the hot path hashes no link key: byLink lists
 // the channel hops traversing each link (in establishment order, the
-// per-link restriction of the global order), taskCache memoizes each
-// link's EDF task set, and utilSum keeps each link's exact rational
-// utilization sum(C/P) — rational arithmetic is exact, so the running sum
-// always equals a fresh summation bit for bit. All are maintained
-// incrementally by Add/Remove/SetPart, so TasksOn and the
-// verification sweep never scan the full channel map. The key type K
-// stays the public vocabulary: methods taking a K look it up once.
+// per-link restriction of the global order), tasks holds each link's EDF
+// task set aligned index for index with byLink, and utilSum keeps each
+// link's exact rational utilization sum(C/P) — rational arithmetic is
+// exact, so the running sum always equals a fresh summation bit for bit.
+// All are live: Add appends a hop's task, Remove cuts it out at the
+// position its channel entry records, and SetPart overwrites it in place,
+// so the verification sweep reads a link's task set as it stands and
+// never rebuilds one. The key type K stays the public vocabulary: methods
+// taking a K look it up once.
 //
 // State is not safe for concurrent use; the surrounding controller
 // serializes access.
@@ -122,10 +132,10 @@ type State[K comparable, Ch any, P any] struct {
 	rank   []int32
 	loaded int
 
-	loads     []int
-	byLink    [][]Ref[Ch]
-	taskCache [][]edf.Task // nil: stale (a loaded link's set is never empty)
-	utilSum   []*big.Rat
+	loads   []int
+	byLink  [][]Ref[Ch]
+	tasks   [][]edf.Task
+	utilSum []*big.Rat
 	// utilOver caches the exact U > 1 answer per link, refreshed whenever
 	// utilSum changes — the verify sweep reads a bool instead of paying a
 	// big.Rat comparison per link per sweep.
@@ -143,9 +153,8 @@ type State[K comparable, Ch any, P any] struct {
 	genCtr uint64
 	gens   []uint64
 
-	// ratTmp, oldTasks and diffLinks are scratch buffers.
+	// ratTmp and diffLinks are scratch buffers.
 	ratTmp    big.Rat
-	oldTasks  []edf.Task
 	diffLinks []int32
 }
 
@@ -171,7 +180,7 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.keys = append(st.keys, l)
 	st.loads = append(st.loads, 0)
 	st.byLink = append(st.byLink, nil)
-	st.taskCache = append(st.taskCache, nil)
+	st.tasks = append(st.tasks, nil)
 	st.utilSum = append(st.utilSum, new(big.Rat))
 	st.utilOver = append(st.utilOver, false)
 	st.gens = append(st.gens, 0)
@@ -307,20 +316,23 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		delete(st.stale, id)
 	}
 	links := st.ops.Links(ch)
-	idx := make([]int32, len(links))
+	n := len(links)
+	buf := make([]int32, 2*n)
+	e := entry[Ch]{ch: ch, idx: buf[:n:n], pos: buf[n:]}
 	for hop, l := range links {
-		idx[hop] = st.intern(l)
+		e.idx[hop] = st.intern(l)
 	}
-	st.channels[id] = entry[Ch]{ch: ch, idx: idx}
+	st.channels[id] = e
 	st.order = append(st.order, id)
 	c, p := st.ops.UtilCP(ch)
-	for hop, i := range idx {
+	for hop, i := range e.idx {
 		if st.loads[i] == 0 {
 			st.loaded++
 		}
 		st.loads[i]++
-		st.byLink[i] = append(st.byLink[i], Ref[Ch]{Ch: ch, Hop: hop})
-		st.taskCache[i] = nil
+		e.pos[hop] = int32(len(st.byLink[i]))
+		st.byLink[i] = append(st.byLink[i], Ref[Ch]{Ch: ch, Hop: hop, pos: &e.pos[hop]})
+		st.tasks[i] = append(st.tasks[i], st.ops.Task(ch, hop))
 		st.bumpGen(i)
 		u := st.utilSum[i]
 		u.Add(u, st.ratTmp.SetFrac64(c, p))
@@ -328,10 +340,20 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 	}
 }
 
-// unload takes one channel hop off a link whose hop list the caller has
-// already updated: load, utilization sum, task cache and generation.
-func (st *State[K, Ch, P]) unload(i int32, c, p int64) {
-	st.taskCache[i] = nil
+// unload takes the channel hop at position j off link i: it cuts the hop
+// and its task out of the link's lists, shifting the tail down one place
+// (establishment order is kept) and renumbering the shifted hops, then
+// updates the load, the utilization sum and the generation.
+func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
+	refs, tasks := st.byLink[i], st.tasks[i]
+	n := int32(len(refs)) - 1
+	copy(refs[j:], refs[j+1:])
+	copy(tasks[j:], tasks[j+1:])
+	refs[n] = Ref[Ch]{}
+	for k := j; k < n; k++ {
+		*refs[k].pos = k
+	}
+	st.byLink[i], st.tasks[i] = refs[:n], tasks[:n]
 	st.bumpGen(i)
 	u := st.utilSum[i]
 	if st.loads[i]--; st.loads[i] == 0 {
@@ -356,11 +378,8 @@ func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	delete(st.channels, id)
 	st.order = st.order[:len(st.order)-1]
 	c, p := st.ops.UtilCP(ch)
-	for _, i := range e.idx {
-		refs := st.byLink[i]
-		refs[len(refs)-1] = Ref[Ch]{}
-		st.byLink[i] = refs[:len(refs)-1]
-		st.unload(i, c, p)
+	for hop, i := range e.idx {
+		st.unload(i, e.pos[hop], c, p) // last on its link: no other hop shifts
 	}
 }
 
@@ -373,17 +392,8 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 	}
 	delete(st.channels, id)
 	c, p := st.ops.UtilCP(e.ch)
-	for _, i := range e.idx {
-		refs := st.byLink[i]
-		kept := refs[:0]
-		for _, r := range refs {
-			if st.ops.ID(r.Ch) != id {
-				kept = append(kept, r)
-			}
-		}
-		clear(refs[len(kept):])
-		st.byLink[i] = kept
-		st.unload(i, c, p)
+	for hop, i := range e.idx {
+		st.unload(i, e.pos[hop], c, p)
 	}
 	// Compact the order slice lazily: rebuild when over half are gone.
 	st.stale[id] = true
@@ -400,43 +410,39 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 	return true
 }
 
-// SetPart installs a new partition on a channel and invalidates the task
-// caches (and generation stamps) of all its links, whether or not the new
-// partition actually moves them. All repartitioning goes through here or
-// setPartDiff so the caches can never go stale.
+// SetPart installs a new partition on a channel, overwrites its tasks in
+// place and bumps the generation stamps of all its links, whether or not
+// the new partition actually moves them. All repartitioning goes through
+// here or setPartDiff so the task table can never go stale.
 func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
 	st.ops.SetPart(ch, p)
-	for _, i := range st.channels[st.ops.ID(ch)].idx {
-		st.taskCache[i] = nil
+	e := st.channels[st.ops.ID(ch)]
+	for hop, i := range e.idx {
+		st.tasks[i][e.pos[hop]] = st.ops.Task(ch, hop)
 		st.bumpGen(i)
 	}
 }
 
-// setPartDiff installs a new partition on a channel that already holds a
-// valid one and invalidates only the links whose materialized EDF task
-// actually changed, leaving the task cache and generation stamp of
-// content-stable links intact. A repartition pass frequently recomputes
-// identical deadline budgets for most hops (the scheme is a function of
-// per-link load, and most loads did not change); keeping their
-// generations lets the engine's verdict cache skip re-sweeping them.
+// setPartDiff installs a new partition on a channel and overwrites, and
+// bumps the generation of, only the links whose task actually changed,
+// leaving content-stable links intact. A repartition pass frequently
+// recomputes identical deadline budgets for most hops (the scheme is a
+// function of per-link load, and most loads did not change); keeping
+// their generations lets the engine's verdict cache skip re-sweeping
+// them.
 //
 // The returned slice lists the content-changed link indices in hop
 // order; it is a scratch buffer invalidated by the next setPartDiff call.
-// The channel MUST already hold a partition under which Ops.Task is
-// well-defined for every hop — use SetPart for freshly constructed
-// channels.
+// A freshly added channel goes through SetPart instead: every link it
+// loads has new content, whatever its tasks compare equal to.
 func (st *State[K, Ch, P]) setPartDiff(ch Ch, p P) []int32 {
-	idx := st.channels[st.ops.ID(ch)].idx
-	old := st.oldTasks[:0]
-	for hop := range idx {
-		old = append(old, st.ops.Task(ch, hop))
-	}
-	st.oldTasks = old
+	e := st.channels[st.ops.ID(ch)]
 	st.ops.SetPart(ch, p)
 	diff := st.diffLinks[:0]
-	for hop, i := range idx {
-		if st.ops.Task(ch, hop) != old[hop] {
-			st.taskCache[i] = nil
+	for hop, i := range e.idx {
+		slot := &st.tasks[i][e.pos[hop]]
+		if t := st.ops.Task(ch, hop); t != *slot {
+			*slot = t
 			st.bumpGen(i)
 			diff = append(diff, i)
 		}
@@ -445,96 +451,63 @@ func (st *State[K, Ch, P]) setPartDiff(ch Ch, p P) []int32 {
 	return diff
 }
 
-// TasksOn derives the periodic task set of one link pseudo-processor. The
-// returned slice is freshly allocated; the internal cache backing it is
-// maintained incrementally.
+// TasksOn returns a copy of the periodic task set of one link
+// pseudo-processor, in establishment order; nil for an unloaded link.
 func (st *State[K, Ch, P]) TasksOn(l K) []edf.Task {
-	i, ok := st.index[l]
-	if !ok {
-		return nil
+	if i, ok := st.index[l]; ok && st.loads[i] > 0 {
+		return slices.Clone(st.tasks[i])
 	}
-	return slices.Clone(st.tasksAt(i))
-}
-
-// tasksAt returns the memoized task set of link i, rebuilding it from the
-// per-link channel list when stale. The returned slice is shared — the
-// feasibility sweep reads it without the defensive copy TasksOn makes.
-func (st *State[K, Ch, P]) tasksAt(i int32) []edf.Task {
-	if tasks := st.taskCache[i]; tasks != nil {
-		return tasks
-	}
-	refs := st.byLink[i]
-	if len(refs) == 0 {
-		return nil
-	}
-	tasks := make([]edf.Task, 0, len(refs))
-	for _, r := range refs {
-		tasks = append(tasks, st.ops.Task(r.Ch, r.Hop))
-	}
-	st.taskCache[i] = tasks
-	return tasks
+	return nil
 }
 
 // MeanLinkUtilization returns the mean of the per-link task-set
-// utilizations over all loaded links — a coarse load metric used in
-// reports. Returns 0 for an empty state.
-//
-// The sum is taken directly over the per-link channel lists in Links()
-// order (bit-identical to edf.UtilizationFloat over each link's task set)
-// rather than through the lazy task cache, so this query never mutates
-// the state — rtether.Network serves it under a read lock.
+// utilizations over all loaded links, summed in Links() order — a coarse
+// load metric used in reports. Returns 0 for an empty state.
 func (st *State[K, Ch, P]) MeanLinkUtilization() float64 {
 	if st.loaded == 0 {
 		return 0
 	}
 	var sum float64
 	for _, i := range st.sorted {
-		if st.loads[i] == 0 {
-			continue
+		if st.loads[i] > 0 {
+			sum += edf.UtilizationFloat(st.tasks[i])
 		}
-		var u float64
-		for _, r := range st.byLink[i] {
-			c, p := st.ops.UtilCP(r.Ch)
-			u += float64(c) / float64(p)
-		}
-		sum += u
 	}
 	return sum / float64(st.loaded)
 }
 
 // Clone returns a deep copy of the state sharing no mutable data with the
 // original. Channels are copied through Ops.Clone so tentative partitions
-// can be applied without touching the committed state; the task cache
-// starts empty and is rebuilt lazily. The clone extends the original's
-// link index: every interned link keeps its index, so per-link tables
-// kept beside the original (the engine's verdict cache and slack
-// history) stay valid for the clone.
+// can be applied without touching the committed state. The clone extends
+// the original's link index: every interned link keeps its index, so
+// per-link tables kept beside the original (the engine's verdict cache
+// and slack history) stay valid for the clone.
 func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 	n := len(st.keys)
 	cp := &State[K, Ch, P]{
-		ops:       st.ops,
-		channels:  make(map[ID]entry[Ch], len(st.channels)),
-		order:     slices.Clone(st.order),
-		stale:     make(map[ID]bool, len(st.stale)),
-		nextID:    st.nextID,
-		index:     maps.Clone(st.index),
-		keys:      slices.Clone(st.keys),
-		sorted:    slices.Clone(st.sorted),
-		rank:      slices.Clone(st.rank),
-		loaded:    st.loaded,
-		loads:     slices.Clone(st.loads),
-		byLink:    make([][]Ref[Ch], n),
-		taskCache: make([][]edf.Task, n),
-		utilSum:   make([]*big.Rat, n),
-		utilOver:  slices.Clone(st.utilOver),
-		genCtr:    st.genCtr,
-		gens:      slices.Clone(st.gens),
+		ops:      st.ops,
+		channels: make(map[ID]entry[Ch], len(st.channels)),
+		order:    slices.Clone(st.order),
+		stale:    make(map[ID]bool, len(st.stale)),
+		nextID:   st.nextID,
+		index:    maps.Clone(st.index),
+		keys:     slices.Clone(st.keys),
+		sorted:   slices.Clone(st.sorted),
+		rank:     slices.Clone(st.rank),
+		loaded:   st.loaded,
+		loads:    slices.Clone(st.loads),
+		byLink:   make([][]Ref[Ch], n),
+		tasks:    make([][]edf.Task, n),
+		utilSum:  make([]*big.Rat, n),
+		utilOver: slices.Clone(st.utilOver),
+		genCtr:   st.genCtr,
+		gens:     slices.Clone(st.gens),
 	}
 	for id := range st.stale {
 		cp.stale[id] = true
 	}
 	for id, e := range st.channels {
-		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx}
+		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx, pos: slices.Clone(e.pos)}
 	}
 	for i, refs := range st.byLink {
 		if len(refs) == 0 {
@@ -542,9 +515,11 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		}
 		rs := make([]Ref[Ch], len(refs))
 		for j, r := range refs {
-			rs[j] = Ref[Ch]{Ch: cp.channels[st.ops.ID(r.Ch)].ch, Hop: r.Hop}
+			e := cp.channels[st.ops.ID(r.Ch)]
+			rs[j] = Ref[Ch]{Ch: e.ch, Hop: r.Hop, pos: &e.pos[r.Hop]}
 		}
 		cp.byLink[i] = rs
+		cp.tasks[i] = slices.Clone(st.tasks[i])
 	}
 	for i, u := range st.utilSum {
 		cp.utilSum[i] = new(big.Rat).Set(u)

@@ -28,14 +28,14 @@ func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) []int32 {
 
 // TestVerifySweepZeroAllocs pins the steady-state sequential verify
 // sweep at 0 allocs/op: with the engine-owned scratch arena, the reused
-// sweep buffers and the warm task cache, re-verifying every loaded link
+// sweep buffers and the live task table, re-verifying every loaded link
 // must not touch the heap. The cache-disabled engine is used so every
 // link runs the full EDF analysis rather than a verdict-cache skip.
 func TestVerifySweepZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1, NoSweepCache: true})
 	changed := loadVerifyState(t, e)
 
-	e.verify(e.state, changed) // warm buffers and the task cache
+	e.verify(e.state, changed) // warm the sweep buffers
 	if avg := testing.AllocsPerRun(100, func() {
 		if rej := e.verify(e.state, changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
@@ -92,7 +92,7 @@ func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
 }
 
 // BenchmarkVerifySweep measures the steady-state sweep with and without
-// the verdict cache (sequential, warm task cache).
+// the verdict cache (sequential).
 func BenchmarkVerifySweep(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

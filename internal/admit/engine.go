@@ -138,9 +138,6 @@ type Engine[K comparable, Ch any, P any] struct {
 	touchKeys     []K
 	sweepLinks    []int32
 	sweepSkip     []bool
-	sweepTasks    [][]edf.Task
-	sweepExceeds  []bool
-	exceedsBuf    bool
 	sweepResults  []edf.Result
 	sweepOK       int // feasible prefix length of the last sweep
 	freshIDs      map[ID]struct{}
@@ -654,12 +651,8 @@ func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []int32, s
 		if skip[j] {
 			continue
 		}
-		// e.exceedsBuf lives on the (heap-resident) engine: taking its
-		// address does not force a per-link stack-to-heap escape the way
-		// &localBool would, keeping the sequential sweep allocation-free.
-		e.exceedsBuf = st.utilOver[i]
-		opts.UtilizationExceeds = &e.exceedsBuf
-		res := edf.TestScratch(st.tasksAt(i), opts, &e.scratch)
+		opts.UtilizationExceeds = &st.utilOver[i]
+		res := edf.TestScratch(st.tasks[i], opts, &e.scratch)
 		results[j] = res
 		if !res.OK() {
 			return j + 1, &Rejection[K]{Link: st.keys[i], Result: res}
@@ -668,28 +661,17 @@ func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []int32, s
 	return len(links), nil
 }
 
-// sweepParallel fans the per-link tests out over the worker pool. Task
-// sets and utilization answers are materialized sequentially first (the
-// lazy task cache is not safe for concurrent rebuilds); the workers then
-// run pure feasibility tests with engine-owned per-worker scratch arenas
-// (reused across flights). Workers skip links past the lowest failing
-// index found so far, and the lowest failing index wins — the verdict,
-// the named link and the reported check count are identical to the
-// sequential sweep.
+// sweepParallel fans the per-link tests out over the worker pool. The
+// workers read the state's live task sets and utilization answers, which
+// nothing writes during a sweep, and run pure feasibility tests with
+// engine-owned per-worker scratch arenas (reused across flights). Workers
+// skip links past the lowest failing index found so far, and the lowest
+// failing index wins — the verdict, the named link and the reported check
+// count are identical to the sequential sweep.
 func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []int32, skip []bool) (int, *Rejection[K]) {
 	n := len(links)
-	tasks := growBuf(e.sweepTasks, n)
-	exceeds := growBuf(e.sweepExceeds, n)
 	results := growBuf(e.sweepResults, n)
-	e.sweepTasks, e.sweepExceeds, e.sweepResults = tasks, exceeds, results
-	for j, i := range links {
-		if skip[j] {
-			tasks[j] = nil
-			continue
-		}
-		tasks[j] = st.tasksAt(i)
-		exceeds[j] = st.utilOver[i]
-	}
+	e.sweepResults = results
 
 	var next atomic.Int64
 	var minFail atomic.Int64
@@ -715,8 +697,9 @@ func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []int32, ski
 				if skip[i] {
 					continue
 				}
-				opts.UtilizationExceeds = &exceeds[i]
-				res := edf.TestScratch(tasks[i], opts, scratch)
+				l := links[i]
+				opts.UtilizationExceeds = &st.utilOver[l]
+				res := edf.TestScratch(st.tasks[l], opts, scratch)
 				results[i] = res
 				if !res.OK() {
 					for {

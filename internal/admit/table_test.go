@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/edf"
 )
 
 func toy(st *State[int, *toyChan, int64], c, p int64, links ...int) *toyChan {
@@ -274,5 +276,128 @@ func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
 		if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
 			t.Fatalf("workers=%d: rejection %v after %d checks, want link 40 after 41", workers, rej, e.LinksChecked())
 		}
+	}
+}
+
+// hopOps is toyOps with a distinct deadline per hop (part + hop), so a
+// task stored at the wrong hop or the wrong position shows.
+var hopOps = func() *Ops[int, *toyChan, int64] {
+	ops := *toyOps
+	ops.Task = func(ch *toyChan, hop int) edf.Task {
+		return edf.Task{C: ch.c, P: ch.p, D: ch.part + int64(hop)}
+	}
+	return &ops
+}()
+
+// checkTaskTable fails t unless every link's hop list is the per-link
+// restriction of the establishment order, its task list equals a fresh
+// Ops.Task pass over that hop list, and every position a channel entry
+// records (and every Ref's pointer to it) names the hop's own slot.
+func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
+	t.Helper()
+	want := make([][]Ref[*toyChan], len(st.keys))
+	for _, ch := range st.Channels() {
+		for hop, i := range st.channels[ch.id].idx {
+			want[i] = append(want[i], Ref[*toyChan]{Ch: ch, Hop: hop})
+		}
+	}
+	for i, refs := range st.byLink {
+		if len(refs) != len(want[i]) || len(st.tasks[i]) != len(refs) || st.loads[i] != len(refs) {
+			t.Fatalf("step %d: link %d: %d hops, %d tasks, load %d, want %d hops",
+				step, st.keys[i], len(refs), len(st.tasks[i]), st.loads[i], len(want[i]))
+		}
+		for j, r := range refs {
+			if r.Ch != want[i][j].Ch || r.Hop != want[i][j].Hop {
+				t.Fatalf("step %d: link %d slot %d holds channel %d hop %d, establishment order has channel %d hop %d",
+					step, st.keys[i], j, r.Ch.id, r.Hop, want[i][j].Ch.id, want[i][j].Hop)
+			}
+			if got, fresh := st.tasks[i][j], st.ops.Task(r.Ch, r.Hop); got != fresh {
+				t.Fatalf("step %d: link %d slot %d: task %v, rebuild %v", step, st.keys[i], j, got, fresh)
+			}
+			if *r.pos != int32(j) {
+				t.Fatalf("step %d: link %d slot %d: ref records position %d", step, st.keys[i], j, *r.pos)
+			}
+		}
+	}
+	for id, e := range st.channels {
+		for hop, i := range e.idx {
+			if r := st.byLink[i][e.pos[hop]]; r.Ch.id != id || r.Hop != hop || r.pos != &e.pos[hop] {
+				t.Fatalf("step %d: channel %d hop %d: position %d holds channel %d hop %d", step, id, hop, e.pos[hop], r.Ch.id, r.Hop)
+			}
+		}
+	}
+}
+
+// TestTaskTableMatchesRebuild churns a state through every operation
+// that edits the live task table — Add, UndoAdd, Remove, SetPart,
+// setPartDiff, an engine rollback and Clone (continuing on the clone) —
+// with channels that sometimes cross one link twice, and checks the
+// table against a rebuild after every step.
+func TestTaskTableMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := NewEngine(hopOps, Config{Workers: 1})
+	st := NewState(hopOps)
+	var live []ID
+	pick := func() *toyChan { return st.Get(live[rng.Intn(len(live))]) }
+	for step := 0; step < 3000; step++ {
+		switch r := rng.Intn(20); {
+		case r < 7 || len(live) == 0:
+			links := make([]int, 1+rng.Intn(3))
+			for k := range links {
+				links[k] = rng.Intn(12)
+			}
+			ch := &toyChan{id: st.AllocID(), c: 1, p: 50, links: links}
+			if rng.Intn(2) == 0 {
+				ch.part = int64(1 + rng.Intn(30)) // restored with a partition
+			}
+			st.Add(ch)
+			live = append(live, ch.id)
+		case r < 9:
+			if last := live[len(live)-1]; st.order[len(st.order)-1] == last {
+				st.UndoAdd(st.Get(last))
+				live = live[:len(live)-1]
+			}
+		case r < 13:
+			k := rng.Intn(len(live))
+			st.Remove(live[k])
+			live = append(live[:k], live[k+1:]...)
+		case r < 15:
+			st.SetPart(pick(), int64(1+rng.Intn(30)))
+		case r < 17:
+			st.setPartDiff(pick(), int64(1+rng.Intn(30)))
+		case r < 19:
+			var undo []partUndo[*toyChan, int64]
+			for k := 0; k < 3; k++ {
+				ch := pick()
+				undo = append(undo, partUndo[*toyChan, int64]{ch: ch, old: ch.part})
+				st.setPartDiff(ch, int64(1+rng.Intn(30)))
+			}
+			slices.Reverse(undo) // a channel picked twice restores its oldest partition last
+			e.rollback(st, undo)
+		default:
+			st = st.Clone()
+		}
+		checkTaskTable(t, step, st)
+	}
+}
+
+// TestRepartitionSweepZeroAllocs pins a whole repartition-and-verify
+// round at 0 allocs/op: SetPart on every channel overwrites its tasks in
+// place, and the sweep over the changed links reads the live table.
+func TestRepartitionSweepZeroAllocs(t *testing.T) {
+	e := newToyEngine(Config{Workers: 1})
+	changed := loadVerifyState(t, e)
+	chs := e.state.Channels()
+	d := int64(40)
+	if avg := testing.AllocsPerRun(100, func() {
+		d = 81 - d // alternate 40 and 41, so every sweep runs the full test
+		for _, ch := range chs {
+			e.state.SetPart(ch, d)
+		}
+		if rej := e.verify(e.state, changed); rej != nil {
+			t.Fatalf("sweep rejected: %v", rej.Result)
+		}
+	}); avg != 0 {
+		t.Errorf("repartition + verify sweep allocates %.1f allocs/op, want 0", avg)
 	}
 }

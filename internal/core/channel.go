@@ -123,22 +123,10 @@ type Channel struct {
 	// Sinks[0]); nil for the paper's unicast channels. The slice is
 	// immutable after establishment — clones share it.
 	Sinks []NodeID
-
-	// tag memoizes the task-set label "RT#<id>" — formatting it on every
-	// per-link task rebuild showed up in admission profiles.
-	tag string
 }
 
 // Multicast reports whether the channel is a one-to-many channel.
 func (c *Channel) Multicast() bool { return len(c.Sinks) > 0 }
-
-// taskTag returns the cached "RT#<id>" label for the channel's tasks.
-func (c *Channel) taskTag() string {
-	if c.tag == "" {
-		c.tag = fmt.Sprintf("RT#%d", c.ID)
-	}
-	return c.tag
-}
 
 // String implements fmt.Stringer.
 func (c *Channel) String() string {

@@ -34,7 +34,7 @@ var coreOps = &admit.Ops[Link, *Channel, Partition]{
 		if hop >= 1 {
 			d = ch.Part.Down
 		}
-		return edf.Task{C: ch.Spec.C, P: ch.Spec.P, D: d, Tag: ch.taskTag()}
+		return edf.Task{C: ch.Spec.C, P: ch.Spec.P, D: d}
 	},
 	Less: func(a, b Link) bool {
 		if a.Node != b.Node {
@@ -62,10 +62,9 @@ var coreOps = &admit.Ops[Link, *Channel, Partition]{
 // node's links exist as soon as a channel uses them.
 //
 // State is a thin view over the shared copy-on-write admission kernel
-// (internal/admit), which maintains the per-link channel lists, the
-// memoized EDF task sets and the exact rational utilization sums
-// incrementally — so TasksOn and MeanLinkUtilization never scan the full
-// channel map.
+// (internal/admit), which maintains the per-link channel lists, the live
+// EDF task sets and the exact rational utilization sums incrementally —
+// so TasksOn and MeanLinkUtilization never scan the full channel map.
 //
 // State is not safe for concurrent use; the admission Controller (and
 // above it, rtether.Network's lock) serializes access.
@@ -119,8 +118,8 @@ func (st *State) Links() []Link { return st.k.Links() }
 // TasksOn derives the supposed periodic task set of one link
 // pseudo-processor (Eqs. 18.6-18.7): for every channel whose uplink is l,
 // the task {C_i, P_i, d_iu}; for every channel whose downlink is l, the
-// task {C_i, P_i, d_id}. The returned slice is freshly allocated; the
-// internal cache backing it is maintained incrementally.
+// task {C_i, P_i, d_id}. The returned slice is a copy of the kernel's
+// live task table.
 func (st *State) TasksOn(l Link) []edf.Task { return st.k.TasksOn(l) }
 
 // clone returns a deep copy of the state sharing nothing mutable with the

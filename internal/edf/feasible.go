@@ -112,6 +112,12 @@ var ErrBusyPeriodDiverged = errors.New("edf: busy period iteration diverged")
 // (Baruah, Rosier & Howell 1990; Liu & Layland's D == P is the special
 // case the paper cites). No busy period is computed and no checkpoint is
 // walked, so such a set is never Inconclusive.
+//
+// When the total capacity fits in the shortest period, the busy period is
+// that total in closed form (every job released at 0 is done by then, and
+// none is released again before it ends); when it also ends before the
+// shortest deadline, no checkpoint lies in it and the walk is skipped.
+// The Result is the walk's, field for field.
 func Test(tasks []Task, opts Options) Result {
 	return TestScratch(tasks, opts, nil)
 }
@@ -129,7 +135,19 @@ func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 	if len(tasks) == 0 {
 		return res
 	}
-	res.Utilization = UtilizationFloat(tasks)
+	// One pass feeds every step below: the reporting utilization (summed
+	// in task order, bit-identical to UtilizationFloat), whether every
+	// deadline covers its period, the saturating total capacity, and the
+	// shortest period and deadline.
+	cover := true
+	var sumC int64
+	minP, minD := int64(math.MaxInt64), int64(math.MaxInt64)
+	for _, t := range tasks {
+		res.Utilization += float64(t.C) / float64(t.P)
+		cover = cover && t.D >= t.P
+		sumC = addSat(sumC, t.C)
+		minP, minD = min(minP, t.P), min(minD, t.D)
+	}
 
 	// First constraint (Eq. 18.2): utilization at most 100%.
 	exceeds := false
@@ -145,19 +163,35 @@ func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 
 	// Utilization-only exit: with every D >= P, h(t) <= U*t, so U <= 1 is
 	// exact (the paper's Liu & Layland remark, widened from D == P).
-	if DeadlinesCoverPeriods(tasks) {
+	if cover {
 		res.ShortCircuit = true
 		return res
 	}
 
 	// Second constraint (Eq. 18.3-18.5): demand criterion over the first
-	// synchronous busy period, evaluated only at absolute deadlines.
-	bp, ok := BusyPeriod(tasks)
-	if !ok {
-		return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: res.Utilization, MinSlack: math.MaxInt64}
+	// synchronous busy period, evaluated only at absolute deadlines. With
+	// sum C <= min P every ceil(sum C / P_i) is 1, so the iteration's first
+	// iterate sum C is its fixed point (BusyPeriod would reject a sum that
+	// reached math.MaxInt64).
+	if sumC < math.MaxInt64 && sumC <= minP {
+		res.BusyPeriod = sumC
+		if sumC < minD {
+			return res // no checkpoint m*P_i + D_i lies in [1, busy period]
+		}
+	} else {
+		bp, ok := BusyPeriod(tasks)
+		if !ok {
+			return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: res.Utilization, MinSlack: math.MaxInt64}
+		}
+		res.BusyPeriod = bp
 	}
-	res.BusyPeriod = bp
+	return walk(tasks, opts, scratch, res)
+}
 
+// walk evaluates the demand criterion at every checkpoint up to
+// res.BusyPeriod, completing res, which holds the verdict so far.
+func walk(tasks []Task, opts Options, scratch *Scratch, res Result) Result {
+	bp := res.BusyPeriod
 	maxChecks := opts.MaxCheckpoints
 	if maxChecks <= 0 {
 		maxChecks = DefaultMaxCheckpoints

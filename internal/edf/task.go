@@ -14,7 +14,9 @@
 //   - the synchronous busy period used to bound the demand check (Eq. 18.4),
 //   - checkpoint enumeration t = m*P_i + d_i (Eq. 18.5), and
 //   - the combined feasibility test, which skips the demand walk when
-//     every task has D >= P: then h(t) <= U*t, so U <= 1 is exact.
+//     every task has D >= P (then h(t) <= U*t, so U <= 1 is exact), and
+//     when the busy period, sum C in closed form whenever that fits in
+//     the shortest period, ends before the shortest deadline.
 package edf
 
 import (
@@ -25,12 +27,14 @@ import (
 
 // Task is one periodic task on a link pseudo-processor. For an RT channel
 // {P_i, C_i, d_i} the uplink task is {C: C_i, P: P_i, D: d_iu} and the
-// downlink task is {C: C_i, P: P_i, D: d_id}, per Eqs. 18.6-18.7.
+// downlink task is {C: C_i, P: P_i, D: d_id}, per Eqs. 18.6-18.7. A task
+// is three integers and no pointer: the admission kernel keeps every
+// link's task set live, and a pointer-free slice costs the garbage
+// collector nothing to scan.
 type Task struct {
-	C   int64  // capacity (worst-case transmission demand) per period, in slots; > 0
-	P   int64  // period, in slots; >= C
-	D   int64  // relative deadline, in slots; >= C
-	Tag string // optional label used in diagnostics (e.g. channel ID)
+	C int64 // capacity (worst-case transmission demand) per period, in slots; > 0
+	P int64 // period, in slots; >= C
+	D int64 // relative deadline, in slots; >= C
 }
 
 // Validation errors returned by Task.Validate and ValidateTasks.
@@ -49,24 +53,21 @@ var (
 func (t Task) Validate() error {
 	switch {
 	case t.C <= 0:
-		return fmt.Errorf("%w (C=%d, tag=%q)", ErrNonPositiveC, t.C, t.Tag)
+		return fmt.Errorf("%w (C=%d)", ErrNonPositiveC, t.C)
 	case t.P <= 0:
-		return fmt.Errorf("%w (P=%d, tag=%q)", ErrNonPositiveP, t.P, t.Tag)
+		return fmt.Errorf("%w (P=%d)", ErrNonPositiveP, t.P)
 	case t.D <= 0:
-		return fmt.Errorf("%w (D=%d, tag=%q)", ErrNonPositiveD, t.D, t.Tag)
+		return fmt.Errorf("%w (D=%d)", ErrNonPositiveD, t.D)
 	case t.C > t.P:
-		return fmt.Errorf("%w (C=%d > P=%d, tag=%q)", ErrCExceedsP, t.C, t.P, t.Tag)
+		return fmt.Errorf("%w (C=%d > P=%d)", ErrCExceedsP, t.C, t.P)
 	case t.C > t.D:
-		return fmt.Errorf("%w (C=%d > D=%d, tag=%q)", ErrCExceedsD, t.C, t.D, t.Tag)
+		return fmt.Errorf("%w (C=%d > D=%d)", ErrCExceedsD, t.C, t.D)
 	}
 	return nil
 }
 
 // String implements fmt.Stringer.
 func (t Task) String() string {
-	if t.Tag != "" {
-		return fmt.Sprintf("task[%s]{C=%d P=%d D=%d}", t.Tag, t.C, t.P, t.D)
-	}
 	return fmt.Sprintf("task{C=%d P=%d D=%d}", t.C, t.P, t.D)
 }
 
@@ -97,7 +98,8 @@ func TotalCapacity(tasks []Task) int64 {
 // task contributes at most floor(t/P_i)*C_i <= t*C_i/P_i to h(t), so
 // h(t) <= U*t <= t whenever U <= 1 (Baruah, Rosier & Howell 1990). The
 // implicit-deadline case D == P the paper notes in §18.3.2 is the special
-// case Liu & Layland proved.
+// case Liu & Layland proved. Test makes the same check inside its one
+// pass over the tasks.
 func DeadlinesCoverPeriods(tasks []Task) bool {
 	for _, t := range tasks {
 		if t.D < t.P {

@@ -2,6 +2,7 @@ package edf
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,15 +59,8 @@ func TestValidateTasksReportsIndex(t *testing.T) {
 }
 
 func TestTaskString(t *testing.T) {
-	got := Task{C: 3, P: 100, D: 40, Tag: "ch7"}.String()
-	for _, want := range []string{"ch7", "C=3", "P=100", "D=40"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("String() = %q, missing %q", got, want)
-		}
-	}
-	plain := Task{C: 1, P: 2, D: 2}.String()
-	if strings.Contains(plain, "[") {
-		t.Errorf("untagged String() = %q, should not contain tag brackets", plain)
+	if got, want := (Task{C: 3, P: 100, D: 40}).String(), "task{C=3 P=100 D=40}"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -97,20 +91,19 @@ func TestDeadlinesCoverPeriods(t *testing.T) {
 
 func TestSortByDeadline(t *testing.T) {
 	tasks := []Task{
-		{C: 2, P: 50, D: 30, Tag: "b"},
-		{C: 1, P: 40, D: 10, Tag: "a"},
-		{C: 3, P: 20, D: 30, Tag: "c"},
-		{C: 1, P: 20, D: 30, Tag: "d"},
+		{C: 2, P: 50, D: 30},
+		{C: 1, P: 40, D: 10},
+		{C: 3, P: 20, D: 30},
+		{C: 1, P: 20, D: 30},
 	}
+	orig := slices.Clone(tasks)
 	got := SortByDeadline(tasks)
-	wantOrder := []string{"a", "d", "c", "b"}
-	for i, tag := range wantOrder {
-		if got[i].Tag != tag {
-			t.Fatalf("SortByDeadline order = %v, want tags %v", got, wantOrder)
-		}
+	// By D, then P, then C.
+	want := []Task{tasks[1], tasks[3], tasks[2], tasks[0]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SortByDeadline = %v, want %v", got, want)
 	}
-	// Input must be untouched.
-	if tasks[0].Tag != "b" {
+	if !slices.Equal(tasks, orig) {
 		t.Error("SortByDeadline mutated its input")
 	}
 }

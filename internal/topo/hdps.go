@@ -29,10 +29,6 @@ type HChannel struct {
 	// Leaves[k] is the index of the edge delivering to Sinks[k].
 	Sinks  []core.NodeID
 	Leaves []int
-
-	// tags memoizes the per-hop task labels "HRT#<id>/<hop>" — formatting
-	// them on every per-edge task rebuild showed up in admission profiles.
-	tags []string
 }
 
 // String implements fmt.Stringer.
@@ -73,26 +69,20 @@ func (c *HChannel) PathTo(k int) []int {
 	return rev
 }
 
-// taskTag returns the cached task label of one hop.
-func (c *HChannel) taskTag(hop int) string {
-	if c.tags == nil {
-		c.tags = make([]string, len(c.Route))
-	}
-	if c.tags[hop] == "" {
-		c.tags[hop] = fmt.Sprintf("HRT#%d/%d", c.ID, hop)
-	}
-	return c.tags[hop]
-}
-
 // topoOps teaches the generic admission kernel (internal/admit) the
 // fabric vocabulary: a channel traverses the directed edges of its route,
-// and its partition is the per-hop deadline budget vector.
+// and its partition is the per-hop deadline budget vector (empty until the
+// first one is installed, when every hop's task has D = 0).
 var topoOps = &admit.Ops[Edge, *HChannel, []int64]{
 	ID:     func(ch *HChannel) admit.ID { return ch.ID },
 	UtilCP: func(ch *HChannel) (int64, int64) { return ch.Spec.C, ch.Spec.P },
 	Links:  func(ch *HChannel) []Edge { return ch.Route },
 	Task: func(ch *HChannel, hop int) edf.Task {
-		return edf.Task{C: ch.Spec.C, P: ch.Spec.P, D: ch.Hops[hop], Tag: ch.taskTag(hop)}
+		t := edf.Task{C: ch.Spec.C, P: ch.Spec.P}
+		if len(ch.Hops) > 0 {
+			t.D = ch.Hops[hop]
+		}
+		return t
 	},
 	Less: edgeLess,
 	Part: func(ch *HChannel) []int64 { return append([]int64(nil), ch.Hops...) },
@@ -112,7 +102,7 @@ var topoOps = &admit.Ops[Edge, *HChannel, []int64]{
 //
 // Like the star state (core.State), it is a thin view over the shared
 // copy-on-write admission kernel (internal/admit), which maintains the
-// per-edge channel lists, memoized EDF task sets and exact rational
+// per-edge channel lists, live EDF task sets and exact rational
 // utilization sums incrementally — so TasksOn and the admission verify
 // sweep never scan the full channel map.
 type State struct {
@@ -168,8 +158,7 @@ func edgeLess(a, b Edge) bool {
 }
 
 // TasksOn derives the supposed task set of one directed edge. The
-// returned slice is freshly allocated; the internal cache backing it is
-// maintained incrementally.
+// returned slice is a copy of the kernel's live task table.
 func (st *State) TasksOn(e Edge) []edf.Task { return st.k.TasksOn(e) }
 
 // channelsOn returns the channel hops traversing an edge in establishment
