@@ -486,29 +486,6 @@ func BenchmarkScenarioChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmissionIncrementalVsFull is the ablation for the
-// changed-links optimization: identical decisions, fewer link tests.
-func BenchmarkAdmissionIncrementalVsFull(b *testing.B) {
-	requests := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
-	for _, full := range []bool{false, true} {
-		name := "incremental"
-		if full {
-			name = "full-recheck"
-		}
-		b.Run(name, func(b *testing.B) {
-			var checked int64
-			for i := 0; i < b.N; i++ {
-				ctrl := core.NewController(core.Config{DPS: core.ADPS{}, FullRecheck: full})
-				for _, s := range requests {
-					_, _ = ctrl.Request(s)
-				}
-				checked = int64(ctrl.Stats().LinksChecked)
-			}
-			b.ReportMetric(float64(checked), "link-tests/seq")
-		})
-	}
-}
-
 // BenchmarkEDFQueue measures push+pop through the deadline-sorted queue
 // at a realistic backlog (64 frames).
 func BenchmarkEDFQueue(b *testing.B) {

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/server"
-	"repro/rtether"
 )
 
 func main() {
@@ -69,7 +68,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 		scenFile = fs.String("scenario", "", "scenario document providing the topology and network options (required)")
 		workers  = fs.Int("workers", 0, "admission verification workers (0 = GOMAXPROCS, 1 = sequential)")
-		fullRe   = fs.Bool("fullrecheck", false, "re-verify every loaded link on each decision (bypasses the sweep verdict cache; decisions are identical, just slower)")
 		coalesce = fs.Duration("coalesce", 0, "extra window to merge concurrent establishes (0 = merge in-flight only)")
 		maxBatch = fs.Int("maxbatch", 1024, "max establish requests merged into one admission pass")
 		quiet    = fs.Bool("quiet", false, "suppress request logging")
@@ -95,11 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
 		return 1
 	}
-	var extra []rtether.Option
-	if *fullRe {
-		extra = append(extra, rtether.WithFullRecheck())
-	}
-	network, err := sc.BuildNetwork(*workers, extra...)
+	network, err := sc.BuildNetwork(*workers)
 	if err != nil {
 		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
 		return 1

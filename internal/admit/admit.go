@@ -5,10 +5,10 @@
 // deadlines with a pluggable scheme, and verify EDF feasibility of every
 // link whose task set changed — so the state bookkeeping (persistent
 // per-link channel lists, task-set and exact rational utilization caches),
-// the delta engine with undo-on-reject rollback, the changed-set tracking,
-// and the clone-everything reference engine live here exactly once,
-// generic over the link-key type K (core.Link or topo.Edge), the channel
-// type Ch and the partition type P (a two-way split or a per-hop vector).
+// the copy-on-write engine with undo-on-reject rollback and the
+// changed-set tracking live here exactly once, generic over the link-key
+// type K (core.Link or topo.Edge), the channel type Ch and the partition
+// type P (a two-way split or a per-hop vector).
 //
 // The adapters keep what is genuinely theirs: spec validation, routing,
 // the DPS/HDPS plug-in interfaces, and diagnostics wording.
@@ -73,7 +73,7 @@ type Ops[K comparable, Ch any, P any] struct {
 	// Validate panics when p violates the partition conditions for ch —
 	// a scheme implementation bug, not an admission rejection.
 	Validate func(Ch, P)
-	// Clone deep-copies a channel for the clone-based reference engine.
+	// Clone deep-copies a channel for State.Clone.
 	Clone func(Ch) Ch
 }
 
@@ -477,11 +477,9 @@ func (st *State[K, Ch, P]) MeanLinkUtilization() float64 {
 }
 
 // Clone returns a deep copy of the state sharing no mutable data with the
-// original. Channels are copied through Ops.Clone so tentative partitions
-// can be applied without touching the committed state. The clone extends
-// the original's link index: every interned link keeps its index, so
-// per-link tables kept beside the original (the engine's verdict cache
-// and slack history) stay valid for the clone.
+// original. Channels are copied through Ops.Clone so partitions can be
+// changed on the copy without touching the original. The clone extends
+// the original's link index: every interned link keeps its index.
 func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 	n := len(st.keys)
 	cp := &State[K, Ch, P]{

@@ -45,27 +45,19 @@ func newToyEngine(cfg Config) *Engine[int, *toyChan, int64] {
 	return NewEngine(toyOps, cfg)
 }
 
-// constScheme partitions every channel to the given deadline.
+// constScheme partitions every channel on a touched link to the given
+// deadline.
 func constScheme(d int64) Scheme[int, *toyChan, int64] {
-	return Scheme[int, *toyChan, int64]{
-		Partition: func(st *State[int, *toyChan, int64]) map[ID]int64 {
-			parts := make(map[ID]int64, st.Len())
-			for _, ch := range st.Channels() {
-				parts[ch.id] = d
-			}
-			return parts
-		},
-		PartitionTouched: func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
-			parts := make(map[ID]int64)
-			for _, l := range touched {
-				for _, r := range st.ChannelsOn(l) {
-					if r.Ch.part != d {
-						parts[r.Ch.id] = d
-					}
+	return func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
+		parts := make(map[ID]int64)
+		for _, l := range touched {
+			for _, r := range st.ChannelsOn(l) {
+				if r.Ch.part != d {
+					parts[r.Ch.id] = d
 				}
 			}
-			return parts
-		},
+		}
+		return parts
 	}
 }
 
@@ -93,19 +85,19 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 	}
 }
 
-func TestApplyPanicsOnMissingPartition(t *testing.T) {
-	e := newToyEngine(Config{FullRecheck: true, Workers: 1})
-	empty := []Scheme[int, *toyChan, int64]{{
-		Partition: func(*State[int, *toyChan, int64]) map[ID]int64 { return nil },
+func TestApplyPanicsOnUnknownChannel(t *testing.T) {
+	e := newToyEngine(Config{Workers: 1})
+	stray := []Scheme[int, *toyChan, int64]{func(*State[int, *toyChan, int64], []int) map[ID]int64 {
+		return map[ID]int64{999: 10}
 	}}
 	defer func() {
 		if recover() == nil {
-			t.Error("missing partition did not panic")
+			t.Error("partition for an unknown channel did not panic")
 		}
 	}()
 	e.Admit(1, func(_ int, id ID) *toyChan {
 		return &toyChan{id: id, c: 1, p: 100, links: []int{1}}
-	}, empty)
+	}, stray)
 }
 
 func TestApplyPanicsOnInvalidPartition(t *testing.T) {
@@ -127,13 +119,13 @@ func TestLinkSetDedupPreservesOrder(t *testing.T) {
 	for l := 0; l < 8; l++ {
 		st.intern(l)
 	}
-	e.newSet(st)
+	e.newSet()
 	got := e.addToSet(nil, []int32{5, 3, 5, 1, 3, 5, 1})
 	if want := []int32{5, 3, 1}; !slices.Equal(got, want) {
 		t.Fatalf("addToSet = %v, want %v", got, want)
 	}
 	// A new epoch starts empty: the marks of the last set do not leak.
-	e.newSet(st)
+	e.newSet()
 	long := make([]int32, 100)
 	for i := range long {
 		long[i] = int32(i % 7)
@@ -155,21 +147,16 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	// from.
 	build := func(workers int) (*Engine[int, *toyChan, int64], *Rejection[int]) {
 		e := newToyEngine(Config{Workers: workers})
-		scheme := Scheme[int, *toyChan, int64]{
-			Partition: func(st *State[int, *toyChan, int64]) map[ID]int64 {
-				parts := make(map[ID]int64)
-				for _, ch := range st.Channels() {
-					d := int64(10)
-					if ch.links[0] >= 40 { // links 40+ get an infeasible split
-						d = 3
-					}
-					parts[ch.id] = d
+		scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+			parts := make(map[ID]int64)
+			for _, ch := range st.Channels() {
+				d := int64(10)
+				if ch.links[0] >= 40 { // links 40+ get an infeasible split
+					d = 3
 				}
-				return parts
-			},
-		}
-		scheme.PartitionTouched = func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
-			return scheme.Partition(st)
+				parts[ch.id] = d
+			}
+			return parts
 		}
 		mk := func(i int, id ID) *toyChan {
 			return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}

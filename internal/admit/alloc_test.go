@@ -26,19 +26,28 @@ func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) []int32 {
 	return changed
 }
 
+// forgetVerdicts empties the verdict cache, so the next sweep runs the
+// full EDF analysis on every link instead of answering from the cache.
+func forgetVerdicts(e *Engine[int, *toyChan, int64]) { clear(e.feasGen) }
+
 // TestVerifySweepZeroAllocs pins the steady-state sequential verify
 // sweep at 0 allocs/op: with the engine-owned scratch arena, the reused
 // sweep buffers and the live task table, re-verifying every loaded link
-// must not touch the heap. The cache-disabled engine is used so every
-// link runs the full EDF analysis rather than a verdict-cache skip.
+// must not touch the heap. The verdict cache is emptied before every
+// sweep, so every link runs the full EDF analysis rather than a skip.
 func TestVerifySweepZeroAllocs(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1, NoSweepCache: true})
+	e := newToyEngine(Config{Workers: 1})
 	changed := loadVerifyState(t, e)
 
-	e.verify(e.state, changed) // warm the sweep buffers
+	e.verify(changed) // warm the sweep buffers
 	if avg := testing.AllocsPerRun(100, func() {
-		if rej := e.verify(e.state, changed); rej != nil {
+		forgetVerdicts(e)
+		before := e.sweepSkips
+		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
+		}
+		if e.sweepSkips != before {
+			t.Fatal("sweep answered from the emptied verdict cache")
 		}
 	}); avg != 0 {
 		t.Errorf("steady-state verify sweep allocates %.1f allocs/op, want 0", avg)
@@ -52,9 +61,9 @@ func TestVerifySweepCachedZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
 	changed := loadVerifyState(t, e)
 
-	e.verify(e.state, changed) // records feasGen for every link
+	e.verify(changed) // records feasGen for every link
 	if avg := testing.AllocsPerRun(100, func() {
-		if rej := e.verify(e.state, changed); rej != nil {
+		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
 		}
 	}); avg != 0 {
@@ -69,9 +78,9 @@ func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
 	changed := loadVerifyState(t, e)
 
-	e.verify(e.state, changed)
+	e.verify(changed)
 	before := e.sweepSkips
-	e.verify(e.state, changed)
+	e.verify(changed)
 	if hits := e.sweepSkips - before; hits != len(changed) {
 		t.Fatalf("unchanged re-sweep: %d cache hits, want %d", hits, len(changed))
 	}
@@ -85,7 +94,7 @@ func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
 	}
 	e.state.SetPart(victim, 39)
 	before = e.sweepSkips
-	e.verify(e.state, changed)
+	e.verify(changed)
 	if hits := e.sweepSkips - before; hits != len(changed)-len(victim.links) {
 		t.Fatalf("after one-channel change: %d hits, want %d", hits, len(changed)-len(victim.links))
 	}
@@ -99,13 +108,16 @@ func BenchmarkVerifySweep(b *testing.B) {
 		noCache bool
 	}{{"cached", false}, {"uncached", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := newToyEngine(Config{Workers: 1, NoSweepCache: mode.noCache})
+			e := newToyEngine(Config{Workers: 1})
 			changed := loadVerifyState(b, e)
-			e.verify(e.state, changed)
+			e.verify(changed)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.verify(e.state, changed)
+				if mode.noCache {
+					forgetVerdicts(e)
+				}
+				e.verify(changed)
 			}
 		})
 	}

@@ -21,34 +21,18 @@ type Rejection[K comparable] struct {
 	Result edf.Result
 }
 
-// Scheme is one deadline partitioning scheme as the kernel sees it: a
-// full-state partition function (the reference engine's view) and,
-// optionally, an incremental one. A nil PartitionTouched marks the scheme
-// non-incremental, forcing the clone-based reference engine.
-//
-// PartitionTouched must obey the incremental contract: for each returned
-// channel the value must equal what Partition would return on the same
-// state, and every channel omitted must already hold exactly that value.
-type Scheme[K comparable, Ch any, P any] struct {
-	Partition        func(st *State[K, Ch, P]) map[ID]P
-	PartitionTouched func(st *State[K, Ch, P], touched []K) map[ID]P
-}
+// Scheme is one deadline partitioning scheme as the kernel sees it: after a
+// mutation that touched the given links, it returns the new partition of
+// every channel it recomputes. It must return one for every channel that
+// holds none yet (the decision's new channels) and may return one only
+// for a channel traversing a touched link; every channel it omits keeps
+// the partition it holds.
+type Scheme[K comparable, Ch any, P any] func(st *State[K, Ch, P], touched []K) map[ID]P
 
 // Config tunes an Engine.
 type Config struct {
 	// Feasibility passes through to the per-link EDF test.
 	Feasibility edf.Options
-	// FullRecheck forces every loaded link to be re-verified on each
-	// mutation and disables the copy-on-write engine — the
-	// ablation/belt-and-braces reference mode. It also disables the
-	// feasibility-verdict cache.
-	FullRecheck bool
-	// NoSweepCache disables the generation-keyed feasibility-verdict
-	// cache, forcing every swept link through the full EDF test. Decisions
-	// are identical with the cache on or off (the equivalence replays pin
-	// this); the switch exists for ablation benchmarks and as a
-	// belt-and-braces escape hatch.
-	NoSweepCache bool
 	// Workers bounds the verification worker pool; 0 means
 	// runtime.GOMAXPROCS(0), 1 forces the sequential sweep. Decisions,
 	// diagnostics and the LinksChecked accounting are identical for every
@@ -62,10 +46,9 @@ type Config struct {
 // costs more than the tests themselves.
 const minParallelLinks = 8
 
-// Engine owns a State and runs admission decisions against it: the
-// copy-on-write delta engine when every scheme is incremental, the
-// clone-everything reference engine otherwise. Both make bit-identical
-// decisions; the equivalence is proven by the adapters' replay suites.
+// Engine owns a State and runs admission decisions against it
+// copy-on-write: a decision mutates the live state tentatively, verifies
+// only the links whose task sets changed, and rolls back on rejection.
 //
 // Engine is not safe for concurrent use (the verification worker pool is
 // internal to a single decision); the public rtether.Network serializes
@@ -80,14 +63,6 @@ type Engine[K comparable, Ch any, P any] struct {
 	repartitions  int
 	repartitioned []ID
 
-	// staleParts holds the channels whose committed partition was kept
-	// back by a Release whose repartition failed verification. Their
-	// vectors differ from what the scheme's Partition would compute, so
-	// the incremental engine folds their links into every later touched
-	// set — the clone engine's full Partition pass heals them implicitly,
-	// and decision equivalence requires the delta engine to do the same.
-	staleParts map[ID]struct{}
-
 	// The per-link tables below are slices over the state's dense link
 	// index (see State), grown by fit as the state interns links.
 	//
@@ -95,14 +70,10 @@ type Engine[K comparable, Ch any, P any] struct {
 	// which link i was last PROVEN feasible (0: never). A sweep skips
 	// any link whose current generation still equals its proven one — the
 	// link's task-set content has not changed, so the cached verdict
-	// stands. The cache is consulted and updated only for sweeps over the
-	// live committed state (st == e.state): tentative clones fork the
-	// generation counter, so verdicts recorded against a discarded clone
-	// could collide with later live generations. Generation stamps are
-	// never reused for different content (State.bumpGen is monotone and
-	// undo bumps again rather than restoring), which makes a stamp match
-	// a sound proof of content equality.
-	cacheOn    bool
+	// stands. Generation stamps are never reused for different content
+	// (State.bumpGen is monotone and undo bumps again rather than
+	// restoring), which makes a stamp match a sound proof of content
+	// equality.
 	feasGen    []uint64
 	sweepSkips int
 
@@ -117,10 +88,10 @@ type Engine[K comparable, Ch any, P any] struct {
 	// Sweeps visit links in ascending recorded slack — historically
 	// tightest first, unswept links first of all — so an
 	// infeasible repartition fails as early as possible. Only committed
-	// sweeps update the history: every engine flavor (delta, clone,
-	// FullRecheck, cache on or off) then holds bit-identical histories
-	// after identical decision sequences, which keeps the sweep order —
-	// and therefore the named rejection link — identical across them.
+	// sweeps update the history, so it is a pure function of the
+	// committed decision sequence: the sweep order — and therefore the
+	// named rejection link — does not depend on the worker count or on
+	// which verdicts the cache answered.
 	slackHist []int64
 
 	// Link sets (the touched set a repartition covers, the changed set a
@@ -154,8 +125,6 @@ func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Eng
 		cfg:           cfg,
 		workers:       workers,
 		state:         NewState(ops),
-		staleParts:    make(map[ID]struct{}),
-		cacheOn:       !cfg.FullRecheck && !cfg.NoSweepCache,
 		workerScratch: make([]edf.Scratch, workers),
 		freshIDs:      make(map[ID]struct{}),
 	}
@@ -179,20 +148,19 @@ func (e *Engine[K, Ch, P]) ReplaceState(st *State[K, Ch, P]) {
 // below every real slack, so such links sweep first.
 const noSlack = math.MinInt64
 
-// fit grows the per-link tables to cover every link st has interned. A
-// tentative clone extends the live state's index, so the tables stay
-// valid for it and for the live state it may replace.
-func (e *Engine[K, Ch, P]) fit(st *State[K, Ch, P]) {
-	for len(e.feasGen) < len(st.keys) {
+// fit grows the per-link tables to cover every link the state has
+// interned.
+func (e *Engine[K, Ch, P]) fit() {
+	for len(e.feasGen) < len(e.state.keys) {
 		e.feasGen = append(e.feasGen, 0)
 		e.slackHist = append(e.slackHist, noSlack)
 		e.marks = append(e.marks, 0)
 	}
 }
 
-// newSet starts an empty link set over st's index space.
-func (e *Engine[K, Ch, P]) newSet(st *State[K, Ch, P]) {
-	e.fit(st)
+// newSet starts an empty link set over the state's index space.
+func (e *Engine[K, Ch, P]) newSet() {
+	e.fit()
 	e.epoch++
 }
 
@@ -214,8 +182,7 @@ func (e *Engine[K, Ch, P]) addToSet(set, idx []int32) []int32 {
 // LinksChecked returns the cumulative number of per-link feasibility
 // tests the engine accounts for. The count is deterministic and
 // independent of the worker count and of the verdict cache: a cache hit
-// counts as a check (the cached verdict answers the same question), so
-// cached and uncached engines report identical counts.
+// counts as a check (the cached verdict answers the same question).
 func (e *Engine[K, Ch, P]) LinksChecked() int { return e.linksChecked }
 
 // SweepSkips returns the cumulative number of per-link feasibility tests
@@ -232,8 +199,7 @@ func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs }
 // engine has run: one per scheme attempted per admission decision (an
 // Admit covering a whole batch counts once per scheme, which is what
 // makes batch admission scale) plus one per Release that repartitioned
-// the remaining channels. The count is deterministic and identical for
-// the delta and clone engines.
+// the remaining channels. The count is deterministic.
 func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 
 // Repartitioned returns the IDs (ascending) of the channels whose
@@ -242,78 +208,17 @@ func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 // the next mutation.
 func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 
-// incremental reports whether the copy-on-write engine may run: every
-// scheme must be incremental and FullRecheck (which wants to see the
-// whole tentative state) must be off.
-func (e *Engine[K, Ch, P]) incremental(schemes []Scheme[K, Ch, P]) bool {
-	if e.cfg.FullRecheck {
-		return false
-	}
-	for _, s := range schemes {
-		if s.PartitionTouched == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Admit runs one admission decision for a batch of n new channels:
 // mk(i, id) constructs the i-th channel with its allocated ID (the
 // adapter has validated and routed the specs already). The schemes are
 // tried in order — the paper's fallback search — and the first whose
-// tentative system passes verification commits. On rejection the
-// committed state is untouched (bit for bit, including the ID allocator)
-// and the first scheme's rejection is returned.
+// tentative system passes verification commits. Each attempt adds the
+// channels to the live state, repartitions what the scheme recomputes on
+// the links they touch, verifies only the links whose task sets changed,
+// and rolls everything back on rejection. On rejection the committed
+// state is untouched (bit for bit, including the ID allocator) and the
+// first scheme's rejection is returned.
 func (e *Engine[K, Ch, P]) Admit(n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
-	if e.incremental(schemes) {
-		return e.admitDelta(n, mk, schemes)
-	}
-	return e.admitClone(n, mk, schemes)
-}
-
-// admitClone is the clone-based reference engine: build a full tentative
-// copy of the state per scheme, repartition everything, verify, and swap
-// the state pointer on acceptance. It remains the reference path for
-// FullRecheck mode and for custom non-incremental scheme implementations.
-func (e *Engine[K, Ch, P]) admitClone(n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
-	var firstRej *Rejection[K]
-	for _, scheme := range schemes {
-		tentative := e.state.Clone()
-		chs := make([]Ch, n)
-		clear(e.freshIDs)
-		for i := 0; i < n; i++ {
-			ch := mk(i, tentative.AllocID())
-			tentative.Add(ch)
-			chs[i] = ch
-			e.freshIDs[e.ops.ID(ch)] = struct{}{}
-		}
-
-		e.repartitions++
-		parts := scheme.Partition(tentative)
-		changed, changedIDs := e.apply(tentative, parts, e.freshIDs)
-
-		rej := e.verify(tentative, changed)
-		if rej == nil {
-			e.state = tentative
-			e.repartitioned = changedIDs
-			clear(e.staleParts) // full Partition healed any kept-back vectors
-			e.commitSlack()
-			return chs, nil
-		}
-		if firstRej == nil {
-			firstRej = rej
-		}
-	}
-	return nil, firstRej
-}
-
-// admitDelta is the copy-on-write engine: mutate the live state
-// tentatively (add the channels, repartition only what the scheme says
-// can have moved), verify only the changed links, and roll everything
-// back on rejection. The ID allocator is restored too, so a rejected
-// request leaves no observable trace — decisions and committed states
-// are bit-identical to admitClone.
-func (e *Engine[K, Ch, P]) admitDelta(n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
 	var firstRej *Rejection[K]
 	for _, scheme := range schemes {
 		savedNext := e.state.nextID
@@ -325,25 +230,22 @@ func (e *Engine[K, Ch, P]) admitDelta(n int, mk func(i int, id ID) Ch, schemes [
 			chs[i] = ch
 			e.freshIDs[e.ops.ID(ch)] = struct{}{}
 		}
-		e.newSet(e.state)
+		e.newSet()
 		e.touchIdx = e.touchIdx[:0]
 		for _, ch := range chs {
 			e.touchIdx = e.addToSet(e.touchIdx, e.state.channels[e.ops.ID(ch)].idx)
 		}
-		touched := e.touchedKeys()
 
 		e.repartitions++
-		parts := scheme.PartitionTouched(e.state, touched)
-		undo, changed, changedIDs := e.applyDelta(e.state, parts, e.freshIDs)
+		undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()), e.freshIDs)
 
-		rej := e.verify(e.state, changed)
+		rej := e.verify(changed)
 		if rej == nil {
 			e.repartitioned = changedIDs
-			clear(e.staleParts) // touched covered every stale channel; all healed
 			e.commitSlack()
 			return chs, nil
 		}
-		e.rollback(e.state, undo)
+		e.rollback(undo)
 		for i := n - 1; i >= 0; i-- {
 			e.state.UndoAdd(chs[i])
 		}
@@ -355,135 +257,44 @@ func (e *Engine[K, Ch, P]) admitDelta(n int, mk func(i int, id ID) Ch, schemes [
 	return nil, firstRej
 }
 
-// Release tears down a channel. The remaining channels are repartitioned
-// (a scheme is a function of the system state); in the unlikely event
-// that repartitioning a smaller system makes some link infeasible, the
-// previous partitions are kept — removing load can never invalidate the
-// schedule under unchanged partitions. Kept-back channels are recorded
-// as stale so later incremental decisions widen their touched sets to
-// match the reference engine (see staleParts). It reports whether the
+// Release tears down a channel and repartitions the channels sharing a
+// link with it (a scheme is a function of the system state). If that
+// repartition fails verification, every remaining channel keeps the
+// partition it had: removing load can never invalidate the schedule under
+// unchanged partitions. A kept-back partition stays until a later
+// decision touches one of its channel's links, which recomputes it as
+// usual; decisions elsewhere never see it. It reports whether the
 // channel existed.
 func (e *Engine[K, Ch, P]) Release(id ID, scheme Scheme[K, Ch, P]) bool {
 	entry, ok := e.state.channels[id]
 	if !ok {
 		return false
 	}
-	if scheme.PartitionTouched != nil && !e.cfg.FullRecheck {
-		e.state.Remove(id)
-		delete(e.staleParts, id)
-		e.newSet(e.state)
-		e.touchIdx = e.addToSet(e.touchIdx[:0], entry.idx)
-		touched := e.touchedKeys()
-		e.repartitions++
-		parts := scheme.PartitionTouched(e.state, touched)
-		undo, changed, changedIDs := e.applyDelta(e.state, parts, nil)
-		if rej := e.verify(e.state, changed); rej != nil {
-			e.rollback(e.state, undo)
-			e.markStale(changedIDs)
-			changedIDs = nil
-		} else {
-			clear(e.staleParts)
-			e.commitSlack()
-		}
-		e.repartitioned = changedIDs
-		return true
-	}
-
-	next := e.state.Clone()
-	next.Remove(id)
-
-	repart := next.Clone()
+	e.state.Remove(id)
+	e.newSet()
+	e.touchIdx = e.addToSet(e.touchIdx[:0], entry.idx)
 	e.repartitions++
-	parts := scheme.Partition(repart)
-	changed, changedIDs := e.apply(repart, parts, nil)
-	if rej := e.verify(repart, changed); rej == nil {
-		e.state = repart
-		e.repartitioned = changedIDs
-		clear(e.staleParts)
-		e.commitSlack()
+	undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()), nil)
+	if rej := e.verify(changed); rej != nil {
+		e.rollback(undo)
+		changedIDs = nil
 	} else {
-		e.state = next
-		e.repartitioned = nil
-		e.markStale(changedIDs)
+		e.commitSlack()
 	}
+	e.repartitioned = changedIDs
 	return true
 }
 
-// markStale replaces the stale set with the channels whose kept-back
-// partitions now differ from canonical. The repartition covered every
-// previously stale channel (their links were in the touched set, or the
-// pass was a full Partition), so channels outside changedIDs are
-// canonical again and drop out of the set.
-func (e *Engine[K, Ch, P]) markStale(changedIDs []ID) {
-	clear(e.staleParts)
-	for _, id := range changedIDs {
-		e.staleParts[id] = struct{}{}
-	}
-}
-
-// touchedKeys closes the touched set under construction in touchIdx: it
-// widens it with the routes of every stale channel, so the next
-// incremental repartition recomputes — and, where the new values stick,
-// re-verifies — exactly what the reference engine's full Partition pass
-// would heal, then returns the set's link keys in first-occurrence order
-// (the scheme's vocabulary). The slice is reused by the next call.
+// touchedKeys returns the link keys of the touched set built in touchIdx,
+// in first-occurrence order (the scheme's vocabulary). The slice is
+// reused by the next call.
 func (e *Engine[K, Ch, P]) touchedKeys() []K {
-	if len(e.staleParts) > 0 {
-		ids := make([]ID, 0, len(e.staleParts))
-		for id := range e.staleParts {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			if ent, ok := e.state.channels[id]; ok {
-				e.touchIdx = e.addToSet(e.touchIdx, ent.idx)
-			}
-		}
-	}
 	keys := e.touchKeys[:0]
 	for _, i := range e.touchIdx {
 		keys = append(keys, e.state.keys[i])
 	}
 	e.touchKeys = keys
 	return keys
-}
-
-// apply installs the computed partitions into the state's channels,
-// returning the set of links whose task-set CONTENT changed and the IDs
-// of the channels that moved (ascending). Channels in fresh hold no
-// prior partition, so all their links count as changed; for the rest the
-// per-hop diff in SetPartDiff keeps content-stable links out of the
-// sweep. The reference-engine contract: a partition must be present for
-// every channel. Partition validation is the adapter's Validate hook — a
-// violation is a scheme implementation bug and panics.
-func (e *Engine[K, Ch, P]) apply(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) ([]int32, []ID) {
-	e.newSet(st)
-	var changed []int32
-	var changedIDs []ID
-	for _, id := range st.order {
-		entry, ok := st.channels[id]
-		if !ok {
-			continue
-		}
-		ch := entry.ch
-		p, ok := parts[id]
-		if !ok {
-			panic(fmt.Sprintf("admit: scheme returned no partition for channel %d", id))
-		}
-		e.ops.Validate(ch, p)
-		if e.ops.HasPart(ch, p) {
-			continue
-		}
-		changedIDs = append(changedIDs, id)
-		if _, isFresh := fresh[id]; isFresh {
-			st.SetPart(ch, p)
-			changed = e.addToSet(changed, entry.idx)
-		} else {
-			changed = e.addToSet(changed, st.setPartDiff(ch, p))
-		}
-	}
-	slices.Sort(changedIDs)
-	return changed, changedIDs
 }
 
 // partUndo records one channel's previous partition so a tentative
@@ -493,16 +304,16 @@ type partUndo[Ch any, P any] struct {
 	old P
 }
 
-// applyDelta installs the partitions of an incremental repartition
-// directly into the live state, returning an undo log (for rollback on
-// rejection), the set of links whose task-set content changed, and the
-// IDs of the channels that moved (ascending). Channels absent from parts
-// are untouched by contract — an incremental scheme covers every channel
-// that can have moved. fresh marks channels with no prior partition
-// (establishment batches); nil means none (release).
-func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh map[ID]struct{}) ([]partUndo[Ch, P], []int32, []ID) {
+// applyDelta installs a scheme's partitions directly into the live state,
+// returning an undo log (for rollback on rejection), the set of links
+// whose task-set content changed, and the IDs of the channels that moved
+// (ascending). Channels absent from parts keep their partitions. fresh
+// marks channels with no prior partition (establishment batches); nil
+// means none (release).
+func (e *Engine[K, Ch, P]) applyDelta(parts map[ID]P, fresh map[ID]struct{}) ([]partUndo[Ch, P], []int32, []ID) {
+	st := e.state
 	var undo []partUndo[Ch, P]
-	e.newSet(st)
+	e.newSet()
 	var changed []int32
 	var changedIDs []ID
 	for id, p := range parts {
@@ -518,14 +329,13 @@ func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh
 		undo = append(undo, partUndo[Ch, P]{ch: ch, old: e.ops.Part(ch)})
 		changedIDs = append(changedIDs, id)
 		// The changed (= to-sweep) set is channel-granular: every link of
-		// every repartitioned channel, exactly as the reference engine
-		// sweeps it. The generation bumps underneath are finer: for a
-		// pre-existing channel setPartDiff stamps only the hops whose
-		// materialized task actually moved, which is what lets the
-		// verdict cache skip the links a repartition pass touched but did
-		// not change — without ever shrinking the swept set itself, so
-		// cache on, cache off and the reference engine all sweep the same
-		// links in the same order.
+		// every repartitioned channel. The generation bumps underneath are
+		// finer: for a pre-existing channel setPartDiff stamps only the
+		// hops whose materialized task actually moved, which is what lets
+		// the verdict cache skip the links a repartition pass touched but
+		// did not change — without ever shrinking the swept set itself, so
+		// the sweep order and the LinksChecked accounting do not depend on
+		// the cache.
 		if _, isFresh := fresh[id]; isFresh {
 			st.SetPart(ch, p) // no valid prior partition to diff against
 		} else {
@@ -540,35 +350,25 @@ func (e *Engine[K, Ch, P]) applyDelta(st *State[K, Ch, P], parts map[ID]P, fresh
 // rollback restores the previous partitions recorded by applyDelta.
 // SetPart (not setPartDiff) on purpose: it bumps every affected link's
 // generation, invalidating any verdict the failed attempt recorded.
-func (e *Engine[K, Ch, P]) rollback(st *State[K, Ch, P], undo []partUndo[Ch, P]) {
+func (e *Engine[K, Ch, P]) rollback(undo []partUndo[Ch, P]) {
 	for _, u := range undo {
-		st.SetPart(u.ch, u.old)
+		e.state.SetPart(u.ch, u.old)
 	}
 }
 
-// verify tests feasibility of the changed links — every loaded link under
-// FullRecheck — ordered by historically tightest slack first (ties: the
-// adapter's deterministic link order), so a repartition that breaks
-// something fails as early in the sweep as possible. Links whose task-set
-// content did not change were feasible at the previous commit and cannot
-// have become infeasible, which is what makes the restriction to the
-// changed set decision-preserving; the slack history is identical across
-// engine flavors (it advances only on commits), which makes the order —
-// and therefore the first failure — identical too, regardless of worker
-// count or cache mode.
-func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed []int32) *Rejection[K] {
+// verify tests feasibility of the changed links, ordered by historically
+// tightest slack first (ties: the adapter's deterministic link order), so
+// a repartition that breaks something fails as early in the sweep as
+// possible. Links whose task-set content did not change were feasible at
+// the previous commit and cannot have become infeasible, which is what
+// makes the restriction to the changed set decision-preserving. The slack
+// history advances only on commits, which makes the order — and therefore
+// the first failure — independent of the worker count and of the cache.
+func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
-	e.fit(st)
-	links := e.sweepLinks[:0]
-	if e.cfg.FullRecheck {
-		for i, n := range st.loads {
-			if n > 0 {
-				links = append(links, int32(i))
-			}
-		}
-	} else {
-		links = append(links, changed...)
-	}
+	st := e.state
+	e.fit()
+	links := append(e.sweepLinks[:0], changed...)
 	slices.SortFunc(links, func(a, b int32) int {
 		if c := cmp.Compare(e.slackHist[a], e.slackHist[b]); c != 0 {
 			return c
@@ -579,11 +379,10 @@ func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed []int32) *Rejecti
 
 	// Verdict cache: a link whose generation still equals the one it was
 	// last proven feasible at cannot have changed content — skip the test.
-	useCache := e.cacheOn && st == e.state
 	skip := growBuf(e.sweepSkip, len(links))
 	live := 0
 	for j, i := range links {
-		skip[j] = useCache && e.feasGen[i] == st.gens[i]
+		skip[j] = e.feasGen[i] == st.gens[i]
 		if skip[j] {
 			e.sweepSkips++
 			continue
@@ -595,23 +394,21 @@ func (e *Engine[K, Ch, P]) verify(st *State[K, Ch, P], changed []int32) *Rejecti
 	var checked int
 	var rej *Rejection[K]
 	if e.workers > 1 && live >= minParallelLinks {
-		checked, rej = e.sweepParallel(st, links, skip)
+		checked, rej = e.sweepParallel(links, skip)
 	} else {
-		checked, rej = e.sweepSequential(st, links, skip)
+		checked, rej = e.sweepSequential(links, skip)
 	}
 	e.linksChecked += checked
 	e.sweepOK = checked
 	if rej != nil {
 		e.sweepOK = checked - 1
 	}
-	if useCache {
-		// Record fresh proofs for the deterministic feasible prefix. Sound
-		// even if this decision later rolls back: rollback bumps every
-		// swept link's generation, orphaning these entries harmlessly.
-		for i := 0; i < e.sweepOK; i++ {
-			if !skip[i] {
-				e.feasGen[links[i]] = st.gens[links[i]]
-			}
+	// Record fresh proofs for the deterministic feasible prefix. Sound even
+	// if this decision later rolls back: rollback bumps every swept link's
+	// generation, orphaning these entries harmlessly.
+	for i := 0; i < e.sweepOK; i++ {
+		if !skip[i] {
+			e.feasGen[links[i]] = st.gens[links[i]]
 		}
 	}
 	e.sweepNs += time.Since(sweepStart).Nanoseconds()
@@ -643,7 +440,8 @@ func growBuf[T any](buf []T, n int) []T {
 // failure. The first constraint (U > 1, exact) comes from the state's
 // incrementally maintained per-link sum — rational arithmetic is exact,
 // so the answer matches a fresh summation bit for bit.
-func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []int32, skip []bool) (int, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) sweepSequential(links []int32, skip []bool) (int, *Rejection[K]) {
+	st := e.state
 	opts := e.cfg.Feasibility
 	results := growBuf(e.sweepResults, len(links))
 	e.sweepResults = results
@@ -668,7 +466,8 @@ func (e *Engine[K, Ch, P]) sweepSequential(st *State[K, Ch, P], links []int32, s
 // skip links past the lowest failing index found so far, and the lowest
 // failing index wins — the verdict, the named link and the reported check
 // count are identical to the sequential sweep.
-func (e *Engine[K, Ch, P]) sweepParallel(st *State[K, Ch, P], links []int32, skip []bool) (int, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) sweepParallel(links []int32, skip []bool) (int, *Rejection[K]) {
+	st := e.state
 	n := len(links)
 	results := growBuf(e.sweepResults, n)
 	e.sweepResults = results

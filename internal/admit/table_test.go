@@ -258,17 +258,15 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		e := newToyEngine(Config{Workers: workers})
-		scheme := Scheme[int, *toyChan, int64]{
-			PartitionTouched: func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
-				parts := make(map[ID]int64)
-				for _, ch := range st.Channels() {
-					parts[ch.id] = 10
-					if ch.links[0] >= 40 {
-						parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
-					}
+		scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+			parts := make(map[ID]int64)
+			for _, ch := range st.Channels() {
+				parts[ch.id] = 10
+				if ch.links[0] >= 40 {
+					parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
 				}
-				return parts
-			},
+			}
+			return parts
 		}
 		_, rej := e.Admit(128, func(i int, id ID) *toyChan {
 			return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
@@ -373,7 +371,8 @@ func TestTaskTableMatchesRebuild(t *testing.T) {
 				st.setPartDiff(ch, int64(1+rng.Intn(30)))
 			}
 			slices.Reverse(undo) // a channel picked twice restores its oldest partition last
-			e.rollback(st, undo)
+			e.ReplaceState(st)
+			e.rollback(undo)
 		default:
 			st = st.Clone()
 		}
@@ -394,7 +393,7 @@ func TestRepartitionSweepZeroAllocs(t *testing.T) {
 		for _, ch := range chs {
 			e.state.SetPart(ch, d)
 		}
-		if rej := e.verify(e.state, changed); rej != nil {
+		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
 		}
 	}); avg != 0 {

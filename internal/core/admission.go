@@ -45,18 +45,6 @@ type Config struct {
 	Fallbacks []DPS
 	// Feasibility passes through to the per-link EDF test.
 	Feasibility edf.Options
-	// FullRecheck forces every loaded link to be re-verified on each
-	// request. The default re-verifies only links whose task set changed
-	// (the new channel's links plus any link holding a repartitioned
-	// channel), which is equivalent but cheaper; FullRecheck exists for the
-	// ablation benchmark and as a belt-and-braces mode.
-	FullRecheck bool
-	// NoSweepCache disables the kernel's generation-keyed feasibility-
-	// verdict cache (links whose task-set content is unchanged since they
-	// were last proven feasible are skipped by default). Decisions are
-	// identical either way; the switch exists for ablation benchmarks and
-	// the equivalence replays.
-	NoSweepCache bool
 	// Latency is T_latency of Eq. 18.1: the constant medium propagation
 	// plus access delay added to every guarantee, in slots.
 	Latency int64
@@ -73,9 +61,9 @@ type Config struct {
 // remains EDF-feasible.
 //
 // The decision machinery — copy-on-write state, delta repartitioning,
-// rollback, changed-links verification, and the clone-everything
-// reference engine — lives in the shared kernel (internal/admit); this
-// type contributes spec validation, the DPS plug-in glue and the stats.
+// rollback and changed-links verification — lives in the shared kernel
+// (internal/admit); this type contributes spec validation, the DPS
+// plug-in glue and the stats.
 //
 // Controller is not safe for concurrent use; the surrounding switch model
 // (and, above it, rtether.Network's lock) serializes establishment
@@ -95,32 +83,15 @@ func NewController(cfg Config) *Controller {
 	cfg.Feasibility.SkipValidation = true // specs are validated on entry
 	c := &Controller{cfg: cfg}
 	c.eng = admit.NewEngine(coreOps, admit.Config{
-		Feasibility:  cfg.Feasibility,
-		FullRecheck:  cfg.FullRecheck,
-		NoSweepCache: cfg.NoSweepCache,
-		Workers:      cfg.VerifyWorkers,
+		Feasibility: cfg.Feasibility,
+		Workers:     cfg.VerifyWorkers,
 	})
 	for _, d := range append([]DPS{cfg.DPS}, cfg.Fallbacks...) {
-		c.schemes = append(c.schemes, kernelScheme(d))
+		c.schemes = append(c.schemes, func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
+			return d.PartitionTouched(&State{k: k}, touched)
+		})
 	}
 	return c
-}
-
-// kernelScheme adapts a DPS to the kernel's scheme vocabulary. A scheme
-// implementing IncrementalDPS gets a PartitionTouched hook, enabling the
-// kernel's copy-on-write engine.
-func kernelScheme(d DPS) admit.Scheme[Link, *Channel, Partition] {
-	s := admit.Scheme[Link, *Channel, Partition]{
-		Partition: func(k *admit.State[Link, *Channel, Partition]) map[ChannelID]Partition {
-			return d.Partition(&State{k: k})
-		},
-	}
-	if inc, ok := d.(IncrementalDPS); ok {
-		s.PartitionTouched = func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
-			return inc.PartitionTouched(&State{k: k}, touched)
-		}
-	}
-	return s
 }
 
 // DPS returns the active deadline partitioning scheme.
@@ -136,7 +107,7 @@ func (c *Controller) Stats() Stats {
 
 // SweepSkips returns how many of the LinksChecked feasibility answers
 // came from the kernel's generation-keyed verdict cache instead of a
-// fresh EDF analysis. Always 0 with NoSweepCache or FullRecheck.
+// fresh EDF analysis.
 func (c *Controller) SweepSkips() int { return c.eng.SweepSkips() }
 
 // SweepNs returns the cumulative wall-clock nanoseconds the engine has
@@ -262,18 +233,15 @@ func newChannel(r Req, id ChannelID) *Channel {
 //  2. Build the tentative state: current channels plus the new ones. A
 //     multicast request is one channel whose task appears on the source
 //     uplink and on every sink downlink, sharing one partition.
-//  3. Apply the DPS to the (tentative) system state — the DPS is a
-//     function of the system state, so existing channels may be
-//     repartitioned. One repartition for the list, not one per request.
-//  4. Test EDF feasibility of every link whose task set changed (or every
-//     link under FullRecheck). If any link fails, reject and leave the
-//     committed state untouched.
+//  3. Apply the DPS to the channels on the links the new channels touch
+//     — the DPS is a function of the system state, so existing channels
+//     may be repartitioned. One repartition for the list, not one per
+//     request.
+//  4. Test EDF feasibility of every link whose task set changed. If any
+//     link fails, reject and leave the committed state untouched.
 //
-// With an IncrementalDPS (SDPS/ADPS/FixedDPS) and FullRecheck off, steps
-// 2-4 run copy-on-write on the live state: only channels the DPS actually
-// repartitions are touched and rolled back on rejection, instead of
-// deep-cloning all N channels per request. Decisions are identical either
-// way — only Stats.LinksChecked can differ from FullRecheck mode.
+// Steps 2-4 run copy-on-write on the live state: only channels the DPS
+// actually repartitions are touched and rolled back on rejection.
 //
 // Stats account the list as len(reqs) requests; on success all are
 // accepted, on rejection one rejection is recorded for the list (the
@@ -394,12 +362,13 @@ func (c *Controller) ForceAdd(spec ChannelSpec, part Partition) (*Channel, error
 	return ch, nil
 }
 
-// Release tears down an established channel. The remaining channels are
-// repartitioned (the DPS depends on the system state); in the unlikely
-// event that repartitioning a smaller system makes some link infeasible,
-// the previous partitions are kept — removing load can never invalidate
-// the schedule under unchanged partitions. Like Request, Release runs
-// copy-on-write when the primary DPS is incremental.
+// Release tears down an established channel. The channels sharing a link
+// with it are repartitioned by the primary DPS (which depends on the
+// system state); in the unlikely event that this makes some link
+// infeasible, every remaining channel keeps its previous partition —
+// removing load can never invalidate the schedule under unchanged
+// partitions. A kept-back partition stays until a later decision touches
+// one of its channel's links, which recomputes it as usual.
 func (c *Controller) Release(id ChannelID) error {
 	if !c.eng.Release(id, c.schemes[0]) {
 		return fmt.Errorf("core: release of unknown RT channel %d", id)

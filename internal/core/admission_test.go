@@ -173,9 +173,9 @@ func TestAdmissionUtilizationRejection(t *testing.T) {
 
 func (s ChannelSpec) withDst(d NodeID) ChannelSpec { s.Dst = d; return s }
 
-func TestAdmissionIncrementalMatchesFullRecheck(t *testing.T) {
+func TestAdmissionIncrementalMatchesReference(t *testing.T) {
 	// The incremental changed-links optimization must agree decision-for-
-	// decision with re-verifying every link.
+	// decision with the clone oracle, which re-verifies every link.
 	rng := rand.New(rand.NewSource(5))
 	specs := make([]ChannelSpec, 300)
 	for i := range specs {
@@ -192,21 +192,13 @@ func TestAdmissionIncrementalMatchesFullRecheck(t *testing.T) {
 		}
 	}
 	for _, scheme := range []DPS{SDPS{}, ADPS{}} {
-		inc := NewController(Config{DPS: scheme})
-		full := NewController(Config{DPS: scheme, FullRecheck: true})
-		for i, s := range specs {
-			_, errInc := inc.Request(s)
-			_, errFull := full.Request(s)
-			if (errInc == nil) != (errFull == nil) {
-				t.Fatalf("%s request %d: incremental err=%v, full err=%v", scheme.Name(), i, errInc, errFull)
-			}
+		w := NewTwin(t, Config{DPS: scheme})
+		for _, s := range specs {
+			w.Request(s)
 		}
-		if inc.Stats().Accepted != full.Stats().Accepted {
-			t.Fatalf("%s: incremental accepted %d, full %d", scheme.Name(), inc.Stats().Accepted, full.Stats().Accepted)
-		}
-		if inc.Stats().LinksChecked >= full.Stats().LinksChecked {
-			t.Errorf("%s: incremental checked %d links, full %d — optimization had no effect",
-				scheme.Name(), inc.Stats().LinksChecked, full.Stats().LinksChecked)
+		if w.Ctrl.Stats().LinksChecked >= w.Ref.Checked {
+			t.Errorf("%s: incremental checked %d links, the oracle %d — optimization had no effect",
+				scheme.Name(), w.Ctrl.Stats().LinksChecked, w.Ref.Checked)
 		}
 	}
 }
@@ -373,6 +365,33 @@ func TestForceAddBypassesFeasibility(t *testing.T) {
 	}
 	if _, err := c.ForceAdd(paperSpec(1, 120), Partition{Up: 1, Down: 39}); err == nil {
 		t.Error("ForceAdd accepted a partition violating condition (9)")
+	}
+}
+
+// TestForceAddPartitionSurvivesRequests: under a scheme whose split
+// depends only on the spec, a forced partition is never recomputed — not
+// by a later Request on its uplink, nor by that channel's Release.
+func TestForceAddPartitionSurvivesRequests(t *testing.T) {
+	for _, dps := range []DPS{SDPS{}, FixedDPS{UpNum: 5, UpDen: 6}} {
+		c := NewController(Config{DPS: dps})
+		forced := Partition{Up: 30, Down: 10}
+		ch, err := c.ForceAdd(paperSpec(1, 2), forced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := c.Request(paperSpec(1, 3))
+		if err != nil {
+			t.Fatalf("%s: request beside the forced channel: %v", dps.Name(), err)
+		}
+		if got := c.State().Get(ch.ID).Part; got != forced {
+			t.Fatalf("%s: request moved the forced partition to %+v", dps.Name(), got)
+		}
+		if err := c.Release(next.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.State().Get(ch.ID).Part; got != forced {
+			t.Fatalf("%s: release moved the forced partition to %+v", dps.Name(), got)
+		}
 	}
 }
 

@@ -12,29 +12,21 @@ import "fmt"
 //
 // Implementations must be deterministic and must return partitions
 // satisfying ValidFor for every channel (the helper clampPartition takes
-// care of condition (9) rounding at the boundaries).
+// care of condition (9) rounding at the boundaries). A channel's split
+// may depend only on its own spec and the loads of the links it
+// traverses (true for SDPS, ADPS and FixedDPS): that is what lets the
+// admission controller repartition only the channels on the links a
+// mutation touched.
 type DPS interface {
 	// Name identifies the scheme in reports ("SDPS", "ADPS", ...).
 	Name() string
 	// Partition computes {d_iu, d_id} for every channel in st.
 	Partition(st *State) map[ChannelID]Partition
-}
-
-// IncrementalDPS is an optional refinement of DPS for schemes whose split
-// for a channel depends only on that channel's own spec and the loads of
-// the two links it traverses (true for SDPS, ADPS and FixedDPS). Such a
-// scheme can repartition incrementally: after a mutation that touched a
-// set of links, only channels traversing a touched link can have a
-// different split, so the admission controller skips the full-state
-// Partition call and clones nothing.
-type IncrementalDPS interface {
-	DPS
 	// PartitionTouched returns new partitions after a mutation that
-	// touched the given links. For each returned channel the value must
-	// equal what Partition(st) would return, and every channel omitted
-	// must already hold exactly that value — the controller relies on
-	// both halves of the contract to keep incremental decisions
-	// bit-identical to full repartitioning.
+	// touched the given links: one for every channel without a partition
+	// yet, and, for every other returned channel (all of which traverse
+	// a touched link), what Partition(st) would return. Channels it omits
+	// keep their committed partitions.
 	PartitionTouched(st *State, touched []Link) map[ChannelID]Partition
 }
 
@@ -72,9 +64,10 @@ func (SDPS) Partition(st *State) map[ChannelID]Partition {
 	return parts
 }
 
-// partitionTouched is the shared shell of every IncrementalDPS
-// implementation: collect the split of each channel traversing a touched
-// link, deduplicating channels that traverse two of them.
+// partitionTouched is the shared shell of the load-adaptive
+// PartitionTouched implementations: collect the split of each channel
+// traversing a touched link, deduplicating channels that traverse two of
+// them.
 func partitionTouched(st *State, touched []Link, split func(*Channel) Partition) map[ChannelID]Partition {
 	parts := make(map[ChannelID]Partition)
 	for _, l := range touched {
@@ -90,13 +83,12 @@ func partitionTouched(st *State, touched []Link, split func(*Channel) Partition)
 }
 
 // partitionTouchedNew is partitionTouched for schemes whose split depends
-// only on the channel's own spec: a committed channel's partition can
-// never change under such a scheme, so only channels that carry no
-// partition yet — the ones the current request just added — need a
-// split, keeping incremental admission O(new channels) per request. It
-// assumes every committed partition was produced by this scheme, which
-// holds for all Request/Release traffic; experiments that mix ForceAdd
-// with further Requests should run FullRecheck.
+// only on the channel's own spec: only channels that carry no partition
+// yet — the ones the current request just added — get a split, keeping
+// incremental admission O(new channels) per request. Under such a scheme
+// (SDPS, FixedDPS) a committed or forced partition is never recomputed:
+// a ForceAdd partition that differs from the scheme's split stays as
+// forced for the channel's lifetime.
 func partitionTouchedNew(st *State, touched []Link, split func(*Channel) Partition) map[ChannelID]Partition {
 	parts := make(map[ChannelID]Partition)
 	for _, l := range touched {
@@ -114,9 +106,8 @@ func partitionTouchedNew(st *State, touched []Link, split func(*Channel) Partiti
 	return parts
 }
 
-// PartitionTouched implements IncrementalDPS. The symmetric split depends
-// only on the spec, so beyond the request's own new channels nothing can
-// move.
+// PartitionTouched implements DPS. The symmetric split depends only on
+// the spec, so beyond the request's own new channels nothing can move.
 func (SDPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
 	return partitionTouchedNew(st, touched, func(ch *Channel) Partition {
 		return clampPartition(ch.Spec, ch.Spec.D/2)
@@ -175,9 +166,9 @@ func (ADPS) partitionOf(st *State, ch *Channel) Partition {
 	return clampPartition(ch.Spec, up)
 }
 
-// PartitionTouched implements IncrementalDPS. A channel's split depends on
-// the loads of its own two links only, so after a mutation that touched a
-// link set, exactly the channels traversing those links can move.
+// PartitionTouched implements DPS. A channel's split depends on the loads
+// of its own two links only, so after a mutation that touched a link set,
+// exactly the channels traversing those links can move.
 func (a ADPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
 	return partitionTouched(st, touched, func(ch *Channel) Partition {
 		return a.partitionOf(st, ch)
@@ -206,8 +197,8 @@ func (f FixedDPS) Partition(st *State) map[ChannelID]Partition {
 	return parts
 }
 
-// PartitionTouched implements IncrementalDPS: like SDPS the split depends
-// only on the spec, so only the request's own new channels matter.
+// PartitionTouched implements DPS: like SDPS the split depends only on
+// the spec, so only the request's own new channels matter.
 func (f FixedDPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
 	return partitionTouchedNew(st, touched, func(ch *Channel) Partition {
 		return clampPartition(ch.Spec, ch.Spec.D*f.UpNum/f.UpDen)

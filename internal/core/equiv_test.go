@@ -1,19 +1,19 @@
 package core_test
 
 // Decision-equivalence tests for the copy-on-write admission engine: the
-// incremental path (persistent per-link caches, delta repartitioning,
-// changed-links verification) must be indistinguishable from the
-// clone-everything FullRecheck reference — identical accept/reject
-// verdicts, identical diagnostics, identical committed states and
-// identical stats counters (only LinksChecked, the work metric the
-// optimization exists to shrink, may differ).
+// controller (persistent per-link caches, delta repartitioning,
+// changed-links verification, the sweep verdict cache) must be
+// indistinguishable from the clone oracle core.Reference — identical
+// accept/reject verdicts, identical committed states, and a named
+// rejection link the oracle's tentative state fails on. core.Twin checks
+// all of that, plus the invariants, after every step.
 //
 // The tests live in an external package so they can replay the paper's
 // Fig. 18.5 workload from internal/traffic, which itself imports core.
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -30,65 +30,38 @@ func snapshotOf(t *testing.T, c *core.Controller) string {
 	return buf.String()
 }
 
-// statsSansLinksChecked zeroes the one counter allowed to differ.
-func statsSansLinksChecked(s core.Stats) core.Stats {
-	s.LinksChecked = 0
-	return s
-}
-
 // TestAdmissionDecisionEquivalence replays the Fig. 18.5 establishment
 // sequence (extended past saturation, with interleaved releases) through
-// the old-style full-recheck engine and the incremental engine, asserting
-// identical decisions at every step and identical final state.
+// the controller and the clone oracle, asserting identical decisions at
+// every step.
 func TestAdmissionDecisionEquivalence(t *testing.T) {
 	requests := traffic.PaperLayout.Requests(400, traffic.PaperSpec)
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}, core.FixedDPS{UpNum: 5, UpDen: 6}} {
 		t.Run(dps.Name(), func(t *testing.T) {
-			inc := core.NewController(core.Config{DPS: dps})
-			full := core.NewController(core.Config{DPS: dps, FullRecheck: true})
-
+			w := core.NewTwin(t, core.Config{DPS: dps})
 			var accepted []core.ChannelID
+			rejected := 0
 			for i, spec := range requests {
-				chI, errI := inc.Request(spec)
-				chF, errF := full.Request(spec)
-				if (errI == nil) != (errF == nil) {
-					t.Fatalf("request %d (%v): incremental err=%v, full-recheck err=%v", i, spec, errI, errF)
-				}
-				if errI != nil {
-					if errI.Error() != errF.Error() {
-						t.Fatalf("request %d: rejection diagnostics diverge:\n  incremental: %v\n  full:        %v", i, errI, errF)
-					}
+				ch, err := w.Request(spec)
+				if err != nil {
+					rejected++
 					continue
 				}
-				if chI.ID != chF.ID {
-					t.Fatalf("request %d: channel IDs diverge: %d vs %d", i, chI.ID, chF.ID)
-				}
-				accepted = append(accepted, chI.ID)
+				accepted = append(accepted, ch.ID)
 				// Interleave releases so the Release path (removal plus
 				// repartition-if-feasible) is equivalence-checked too.
 				if i%7 == 3 && len(accepted) > 2 {
 					victim := accepted[len(accepted)/2]
 					accepted = append(accepted[:len(accepted)/2], accepted[len(accepted)/2+1:]...)
-					if err := inc.Release(victim); err != nil {
-						t.Fatalf("request %d: incremental release: %v", i, err)
-					}
-					if err := full.Release(victim); err != nil {
-						t.Fatalf("request %d: full-recheck release: %v", i, err)
-					}
+					w.Release(victim)
 				}
 			}
-
-			if got, want := snapshotOf(t, inc), snapshotOf(t, full); got != want {
-				t.Fatalf("committed states diverge:\nincremental:\n%s\nfull-recheck:\n%s", got, want)
+			if rejected == 0 {
+				t.Fatal("workload never saturated — rejection path not exercised")
 			}
-			gotStats := statsSansLinksChecked(inc.Stats())
-			wantStats := statsSansLinksChecked(full.Stats())
-			if gotStats != wantStats {
-				t.Fatalf("stats diverge (LinksChecked excluded):\nincremental: %+v\nfull:        %+v", gotStats, wantStats)
-			}
-			if inc.Stats().LinksChecked >= full.Stats().LinksChecked {
-				t.Errorf("incremental engine checked %d links, full recheck %d — expected strictly fewer",
-					inc.Stats().LinksChecked, full.Stats().LinksChecked)
+			if w.Ctrl.Stats().LinksChecked >= w.Ref.Checked {
+				t.Errorf("engine checked %d links, the oracle %d — expected strictly fewer",
+					w.Ctrl.Stats().LinksChecked, w.Ref.Checked)
 			}
 		})
 	}
@@ -97,54 +70,20 @@ func TestAdmissionDecisionEquivalence(t *testing.T) {
 // TestSweepCacheEquivalence replays a generation-invalidation churn
 // workload — establishes, releases of recent and old channels, and
 // immediate re-establishes that repeatedly flip the same links' task-set
-// generations — through three engines: the default cached one, the
-// cache-disabled one, and the FullRecheck reference. All three must make
-// bit-identical decisions with bit-identical diagnostics and committed
-// states; the verdict cache may only change how many EDF analyses
-// actually run. Run under -race this also exercises the parallel sweep
-// with the cache's skip protocol.
+// generations — through the cached controller and the oracle, which runs
+// a from-scratch EDF test on every link: the verdict cache may only change
+// how many EDF analyses actually run. Run under -race this also exercises
+// the parallel sweep with the cache's skip protocol.
 func TestSweepCacheEquivalence(t *testing.T) {
 	requests := traffic.PaperLayout.Requests(400, traffic.PaperSpec)
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}} {
 		t.Run(dps.Name(), func(t *testing.T) {
-			cached := core.NewController(core.Config{DPS: dps})
-			uncached := core.NewController(core.Config{DPS: dps, NoSweepCache: true})
-			full := core.NewController(core.Config{DPS: dps, FullRecheck: true})
-			ctrls := []*core.Controller{cached, uncached, full}
-			names := []string{"cached", "uncached", "fullrecheck"}
-
-			check := func(step string, errs []error, ids []core.ChannelID) {
-				t.Helper()
-				for i := 1; i < len(ctrls); i++ {
-					if (errs[0] == nil) != (errs[i] == nil) {
-						t.Fatalf("%s: %s err=%v, %s err=%v", step, names[0], errs[0], names[i], errs[i])
-					}
-					if errs[0] != nil && errs[0].Error() != errs[i].Error() {
-						t.Fatalf("%s: diagnostics diverge:\n  %s: %v\n  %s: %v",
-							step, names[0], errs[0], names[i], errs[i])
-					}
-					if ids != nil && ids[0] != ids[i] {
-						t.Fatalf("%s: channel IDs diverge: %d vs %d", step, ids[0], ids[i])
-					}
-				}
-			}
-
+			w := core.NewTwin(t, core.Config{DPS: dps})
 			var accepted []core.ChannelID
 			for i, spec := range requests {
-				errs := make([]error, len(ctrls))
-				ids := make([]core.ChannelID, len(ctrls))
-				for j, c := range ctrls {
-					ch, err := c.Request(spec)
-					errs[j] = err
-					if err == nil {
-						ids[j] = ch.ID
-					}
+				if ch, err := w.Request(spec); err == nil {
+					accepted = append(accepted, ch.ID)
 				}
-				check(fmt.Sprintf("request %d (%v)", i, spec), errs, ids)
-				if errs[0] == nil {
-					accepted = append(accepted, ids[0])
-				}
-
 				// Churn: release a mid-history victim and immediately
 				// re-establish its spec, bumping the same links' generations
 				// over and over — the invalidation pattern the cache must
@@ -152,43 +91,11 @@ func TestSweepCacheEquivalence(t *testing.T) {
 				if i%5 == 4 && len(accepted) > 3 {
 					victim := accepted[len(accepted)/3]
 					accepted = append(accepted[:len(accepted)/3], accepted[len(accepted)/3+1:]...)
-					rerrs := make([]error, len(ctrls))
-					for j, c := range ctrls {
-						rerrs[j] = c.Release(victim)
-					}
-					check(fmt.Sprintf("release %d after request %d", victim, i), rerrs, nil)
-
-					re := spec
-					rerrs = make([]error, len(ctrls))
-					rids := make([]core.ChannelID, len(ctrls))
-					for j, c := range ctrls {
-						ch, err := c.Request(re)
-						rerrs[j] = err
-						if err == nil {
-							rids[j] = ch.ID
-						}
-					}
-					check(fmt.Sprintf("re-establish after request %d", i), rerrs, rids)
-					if rerrs[0] == nil {
-						accepted = append(accepted, rids[0])
+					w.Release(victim)
+					if ch, err := w.Request(spec); err == nil {
+						accepted = append(accepted, ch.ID)
 					}
 				}
-			}
-
-			for i := 1; i < len(ctrls); i++ {
-				if got, want := snapshotOf(t, ctrls[i]), snapshotOf(t, ctrls[0]); got != want {
-					t.Fatalf("committed states diverge (%s vs %s):\n%s\nvs\n%s", names[i], names[0], got, want)
-				}
-			}
-			if g, u := statsSansLinksChecked(cached.Stats()), statsSansLinksChecked(uncached.Stats()); g != u {
-				t.Fatalf("stats diverge:\ncached:   %+v\nuncached: %+v", g, u)
-			}
-			// Cached and uncached engines sweep the same link sequences, so
-			// even LinksChecked must agree exactly — a cache hit is counted
-			// as a check.
-			if cached.Stats().LinksChecked != uncached.Stats().LinksChecked {
-				t.Fatalf("LinksChecked diverge: cached %d, uncached %d",
-					cached.Stats().LinksChecked, uncached.Stats().LinksChecked)
 			}
 			// No SweepSkips lower bound here: a star channel's partition is
 			// the complementary pair {d_iu, d_id}, so when ADPS moves a
@@ -199,11 +106,71 @@ func TestSweepCacheEquivalence(t *testing.T) {
 			// and on the fabric's longer hop vectors
 			// (topo.TestFabricSweepCacheEquivalence), where repartitions
 			// leave interior budgets untouched.
-			if uncached.SweepSkips() != 0 || full.SweepSkips() != 0 {
-				t.Errorf("cache-disabled engines reported skips: uncached=%d full=%d",
-					uncached.SweepSkips(), full.SweepSkips())
-			}
 		})
+	}
+}
+
+// keptBackStar builds the smallest star with a kept-back release under
+// ADPS with D <= P: channels 2 and 3 share uplink 6 with channel 1, and
+// releasing channel 1 would move channel 2's split from {7 3} to {6 4},
+// which leaves uplink 6 infeasible — so every partition stays as it was.
+func keptBackStar(t *testing.T) *core.Twin {
+	t.Helper()
+	w := core.NewTwin(t, core.Config{DPS: core.ADPS{}})
+	for _, spec := range []core.ChannelSpec{
+		{Src: 6, Dst: 1, C: 3, P: 96, D: 59},
+		{Src: 6, Dst: 4, C: 3, P: 43, D: 10},
+		{Src: 6, Dst: 3, C: 4, P: 96, D: 9},
+	} {
+		if _, err := w.Request(spec); err != nil {
+			t.Fatalf("setup %v: %v", spec, err)
+		}
+	}
+	w.Release(1)
+	if got := w.Ctrl.Repartitioned(); len(got) != 0 {
+		t.Fatalf("release was not kept back: repartitioned %v", got)
+	}
+	if p := w.Ctrl.State().Get(2).Part; p != (core.Partition{Up: 7, Down: 3}) {
+		t.Fatalf("channel 2 holds %+v after the kept-back release, want {7 3}", p)
+	}
+	return w
+}
+
+// TestKeptBackReleaseLeavesDisjointRequestsAlone is the reproducer for a
+// release coupling unrelated decisions: after the kept-back release a
+// request on links no channel of the star shares (uplink 4, downlink 5)
+// was refused naming uplink 6, because the kept-back channels' links were
+// folded into every later decision. It is accepted, and the kept-back
+// partitions stay as they were.
+func TestKeptBackReleaseLeavesDisjointRequestsAlone(t *testing.T) {
+	w := keptBackStar(t)
+	if _, err := w.Request(core.ChannelSpec{Src: 4, Dst: 5, C: 2, P: 41, D: 15}); err != nil {
+		t.Fatalf("disjoint request refused: %v", err)
+	}
+	if p := w.Ctrl.State().Get(2).Part; p != (core.Partition{Up: 7, Down: 3}) {
+		t.Fatalf("disjoint request moved the kept-back channel 2 to %+v", p)
+	}
+}
+
+// TestKeptBackPartitionRecomputedWhenTouched pins the other half of the
+// rule: the next decision touching one of a kept-back channel's links
+// recomputes it as usual. A request into downlink 4 recomputes channel 2
+// to {5 5}, which uplink 6 cannot carry, so it is refused naming that
+// neighbour's far link; a release on uplink 6 recomputes channel 2 and
+// commits.
+func TestKeptBackPartitionRecomputedWhenTouched(t *testing.T) {
+	w := keptBackStar(t)
+	_, err := w.Request(core.ChannelSpec{Src: 1, Dst: 4, C: 1, P: 1000, D: 1000})
+	var rej *core.RejectionError
+	if !errors.As(err, &rej) || rej.Link != core.Uplink(6) {
+		t.Fatalf("request into downlink 4: err=%v, want a refusal naming link(6,up)", err)
+	}
+	if p := w.Ctrl.State().Get(2).Part; p != (core.Partition{Up: 7, Down: 3}) {
+		t.Fatalf("refused request left channel 2 at %+v", p)
+	}
+	w.Release(3)
+	if p := w.Ctrl.State().Get(2).Part; p != (core.Partition{Up: 5, Down: 5}) {
+		t.Fatalf("release on uplink 6 left channel 2 at %+v, want {5 5}", p)
 	}
 }
 
@@ -280,23 +247,21 @@ func TestRequestAllMatchesSequential(t *testing.T) {
 func TestRequestAllAtomic(t *testing.T) {
 	ok := core.ChannelSpec{Src: 1, Dst: 2, C: 3, P: 100, D: 40}
 	hog := core.ChannelSpec{Src: 1, Dst: 3, C: 90, P: 100, D: 190} // U=0.9 on uplink 1
-	for _, full := range []bool{false, true} {
-		ctrl := core.NewController(core.Config{DPS: core.ADPS{}, FullRecheck: full})
-		// 3 uplink-1 channels of U=0.9 can never fit together.
-		_, err := ctrl.RequestAll([]core.ChannelSpec{ok, hog, hog, hog})
-		if err == nil {
-			t.Fatalf("full=%v: infeasible batch accepted", full)
-		}
-		if ctrl.State().Len() != 0 {
-			t.Fatalf("full=%v: rejected batch left %d channels committed", full, ctrl.State().Len())
-		}
-		st := ctrl.Stats()
-		if st.Requests != 4 || st.Accepted != 0 {
-			t.Fatalf("full=%v: batch stats %+v", full, st)
-		}
-		// The controller must still work afterwards.
-		if _, err := ctrl.Request(ok); err != nil {
-			t.Fatalf("full=%v: controller wedged after batch rejection: %v", full, err)
-		}
+	ctrl := core.NewController(core.Config{DPS: core.ADPS{}})
+	// 3 uplink-1 channels of U=0.9 can never fit together.
+	_, err := ctrl.RequestAll([]core.ChannelSpec{ok, hog, hog, hog})
+	if err == nil {
+		t.Fatal("infeasible batch accepted")
+	}
+	if ctrl.State().Len() != 0 {
+		t.Fatalf("rejected batch left %d channels committed", ctrl.State().Len())
+	}
+	st := ctrl.Stats()
+	if st.Requests != 4 || st.Accepted != 0 {
+		t.Fatalf("batch stats %+v", st)
+	}
+	// The controller must still work afterwards.
+	if _, err := ctrl.Request(ok); err != nil {
+		t.Fatalf("controller wedged after batch rejection: %v", err)
 	}
 }

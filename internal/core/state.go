@@ -122,10 +122,6 @@ func (st *State) Links() []Link { return st.k.Links() }
 // live task table.
 func (st *State) TasksOn(l Link) []edf.Task { return st.k.TasksOn(l) }
 
-// clone returns a deep copy of the state sharing nothing mutable with the
-// original.
-func (st *State) clone() *State { return &State{k: st.k.Clone()} }
-
 // MeanLinkUtilization returns the mean of the per-link task-set
 // utilizations over all loaded links — a coarse load metric used in
 // reports. Returns 0 for an empty state.

@@ -44,11 +44,6 @@ type Config struct {
 	// VerifyWorkers passes through to the admission controller's
 	// verification worker pool (0 = GOMAXPROCS, 1 = sequential).
 	VerifyWorkers int
-	// FullRecheck passes through to the admission controller: every
-	// loaded link is re-verified on each request instead of only the
-	// changed set, bypassing the sweep verdict cache. Decisions are
-	// identical either way.
-	FullRecheck bool
 }
 
 // ErrUnknownNode is the sentinel wrapped by every establishment failure
@@ -103,7 +98,6 @@ func New(cfg Config) *Network {
 		Feasibility:   cfg.Feasibility,
 		Latency:       2 * cfg.Propagation,
 		VerifyWorkers: cfg.VerifyWorkers,
-		FullRecheck:   cfg.FullRecheck,
 	})
 	n.sw = newSwitch(n)
 	return n

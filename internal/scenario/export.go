@@ -30,8 +30,7 @@ func (s *Scenario) Clone() *Scenario {
 // but unloaded — network: the layout (nodes or topology section), the
 // partitioning scheme, discipline, shaping and propagation, with the
 // admission verification pool sized by verifyWorkers (0 = GOMAXPROCS).
-// extra options apply on top of the document's (cmd/rtetherd passes
-// rtether.WithFullRecheck for -fullrecheck). No channel is established
+// extra options apply on top of the document's. No channel is established
 // and no timeline event plays; this is how cmd/rtetherd hosts a
 // scenario-described topology and lets clients drive the admission
 // plane over the wire instead.

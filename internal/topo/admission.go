@@ -33,16 +33,6 @@ type Config struct {
 	DPS HDPS
 	// Feasibility passes through to the per-edge EDF test.
 	Feasibility edf.Options
-	// FullRecheck forces every loaded edge to be re-verified on each
-	// request instead of only edges whose task set changed — equivalent
-	// decisions, more checks. It exists for decision-equivalence tests
-	// and as a belt-and-braces mode, mirroring the star controller's
-	// core.Config.FullRecheck.
-	FullRecheck bool
-	// NoSweepCache disables the kernel's generation-keyed feasibility-
-	// verdict cache, mirroring core.Config.NoSweepCache. Decisions are
-	// identical either way.
-	NoSweepCache bool
 	// VerifyWorkers bounds the verification worker pool used for large
 	// changed-edge sweeps (batch admissions); 0 means GOMAXPROCS, 1
 	// forces the sequential sweep. Decisions and diagnostics are
@@ -55,11 +45,10 @@ type Config struct {
 // every affected link — §18.3.2 generalized to many switches.
 //
 // The copy-on-write decision machinery is the shared kernel
-// (internal/admit), the same engine the star controller runs on: with an
-// IncrementalHDPS (HSDPS/HADPS) a request mutates the live state
-// tentatively, repartitions only the channels whose hop vectors can have
-// moved, and rolls back on rejection; custom schemes fall back to the
-// clone-based reference engine with identical decisions.
+// (internal/admit), the same engine the star controller runs on: a
+// request mutates the live state tentatively, repartitions only the
+// channels whose hop vectors can have moved, and rolls back on
+// rejection.
 type Controller struct {
 	topo    *Topology
 	cfg     Config
@@ -76,22 +65,14 @@ func NewController(t *Topology, cfg Config) *Controller {
 	cfg.Feasibility.SkipValidation = true
 	c := &Controller{topo: t, cfg: cfg}
 	c.eng = admit.NewEngine(topoOps, admit.Config{
-		Feasibility:  cfg.Feasibility,
-		FullRecheck:  cfg.FullRecheck,
-		NoSweepCache: cfg.NoSweepCache,
-		Workers:      cfg.VerifyWorkers,
+		Feasibility: cfg.Feasibility,
+		Workers:     cfg.VerifyWorkers,
 	})
-	scheme := admit.Scheme[Edge, *HChannel, []int64]{
-		Partition: func(k *admit.State[Edge, *HChannel, []int64]) map[core.ChannelID][]int64 {
-			return cfg.DPS.Partition(&State{k: k})
+	c.schemes = []admit.Scheme[Edge, *HChannel, []int64]{
+		func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
+			return cfg.DPS.PartitionTouched(&State{k: k}, touched)
 		},
 	}
-	if inc, ok := cfg.DPS.(IncrementalHDPS); ok {
-		scheme.PartitionTouched = func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
-			return inc.PartitionTouched(&State{k: k}, touched)
-		}
-	}
-	c.schemes = []admit.Scheme[Edge, *HChannel, []int64]{scheme}
 	return c
 }
 
@@ -295,8 +276,10 @@ func (c *Controller) RequestAll(specs []core.ChannelSpec) ([]*HChannel, error) {
 	return chs, core.BatchError(reqs, err)
 }
 
-// Release tears down a channel; remaining channels are repartitioned when
-// that keeps every edge feasible, otherwise partitions stay as they were.
+// Release tears down a channel. The channels sharing an edge with it are
+// repartitioned when that keeps every edge feasible; otherwise every
+// remaining channel keeps its hop vector, until a later decision touches
+// one of its edges and recomputes it as usual.
 func (c *Controller) Release(id core.ChannelID) error {
 	if !c.eng.Release(id, c.schemes[0]) {
 		return fmt.Errorf("topo: release of unknown channel %d", id)

@@ -7,9 +7,9 @@ package topo
 //
 //  1. determinism — the same seed replays to the byte-identical event
 //     log (routes included), and
-//  2. decision equivalence — the incremental engine, the clone-based
-//     reference engine and the FullRecheck variant agree verdict for
-//     verdict and state for state across every down/repair cycle.
+//  2. decision equivalence — the controller and the clone oracle agree
+//     verdict for verdict and state for state across every down/repair
+//     cycle, with the twin's invariants holding after every step.
 
 import (
 	"fmt"
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/edf"
 )
 
 // ringFabric is a 4-switch ring (0-1, 1-2, 2-3, 3-0) with two nodes per
@@ -68,21 +67,13 @@ func deepStateKey(st *State) string {
 	return s
 }
 
-// churnWorld is one engine variant's fabric plus controller.
-type churnWorld struct {
-	name string
-	top  *Topology
-	ctrl *Controller
-}
-
-// failTrunk replays one failure on a single world: down the trunk,
-// release every channel routed over it (ID order), and re-admit the
-// batch under the old IDs. The returned string captures the verdicts and
-// the recomputed routes.
-func (w *churnWorld) failTrunk(t *testing.T, a, b SwitchID) string {
-	t.Helper()
+// failTrunk replays one failure: down the trunk, release every channel
+// routed over it (ID order), and re-admit the batch under the old IDs.
+// The returned string captures the verdicts and the recomputed routes.
+func (w *twin) failTrunk(a, b SwitchID) string {
+	w.t.Helper()
 	if changed, err := w.top.SetLinkUp(a, b, false); err != nil || !changed {
-		t.Fatalf("%s: SetLinkUp(%d,%d,false) = %v, %v", w.name, a, b, changed, err)
+		w.t.Fatalf("SetLinkUp(%d,%d,false) = %v, %v", a, b, changed, err)
 	}
 	var affected []*HChannel
 	for _, hch := range w.ctrl.State().Channels() {
@@ -93,12 +84,10 @@ func (w *churnWorld) failTrunk(t *testing.T, a, b SwitchID) string {
 	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
 	reqs := make([]Req, len(affected))
 	for i, hch := range affected {
-		if err := w.ctrl.Release(hch.ID); err != nil {
-			t.Fatalf("%s: release affected %d: %v", w.name, hch.ID, err)
-		}
+		w.release(hch.ID)
 		reqs[i] = Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true}
 	}
-	chs, errs := w.ctrl.AdmitEach(reqs)
+	chs, errs := w.admitEach(reqs)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fail %d-%d affected=%d:", a, b, len(affected))
 	for i := range reqs {
@@ -107,63 +96,28 @@ func (w *churnWorld) failTrunk(t *testing.T, a, b SwitchID) string {
 			continue
 		}
 		if chs[i].ID != reqs[i].ID {
-			t.Fatalf("%s: re-admission changed channel ID %d to %d", w.name, reqs[i].ID, chs[i].ID)
+			w.t.Fatalf("re-admission changed channel ID %d to %d", reqs[i].ID, chs[i].ID)
 		}
 		fmt.Fprintf(&sb, " %d=%v", chs[i].ID, chs[i].Route)
 	}
 	return sb.String()
 }
 
-// repairTrunk restores a trunk on one world. Channels stay where the
-// recovery pass put them — repair only re-opens the routes.
-func (w *churnWorld) repairTrunk(t *testing.T, a, b SwitchID) {
-	t.Helper()
+// repairTrunk restores a trunk. Channels stay where the recovery pass put
+// them — repair only re-opens the routes.
+func (w *twin) repairTrunk(a, b SwitchID) {
+	w.t.Helper()
 	if changed, err := w.top.SetLinkUp(a, b, true); err != nil || !changed {
-		t.Fatalf("%s: repair %d-%d: %v, %v", w.name, a, b, changed, err)
+		w.t.Fatalf("repair %d-%d: %v, %v", a, b, changed, err)
 	}
 }
 
-// replayChurn drives the full seeded workload over all three engine
-// variants in lockstep and returns the combined event log.
+// replayChurn drives the full seeded workload through a controller and
+// its oracle in lockstep and returns the event log.
 func replayChurn(t *testing.T, seed int64) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	worlds := []*churnWorld{
-		{name: "incremental"},
-		{name: "clone"},
-		{name: "fullrecheck"},
-	}
-	for _, w := range worlds {
-		w.top = ringFabric()
-		cfg := Config{DPS: HADPS{}}
-		if w.name == "clone" {
-			cfg.DPS = cloneOnly{cfg.DPS}
-		}
-		if w.name == "fullrecheck" {
-			cfg.FullRecheck = true
-		}
-		w.ctrl = NewController(w.top, cfg)
-	}
-	// step drives one operation through every world and asserts the
-	// outcome (and the committed state) is identical everywhere.
-	step := func(what string, op func(w *churnWorld) string) string {
-		t.Helper()
-		ref := op(worlds[0])
-		for _, w := range worlds[1:] {
-			if got := op(w); got != ref {
-				t.Fatalf("%s: %s diverges from incremental:\n%s\nvs\n%s", w.name, what, got, ref)
-			}
-			if got, want := deepStateKey(w.ctrl.State()), deepStateKey(worlds[0].ctrl.State()); got != want {
-				t.Fatalf("%s: state diverges after %s:\n%s\nvs\n%s", w.name, what, got, want)
-			}
-		}
-		for _, e := range worlds[0].ctrl.State().Edges() {
-			if res := edf.TestDefault(worlds[0].ctrl.State().TasksOn(e)); !res.OK() {
-				t.Fatalf("after %s: committed state infeasible on %v: %v", what, e, res)
-			}
-		}
-		return ref
-	}
+	w := newTwin(t, ringFabric(), Config{DPS: HADPS{}})
 
 	trunks := [][2]SwitchID{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
 	var log strings.Builder
@@ -192,59 +146,37 @@ func replayChurn(t *testing.T, seed int64) string {
 					}
 				}
 			}
-			line := step("establish", func(w *churnWorld) string {
-				chs, errs := w.ctrl.AdmitEach([]Req{{Spec: spec, Sinks: sinks}})
-				if errs[0] != nil {
-					return fmt.Sprintf("est %v sinks=%v rej(%v)", spec, sinks, errs[0])
-				}
-				return fmt.Sprintf("est %v sinks=%v id=%d route=%v", spec, sinks, chs[0].ID, chs[0].Route)
-			})
-			if strings.Contains(line, "rej(") {
+			chs, errs := w.admitEach([]Req{{Spec: spec, Sinks: sinks}})
+			if errs[0] != nil {
 				rejected++
+				fmt.Fprintf(&log, "est %v sinks=%v rej(%v)\n", spec, sinks, errs[0])
 			} else {
-				var id core.ChannelID
-				fmt.Sscanf(line[strings.Index(line, "id="):], "id=%d", &id)
-				live = append(live, id)
+				live = append(live, chs[0].ID)
+				fmt.Fprintf(&log, "est %v sinks=%v id=%d route=%v\n", spec, sinks, chs[0].ID, chs[0].Route)
 			}
-			log.WriteString(line + "\n")
 		}
 		// Occasional release keeps headroom so later rounds still admit.
 		if len(live) > 6 && rng.Intn(2) == 0 {
 			i := rng.Intn(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			step("release", func(w *churnWorld) string {
-				if err := w.ctrl.Release(id); err != nil {
-					t.Fatalf("%s: release %d: %v", w.name, id, err)
-				}
-				return fmt.Sprintf("rel %d", id)
-			})
+			w.release(id)
 			fmt.Fprintf(&log, "rel %d\n", id)
 		}
 		// Every third round: a down/repair cycle on a random ring trunk.
 		if round%3 == 2 {
 			tr := trunks[rng.Intn(len(trunks))]
-			line := step("failover", func(w *churnWorld) string {
-				return w.failTrunk(t, tr[0], tr[1])
-			})
-			log.WriteString(line + "\n")
+			log.WriteString(w.failTrunk(tr[0], tr[1]) + "\n")
 			// Channels the residual ring could not carry are gone; drop
 			// them from the live set.
-			alive := map[core.ChannelID]bool{}
-			for _, hch := range worlds[0].ctrl.State().Channels() {
-				alive[hch.ID] = true
-			}
 			kept := live[:0]
 			for _, id := range live {
-				if alive[id] {
+				if w.ctrl.State().Get(id) != nil {
 					kept = append(kept, id)
 				}
 			}
 			live = kept
-			step("repair", func(w *churnWorld) string {
-				w.repairTrunk(t, tr[0], tr[1])
-				return "repair"
-			})
+			w.repairTrunk(tr[0], tr[1])
 			fmt.Fprintf(&log, "repair %d-%d\n", tr[0], tr[1])
 		}
 	}
@@ -258,8 +190,8 @@ func replayChurn(t *testing.T, seed int64) string {
 }
 
 // TestFailureChurnReplayEquivalence is the seeded survivability replay:
-// byte-identical logs for the same seed, engine-equivalent decisions
-// throughout (the per-step assertions live in replayChurn).
+// byte-identical logs for the same seed, oracle-equivalent decisions
+// throughout (the per-step assertions live in the twin).
 func TestFailureChurnReplayEquivalence(t *testing.T) {
 	first := replayChurn(t, 7)
 	second := replayChurn(t, 7)
@@ -270,5 +202,46 @@ func TestFailureChurnReplayEquivalence(t *testing.T) {
 	// replayChurn) — and, almost surely, produce a different history.
 	if other := replayChurn(t, 8); other == first {
 		t.Fatal("different seeds produced identical histories (suspicious workload generator)")
+	}
+}
+
+// TestFailoverKeptBackLeavesDisjointRequestAlone is the fabric reproducer
+// for a release coupling unrelated decisions, cut down from this replay
+// (seed 8): the releases of two failover cycles on trunk 2-3 keep back
+// hop vectors, and chan{1→5 C=2 P=100 D=40} on n1→sw0 sw0→sw1 sw1→sw2
+// sw2→n5 was refused naming n6→sw2 — an edge of no channel that shares
+// an edge with it — because every kept-back channel was recomputed on
+// every later decision. It is accepted.
+func TestFailoverKeptBackLeavesDisjointRequestAlone(t *testing.T) {
+	w := newTwin(t, ringFabric(), Config{DPS: HADPS{}})
+	est := func(src core.NodeID, d int64, dst core.NodeID, sinks ...core.NodeID) (*HChannel, error) {
+		chs, errs := w.admitEach([]Req{{Spec: core.ChannelSpec{Src: src, Dst: dst, C: 2, P: 100, D: d}, Sinks: sinks}})
+		return chs[0], errs[0]
+	}
+	failover := func() {
+		w.failTrunk(2, 3)
+		w.repairTrunk(2, 3)
+	}
+	est(6, 35, 1)
+	est(5, 44, 2)
+	est(4, 34, 2)
+	est(7, 42, 6, 6, 1)
+	est(5, 40, 2)
+	est(6, 43, 7)
+	est(4, 46, 7)
+	est(2, 46, 7, 7, 8)
+	est(6, 40, 1)
+	est(2, 39, 4, 4, 1)
+	est(2, 47, 7)
+	failover()
+	est(6, 46, 3, 3, 7)
+	est(6, 39, 1, 1, 3)
+	failover()
+	ch, err := est(1, 40, 5)
+	if err != nil {
+		t.Fatalf("request disjoint from every kept-back channel refused: %v", err)
+	}
+	if got := fmt.Sprint(ch.Route); got != "[n1→sw0 sw0→sw1 sw1→sw2 sw2→n5]" {
+		t.Fatalf("request routed over %s", got)
 	}
 }

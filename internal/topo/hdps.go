@@ -179,24 +179,20 @@ func (st *State) allocID() core.ChannelID       { return st.k.AllocID() }
 // HDPS is a hop-count-general deadline partitioning scheme: it assigns a
 // per-hop deadline vector to every channel in the state such that the
 // vector sums to d_i (condition (8) generalized) and every element is at
-// least C_i (condition (9) generalized).
+// least C_i (condition (9) generalized). A channel's vector may depend
+// only on its own spec/route and the loads of the edges it traverses
+// (true for HSDPS and HADPS), which is what lets the fabric admission
+// controller repartition copy-on-write.
 type HDPS interface {
 	// Name identifies the scheme in reports.
 	Name() string
 	// Partition returns per-hop deadline vectors for all channels.
 	Partition(st *State) map[core.ChannelID][]int64
-}
-
-// IncrementalHDPS is an optional refinement of HDPS for schemes whose
-// vector for a channel depends only on that channel's own spec/route and
-// the loads of the edges it traverses (true for HSDPS and HADPS). The
-// fabric admission controller uses it to repartition copy-on-write.
-type IncrementalHDPS interface {
-	HDPS
 	// PartitionTouched returns new vectors after a mutation that touched
-	// the given edges. For each returned channel the value must equal
-	// what Partition(st) would return, and every channel omitted must
-	// already hold exactly that value.
+	// the given edges: one for every channel without a vector yet, and,
+	// for every other returned channel (all of which traverse a touched
+	// edge), what Partition(st) would return. Channels it omits keep
+	// their committed vectors.
 	PartitionTouched(st *State, touched []Edge) map[core.ChannelID][]int64
 }
 
@@ -231,9 +227,10 @@ func (h HSDPS) Partition(st *State) map[core.ChannelID][]int64 {
 	return parts
 }
 
-// partitionTouched is the shared shell of every IncrementalHDPS
-// implementation: collect the vector of each channel traversing a
-// touched edge, deduplicating channels that traverse several of them.
+// partitionTouched is the shared shell of the load-adaptive
+// PartitionTouched implementations: collect the vector of each channel
+// traversing a touched edge, deduplicating channels that traverse several
+// of them.
 func partitionTouched(st *State, touched []Edge, vector func(*HChannel) []int64) map[core.ChannelID][]int64 {
 	parts := make(map[core.ChannelID][]int64)
 	for _, e := range touched {
@@ -248,10 +245,10 @@ func partitionTouched(st *State, touched []Edge, vector func(*HChannel) []int64)
 }
 
 // partitionTouchedNew is partitionTouched for schemes whose vector
-// depends only on the channel's own spec and route: committed vectors
-// can never change, so only channels without one — the request's own new
-// channels — need computing, keeping incremental admission O(new
-// channels) per request.
+// depends only on the channel's own spec and route: only channels without
+// one — the request's own new channels — get a vector, keeping
+// incremental admission O(new channels) per request. Under such a scheme
+// (HSDPS) a committed vector is never recomputed.
 func partitionTouchedNew(st *State, touched []Edge, vector func(*HChannel) []int64) map[core.ChannelID][]int64 {
 	parts := make(map[core.ChannelID][]int64)
 	for _, e := range touched {
@@ -268,7 +265,7 @@ func partitionTouchedNew(st *State, touched []Edge, vector func(*HChannel) []int
 	return parts
 }
 
-// PartitionTouched implements IncrementalHDPS. The equal split depends
+// PartitionTouched implements HDPS. The equal split depends
 // only on the spec and hop count, so beyond the request's own new
 // channels nothing can move.
 func (h HSDPS) PartitionTouched(st *State, touched []Edge) map[core.ChannelID][]int64 {
@@ -303,7 +300,7 @@ func (h HADPS) Partition(st *State) map[core.ChannelID][]int64 {
 	return parts
 }
 
-// PartitionTouched implements IncrementalHDPS. A channel's vector depends
+// PartitionTouched implements HDPS. A channel's vector depends
 // on the loads of its own route edges only, so after a mutation that
 // touched an edge set, exactly the channels traversing those edges can
 // move.

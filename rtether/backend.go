@@ -298,7 +298,6 @@ func newFabricBackend(top *Topology, hdps topo.HDPS, cfg netsim.Config, policy F
 			DPS:           hdps,
 			Feasibility:   cfg.Feasibility,
 			VerifyWorkers: cfg.VerifyWorkers,
-			FullRecheck:   cfg.FullRecheck,
 		}),
 		sim:       fabricsim.NewSim(fabricsim.Config{DisableShaping: cfg.DisableShaping}),
 		prop:      cfg.Propagation,

@@ -262,9 +262,9 @@ func TestConcurrentEstablishDeterministicSerialization(t *testing.T) {
 // through a star network with the given verification worker count (plus
 // any extra options), returning the snapshot and the rejection
 // diagnostics.
-func workersStarBatch(t *testing.T, workers int, extra ...Option) (snapshot, rejection string, linksChecked int) {
+func workersStarBatch(t *testing.T, workers int) (snapshot, rejection string, linksChecked int) {
 	t.Helper()
-	net := New(append([]Option{WithADPS(), WithVerifyWorkers(workers)}, extra...)...)
+	net := New(WithADPS(), WithVerifyWorkers(workers))
 	for id := NodeID(1); id <= 40; id++ {
 		net.MustAddNode(id)
 	}
@@ -323,24 +323,6 @@ func TestWithVerifyWorkersEquivalentStar(t *testing.T) {
 	}
 	if checked1 != checkedN {
 		t.Fatalf("LinksChecked diverges: workers=1 → %d, workers=N → %d", checked1, checkedN)
-	}
-}
-
-// TestWithFullRecheckEquivalentStar: the belt-and-braces full-recheck
-// mode (every loaded link re-verified, sweep verdict cache bypassed)
-// commits the identical state and rejects with identical diagnostics —
-// it only checks more links than the narrowed cached sweep.
-func TestWithFullRecheckEquivalentStar(t *testing.T) {
-	snapFast, rejFast, checkedFast := workersStarBatch(t, 1)
-	snapFull, rejFull, checkedFull := workersStarBatch(t, 1, WithFullRecheck())
-	if snapFast != snapFull {
-		t.Fatalf("committed states diverge under full recheck:\n%s\nvs\n%s", snapFast, snapFull)
-	}
-	if rejFast != rejFull {
-		t.Fatalf("rejection diagnostics diverge:\n  cached: %s\n  full:   %s", rejFast, rejFull)
-	}
-	if checkedFull < checkedFast {
-		t.Fatalf("full recheck checked fewer links (%d) than the narrowed sweep (%d)", checkedFull, checkedFast)
 	}
 }
 

@@ -180,16 +180,6 @@ func WithVerifyWorkers(n int) Option {
 	return func(c *config) { c.star.VerifyWorkers = n }
 }
 
-// WithFullRecheck forces every loaded link to be re-verified on each
-// admission decision, bypassing both the changed-set narrowing and the
-// sweep verdict cache. Decisions, diagnostics and committed state are
-// identical either way (the equivalence replays prove it); the mode
-// exists as a belt-and-braces diagnostic and for ablation benchmarks —
-// it is the slow path by construction.
-func WithFullRecheck() Option {
-	return func(c *config) { c.star.FullRecheck = true }
-}
-
 // WithShaping enables or disables the release-guard regulator at the
 // switches (enabled by default). Disabling reproduces the paper's plain
 // work-conserving switch.
