@@ -98,14 +98,16 @@ type entry[Ch any] struct {
 // slice over that index, so the hot path hashes no link key: byLink lists
 // the channel hops traversing each link (in establishment order, the
 // per-link restriction of the global order), tasks holds each link's EDF
-// task set aligned index for index with byLink, and utilSum keeps each
-// link's exact rational utilization sum(C/P) — rational arithmetic is
-// exact, so the running sum always equals a fresh summation bit for bit.
+// task set aligned index for index with byLink, utilSum keeps each link's
+// exact rational utilization sum(C/P) — rational arithmetic is exact, so
+// the running sum always equals a fresh summation bit for bit — and sums
+// keeps each link's edf.Summary, whose Over is that sum's U > 1 answer.
 // All are live: Add appends a hop's task, Remove cuts it out at the
 // position its channel entry records, and SetPart overwrites it in place,
-// so the verification sweep reads a link's task set as it stands and
-// never rebuilds one. The key type K stays the public vocabulary: methods
-// taking a K look it up once.
+// patching the summary alongside, so the verification sweep reads a
+// link's task set and summary as they stand and never rebuilds either.
+// The key type K stays the public vocabulary: methods taking a K look it
+// up once.
 //
 // State is not safe for concurrent use; the surrounding controller
 // serializes access.
@@ -136,10 +138,11 @@ type State[K comparable, Ch any, P any] struct {
 	byLink  [][]Ref[Ch]
 	tasks   [][]edf.Task
 	utilSum []*big.Rat
-	// utilOver caches the exact U > 1 answer per link, refreshed whenever
-	// utilSum changes — the verify sweep reads a bool instead of paying a
-	// big.Rat comparison per link per sweep.
-	utilOver []bool
+	// sums summarizes each link's task set for the verify sweep, which
+	// decides most links from it without reading their tasks. Its shortest
+	// period and deadline may be lower bounds (see edf.Summary); verdict
+	// rescans a link's tasks when only loose bounds stand in the way.
+	sums []edf.Summary
 
 	// gens assigns every interned link a generation stamp: the value of
 	// the monotone genCtr at the moment the link's task-set CONTENT last
@@ -182,7 +185,7 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.byLink = append(st.byLink, nil)
 	st.tasks = append(st.tasks, nil)
 	st.utilSum = append(st.utilSum, new(big.Rat))
-	st.utilOver = append(st.utilOver, false)
+	st.sums = append(st.sums, edf.Summary{})
 	st.gens = append(st.gens, 0)
 	pos := sort.Search(len(st.sorted), func(j int) bool { return st.ops.Less(l, st.keys[st.sorted[j]]) })
 	for _, j := range st.sorted[pos:] {
@@ -332,20 +335,23 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		st.loads[i]++
 		e.pos[hop] = int32(len(st.byLink[i]))
 		st.byLink[i] = append(st.byLink[i], Ref[Ch]{Ch: ch, Hop: hop, pos: &e.pos[hop]})
-		st.tasks[i] = append(st.tasks[i], st.ops.Task(ch, hop))
+		t := st.ops.Task(ch, hop)
+		st.tasks[i] = append(st.tasks[i], t)
 		st.bumpGen(i)
 		u := st.utilSum[i]
 		u.Add(u, st.ratTmp.SetFrac64(c, p))
-		st.utilOver[i] = u.Cmp(ratOne) > 0
+		st.sums[i].Add(t)
+		st.sums[i].Over = u.Cmp(ratOne) > 0
 	}
 }
 
 // unload takes the channel hop at position j off link i: it cuts the hop
 // and its task out of the link's lists, shifting the tail down one place
 // (establishment order is kept) and renumbering the shifted hops, then
-// updates the load, the utilization sum and the generation.
+// updates the load, the utilization sum, the summary and the generation.
 func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	refs, tasks := st.byLink[i], st.tasks[i]
+	st.sums[i].Remove(tasks[j])
 	n := int32(len(refs)) - 1
 	copy(refs[j:], refs[j+1:])
 	copy(tasks[j:], tasks[j+1:])
@@ -362,7 +368,7 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	} else {
 		u.Sub(u, st.ratTmp.SetFrac64(c, p))
 	}
-	st.utilOver[i] = u.Cmp(ratOne) > 0
+	st.sums[i].Over = u.Cmp(ratOne) > 0
 }
 
 // UndoAdd reverses the most recent Add exactly: the channel must be the
@@ -413,14 +419,27 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 // SetPart installs a new partition on a channel, overwrites its tasks in
 // place and bumps the generation stamps of all its links, whether or not
 // the new partition actually moves them. All repartitioning goes through
-// here or setPartDiff so the task table can never go stale.
+// here or setPartDiff so the task table and the summaries can never go
+// stale.
 func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
 	st.ops.SetPart(ch, p)
 	e := st.channels[st.ops.ID(ch)]
 	for hop, i := range e.idx {
-		st.tasks[i][e.pos[hop]] = st.ops.Task(ch, hop)
+		st.patch(i, e.pos[hop], st.ops.Task(ch, hop))
 		st.bumpGen(i)
 	}
+}
+
+// patch overwrites the task at slot j of link i, keeping its summary, and
+// reports whether the task changed.
+func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
+	slot := &st.tasks[i][j]
+	if t == *slot {
+		return false
+	}
+	st.sums[i].Replace(*slot, t)
+	*slot = t
+	return true
 }
 
 // setPartDiff installs a new partition on a channel and overwrites, and
@@ -433,22 +452,35 @@ func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
 //
 // The returned slice lists the content-changed link indices in hop
 // order; it is a scratch buffer invalidated by the next setPartDiff call.
-// A freshly added channel goes through SetPart instead: every link it
-// loads has new content, whatever its tasks compare equal to.
+// A freshly added channel needs no special case: its stored tasks are
+// placeholders with D = 0, and a valid partition gives every hop
+// D >= C >= 1, so every hop it loads compares changed.
 func (st *State[K, Ch, P]) setPartDiff(ch Ch, p P) []int32 {
 	e := st.channels[st.ops.ID(ch)]
 	st.ops.SetPart(ch, p)
 	diff := st.diffLinks[:0]
 	for hop, i := range e.idx {
-		slot := &st.tasks[i][e.pos[hop]]
-		if t := st.ops.Task(ch, hop); t != *slot {
-			*slot = t
+		if st.patch(i, e.pos[hop], st.ops.Task(ch, hop)) {
 			st.bumpGen(i)
 			diff = append(diff, i)
 		}
 	}
 	st.diffLinks = diff
 	return diff
+}
+
+// verdict answers link i's feasibility test from its summary when one of
+// the test's early exits settles it, reporting whether it did. When only
+// loose bounds stand in the way it rescans the link's tasks once, so an
+// undecided link's summary is exact for the full test that follows.
+func (st *State[K, Ch, P]) verdict(i int32) (edf.Result, bool) {
+	s := &st.sums[i]
+	res, ok := s.Decide()
+	if !ok && s.Loose() {
+		s.Rescan(st.tasks[i])
+		res, ok = s.Decide()
+	}
+	return res, ok
 }
 
 // TasksOn returns a copy of the periodic task set of one link
@@ -497,7 +529,7 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		byLink:   make([][]Ref[Ch], n),
 		tasks:    make([][]edf.Task, n),
 		utilSum:  make([]*big.Rat, n),
-		utilOver: slices.Clone(st.utilOver),
+		sums:     slices.Clone(st.sums),
 		genCtr:   st.genCtr,
 		gens:     slices.Clone(st.gens),
 	}

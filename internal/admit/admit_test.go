@@ -220,3 +220,28 @@ func TestParallelSweepAcceptsIdentically(t *testing.T) {
 		t.Fatalf("LinksChecked differs: %d vs %d", e1.LinksChecked(), e8.LinksChecked())
 	}
 }
+
+// TestSweepStopsAtSummaryFailure: once a link's summary proves it
+// infeasible (U > 1), no later link in the sweep order can change the
+// verdict, so the sweep neither asks their summaries nor tests them.
+func TestSweepStopsAtSummaryFailure(t *testing.T) {
+	e := newToyEngine(Config{Workers: 1})
+	_, rej := e.Admit(24, func(i int, id ID) *toyChan {
+		if i < 2 {
+			return &toyChan{id: id, c: 50, p: 50, links: []int{0}} // two full-period tasks: U = 2
+		}
+		return &toyChan{id: id, c: 1, p: 50, links: []int{i}}
+	}, []Scheme[int, *toyChan, int64]{func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+		parts := make(map[ID]int64)
+		for _, ch := range st.Channels() {
+			parts[ch.id] = ch.c // D = C: a later link's busy period reaches its deadline
+		}
+		return parts
+	}})
+	if rej == nil || rej.Link != 0 || rej.Result.Verdict != edf.InfeasibleUtilization {
+		t.Fatalf("rejection %+v, want link 0 over utilization", rej)
+	}
+	if !slices.Equal(e.sweepTest, []int32{0}) || e.LinksChecked() != 1 {
+		t.Fatalf("sweep ran the full test at positions %v and counted %d checks, want only the failing first link", e.sweepTest, e.LinksChecked())
+	}
+}

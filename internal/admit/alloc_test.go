@@ -4,16 +4,18 @@ import (
 	"testing"
 )
 
-// loadVerifyState fills an engine with channels whose tasks have D < P
-// (so the demand sweep actually runs) spread over several links, and
-// returns the changed set covering every loaded link.
-func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64]) []int32 {
+// loadVerifyState fills an engine with four channels of capacity c per
+// link, each with D = 40 < P, spread over several links, and returns the
+// changed set covering every loaded link. With c = 10 each link's busy
+// period (4c) reaches its first deadline, so the demand walk runs; with a
+// smaller c the link's summary decides it without the walk.
+func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64], c int64) []int32 {
 	t.Helper()
 	schemes := []Scheme[int, *toyChan, int64]{constScheme(40)}
 	for i := 0; i < 64; i++ {
 		a, b := i%16, 16+(i%16)
 		_, rej := e.Admit(1, func(_ int, id ID) *toyChan {
-			return &toyChan{id: id, c: 2, p: 400, links: []int{a, b}}
+			return &toyChan{id: id, c: c, p: 400, links: []int{a, b}}
 		}, schemes)
 		if rej != nil {
 			t.Fatalf("setup admit %d rejected: %v", i, rej.Result)
@@ -34,10 +36,12 @@ func forgetVerdicts(e *Engine[int, *toyChan, int64]) { clear(e.feasGen) }
 // sweep at 0 allocs/op: with the engine-owned scratch arena, the reused
 // sweep buffers and the live task table, re-verifying every loaded link
 // must not touch the heap. The verdict cache is emptied before every
-// sweep, so every link runs the full EDF analysis rather than a skip.
+// sweep, and every link's busy period reaches its first deadline, so
+// every link runs the full EDF analysis with its demand walk rather than
+// a skip or a summary answer.
 func TestVerifySweepZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
-	changed := loadVerifyState(t, e)
+	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed) // warm the sweep buffers
 	if avg := testing.AllocsPerRun(100, func() {
@@ -46,8 +50,9 @@ func TestVerifySweepZeroAllocs(t *testing.T) {
 		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
 		}
-		if e.sweepSkips != before {
-			t.Fatal("sweep answered from the emptied verdict cache")
+		if e.sweepSkips != before || len(e.sweepTest) != len(changed) {
+			t.Fatalf("sweep answered %d cache hits and %d summaries, want the full test on all %d links",
+				e.sweepSkips-before, len(changed)-len(e.sweepTest), len(changed))
 		}
 	}); avg != 0 {
 		t.Errorf("steady-state verify sweep allocates %.1f allocs/op, want 0", avg)
@@ -59,7 +64,7 @@ func TestVerifySweepZeroAllocs(t *testing.T) {
 // also be allocation-free.
 func TestVerifySweepCachedZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
-	changed := loadVerifyState(t, e)
+	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed) // records feasGen for every link
 	if avg := testing.AllocsPerRun(100, func() {
@@ -76,7 +81,7 @@ func TestVerifySweepCachedZeroAllocs(t *testing.T) {
 // content change on one link invalidates exactly that link.
 func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
-	changed := loadVerifyState(t, e)
+	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed)
 	before := e.sweepSkips
@@ -109,7 +114,7 @@ func BenchmarkVerifySweep(b *testing.B) {
 	}{{"cached", false}, {"uncached", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			e := newToyEngine(Config{Workers: 1})
-			changed := loadVerifyState(b, e)
+			changed := loadVerifyState(b, e, 10)
 			e.verify(changed)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -109,9 +109,9 @@ type Engine[K comparable, Ch any, P any] struct {
 	touchKeys     []K
 	sweepLinks    []int32
 	sweepSkip     []bool
+	sweepTest     []int32 // positions in sweepLinks the summaries left to the full test
 	sweepResults  []edf.Result
 	sweepOK       int // feasible prefix length of the last sweep
-	freshIDs      map[ID]struct{}
 }
 
 // NewEngine returns an engine over an empty state.
@@ -126,7 +126,6 @@ func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Eng
 		workers:       workers,
 		state:         NewState(ops),
 		workerScratch: make([]edf.Scratch, workers),
-		freshIDs:      make(map[ID]struct{}),
 	}
 }
 
@@ -223,12 +222,10 @@ func (e *Engine[K, Ch, P]) Admit(n int, mk func(i int, id ID) Ch, schemes []Sche
 	for _, scheme := range schemes {
 		savedNext := e.state.nextID
 		chs := make([]Ch, n)
-		clear(e.freshIDs)
 		for i := 0; i < n; i++ {
 			ch := mk(i, e.state.AllocID())
 			e.state.Add(ch)
 			chs[i] = ch
-			e.freshIDs[e.ops.ID(ch)] = struct{}{}
 		}
 		e.newSet()
 		e.touchIdx = e.touchIdx[:0]
@@ -237,7 +234,7 @@ func (e *Engine[K, Ch, P]) Admit(n int, mk func(i int, id ID) Ch, schemes []Sche
 		}
 
 		e.repartitions++
-		undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()), e.freshIDs)
+		undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()))
 
 		rej := e.verify(changed)
 		if rej == nil {
@@ -274,7 +271,7 @@ func (e *Engine[K, Ch, P]) Release(id ID, scheme Scheme[K, Ch, P]) bool {
 	e.newSet()
 	e.touchIdx = e.addToSet(e.touchIdx[:0], entry.idx)
 	e.repartitions++
-	undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()), nil)
+	undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()))
 	if rej := e.verify(changed); rej != nil {
 		e.rollback(undo)
 		changedIDs = nil
@@ -307,10 +304,8 @@ type partUndo[Ch any, P any] struct {
 // applyDelta installs a scheme's partitions directly into the live state,
 // returning an undo log (for rollback on rejection), the set of links
 // whose task-set content changed, and the IDs of the channels that moved
-// (ascending). Channels absent from parts keep their partitions. fresh
-// marks channels with no prior partition (establishment batches); nil
-// means none (release).
-func (e *Engine[K, Ch, P]) applyDelta(parts map[ID]P, fresh map[ID]struct{}) ([]partUndo[Ch, P], []int32, []ID) {
+// (ascending). Channels absent from parts keep their partitions.
+func (e *Engine[K, Ch, P]) applyDelta(parts map[ID]P) ([]partUndo[Ch, P], []int32, []ID) {
 	st := e.state
 	var undo []partUndo[Ch, P]
 	e.newSet()
@@ -330,17 +325,13 @@ func (e *Engine[K, Ch, P]) applyDelta(parts map[ID]P, fresh map[ID]struct{}) ([]
 		changedIDs = append(changedIDs, id)
 		// The changed (= to-sweep) set is channel-granular: every link of
 		// every repartitioned channel. The generation bumps underneath are
-		// finer: for a pre-existing channel setPartDiff stamps only the
-		// hops whose materialized task actually moved, which is what lets
-		// the verdict cache skip the links a repartition pass touched but
-		// did not change — without ever shrinking the swept set itself, so
-		// the sweep order and the LinksChecked accounting do not depend on
-		// the cache.
-		if _, isFresh := fresh[id]; isFresh {
-			st.SetPart(ch, p) // no valid prior partition to diff against
-		} else {
-			st.setPartDiff(ch, p)
-		}
+		// finer: setPartDiff stamps only the hops whose materialized task
+		// actually moved (all of a new channel's, whose placeholder tasks
+		// have D = 0), which is what lets the verdict cache skip the links
+		// a repartition pass touched but did not change — without ever
+		// shrinking the swept set itself, so the sweep order and the
+		// LinksChecked accounting do not depend on the cache.
+		st.setPartDiff(ch, p)
 		changed = e.addToSet(changed, entry.idx)
 	}
 	slices.Sort(changedIDs)
@@ -364,6 +355,12 @@ func (e *Engine[K, Ch, P]) rollback(undo []partUndo[Ch, P]) {
 // makes the restriction to the changed set decision-preserving. The slack
 // history advances only on commits, which makes the order — and therefore
 // the first failure — independent of the worker count and of the cache.
+//
+// Before anything fans out, every link the cache does not answer asks its
+// summary (State.verdict): a link the summary proves feasible gets the
+// Result the EDF test would give it, with no task read. Only the links
+// left over — a demand walk to run, or a failure to diagnose — run the
+// full test, in order or on the worker pool.
 func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
 	st := e.state
@@ -380,23 +377,34 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	// Verdict cache: a link whose generation still equals the one it was
 	// last proven feasible at cannot have changed content — skip the test.
 	skip := growBuf(e.sweepSkip, len(links))
-	live := 0
+	results := growBuf(e.sweepResults, len(links))
+	test := e.sweepTest[:0]
+	doomed := false // a summary proved a link infeasible: later links cannot matter
 	for j, i := range links {
 		skip[j] = e.feasGen[i] == st.gens[i]
 		if skip[j] {
 			e.sweepSkips++
 			continue
 		}
-		live++
+		if doomed {
+			continue
+		}
+		res, ok := st.verdict(i)
+		if ok && res.OK() {
+			results[j] = res
+			continue
+		}
+		test = append(test, int32(j))
+		doomed = ok
 	}
-	e.sweepSkip = skip
+	e.sweepSkip, e.sweepResults, e.sweepTest = skip, results, test
 
 	var checked int
 	var rej *Rejection[K]
-	if e.workers > 1 && live >= minParallelLinks {
-		checked, rej = e.sweepParallel(links, skip)
+	if e.workers > 1 && len(test) >= minParallelLinks {
+		checked, rej = e.sweepParallel(links, test)
 	} else {
-		checked, rej = e.sweepSequential(links, skip)
+		checked, rej = e.sweepSequential(links, test)
 	}
 	e.linksChecked += checked
 	e.sweepOK = checked
@@ -436,70 +444,62 @@ func growBuf[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// sweepSequential checks the links in order, stopping at the first
-// failure. The first constraint (U > 1, exact) comes from the state's
-// incrementally maintained per-link sum — rational arithmetic is exact,
+// testLink runs the full EDF test on link i. The first constraint (U > 1,
+// exact) comes from the link's summary, kept from the state's
+// incrementally maintained rational sum — rational arithmetic is exact,
 // so the answer matches a fresh summation bit for bit.
-func (e *Engine[K, Ch, P]) sweepSequential(links []int32, skip []bool) (int, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) testLink(i int32, scratch *edf.Scratch) edf.Result {
 	st := e.state
-	opts := e.cfg.Feasibility
-	results := growBuf(e.sweepResults, len(links))
-	e.sweepResults = results
-	for j, i := range links {
-		if skip[j] {
-			continue
-		}
-		opts.UtilizationExceeds = &st.utilOver[i]
-		res := edf.TestScratch(st.tasks[i], opts, &e.scratch)
-		results[j] = res
+	return st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, scratch)
+}
+
+// sweepSequential runs the full test on the links at the given positions,
+// in order, stopping at the first failure.
+func (e *Engine[K, Ch, P]) sweepSequential(links, test []int32) (int, *Rejection[K]) {
+	for _, j := range test {
+		res := e.testLink(links[j], &e.scratch)
+		e.sweepResults[j] = res
 		if !res.OK() {
-			return j + 1, &Rejection[K]{Link: st.keys[i], Result: res}
+			return int(j) + 1, &Rejection[K]{Link: e.state.keys[links[j]], Result: res}
 		}
 	}
 	return len(links), nil
 }
 
-// sweepParallel fans the per-link tests out over the worker pool. The
-// workers read the state's live task sets and utilization answers, which
-// nothing writes during a sweep, and run pure feasibility tests with
-// engine-owned per-worker scratch arenas (reused across flights). Workers
-// skip links past the lowest failing index found so far, and the lowest
-// failing index wins — the verdict, the named link and the reported check
-// count are identical to the sequential sweep.
-func (e *Engine[K, Ch, P]) sweepParallel(links []int32, skip []bool) (int, *Rejection[K]) {
-	st := e.state
+// sweepParallel fans the full tests of the links at the given positions
+// out over the worker pool. The workers read the state's live task sets
+// and summaries, which nothing writes during the fan-out, and run pure
+// feasibility tests with engine-owned per-worker scratch arenas (reused
+// across flights). Workers skip positions past the lowest failing one
+// found so far, and the lowest failing position wins — the verdict, the
+// named link and the reported check count are identical to the
+// sequential sweep.
+func (e *Engine[K, Ch, P]) sweepParallel(links, test []int32) (int, *Rejection[K]) {
 	n := len(links)
-	results := growBuf(e.sweepResults, n)
-	e.sweepResults = results
-
 	var next atomic.Int64
 	var minFail atomic.Int64
 	minFail.Store(int64(n))
 
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.workers, len(test))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(scratch *edf.Scratch) {
 			defer wg.Done()
-			opts := e.cfg.Feasibility
 			for {
-				i := next.Add(1) - 1
-				// next is monotone: once i passes the lowest known
-				// failure nothing this worker could pick up can matter.
-				if i >= int64(n) || i >= minFail.Load() {
+				k := next.Add(1) - 1
+				if k >= int64(len(test)) {
 					return
 				}
-				if skip[i] {
-					continue
+				// test is ascending and next monotone: once i passes the
+				// lowest known failure nothing this worker could pick up
+				// can matter.
+				i := int64(test[k])
+				if i >= minFail.Load() {
+					return
 				}
-				l := links[i]
-				opts.UtilizationExceeds = &st.utilOver[l]
-				res := edf.TestScratch(st.tasks[l], opts, scratch)
-				results[i] = res
+				res := e.testLink(links[i], scratch)
+				e.sweepResults[i] = res
 				if !res.OK() {
 					for {
 						cur := minFail.Load()
@@ -514,7 +514,7 @@ func (e *Engine[K, Ch, P]) sweepParallel(links []int32, skip []bool) (int, *Reje
 	wg.Wait()
 
 	if f := minFail.Load(); f < int64(n) {
-		return int(f) + 1, &Rejection[K]{Link: st.keys[links[f]], Result: results[f]}
+		return int(f) + 1, &Rejection[K]{Link: e.state.keys[links[f]], Result: e.sweepResults[f]}
 	}
 	return n, nil
 }

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -39,8 +40,8 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 		t.Fatalf("drained state: load %d, loaded %d, links %v, tasks %v",
 			st.LinkLoad(7), st.LoadedLinks(), st.Links(), st.TasksOn(7))
 	}
-	if st.utilSum[i7].Sign() != 0 || st.utilOver[i7] {
-		t.Fatalf("drained link keeps utilization %v (over=%v)", st.utilSum[i7], st.utilOver[i7])
+	if st.utilSum[i7].Sign() != 0 || st.sums[i7] != (edf.Summary{}) {
+		t.Fatalf("drained link keeps utilization %v (summary %+v)", st.utilSum[i7], st.sums[i7])
 	}
 
 	b := toy(st, 2, 5, 7)
@@ -85,7 +86,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		out := fmt.Sprintf("len=%d next=%d loaded=%d gen=%d mean=%v|", s.Len(), s.NextID(), s.LoadedLinks(), s.genCtr, s.MeanLinkUtilization())
 		for _, l := range s.Links() {
 			i := s.index[l]
-			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.ChannelsOn(l)[0].Ch.part)
+			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v:%+v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.ChannelsOn(l)[0].Ch.part, s.sums[i])
 		}
 		return out
 	}
@@ -326,25 +327,28 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 	}
 }
 
-// TestTaskTableMatchesRebuild churns a state through every operation
-// that edits the live task table — Add, UndoAdd, Remove, SetPart,
-// setPartDiff, an engine rollback and Clone (continuing on the clone) —
-// with channels that sometimes cross one link twice, and checks the
-// table against a rebuild after every step.
-func TestTaskTableMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// churnTable drives a state through every operation that edits the live
+// task table — Add, UndoAdd, Remove, SetPart, setPartDiff, an engine
+// rollback and Clone (continuing on the clone) — plus the sweep's summary
+// verdict, which may rescan a link, with channels that sometimes cross
+// one link twice and sometimes hold no partition yet, and calls check
+// after every step. capacity draws each new channel's C and P.
+func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64), check func(step int, st *State[int, *toyChan, int64])) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine(hopOps, Config{Workers: 1})
 	st := NewState(hopOps)
 	var live []ID
 	pick := func() *toyChan { return st.Get(live[rng.Intn(len(live))]) }
 	for step := 0; step < 3000; step++ {
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(21); {
 		case r < 7 || len(live) == 0:
 			links := make([]int, 1+rng.Intn(3))
 			for k := range links {
 				links[k] = rng.Intn(12)
 			}
-			ch := &toyChan{id: st.AllocID(), c: 1, p: 50, links: links}
+			c, p := capacity(rng)
+			ch := &toyChan{id: st.AllocID(), c: c, p: p, links: links}
 			if rng.Intn(2) == 0 {
 				ch.part = int64(1 + rng.Intn(30)) // restored with a partition
 			}
@@ -373,23 +377,101 @@ func TestTaskTableMatchesRebuild(t *testing.T) {
 			slices.Reverse(undo) // a channel picked twice restores its oldest partition last
 			e.ReplaceState(st)
 			e.rollback(undo)
+		case r < 20:
+			st.verdict(int32(rng.Intn(len(st.keys))))
 		default:
 			st = st.Clone()
 		}
+		check(step, st)
+	}
+}
+
+// TestTaskTableMatchesRebuild checks the live task table against a
+// rebuild after every churnTable step.
+func TestTaskTableMatchesRebuild(t *testing.T) {
+	churnTable(t, 5, func(*rand.Rand) (int64, int64) { return 1, 50 }, func(step int, st *State[int, *toyChan, int64]) {
 		checkTaskTable(t, step, st)
+	})
+}
+
+// TestLinkSummaryMatchesRebuild checks every link's live summary after
+// every churnTable step, with capacities up to near the int64 ceiling:
+// sum C (saturating), the D < P count and U > 1 equal a fresh
+// computation over the link's tasks, and the shortest period and
+// deadline are at most the true minima — exactly them unless the summary
+// reports itself loose. A placeholder task (D = 0) takes no part in the
+// deadline fields.
+func TestLinkSummaryMatchesRebuild(t *testing.T) {
+	capacity := func(rng *rand.Rand) (int64, int64) {
+		c := []int64{1, 3, math.MaxInt64 / 3, math.MaxInt64 - 1}[rng.Intn(4)]
+		p := []int64{5, 50, math.MaxInt64}[rng.Intn(3)]
+		return c, p
+	}
+	churnTable(t, 9, capacity, func(step int, st *State[int, *toyChan, int64]) {
+		for i, tasks := range st.tasks {
+			s := &st.sums[i]
+			short := 0
+			minP, minD := int64(math.MaxInt64), int64(math.MaxInt64)
+			for _, task := range tasks {
+				minP = min(minP, task.P)
+				if task.D == 0 {
+					continue
+				}
+				if task.D < task.P {
+					short++
+				}
+				minD = min(minD, task.D)
+			}
+			if s.SumC() != edf.TotalCapacity(tasks) || s.ShortDeadlines() != short || s.Over != edf.UtilizationExceedsOne(tasks) {
+				t.Fatalf("step %d: link %d: sum C %d, D < P %d, over %v; rebuild %d, %d, %v",
+					step, st.keys[i], s.SumC(), s.ShortDeadlines(), s.Over, edf.TotalCapacity(tasks), short, edf.UtilizationExceedsOne(tasks))
+			}
+			if s.MinP() > minP || s.MinD() > minD || (!s.Loose() && (s.MinP() != minP || s.MinD() != minD)) {
+				t.Fatalf("step %d: link %d: min P %d, min D %d (loose %v); true minima %d, %d",
+					step, st.keys[i], s.MinP(), s.MinD(), s.Loose(), minP, minD)
+			}
+		}
+	})
+}
+
+// TestFreshChannelLinksAllChange pins what lets applyDelta treat a new
+// channel like any other: its placeholder tasks (D = 0) differ from the
+// tasks of every valid partition, so setPartDiff reports and re-stamps
+// every link it loads, once per hop on a link it crosses twice.
+func TestFreshChannelLinksAllChange(t *testing.T) {
+	st := NewState(toyOps)
+	st.Add(toy(st, 1, 50, 1, 2))
+	ch := &toyChan{id: st.AllocID(), c: 1, p: 50, links: []int{2, 3, 2}}
+	st.Add(ch)
+	before := slices.Clone(st.gens)
+	idx := st.channels[ch.id].idx
+	if diff := st.setPartDiff(ch, ch.c); !slices.Equal(diff, idx) {
+		t.Fatalf("setPartDiff on a fresh channel changed links %v, want every hop %v", diff, idx)
+	}
+	for _, i := range idx {
+		if st.gens[i] <= before[i] {
+			t.Fatalf("link %d kept generation %d", st.keys[i], st.gens[i])
+		}
+	}
+	if st.sums[st.index[2]].Loose() {
+		t.Fatal("partitioning a fresh channel loosened its link's summary")
 	}
 }
 
 // TestRepartitionSweepZeroAllocs pins a whole repartition-and-verify
 // round at 0 allocs/op: SetPart on every channel overwrites its tasks in
-// place, and the sweep over the changed links reads the live table.
+// place and patches the link summaries, and the sweep over the changed
+// links reads the live table.
 func TestRepartitionSweepZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{Workers: 1})
-	changed := loadVerifyState(t, e)
+	changed := loadVerifyState(t, e, 10)
 	chs := e.state.Channels()
 	d := int64(40)
 	if avg := testing.AllocsPerRun(100, func() {
-		d = 81 - d // alternate 40 and 41, so every sweep runs the full test
+		// Alternate 40 and 41, so no sweep is a cache hit: at 40 every link
+		// walks its demand (busy period 40), at 41 its summary answers
+		// after a rescan (raising every deadline loosened the bound).
+		d = 81 - d
 		for _, ch := range chs {
 			e.state.SetPart(ch, d)
 		}

@@ -89,18 +89,22 @@ func partitionTouched(st *State, touched []Link, split func(*Channel) Partition)
 // (SDPS, FixedDPS) a committed or forced partition is never recomputed:
 // a ForceAdd partition that differs from the scheme's split stays as
 // forced for the channel's lifetime.
+//
+// It reads each touched link's hops from the tail and stops at the first
+// partitioned channel. That finds every new channel because the channels
+// without a partition form a suffix of every link's list: an admission
+// appends its new channels at the tail of every link it touches, a
+// removal keeps the order of the rest, and every committed or ForceAdded
+// channel holds a partition.
 func partitionTouchedNew(st *State, touched []Link, split func(*Channel) Partition) map[ChannelID]Partition {
 	parts := make(map[ChannelID]Partition)
 	for _, l := range touched {
-		for _, r := range st.channelsOn(l) {
-			ch := r.Ch
-			if ch.Part != (Partition{}) {
-				continue
+		refs := st.channelsOn(l)
+		for k := len(refs) - 1; k >= 0 && refs[k].Ch.Part == (Partition{}); k-- {
+			ch := refs[k].Ch
+			if _, done := parts[ch.ID]; !done {
+				parts[ch.ID] = split(ch)
 			}
-			if _, done := parts[ch.ID]; done {
-				continue
-			}
-			parts[ch.ID] = split(ch)
 		}
 	}
 	return parts

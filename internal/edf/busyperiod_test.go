@@ -19,11 +19,7 @@ func walkReference(tasks []Task, opts Options) Result {
 		return res
 	}
 	res.Utilization = UtilizationFloat(tasks)
-	exceeds := UtilizationExceedsOne(tasks)
-	if opts.UtilizationExceeds != nil {
-		exceeds = *opts.UtilizationExceeds
-	}
-	if exceeds {
+	if UtilizationExceedsOne(tasks) {
 		res.Verdict = InfeasibleUtilization
 		return res
 	}
@@ -65,7 +61,6 @@ func checkClosedForm(t *testing.T, tasks []Task, opts Options) Result {
 
 func TestBusyPeriodClosedFormMatchesWalk(t *testing.T) {
 	const maxI = math.MaxInt64
-	no := false
 	cases := []struct {
 		name    string
 		tasks   []Task
@@ -90,8 +85,8 @@ func TestBusyPeriodClosedFormMatchesWalk(t *testing.T) {
 			[]Task{{C: 2, P: 40, D: 2}, {C: 1, P: 40, D: 3}}, Options{MaxCheckpoints: 1}, Inconclusive, 3, 1},
 		{"sum C reaches MaxInt64 at U = 1",
 			[]Task{{C: maxI - 5, P: maxI, D: maxI - 1}, {C: 5, P: maxI, D: maxI - 1}}, Options{}, Inconclusive, 0, 0},
-		{"saturating sum C",
-			[]Task{{C: maxI - 1, P: maxI, D: maxI - 1}, {C: maxI - 1, P: maxI, D: maxI - 1}}, Options{UtilizationExceeds: &no}, Inconclusive, 0, 0},
+		{"saturating sum C", // beyond MaxInt64, which with every P <= MaxInt64 means U > 1
+			[]Task{{C: maxI - 1, P: maxI, D: maxI - 1}, {C: maxI - 1, P: maxI, D: maxI - 1}}, Options{}, InfeasibleUtilization, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -78,15 +78,6 @@ type Options struct {
 	// SkipValidation omits per-task parameter validation (callers that have
 	// already validated can save the pass).
 	SkipValidation bool
-	// UtilizationExceeds, when non-nil, supplies the exact answer to the
-	// first constraint (U > 1) so Test can skip summing the rational
-	// utilization of the whole set. Callers that maintain a per-link
-	// utilization sum incrementally (the admission controller's hot path)
-	// use this; the value must equal UtilizationExceedsOne(tasks) exactly —
-	// rational arithmetic is exact, so an incrementally maintained sum
-	// matches a fresh one bit for bit. Result.Utilization (the float
-	// reporting value) is computed from the tasks either way.
-	UtilizationExceeds *bool
 }
 
 // DefaultMaxCheckpoints is the default cap on demand evaluations per test.
@@ -118,6 +109,11 @@ var ErrBusyPeriodDiverged = errors.New("edf: busy period iteration diverged")
 // none is released again before it ends); when it also ends before the
 // shortest deadline, no checkpoint lies in it and the walk is skipped.
 // The Result is the walk's, field for field.
+//
+// Everything before the walk is one rule: summarize the tasks (Summary),
+// then decide from the summary (Summary.Decide). The admission kernel
+// keeps a Summary live per link and asks the same rule without reading
+// the tasks.
 func Test(tasks []Task, opts Options) Result {
 	return TestScratch(tasks, opts, nil)
 }
@@ -126,66 +122,21 @@ func Test(tasks []Task, opts Options) Result {
 // repeated testing (one Scratch per verification worker); nil behaves
 // like Test. Results are identical either way.
 func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
-	res := Result{Verdict: Feasible, MinSlack: math.MaxInt64}
 	if !opts.SkipValidation {
 		if err := ValidateTasks(tasks); err != nil {
 			return Result{Verdict: InvalidTask, Err: err, MinSlack: math.MaxInt64}
 		}
 	}
-	if len(tasks) == 0 {
-		return res
-	}
-	// One pass feeds every step below: the reporting utilization (summed
-	// in task order, bit-identical to UtilizationFloat), whether every
-	// deadline covers its period, the saturating total capacity, and the
-	// shortest period and deadline.
-	cover := true
-	var sumC int64
-	minP, minD := int64(math.MaxInt64), int64(math.MaxInt64)
+	// One pass summarizes the tasks and sums the reporting utilization (in
+	// task order, bit-identical to UtilizationFloat).
+	var s Summary
+	var u float64
 	for _, t := range tasks {
-		res.Utilization += float64(t.C) / float64(t.P)
-		cover = cover && t.D >= t.P
-		sumC = addSat(sumC, t.C)
-		minP, minD = min(minP, t.P), min(minD, t.D)
+		s.Add(t)
+		u += float64(t.C) / float64(t.P)
 	}
-
-	// First constraint (Eq. 18.2): utilization at most 100%.
-	exceeds := false
-	if opts.UtilizationExceeds != nil {
-		exceeds = *opts.UtilizationExceeds
-	} else {
-		exceeds = UtilizationExceedsOne(tasks)
-	}
-	if exceeds {
-		res.Verdict = InfeasibleUtilization
-		return res
-	}
-
-	// Utilization-only exit: with every D >= P, h(t) <= U*t, so U <= 1 is
-	// exact (the paper's Liu & Layland remark, widened from D == P).
-	if cover {
-		res.ShortCircuit = true
-		return res
-	}
-
-	// Second constraint (Eq. 18.3-18.5): demand criterion over the first
-	// synchronous busy period, evaluated only at absolute deadlines. With
-	// sum C <= min P every ceil(sum C / P_i) is 1, so the iteration's first
-	// iterate sum C is its fixed point (BusyPeriod would reject a sum that
-	// reached math.MaxInt64).
-	if sumC < math.MaxInt64 && sumC <= minP {
-		res.BusyPeriod = sumC
-		if sumC < minD {
-			return res // no checkpoint m*P_i + D_i lies in [1, busy period]
-		}
-	} else {
-		bp, ok := BusyPeriod(tasks)
-		if !ok {
-			return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: res.Utilization, MinSlack: math.MaxInt64}
-		}
-		res.BusyPeriod = bp
-	}
-	return walk(tasks, opts, scratch, res)
+	s.Over = UtilizationExceedsOne(tasks)
+	return s.finish(tasks, u, opts, scratch)
 }
 
 // walk evaluates the demand criterion at every checkpoint up to

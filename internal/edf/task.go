@@ -12,11 +12,17 @@
 //   - the processor demand function h(t) (the paper's workload function
 //     h(n,t), Eq. 18.3),
 //   - the synchronous busy period used to bound the demand check (Eq. 18.4),
-//   - checkpoint enumeration t = m*P_i + d_i (Eq. 18.5), and
+//   - checkpoint enumeration t = m*P_i + d_i (Eq. 18.5),
 //   - the combined feasibility test, which skips the demand walk when
 //     every task has D >= P (then h(t) <= U*t, so U <= 1 is exact), and
 //     when the busy period, sum C in closed form whenever that fits in
-//     the shortest period, ends before the shortest deadline.
+//     the shortest period, ends before the shortest deadline, and
+//   - Summary, the few numbers those early exits read (sum C, the D < P
+//     count, the shortest period and deadline, U > 1). Test decides from
+//     a fresh one; the admission kernel patches one per link as tasks
+//     come and go and decides most links without reading their tasks.
+//     Patching may leave the shortest period and deadline as lower
+//     bounds, which keeps every proof of feasibility sound.
 package edf
 
 import (
@@ -98,8 +104,8 @@ func TotalCapacity(tasks []Task) int64 {
 // task contributes at most floor(t/P_i)*C_i <= t*C_i/P_i to h(t), so
 // h(t) <= U*t <= t whenever U <= 1 (Baruah, Rosier & Howell 1990). The
 // implicit-deadline case D == P the paper notes in §18.3.2 is the special
-// case Liu & Layland proved. Test makes the same check inside its one
-// pass over the tasks.
+// case Liu & Layland proved. Test makes the same check through its
+// Summary's D < P count.
 func DeadlinesCoverPeriods(tasks []Task) bool {
 	for _, t := range tasks {
 		if t.D < t.P {

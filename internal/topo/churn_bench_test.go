@@ -85,3 +85,60 @@ func BenchmarkHADPSChurn(b *testing.B) {
 	}
 	b.ReportMetric(float64(rejected)/float64(b.N), "rejects/op")
 }
+
+// BenchmarkSDPSLineChurn replays the bulk-line half of provision-bulk
+// without the benchmark harness: the same 4-switch line and node layout
+// as HADPSChurn, H-SDPS, 10k standing west-to-east channels with C = 1,
+// P = 100000, D = 50000, then one release of a random standing channel
+// and one establish of a fresh one per iteration. Every establish is
+// accepted; the switch 1 → 2 trunk carries every channel, and its busy period
+// (sum C = 10000) reaches its shortest per-hop deadline, so it is the one
+// link whose demand is walked.
+//
+//	go test -run '^$' -bench SDPSLineChurn -benchmem ./internal/topo
+func BenchmarkSDPSLineChurn(b *testing.B) {
+	const perSide, live = 100, 10000
+	tp := Line(4)
+	for i := 0; i < perSide; i++ {
+		if err := tp.AttachNode(core.NodeID(1+i), SwitchID(i%2)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tp.AttachNode(core.NodeID(101+i), SwitchID(2+i%2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	spec := func() core.ChannelSpec {
+		return core.ChannelSpec{
+			Src: core.NodeID(1 + rng.Intn(perSide)), Dst: core.NodeID(101 + rng.Intn(perSide)),
+			C: 1, P: 100000, D: 50000,
+		}
+	}
+	specs := make([]core.ChannelSpec, live)
+	for i := range specs {
+		specs[i] = spec()
+	}
+	c := NewController(tp, Config{DPS: HSDPS{}})
+	chs, err := c.RequestAll(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]core.ChannelID, len(chs))
+	for i, ch := range chs {
+		ids[i] = ch.ID
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := rng.Intn(len(ids))
+		if err := c.Release(ids[j]); err != nil {
+			b.Fatal(err)
+		}
+		ch, err := c.Request(spec())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[j] = ch.ID
+	}
+}

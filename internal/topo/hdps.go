@@ -249,17 +249,22 @@ func partitionTouched(st *State, touched []Edge, vector func(*HChannel) []int64)
 // one — the request's own new channels — get a vector, keeping
 // incremental admission O(new channels) per request. Under such a scheme
 // (HSDPS) a committed vector is never recomputed.
+//
+// It reads each touched edge's hops from the tail and stops at the first
+// channel holding a vector. That finds every new channel because the
+// channels without one form a suffix of every edge's list: an admission
+// appends its new channels at the tail of every edge it touches, a
+// removal keeps the order of the rest, and every committed channel holds
+// a vector.
 func partitionTouchedNew(st *State, touched []Edge, vector func(*HChannel) []int64) map[core.ChannelID][]int64 {
 	parts := make(map[core.ChannelID][]int64)
 	for _, e := range touched {
-		for _, r := range st.channelsOn(e) {
-			if len(r.Ch.Hops) != 0 {
-				continue
+		refs := st.channelsOn(e)
+		for k := len(refs) - 1; k >= 0 && len(refs[k].Ch.Hops) == 0; k-- {
+			ch := refs[k].Ch
+			if _, done := parts[ch.ID]; !done {
+				parts[ch.ID] = vector(ch)
 			}
-			if _, done := parts[r.Ch.ID]; done {
-				continue
-			}
-			parts[r.Ch.ID] = vector(r.Ch)
 		}
 	}
 	return parts
