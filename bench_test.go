@@ -12,7 +12,6 @@ package repro_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -374,8 +373,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 // deadline in half) and the deadlines are C-spaced, which makes every
 // demand checkpoint exactly tight: the batch is admissible, but only
 // after a full-depth demand analysis of ~2500 checkpoints over ~2500
-// tasks on each of the 8 links — the verification-bound regime the
-// parallel sweep exists for.
+// tasks on each of the 8 links — the verification-bound regime.
 func verifyHeavySpecs(n int) []core.ChannelSpec {
 	specs := make([]core.ChannelSpec, n)
 	for i := range specs {
@@ -388,28 +386,20 @@ func verifyHeavySpecs(n int) []core.ChannelSpec {
 	return specs
 }
 
-// BenchmarkAdmissionScaleVerifyWorkers measures the 10k-channel batch
-// verification sweep at fixed worker counts. Decisions are identical at
-// every worker count (proven by the equivalence tests); only wall-clock
-// may differ — the acceptance bar is >=2x at 4 workers over workers=1 on
-// this verification-bound batch. (The fabric batch of
-// BenchmarkAdmissionScale is partition-bound, not verification-bound, so
-// worker counts barely move it; it is benchmarked without variants.)
-func BenchmarkAdmissionScaleVerifyWorkers(b *testing.B) {
+// BenchmarkAdmissionScaleVerifyBound measures the 10k-channel batch whose
+// cost is the verification sweep's demand walks, not partitioning (the
+// fabric batch of BenchmarkAdmissionScale is partition-bound).
+func BenchmarkAdmissionScaleVerifyBound(b *testing.B) {
 	specs := verifyHeavySpecs(10000)
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("10k/star-batch-verify/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctrl := core.NewController(core.Config{DPS: core.ADPS{}, VerifyWorkers: w})
-				chs, err := ctrl.RequestAll(specs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(chs) != len(specs) {
-					b.Fatalf("accepted %d of %d", len(chs), len(specs))
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		ctrl := core.NewController(core.Config{DPS: core.ADPS{}})
+		chs, err := ctrl.RequestAll(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(chs) != len(specs) {
+			b.Fatalf("accepted %d of %d", len(chs), len(specs))
+		}
 	}
 }
 
@@ -473,7 +463,7 @@ func BenchmarkScenarioChurn(b *testing.B) {
 			}
 			var events, accepted int
 			for i := 0; i < b.N; i++ {
-				res, err := s.Replay(1)
+				res, err := s.Replay()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,7 @@
 // through Network.EstablishAll — one repartition and one verification
 // sweep instead of one per request, which is the scalable path for large
 // provisioning files. Either every request is accepted or the batch is
-// rejected with the first failure's diagnostics. -workers sizes the
-// verification worker pool for that sweep (0 = GOMAXPROCS, 1 =
-// sequential); decisions and diagnostics are identical at any count.
+// rejected with the first failure's diagnostics.
 //
 // With -scenario the tool replays a declarative scenario file's whole
 // timeline — static load, establish/release/reconfigure events, churn
@@ -22,7 +20,7 @@
 //
 //	echo "1 100 3 100 40" | rtadmit -dps adps
 //	rtadmit -dps sdps -f requests.txt
-//	rtadmit -dps adps -batch -workers 8 -f provisioning.txt
+//	rtadmit -dps adps -batch -f provisioning.txt
 //	rtadmit -scenario plant.json -q
 package main
 
@@ -54,7 +52,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		quiet   = fs.Bool("q", false, "suppress per-request lines, print only the summary")
 		dump    = fs.Bool("dump", false, "emit the accepted channels as a JSON snapshot instead of the summary")
 		batch   = fs.Bool("batch", false, "admit all requests as one atomic batch (EstablishAll) instead of one by one")
-		workers = fs.Int("workers", 0, "verification worker pool for batch sweeps (0 = GOMAXPROCS, 1 = sequential); decisions are identical at any count")
 		scen    = fs.String("scenario", "", "replay a JSON scenario timeline against admission control only (ignores -dps and request input)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
@@ -92,7 +89,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *scen != "" {
-		return replayScenario(*scen, *workers, *quiet, *dump, stdout, stderr)
+		return replayScenario(*scen, *quiet, *dump, stdout, stderr)
 	}
 
 	dps, err := parseDPS(*dpsName)
@@ -112,7 +109,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		in = f
 	}
 
-	net := rtether.New(rtether.WithDPS(dps), rtether.WithVerifyWorkers(*workers))
+	net := rtether.New(rtether.WithDPS(dps))
 	known := make(map[rtether.NodeID]bool)
 	ensure := func(id rtether.NodeID) {
 		if !known[id] {
@@ -235,7 +232,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // kernel: per-event decisions, then the usual summary (or -dump
 // snapshot). Traffic, background flows and virtual time are skipped —
 // only the establish/release/reconfigure decisions run.
-func replayScenario(path string, workers int, quiet, dump bool, stdout, stderr io.Writer) int {
+func replayScenario(path string, quiet, dump bool, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
@@ -253,7 +250,7 @@ func replayScenario(path string, workers int, quiet, dump bool, stdout, stderr i
 		fmt.Fprintf(stderr, "rtadmit: -dump needs a star scenario (snapshots are not supported on multi-switch networks yet)\n")
 		return 2
 	}
-	res, err := s.Replay(workers)
+	res, err := s.Replay()
 	if err != nil {
 		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
 		return 1

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -159,28 +158,6 @@ func TestInvalidSpecRejectedWithReason(t *testing.T) {
 	if !strings.Contains(out.String(), "REJECT") ||
 		!strings.Contains(out.String(), "store-and-forward") {
 		t.Errorf("rejection reason missing:\n%s", out.String())
-	}
-}
-
-func TestWorkersFlagDecisionsIdentical(t *testing.T) {
-	// A batch wide enough to engage the parallel verification sweep; the
-	// output (per-request decisions, summary, feasibility-test count)
-	// must be byte-identical for any -workers value.
-	var in strings.Builder
-	for i := 0; i < 120; i++ {
-		fmt.Fprintf(&in, "%d %d 1 500 %d\n", 1+i%12, 101+i%12, 60+i%30)
-	}
-	runWith := func(workers string) string {
-		var out, errOut strings.Builder
-		code := run([]string{"-dps", "adps", "-batch", "-workers", workers},
-			strings.NewReader(in.String()), &out, &errOut)
-		if code != 0 {
-			t.Fatalf("workers=%s: exit %d: %s", workers, code, errOut.String())
-		}
-		return out.String()
-	}
-	if one, many := runWith("1"), runWith("8"); one != many {
-		t.Errorf("-workers changed the output:\n--- workers=1\n%s\n--- workers=8\n%s", one, many)
 	}
 }
 

@@ -12,7 +12,7 @@
 // in GET /v1/stats).
 //
 //	rtetherd -scenario fabric.json -addr 127.0.0.1:8316
-//	rtetherd -scenario fabric.json -coalesce 200us -workers 8
+//	rtetherd -scenario fabric.json -coalesce 200us
 //	rtetherd -scenario fabric.json -binaddr 127.0.0.1:8317
 //	rtetherd -scenario fabric.json -metrics-addr 127.0.0.1:9316 -heartbeat 5s
 //
@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		binaddr  = fs.String("binaddr", "", "binary-protocol listen address (empty = HTTP/JSON only)")
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 		scenFile = fs.String("scenario", "", "scenario document providing the topology and network options (required)")
-		workers  = fs.Int("workers", 0, "admission verification workers (0 = GOMAXPROCS, 1 = sequential)")
 		coalesce = fs.Duration("coalesce", 0, "extra window to merge concurrent establishes (0 = merge in-flight only)")
 		maxBatch = fs.Int("maxbatch", 1024, "max establish requests merged into one admission pass")
 		quiet    = fs.Bool("quiet", false, "suppress request logging")
@@ -93,7 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
 		return 1
 	}
-	network, err := sc.BuildNetwork(*workers)
+	network, err := sc.BuildNetwork(0)
 	if err != nil {
 		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
 		return 1

@@ -26,13 +26,12 @@
 //
 // -sweep makes rtexp an experiment platform: the argument is a grid
 // document (docs/experiments.md) declaring axes over scheme, scenario,
-// churn rate, verification workers, batching, transport and failure
-// policy. rtexp expands the grid into its cartesian product of cells,
-// executes every cell — in-process, or against rtetherd daemons it
-// boots and drains itself — and writes the merged per-cell BENCH
-// document to -out. With -baseline the same regression gate runs over
-// the cells: aligned delta lines on stderr, non-zero exit on any cell
-// slower than -threshold percent.
+// churn rate, batching, transport and failure policy. rtexp expands the
+// grid into its cartesian product of cells, executes every cell —
+// in-process, or against rtetherd daemons it boots and drains itself —
+// and writes the merged per-cell BENCH document to -out. With -baseline
+// the same regression gate runs over the cells: aligned delta lines on
+// stderr, non-zero exit on any cell slower than -threshold percent.
 //
 //	rtexp -sweep grid.json -out BENCH_sweep.json
 //	rtexp -sweep grid.json -baseline BENCH_sweep_prev.json -threshold 15

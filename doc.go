@@ -24,8 +24,8 @@
 //     adapters: specs, routing, SDPS/ADPS and their hop-general forms.
 //   - internal/admit — the generic copy-on-write admission kernel both
 //     adapters share: persistent per-link caches, delta repartitioning
-//     with undo-on-reject rollback, and a parallel verification sweep
-//     (rtether.WithVerifyWorkers) that never changes a decision.
+//     with undo-on-reject rollback, and a verification sweep that tests
+//     only the links a decision changed.
 //   - internal/edf — the paper's two-constraint EDF feasibility test.
 //   - internal/scenario — declarative experiments as JSON data files:
 //     multi-switch topologies, event timelines (establish, atomic

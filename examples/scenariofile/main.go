@@ -32,7 +32,7 @@ func main() {
 
 	// First ask admission control alone: which of the timeline's
 	// decisions would go through? No traffic, no virtual time.
-	replay, err := scen.Replay(0)
+	replay, err := scen.Replay()
 	if err != nil {
 		log.Fatal(err)
 	}

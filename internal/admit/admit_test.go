@@ -62,7 +62,7 @@ func constScheme(d int64) Scheme[int, *toyChan, int64] {
 }
 
 func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	mk := func(links ...int) func(int, ID) *toyChan {
 		return func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: 1, p: 100, links: links}
@@ -86,7 +86,7 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 }
 
 func TestApplyPanicsOnUnknownChannel(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	stray := []Scheme[int, *toyChan, int64]{func(*State[int, *toyChan, int64], []int) map[ID]int64 {
 		return map[ID]int64{999: 10}
 	}}
@@ -101,7 +101,7 @@ func TestApplyPanicsOnUnknownChannel(t *testing.T) {
 }
 
 func TestApplyPanicsOnInvalidPartition(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	bad := []Scheme[int, *toyChan, int64]{constScheme(1)} // below C=2
 	defer func() {
 		if recover() == nil {
@@ -114,7 +114,7 @@ func TestApplyPanicsOnInvalidPartition(t *testing.T) {
 }
 
 func TestLinkSetDedupPreservesOrder(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	st := e.State()
 	for l := 0; l < 8; l++ {
 		st.intern(l)
@@ -135,89 +135,32 @@ func TestLinkSetDedupPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestParallelSweepDeterministic drives one saturating batch through
-// engines differing only in worker count: the verdict, the named link
-// (lowest sorted index wins) and the LinksChecked accounting must be
-// identical, sequential or parallel.
+// TestParallelSweepDeterministic drives one saturating batch whose
+// partition leaves every link from 40 up infeasible (two C=2 tasks
+// against a deadline of 3 violate the demand criterion while staying
+// individually valid): the sweep names the lowest failing link in sorted
+// order after exactly its checks, and the rejection commits nothing.
 func TestParallelSweepDeterministic(t *testing.T) {
-	// 64 links, each loaded with two channels; the partition leaves
-	// high-numbered links infeasible (two C=2 tasks against a deadline of
-	// 3 violate the demand criterion while staying individually valid),
-	// so the sweep has many failures to pick the deterministic first
-	// from.
-	build := func(workers int) (*Engine[int, *toyChan, int64], *Rejection[int]) {
-		e := newToyEngine(Config{Workers: workers})
-		scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
-			parts := make(map[ID]int64)
-			for _, ch := range st.Channels() {
-				d := int64(10)
-				if ch.links[0] >= 40 { // links 40+ get an infeasible split
-					d = 3
-				}
-				parts[ch.id] = d
+	e := newToyEngine(Config{})
+	scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+		parts := make(map[ID]int64)
+		for _, ch := range st.Channels() {
+			d := int64(10)
+			if ch.links[0] >= 40 {
+				d = 3
 			}
-			return parts
+			parts[ch.id] = d
 		}
-		mk := func(i int, id ID) *toyChan {
-			return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}
-		}
-		_, rej := e.Admit(128, mk, []Scheme[int, *toyChan, int64]{scheme})
-		return e, rej
+		return parts
 	}
-
-	e1, rej1 := build(1)
-	e8, rej8 := build(8)
-	if rej1 == nil || rej8 == nil {
-		t.Fatal("saturating batch was not rejected")
+	_, rej := e.Admit(128, func(i int, id ID) *toyChan {
+		return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}
+	}, []Scheme[int, *toyChan, int64]{scheme})
+	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
+		t.Fatalf("rejection %v after %d checks, want link 40 after 41", rej, e.LinksChecked())
 	}
-	if rej1.Link != rej8.Link {
-		t.Fatalf("rejecting link differs: workers=1 → %d, workers=8 → %d", rej1.Link, rej8.Link)
-	}
-	if rej1.Link != 40 {
-		t.Fatalf("rejecting link = %d, want lowest failing sorted index 40", rej1.Link)
-	}
-	if rej1.Result.String() != rej8.Result.String() {
-		t.Fatalf("diagnostics differ:\n  workers=1: %v\n  workers=8: %v", rej1.Result, rej8.Result)
-	}
-	if e1.LinksChecked() != e8.LinksChecked() {
-		t.Fatalf("LinksChecked differs: workers=1 → %d, workers=8 → %d",
-			e1.LinksChecked(), e8.LinksChecked())
-	}
-	if got, want := e1.LinksChecked(), 41; got != want {
-		t.Fatalf("LinksChecked = %d, want %d (failing index + 1)", got, want)
-	}
-	// Rejection left no trace on either engine.
-	if e1.State().Len() != 0 || e8.State().Len() != 0 {
+	if e.State().Len() != 0 {
 		t.Fatal("rejected batch left channels committed")
-	}
-}
-
-// TestParallelSweepAcceptsIdentically verifies a feasible large batch is
-// accepted with identical committed state for every worker count.
-func TestParallelSweepAcceptsIdentically(t *testing.T) {
-	stateKey := func(e *Engine[int, *toyChan, int64]) string {
-		s := ""
-		for _, ch := range e.State().Channels() {
-			s += fmt.Sprintf("%d:%d:%v;", ch.id, ch.part, ch.links)
-		}
-		return s
-	}
-	build := func(workers int) *Engine[int, *toyChan, int64] {
-		e := newToyEngine(Config{Workers: workers})
-		mk := func(i int, id ID) *toyChan {
-			return &toyChan{id: id, c: 1, p: 50, links: []int{i % 32, 32 + i%16}}
-		}
-		if _, rej := e.Admit(128, mk, []Scheme[int, *toyChan, int64]{constScheme(25)}); rej != nil {
-			t.Fatalf("workers=%d: feasible batch rejected: %v", workers, rej.Result)
-		}
-		return e
-	}
-	e1, e8 := build(1), build(8)
-	if stateKey(e1) != stateKey(e8) {
-		t.Fatalf("committed states diverge:\n%s\nvs\n%s", stateKey(e1), stateKey(e8))
-	}
-	if e1.LinksChecked() != e8.LinksChecked() {
-		t.Fatalf("LinksChecked differs: %d vs %d", e1.LinksChecked(), e8.LinksChecked())
 	}
 }
 
@@ -225,7 +168,7 @@ func TestParallelSweepAcceptsIdentically(t *testing.T) {
 // infeasible (U > 1), no later link in the sweep order can change the
 // verdict, so the sweep neither asks their summaries nor tests them.
 func TestSweepStopsAtSummaryFailure(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	_, rej := e.Admit(24, func(i int, id ID) *toyChan {
 		if i < 2 {
 			return &toyChan{id: id, c: 50, p: 50, links: []int{0}} // two full-period tasks: U = 2
@@ -243,5 +186,39 @@ func TestSweepStopsAtSummaryFailure(t *testing.T) {
 	}
 	if !slices.Equal(e.sweepTest, []int32{0}) || e.LinksChecked() != 1 {
 		t.Fatalf("sweep ran the full test at positions %v and counted %d checks, want only the failing first link", e.sweepTest, e.LinksChecked())
+	}
+}
+
+// TestSweepSkipsCountOnlyReachedLinks: a cache hit sorted after the link
+// a sweep rejects on was never reached, so it is no answer LinksChecked
+// counts and must not count as a skip either. Channel 1 crosses links 5
+// and 9, and its hop-1 task ignores the partition, so repartitioning it
+// leaves link 9's content (and its cached verdict) alone. The second
+// admission fails on link 5, first in slack order, before link 9.
+func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
+	ops := *toyOps
+	ops.Task = func(ch *toyChan, hop int) edf.Task {
+		if hop == 1 {
+			return edf.Task{C: ch.c, P: ch.p, D: ch.p}
+		}
+		return edf.Task{C: ch.c, P: ch.p, D: ch.part}
+	}
+	e := NewEngine(&ops, Config{Feasibility: edf.Options{SkipValidation: true}})
+	admit := func(d int64, links ...int) *Rejection[int] {
+		_, rej := e.Admit(1, func(_ int, id ID) *toyChan {
+			return &toyChan{id: id, c: 2, p: 100, links: links}
+		}, []Scheme[int, *toyChan, int64]{constScheme(d)})
+		return rej
+	}
+	if rej := admit(10, 5, 9); rej != nil {
+		t.Fatalf("first channel rejected: %v", rej.Result)
+	}
+	checked0, skips0 := e.LinksChecked(), e.SweepSkips()
+	rej := admit(3, 5)
+	if rej == nil || rej.Link != 5 {
+		t.Fatalf("rejection %v, want link 5", rej)
+	}
+	if checked, skips := e.LinksChecked()-checked0, e.SweepSkips()-skips0; checked != 1 || skips != 0 {
+		t.Fatalf("rejection counted %d checks and %d cache hits, want 1 and 0", checked, skips)
 	}
 }

@@ -40,7 +40,7 @@ func forgetVerdicts(e *Engine[int, *toyChan, int64]) { clear(e.feasGen) }
 // every link runs the full EDF analysis with its demand walk rather than
 // a skip or a summary answer.
 func TestVerifySweepZeroAllocs(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed) // warm the sweep buffers
@@ -63,7 +63,7 @@ func TestVerifySweepZeroAllocs(t *testing.T) {
 // sweep where every link's verdict comes from the generation cache must
 // also be allocation-free.
 func TestVerifySweepCachedZeroAllocs(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed) // records feasGen for every link
@@ -80,7 +80,7 @@ func TestVerifySweepCachedZeroAllocs(t *testing.T) {
 // level: re-verifying an unchanged state is pure cache hits, and a
 // content change on one link invalidates exactly that link.
 func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 
 	e.verify(changed)
@@ -113,7 +113,7 @@ func BenchmarkVerifySweep(b *testing.B) {
 		noCache bool
 	}{{"cached", false}, {"uncached", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := newToyEngine(Config{Workers: 1})
+			e := newToyEngine(Config{})
 			changed := loadVerifyState(b, e, 10)
 			e.verify(changed)
 			b.ReportAllocs()

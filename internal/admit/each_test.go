@@ -37,10 +37,10 @@ func TestAdmitEachMatchesSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		mks := randomToySpecs(rng, n)
 
-		merged := newToyEngine(Config{Workers: 1})
+		merged := newToyEngine(Config{})
 		chs, rejs := merged.AdmitEach(n, func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
 
-		seq := newToyEngine(Config{Workers: 1})
+		seq := newToyEngine(Config{})
 		accepted := 0
 		for i := 0; i < n; i++ {
 			sch, srej := seq.Admit(1, func(_ int, id ID) *toyChan { return mks[i](id) }, schemes)
@@ -89,7 +89,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 		func(id ID) *toyChan { return &toyChan{id: id, c: 5, p: 6, links: []int{1}} }, // overloads link 1
 		func(id ID) *toyChan { return &toyChan{id: id, c: 1, p: 100, links: []int{2}} },
 	}
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	chs, rejs := e.AdmitEach(len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
 	wantRejected := map[int]bool{2: true}
 	var wantIDs []ID
@@ -118,7 +118,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 
 // TestAdmitEachEmpty covers the degenerate empty group.
 func TestAdmitEachEmpty(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	chs, rejs := e.AdmitEach(0, nil, []Scheme[int, *toyChan, int64]{constScheme(8)})
 	if len(chs) != 0 || len(rejs) != 0 {
 		t.Fatalf("AdmitEach(0) = %v, %v", chs, rejs)

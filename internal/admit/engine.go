@@ -4,10 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/edf"
@@ -33,31 +30,18 @@ type Scheme[K comparable, Ch any, P any] func(st *State[K, Ch, P], touched []K) 
 type Config struct {
 	// Feasibility passes through to the per-link EDF test.
 	Feasibility edf.Options
-	// Workers bounds the verification worker pool; 0 means
-	// runtime.GOMAXPROCS(0), 1 forces the sequential sweep. Decisions,
-	// diagnostics and the LinksChecked accounting are identical for every
-	// worker count.
-	Workers int
 }
-
-// minParallelLinks is the sweep size below which verification stays
-// sequential: spawning workers for the one-or-two changed links of a
-// single establishment (or the handful of hops of one routed channel)
-// costs more than the tests themselves.
-const minParallelLinks = 8
 
 // Engine owns a State and runs admission decisions against it
 // copy-on-write: a decision mutates the live state tentatively, verifies
 // only the links whose task sets changed, and rolls back on rejection.
 //
-// Engine is not safe for concurrent use (the verification worker pool is
-// internal to a single decision); the public rtether.Network serializes
-// access.
+// Engine is not safe for concurrent use; the public rtether.Network
+// serializes access.
 type Engine[K comparable, Ch any, P any] struct {
-	ops     *Ops[K, Ch, P]
-	cfg     Config
-	workers int
-	state   *State[K, Ch, P]
+	ops   *Ops[K, Ch, P]
+	cfg   Config
+	state *State[K, Ch, P]
 
 	linksChecked  int
 	repartitions  int
@@ -78,9 +62,9 @@ type Engine[K comparable, Ch any, P any] struct {
 	sweepSkips int
 
 	// sweepNs accumulates wall time spent inside verification sweeps
-	// (sequential or parallel, cache hits included). It is observability
-	// accounting only — never part of a decision — so unlike the
-	// deterministic counters above it varies run to run.
+	// (cache hits included). It is observability accounting only — never
+	// part of a decision — so unlike the deterministic counters above it
+	// varies run to run.
 	sweepNs int64
 
 	// slackHist[i] is the MinSlack (tightest demand-criterion margin) the
@@ -90,8 +74,8 @@ type Engine[K comparable, Ch any, P any] struct {
 	// infeasible repartition fails as early as possible. Only committed
 	// sweeps update the history, so it is a pure function of the
 	// committed decision sequence: the sweep order — and therefore the
-	// named rejection link — does not depend on the worker count or on
-	// which verdicts the cache answered.
+	// named rejection link — does not depend on which verdicts the cache
+	// answered.
 	slackHist []int64
 
 	// Link sets (the touched set a repartition covers, the changed set a
@@ -101,32 +85,21 @@ type Engine[K comparable, Ch any, P any] struct {
 	marks []uint64
 	epoch uint64
 
-	// Reusable sweep buffers: with these plus the per-worker Scratch
-	// arenas the steady-state sequential verify sweep allocates nothing.
-	scratch       edf.Scratch
-	workerScratch []edf.Scratch
-	touchIdx      []int32
-	touchKeys     []K
-	sweepLinks    []int32
-	sweepSkip     []bool
-	sweepTest     []int32 // positions in sweepLinks the summaries left to the full test
-	sweepResults  []edf.Result
-	sweepOK       int // feasible prefix length of the last sweep
+	// Reusable sweep buffers: with these the steady-state verify sweep
+	// allocates nothing.
+	scratch      edf.Scratch
+	touchIdx     []int32
+	touchKeys    []K
+	sweepLinks   []int32
+	sweepSkip    []bool
+	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test
+	sweepResults []edf.Result
+	sweepOK      int // feasible prefix length of the last sweep
 }
 
 // NewEngine returns an engine over an empty state.
 func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Engine[K, Ch, P] {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine[K, Ch, P]{
-		ops:           ops,
-		cfg:           cfg,
-		workers:       workers,
-		state:         NewState(ops),
-		workerScratch: make([]edf.Scratch, workers),
-	}
+	return &Engine[K, Ch, P]{ops: ops, cfg: cfg, state: NewState(ops)}
 }
 
 // State returns the live committed state. Callers must treat it as
@@ -180,12 +153,13 @@ func (e *Engine[K, Ch, P]) addToSet(set, idx []int32) []int32 {
 
 // LinksChecked returns the cumulative number of per-link feasibility
 // tests the engine accounts for. The count is deterministic and
-// independent of the worker count and of the verdict cache: a cache hit
-// counts as a check (the cached verdict answers the same question).
+// independent of the verdict cache: a cache hit counts as a check (the
+// cached verdict answers the same question).
 func (e *Engine[K, Ch, P]) LinksChecked() int { return e.linksChecked }
 
 // SweepSkips returns the cumulative number of per-link feasibility tests
-// the verdict cache answered without running the EDF analysis.
+// the verdict cache answered without running the EDF analysis: a subset
+// of the checks LinksChecked counts.
 func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
 
 // SweepNs returns the cumulative wall-clock nanoseconds spent in
@@ -354,13 +328,13 @@ func (e *Engine[K, Ch, P]) rollback(undo []partUndo[Ch, P]) {
 // the previous commit and cannot have become infeasible, which is what
 // makes the restriction to the changed set decision-preserving. The slack
 // history advances only on commits, which makes the order — and therefore
-// the first failure — independent of the worker count and of the cache.
+// the first failure — independent of the cache.
 //
-// Before anything fans out, every link the cache does not answer asks its
-// summary (State.verdict): a link the summary proves feasible gets the
-// Result the EDF test would give it, with no task read. Only the links
-// left over — a demand walk to run, or a failure to diagnose — run the
-// full test, in order or on the worker pool.
+// Before the sweep, every link the cache does not answer asks its summary
+// (State.verdict): a link the summary proves feasible gets the Result the
+// EDF test would give it, with no task read. Only the links left over — a
+// demand walk to run, or a failure to diagnose — run the full test, in
+// order.
 func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
 	st := e.state
@@ -382,11 +356,7 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	doomed := false // a summary proved a link infeasible: later links cannot matter
 	for j, i := range links {
 		skip[j] = e.feasGen[i] == st.gens[i]
-		if skip[j] {
-			e.sweepSkips++
-			continue
-		}
-		if doomed {
+		if skip[j] || doomed {
 			continue
 		}
 		res, ok := st.verdict(i)
@@ -399,23 +369,20 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	}
 	e.sweepSkip, e.sweepResults, e.sweepTest = skip, results, test
 
-	var checked int
-	var rej *Rejection[K]
-	if e.workers > 1 && len(test) >= minParallelLinks {
-		checked, rej = e.sweepParallel(links, test)
-	} else {
-		checked, rej = e.sweepSequential(links, test)
-	}
+	checked, rej := e.sweepSequential(links, test)
 	e.linksChecked += checked
 	e.sweepOK = checked
 	if rej != nil {
 		e.sweepOK = checked - 1
 	}
-	// Record fresh proofs for the deterministic feasible prefix. Sound even
-	// if this decision later rolls back: rollback bumps every swept link's
-	// generation, orphaning these entries harmlessly.
-	for i := 0; i < e.sweepOK; i++ {
-		if !skip[i] {
+	// Record fresh proofs for the feasible prefix, and count the cache hits
+	// the sweep reached. Sound even if this decision later rolls back:
+	// rollback bumps every swept link's generation, orphaning these entries
+	// harmlessly.
+	for i := 0; i < checked; i++ {
+		if skip[i] {
+			e.sweepSkips++
+		} else if i < e.sweepOK {
 			e.feasGen[links[i]] = st.gens[links[i]]
 		}
 	}
@@ -444,77 +411,21 @@ func growBuf[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// testLink runs the full EDF test on link i. The first constraint (U > 1,
-// exact) comes from the link's summary, kept from the state's
-// incrementally maintained rational sum — rational arithmetic is exact,
-// so the answer matches a fresh summation bit for bit.
-func (e *Engine[K, Ch, P]) testLink(i int32, scratch *edf.Scratch) edf.Result {
-	st := e.state
-	return st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, scratch)
-}
-
-// sweepSequential runs the full test on the links at the given positions,
-// in order, stopping at the first failure.
+// sweepSequential runs the full EDF test on the links at the given
+// positions, in order, stopping at the first failure; it returns how many
+// sweep positions that accounts for. The first constraint (U > 1, exact)
+// comes from the link's summary, kept from the state's incrementally
+// maintained rational sum — rational arithmetic is exact, so the answer
+// matches a fresh summation bit for bit.
 func (e *Engine[K, Ch, P]) sweepSequential(links, test []int32) (int, *Rejection[K]) {
+	st := e.state
 	for _, j := range test {
-		res := e.testLink(links[j], &e.scratch)
+		i := links[j]
+		res := st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, &e.scratch)
 		e.sweepResults[j] = res
 		if !res.OK() {
-			return int(j) + 1, &Rejection[K]{Link: e.state.keys[links[j]], Result: res}
+			return int(j) + 1, &Rejection[K]{Link: st.keys[i], Result: res}
 		}
 	}
 	return len(links), nil
-}
-
-// sweepParallel fans the full tests of the links at the given positions
-// out over the worker pool. The workers read the state's live task sets
-// and summaries, which nothing writes during the fan-out, and run pure
-// feasibility tests with engine-owned per-worker scratch arenas (reused
-// across flights). Workers skip positions past the lowest failing one
-// found so far, and the lowest failing position wins — the verdict, the
-// named link and the reported check count are identical to the
-// sequential sweep.
-func (e *Engine[K, Ch, P]) sweepParallel(links, test []int32) (int, *Rejection[K]) {
-	n := len(links)
-	var next atomic.Int64
-	var minFail atomic.Int64
-	minFail.Store(int64(n))
-
-	workers := min(e.workers, len(test))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(scratch *edf.Scratch) {
-			defer wg.Done()
-			for {
-				k := next.Add(1) - 1
-				if k >= int64(len(test)) {
-					return
-				}
-				// test is ascending and next monotone: once i passes the
-				// lowest known failure nothing this worker could pick up
-				// can matter.
-				i := int64(test[k])
-				if i >= minFail.Load() {
-					return
-				}
-				res := e.testLink(links[i], scratch)
-				e.sweepResults[i] = res
-				if !res.OK() {
-					for {
-						cur := minFail.Load()
-						if i >= cur || minFail.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
-			}
-		}(&e.workerScratch[w])
-	}
-	wg.Wait()
-
-	if f := minFail.Load(); f < int64(n) {
-		return int(f) + 1, &Rejection[K]{Link: e.state.keys[links[f]], Result: e.sweepResults[f]}
-	}
-	return n, nil
 }

@@ -206,7 +206,7 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 		return st
 	}
 
-	used := newToyEngine(Config{Workers: 1})
+	used := newToyEngine(Config{})
 	rng := rand.New(rand.NewSource(11))
 	for _, mk := range randomToySpecs(rng, 40) {
 		used.Admit(1, func(_ int, id ID) *toyChan { return mk(id) }, schemes)
@@ -218,7 +218,7 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 	if len(used.feasGen) != 0 || len(used.slackHist) != 0 {
 		t.Fatalf("ReplaceState kept %d verdicts and %d slack entries of the old state", len(used.feasGen), len(used.slackHist))
 	}
-	fresh := newToyEngine(Config{Workers: 1})
+	fresh := newToyEngine(Config{})
 	fresh.ReplaceState(assemble())
 
 	checked0, skips0 := used.LinksChecked(), used.SweepSkips()
@@ -229,8 +229,12 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 			ch.links = []int{ch.links[0] + 3, ch.links[1] + 3}
 			return ch
 		}
+		c0, s0 := fresh.LinksChecked(), fresh.SweepSkips()
 		_, ru := used.Admit(1, gen, schemes)
 		_, rf := fresh.Admit(1, gen, schemes)
+		if checked, skips := fresh.LinksChecked()-c0, fresh.SweepSkips()-s0; skips > checked {
+			t.Fatalf("decision %d: %d cache hits out of %d checks", i, skips, checked)
+		}
 		if (ru == nil) != (rf == nil) {
 			t.Fatalf("decision %d: replaced engine rejected=%v, fresh rejected=%v", i, ru != nil, rf != nil)
 		}
@@ -257,24 +261,22 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 // intern time) and name link 40 after 41 checks, not the first-interned
 // failing link 63.
 func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		e := newToyEngine(Config{Workers: workers})
-		scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
-			parts := make(map[ID]int64)
-			for _, ch := range st.Channels() {
-				parts[ch.id] = 10
-				if ch.links[0] >= 40 {
-					parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
-				}
+	e := newToyEngine(Config{})
+	scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+		parts := make(map[ID]int64)
+		for _, ch := range st.Channels() {
+			parts[ch.id] = 10
+			if ch.links[0] >= 40 {
+				parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
 			}
-			return parts
 		}
-		_, rej := e.Admit(128, func(i int, id ID) *toyChan {
-			return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
-		}, []Scheme[int, *toyChan, int64]{scheme})
-		if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
-			t.Fatalf("workers=%d: rejection %v after %d checks, want link 40 after 41", workers, rej, e.LinksChecked())
-		}
+		return parts
+	}
+	_, rej := e.Admit(128, func(i int, id ID) *toyChan {
+		return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
+	}, []Scheme[int, *toyChan, int64]{scheme})
+	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
+		t.Fatalf("rejection %v after %d checks, want link 40 after 41", rej, e.LinksChecked())
 	}
 }
 
@@ -336,7 +338,7 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64), check func(step int, st *State[int, *toyChan, int64])) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	e := NewEngine(hopOps, Config{Workers: 1})
+	e := NewEngine(hopOps, Config{})
 	st := NewState(hopOps)
 	var live []ID
 	pick := func() *toyChan { return st.Get(live[rng.Intn(len(live))]) }
@@ -463,7 +465,7 @@ func TestFreshChannelLinksAllChange(t *testing.T) {
 // place and patches the link summaries, and the sweep over the changed
 // links reads the live table.
 func TestRepartitionSweepZeroAllocs(t *testing.T) {
-	e := newToyEngine(Config{Workers: 1})
+	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 	chs := e.state.Channels()
 	d := int64(40)

@@ -48,11 +48,6 @@ type Config struct {
 	// Latency is T_latency of Eq. 18.1: the constant medium propagation
 	// plus access delay added to every guarantee, in slots.
 	Latency int64
-	// VerifyWorkers bounds the verification worker pool used for large
-	// changed-link sweeps (batch admissions); 0 means GOMAXPROCS, 1 forces
-	// the sequential sweep. Decisions, diagnostics and LinksChecked are
-	// identical for every worker count.
-	VerifyWorkers int
 }
 
 // Controller is the switch-resident admission control of §18.2.2/§18.3:
@@ -82,10 +77,7 @@ func NewController(cfg Config) *Controller {
 	}
 	cfg.Feasibility.SkipValidation = true // specs are validated on entry
 	c := &Controller{cfg: cfg}
-	c.eng = admit.NewEngine(coreOps, admit.Config{
-		Feasibility: cfg.Feasibility,
-		Workers:     cfg.VerifyWorkers,
-	})
+	c.eng = admit.NewEngine(coreOps, admit.Config{Feasibility: cfg.Feasibility})
 	for _, d := range append([]DPS{cfg.DPS}, cfg.Fallbacks...) {
 		c.schemes = append(c.schemes, func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
 			return d.PartitionTouched(&State{k: k}, touched)

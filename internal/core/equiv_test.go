@@ -72,8 +72,7 @@ func TestAdmissionDecisionEquivalence(t *testing.T) {
 // immediate re-establishes that repeatedly flip the same links' task-set
 // generations — through the cached controller and the oracle, which runs
 // a from-scratch EDF test on every link: the verdict cache may only change
-// how many EDF analyses actually run. Run under -race this also exercises
-// the parallel sweep with the cache's skip protocol.
+// how many EDF analyses actually run.
 func TestSweepCacheEquivalence(t *testing.T) {
 	requests := traffic.PaperLayout.Requests(400, traffic.PaperSpec)
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}} {

@@ -147,8 +147,8 @@ func (h deadlineHeap) down(i int) {
 }
 
 // Scratch holds reusable buffers for repeated feasibility testing. A
-// verification worker owns one Scratch and passes it to TestScratch so
-// batch sweeps over thousands of links run allocation-free; the zero
+// verification sweep owns one Scratch and passes it to TestScratch so
+// sweeps over thousands of links run allocation-free; the zero
 // value is ready to use. A Scratch must not be shared between goroutines.
 type Scratch struct {
 	heap deadlineHeap

@@ -119,7 +119,7 @@ func Test(tasks []Task, opts Options) Result {
 }
 
 // TestScratch is Test with a caller-owned Scratch for allocation-free
-// repeated testing (one Scratch per verification worker); nil behaves
+// repeated testing (the admission engine keeps one); nil behaves
 // like Test. Results are identical either way.
 func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 	if !opts.SkipValidation {

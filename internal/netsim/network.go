@@ -41,9 +41,6 @@ type Config struct {
 	FaultInjector func(slot int64, b []byte) []byte
 	// Feasibility passes through to the admission controller.
 	Feasibility edf.Options
-	// VerifyWorkers passes through to the admission controller's
-	// verification worker pool (0 = GOMAXPROCS, 1 = sequential).
-	VerifyWorkers int
 }
 
 // ErrUnknownNode is the sentinel wrapped by every establishment failure
@@ -94,10 +91,9 @@ func New(cfg Config) *Network {
 		linkDown: make(map[core.NodeID]bool),
 	}
 	n.ctrl = core.NewController(core.Config{
-		DPS:           cfg.DPS,
-		Feasibility:   cfg.Feasibility,
-		Latency:       2 * cfg.Propagation,
-		VerifyWorkers: cfg.VerifyWorkers,
+		DPS:         cfg.DPS,
+		Feasibility: cfg.Feasibility,
+		Latency:     2 * cfg.Propagation,
 	})
 	n.sw = newSwitch(n)
 	return n

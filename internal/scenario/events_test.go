@@ -404,7 +404,7 @@ func TestReplayMatchesRunDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := s.Replay(1)
+	replay, err := s.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func (r *Result) EventCounts() (accepted, rejected, skipped int) {
 // Runs are deterministic: the same document produces byte-identical
 // results everywhere, including the synthesized churn streams.
 func (s *Scenario) Run() (*Result, error) {
-	return s.execute(0, true)
+	return s.execute(true)
 }
 
 // Replay plays the same timeline against admission control alone: every
@@ -95,19 +95,18 @@ func (s *Scenario) Run() (*Result, error) {
 // no traffic source is started, and no virtual time passes. It answers
 // "which decisions would this workload produce" at full speed — the
 // what-if mode of cmd/rtadmit -scenario and the engine under
-// BenchmarkScenarioChurn. verifyWorkers sizes the admission verification
-// pool (0 = GOMAXPROCS); decisions are identical at every setting.
-func (s *Scenario) Replay(verifyWorkers int) (*Result, error) {
-	return s.execute(verifyWorkers, false)
+// BenchmarkScenarioChurn.
+func (s *Scenario) Replay() (*Result, error) {
+	return s.execute(false)
 }
 
-func (s *Scenario) execute(verifyWorkers int, simulate bool) (*Result, error) {
+func (s *Scenario) execute(simulate bool) (*Result, error) {
 	// One compile pass covers validation and churn synthesis.
 	tl, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	net, err := s.build(verifyWorkers)
+	net, err := s.build()
 	if err != nil {
 		return nil, err
 	}

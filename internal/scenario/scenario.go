@@ -350,10 +350,8 @@ func (s *Scenario) failurePolicy() (rtether.FailurePolicy, error) {
 }
 
 // build constructs the configured (but still unloaded) network for this
-// scenario. verifyWorkers sizes the admission verification pool (0 =
-// GOMAXPROCS); it never changes a decision. extra options apply after
-// the document's own.
-func (s *Scenario) build(verifyWorkers int, extra ...rtether.Option) (*rtether.Network, error) {
+// scenario. extra options apply after the document's own.
+func (s *Scenario) build(extra ...rtether.Option) (*rtether.Network, error) {
 	dps, err := s.dps()
 	if err != nil {
 		return nil, err
@@ -372,7 +370,6 @@ func (s *Scenario) build(verifyWorkers int, extra ...rtether.Option) (*rtether.N
 		rtether.WithFailurePolicy(policy),
 		rtether.WithNonRTQueueCap(s.NonRTQueueCap),
 		rtether.WithPropagation(s.Propagation),
-		rtether.WithVerifyWorkers(verifyWorkers),
 	}
 	if s.Shaping != nil {
 		opts = append(opts, rtether.WithShaping(*s.Shaping))

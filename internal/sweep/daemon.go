@@ -35,7 +35,7 @@ func (g *Grid) runDaemonCell(ctx context.Context, c *Cell, s *scenario.Scenario)
 	if len(items) == 0 {
 		return benchfmt.Result{}, fmt.Errorf("scenario has no establish/release workload to drive over the wire")
 	}
-	network, err := s.BuildNetwork(c.Workers)
+	network, err := s.BuildNetwork(0)
 	if err != nil {
 		return benchfmt.Result{}, err
 	}

@@ -1,8 +1,7 @@
 // Package sweep turns cmd/rtexp into an experiment platform: one JSON
 // document declares a parameter grid over the admission kernel's
 // degrees of freedom — partitioning scheme, scenario file, churn rate,
-// verification workers, establishment batching, wire transport, failure
-// policy — and the orchestrator expands it into the cartesian product
+// establishment batching, wire transport, failure policy — and the orchestrator expands it into the cartesian product
 // of runs, executes every cell (in-process against the scenario
 // machinery, or against rtetherd daemons it boots and drains itself)
 // and merges the results into a single BENCH document
@@ -35,10 +34,6 @@ const (
 	// every churn generator in the scenario (which must declare at least
 	// one).
 	AxisChurnRate = "churnRate"
-	// AxisWorkers varies the admission verification pool size
-	// (0 = GOMAXPROCS). Decisions are identical at every setting; the
-	// axis measures the sweep's parallel speedup.
-	AxisWorkers = "workers"
 	// AxisBatch varies how in-process replay submits establishes:
 	// "sequential" (one management-plane decision each) or "each"
 	// (consecutive establishes merged into EstablishEach groups, the
@@ -55,7 +50,7 @@ const (
 
 // axisOrder fixes the canonical axis expansion order.
 var axisOrder = []string{
-	AxisScheme, AxisScenario, AxisChurnRate, AxisWorkers,
+	AxisScheme, AxisScenario, AxisChurnRate,
 	AxisBatch, AxisTransport, AxisFailurePolicy,
 }
 
@@ -129,7 +124,7 @@ type Grid struct {
 type axis struct {
 	name   string
 	labels []string // canonical per-value labels, e.g. "0.5", "adps"
-	values []any    // typed: string, float64 or int, matching the axis
+	values []any    // typed: string or float64, matching the axis
 }
 
 // LoadGrid parses and validates a grid document. Any malformed input
@@ -165,9 +160,8 @@ func LoadGridFile(path string) (*Grid, error) {
 }
 
 // Validate checks the document: mode, axis names, every axis range and
-// the cross-field constraints (transport needs daemon mode, batch and
-// workers need the replay executor, a scenario must come from
-// somewhere).
+// the cross-field constraints (transport needs daemon mode, batch needs
+// the replay executor, a scenario must come from somewhere).
 func (g *Grid) Validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("sweep: grid needs a name")
@@ -237,9 +231,6 @@ func (g *Grid) Validate() error {
 	if g.hasAxis(AxisBatch) && (g.Mode == ModeDaemon || g.Simulate) {
 		return &AxisError{Axis: AxisBatch, Msg: "batch is an in-process replay axis (no daemon mode, no simulate)"}
 	}
-	if g.hasAxis(AxisWorkers) && g.Simulate {
-		return &AxisError{Axis: AxisWorkers, Msg: "workers is a replay/daemon axis (the full simulation sizes its own pool)"}
-	}
 	return nil
 }
 
@@ -308,15 +299,6 @@ func parseAxisValue(axisName string, raw json.RawMessage) (string, any, error) {
 			return bad("rate %v must be positive", v)
 		}
 		return formatFloat(v), v, nil
-	case AxisWorkers:
-		var v float64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return bad("value %s: want an integer", strings.TrimSpace(string(raw)))
-		}
-		if v != float64(int(v)) || v < 0 || v > 4096 {
-			return bad("worker count %v must be an integer in [0, 4096]", v)
-		}
-		return fmt.Sprintf("%d", int(v)), int(v), nil
 	}
 	return bad("unknown axis")
 }
@@ -354,8 +336,6 @@ type Cell struct {
 	Scheme        string  // "" = scenario default
 	Scenario      string  // "" = grid-level scenario
 	ChurnRate     float64 // 0 = scenario default
-	Workers       int     // verification pool size
-	HasWorkers    bool    // workers axis present (0 is a real value: GOMAXPROCS)
 	Batch         string  // "" = sequential
 	Transport     string  // "" = json
 	FailurePolicy string  // "" = scenario default
@@ -402,9 +382,6 @@ func (c *Cell) apply(axisName string, v any) {
 		c.Scenario = v.(string)
 	case AxisChurnRate:
 		c.ChurnRate = v.(float64)
-	case AxisWorkers:
-		c.Workers = v.(int)
-		c.HasWorkers = true
 	case AxisBatch:
 		c.Batch = v.(string)
 	case AxisTransport:

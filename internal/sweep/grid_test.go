@@ -84,10 +84,10 @@ func TestLoadGridValidation(t *testing.T) {
 			wantAxis: AxisChurnRate,
 		},
 		{
-			name:     "fractional workers",
-			doc:      `{"name": "g", "scenario": "s.json", "axes": {"workers": [1.5]}}`,
-			wantErr:  "integer",
-			wantAxis: AxisWorkers,
+			name:     "retired workers axis",
+			doc:      `{"name": "g", "scenario": "s.json", "axes": {"workers": [1]}}`,
+			wantErr:  "unknown axis",
+			wantAxis: "workers",
 		},
 		{
 			name:     "scenario axis and top-level scenario",
@@ -106,12 +106,6 @@ func TestLoadGridValidation(t *testing.T) {
 			doc:      `{"name": "g", "scenario": "s.json", "mode": "daemon", "axes": {"batch": ["each"]}}`,
 			wantErr:  "replay axis",
 			wantAxis: AxisBatch,
-		},
-		{
-			name:     "workers under simulate",
-			doc:      `{"name": "g", "scenario": "s.json", "simulate": true, "axes": {"workers": [2]}}`,
-			wantErr:  "simulation sizes its own pool",
-			wantAxis: AxisWorkers,
 		},
 	}
 	for _, tc := range cases {

@@ -186,7 +186,7 @@ func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, er
 	if g.MaxOps > 0 && len(items) > g.MaxOps {
 		items = items[:g.MaxOps]
 	}
-	network, err := s.BuildNetwork(c.Workers)
+	network, err := s.BuildNetwork(0)
 	if err != nil {
 		return benchfmt.Result{}, err
 	}

@@ -146,29 +146,6 @@ func TestSweepSimulate(t *testing.T) {
 	}
 }
 
-// TestSweepWorkersAxisInvariantDecisions pins the verification-pool
-// contract end to end: worker count never changes admission decisions,
-// only (untimed here) execution parallelism.
-func TestSweepWorkersAxisInvariantDecisions(t *testing.T) {
-	const doc = `{
-		"name": "workers",
-		"scenario": "star.json",
-		"seed": 9,
-		"axes": {"workers": [1, 4]}
-	}`
-	rep, err := loadTestGrid(t, doc).Run(context.Background(), Options{Dir: "testdata"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("got %d cells, want 2", len(rep.Benchmarks))
-	}
-	w1, w4 := rep.Benchmarks[0].Metrics, rep.Benchmarks[1].Metrics
-	if w1["accepted"] != w4["accepted"] || w1["rejected"] != w4["rejected"] {
-		t.Errorf("worker count changed decisions: 1=%v 4=%v", w1, w4)
-	}
-}
-
 // TestSweepChurnRateAxisNeedsChurn: scaling churn on a scenario with no
 // generators is a declared error naming the axis, not a silent no-op.
 func TestSweepChurnRateAxisNeedsChurn(t *testing.T) {

@@ -33,11 +33,6 @@ type Config struct {
 	DPS HDPS
 	// Feasibility passes through to the per-edge EDF test.
 	Feasibility edf.Options
-	// VerifyWorkers bounds the verification worker pool used for large
-	// changed-edge sweeps (batch admissions); 0 means GOMAXPROCS, 1
-	// forces the sequential sweep. Decisions and diagnostics are
-	// identical for every worker count.
-	VerifyWorkers int
 }
 
 // Controller is the fabric-wide admission control: route, partition the
@@ -64,10 +59,7 @@ func NewController(t *Topology, cfg Config) *Controller {
 	}
 	cfg.Feasibility.SkipValidation = true
 	c := &Controller{topo: t, cfg: cfg}
-	c.eng = admit.NewEngine(topoOps, admit.Config{
-		Feasibility: cfg.Feasibility,
-		Workers:     cfg.VerifyWorkers,
-	})
+	c.eng = admit.NewEngine(topoOps, admit.Config{Feasibility: cfg.Feasibility})
 	c.schemes = []admit.Scheme[Edge, *HChannel, []int64]{
 		func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
 			return cfg.DPS.PartitionTouched(&State{k: k}, touched)
@@ -98,8 +90,8 @@ func (c *Controller) Stats() admit.Stats {
 func (c *Controller) Repartitioned() []core.ChannelID { return c.eng.Repartitioned() }
 
 // LinksChecked returns the cumulative number of per-edge feasibility
-// tests the controller has run (deterministic and worker-count
-// independent; see admit.Engine.LinksChecked).
+// tests the controller has run (deterministic; see
+// admit.Engine.LinksChecked).
 func (c *Controller) LinksChecked() int { return c.eng.LinksChecked() }
 
 // Repartitions returns the cumulative number of repartition passes the

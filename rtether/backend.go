@@ -295,9 +295,8 @@ func newFabricBackend(top *Topology, hdps topo.HDPS, cfg netsim.Config, policy F
 	return &fabricBackend{
 		top: top,
 		ctrl: topo.NewController(top.inner, topo.Config{
-			DPS:           hdps,
-			Feasibility:   cfg.Feasibility,
-			VerifyWorkers: cfg.VerifyWorkers,
+			DPS:         hdps,
+			Feasibility: cfg.Feasibility,
 		}),
 		sim:       fabricsim.NewSim(fabricsim.Config{DisableShaping: cfg.DisableShaping}),
 		prop:      cfg.Propagation,

@@ -9,8 +9,6 @@ package rtether
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -255,130 +253,5 @@ func TestConcurrentEstablishDeterministicSerialization(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("concurrent commit state diverges from its serialized replay:\n%s\nvs\n%s",
 			got.String(), want.String())
-	}
-}
-
-// workersStarBatch drives identical feasible-then-saturating batches
-// through a star network with the given verification worker count (plus
-// any extra options), returning the snapshot and the rejection
-// diagnostics.
-func workersStarBatch(t *testing.T, workers int) (snapshot, rejection string, linksChecked int) {
-	t.Helper()
-	net := New(WithADPS(), WithVerifyWorkers(workers))
-	for id := NodeID(1); id <= 40; id++ {
-		net.MustAddNode(id)
-	}
-	// Feasible batch: 200 channels over 20 uplinks / 20 downlinks — a
-	// changed-link sweep of 40 links, well past the parallel threshold.
-	var ok []ChannelSpec
-	for i := 0; i < 200; i++ {
-		ok = append(ok, ChannelSpec{
-			Src: NodeID(1 + i%20),
-			Dst: NodeID(21 + (i/20)%20),
-			C:   1, P: 500, D: 100 + int64(i%40),
-		})
-	}
-	if _, err := net.EstablishAll(ok); err != nil {
-		t.Fatalf("workers=%d: feasible batch rejected: %v", workers, err)
-	}
-	// Saturating batch: deep per-link overload; the rejection must name
-	// the same saturated link for every worker count (first failure in
-	// the deterministic link order).
-	var over []ChannelSpec
-	for i := 0; i < 200; i++ {
-		over = append(over, ChannelSpec{
-			Src: NodeID(1 + i%20),
-			Dst: NodeID(21 + (i/20)%20),
-			C:   3, P: 100, D: 12,
-		})
-	}
-	_, err := net.EstablishAll(over)
-	if err == nil {
-		t.Fatalf("workers=%d: saturating batch accepted", workers)
-	}
-	var ae *AdmissionError
-	if !errors.As(err, &ae) {
-		t.Fatalf("workers=%d: rejection is not an *AdmissionError: %v", workers, err)
-	}
-	var buf bytes.Buffer
-	if err := net.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), fmt.Sprintf("%v | link=%s dir=%v hop=%d util=%.6f slack=%d",
-		err, ae.Link, ae.Dir, ae.Hop, ae.Utilization, ae.Slack), net.AdmissionStats().LinksChecked
-}
-
-// TestWithVerifyWorkersEquivalentStar: worker-count 1 and GOMAXPROCS
-// produce identical verdicts, identical committed states, identical
-// *AdmissionError diagnostics (same saturated link — lowest index in the
-// deterministic link order wins) and identical LinksChecked accounting.
-func TestWithVerifyWorkersEquivalentStar(t *testing.T) {
-	snap1, rej1, checked1 := workersStarBatch(t, 1)
-	snapN, rejN, checkedN := workersStarBatch(t, runtime.GOMAXPROCS(0))
-	if snap1 != snapN {
-		t.Fatalf("committed states diverge between worker counts:\n%s\nvs\n%s", snap1, snapN)
-	}
-	if rej1 != rejN {
-		t.Fatalf("rejection diagnostics diverge:\n  workers=1: %s\n  workers=N: %s", rej1, rejN)
-	}
-	if checked1 != checkedN {
-		t.Fatalf("LinksChecked diverges: workers=1 → %d, workers=N → %d", checked1, checkedN)
-	}
-}
-
-// TestWithVerifyWorkersEquivalentFabric is the fabric flavour: the batch
-// sweep crosses trunks and the rejection must name the same edge at the
-// same hop for every worker count.
-func TestWithVerifyWorkersEquivalentFabric(t *testing.T) {
-	run := func(workers int) (accepted []ChannelID, rejection string) {
-		top := NewTopology()
-		for s := SwitchID(0); s < 3; s++ {
-			top.AddSwitch(s)
-		}
-		top.Trunk(0, 1)
-		top.Trunk(1, 2)
-		for n := NodeID(1); n <= 24; n++ {
-			if err := top.Attach(n, SwitchID((n-1)%3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		net := New(WithTopology(top), WithHDPS(HSDPS()), WithVerifyWorkers(workers))
-		var ok []ChannelSpec
-		for i := 0; i < 120; i++ {
-			src := NodeID(1 + i%24)
-			dst := NodeID(1 + (i+7)%24)
-			ok = append(ok, ChannelSpec{Src: src, Dst: dst, C: 1, P: 2000, D: 600})
-		}
-		if _, err := net.EstablishAll(ok); err != nil {
-			t.Fatalf("workers=%d: feasible fabric batch rejected: %v", workers, err)
-		}
-		var over []ChannelSpec
-		for i := 0; i < 120; i++ {
-			src := NodeID(1 + i%24)
-			dst := NodeID(1 + (i+11)%24)
-			over = append(over, ChannelSpec{Src: src, Dst: dst, C: 4, P: 100, D: 30})
-		}
-		_, err := net.EstablishAll(over)
-		if err == nil {
-			t.Fatalf("workers=%d: saturating fabric batch accepted", workers)
-		}
-		var ae *AdmissionError
-		if !errors.As(err, &ae) {
-			t.Fatalf("workers=%d: rejection is not an *AdmissionError: %v", workers, err)
-		}
-		return net.Channels(), fmt.Sprintf("%v | link=%s dir=%v hop=%d", err, ae.Link, ae.Dir, ae.Hop)
-	}
-	ids1, rej1 := run(1)
-	idsN, rejN := run(runtime.GOMAXPROCS(0))
-	if rej1 != rejN {
-		t.Fatalf("fabric rejection diagnostics diverge:\n  workers=1: %s\n  workers=N: %s", rej1, rejN)
-	}
-	if len(ids1) != len(idsN) {
-		t.Fatalf("accepted counts diverge: %d vs %d", len(ids1), len(idsN))
-	}
-	for i := range ids1 {
-		if ids1[i] != idsN[i] {
-			t.Fatalf("accepted IDs diverge at %d: %d vs %d", i, ids1[i], idsN[i])
-		}
 	}
 }

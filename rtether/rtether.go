@@ -166,20 +166,6 @@ func WithHDPS(h HDPS) Option {
 	return func(c *config) { c.hdps = h }
 }
 
-// WithVerifyWorkers bounds the worker pool the admission controller may
-// use to verify changed links in one decision: n <= 0 means
-// runtime.GOMAXPROCS(0) (the default), 1 forces the sequential sweep.
-// Sweeps below an internal threshold (a handful of links — the typical
-// single establishment) stay sequential regardless; sweeps touching
-// many links, as batch admissions and heavily repartitioning single
-// requests do, fan out. Decisions, diagnostics (including which
-// saturated link an *AdmissionError names — the first failure in the
-// deterministic link order wins) and the LinksChecked statistic are
-// identical for every worker count.
-func WithVerifyWorkers(n int) Option {
-	return func(c *config) { c.star.VerifyWorkers = n }
-}
-
 // WithShaping enables or disables the release-guard regulator at the
 // switches (enabled by default). Disabling reproduces the paper's plain
 // work-conserving switch.
@@ -354,8 +340,7 @@ func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
 // establishment handshake crosses the wire and no virtual time elapses
 // even on star networks. It is also the scalable path — admitting N
 // channels one Establish at a time repartitions the system N times, while
-// EstablishAll does it once, and its verification sweep fans out over the
-// WithVerifyWorkers pool (see BenchmarkAdmissionScale).
+// EstablishAll does it once (see BenchmarkAdmissionScale).
 func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
 	reqs := core.Unicast(specs)
 	chs, err := n.admitAll(reqs)
