@@ -233,7 +233,7 @@ func BenchmarkAdmissionScale(b *testing.B) {
 		b.Run(name+"/star-each-ADPS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctrl := core.NewController(core.Config{DPS: core.ADPS{}})
-				_, errs := ctrl.AdmitEach(core.Unicast(specs))
+				_, errs := ctrl.AdmitEach(nil, core.Unicast(specs))
 				for _, err := range errs {
 					if err != nil {
 						b.Fatal(err)

@@ -80,12 +80,14 @@ type Ops[K comparable, Ch any, P any] struct {
 var ratOne = big.NewRat(1, 1)
 
 // entry is one channel plus its traversed-links sequence as dense link
-// indices (idx[hop] is the index of Ops.Links(ch)[hop]) and the position
-// of each hop on its link's lists (byLink[idx[hop]][pos[hop]] is the hop,
-// tasks[idx[hop]][pos[hop]] its task).
+// indices (idx[hop] is the index of Ops.Links(ch)[hop]), the position of
+// each hop on its link's lists (byLink[idx[hop]][pos[hop]] is the hop,
+// tasks[idx[hop]][pos[hop]] its task) and the index of its slot in the
+// establishment order.
 type entry[Ch any] struct {
 	ch       Ch
 	idx, pos []int32
+	at       int
 }
 
 // State is the generic system state SS = {N, K}: the set of currently
@@ -115,12 +117,12 @@ type State[K comparable, Ch any, P any] struct {
 	ops *Ops[K, Ch, P]
 
 	channels map[ID]entry[Ch]
-	order    []ID // insertion order, for deterministic iteration
-	// stale holds IDs of removed channels whose order entry has not been
-	// compacted away yet. Add consults it so that re-admitting a channel
-	// under its kept ID (failure recovery) purges the old entry instead
-	// of double-listing the channel in Channels().
-	stale  map[ID]bool
+	// order lists channel IDs in establishment order. A slot is live while
+	// its channel's entry points back at it (entry.at): a removal leaves a
+	// dead slot behind, dropped by compaction once over half are dead, and
+	// a channel re-admitted under its ID (failure recovery, reconfigure)
+	// takes a new slot at the end.
+	order  []ID
 	nextID ID
 
 	// index interns link keys; keys inverts it. sorted holds every
@@ -156,9 +158,23 @@ type State[K comparable, Ch any, P any] struct {
 	genCtr uint64
 	gens   []uint64
 
+	// While a decision runs (begin, then end or abort), sumLog records each
+	// link summary as it was before the decision first changed it
+	// (sumSeen[i] == txn), so an abort restores the summaries bit for bit.
+	txn     uint64
+	inTxn   bool
+	sumSeen []uint64
+	sumLog  []sumSave
+
 	// ratTmp and diffLinks are scratch buffers.
 	ratTmp    big.Rat
 	diffLinks []int32
+}
+
+// sumSave is one link summary as it stood before a decision changed it.
+type sumSave struct {
+	i int32
+	s edf.Summary
 }
 
 // NewState returns an empty state speaking the given adapter vocabulary.
@@ -166,7 +182,6 @@ func NewState[K comparable, Ch any, P any](ops *Ops[K, Ch, P]) *State[K, Ch, P] 
 	return &State[K, Ch, P]{
 		ops:      ops,
 		channels: make(map[ID]entry[Ch]),
-		stale:    make(map[ID]bool),
 		nextID:   1,
 		index:    make(map[K]int32),
 	}
@@ -187,6 +202,7 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.utilSum = append(st.utilSum, new(big.Rat))
 	st.sums = append(st.sums, edf.Summary{})
 	st.gens = append(st.gens, 0)
+	st.sumSeen = append(st.sumSeen, 0)
 	pos := sort.Search(len(st.sorted), func(j int) bool { return st.ops.Less(l, st.keys[st.sorted[j]]) })
 	for _, j := range st.sorted[pos:] {
 		st.rank[j]++
@@ -201,6 +217,33 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 func (st *State[K, Ch, P]) bumpGen(i int32) {
 	st.genCtr++
 	st.gens[i] = st.genCtr
+}
+
+// begin starts a decision: summary changes are recorded for abort.
+func (st *State[K, Ch, P]) begin() {
+	st.txn++
+	st.inTxn = true
+	st.sumLog = st.sumLog[:0]
+}
+
+// saveSum records link i's summary before the running decision first
+// changes it.
+func (st *State[K, Ch, P]) saveSum(i int32) {
+	if st.inTxn && st.sumSeen[i] != st.txn {
+		st.sumSeen[i] = st.txn
+		st.sumLog = append(st.sumLog, sumSave{i: i, s: st.sums[i]})
+	}
+}
+
+// end stops recording: the decision's summaries stand.
+func (st *State[K, Ch, P]) end() { st.inTxn = false }
+
+// abort restores every summary the decision changed and stops recording.
+func (st *State[K, Ch, P]) abort() {
+	for _, sv := range st.sumLog {
+		st.sums[sv.i] = sv.s
+	}
+	st.inTxn = false
 }
 
 // Len returns the number of active channels, size(K).
@@ -218,9 +261,9 @@ func (st *State[K, Ch, P]) Has(id ID) bool {
 
 // Channels returns the active channels in establishment order.
 func (st *State[K, Ch, P]) Channels() []Ch {
-	out := make([]Ch, 0, len(st.order))
-	for _, id := range st.order {
-		if e, ok := st.channels[id]; ok {
+	out := make([]Ch, 0, len(st.channels))
+	for at, id := range st.order {
+		if e, ok := st.channels[id]; ok && e.at == at {
 			out = append(out, e.ch)
 		}
 	}
@@ -278,7 +321,7 @@ func (st *State[K, Ch, P]) NextID() ID { return st.nextID }
 func (st *State[K, Ch, P]) SetNextID(id ID) { st.nextID = id }
 
 // OrderLen returns the length of the internal insertion-order slice,
-// including tombstones not yet compacted (tests).
+// including dead slots not yet compacted (tests).
 func (st *State[K, Ch, P]) OrderLen() int { return len(st.order) }
 
 // AllocID returns the next unused network-unique channel ID. IDs wrap at
@@ -306,22 +349,10 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 	if _, dup := st.channels[id]; dup {
 		panic(fmt.Sprintf("admit: duplicate channel ID %d", id))
 	}
-	if st.stale[id] {
-		// The channel lived before under this ID and its order entry is
-		// still pending compaction — purge it, or the entry would come
-		// alive again and Channels() would list the channel twice.
-		for i, oid := range st.order {
-			if oid == id {
-				st.order = append(st.order[:i], st.order[i+1:]...)
-				break
-			}
-		}
-		delete(st.stale, id)
-	}
 	links := st.ops.Links(ch)
 	n := len(links)
 	buf := make([]int32, 2*n)
-	e := entry[Ch]{ch: ch, idx: buf[:n:n], pos: buf[n:]}
+	e := entry[Ch]{ch: ch, idx: buf[:n:n], pos: buf[n:], at: len(st.order)}
 	for hop, l := range links {
 		e.idx[hop] = st.intern(l)
 	}
@@ -340,6 +371,7 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		st.bumpGen(i)
 		u := st.utilSum[i]
 		u.Add(u, st.ratTmp.SetFrac64(c, p))
+		st.saveSum(i)
 		st.sums[i].Add(t)
 		st.sums[i].Over = u.Cmp(ratOne) > 0
 	}
@@ -351,6 +383,7 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 // updates the load, the utilization sum, the summary and the generation.
 func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	refs, tasks := st.byLink[i], st.tasks[i]
+	st.saveSum(i)
 	st.sums[i].Remove(tasks[j])
 	n := int32(len(refs)) - 1
 	copy(refs[j:], refs[j+1:])
@@ -377,43 +410,80 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 // beyond the interned link indices, which are never reused anyway.
 func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	id := st.ops.ID(ch)
-	if len(st.order) == 0 || st.order[len(st.order)-1] != id {
+	if e, ok := st.channels[id]; !ok || e.at != len(st.order)-1 {
 		panic(fmt.Sprintf("admit: UndoAdd of channel %d out of order", id))
 	}
-	e := st.channels[id]
-	delete(st.channels, id)
+	st.cut(id) // last on each of its links: no other hop shifts
 	st.order = st.order[:len(st.order)-1]
-	c, p := st.ops.UtilCP(ch)
-	for hop, i := range e.idx {
-		st.unload(i, e.pos[hop], c, p) // last on its link: no other hop shifts
-	}
 }
 
 // Remove deletes a channel and updates link loads and per-link caches. It
 // reports whether the channel existed.
 func (st *State[K, Ch, P]) Remove(id ID) bool {
+	if !st.Has(id) {
+		return false
+	}
+	st.cut(id)
+	st.compact()
+	return true
+}
+
+// cut takes an active channel off its links and out of the channel map,
+// leaving its order slot dead, and returns its entry: restore puts it back
+// exactly, and the entry's positions are where its hops were cut.
+func (st *State[K, Ch, P]) cut(id ID) entry[Ch] {
 	e, ok := st.channels[id]
 	if !ok {
-		return false
+		panic(fmt.Sprintf("admit: removal of unknown channel %d", id))
 	}
 	delete(st.channels, id)
 	c, p := st.ops.UtilCP(e.ch)
 	for hop, i := range e.idx {
 		st.unload(i, e.pos[hop], c, p)
 	}
-	// Compact the order slice lazily: rebuild when over half are gone.
-	st.stale[id] = true
-	if len(st.order) >= 2*len(st.channels)+8 {
-		kept := st.order[:0]
-		for _, oid := range st.order {
-			if _, alive := st.channels[oid]; alive {
-				kept = append(kept, oid)
-			}
+	return e
+}
+
+// restore reverses the cut that returned e: every hop goes back into the
+// slot it was cut from, last hop first (a channel crossing one link twice
+// cut its first hop first), shifting the tails up again, and the channel's
+// order slot comes alive again. Cuts are restored in reverse order.
+func (st *State[K, Ch, P]) restore(e entry[Ch]) {
+	st.channels[st.ops.ID(e.ch)] = e
+	c, p := st.ops.UtilCP(e.ch)
+	for hop := len(e.idx) - 1; hop >= 0; hop-- {
+		i, j := e.idx[hop], e.pos[hop]
+		st.byLink[i] = slices.Insert(st.byLink[i], int(j), Ref[Ch]{Ch: e.ch, Hop: hop, pos: &e.pos[hop]})
+		st.tasks[i] = slices.Insert(st.tasks[i], int(j), st.ops.Task(e.ch, hop))
+		for k := j + 1; k < int32(len(st.byLink[i])); k++ {
+			*st.byLink[i][k].pos = k
 		}
-		st.order = kept
-		clear(st.stale)
+		st.bumpGen(i)
+		if st.loads[i]++; st.loads[i] == 1 {
+			st.loaded++
+		}
+		u := st.utilSum[i]
+		u.Add(u, st.ratTmp.SetFrac64(c, p))
+		st.saveSum(i)
+		st.sums[i].Add(st.tasks[i][j])
+		st.sums[i].Over = u.Cmp(ratOne) > 0
 	}
-	return true
+}
+
+// compact drops the order slice's dead slots once over half are dead.
+func (st *State[K, Ch, P]) compact() {
+	if len(st.order) < 2*len(st.channels)+8 {
+		return
+	}
+	kept := st.order[:0]
+	for at, id := range st.order {
+		if e, ok := st.channels[id]; ok && e.at == at {
+			e.at = len(kept)
+			st.channels[id] = e
+			kept = append(kept, id)
+		}
+	}
+	st.order = kept
 }
 
 // SetPart installs a new partition on a channel, overwrites its tasks in
@@ -437,6 +507,7 @@ func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
 	if t == *slot {
 		return false
 	}
+	st.saveSum(i)
 	st.sums[i].Replace(*slot, t)
 	*slot = t
 	return true
@@ -477,6 +548,7 @@ func (st *State[K, Ch, P]) verdict(i int32) (edf.Result, bool) {
 	s := &st.sums[i]
 	res, ok := s.Decide()
 	if !ok && s.Loose() {
+		st.saveSum(i)
 		s.Rescan(st.tasks[i])
 		res, ok = s.Decide()
 	}
@@ -518,7 +590,6 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		ops:      st.ops,
 		channels: make(map[ID]entry[Ch], len(st.channels)),
 		order:    slices.Clone(st.order),
-		stale:    make(map[ID]bool, len(st.stale)),
 		nextID:   st.nextID,
 		index:    maps.Clone(st.index),
 		keys:     slices.Clone(st.keys),
@@ -532,12 +603,10 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		sums:     slices.Clone(st.sums),
 		genCtr:   st.genCtr,
 		gens:     slices.Clone(st.gens),
-	}
-	for id := range st.stale {
-		cp.stale[id] = true
+		sumSeen:  make([]uint64, n),
 	}
 	for id, e := range st.channels {
-		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx, pos: slices.Clone(e.pos)}
+		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx, pos: slices.Clone(e.pos), at: e.at}
 	}
 	for i, refs := range st.byLink {
 		if len(refs) == 0 {

@@ -69,14 +69,14 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 		}
 	}
 	schemes := []Scheme[int, *toyChan, int64]{constScheme(10)}
-	if _, rej := e.Admit(1, mk(1, 2), schemes); rej != nil {
+	if _, rej := e.Apply(nil, 1, mk(1, 2), schemes); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
-	if _, rej := e.Admit(1, mk(3, 4), schemes); rej != nil {
+	if _, rej := e.Apply(nil, 1, mk(3, 4), schemes); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
 	// A repartition to the same value must report nothing as changed.
-	if _, rej := e.Admit(1, mk(1, 3), schemes); rej != nil {
+	if _, rej := e.Apply(nil, 1, mk(1, 3), schemes); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
 	ids := e.Repartitioned()
@@ -95,7 +95,7 @@ func TestApplyPanicsOnUnknownChannel(t *testing.T) {
 			t.Error("partition for an unknown channel did not panic")
 		}
 	}()
-	e.Admit(1, func(_ int, id ID) *toyChan {
+	e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 		return &toyChan{id: id, c: 1, p: 100, links: []int{1}}
 	}, stray)
 }
@@ -108,7 +108,7 @@ func TestApplyPanicsOnInvalidPartition(t *testing.T) {
 			t.Error("invalid partition did not panic")
 		}
 	}()
-	e.Admit(1, func(_ int, id ID) *toyChan {
+	e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{1}}
 	}, bad)
 }
@@ -153,7 +153,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 		}
 		return parts
 	}
-	_, rej := e.Admit(128, func(i int, id ID) *toyChan {
+	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}
 	}, []Scheme[int, *toyChan, int64]{scheme})
 	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
@@ -169,7 +169,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 // verdict, so the sweep neither asks their summaries nor tests them.
 func TestSweepStopsAtSummaryFailure(t *testing.T) {
 	e := newToyEngine(Config{})
-	_, rej := e.Admit(24, func(i int, id ID) *toyChan {
+	_, rej := e.Apply(nil, 24, func(i int, id ID) *toyChan {
 		if i < 2 {
 			return &toyChan{id: id, c: 50, p: 50, links: []int{0}} // two full-period tasks: U = 2
 		}
@@ -205,7 +205,7 @@ func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
 	}
 	e := NewEngine(&ops, Config{Feasibility: edf.Options{SkipValidation: true}})
 	admit := func(d int64, links ...int) *Rejection[int] {
-		_, rej := e.Admit(1, func(_ int, id ID) *toyChan {
+		_, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: 2, p: 100, links: links}
 		}, []Scheme[int, *toyChan, int64]{constScheme(d)})
 		return rej

@@ -14,7 +14,7 @@ func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64], c int64) []i
 	schemes := []Scheme[int, *toyChan, int64]{constScheme(40)}
 	for i := 0; i < 64; i++ {
 		a, b := i%16, 16+(i%16)
-		_, rej := e.Admit(1, func(_ int, id ID) *toyChan {
+		_, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: c, p: 400, links: []int{a, b}}
 		}, schemes)
 		if rej != nil {

@@ -38,12 +38,12 @@ func TestAdmitEachMatchesSequential(t *testing.T) {
 		mks := randomToySpecs(rng, n)
 
 		merged := newToyEngine(Config{})
-		chs, rejs := merged.AdmitEach(n, func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
+		chs, rejs := merged.AdmitEach(nil, n, func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
 
 		seq := newToyEngine(Config{})
 		accepted := 0
 		for i := 0; i < n; i++ {
-			sch, srej := seq.Admit(1, func(_ int, id ID) *toyChan { return mks[i](id) }, schemes)
+			sch, srej := seq.Apply(nil, 1, func(_ int, id ID) *toyChan { return mks[i](id) }, schemes)
 			if (srej == nil) != (rejs[i] == nil) {
 				t.Fatalf("n=%d spec %d: merged rejected=%v, sequential rejected=%v", n, i, rejs[i] != nil, srej != nil)
 			}
@@ -90,7 +90,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 		func(id ID) *toyChan { return &toyChan{id: id, c: 1, p: 100, links: []int{2}} },
 	}
 	e := newToyEngine(Config{})
-	chs, rejs := e.AdmitEach(len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
+	chs, rejs := e.AdmitEach(nil, len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
 	wantRejected := map[int]bool{2: true}
 	var wantIDs []ID
 	for i := range mks {
@@ -119,7 +119,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 // TestAdmitEachEmpty covers the degenerate empty group.
 func TestAdmitEachEmpty(t *testing.T) {
 	e := newToyEngine(Config{})
-	chs, rejs := e.AdmitEach(0, nil, []Scheme[int, *toyChan, int64]{constScheme(8)})
+	chs, rejs := e.AdmitEach(nil, 0, nil, []Scheme[int, *toyChan, int64]{constScheme(8)})
 	if len(chs) != 0 || len(rejs) != 0 {
 		t.Fatalf("AdmitEach(0) = %v, %v", chs, rejs)
 	}

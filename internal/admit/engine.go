@@ -33,8 +33,9 @@ type Config struct {
 }
 
 // Engine owns a State and runs admission decisions against it
-// copy-on-write: a decision mutates the live state tentatively, verifies
-// only the links whose task sets changed, and rolls back on rejection.
+// copy-on-write: a decision (Apply) mutates the live state tentatively,
+// verifies only the links whose task sets changed, and rolls back on
+// rejection.
 //
 // Engine is not safe for concurrent use; the public rtether.Network
 // serializes access.
@@ -95,6 +96,8 @@ type Engine[K comparable, Ch any, P any] struct {
 	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test
 	sweepResults []edf.Result
 	sweepOK      int // feasible prefix length of the last sweep
+
+	cuts []entry[Ch] // the running decision's removed channels, in cut order
 }
 
 // NewEngine returns an engine over an empty state.
@@ -169,91 +172,92 @@ func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
 func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs }
 
 // Repartitions returns the cumulative number of repartition passes the
-// engine has run: one per scheme attempted per admission decision (an
-// Admit covering a whole batch counts once per scheme, which is what
-// makes batch admission scale) plus one per Release that repartitioned
-// the remaining channels. The count is deterministic.
+// engine has run: one per scheme attempted per Apply (a decision covering
+// a whole batch, or a removal together with its replacement, counts once
+// per scheme, which is what makes batch admission scale). The count is
+// deterministic.
 func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 
 // Repartitioned returns the IDs (ascending) of the channels whose
-// partitions changed in the last successful Admit or Release —
-// establishments include the new channels. The slice is invalidated by
-// the next mutation.
+// partitions changed in the last decision that committed — admitted
+// channels included. The slice is invalidated by the next mutation.
 func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 
-// Admit runs one admission decision for a batch of n new channels:
-// mk(i, id) constructs the i-th channel with its allocated ID (the
-// adapter has validated and routed the specs already). The schemes are
-// tried in order — the paper's fallback search — and the first whose
-// tentative system passes verification commits. Each attempt adds the
-// channels to the live state, repartitions what the scheme recomputes on
-// the links they touch, verifies only the links whose task sets changed,
-// and rolls everything back on rejection. On rejection the committed
-// state is untouched (bit for bit, including the ID allocator) and the
-// first scheme's rejection is returned.
-func (e *Engine[K, Ch, P]) Admit(n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
+// Apply is the engine's one decision: it removes the channels listed in
+// remove (active and distinct), adds n new ones — mk(i, id) constructs
+// the i-th with its allocated ID (the adapter has validated and routed
+// the specs already) — and verifies the result. The schemes are tried in
+// order, the paper's fallback search, and the first whose tentative state
+// verifies commits. Each attempt cuts the removed channels out of the live
+// state, adds the new ones, repartitions what the scheme recomputes on the
+// links of both (one touched set), verifies only the links whose task sets
+// changed, and rolls everything back on rejection: the removed channels go
+// back into the slots they were cut from, so the committed state is
+// bit-identical to before — task table, summaries, establishment order
+// and ID allocator. The first scheme's rejection is returned.
+//
+// A pure removal (n == 0) never fails. It repartitions with the primary
+// scheme only, and if that fails verification every remaining channel
+// keeps the partition it had: removing load can never invalidate the
+// schedule under unchanged partitions. A kept-back partition stays until
+// a later decision touches one of its channel's links, which recomputes
+// it as usual; decisions elsewhere never see it.
+func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
+	if n == 0 {
+		schemes = schemes[:1]
+	}
+	st := e.state
+	chs := make([]Ch, n)
 	var firstRej *Rejection[K]
 	for _, scheme := range schemes {
-		savedNext := e.state.nextID
-		chs := make([]Ch, n)
-		for i := 0; i < n; i++ {
-			ch := mk(i, e.state.AllocID())
-			e.state.Add(ch)
-			chs[i] = ch
+		st.begin()
+		savedNext := st.nextID
+		e.cuts = e.cuts[:0]
+		for _, id := range remove {
+			e.cuts = append(e.cuts, st.cut(id))
+		}
+		for i := range chs {
+			chs[i] = mk(i, st.AllocID())
+			st.Add(chs[i])
 		}
 		e.newSet()
 		e.touchIdx = e.touchIdx[:0]
+		for _, c := range e.cuts {
+			e.touchIdx = e.addToSet(e.touchIdx, c.idx)
+		}
 		for _, ch := range chs {
-			e.touchIdx = e.addToSet(e.touchIdx, e.state.channels[e.ops.ID(ch)].idx)
+			e.touchIdx = e.addToSet(e.touchIdx, st.channels[e.ops.ID(ch)].idx)
 		}
 
 		e.repartitions++
-		undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()))
-
+		undo, changed, changedIDs := e.applyDelta(scheme(st, e.touchedKeys()))
 		rej := e.verify(changed)
-		if rej == nil {
+		if rej == nil || n == 0 {
+			if rej == nil {
+				e.commitSlack()
+			} else {
+				e.rollback(undo) // the removal alone stands
+				changedIDs = nil
+			}
+			st.end()
+			st.compact()
 			e.repartitioned = changedIDs
-			e.commitSlack()
 			return chs, nil
 		}
 		e.rollback(undo)
 		for i := n - 1; i >= 0; i-- {
-			e.state.UndoAdd(chs[i])
+			st.UndoAdd(chs[i])
 		}
-		e.state.nextID = savedNext
+		for k := len(e.cuts) - 1; k >= 0; k-- {
+			st.restore(e.cuts[k])
+		}
+		st.nextID = savedNext
+		st.abort()
 		if firstRej == nil {
 			firstRej = rej
 		}
 	}
 	return nil, firstRej
-}
-
-// Release tears down a channel and repartitions the channels sharing a
-// link with it (a scheme is a function of the system state). If that
-// repartition fails verification, every remaining channel keeps the
-// partition it had: removing load can never invalidate the schedule under
-// unchanged partitions. A kept-back partition stays until a later
-// decision touches one of its channel's links, which recomputes it as
-// usual; decisions elsewhere never see it. It reports whether the
-// channel existed.
-func (e *Engine[K, Ch, P]) Release(id ID, scheme Scheme[K, Ch, P]) bool {
-	entry, ok := e.state.channels[id]
-	if !ok {
-		return false
-	}
-	e.state.Remove(id)
-	e.newSet()
-	e.touchIdx = e.addToSet(e.touchIdx[:0], entry.idx)
-	e.repartitions++
-	undo, changed, changedIDs := e.applyDelta(scheme(e.state, e.touchedKeys()))
-	if rej := e.verify(changed); rej != nil {
-		e.rollback(undo)
-		changedIDs = nil
-	} else {
-		e.commitSlack()
-	}
-	e.repartitioned = changedIDs
-	return true
 }
 
 // touchedKeys returns the link keys of the touched set built in touchIdx,

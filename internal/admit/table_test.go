@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/edf"
@@ -209,7 +210,7 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 	used := newToyEngine(Config{})
 	rng := rand.New(rand.NewSource(11))
 	for _, mk := range randomToySpecs(rng, 40) {
-		used.Admit(1, func(_ int, id ID) *toyChan { return mk(id) }, schemes)
+		used.Apply(nil, 1, func(_ int, id ID) *toyChan { return mk(id) }, schemes)
 	}
 	if len(used.slackHist) == 0 || used.LinksChecked() == 0 {
 		t.Fatal("history engine built no history")
@@ -230,8 +231,8 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 			return ch
 		}
 		c0, s0 := fresh.LinksChecked(), fresh.SweepSkips()
-		_, ru := used.Admit(1, gen, schemes)
-		_, rf := fresh.Admit(1, gen, schemes)
+		_, ru := used.Apply(nil, 1, gen, schemes)
+		_, rf := fresh.Apply(nil, 1, gen, schemes)
 		if checked, skips := fresh.LinksChecked()-c0, fresh.SweepSkips()-s0; skips > checked {
 			t.Fatalf("decision %d: %d cache hits out of %d checks", i, skips, checked)
 		}
@@ -243,8 +244,8 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 		}
 		if i%5 == 4 {
 			victim := fresh.State().Channels()[0].id
-			used.Release(victim, schemes[0])
-			fresh.Release(victim, schemes[0])
+			used.Apply([]ID{victim}, 0, nil, schemes)
+			fresh.Apply([]ID{victim}, 0, nil, schemes)
 		}
 	}
 	if got, want := used.LinksChecked()-checked0, fresh.LinksChecked(); got != want {
@@ -272,7 +273,7 @@ func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
 		}
 		return parts
 	}
-	_, rej := e.Admit(128, func(i int, id ID) *toyChan {
+	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
 	}, []Scheme[int, *toyChan, int64]{scheme})
 	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
@@ -331,10 +332,12 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 
 // churnTable drives a state through every operation that edits the live
 // task table — Add, UndoAdd, Remove, SetPart, setPartDiff, an engine
-// rollback and Clone (continuing on the clone) — plus the sweep's summary
-// verdict, which may rescan a link, with channels that sometimes cross
-// one link twice and sometimes hold no partition yet, and calls check
-// after every step. capacity draws each new channel's C and P.
+// rollback, an Apply that replaces channels and one that rolls back, and
+// Clone (continuing on the clone) — plus the sweep's summary verdict,
+// which may rescan a link, with channels that sometimes cross one link
+// twice and sometimes hold no partition yet, and calls check after every
+// step. A rolled-back Apply must leave the state bit-identical (rawState).
+// capacity draws each new channel's C and P.
 func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64), check func(step int, st *State[int, *toyChan, int64])) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -343,7 +346,7 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 	var live []ID
 	pick := func() *toyChan { return st.Get(live[rng.Intn(len(live))]) }
 	for step := 0; step < 3000; step++ {
-		switch r := rng.Intn(21); {
+		switch r := rng.Intn(23); {
 		case r < 7 || len(live) == 0:
 			links := make([]int, 1+rng.Intn(3))
 			for k := range links {
@@ -381,11 +384,98 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 			e.rollback(undo)
 		case r < 20:
 			st.verdict(int32(rng.Intn(len(st.keys))))
+		case r < 22:
+			// Replace up to three live channels with up to two new ones,
+			// repartitioning every channel on the touched links to D = P
+			// (at least C, and clear of overflow). A doomed step's new
+			// channels cross their first link twice at C = P, so it is
+			// refused (U = 2); the other one commits whatever verifies.
+			doomed := r == 20
+			remove := slices.Clone(live)
+			rng.Shuffle(len(remove), func(a, b int) { remove[a], remove[b] = remove[b], remove[a] })
+			remove = remove[:rng.Intn(min(3, len(remove))+1)]
+			n := 1 + rng.Intn(2)
+			mk := func(_ int, id ID) *toyChan {
+				c, p := capacity(rng)
+				l := rng.Intn(12)
+				if doomed {
+					return &toyChan{id: id, c: c, p: c, links: []int{l, l}}
+				}
+				return &toyChan{id: id, c: c, p: p, links: []int{l, rng.Intn(12)}}
+			}
+			scheme := func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
+				parts := make(map[ID]int64)
+				for _, l := range touched {
+					for _, ref := range st.ChannelsOn(l) {
+						parts[ref.Ch.id] = max(min(ref.Ch.p, math.MaxInt64/2), ref.Ch.c)
+					}
+				}
+				return parts
+			}
+			e.ReplaceState(st)
+			before := rawState(st)
+			chs, rej := e.Apply(remove, n, mk, []Scheme[int, *toyChan, int64]{scheme})
+			if doomed {
+				if rej == nil {
+					t.Fatalf("step %d: a doomed Apply committed", step)
+				}
+				if after := rawState(st); after != before {
+					t.Fatalf("step %d: rolled-back Apply changed the state:\n before %s\n after  %s", step, before, after)
+				}
+			} else if rej == nil {
+				live = slices.DeleteFunc(live, func(id ID) bool { return slices.Contains(remove, id) })
+				for _, ch := range chs {
+					live = append(live, ch.id)
+				}
+			}
 		default:
 			st = st.Clone()
 		}
 		check(step, st)
 	}
+}
+
+// rawState renders everything a rolled-back decision must restore: the
+// order slice with every channel's slot and hop positions, the loaded-link
+// count, the ID allocator and every link's state (linkState).
+func rawState(st *State[int, *toyChan, int64]) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "next=%d loaded=%d order=%v|", st.nextID, st.loaded, st.order)
+	for at, id := range st.order {
+		if e, ok := st.channels[id]; ok && e.at == at {
+			fmt.Fprintf(&b, "%d@%d:%v:%v:%d;", id, at, e.idx, e.pos, e.ch.part)
+		}
+	}
+	return b.String() + linkState(st)
+}
+
+// liveState renders what a decision commits, leaving out how the order
+// slice holds it (dead slots, compaction): the channels in establishment
+// order with their partitions, every link's state, and the ID allocator.
+func liveState(st *State[int, *toyChan, int64]) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "next=%d loaded=%d|", st.nextID, st.loaded)
+	for _, ch := range st.Channels() {
+		fmt.Fprintf(&b, "%d:%v:%d;", ch.id, ch.links, ch.part)
+	}
+	return b.String() + linkState(st)
+}
+
+// linkState renders each link's load, utilization, summary (unexported
+// fields included), hop list and task list. A link a decision interned
+// stays interned, empty, as documented; an empty link is not rendered.
+func linkState(st *State[int, *toyChan, int64]) string {
+	var b strings.Builder
+	for i := range st.keys {
+		if st.loads[i] == 0 && st.utilSum[i].Sign() == 0 && st.sums[i] == (edf.Summary{}) {
+			continue
+		}
+		fmt.Fprintf(&b, "|%d:%d:%v:%+v:", st.keys[i], st.loads[i], st.utilSum[i], st.sums[i])
+		for j, r := range st.byLink[i] {
+			fmt.Fprintf(&b, "%d.%d=%v,", r.Ch.id, r.Hop, st.tasks[i][j])
+		}
+	}
+	return b.String()
 }
 
 // TestTaskTableMatchesRebuild checks the live task table against a

@@ -64,10 +64,8 @@ type Config struct {
 // (and, above it, rtether.Network's lock) serializes establishment
 // traffic as a single management process would.
 type Controller struct {
-	cfg     Config
-	eng     *admit.Engine[Link, *Channel, Partition]
-	schemes []admit.Scheme[Link, *Channel, Partition]
-	stats   Stats
+	cfg Config
+	p   admit.Plane[Link, *Channel, Partition]
 }
 
 // NewController returns a Controller with the given configuration.
@@ -77,9 +75,11 @@ func NewController(cfg Config) *Controller {
 	}
 	cfg.Feasibility.SkipValidation = true // specs are validated on entry
 	c := &Controller{cfg: cfg}
-	c.eng = admit.NewEngine(coreOps, admit.Config{Feasibility: cfg.Feasibility})
+	c.p.Eng = admit.NewEngine(coreOps, admit.Config{Feasibility: cfg.Feasibility})
+	c.p.Unknown = func(id ChannelID) error { return fmt.Errorf("core: release of unknown RT channel %d", id) }
+	c.p.Reject = func(rej *admit.Rejection[Link]) error { return &RejectionError{Link: rej.Link, Result: rej.Result} }
 	for _, d := range append([]DPS{cfg.DPS}, cfg.Fallbacks...) {
-		c.schemes = append(c.schemes, func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
+		c.p.Schemes = append(c.p.Schemes, func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
 			return d.PartitionTouched(&State{k: k}, touched)
 		})
 	}
@@ -90,31 +90,26 @@ func NewController(cfg Config) *Controller {
 func (c *Controller) DPS() DPS { return c.cfg.DPS }
 
 // Stats returns a copy of the admission counters.
-func (c *Controller) Stats() Stats {
-	s := c.stats
-	s.LinksChecked = c.eng.LinksChecked()
-	s.Repartitions = c.eng.Repartitions()
-	return s
-}
+func (c *Controller) Stats() Stats { return c.p.Counters() }
 
 // SweepSkips returns how many of the LinksChecked feasibility answers
 // came from the kernel's generation-keyed verdict cache instead of a
 // fresh EDF analysis.
-func (c *Controller) SweepSkips() int { return c.eng.SweepSkips() }
+func (c *Controller) SweepSkips() int { return c.p.Eng.SweepSkips() }
 
 // SweepNs returns the cumulative wall-clock nanoseconds the engine has
 // spent inside verification sweeps (observability accounting; measured,
 // not deterministic).
-func (c *Controller) SweepNs() int64 { return c.eng.SweepNs() }
+func (c *Controller) SweepNs() int64 { return c.p.Eng.SweepNs() }
 
 // State returns the live system state. Callers must treat it as read-only.
-func (c *Controller) State() *State { return &State{k: c.eng.State()} }
+func (c *Controller) State() *State { return &State{k: c.p.Eng.State()} }
 
 // Repartitioned returns the IDs (ascending) of the channels whose
-// partitions changed in the last successful Admit, AdmitEach or
-// Release — establishments include the new channels. The slice is
-// invalidated by the next state mutation.
-func (c *Controller) Repartitioned() []ChannelID { return c.eng.Repartitioned() }
+// partitions changed in the last decision that committed — admitted
+// channels included. The slice is invalidated by the next state
+// mutation.
+func (c *Controller) Repartitioned() []ChannelID { return c.p.Eng.Repartitioned() }
 
 // GuaranteedDelay returns T_maxdelay,i = d_i + T_latency (Eq. 18.1) for an
 // accepted spec.
@@ -127,9 +122,10 @@ type Req struct {
 	Spec  ChannelSpec
 	Sinks []NodeID
 	// ID, when KeepID is set, is committed as the channel's ID instead
-	// of a freshly allocated one. The ID must not be in use: failure
-	// recovery releases affected channels and re-admits them under their
-	// old IDs so handles held by callers stay valid.
+	// of a freshly allocated one. The ID must not be in use once the
+	// decision's releases are made: a reconfiguration and failure recovery
+	// release channels and re-admit them under their old IDs in the same
+	// decision, so handles held by callers stay valid.
 	ID     ChannelID
 	KeepID bool
 }
@@ -168,21 +164,9 @@ func (r Req) String() string {
 	return r.Spec.String()
 }
 
-// ReqError is what Admit returns when request Index of the list fails
-// before the feasibility test (validation; on a fabric also routing; on
-// the simulated star an unattached endpoint). It reads as its cause, so a
-// one-request caller needs no unwrapping; list callers attribute it with
-// BatchError.
-type ReqError struct {
-	Index int
-	Err   error
-}
-
-// Error implements error.
-func (e *ReqError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the cause to errors.Is and errors.As.
-func (e *ReqError) Unwrap() error { return e.Err }
+// ReqError is what Apply returns when request Index of the list fails
+// before the feasibility test; see admit.ReqError.
+type ReqError = admit.ReqError
 
 // BatchError names the failing entry of an atomic list in a ReqError
 // ("batch spec i (…): cause"); every other error passes through.
@@ -215,93 +199,52 @@ func newChannel(r Req, id ChannelID) *Channel {
 	return ch
 }
 
-// Admit runs one admission test for a whole list of requests and, if
-// feasible, commits them all (returned in request order); otherwise none
-// commits and the first failure is returned — a *ReqError for a request
-// that fails validation, a *RejectionError for the link that failed. The
-// decision procedure follows §18.3.2 and §18.4:
+// Apply is the management plane's one decision (admit.Plane.Apply): it
+// releases the channels listed in remove (established and distinct) and
+// admits reqs atomically. The new channels come back in request order, or
+// nothing commits — every channel in remove keeps its reservation, ID and
+// partition — and the first failure is returned: a *ReqError for a
+// request that fails validation, a *RejectionError for the link that
+// failed. A KeepID request may reuse the ID of a channel it replaces. The
+// decision follows §18.3.2 and §18.4:
 //
 //  1. Validate every spec (including D >= 2C, condition (9)).
-//  2. Build the tentative state: current channels plus the new ones. A
-//     multicast request is one channel whose task appears on the source
-//     uplink and on every sink downlink, sharing one partition.
-//  3. Apply the DPS to the channels on the links the new channels touch
-//     — the DPS is a function of the system state, so existing channels
-//     may be repartitioned. One repartition for the list, not one per
-//     request.
-//  4. Test EDF feasibility of every link whose task set changed. If any
-//     link fails, reject and leave the committed state untouched.
+//  2. Build the tentative state: the current channels minus the released
+//     ones plus the new ones; a multicast request is one channel whose
+//     task sits on the source uplink and on every sink downlink.
+//  3. Apply the DPS to the channels on the links of both — the DPS is a
+//     function of the system state, so existing channels may be
+//     repartitioned. One repartition for the whole change.
+//  4. Test EDF feasibility of every link whose task set changed; if any
+//     fails, reject and leave the committed state untouched.
 //
-// Steps 2-4 run copy-on-write on the live state: only channels the DPS
-// actually repartitions are touched and rolled back on rejection.
-//
-// Stats account the list as len(reqs) requests; on success all are
-// accepted, on rejection one rejection is recorded for the list (the
-// constraint that failed first).
-func (c *Controller) Admit(reqs []Req) ([]*Channel, error) {
-	c.stats.Requests += len(reqs)
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			c.stats.RejectedInvalid++
-			return nil, &ReqError{Index: i, Err: err}
-		}
-	}
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	chs, rej := c.eng.Admit(len(reqs), func(i int, id ChannelID) *Channel {
-		return newChannel(reqs[i], id)
-	}, c.schemes)
-	if rej != nil {
-		return nil, c.reject(rej)
-	}
-	c.stats.Accepted += len(reqs)
-	return chs, nil
+// A pure release (no requests) never fails; see Release.
+func (c *Controller) Apply(remove []ChannelID, reqs []Req) ([]*Channel, error) {
+	return c.p.Apply(remove, len(reqs), c.validate(reqs), func(i int, id ChannelID) *Channel { return newChannel(reqs[i], id) })
 }
 
-// AdmitEach decides a merged list with one verdict per request: unlike
-// Admit's all-or-nothing decision every request is accepted or rejected
-// on its own, while the kernel runs far fewer repartition passes than
-// len(reqs) sequential requests — greedy bisection tries the whole group
-// first and only narrows down around failures (admit.Engine.AdmitEach,
-// which also states the decision-equivalence contract with sequential
-// submission per scheme). It is the primitive behind request coalescing
-// and post-failure batch re-admission.
-//
-// The returned slices are parallel to reqs: chs[i] is the committed
-// channel when errs[i] is nil, and errs[i] is the request's own
-// validation error or *RejectionError otherwise. Stats account the list
-// as len(reqs) requests with per-request outcomes.
-func (c *Controller) AdmitEach(reqs []Req) ([]*Channel, []error) {
-	c.stats.Requests += len(reqs)
-	chs := make([]*Channel, len(reqs))
-	errs := make([]error, len(reqs))
-	valid := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		if errs[i] = r.Validate(); errs[i] != nil {
-			c.stats.RejectedInvalid++
-			continue
+// validate checks request i of reqs, counting a failure.
+func (c *Controller) validate(reqs []Req) func(i int) error {
+	return func(i int) error {
+		err := reqs[i].Validate()
+		if err != nil {
+			c.p.Stats.RejectedInvalid++
 		}
-		valid = append(valid, i)
+		return err
 	}
-	got, rejs := c.eng.AdmitEach(len(valid), func(vi int, id ChannelID) *Channel {
-		return newChannel(reqs[valid[vi]], id)
-	}, c.schemes)
-	for vi, i := range valid {
-		if rejs[vi] != nil {
-			errs[i] = c.reject(rejs[vi])
-			continue
-		}
-		c.stats.Accepted++
-		chs[i] = got[vi]
-	}
-	return chs, errs
 }
 
-// reject counts a kernel rejection and converts it to the public error.
-func (c *Controller) reject(rej *admit.Rejection[Link]) *RejectionError {
-	c.stats.NoteRejection(rej.Result)
-	return &RejectionError{Link: rej.Link, Result: rej.Result}
+// Admit is Apply of reqs with nothing to release.
+func (c *Controller) Admit(reqs []Req) ([]*Channel, error) { return c.Apply(nil, reqs) }
+
+// AdmitEach releases the channels listed in remove and decides reqs with
+// one verdict per request (admit.Plane.AdmitEach: greedy bisection,
+// whose decision-equivalence contract with sequential submission
+// admit.Engine.AdmitEach states): the primitive behind request
+// coalescing and failure recovery. The slices are parallel to reqs;
+// errs[i] is the request's validation error or *RejectionError.
+func (c *Controller) AdmitEach(remove []ChannelID, reqs []Req) ([]*Channel, []error) {
+	return c.p.AdmitEach(remove, len(reqs), c.validate(reqs), func(i int, id ChannelID) *Channel { return newChannel(reqs[i], id) })
 }
 
 // RejectNoRoute counts a list of n requests (1 for a per-verdict entry)
@@ -309,8 +252,8 @@ func (c *Controller) reject(rej *admit.Rejection[Link]) *RejectionError {
 // attached node. The controller knows no topology; the surrounding
 // switch model does and reports here, so the counters have one owner.
 func (c *Controller) RejectNoRoute(n int) {
-	c.stats.Requests += n
-	c.stats.RejectedNoRoute++
+	c.p.Stats.Requests += n
+	c.p.Stats.RejectedNoRoute++
 }
 
 // Request is Admit of one unicast channel.
@@ -348,23 +291,21 @@ func (c *Controller) ForceAdd(spec ChannelSpec, part Partition) (*Channel, error
 	if !part.ValidFor(spec) {
 		return nil, fmt.Errorf("core: forced partition %+v violates conditions (8)/(9) for %v", part, spec)
 	}
-	st := c.eng.State()
+	st := c.p.Eng.State()
 	ch := &Channel{ID: st.AllocID(), Spec: spec, Part: part}
 	st.Add(ch)
 	return ch, nil
 }
 
-// Release tears down an established channel. The channels sharing a link
-// with it are repartitioned by the primary DPS (which depends on the
-// system state); in the unlikely event that this makes some link
-// infeasible, every remaining channel keeps its previous partition —
-// removing load can never invalidate the schedule under unchanged
-// partitions. A kept-back partition stays until a later decision touches
-// one of its channel's links, which recomputes it as usual.
+// Release tears down an established channel: Apply with one removal. The
+// channels sharing a link with it are repartitioned by the primary DPS
+// (which depends on the system state); in the unlikely event that this
+// makes some link infeasible, every remaining channel keeps its previous
+// partition — removing load can never invalidate the schedule under
+// unchanged partitions. A kept-back partition stays until a later
+// decision touches one of its channel's links, which recomputes it as
+// usual.
 func (c *Controller) Release(id ChannelID) error {
-	if !c.eng.Release(id, c.schemes[0]) {
-		return fmt.Errorf("core: release of unknown RT channel %d", id)
-	}
-	c.stats.Released++
-	return nil
+	_, err := c.Apply([]ChannelID{id}, nil)
+	return err
 }

@@ -257,7 +257,7 @@ func TestPartitionTouchedNewTailWalk(t *testing.T) {
 	if _, err := c.Admit(reqs); err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := c.AdmitEach(Unicast([]ChannelSpec{spec(1, 4), spec(5, 2), spec(3, 4)})); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+	if _, errs := c.AdmitEach(nil, Unicast([]ChannelSpec{spec(1, 4), spec(5, 2), spec(3, 4)})); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("group rejected: %v", errs)
 	}
 	if d.calls != 4 { // two admissions, a release and one group pass

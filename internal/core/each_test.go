@@ -68,7 +68,7 @@ func TestRequestEachMatchesSequential(t *testing.T) {
 			specs := randomStarSpecs(rng, 8, 400)
 
 			merged := NewController(Config{DPS: tc.dps})
-			chs, errs := merged.AdmitEach(Unicast(specs))
+			chs, errs := merged.AdmitEach(nil, Unicast(specs))
 
 			seq := NewController(Config{DPS: tc.dps})
 			accepted, rejected, invalid := 0, 0, 0
@@ -127,7 +127,7 @@ func TestRequestEachFeasibleBatchOnePass(t *testing.T) {
 		specs[i] = ChannelSpec{Src: NodeID(1 + i%4), Dst: NodeID(5 + i%4), C: 1, P: 1000, D: 400}
 	}
 	c := NewController(Config{DPS: ADPS{}})
-	_, errs := c.AdmitEach(Unicast(specs))
+	_, errs := c.AdmitEach(nil, Unicast(specs))
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("spec %d rejected: %v", i, err)

@@ -31,16 +31,16 @@ func snapshotOf(t *testing.T, c *core.Controller) string {
 }
 
 // TestAdmissionDecisionEquivalence replays the Fig. 18.5 establishment
-// sequence (extended past saturation, with interleaved releases) through
-// the controller and the clone oracle, asserting identical decisions at
-// every step.
+// sequence (extended past saturation, with interleaved releases and
+// replacements) through the controller and the clone oracle, asserting
+// identical decisions at every step.
 func TestAdmissionDecisionEquivalence(t *testing.T) {
 	requests := traffic.PaperLayout.Requests(400, traffic.PaperSpec)
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}, core.FixedDPS{UpNum: 5, UpDen: 6}} {
 		t.Run(dps.Name(), func(t *testing.T) {
 			w := core.NewTwin(t, core.Config{DPS: dps})
 			var accepted []core.ChannelID
-			rejected := 0
+			rejected, replaced, refused := 0, 0, 0
 			for i, spec := range requests {
 				ch, err := w.Request(spec)
 				if err != nil {
@@ -55,9 +55,30 @@ func TestAdmissionDecisionEquivalence(t *testing.T) {
 					accepted = append(accepted[:len(accepted)/2], accepted[len(accepted)/2+1:]...)
 					w.Release(victim)
 				}
+				// And replacements (Apply): a reconfiguration that keeps the
+				// channel's ID and doubles its capacity, and two channels
+				// traded for this request's spec under a new ID.
+				if i%5 == 1 && len(accepted) > 3 {
+					victim := accepted[len(accepted)/3]
+					grown := w.Ctrl.State().Get(victim).Spec
+					grown.C = min(2*grown.C, grown.D/2)
+					if _, err := w.Replace([]core.ChannelID{victim}, []core.Req{{Spec: grown, ID: victim, KeepID: true}}); err != nil {
+						refused++
+					}
+					replaced++
+				}
+				if i%13 == 8 && len(accepted) > 3 {
+					pair := []core.ChannelID{accepted[0], accepted[len(accepted)-1]}
+					if chs, err := w.Replace(pair, []core.Req{{Spec: spec}}); err == nil {
+						accepted = append(accepted[1:len(accepted)-1], chs[0].ID)
+					}
+				}
 			}
 			if rejected == 0 {
 				t.Fatal("workload never saturated — rejection path not exercised")
+			}
+			if refused == 0 || refused == replaced {
+				t.Fatalf("%d of %d reconfigurations refused: one replace path not exercised", refused, replaced)
 			}
 			if w.Ctrl.Stats().LinksChecked >= w.Ref.Checked {
 				t.Errorf("engine checked %d links, the oracle %d — expected strictly fewer",

@@ -40,16 +40,25 @@ func newReference(cfg Config) *Reference {
 // State returns the oracle's committed state.
 func (r *Reference) State() *State { return r.st }
 
-// Admit decides a list of valid requests as Controller.Admit does: the
-// schemes in order, the first whose tentative state is feasible commits.
+// Admit decides a list of valid requests as Controller.Admit does.
+func (r *Reference) Admit(reqs []Req) ([]*Channel, []Link) { return r.Replace(nil, reqs) }
+
+// Replace decides a release together with a non-empty list of valid
+// requests as Controller.Apply does: the schemes in order, the first
+// whose tentative state — the released channels gone, the requests added,
+// the channels on the links of both repartitioned — is feasible commits.
 // On rejection it returns every link the first scheme's tentative state
 // fails on.
-func (r *Reference) Admit(reqs []Req) ([]*Channel, []Link) {
+func (r *Reference) Replace(remove []ChannelID, reqs []Req) ([]*Channel, []Link) {
 	var firstBad []Link
 	for _, d := range r.schemes {
 		next := r.st.clone()
-		chs := make([]*Channel, len(reqs))
 		var touched []Link
+		for _, id := range remove {
+			touched = append(touched, coreOps.Links(next.Get(id))...)
+			next.remove(id)
+		}
+		chs := make([]*Channel, len(reqs))
 		for i, q := range reqs {
 			chs[i] = newChannel(q, next.allocID())
 			next.add(chs[i])
@@ -125,31 +134,46 @@ func NewTwin(t testing.TB, cfg Config) *Twin {
 // committed states agree and pass a from-scratch EDF test on every link.
 func (w *Twin) Admit(reqs []Req) ([]*Channel, error) {
 	w.t.Helper()
-	near := w.neighbourhood(reqs)
-	got, err := w.Ctrl.Admit(reqs)
-	want, bad := w.Ref.Admit(reqs)
+	return w.Replace(nil, reqs)
+}
+
+// Replace is Admit of reqs together with the release of remove (Apply on
+// the controller): a rejection may also name a link of a released channel
+// or of a channel sharing a link with one, and on rejection every
+// released channel must still be established.
+func (w *Twin) Replace(remove []ChannelID, reqs []Req) ([]*Channel, error) {
+	w.t.Helper()
+	what := fmt.Sprintf("replace %v by %v", remove, reqs)
+	near := w.neighbourhood(remove, reqs)
+	got, err := w.Ctrl.Apply(remove, reqs)
+	want, bad := w.Ref.Replace(remove, reqs)
 	switch {
 	case (err == nil) != (bad == nil):
-		w.t.Fatalf("%v: controller err=%v, reference infeasible on %v", reqs, err, bad)
+		w.t.Fatalf("%s: controller err=%v, reference infeasible on %v", what, err, bad)
 	case err == nil:
 		for i := range got {
 			if got[i].ID != want[i].ID {
-				w.t.Fatalf("%v: channel IDs diverge: %d vs %d", reqs, got[i].ID, want[i].ID)
+				w.t.Fatalf("%s: channel IDs diverge: %d vs %d", what, got[i].ID, want[i].ID)
 			}
 		}
 	default:
 		var rej *RejectionError
 		if !errors.As(err, &rej) {
-			w.t.Fatalf("%v: rejection is %T, want *RejectionError", reqs, err)
+			w.t.Fatalf("%s: rejection is %T, want *RejectionError", what, err)
 		}
 		if !slices.Contains(bad, rej.Link) {
-			w.t.Fatalf("%v: rejection names %v, reference fails only %v", reqs, rej.Link, bad)
+			w.t.Fatalf("%s: rejection names %v, reference fails only %v", what, rej.Link, bad)
 		}
 		if !near[rej.Link] {
-			w.t.Fatalf("%v: rejection names %v, outside the request's neighbourhood", reqs, rej.Link)
+			w.t.Fatalf("%s: rejection names %v, outside the request's neighbourhood", what, rej.Link)
+		}
+		for _, id := range remove {
+			if w.Ctrl.State().Get(id) == nil {
+				w.t.Fatalf("%s: refused, yet channel %d lost its reservation", what, id)
+			}
 		}
 	}
-	w.check(fmt.Sprint(reqs))
+	w.check(what)
 	return got, err
 }
 
@@ -184,14 +208,19 @@ func (w *Twin) check(after string) {
 	}
 }
 
-// neighbourhood returns the links a rejection of reqs may name: the
-// requests' own links and the links of every committed channel sharing a
-// link with them — under ADPS a request moves such a neighbour's budget
-// onto the neighbour's far link.
-func (w *Twin) neighbourhood(reqs []Req) map[Link]bool {
+// neighbourhood returns the links a rejection of a change may name: the
+// links of the requests and of the released channels, and the links of
+// every committed channel sharing a link with them — under ADPS a change
+// moves such a neighbour's budget onto the neighbour's far link.
+func (w *Twin) neighbourhood(remove []ChannelID, reqs []Req) map[Link]bool {
 	near := map[Link]bool{}
 	for _, q := range reqs {
 		for _, l := range coreOps.Links(newChannel(q, 0)) {
+			near[l] = true
+		}
+	}
+	for _, id := range remove {
+		for _, l := range coreOps.Links(w.Ctrl.State().Get(id)) {
 			near[l] = true
 		}
 	}

@@ -27,7 +27,7 @@ type ChannelRecord struct {
 
 // Snapshot exports all established channels in establishment order.
 func (c *Controller) Snapshot() []ChannelRecord {
-	chs := c.eng.State().Channels()
+	chs := c.p.Eng.State().Channels()
 	out := make([]ChannelRecord, 0, len(chs))
 	for _, ch := range chs {
 		out = append(out, ChannelRecord{
@@ -53,7 +53,7 @@ func (c *Controller) WriteSnapshot(w io.Writer) error {
 // per-link feasibility test — a corrupted or hand-edited snapshot cannot
 // smuggle an unschedulable system past the switch.
 func (c *Controller) Restore(records []ChannelRecord) error {
-	if n := c.eng.State().Len(); n != 0 {
+	if n := c.p.Eng.State().Len(); n != 0 {
 		return fmt.Errorf("core: Restore on a non-empty controller (%d channels)", n)
 	}
 	st := NewState()
@@ -95,7 +95,7 @@ func (c *Controller) Restore(records []ChannelRecord) error {
 			return &RejectionError{Link: l, Result: res}
 		}
 	}
-	c.eng.ReplaceState(st.k)
+	c.p.Eng.ReplaceState(st.k)
 	return nil
 }
 

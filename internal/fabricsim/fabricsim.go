@@ -151,13 +151,16 @@ func New(st *topo.State, offsets map[core.ChannelID]int64, cfg Config) (*Sim, er
 
 // Install registers an admitted channel with the simulation without
 // attaching a traffic source. The route and hop budgets are copied; use
-// SetBudgets when a later admission repartitions the channel.
+// SetBudgets when a later admission repartitions the channel. A channel
+// still installed under the same ID — re-admitted by a reconfiguration or
+// a failure re-route — is replaced and keeps its identity: the old
+// incarnation's source is detached (in-flight frames drain, or die on
+// dead edges, under their old route), and the new one adopts its Metrics
+// aggregate and periodic release schedule, so delivery history and phase
+// both survive.
 func (s *Sim) Install(hch *topo.HChannel) error {
 	if len(hch.Route) == 0 || len(hch.Hops) != len(hch.Route) {
 		return fmt.Errorf("fabricsim: channel %v has no installed hop budgets", hch)
-	}
-	if old := s.byID[hch.ID]; old != nil && !old.stopped {
-		return fmt.Errorf("fabricsim: channel %d already installed", hch.ID)
 	}
 	parents := treeParents(hch)
 	rt := &channelRT{
@@ -169,6 +172,21 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 		cum:      cumBudgets(hch.Hops, parents),
 		metrics:  &Metrics{Delays: stats.NewDelay(0)},
 	}
+	old := s.byID[hch.ID]
+	if old != nil {
+		rt.metrics = old.metrics
+		if old.started && !old.stopped {
+			rt.started = true
+			rt.next = old.next
+			if old.armed {
+				rt.next -= old.spec.P // re-arm the release the gen bump orphans
+			}
+			rt.next = max(rt.next, s.eng.Now())
+		}
+		old.stopped = true
+		old.gen++
+		old.armed = false
+	}
 	s.channels = append(s.channels, rt)
 	s.byID[hch.ID] = rt
 	for _, e := range rt.route {
@@ -176,7 +194,10 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 			s.links[e] = &link{eng: s.eng, sim: s}
 		}
 	}
-	s.emit(netsim.EvAdmitted, rt.spec.Src, rt.id, hch.Hops[0])
+	if old == nil {
+		s.emit(netsim.EvAdmitted, rt.spec.Src, rt.id, hch.Hops[0])
+	}
+	s.armRelease(rt)
 	return nil
 }
 
@@ -271,57 +292,6 @@ func (s *Sim) SetLinkUp(e topo.Edge, up bool) {
 			s.drop(it.Payload.(*rtFrame))
 		}
 	}
-}
-
-// Reroute replaces the route and budgets of an installed channel after a
-// failure re-admission, keeping its identity and metrics: the old
-// incarnation's source is detached (in-flight frames drain — or die on
-// dead edges — under their old route), and a new incarnation adopts the
-// same Metrics aggregate plus the old periodic release schedule, so
-// delivery history and phase both survive the reroute.
-func (s *Sim) Reroute(hch *topo.HChannel) error {
-	old := s.byID[hch.ID]
-	if old == nil {
-		return fmt.Errorf("fabricsim: unknown channel %d", hch.ID)
-	}
-	if len(hch.Route) == 0 || len(hch.Hops) != len(hch.Route) {
-		return fmt.Errorf("fabricsim: channel %v has no installed hop budgets", hch)
-	}
-	pendingRelease := old.armed // a scheduled release the gen bump orphans
-	old.stopped = true
-	old.gen++
-	old.armed = false
-	delete(s.byID, hch.ID)
-
-	parents := treeParents(hch)
-	rt := &channelRT{
-		id:       hch.ID,
-		spec:     hch.Spec,
-		route:    append([]topo.Edge(nil), hch.Route...),
-		parents:  parents,
-		children: treeChildren(parents),
-		cum:      cumBudgets(hch.Hops, parents),
-		metrics:  old.metrics,
-	}
-	s.channels = append(s.channels, rt)
-	s.byID[hch.ID] = rt
-	for _, e := range rt.route {
-		if s.links[e] == nil {
-			s.links[e] = &link{eng: s.eng, sim: s}
-		}
-	}
-	if old.started {
-		rt.started = true
-		rt.next = old.next
-		if pendingRelease {
-			rt.next -= old.spec.P // re-arm the orphaned release
-		}
-		if rt.next < s.eng.Now() {
-			rt.next = s.eng.Now()
-		}
-		s.armRelease(rt)
-	}
-	return nil
 }
 
 // drop accounts one frame lost to a dead edge: a miss for its channel.

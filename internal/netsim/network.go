@@ -198,41 +198,110 @@ func (n *Network) EstablishChannel(spec core.ChannelSpec) (core.ChannelID, error
 	return result.id, nil
 }
 
-// EstablishAll admits a list of requests — unicast channels and
-// multicast trees alike — through the management plane as one atomic
-// admission decision (core.Controller.Admit): the list is validated,
-// partitioned and verified against a single tentative state, and any
-// rejection rolls all of it back. No wire handshake runs and no virtual
-// time elapses — this is the bulk-provisioning path (scenario loading,
-// offline what-if tools), not a model of the paper's per-channel
-// establishment protocol. Either every channel is committed and
-// registered with the switch dataplane (a multicast one fanned out to
-// every sink), or none is.
-func (n *Network) EstablishAll(reqs []core.Req) ([]core.ChannelID, error) {
+// Apply releases the channels listed in remove and admits reqs — unicast
+// channels and multicast trees alike — as one atomic admission decision
+// (core.Controller.Apply): a rejection rolls all of it back, so every
+// channel in remove keeps its reservation and its traffic. This is the
+// management plane (bulk provisioning, release, reconfiguration): no wire
+// handshake runs and no virtual time elapses. On commit a released
+// channel's source stops and its forwarding entry goes, every admitted
+// channel is registered with the switch dataplane (a multicast one fanned
+// out to every sink), and a channel re-admitted under its ID (KeepID, a
+// reconfiguration) keeps its source running under the new spec.
+func (n *Network) Apply(remove []core.ChannelID, reqs []core.Req) ([]core.ChannelID, error) {
+	olds := n.olds(remove)
 	for i, r := range reqs {
 		if err := n.checkEndpoints(r); err != nil {
 			n.ctrl.RejectNoRoute(len(reqs))
 			return nil, &core.ReqError{Index: i, Err: err}
 		}
 	}
-	chs, err := n.ctrl.Admit(reqs)
+	chs, err := n.ctrl.Apply(remove, reqs)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]core.ChannelID, len(chs))
-	for i, ch := range chs {
-		n.sw.dataplane[ch.ID] = fanout(ch)
-		ids[i] = ch.ID
-	}
-	return ids, nil
+	return n.commit(olds, chs), nil
 }
 
-// EstablishChannels is EstablishAll of unicast specs, with a failing
-// spec named in the error ("batch spec i (…)").
+// ApplyEach is Apply with one verdict per request
+// (core.Controller.AdmitEach): the release commits, and a rejected
+// request does not fail the others — each accepted channel is committed
+// and registered with the switch dataplane, each rejected one carries its
+// own error. The returned slices are parallel to reqs (ids[i] is valid
+// iff errs[i] is nil). Like Apply, no wire handshake runs and no virtual
+// time elapses.
+func (n *Network) ApplyEach(remove []core.ChannelID, reqs []core.Req) ([]core.ChannelID, []error) {
+	errs := make([]error, len(reqs))
+	olds := n.olds(remove)
+	valid := make([]int, 0, len(reqs))
+	routable := make([]core.Req, 0, len(reqs))
+	for i, r := range reqs {
+		if errs[i] = n.checkEndpoints(r); errs[i] != nil {
+			n.ctrl.RejectNoRoute(1)
+			continue
+		}
+		valid = append(valid, i)
+		routable = append(routable, r)
+	}
+	chs, cerrs := n.ctrl.AdmitEach(remove, routable)
+	all := make([]*core.Channel, len(reqs))
+	for vi, i := range valid {
+		all[i], errs[i] = chs[vi], cerrs[vi]
+	}
+	return n.commit(olds, all), errs
+}
+
+// EstablishChannels is Apply of unicast specs with nothing to release,
+// with a failing spec named in the error ("batch spec i (…)").
 func (n *Network) EstablishChannels(specs []core.ChannelSpec) ([]core.ChannelID, error) {
 	reqs := core.Unicast(specs)
-	ids, err := n.EstablishAll(reqs)
+	ids, err := n.Apply(nil, reqs)
 	return ids, core.BatchError(reqs, err)
+}
+
+// ReleaseChannel is Apply of one release: it tears down an established
+// channel and stops its traffic source if one is attached.
+func (n *Network) ReleaseChannel(id core.ChannelID) error {
+	_, err := n.Apply([]core.ChannelID{id}, nil)
+	return err
+}
+
+// olds returns the established channels a decision is to release (nil
+// for an unknown ID, which the controller refuses).
+func (n *Network) olds(ids []core.ChannelID) []*core.Channel {
+	chs := make([]*core.Channel, len(ids))
+	for i, id := range ids {
+		chs[i] = n.ctrl.State().Get(id)
+	}
+	return chs
+}
+
+// commit brings the sources and the dataplane in line with a decision
+// that released olds and admitted chs (nil entries are rejected
+// requests), and returns the admitted IDs.
+func (n *Network) commit(olds, chs []*core.Channel) []core.ChannelID {
+	st := n.ctrl.State()
+	for _, old := range olds {
+		if old == nil || st.Get(old.ID) != nil {
+			continue // unknown (nothing released), or re-admitted under its ID
+		}
+		if node := n.nodes[old.Spec.Src]; node != nil {
+			node.stopSource(old.ID)
+		}
+		n.sw.forget(old.ID)
+	}
+	ids := make([]core.ChannelID, len(chs))
+	for i, ch := range chs {
+		if ch == nil {
+			continue
+		}
+		n.sw.dataplane[ch.ID] = fanout(ch)
+		if s := n.nodes[ch.Spec.Src].sources[ch.ID]; s != nil {
+			s.spec = ch.Spec // reconfigured: the traffic carries on under the new contract
+		}
+		ids[i] = ch.ID
+	}
+	return ids
 }
 
 // checkEndpoints verifies that the source and the destination — every
@@ -250,37 +319,6 @@ func (n *Network) checkEndpoints(r core.Req) error {
 		}
 	}
 	return nil
-}
-
-// EstablishEach admits a merged list through the management plane with
-// one verdict per request (core.Controller.AdmitEach): unlike
-// EstablishAll, a rejected request does not fail the others — each
-// accepted channel is committed and registered with the switch
-// dataplane, each rejected one carries its own error. The returned
-// slices are parallel to reqs (ids[i] is valid iff errs[i] is nil).
-// Like the all-or-nothing path, no wire handshake runs and no virtual
-// time elapses.
-func (n *Network) EstablishEach(reqs []core.Req) ([]core.ChannelID, []error) {
-	ids := make([]core.ChannelID, len(reqs))
-	errs := make([]error, len(reqs))
-	valid := make([]int, 0, len(reqs))
-	routable := make([]core.Req, 0, len(reqs))
-	for i, r := range reqs {
-		if errs[i] = n.checkEndpoints(r); errs[i] != nil {
-			n.ctrl.RejectNoRoute(1)
-			continue
-		}
-		valid = append(valid, i)
-		routable = append(routable, r)
-	}
-	chs, cerrs := n.ctrl.AdmitEach(routable)
-	for vi, i := range valid {
-		if errs[i] = cerrs[vi]; errs[i] == nil {
-			n.sw.dataplane[chs[vi].ID] = fanout(chs[vi])
-			ids[i] = chs[vi].ID
-		}
-	}
-	return ids, errs
 }
 
 // SetLinkUp marks the full-duplex link between a node and the switch as
@@ -369,18 +407,4 @@ func (n *Network) ForceChannel(spec core.ChannelSpec, part core.Partition) (core
 	}
 	n.sw.dataplane[ch.ID] = fanout(ch)
 	return ch.ID, nil
-}
-
-// ReleaseChannel tears down an established channel and stops its traffic
-// source if one is attached.
-func (n *Network) ReleaseChannel(id core.ChannelID) error {
-	ch := n.ctrl.State().Get(id)
-	if ch == nil {
-		return fmt.Errorf("netsim: unknown channel %d", id)
-	}
-	if node := n.nodes[ch.Spec.Src]; node != nil {
-		node.stopSource(id)
-	}
-	n.sw.forget(id)
-	return n.ctrl.Release(id)
 }

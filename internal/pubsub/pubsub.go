@@ -3,8 +3,9 @@
 // endpoint with a fixed RT contract {C, P, D}; subscribers are
 // end-nodes. The registry maps every topic with at least one subscriber
 // to exactly one multicast channel whose sink set is the current
-// subscriber node set, re-admitting the distribution tree atomically
-// each time membership changes: a join that does not fit the fabric is
+// subscriber node set, reconfiguring the distribution tree in one atomic
+// decision each time membership changes (rtether.Channel.Reconfigure):
+// the channel keeps its ID, and a join that does not fit the fabric is
 // rejected and leaves the previous tree (and every existing subscriber)
 // untouched.
 //
@@ -43,12 +44,12 @@ const subBuffer = 256
 // registry drives, e.g. to republish admissions and releases on the
 // /v1/watch feed. Either hook may be nil. Hooks are called outside the
 // registry lock, on the goroutine of the call that caused them and in the
-// order the registry acted (a re-admission fires Released, then Admitted),
-// before that call returns.
+// order the registry acted, before that call returns.
 type Hooks struct {
-	// Admitted fires after a topic's multicast tree is (re-)established.
+	// Admitted fires after a topic's multicast tree is established or
+	// reconfigured to a new sink set (same channel ID).
 	Admitted func(topic string, ch *rtether.Channel)
-	// Released fires after a topic's previous tree is released.
+	// Released fires after a topic's tree is released.
 	Released func(topic string, id rtether.ChannelID)
 }
 
@@ -182,19 +183,13 @@ func (r *Registry) Snapshot() []Info {
 }
 
 // Subscribe joins a node to a topic and returns its live feed. When the
-// node set grows, the topic's multicast tree is re-admitted over the
-// new sink set as one atomic decision: on rejection (the returned error
-// is the tree's *rtether.AdmissionError) the previous channel keeps
-// carrying the existing subscribers and the join has no effect.
-//
-// Re-admission releases the old tree before establishing the new one —
-// the old reservation covers a subset of the new tree's links, so
-// admitting the superset while the subset is still held would
-// double-count the shared links. Like POST /v1/reconfigure, the two
-// steps are not one atomic kernel decision: a concurrent establish can
-// grab the freed capacity and make the re-admission fail, in which case
-// the old tree is restored (the sink set that was feasible moments ago)
-// and the join is rejected.
+// node set grows, the topic's multicast tree is reconfigured to the new
+// sink set in one atomic decision that releases the old tree and admits
+// the new one together — so the shared links are not counted twice, and
+// no concurrent establish can take the old tree's capacity in between.
+// On rejection (the returned error is the tree's *rtether.AdmissionError)
+// the channel keeps its ID, sinks and budgets, the existing subscribers
+// keep their service, and the join has no effect.
 func (r *Registry) Subscribe(name string, node rtether.NodeID) (*Subscription, error) {
 	r.mu.Lock()
 	defer r.unlock()
@@ -224,8 +219,8 @@ func (r *Registry) Subscribe(name string, node rtether.NodeID) (*Subscription, e
 }
 
 // Unsubscribe detaches a subscription (idempotent). When the node set
-// shrinks, the topic's tree is re-admitted over the remaining sinks —
-// or released outright when the last subscriber leaves.
+// shrinks, the topic's tree is reconfigured to the remaining sinks — or
+// released outright when the last subscriber leaves.
 func (r *Registry) Unsubscribe(sub *Subscription) {
 	r.mu.Lock()
 	defer r.unlock()
@@ -256,17 +251,27 @@ func (r *Registry) Unsubscribe(sub *Subscription) {
 	if len(remaining) == len(t.ch.Sinks()) {
 		return // another subscription still needs this node
 	}
-	// Shrinking can only free capacity; a rejection here means a
-	// concurrent establish won the freed links. The topic then has no
-	// channel until the next membership change re-admits one.
+	// A shrunk tree is repartitioned like any other, so in a corner case
+	// its new budgets may not fit; the channel then keeps the larger tree
+	// (and its reservation) until the next membership change.
 	_ = r.readmit(t, remaining)
 }
 
-// readmit swaps the topic's tree to the given sink set: release the old
-// channel, establish the new one, restore the old set on failure.
-// Caller holds r.mu.
+// readmit moves the topic's tree to the given sink set: a reconfiguration
+// of the live channel, its establishment when there is none (or it was
+// closed behind the registry's back, by failure recovery), its release
+// when no sink is left. Caller holds r.mu.
 func (r *Registry) readmit(t *topic, sinks []rtether.NodeID) error {
-	oldSinks := t.sinkSet()
+	if t.ch != nil && len(sinks) > 0 {
+		err := t.ch.Reconfigure(rtether.EstablishReq{Spec: rtether.ChannelSpec{Src: t.src, C: t.c, P: t.p, D: t.d}, Sinks: sinks})
+		if !errors.Is(err, rtether.ErrChannelClosed) {
+			if err == nil {
+				r.notifyAdmitted(t.name, t.ch)
+			}
+			return err
+		}
+		t.ch = nil
+	}
 	if t.ch != nil {
 		id := t.ch.ID()
 		if err := t.ch.Release(); err != nil && !errors.Is(err, rtether.ErrChannelClosed) {
@@ -274,20 +279,13 @@ func (r *Registry) readmit(t *topic, sinks []rtether.NodeID) error {
 		}
 		t.ch = nil
 		r.notifyReleased(t.name, id)
+		return nil
 	}
 	if len(sinks) == 0 {
 		return nil
 	}
 	ch, err := r.net.EstablishMulticast(rtether.MulticastSpec{Src: t.src, Sinks: sinks, C: t.c, P: t.p, D: t.d})
 	if err != nil {
-		if len(oldSinks) > 0 {
-			if old, restoreErr := r.net.EstablishMulticast(rtether.MulticastSpec{
-				Src: t.src, Sinks: oldSinks, C: t.c, P: t.p, D: t.d,
-			}); restoreErr == nil {
-				t.ch = old
-				r.notifyAdmitted(t.name, old)
-			}
-		}
 		return err
 	}
 	t.ch = ch

@@ -10,9 +10,10 @@ import (
 )
 
 // TestSubscribeRollbackOnRejectedJoin drives the registry on an
-// in-process star and pins the re-admit rollback: a join whose tree the
-// network cannot afford is refused, the previous sink set's channel is
-// restored and keeps serving, and the hooks tell the story in order.
+// in-process star and pins the atomic membership change: a join whose
+// tree the network cannot afford is refused, the previous sink set's
+// channel keeps its ID and keeps serving, and the hooks tell the story:
+// no release, no re-admission.
 func TestSubscribeRollbackOnRejectedJoin(t *testing.T) {
 	net := rtether.New()
 	for id := rtether.NodeID(1); id <= 4; id++ {
@@ -51,17 +52,14 @@ func TestSubscribeRollbackOnRejectedJoin(t *testing.T) {
 	if !reflect.DeepEqual(info.Subscribers, []rtether.NodeID{2}) {
 		t.Errorf("subscribers after refused join = %v, want [2]", info.Subscribers)
 	}
-	restored := net.Lookup(info.ChannelID)
-	if restored == nil || info.ChannelID == first {
-		t.Fatalf("topic channel after refused join = %d (first tree was %d), want a live restored tree", info.ChannelID, first)
+	kept := net.Lookup(info.ChannelID)
+	if kept == nil || info.ChannelID != first {
+		t.Fatalf("topic channel after refused join = %d (first tree was %d), want the first tree kept", info.ChannelID, first)
 	}
-	if got := restored.Sinks(); !reflect.DeepEqual(got, []rtether.NodeID{2}) {
-		t.Errorf("restored tree sinks = %v, want [2]", got)
+	if got := kept.Sinks(); !reflect.DeepEqual(got, []rtether.NodeID{2}) {
+		t.Errorf("kept tree sinks = %v, want [2]", got)
 	}
-	if net.Lookup(first) != nil {
-		t.Errorf("first tree RT#%d still established after the re-admit", first)
-	}
-	want := []string{"admitted temp [2]", "released temp", "admitted temp [2]"}
+	want := []string{"admitted temp [2]"}
 	if !reflect.DeepEqual(events, want) {
 		t.Errorf("hook order = %q, want %q", events, want)
 	}

@@ -23,11 +23,13 @@ const (
 	KindEstablishAll = "establishAll"
 	// KindRelease frees a named channel through the management plane.
 	KindRelease = "release"
-	// KindReconfigure atomically replaces a named channel's {C, P, d}:
-	// the old reservation is released and the new one requested in its
-	// place. A rejected reconfiguration leaves the channel released — the
-	// bandwidth was already given up (declare the event optional to
-	// tolerate that, otherwise it fails the scenario).
+	// KindReconfigure replaces a named channel's {C, P, d} in one atomic
+	// admission decision that keeps its ID (rtether.Channel.Reconfigure),
+	// through the management plane on every topology: no handshake, no
+	// virtual time. The source carries on under the new contract, re-phased
+	// when the event gives an offset. A rejected reconfiguration leaves the
+	// channel exactly as it was (declare the event optional to tolerate
+	// that, otherwise it fails the scenario).
 	KindReconfigure = "reconfigure"
 	// KindSetBackground changes the rate of one best-effort background
 	// flow from the event's slot on (star networks only). A flow that was

@@ -277,35 +277,31 @@ func (s *Scenario) applyEvent(net *rtether.Network, tl *timeline, handles map[st
 			out.Detail = "never established"
 			return out, nil
 		}
-		spec := reconfigured(h.Spec(), ev)
-		if err := h.Release(); err != nil {
-			if errors.Is(err, rtether.ErrChannelClosed) {
-				delete(handles, name)
-				out.Skipped = true
-				out.Detail = "closed by failure recovery"
-				return out, nil
-			}
-			return fatal(err)
-		}
-		delete(handles, name)
-		nh, err := s.establishOne(net, spec, simulate)
-		if err != nil {
-			// The old reservation is already gone; a tolerated rejection
-			// leaves the channel released.
+		err := h.Reconfigure(rtether.EstablishReq{Spec: reconfigured(h.Spec(), ev)})
+		switch {
+		case errors.Is(err, rtether.ErrChannelClosed):
+			delete(handles, name)
+			out.Skipped = true
+			out.Detail = "closed by failure recovery"
+			return out, nil
+		case err != nil:
+			// One atomic decision: a tolerated rejection leaves the channel
+			// exactly as it was.
 			if !ev.optional {
 				return fatal(err)
 			}
 			out.Detail = err.Error()
 			return out, nil
 		}
-		handles[name] = nh
-		if simulate {
-			if err := nh.Start(startOffset(ev, tl.defs[name])); err != nil {
+		if simulate && ev.offset > 0 {
+			// The source carries on in phase unless the event re-phases it.
+			_ = h.Stop()
+			if err := h.Start(ev.offset); err != nil {
 				return fatal(err)
 			}
 		}
 		out.Accepted = true
-		out.Detail = describe(nh)
+		out.Detail = describe(h)
 	case KindPublish:
 		name := ev.names[0]
 		h := handles[name]

@@ -221,7 +221,7 @@ func (bc *binConn) dispatch(ctx context.Context, t wire.MsgType, reqID uint32, p
 			bc.sendErr(reqID, badFrame(t, err))
 			return
 		}
-		rep, we := s.doReconfigure(ctx, req)
+		rep, we := s.doReconfigure(req)
 		if we != nil {
 			bc.sendErr(reqID, we)
 			return

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -484,19 +483,13 @@ func (s *Server) doRelease(id uint32) *wire.Error {
 	return nil
 }
 
-// handleReconfigure replaces a channel's {C, P, D}: release the old
-// reservation, then request the new spec through the coalescing
-// front-end. The two steps are not one atomic decision (see
-// wire.ReconfigureRequest); as with the scenario format's reconfigure
-// event, a rejected reconfiguration leaves the channel released — the
-// old bandwidth was already given up (the 409 envelope carries the
-// rejection; the release event precedes it on the watch feed).
+// handleReconfigure replaces a channel's {C, P, D}.
 func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReconfigureRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	rep, we := s.doReconfigure(r.Context(), req)
+	rep, we := s.doReconfigure(req)
 	if we != nil {
 		writeWireErr(w, we)
 		return
@@ -504,12 +497,20 @@ func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
-// doReconfigure runs the release-then-re-establish sequence. Shared by
-// the HTTP handler and the binary dispatcher.
-func (s *Server) doReconfigure(ctx context.Context, req wire.ReconfigureRequest) (wire.ChannelReply, *wire.Error) {
+// doReconfigure applies the non-zero overrides of req to a unicast
+// channel in one atomic decision that keeps its ID
+// (rtether.Channel.Reconfigure), bypassing the coalescer: a refusal
+// leaves the channel exactly as it was. The verdict reaches the watch
+// feed as an admit event for the same ID, or a reject event. Multicast
+// channels cannot be reconfigured over the wire. Shared by the HTTP
+// handler and the binary dispatcher.
+func (s *Server) doReconfigure(req wire.ReconfigureRequest) (wire.ChannelReply, *wire.Error) {
 	ch := s.net.Lookup(rtether.ChannelID(req.ID))
 	if ch == nil {
 		return wire.ChannelReply{}, unknownChannel(req.ID)
+	}
+	if ch.Multicast() {
+		return wire.ChannelReply{}, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("rtetherd: multicast channel %d cannot be reconfigured; release and re-establish it", req.ID)}
 	}
 	spec := ch.Spec()
 	if req.C != 0 {
@@ -521,15 +522,13 @@ func (s *Server) doReconfigure(ctx context.Context, req wire.ReconfigureRequest)
 	if req.D != 0 {
 		spec.D = req.D
 	}
-	if err := ch.Release(); err != nil {
-		return wire.ChannelReply{}, errorBody(err)
-	}
-	s.noteRelease(rtether.ChannelID(req.ID))
-	nch, err := s.coal.establish(ctx, spec)
+	err := ch.Reconfigure(rtether.EstablishReq{Spec: spec})
 	if err != nil {
+		s.noteVerdict(spec, nil, nil, err)
 		return wire.ChannelReply{}, errorBody(err)
 	}
-	return channelReply(nch), nil
+	s.noteVerdict(spec, nil, ch, nil)
+	return channelReply(ch), nil
 }
 
 // unknownChannel builds the 404 envelope for a channel ID.

@@ -53,9 +53,9 @@ func topicByName(t *testing.T, cl *client.Client, name string) wire.TopicInfo {
 
 // TestPubSubEndToEnd is the PR acceptance criterion for the control
 // plane: two subscribers join a topic over HTTP, a publish reaches both
-// through their watch-style feeds, and a third subscriber triggers a
-// re-admission of the topic's multicast tree (observable as a new
-// channel ID carrying the grown sink set).
+// through their watch-style feeds, and a third subscriber grows the
+// topic's multicast tree in one decision (the same channel ID now
+// carrying the grown sink set).
 func TestPubSubEndToEnd(t *testing.T) {
 	cl, _ := newTestServer(t, starNet(5))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -105,8 +105,8 @@ func TestPubSubEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Third subscriber: the sink set grows, so the daemon must re-admit
-	// the tree — a new channel over {2, 3, 4} replaces the old one.
+	// Third subscriber: the sink set grows, so the daemon reconfigures
+	// the tree to {2, 3, 4}, keeping its channel ID.
 	feedC, err := cl.SubscribeTopic(ctx, "telemetry", 4)
 	if err != nil {
 		t.Fatalf("subscribe node 4: %v", err)
@@ -116,8 +116,8 @@ func TestPubSubEndToEnd(t *testing.T) {
 	if len(info.Subscribers) != 3 {
 		t.Fatalf("subscribers after third join = %v", info.Subscribers)
 	}
-	if info.ChannelID == 0 || info.ChannelID == firstTree {
-		t.Fatalf("third join did not re-admit the tree: channel %d (was %d)", info.ChannelID, firstTree)
+	if info.ChannelID != firstTree {
+		t.Fatalf("third join replaced the tree: channel %d (was %d)", info.ChannelID, firstTree)
 	}
 
 	rep, err = cl.Publish(ctx, "telemetry", "fanout")

@@ -45,11 +45,9 @@ type Config struct {
 // channels whose hop vectors can have moved, and rolls back on
 // rejection.
 type Controller struct {
-	topo    *Topology
-	cfg     Config
-	eng     *admit.Engine[Edge, *HChannel, []int64]
-	schemes []admit.Scheme[Edge, *HChannel, []int64] // exactly one: fabrics have no fallback search
-	stats   admit.Stats
+	topo *Topology
+	cfg  Config
+	p    admit.Plane[Edge, *HChannel, []int64] // one scheme: fabrics have no fallback search
 }
 
 // NewController builds a controller over a fixed topology.
@@ -59,8 +57,10 @@ func NewController(t *Topology, cfg Config) *Controller {
 	}
 	cfg.Feasibility.SkipValidation = true
 	c := &Controller{topo: t, cfg: cfg}
-	c.eng = admit.NewEngine(topoOps, admit.Config{Feasibility: cfg.Feasibility})
-	c.schemes = []admit.Scheme[Edge, *HChannel, []int64]{
+	c.p.Eng = admit.NewEngine(topoOps, admit.Config{Feasibility: cfg.Feasibility})
+	c.p.Unknown = func(id core.ChannelID) error { return fmt.Errorf("topo: release of unknown channel %d", id) }
+	c.p.Reject = func(rej *admit.Rejection[Edge]) error { return &RejectionError{Edge: rej.Link, Result: rej.Result} }
+	c.p.Schemes = []admit.Scheme[Edge, *HChannel, []int64]{
 		func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
 			return cfg.DPS.PartitionTouched(&State{k: k}, touched)
 		},
@@ -69,45 +69,40 @@ func NewController(t *Topology, cfg Config) *Controller {
 }
 
 // State exposes the committed state (read-only for callers).
-func (c *Controller) State() *State { return &State{k: c.eng.State()} }
+func (c *Controller) State() *State { return &State{k: c.p.Eng.State()} }
 
 // DPS returns the active partitioning scheme.
 func (c *Controller) DPS() HDPS { return c.cfg.DPS }
 
 // Stats returns a copy of the admission counters — the same struct and
 // rejection classification the star controller reports.
-func (c *Controller) Stats() admit.Stats {
-	s := c.stats
-	s.LinksChecked = c.eng.LinksChecked()
-	s.Repartitions = c.eng.Repartitions()
-	return s
-}
+func (c *Controller) Stats() admit.Stats { return c.p.Counters() }
 
 // Repartitioned returns the IDs (ascending) of the channels whose hop
-// budgets changed in the last successful Admit, AdmitEach or Release —
-// the precise set a running simulation must re-sync. The slice is
-// invalidated by the next state mutation.
-func (c *Controller) Repartitioned() []core.ChannelID { return c.eng.Repartitioned() }
+// budgets changed in the last decision that committed — the precise set a
+// running simulation must re-sync. The slice is invalidated by the next
+// state mutation.
+func (c *Controller) Repartitioned() []core.ChannelID { return c.p.Eng.Repartitioned() }
 
 // LinksChecked returns the cumulative number of per-edge feasibility
 // tests the controller has run (deterministic; see
 // admit.Engine.LinksChecked).
-func (c *Controller) LinksChecked() int { return c.eng.LinksChecked() }
+func (c *Controller) LinksChecked() int { return c.p.Eng.LinksChecked() }
 
 // Repartitions returns the cumulative number of repartition passes the
-// controller has run — one per admission decision (a batch counts once)
-// plus one per release (see admit.Engine.Repartitions).
-func (c *Controller) Repartitions() int { return c.eng.Repartitions() }
+// controller has run — one per decision, however many channels it
+// releases and admits (see admit.Engine.Repartitions).
+func (c *Controller) Repartitions() int { return c.p.Eng.Repartitions() }
 
 // SweepSkips returns how many of the LinksChecked feasibility answers
 // came from the kernel's generation-keyed verdict cache instead of a
 // fresh EDF analysis (see admit.Engine.SweepSkips).
-func (c *Controller) SweepSkips() int { return c.eng.SweepSkips() }
+func (c *Controller) SweepSkips() int { return c.p.Eng.SweepSkips() }
 
 // SweepNs returns the cumulative wall-clock nanoseconds the engine has
 // spent inside verification sweeps (observability accounting; measured,
 // not deterministic).
-func (c *Controller) SweepNs() int64 { return c.eng.SweepNs() }
+func (c *Controller) SweepNs() int64 { return c.p.Eng.SweepNs() }
 
 // Req is the one request type of the management plane — see core.Req.
 type Req = core.Req
@@ -119,16 +114,16 @@ type Req = core.Req
 // KeepID request (instance fills in an allocated one otherwise).
 func (c *Controller) prepare(r Req) (*HChannel, error) {
 	if err := r.Validate(); err != nil {
-		c.stats.RejectedInvalid++
+		c.p.Stats.RejectedInvalid++
 		return nil, err
 	}
 	route, parents, leaves, err := c.topo.RouteOf(r)
 	if err != nil {
-		c.stats.RejectedNoRoute++
+		c.p.Stats.RejectedNoRoute++
 		return nil, err
 	}
 	if hops := Depth(route, parents, leaves); r.Spec.D < int64(hops)*r.Spec.C {
-		c.stats.RejectedInvalid++
+		c.p.Stats.RejectedInvalid++
 		return nil, fmt.Errorf("%w (D=%d, hops=%d, C=%d)",
 			ErrDeadlineTooShortForRoute, r.Spec.D, hops, r.Spec.C)
 	}
@@ -171,82 +166,43 @@ func Depth(route []Edge, parents, leaves []int) int {
 	return deepest
 }
 
-// Admit routes and admission-tests a whole list of requests as one
-// decision: every request is validated and routed (a multicast one as a
-// shortest-path tree whose shared-prefix edges carry a single budget and
-// a single task), all are added to one tentative state, partitioned once,
-// and every affected edge verified once — one repartition instead of
-// len(reqs). Either every channel commits (returned in request order) or
-// none does, the committed state stays bit-identical, and the first
-// failure is returned: a *core.ReqError for a request that fails
-// validation or routing, a *RejectionError for the edge that failed.
-func (c *Controller) Admit(reqs []Req) ([]*HChannel, error) {
-	c.stats.Requests += len(reqs)
+// Apply releases the channels listed in remove (established and
+// distinct) and routes and admits reqs — a multicast request as a
+// shortest-path tree whose shared edges carry one budget and one task —
+// as one atomic decision over the edges of both (admit.Plane.Apply): the
+// new channels come back in request order, or nothing commits and the
+// first failure is returned, a *core.ReqError for a request that fails
+// validation or routing, a *RejectionError for the edge that failed. A
+// KeepID request may reuse the ID of a channel it replaces.
+func (c *Controller) Apply(remove []core.ChannelID, reqs []Req) ([]*HChannel, error) {
+	prepare, mk := c.prepareAll(reqs)
+	return c.p.Apply(remove, len(reqs), prepare, mk)
+}
+
+// prepareAll returns the plane's per-request hooks for reqs: prepare
+// routes request i, and mk instantiates the prepared channel.
+func (c *Controller) prepareAll(reqs []Req) (func(int) error, func(int, core.ChannelID) *HChannel) {
 	prepared := make([]*HChannel, len(reqs))
-	for i, r := range reqs {
-		var err error
-		if prepared[i], err = c.prepare(r); err != nil {
-			return nil, &core.ReqError{Index: i, Err: err}
+	return func(i int) (err error) {
+			prepared[i], err = c.prepare(reqs[i])
+			return err
+		}, func(i int, id core.ChannelID) *HChannel {
+			return instance(prepared[i], id)
 		}
-	}
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	chs, rej := c.eng.Admit(len(reqs), func(i int, id core.ChannelID) *HChannel {
-		return instance(prepared[i], id)
-	}, c.schemes)
-	if rej != nil {
-		return nil, c.reject(rej)
-	}
-	c.stats.Accepted += len(reqs)
-	return chs, nil
 }
 
-// AdmitEach decides a merged list with one verdict per request: every
-// request is validated, routed and decided on its own (unlike Admit's
-// all-or-nothing decision), while the kernel runs far fewer repartition
-// passes than len(reqs) sequential requests — greedy bisection tries the
-// whole group first and narrows down around failures
-// (admit.Engine.AdmitEach, which also states the decision-equivalence
-// contract with sequential submission). It is the primitive behind
-// request coalescing and behind post-failure batch re-admission, where
-// KeepID keeps released channels' IDs stable across the re-route.
-//
-// The returned slices are parallel to reqs: chs[i] is the committed
-// channel when errs[i] is nil, and errs[i] is the request's validation
-// or routing error, or a *RejectionError, otherwise.
-func (c *Controller) AdmitEach(reqs []Req) ([]*HChannel, []error) {
-	c.stats.Requests += len(reqs)
-	chs := make([]*HChannel, len(reqs))
-	errs := make([]error, len(reqs))
-	valid := make([]int, 0, len(reqs))
-	prepared := make([]*HChannel, 0, len(reqs))
-	for i, r := range reqs {
-		p, err := c.prepare(r)
-		if errs[i] = err; err != nil {
-			continue
-		}
-		valid = append(valid, i)
-		prepared = append(prepared, p)
-	}
-	got, rejs := c.eng.AdmitEach(len(valid), func(vi int, id core.ChannelID) *HChannel {
-		return instance(prepared[vi], id)
-	}, c.schemes)
-	for vi, i := range valid {
-		if rejs[vi] != nil {
-			errs[i] = c.reject(rejs[vi])
-			continue
-		}
-		c.stats.Accepted++
-		chs[i] = got[vi]
-	}
-	return chs, errs
-}
+// Admit is Apply of reqs with nothing to release.
+func (c *Controller) Admit(reqs []Req) ([]*HChannel, error) { return c.Apply(nil, reqs) }
 
-// reject counts a kernel rejection and converts it to the public error.
-func (c *Controller) reject(rej *admit.Rejection[Edge]) *RejectionError {
-	c.stats.NoteRejection(rej.Result)
-	return &RejectionError{Edge: rej.Link, Result: rej.Result}
+// AdmitEach releases the channels listed in remove and decides reqs with
+// one verdict per request (admit.Plane.AdmitEach, by greedy bisection):
+// the primitive behind request coalescing and behind failure recovery,
+// which releases every affected channel and re-admits it in one pass,
+// KeepID keeping its ID. The slices are parallel to reqs; errs[i] is the
+// request's validation or routing error, or a *RejectionError.
+func (c *Controller) AdmitEach(remove []core.ChannelID, reqs []Req) ([]*HChannel, []error) {
+	prepare, mk := c.prepareAll(reqs)
+	return c.p.AdmitEach(remove, len(reqs), prepare, mk)
 }
 
 // Request is Admit of one unicast channel.
@@ -268,16 +224,13 @@ func (c *Controller) RequestAll(specs []core.ChannelSpec) ([]*HChannel, error) {
 	return chs, core.BatchError(reqs, err)
 }
 
-// Release tears down a channel. The channels sharing an edge with it are
-// repartitioned when that keeps every edge feasible; otherwise every
-// remaining channel keeps its hop vector, until a later decision touches
-// one of its edges and recomputes it as usual.
+// Release tears down a channel: Apply with one removal. The channels
+// sharing an edge with it are repartitioned when that keeps every edge
+// feasible; otherwise every remaining channel keeps its hop vector, until
+// a later decision touches one of its edges and recomputes it as usual.
 func (c *Controller) Release(id core.ChannelID) error {
-	if !c.eng.Release(id, c.schemes[0]) {
-		return fmt.Errorf("topo: release of unknown channel %d", id)
-	}
-	c.stats.Released++
-	return nil
+	_, err := c.Apply([]core.ChannelID{id}, nil)
+	return err
 }
 
 // validateVector panics when a hop-budget vector violates the generalized

@@ -14,12 +14,47 @@ import (
 // FuzzReleaseNeverCouples checks. Link keys are core.Link on a star and
 // Edge on a fabric.
 type plane struct {
-	request  func(core.ChannelSpec) (core.ChannelID, error)
+	// replace releases remove and admits spec in one atomic decision
+	// (Apply); with nothing to remove it is a plain request.
+	replace  func(remove []core.ChannelID, spec core.ChannelSpec) (core.ChannelID, error)
 	release  func(core.ChannelID) error
 	links    func(core.ChannelSpec) []any // the links a request would load
+	linksOf  func(core.ChannelID) []any   // a committed channel's links, nil once gone
 	channels func() [][]any               // every committed channel's links
 	tasks    func() map[any][]edf.Task    // every loaded link's task set
 	named    func(error) (any, bool)      // the link a rejection names
+	// failover flips a random trunk of a fabric: a repair, or a failure
+	// whose affected channels are released and re-admitted under their IDs
+	// in one AdmitEach pass. It returns the channels the residual network
+	// lost and, for each refused re-admission, the error with the
+	// neighbourhood its named link must lie in. Nil on a star.
+	failover func(*rand.Rand) (lost []core.ChannelID, refusals []refusal)
+}
+
+// refusal is one refused re-admission of a failover step.
+type refusal struct {
+	err  error
+	near map[any]bool
+}
+
+// neighbourhood returns the links a rejection of a change loading seed
+// may name: seed itself and every link of a committed channel sharing a
+// link with it.
+func neighbourhood(seed []any, channels [][]any) map[any]bool {
+	near := map[any]bool{}
+	for _, l := range seed {
+		near[l] = true
+	}
+	var far []any
+	for _, links := range channels {
+		if slices.ContainsFunc(links, func(l any) bool { return near[l] }) {
+			far = append(far, links...)
+		}
+	}
+	for _, l := range far {
+		near[l] = true
+	}
+	return near
 }
 
 // starPlane is an ADPS star controller.
@@ -27,15 +62,21 @@ func starPlane() plane {
 	c := core.NewController(core.Config{DPS: core.ADPS{}})
 	links := func(s core.ChannelSpec) []any { ls := core.LinksOf(s); return []any{ls[0], ls[1]} }
 	return plane{
-		request: func(s core.ChannelSpec) (core.ChannelID, error) {
-			ch, err := c.Request(s)
+		replace: func(remove []core.ChannelID, s core.ChannelSpec) (core.ChannelID, error) {
+			chs, err := c.Apply(remove, []core.Req{{Spec: s}})
 			if err != nil {
 				return 0, err
 			}
-			return ch.ID, nil
+			return chs[0].ID, nil
 		},
 		release: c.Release,
 		links:   links,
+		linksOf: func(id core.ChannelID) []any {
+			if ch := c.State().Get(id); ch != nil {
+				return links(ch.Spec)
+			}
+			return nil
+		},
 		channels: func() (out [][]any) {
 			for _, ch := range c.State().Channels() {
 				out = append(out, links(ch.Spec))
@@ -69,24 +110,70 @@ func fabricPlane(top *Topology) plane {
 		}
 		return out
 	}
+	channels := func() (out [][]any) {
+		for _, ch := range c.State().Channels() {
+			out = append(out, edges(ch.Route))
+		}
+		return out
+	}
 	return plane{
-		request: func(s core.ChannelSpec) (core.ChannelID, error) {
-			ch, err := c.Request(s)
+		replace: func(remove []core.ChannelID, s core.ChannelSpec) (core.ChannelID, error) {
+			chs, err := c.Apply(remove, []Req{{Spec: s}})
 			if err != nil {
 				return 0, err
 			}
-			return ch.ID, nil
+			return chs[0].ID, nil
 		},
 		release: c.Release,
 		links: func(s core.ChannelSpec) []any {
 			route, _, _, _ := top.RouteOf(Req{Spec: s})
 			return edges(route)
 		},
-		channels: func() (out [][]any) {
-			for _, ch := range c.State().Channels() {
-				out = append(out, edges(ch.Route))
+		linksOf: func(id core.ChannelID) []any {
+			if ch := c.State().Get(id); ch != nil {
+				return edges(ch.Route)
 			}
-			return out
+			return nil
+		},
+		channels: channels,
+		failover: func(rng *rand.Rand) (lost []core.ChannelID, refusals []refusal) {
+			g := top.Graph()
+			a := SwitchID(rng.Intn(4)) // randomFabric builds at most four switches
+			nbs := g.Neighbors(a)
+			if len(nbs) == 0 {
+				return nil, nil
+			}
+			b := nbs[rng.Intn(len(nbs))]
+			if !g.LinkUp(a, b) {
+				if _, err := top.SetLinkUp(a, b, true); err != nil {
+					panic(err)
+				}
+				return nil, nil
+			}
+			if _, err := top.SetLinkUp(a, b, false); err != nil {
+				panic(err)
+			}
+			var remove []core.ChannelID
+			var reqs []Req
+			var seed []any
+			for _, ch := range c.State().Channels() {
+				if crossesTrunk(ch.Route, a, b) {
+					remove = append(remove, ch.ID)
+					reqs = append(reqs, Req{Spec: ch.Spec, ID: ch.ID, KeepID: true})
+					seed = append(seed, edges(ch.Route)...)
+				}
+			}
+			before := channels()
+			_, errs := c.AdmitEach(remove, reqs)
+			for i, err := range errs {
+				if err == nil {
+					continue
+				}
+				lost = append(lost, reqs[i].ID)
+				route, _, _, _ := top.RouteOf(reqs[i])
+				refusals = append(refusals, refusal{err: err, near: neighbourhood(append(edges(route), seed...), before)})
+			}
+			return lost, refusals
 		},
 		tasks: func() map[any][]edf.Task {
 			out := map[any][]edf.Task{}
@@ -130,11 +217,15 @@ func randomFabric(rng *rand.Rand) (*Topology, int) {
 }
 
 // FuzzReleaseNeverCouples runs random D <= P churn on a random star under
-// ADPS or a random fabric under H-ADPS and checks after every step that
-// every loaded link passes a from-scratch EDF test, and that every
-// rejection names a link of the request or of a committed channel sharing
-// a link with it: a release, even one whose repartition is kept back,
-// never couples decisions on links it does not reach.
+// ADPS or a random fabric under H-ADPS — requests, releases, replacements
+// (one atomic Apply releasing one or two channels and admitting a new
+// one) and, on fabrics, trunk failures recovered in one AdmitEach pass
+// and repairs — and checks after every step that every loaded link passes
+// a from-scratch EDF test, that every rejection names a link of the
+// change or of a committed channel sharing a link with it, and that a
+// refused replacement keeps every channel it would have released: a
+// release, even one whose repartition is kept back, never couples
+// decisions on links it does not reach.
 func FuzzReleaseNeverCouples(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		f.Add(seed, false)
@@ -150,13 +241,29 @@ func FuzzReleaseNeverCouples(f *testing.F) {
 		}
 		var live []core.ChannelID
 		for step := 0; step < 200; step++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
+			switch op := rng.Intn(9); {
+			case op < 3 && len(live) > 0:
 				k := rng.Intn(len(live))
 				if err := p.release(live[k]); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				live = append(live[:k], live[k+1:]...)
-			} else {
+			case op == 3 && p.failover != nil:
+				lost, refusals := p.failover(rng)
+				for _, r := range refusals {
+					if l, ok := p.named(r.err); ok && !r.near[l] {
+						t.Fatalf("step %d: failover re-admission refused on %v, outside its neighbourhood: %v", step, l, r.err)
+					}
+				}
+				live = slices.DeleteFunc(live, func(id core.ChannelID) bool { return slices.Contains(lost, id) })
+			default:
+				var remove []core.ChannelID
+				if op >= 7 && len(live) > 0 {
+					remove = append(remove, live[rng.Intn(len(live))])
+					if k := rng.Intn(len(live)); op == 8 && !slices.Contains(remove, live[k]) {
+						remove = append(remove, live[k])
+					}
+				}
 				src := core.NodeID(1 + rng.Intn(nodes))
 				dst := core.NodeID(1 + rng.Intn(nodes-1))
 				if dst >= src {
@@ -165,24 +272,25 @@ func FuzzReleaseNeverCouples(f *testing.F) {
 				c := int64(1 + rng.Intn(3))
 				per := int64(20 + rng.Intn(100))
 				spec := core.ChannelSpec{Src: src, Dst: dst, C: c, P: per, D: 2*c + rng.Int63n(per-2*c+1)}
-				near := map[any]bool{}
-				for _, l := range p.links(spec) {
-					near[l] = true
+				seed := p.links(spec)
+				for _, id := range remove {
+					seed = append(seed, p.linksOf(id)...)
 				}
-				var far []any
-				for _, links := range p.channels() {
-					if slices.ContainsFunc(links, func(l any) bool { return near[l] }) {
-						far = append(far, links...)
-					}
-				}
-				for _, l := range far {
-					near[l] = true
-				}
-				id, err := p.request(spec)
-				if err == nil {
+				near := neighbourhood(seed, p.channels())
+				id, err := p.replace(remove, spec)
+				switch {
+				case err == nil:
+					live = slices.DeleteFunc(live, func(id core.ChannelID) bool { return slices.Contains(remove, id) })
 					live = append(live, id)
-				} else if l, ok := p.named(err); ok && !near[l] {
-					t.Fatalf("step %d: %v refused on %v, outside its neighbourhood: %v", step, spec, l, err)
+				default:
+					if l, ok := p.named(err); ok && !near[l] {
+						t.Fatalf("step %d: %v refused on %v, outside its neighbourhood: %v", step, spec, l, err)
+					}
+					for _, id := range remove {
+						if p.linksOf(id) == nil {
+							t.Fatalf("step %d: refused replacement of %v cost channel %d its reservation", step, remove, id)
+						}
+					}
 				}
 			}
 			for l, tasks := range p.tasks() {

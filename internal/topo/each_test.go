@@ -90,7 +90,7 @@ func TestRequestEachMatchesSequentialFabric(t *testing.T) {
 			specs := randomFabricSpecs(rng, 300)
 
 			merged := NewController(eachTestTopology(t), Config{DPS: tc.dps})
-			chs, errs := merged.AdmitEach(core.Unicast(specs))
+			chs, errs := merged.AdmitEach(nil, core.Unicast(specs))
 
 			seq := NewController(eachTestTopology(t), Config{DPS: tc.dps})
 			accepted, rejected, noRoute, invalid := 0, 0, 0, 0

@@ -44,13 +44,14 @@ func fabricStateKey(st *State) string {
 }
 
 // TestFabricDecisionEquivalence replays a saturating workload (with
-// interleaved releases) through the controller and the clone oracle.
+// interleaved releases, replacements and per-verdict replacements)
+// through the controller and the clone oracle.
 func TestFabricDecisionEquivalence(t *testing.T) {
 	for _, scheme := range []HDPS{HSDPS{}, HADPS{}} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			w := newTwin(t, equivFabric(), Config{DPS: scheme})
 			var accepted []core.ChannelID
-			rejections := 0
+			rejections, replaced, refused := 0, 0, 0
 			for i, spec := range equivRequests(300) {
 				ch, err := w.request(spec)
 				if err != nil {
@@ -63,9 +64,34 @@ func TestFabricDecisionEquivalence(t *testing.T) {
 					accepted = append(accepted[:len(accepted)/2], accepted[len(accepted)/2+1:]...)
 					w.release(victim)
 				}
+				// A reconfiguration that keeps the channel's ID and grows its
+				// capacity (Apply), and two channels traded for a pair of
+				// requests with a verdict each (AdmitEach with a release).
+				if i%4 == 1 && len(accepted) > 3 {
+					victim := accepted[len(accepted)/3]
+					grown := w.ctrl.State().Get(victim).Spec
+					grown.C += 2
+					if _, err := w.replace([]core.ChannelID{victim}, []Req{{Spec: grown, ID: victim, KeepID: true}}); err != nil {
+						refused++
+					}
+					replaced++
+				}
+				if i%11 == 7 && len(accepted) > 3 {
+					pair := []core.ChannelID{accepted[0], accepted[len(accepted)-1]}
+					accepted = accepted[1 : len(accepted)-1]
+					chs, errs := w.admitEach(pair, []Req{{Spec: spec}, {Spec: equivRequests(i + 2)[i+1]}})
+					for k, ch := range chs {
+						if errs[k] == nil {
+							accepted = append(accepted, ch.ID)
+						}
+					}
+				}
 			}
 			if rejections == 0 {
 				t.Fatal("workload never saturated — rejection path not exercised")
+			}
+			if refused == 0 || refused == replaced {
+				t.Fatalf("%d of %d reconfigurations refused: one replace path not exercised", refused, replaced)
 			}
 			if w.ctrl.LinksChecked() >= w.ref.checked {
 				t.Errorf("engine checked %d edges, the oracle %d — expected strictly fewer",

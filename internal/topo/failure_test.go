@@ -67,9 +67,10 @@ func deepStateKey(st *State) string {
 	return s
 }
 
-// failTrunk replays one failure: down the trunk, release every channel
-// routed over it (ID order), and re-admit the batch under the old IDs.
-// The returned string captures the verdicts and the recomputed routes.
+// failTrunk replays one failure: down the trunk, then release every
+// channel routed over it (ID order) and re-admit the batch under the old
+// IDs in one AdmitEach pass, as failure recovery does. The returned string
+// captures the verdicts and the recomputed routes.
 func (w *twin) failTrunk(a, b SwitchID) string {
 	w.t.Helper()
 	if changed, err := w.top.SetLinkUp(a, b, false); err != nil || !changed {
@@ -82,12 +83,13 @@ func (w *twin) failTrunk(a, b SwitchID) string {
 		}
 	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
+	remove := make([]core.ChannelID, len(affected))
 	reqs := make([]Req, len(affected))
 	for i, hch := range affected {
-		w.release(hch.ID)
+		remove[i] = hch.ID
 		reqs[i] = Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true}
 	}
-	chs, errs := w.admitEach(reqs)
+	chs, errs := w.admitEach(remove, reqs)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fail %d-%d affected=%d:", a, b, len(affected))
 	for i := range reqs {
@@ -146,7 +148,7 @@ func replayChurn(t *testing.T, seed int64) string {
 					}
 				}
 			}
-			chs, errs := w.admitEach([]Req{{Spec: spec, Sinks: sinks}})
+			chs, errs := w.admitEach(nil, []Req{{Spec: spec, Sinks: sinks}})
 			if errs[0] != nil {
 				rejected++
 				fmt.Fprintf(&log, "est %v sinks=%v rej(%v)\n", spec, sinks, errs[0])
@@ -215,7 +217,7 @@ func TestFailureChurnReplayEquivalence(t *testing.T) {
 func TestFailoverKeptBackLeavesDisjointRequestAlone(t *testing.T) {
 	w := newTwin(t, ringFabric(), Config{DPS: HADPS{}})
 	est := func(src core.NodeID, d int64, dst core.NodeID, sinks ...core.NodeID) (*HChannel, error) {
-		chs, errs := w.admitEach([]Req{{Spec: core.ChannelSpec{Src: src, Dst: dst, C: 2, P: 100, D: d}, Sinks: sinks}})
+		chs, errs := w.admitEach(nil, []Req{{Spec: core.ChannelSpec{Src: src, Dst: dst, C: 2, P: 100, D: d}, Sinks: sinks}})
 		return chs[0], errs[0]
 	}
 	failover := func() {

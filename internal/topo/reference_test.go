@@ -36,12 +36,21 @@ func newReference(top *Topology, cfg Config) *reference {
 	return &reference{st: NewState(), dps: cfg.DPS, router: NewController(top, cfg)}
 }
 
-// admit decides a list of routable requests as Controller.Admit does. On
-// rejection it returns every edge the tentative state fails on.
-func (r *reference) admit(reqs []Req) ([]*HChannel, []Edge) {
+// admit decides a list of routable requests as Controller.Admit does.
+func (r *reference) admit(reqs []Req) ([]*HChannel, []Edge) { return r.replace(nil, reqs) }
+
+// replace decides a release together with a non-empty list of routable
+// requests as Controller.Apply does: the released channels leave, the
+// requests join, and the channels on the edges of both are repartitioned.
+// On rejection it returns every edge the tentative state fails on.
+func (r *reference) replace(remove []core.ChannelID, reqs []Req) ([]*HChannel, []Edge) {
 	next := r.st.clone()
-	chs := make([]*HChannel, len(reqs))
 	var touched []Edge
+	for _, id := range remove {
+		touched = append(touched, next.Get(id).Route...)
+		next.remove(id)
+	}
+	chs := make([]*HChannel, len(reqs))
 	for i, q := range reqs {
 		p, err := r.router.prepare(q)
 		if err != nil {
@@ -58,38 +67,49 @@ func (r *reference) admit(reqs []Req) ([]*HChannel, []Edge) {
 	return chs, nil
 }
 
-// admitEach decides a list with one verdict per request by the same
-// greedy bisection as the engine's AdmitEach.
-func (r *reference) admitEach(reqs []Req) ([]*HChannel, [][]Edge) {
+// admitEach releases remove and decides a list with one verdict per
+// request by the same greedy bisection as the engine's AdmitEach: the
+// release rides along with the leftmost attempt, and commits alone when
+// the first request is rejected.
+func (r *reference) admitEach(remove []core.ChannelID, reqs []Req) ([]*HChannel, [][]Edge) {
 	chs := make([]*HChannel, len(reqs))
 	bad := make([][]Edge, len(reqs))
-	var decide func(lo, hi int)
-	decide = func(lo, hi int) {
-		got, b := r.admit(reqs[lo:hi])
+	var decide func(remove []core.ChannelID, lo, hi int)
+	decide = func(remove []core.ChannelID, lo, hi int) {
+		got, b := r.replace(remove, reqs[lo:hi])
 		switch {
 		case b == nil:
 			copy(chs[lo:hi], got)
 		case hi-lo == 1:
 			bad[lo] = b
+			r.release(remove)
 		default:
 			mid := lo + (hi-lo)/2
-			decide(lo, mid)
-			decide(mid, hi)
+			decide(remove, lo, mid)
+			decide(nil, mid, hi)
 		}
 	}
 	if len(reqs) > 0 {
-		decide(0, len(reqs))
+		decide(remove, 0, len(reqs))
+	} else {
+		r.release(remove)
 	}
 	return chs, bad
 }
 
-// release removes a channel and keeps the repartition of the channels on
-// its edges only if every edge stays feasible.
-func (r *reference) release(id core.ChannelID) {
-	route := r.st.Get(id).Route
-	r.st.remove(id)
+// release removes channels and keeps the repartition of the channels on
+// their edges only if every edge stays feasible.
+func (r *reference) release(remove []core.ChannelID) {
+	if len(remove) == 0 {
+		return
+	}
+	var touched []Edge
+	for _, id := range remove {
+		touched = append(touched, r.st.Get(id).Route...)
+		r.st.remove(id)
+	}
 	next := r.st.clone()
-	if len(r.repartition(next, route)) == 0 {
+	if len(r.repartition(next, touched)) == 0 {
 		r.st = next
 	}
 }
@@ -129,19 +149,35 @@ func newTwin(t testing.TB, top *Topology, cfg Config) *twin {
 // request is Admit of one unicast channel on both.
 func (w *twin) request(spec core.ChannelSpec) (*HChannel, error) {
 	w.t.Helper()
-	near := w.neighbourhood([]Req{{Spec: spec}})
-	got, err := w.ctrl.Admit([]Req{{Spec: spec}})
-	want, bad := w.ref.admit([]Req{{Spec: spec}})
-	w.compare(spec.String(), near, got, err, want, bad)
+	got, err := w.replace(nil, []Req{{Spec: spec}})
 	return core.One(got, err)
 }
 
-// admitEach is AdmitEach of a list on both.
-func (w *twin) admitEach(reqs []Req) ([]*HChannel, []error) {
+// replace is Apply of a release and a list on both: on rejection every
+// released channel must still be established.
+func (w *twin) replace(remove []core.ChannelID, reqs []Req) ([]*HChannel, error) {
 	w.t.Helper()
-	near := w.neighbourhood(reqs)
-	got, errs := w.ctrl.AdmitEach(reqs)
-	want, bad := w.ref.admitEach(reqs)
+	what := fmt.Sprintf("replace %v by %v", remove, reqs)
+	near := w.neighbourhood(remove, reqs)
+	got, err := w.ctrl.Apply(remove, reqs)
+	want, bad := w.ref.replace(remove, reqs)
+	w.compare(what, near, got, err, want, bad)
+	if err != nil {
+		for _, id := range remove {
+			if w.ctrl.State().Get(id) == nil {
+				w.t.Fatalf("%s: refused, yet channel %d lost its reservation", what, id)
+			}
+		}
+	}
+	return got, err
+}
+
+// admitEach is AdmitEach of a release and a list on both.
+func (w *twin) admitEach(remove []core.ChannelID, reqs []Req) ([]*HChannel, []error) {
+	w.t.Helper()
+	near := w.neighbourhood(remove, reqs)
+	got, errs := w.ctrl.AdmitEach(remove, reqs)
+	want, bad := w.ref.admitEach(remove, reqs)
 	for i, q := range reqs {
 		w.compare(q.String(), near, got[i:i+1], errs[i], want[i:i+1], bad[i])
 	}
@@ -185,7 +221,7 @@ func (w *twin) release(id core.ChannelID) {
 	if err := w.ctrl.Release(id); err != nil {
 		w.t.Fatal(err)
 	}
-	w.ref.release(id)
+	w.ref.release([]core.ChannelID{id})
 	w.check(fmt.Sprintf("release %d", id))
 }
 
@@ -205,17 +241,23 @@ func (w *twin) check(after string) {
 	}
 }
 
-// neighbourhood returns the edges a rejection of reqs may name: the
-// requests' own routes and the routes of every committed channel sharing
-// an edge with them — under H-ADPS a request moves such a neighbour's
-// budget onto the neighbour's other edges.
-func (w *twin) neighbourhood(reqs []Req) map[Edge]bool {
+// neighbourhood returns the edges a rejection of a change may name: the
+// requests' own routes and the routes of the released channels, and the
+// routes of every committed channel sharing an edge with them — under
+// H-ADPS a change moves such a neighbour's budget onto the neighbour's
+// other edges.
+func (w *twin) neighbourhood(remove []core.ChannelID, reqs []Req) map[Edge]bool {
 	near := map[Edge]bool{}
 	for _, q := range reqs {
 		if route, _, _, err := w.top.RouteOf(q); err == nil {
 			for _, e := range route {
 				near[e] = true
 			}
+		}
+	}
+	for _, id := range remove {
+		for _, e := range w.ctrl.State().Get(id).Route {
+			near[e] = true
 		}
 	}
 	var far []Edge

@@ -39,10 +39,11 @@ type AdmissionStats struct {
 	SweepNs int64
 	// Repartitions counts the deadline-repartition passes the admission
 	// kernel has run: one per scheme attempted per decision — a whole
-	// batch (EstablishAll) counts once, and a merged EstablishEach group
-	// counts once when it verifies as a whole — plus one per release.
-	// It is the direct measure of how much work request coalescing saves
-	// over sequential establishment.
+	// batch (EstablishAll) counts once, a release or a Reconfigure once,
+	// Close once, and a merged EstablishEach group or a failure-recovery
+	// pass once when it verifies as a whole. It is the direct measure of
+	// how much work request coalescing saves over sequential
+	// establishment.
 	Repartitions int
 
 	// Survivability counters, advanced by failure recovery
@@ -62,18 +63,20 @@ type AdmissionStats struct {
 // protocol) or the routed multi-switch simulator (internal/fabricsim).
 type backend interface {
 	addNode(id NodeID) error
-	// The three establishment calls. establishWire plays the paper's
-	// RequestFrame/ResponseFrame handshake for one channel where the
-	// backend models it (the star); admitAll decides a list atomically and
-	// admitEach with one verdict per request, both through the management
-	// plane. Feasibility rejections come back as *AdmissionError.
+	// establishWire plays the paper's RequestFrame/ResponseFrame handshake
+	// for one channel where the backend models it (the star). Every other
+	// change goes through the management plane's one decision: apply
+	// releases remove and admits reqs atomically, and applyEach commits the
+	// release and gives each request its own verdict. A KeepID request
+	// re-admits a channel the same call releases (reconfigure, failure
+	// recovery): its traffic, measurements and release phase carry over.
+	// Feasibility rejections come back as *AdmissionError.
 	establishWire(spec ChannelSpec) (ChannelID, error)
-	admitAll(reqs []core.Req) ([]ChannelID, error)
-	admitEach(reqs []core.Req) ([]ChannelID, []error)
+	apply(remove []ChannelID, reqs []core.Req) ([]ChannelID, error)
+	applyEach(remove []ChannelID, reqs []core.Req) ([]ChannelID, []error)
 	setLinkUp(a, b SwitchID, up bool) (*FailoverReport, error)
 	setSwitchUp(s SwitchID, up bool) (*FailoverReport, error)
 	setNodeLinkUp(id NodeID, up bool) error
-	release(id ChannelID) error
 	teardown(id ChannelID) error
 	startTraffic(id ChannelID, offset int64) error
 	stopTraffic(id ChannelID) error
@@ -118,21 +121,17 @@ func (b *starBackend) establishWire(spec ChannelSpec) (ChannelID, error) {
 	return id, starDiagnostic([]core.Req{{Spec: spec}}, err)
 }
 
-func (b *starBackend) admitAll(reqs []core.Req) ([]ChannelID, error) {
-	ids, err := b.inner.EstablishAll(reqs)
+func (b *starBackend) apply(remove []ChannelID, reqs []core.Req) ([]ChannelID, error) {
+	ids, err := b.inner.Apply(remove, reqs)
 	return ids, starDiagnostic(reqs, err)
 }
 
-func (b *starBackend) admitEach(reqs []core.Req) ([]ChannelID, []error) {
-	ids, errs := b.inner.EstablishEach(reqs)
+func (b *starBackend) applyEach(remove []ChannelID, reqs []core.Req) ([]ChannelID, []error) {
+	ids, errs := b.inner.ApplyEach(remove, reqs)
 	for i, err := range errs {
 		errs[i] = starDiagnostic(reqs[i:i+1], err)
 	}
 	return ids, errs
-}
-
-func (b *starBackend) release(id ChannelID) error {
-	return b.inner.ReleaseChannel(id)
 }
 
 func (b *starBackend) teardown(id ChannelID) error {
@@ -309,36 +308,57 @@ func (b *fabricBackend) addNode(id NodeID) error {
 	return fmt.Errorf("rtether: node %d: attach end-nodes via Topology.Attach before New on a multi-switch network", id)
 }
 
-// establishWire on a fabric is admitAll of one: the multi-switch model
-// has no establishment handshake to play out.
+// establishWire on a fabric is apply of one: the multi-switch model has
+// no establishment handshake to play out.
 func (b *fabricBackend) establishWire(spec ChannelSpec) (ChannelID, error) {
-	return core.One(b.admitAll([]core.Req{{Spec: spec}}))
+	return core.One(b.apply(nil, []core.Req{{Spec: spec}}))
 }
 
-func (b *fabricBackend) admitAll(reqs []core.Req) ([]ChannelID, error) {
-	chs, err := b.ctrl.Admit(reqs)
+func (b *fabricBackend) apply(remove []ChannelID, reqs []core.Req) ([]ChannelID, error) {
+	chs, err := b.ctrl.Apply(remove, reqs)
 	if err != nil {
-		b.sim.TraceAdmission(reqs[0].Spec.Src, 0, false, 0)
+		if len(reqs) > 0 {
+			b.sim.TraceAdmission(reqs[0].Spec.Src, 0, false, 0)
+		}
 		return nil, b.diagnostic(reqs, err)
 	}
-	return b.commit(chs), nil
+	return b.commit(remove, reqs, chs), nil
 }
 
-func (b *fabricBackend) admitEach(reqs []core.Req) ([]ChannelID, []error) {
-	chs, errs := b.ctrl.AdmitEach(reqs)
+func (b *fabricBackend) applyEach(remove []ChannelID, reqs []core.Req) ([]ChannelID, []error) {
+	chs, errs := b.ctrl.AdmitEach(remove, reqs)
 	for i, err := range errs {
 		if err != nil {
 			b.sim.TraceAdmission(reqs[i].Spec.Src, 0, false, 0)
 			errs[i] = b.diagnostic(reqs[i:i+1], err)
 		}
 	}
-	return b.commit(chs), errs
+	return b.commit(remove, reqs, chs), errs
 }
 
-// commit installs the channels one decision admitted (nil entries are
-// its rejected requests) in the running simulation and re-syncs the
-// budgets the decision repartitioned, once for the whole list.
-func (b *fabricBackend) commit(chs []*topo.HChannel) []ChannelID {
+// commit brings the running simulation in line with one committed
+// decision that released remove and admitted chs (parallel to reqs; nil
+// entries are rejected requests). Admitted channels are installed — one
+// re-admitted under its ID keeps its measurements and release phase. A
+// released channel leaves the simulation unless a request of the decision
+// re-admits it under its ID: a refused re-admission is left to the
+// caller (failure recovery's policy ladder). The budgets the decision
+// repartitioned are re-synced once.
+func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.HChannel) []ChannelID {
+	var readmitted map[ChannelID]bool
+	for _, r := range reqs {
+		if r.KeepID {
+			if readmitted == nil {
+				readmitted = make(map[ChannelID]bool)
+			}
+			readmitted[r.ID] = true
+		}
+	}
+	for _, id := range remove {
+		if !readmitted[id] {
+			b.simRemove(id)
+		}
+	}
 	ids := make([]ChannelID, len(chs))
 	for i, ch := range chs {
 		if ch == nil {
@@ -353,6 +373,17 @@ func (b *fabricBackend) commit(chs []*topo.HChannel) []ChannelID {
 	}
 	b.syncBudgets(b.ctrl.Repartitioned())
 	return ids
+}
+
+// simRemove takes a released channel's traffic out of the simulation.
+func (b *fabricBackend) simRemove(id ChannelID) {
+	if err := b.sim.Remove(id); err != nil {
+		// The controller released a channel the simulation does not know —
+		// admission state and the running sim have diverged, which is a
+		// programming error, not a runtime condition (same contract as the
+		// Install panic in commit).
+		panic(fmt.Sprintf("rtether: removing released channel from simulation: %v", err))
+	}
 }
 
 // syncBudgets pushes committed per-hop budgets into the running
@@ -372,27 +403,12 @@ func (b *fabricBackend) syncBudgets(ids []core.ChannelID) {
 	}
 }
 
-func (b *fabricBackend) release(id ChannelID) error {
-	if b.ctrl.State().Get(id) == nil {
-		return errUnknownChannel(id)
-	}
-	if err := b.ctrl.Release(id); err != nil {
-		return err
-	}
-	if err := b.sim.Remove(id); err != nil {
-		// The controller released a channel the simulation does not know —
-		// admission state and the running sim have diverged, which is a
-		// programming error, not a runtime condition (same contract as the
-		// Install panic in establish).
-		panic(fmt.Sprintf("rtether: removing released channel from simulation: %v", err))
-	}
-	b.syncBudgets(b.ctrl.Repartitioned())
-	return nil
-}
-
-// teardown on a fabric is release: the multi-switch model carries RT
+// teardown on a fabric is a release: the multi-switch model carries RT
 // traffic only, so there is no wire-level teardown handshake to play out.
-func (b *fabricBackend) teardown(id ChannelID) error { return b.release(id) }
+func (b *fabricBackend) teardown(id ChannelID) error {
+	_, err := b.apply([]ChannelID{id}, nil)
+	return err
+}
 
 func (b *fabricBackend) startTraffic(id ChannelID, offset int64) error {
 	if b.ctrl.State().Get(id) == nil {

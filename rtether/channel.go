@@ -1,6 +1,9 @@
 package rtether
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // ErrChannelClosed is returned by Channel methods after the channel has
 // been released or torn down through any path.
@@ -13,15 +16,17 @@ var ErrChannelClosed = errors.New("rtether: channel is closed")
 //
 // A Channel is bound to the Network that created it and shares its
 // concurrency contract: the handle is safe to use from any goroutine.
-// Lifecycle methods (Start, Stop, Release, Teardown) serialize with the
-// Network's management/simulation plane; queries (Spec, Budgets,
-// Metrics, GuaranteedDelay) take the shared read lock.
+// Lifecycle methods (Start, Stop, Release, Reconfigure, Teardown)
+// serialize with the Network's management/simulation plane; queries
+// (Spec, Budgets, Metrics, GuaranteedDelay) take the shared read lock.
 type Channel struct {
-	net  *Network
-	id   ChannelID
-	spec ChannelSpec
-	// sinks is the full sink set of a multicast channel (nil for
-	// unicast); immutable after establishment.
+	net *Network
+	id  ChannelID
+	// spec and, for a multicast channel, sinks (nil for unicast) are the
+	// committed contract. Reconfigure and failure recovery replace them
+	// under the network's write lock; queries read them under the read
+	// lock.
+	spec  ChannelSpec
 	sinks []NodeID
 
 	// closed flips when the channel is released or torn down. It is
@@ -36,20 +41,24 @@ func (c *Channel) ID() ChannelID { return c.id }
 
 // Spec returns the committed channel spec {Src, Dst, P, C, D}. For a
 // multicast channel, Dst is the first sink; see Sinks for the full set.
-func (c *Channel) Spec() ChannelSpec { return c.spec }
+func (c *Channel) Spec() ChannelSpec {
+	defer c.net.lk.runlock(c.net.lk.rlock())
+	return c.spec
+}
 
 // Sinks returns the sink set of a multicast channel in request order,
 // or nil for a unicast channel. The returned slice is a copy.
 func (c *Channel) Sinks() []NodeID {
-	if len(c.sinks) == 0 {
-		return nil
-	}
-	return append([]NodeID(nil), c.sinks...)
+	defer c.net.lk.runlock(c.net.lk.rlock())
+	return slices.Clone(c.sinks)
 }
 
 // Multicast reports whether this channel was established with
 // EstablishMulticast.
-func (c *Channel) Multicast() bool { return len(c.sinks) > 0 }
+func (c *Channel) Multicast() bool {
+	defer c.net.lk.runlock(c.net.lk.rlock())
+	return len(c.sinks) > 0
+}
 
 // Budgets returns the channel's current per-hop deadline budgets, which
 // sum to D: [d_up, d_down] on a star network, one entry per routed link
@@ -69,7 +78,23 @@ func (c *Channel) Stop() error { return c.net.stopChannel(c) }
 // Release tears the channel down through the management plane: traffic
 // stops and the reservation is freed immediately, without consuming
 // virtual time.
-func (c *Channel) Release() error { return c.net.releaseChannel(c) }
+func (c *Channel) Release() error {
+	_, err := c.net.apply([]*Channel{c}, nil)
+	return err
+}
+
+// Reconfigure replaces the channel's contract in one atomic admission
+// decision that keeps its ID: the old reservation leaves and the new one
+// joins together, so nothing else can take the freed capacity in between.
+// C, P, D, the destination and a multicast channel's sink set (Sinks set,
+// Spec.Dst ignored, as in EstablishEachMixed) may change; Src may not,
+// nor may the channel switch between unicast and multicast. If the new
+// contract does not fit, the channel keeps its ID, spec, budgets and
+// traffic, and the rejection is returned (*AdmissionError). On success a
+// running source carries on under the new contract, measurements and
+// release phase kept. It runs through the management plane, like
+// EstablishAll: no handshake, no virtual time.
+func (c *Channel) Reconfigure(req EstablishReq) error { return c.net.reconfigureChannel(c, req) }
 
 // Teardown releases the channel over the wire: the source stops its
 // traffic and sends a Teardown control frame; the switch frees the

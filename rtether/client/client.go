@@ -207,10 +207,10 @@ func (c *Client) Release(ctx context.Context, id rtether.ChannelID) error {
 	return c.call(ctx, http.MethodPost, "/v1/release", wire.ReleaseRequest{ID: uint32(id)}, nil)
 }
 
-// Reconfigure replaces a channel's parameters with the non-zero
-// overrides applied (0 = keep), as release followed by re-establish —
-// not one atomic decision. A rejected (or raced; see
-// wire.ReconfigureRequest) reconfiguration leaves the channel released.
+// Reconfigure replaces a unicast channel's parameters with the non-zero
+// overrides applied (0 = keep), in one atomic decision that keeps its ID
+// (see wire.ReconfigureRequest). A rejected reconfiguration leaves the
+// channel exactly as it was.
 func (c *Client) Reconfigure(ctx context.Context, id rtether.ChannelID, overrideC, overrideP, overrideD int64) (Channel, error) {
 	if c.transport == TransportBinary {
 		return c.binReconfigure(ctx, wire.ReconfigureRequest{ID: uint32(id), C: overrideC, P: overrideP, D: overrideD})

@@ -3,6 +3,7 @@ package rtether
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/topo"
@@ -28,9 +29,10 @@ const (
 	// FailPreempt evicts strictly-lower-priority channels from the
 	// saturated link — lowest ChannelSpec.Priority first, ties broken
 	// by lowest ID — until the affected channel fits. Evicted victims
-	// are lost; a channel with no viable victims is itself lost.
-	// Priority ties never preempt: equal-priority channels are safe
-	// from each other.
+	// are lost; a channel with no viable victims is itself lost, and
+	// then evicts nobody: an eviction commits only together with the
+	// admission it makes room for. Priority ties never preempt:
+	// equal-priority channels are safe from each other.
 	FailPreempt
 )
 
@@ -139,9 +141,9 @@ var ErrNoNodeLinks = errors.New("rtether: node-link failures are modeled on star
 
 // SetLinkUp fails (up=false) or repairs (up=true) the trunk between
 // switches a and b on a multi-switch network. Failing a trunk drops
-// every frame in flight on it (counted as misses), then re-routes and
-// re-admits every channel whose route crossed it as one batch
-// admission decision with per-channel verdicts; channels the residual
+// every frame in flight on it (counted as misses), then releases,
+// re-routes and re-admits every channel whose route crossed it in one
+// admission pass with per-channel verdicts; channels the residual
 // network cannot honor go through the ladder configured with
 // WithFailurePolicy. The report lists each affected channel's fate.
 //
@@ -307,9 +309,9 @@ func (b *fabricBackend) refreshDeadEdges() {
 }
 
 // failAndRecover is the survivability core: mark the newly dead edges in
-// the simulator (purging in-flight frames as misses), release every
-// established channel whose route crossed one, re-admit the whole group
-// as one batch decision under their original IDs, and walk the policy
+// the simulator (purging in-flight frames as misses), then release every
+// established channel whose route crossed one and re-admit the whole group
+// under their original IDs in one per-verdict pass, and walk the policy
 // ladder for the ones the residual network rejected.
 func (b *fabricBackend) failAndRecover(dead []topo.Edge) *FailoverReport {
 	deadNow := make(map[topo.Edge]bool, len(dead))
@@ -322,58 +324,48 @@ func (b *fabricBackend) failAndRecover(dead []topo.Edge) *FailoverReport {
 		b.sim.SetLinkUp(e, false)
 	}
 	rep := &FailoverReport{}
-	var affected []*topo.HChannel
+	var remove []ChannelID
+	var reqs []core.Req
 	for _, hch := range b.ctrl.State().Channels() {
-		for _, e := range hch.Route {
-			if deadNow[e] {
-				affected = append(affected, hch)
-				break
-			}
+		if slices.ContainsFunc(hch.Route, func(e topo.Edge) bool { return deadNow[e] }) {
+			remove = append(remove, hch.ID)
+			reqs = append(reqs, core.Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true})
 		}
 	}
-	rep.Affected = len(affected)
-	if len(affected) == 0 {
+	rep.Affected = len(remove)
+	if len(remove) == 0 {
 		return rep
 	}
-	// Release every affected reservation first, then re-admit the whole
-	// group at once: the batch sees the full residual capacity instead
-	// of competing with stale reservations, and the kernel's greedy
-	// bisection keeps the pass count low (internal/admit.AdmitEach).
-	reqs := make([]core.Req, len(affected))
-	for i, hch := range affected {
-		if err := b.ctrl.Release(hch.ID); err != nil {
-			panic(fmt.Sprintf("rtether: releasing failure-affected channel %d: %v", hch.ID, err))
-		}
-		reqs[i] = core.Req{Spec: hch.Spec, Sinks: hch.Sinks, ID: hch.ID, KeepID: true}
-	}
-	chs, errs := b.ctrl.AdmitEach(reqs)
+	// The release and the re-admission are one pass: the group sees the
+	// full residual capacity instead of competing with stale reservations,
+	// and a group that fits costs one repartition (internal/admit.AdmitEach).
+	chs, errs := b.ctrl.AdmitEach(remove, reqs)
+	b.commit(remove, reqs, chs)
 	for i, err := range errs {
 		if err == nil {
-			b.adoptSurvivor(chs[i], rep, Rerouted, 0)
+			b.record(rep, chs[i], Rerouted, 0)
 			continue
 		}
 		b.recoverFailed(reqs[i], err, rep)
 	}
-	// Recovery runs several kernel mutations back to back, so the one-shot
-	// Repartitioned delta is not enough: re-sync every surviving channel
-	// (the simple, always-correct sweep; failures are rare).
-	b.syncBudgets(b.channelIDs())
 	return rep
 }
 
 // recoverFailed applies the configured policy ladder to one channel the
-// batch re-admission rejected.
+// recovery pass rejected. Its reservation is gone, its traffic still in
+// the simulation.
 func (b *fabricBackend) recoverFailed(req core.Req, admErr error, rep *FailoverReport) {
 	switch b.policy {
 	case FailDegrade:
 		relaxed := req
 		relaxed.Spec.D *= 2
-		chs, errs := b.ctrl.AdmitEach([]core.Req{relaxed})
-		if errs[0] == nil {
-			b.adoptSurvivor(chs[0], rep, Degraded, relaxed.Spec.D)
+		chs, err := b.ctrl.Apply(nil, []core.Req{relaxed})
+		if err == nil {
+			b.commit(nil, []core.Req{relaxed}, chs)
+			b.record(rep, chs[0], Degraded, relaxed.Spec.D)
 			return
 		}
-		admErr = errs[0]
+		admErr = err
 	case FailPreempt:
 		if b.tryPreempt(req, rep) {
 			return
@@ -382,54 +374,49 @@ func (b *fabricBackend) recoverFailed(req core.Req, admErr error, rep *FailoverR
 	b.loseChannel(req, admErr, rep)
 }
 
-// tryPreempt evicts strictly-lower-priority channels from the saturated
-// edge until the request fits, reporting whether it succeeded. Victims
-// are chosen deterministically: lowest priority first, ties by lowest
-// ID. Non-feasibility failures (no residual route) are not helped by
+// tryPreempt looks for strictly-lower-priority victims on the saturated
+// edge until the request fits, reporting whether it did. An eviction
+// commits only together with the admission it makes room for — one
+// atomic Apply(victims, request) per candidate set — so a request that
+// does not fit even then evicts nobody. Victims are chosen
+// deterministically: lowest priority first, ties by lowest ID.
+// Non-feasibility failures (no residual route) are not helped by
 // eviction and fail immediately.
 func (b *fabricBackend) tryPreempt(req core.Req, rep *FailoverReport) bool {
+	var victims []*topo.HChannel
+	var remove []ChannelID
 	for {
-		chs, errs := b.ctrl.AdmitEach([]core.Req{req})
-		if errs[0] == nil {
-			b.adoptSurvivor(chs[0], rep, Rerouted, 0)
+		chs, err := b.ctrl.Apply(remove, []core.Req{req})
+		if err == nil {
+			b.commit(remove, []core.Req{req}, chs)
+			for _, v := range victims {
+				rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: v.ID, Spec: v.Spec, Outcome: Preempted})
+				b.tally.Preempted++
+			}
+			b.record(rep, chs[0], Rerouted, 0)
 			return true
 		}
 		var rej *topo.RejectionError
-		if !errors.As(errs[0], &rej) {
+		if !errors.As(err, &rej) {
 			return false
 		}
-		victim := b.lowestPriorityOn(rej.Edge, req.Spec.Priority)
+		victim := b.lowestPriorityOn(rej.Edge, req.Spec.Priority, remove)
 		if victim == nil {
 			return false
 		}
-		if err := b.ctrl.Release(victim.ID); err != nil {
-			panic(fmt.Sprintf("rtether: preempting channel %d: %v", victim.ID, err))
-		}
-		if err := b.sim.Remove(victim.ID); err != nil {
-			panic(fmt.Sprintf("rtether: removing preempted channel from simulation: %v", err))
-		}
-		rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: victim.ID, Spec: victim.Spec, Outcome: Preempted})
-		b.tally.Preempted++
+		victims = append(victims, victim)
+		remove = append(remove, victim.ID)
 	}
 }
 
 // lowestPriorityOn returns the established channel on the given edge
 // with the lowest priority strictly below pri (ties broken by lowest
-// ID), or nil when no such channel exists.
-func (b *fabricBackend) lowestPriorityOn(e topo.Edge, pri int32) *topo.HChannel {
+// ID), skipping the channels already chosen, or nil when no such
+// channel exists.
+func (b *fabricBackend) lowestPriorityOn(e topo.Edge, pri int32, chosen []ChannelID) *topo.HChannel {
 	var victim *topo.HChannel
 	for _, hch := range b.ctrl.State().Channels() {
-		if hch.Spec.Priority >= pri {
-			continue
-		}
-		on := false
-		for _, re := range hch.Route {
-			if re == e {
-				on = true
-				break
-			}
-		}
-		if !on {
+		if hch.Spec.Priority >= pri || !slices.Contains(hch.Route, e) || slices.Contains(chosen, hch.ID) {
 			continue
 		}
 		if victim == nil || hch.Spec.Priority < victim.Spec.Priority ||
@@ -440,13 +427,10 @@ func (b *fabricBackend) lowestPriorityOn(e topo.Edge, pri int32) *topo.HChannel 
 	return victim
 }
 
-// adoptSurvivor moves a re-admitted channel's traffic onto its new
-// route — metrics, traffic state and release phase carry over — and
-// records its outcome.
-func (b *fabricBackend) adoptSurvivor(hch *topo.HChannel, rep *FailoverReport, outcome FailoverOutcome, newD int64) {
-	if err := b.sim.Reroute(hch); err != nil {
-		panic(fmt.Sprintf("rtether: rerouting channel %d in simulation: %v", hch.ID, err))
-	}
+// record tallies a re-admitted channel's outcome; commit has already
+// moved its traffic onto the new route, metrics, traffic state and
+// release phase carried over.
+func (b *fabricBackend) record(rep *FailoverReport, hch *topo.HChannel, outcome FailoverOutcome, newD int64) {
 	rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: hch.ID, Spec: hch.Spec, Outcome: outcome, NewD: newD})
 	switch outcome {
 	case Degraded:
@@ -460,9 +444,7 @@ func (b *fabricBackend) adoptSurvivor(hch *topo.HChannel, rep *FailoverReport, o
 // reservation is already gone (the failed re-admission never committed),
 // so only its traffic leaves the simulation. Measurements survive.
 func (b *fabricBackend) loseChannel(req core.Req, admErr error, rep *FailoverReport) {
-	if err := b.sim.Remove(req.ID); err != nil {
-		panic(fmt.Sprintf("rtether: removing lost channel from simulation: %v", err))
-	}
+	b.simRemove(req.ID)
 	rep.Outcomes = append(rep.Outcomes, ChannelOutcome{ID: req.ID, Spec: req.Spec, Outcome: Lost, Err: b.diagnostic([]core.Req{req}, admErr)})
 	b.tally.Lost++
 }

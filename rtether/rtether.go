@@ -45,8 +45,8 @@
 //
 // A Network and the *Channel handles it hands out are safe for use from
 // any goroutine. Mutating operations (Establish, EstablishAll,
-// EstablishEach, Release, Teardown, Start, Stop, SendBestEffort,
-// Schedule, RunFor, RunUntil, Close) are
+// EstablishEach, Release, Reconfigure, Teardown, Start, Stop,
+// SendBestEffort, Schedule, RunFor, RunUntil, Close) are
 // serialized by an internal lock — one management/simulation plane, as on
 // a real switch — while read-only queries (Metrics, Spec, Budgets,
 // GuaranteedDelay, AdmissionStats, Lookup, Now, Report, link loads) take
@@ -67,6 +67,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -297,13 +298,16 @@ func (n *Network) Establish(spec ChannelSpec) (*Channel, error) {
 	return n.register(id, core.Req{Spec: spec}), nil
 }
 
-// register creates and records the handle of an admitted request.
+// register records the handle of an admitted request; a request that
+// re-admits a channel under its ID (Reconfigure) updates that channel's
+// handle in place.
 func (n *Network) register(id ChannelID, r core.Req) *Channel {
-	ch := &Channel{net: n, id: id, spec: r.Spec}
-	if r.Multicast() {
-		ch.sinks = append([]NodeID(nil), r.Sinks...)
+	ch := n.handles[id]
+	if ch == nil {
+		ch = &Channel{net: n, id: id}
+		n.handles[id] = ch
 	}
-	n.handles[id] = ch
+	ch.spec, ch.sinks = r.Spec, slices.Clone(r.Sinks)
 	return ch
 }
 
@@ -325,7 +329,7 @@ func (n *Network) register(id ChannelID, r core.Req) *Channel {
 // the management plane on both topologies — no wire handshake, no
 // virtual time.
 func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
-	return core.One(n.admitAll([]core.Req{spec.Req()}))
+	return core.One(n.apply(nil, []core.Req{spec.Req()}))
 }
 
 // EstablishAll requests a whole batch of RT channels as one atomic
@@ -343,23 +347,49 @@ func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
 // EstablishAll does it once (see BenchmarkAdmissionScale).
 func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
 	reqs := core.Unicast(specs)
-	chs, err := n.admitAll(reqs)
+	chs, err := n.apply(nil, reqs)
 	return chs, core.BatchError(reqs, err)
 }
 
-// admitAll is the atomic adapter behind EstablishMulticast and
-// EstablishAll.
-func (n *Network) admitAll(reqs []core.Req) ([]*Channel, error) {
+// apply is the one management-plane decision behind every handle
+// operation but the wire paths (Establish on a star, Teardown): it
+// releases the channels of remove and admits reqs atomically, then closes
+// the handles of the channels released for good, registers the admitted
+// ones, and hands a KeepID request — a reconfiguration, which must keep
+// its source node and its kind — the handle it re-admits.
+func (n *Network) apply(remove []*Channel, reqs []core.Req) ([]*Channel, error) {
 	defer n.lk.unlock(n.lk.lock())
 	if n.closed {
 		return nil, ErrClosed
 	}
-	ids, err := n.be.admitAll(reqs)
+	ids := make([]ChannelID, len(remove))
+	for i, c := range remove {
+		if c.closed {
+			return nil, ErrChannelClosed
+		}
+		ids[i] = c.id
+	}
+	for _, r := range reqs {
+		h := n.handles[r.ID]
+		switch {
+		case !r.KeepID:
+		case h.spec.Src != r.Spec.Src:
+			return nil, fmt.Errorf("rtether: channel %d cannot move off its source node %d", r.ID, h.spec.Src)
+		case (len(h.sinks) > 0) != r.Multicast():
+			return nil, fmt.Errorf("rtether: channel %d cannot change between unicast and multicast", r.ID)
+		}
+	}
+	got, err := n.be.apply(ids, reqs)
 	if err != nil {
 		return nil, err
 	}
-	chs := make([]*Channel, len(ids))
-	for i, id := range ids {
+	for _, id := range ids {
+		if !slices.ContainsFunc(reqs, func(r core.Req) bool { return r.KeepID && r.ID == id }) {
+			n.closeHandle(id)
+		}
+	}
+	chs := make([]*Channel, len(got))
+	for i, id := range got {
 		chs[i] = n.register(id, reqs[i])
 	}
 	return chs, nil
@@ -403,7 +433,7 @@ func (n *Network) admitEach(reqs []core.Req) ([]*Channel, []error) {
 		}
 		return chs, errs
 	}
-	ids, errs := n.be.admitEach(reqs)
+	ids, errs := n.be.applyEach(nil, reqs)
 	for i, err := range errs {
 		if err == nil {
 			chs[i] = n.register(ids[i], reqs[i])
@@ -421,6 +451,15 @@ type EstablishReq struct {
 	Sinks []NodeID
 }
 
+// req lifts the request into the management plane's vocabulary.
+func (r EstablishReq) req() core.Req {
+	cr := core.Req{Spec: r.Spec}
+	if len(r.Sinks) > 0 {
+		cr.Spec.Dst, cr.Sinks = r.Sinks[0], r.Sinks
+	}
+	return cr
+}
+
 // EstablishEachMixed is EstablishEach over a mixed unicast/multicast
 // batch: every request — point-to-point channel or distribution tree —
 // is accepted or rejected on its own inside one merged kernel pass,
@@ -431,10 +470,7 @@ type EstablishReq struct {
 func (n *Network) EstablishEachMixed(reqs []EstablishReq) ([]*Channel, []error) {
 	creqs := make([]core.Req, len(reqs))
 	for i, r := range reqs {
-		creqs[i].Spec = r.Spec
-		if len(r.Sinks) > 0 {
-			creqs[i].Spec.Dst, creqs[i].Sinks = r.Sinks[0], r.Sinks
-		}
+		creqs[i] = r.req()
 	}
 	return n.admitEach(creqs)
 }
@@ -454,12 +490,15 @@ func (n *Network) Close() error {
 		return nil
 	}
 	n.closed = true
-	for _, id := range n.be.channelIDs() {
-		if err := n.be.release(id); err != nil {
-			// channelIDs just listed it and we hold the lock; a failed
-			// release means admission state and the backend diverged.
-			panic(fmt.Sprintf("rtether: Close: releasing channel %d: %v", id, err))
-		}
+	// One decision releases everything: one repartition pass, not one
+	// per channel.
+	ids := n.be.channelIDs()
+	if _, err := n.be.apply(ids, nil); err != nil {
+		// channelIDs just listed them and we hold the lock; a failed
+		// release means admission state and the backend diverged.
+		panic(fmt.Sprintf("rtether: Close: releasing %d channels: %v", len(ids), err))
+	}
+	for _, id := range ids {
 		n.closeHandle(id)
 	}
 	return nil
@@ -476,21 +515,13 @@ func (n *Network) Lookup(id ChannelID) *Channel {
 	return ch
 }
 
-// releaseChannel frees a channel through the management plane and closes
-// its handle.
-func (n *Network) releaseChannel(c *Channel) error {
-	defer n.lk.unlock(n.lk.lock())
-	if n.closed {
-		return ErrClosed
-	}
-	if c.closed {
-		return ErrChannelClosed
-	}
-	if err := n.be.release(c.id); err != nil {
-		return err
-	}
-	n.closeHandle(c.id)
-	return nil
+// reconfigureChannel is apply of one release and its replacement under
+// the same ID.
+func (n *Network) reconfigureChannel(c *Channel, req EstablishReq) error {
+	r := req.req()
+	r.ID, r.KeepID = c.id, true
+	_, err := n.apply([]*Channel{c}, []core.Req{r})
+	return err
 }
 
 // teardownChannel initiates a wire-level teardown and closes the handle

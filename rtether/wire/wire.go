@@ -228,14 +228,14 @@ type ReleaseRequest struct {
 // ReleaseReply is the (empty) success body of a release.
 type ReleaseReply struct{}
 
-// ReconfigureRequest replaces a channel's parameters
-// (POST /v1/reconfigure): the old reservation is released and a new one
-// requested with the non-zero overrides applied (0 = keep). The two
-// steps are not one atomic decision — the freed capacity is briefly up
-// for grabs, so a concurrent establish can win it and make even a no-op
-// reconfiguration fail. As with the scenario format's reconfigure
-// event, a rejected reconfiguration leaves the channel released — the
-// bandwidth was already given up.
+// ReconfigureRequest replaces a unicast channel's parameters
+// (POST /v1/reconfigure) with the non-zero overrides applied (0 = keep),
+// in one atomic admission decision that keeps the channel's ID
+// (rtether.Channel.Reconfigure): the old reservation leaves and the new
+// one joins together, so no concurrent establish can take the freed
+// capacity in between. A rejected reconfiguration leaves the channel
+// exactly as it was — ID, spec, budgets and traffic. Multicast channels
+// cannot be reconfigured this way (bad_request).
 type ReconfigureRequest struct {
 	ID uint32 `json:"id"`
 	C  int64  `json:"c,omitempty"`
@@ -329,7 +329,8 @@ type StatsReply struct {
 
 // Watch event types.
 const (
-	// EventAdmit reports an accepted establishment.
+	// EventAdmit reports an accepted establishment, or an accepted
+	// reconfiguration (the same ID with its new spec and budgets).
 	EventAdmit = "admit"
 	// EventReject reports a rejected establishment (Error is set; for
 	// feasibility rejections Error.Admission carries the diagnostics).
