@@ -42,7 +42,7 @@ func TestDaemonSmoke(t *testing.T) {
 	go func() {
 		exit <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
-			"-scenario", "../rtload/testdata/fabric_churn.json",
+			"-scenario", "../rtexp/testdata/fabric_churn.json",
 			"-quiet",
 		}, &stdout, &stderr)
 	}()

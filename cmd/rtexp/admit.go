@@ -1,27 +1,3 @@
-// Command rtadmit is an offline admission-control what-if tool: it reads
-// RT channel requests (one per line: "src dst C P D"), plays them
-// against a network's admission control under the selected deadline
-// partitioning scheme, and reports each decision with its reason plus a
-// final system summary. Rejections carry the rtether.AdmissionError
-// diagnostics: the saturated link, its direction, and its utilization.
-//
-// With -batch the whole request set is admitted as one atomic decision
-// through Network.EstablishAll — one repartition and one verification
-// sweep instead of one per request, which is the scalable path for large
-// provisioning files. Either every request is accepted or the batch is
-// rejected with the first failure's diagnostics.
-//
-// With -scenario the tool replays a declarative scenario file's whole
-// timeline — static load, establish/release/reconfigure events, churn
-// streams — against admission control alone: no traffic is simulated and
-// no virtual time passes, so even 10k-channel churn workloads answer
-// "what would admission decide" in milliseconds. The scenario's own
-// topology (star or multi-switch fabric) and DPS apply; -dps is ignored.
-//
-//	echo "1 100 3 100 40" | rtadmit -dps adps
-//	rtadmit -dps sdps -f requests.txt
-//	rtadmit -dps adps -batch -f provisioning.txt
-//	rtadmit -scenario plant.json -q
 package main
 
 import (
@@ -39,12 +15,29 @@ import (
 	"repro/rtether"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("rtadmit", flag.ContinueOnError)
+// runAdmit is `rtexp admit`, an offline admission-control what-if tool:
+// it reads RT channel requests (one per line: "src dst C P D"), plays
+// them against a network's admission control under the selected
+// deadline partitioning scheme, and reports each decision with its
+// reason plus a final system summary. Rejections carry the
+// rtether.AdmissionError diagnostics: the saturated link, its direction,
+// and its utilization.
+//
+// With -batch the whole request set is admitted as one atomic decision
+// through Network.EstablishAll: either every request is accepted or the
+// batch is rejected with the first failure's diagnostics.
+//
+// With -scenario it replays a scenario file's whole timeline — static
+// load, establish/release/reconfigure events, churn streams — against
+// admission control alone: no traffic is simulated and no virtual time
+// passes. The scenario's own topology and DPS apply; -dps is ignored.
+//
+//	echo "1 100 3 100 40" | rtexp admit -dps adps
+//	rtexp admit -dps sdps -f requests.txt
+//	rtexp admit -dps adps -batch -f provisioning.txt
+//	rtexp admit -scenario plant.json -q
+func runAdmit(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtexp admit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		dpsName = fs.String("dps", "sdps", "deadline partitioning scheme: sdps | adps")
@@ -63,12 +56,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -77,12 +70,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+				fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+				fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -94,7 +87,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	dps, err := parseDPS(*dpsName)
 	if err != nil {
-		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 		return 2
 	}
 
@@ -102,7 +95,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *file != "-" {
 		f, err := os.Open(*file)
 		if err != nil {
-			fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 			return 1
 		}
 		defer f.Close()
@@ -146,7 +139,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		var src, dst uint16
 		var c, p, d int64
 		if _, err := fmt.Sscanf(line, "%d %d %d %d %d", &src, &dst, &c, &p, &d); err != nil {
-			fmt.Fprintf(stderr, "rtadmit: line %d: want 'src dst C P D': %v\n", lineNo, err)
+			fmt.Fprintf(stderr, "rtexp admit: line %d: want 'src dst C P D': %v\n", lineNo, err)
 			return 1
 		}
 		ensure(rtether.NodeID(src))
@@ -171,7 +164,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			lineNo, spec, ch.ID(), b[0], b[1])
 	}
 	if err := scanner.Err(); err != nil {
-		fmt.Fprintf(stderr, "rtadmit: read: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp admit: read: %v\n", err)
 		return 1
 	}
 
@@ -211,7 +204,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	if *dump {
 		if err := net.WriteSnapshot(stdout); err != nil {
-			fmt.Fprintf(stderr, "rtadmit: snapshot: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp admit: snapshot: %v\n", err)
 			return 1
 		}
 		return 0
@@ -235,24 +228,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 func replayScenario(path string, quiet, dump bool, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 		return 1
 	}
 	defer f.Close()
 	s, err := scenario.Load(f)
 	if err != nil {
-		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 		return 1
 	}
 	// Snapshots are a star feature; reject the combination before
 	// replaying anything.
 	if dump && s.Fabric() {
-		fmt.Fprintf(stderr, "rtadmit: -dump needs a star scenario (snapshots are not supported on multi-switch networks yet)\n")
+		fmt.Fprintf(stderr, "rtexp admit: -dump needs a star scenario (snapshots are not supported on multi-switch networks yet)\n")
 		return 2
 	}
 	res, err := s.Replay()
 	if err != nil {
-		fmt.Fprintf(stderr, "rtadmit: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
 		return 1
 	}
 	if !quiet {
@@ -264,7 +257,7 @@ func replayScenario(path string, quiet, dump bool, stdout, stderr io.Writer) int
 	}
 	if dump {
 		if err := res.Network.WriteSnapshot(stdout); err != nil {
-			fmt.Fprintf(stderr, "rtadmit: snapshot: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp admit: snapshot: %v\n", err)
 			return 1
 		}
 		return 0

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
 )
+
+// admit runs `rtexp admit args` over stdin.
+func admit(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	return run(context.Background(), append([]string{"admit"}, args...), stdin, stdout, stderr)
+}
 
 func TestAcceptAndReject(t *testing.T) {
 	// Seven channels on one uplink under SDPS: six accepted.
@@ -14,7 +21,7 @@ func TestAcceptAndReject(t *testing.T) {
 		in.WriteString(" 3 100 40\n")
 	}
 	var out, errOut strings.Builder
-	code := run([]string{"-dps", "sdps"}, strings.NewReader(in.String()), &out, &errOut)
+	code := admit([]string{"-dps", "sdps"}, strings.NewReader(in.String()), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -36,7 +43,7 @@ func TestAcceptAndReject(t *testing.T) {
 func TestCommentsAndBlanksSkipped(t *testing.T) {
 	input := "# header comment\n\n1 2 3 100 40\n"
 	var out, errOut strings.Builder
-	if code := run(nil, strings.NewReader(input), &out, &errOut); code != 0 {
+	if code := admit(nil, strings.NewReader(input), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "1 requests, 1 accepted") {
@@ -46,7 +53,7 @@ func TestCommentsAndBlanksSkipped(t *testing.T) {
 
 func TestQuietMode(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-q"}, strings.NewReader("1 2 3 100 40\n"), &out, &errOut)
+	code := admit([]string{"-q"}, strings.NewReader("1 2 3 100 40\n"), &out, &errOut)
 	if code != 0 {
 		t.Fatal("exit", code)
 	}
@@ -60,7 +67,7 @@ func TestQuietMode(t *testing.T) {
 
 func TestMalformedLine(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run(nil, strings.NewReader("not a spec\n"), &out, &errOut)
+	code := admit(nil, strings.NewReader("not a spec\n"), &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -71,7 +78,7 @@ func TestMalformedLine(t *testing.T) {
 
 func TestUnknownDPS(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-dps", "xyz"}, strings.NewReader(""), &out, &errOut); code != 2 {
+	if code := admit([]string{"-dps", "xyz"}, strings.NewReader(""), &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
@@ -85,7 +92,7 @@ func TestADPSPartitionReported(t *testing.T) {
 		in.WriteString(" 3 100 40\n")
 	}
 	var out, errOut strings.Builder
-	if code := run([]string{"-dps", "adps"}, strings.NewReader(in.String()), &out, &errOut); code != 0 {
+	if code := admit([]string{"-dps", "adps"}, strings.NewReader(in.String()), &out, &errOut); code != 0 {
 		t.Fatal("exit", code)
 	}
 	if !strings.Contains(out.String(), "ADPS") {
@@ -95,7 +102,7 @@ func TestADPSPartitionReported(t *testing.T) {
 
 func TestDumpSnapshot(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-q", "-dump"}, strings.NewReader("1 2 3 100 40\n5 6 2 50 20\n"), &out, &errOut)
+	code := admit([]string{"-q", "-dump"}, strings.NewReader("1 2 3 100 40\n5 6 2 50 20\n"), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -110,7 +117,7 @@ func TestDumpSnapshot(t *testing.T) {
 func TestBatchAcceptsAll(t *testing.T) {
 	input := "1 100 3 100 40\n2 101 3 100 40\n3 102 3 100 40\n"
 	var out, errOut strings.Builder
-	code := run([]string{"-dps", "adps", "-batch"}, strings.NewReader(input), &out, &errOut)
+	code := admit([]string{"-dps", "adps", "-batch"}, strings.NewReader(input), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -133,7 +140,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 		in.WriteString(" 3 100 40\n")
 	}
 	var out, errOut strings.Builder
-	code := run([]string{"-dps", "sdps", "-batch"}, strings.NewReader(in.String()), &out, &errOut)
+	code := admit([]string{"-dps", "sdps", "-batch"}, strings.NewReader(in.String()), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -152,7 +159,7 @@ func TestBatchAllOrNothing(t *testing.T) {
 func TestInvalidSpecRejectedWithReason(t *testing.T) {
 	var out, errOut strings.Builder
 	// D < 2C.
-	if code := run(nil, strings.NewReader("1 2 3 100 5\n"), &out, &errOut); code != 0 {
+	if code := admit(nil, strings.NewReader("1 2 3 100 5\n"), &out, &errOut); code != 0 {
 		t.Fatal("exit", code)
 	}
 	if !strings.Contains(out.String(), "REJECT") ||
@@ -163,7 +170,7 @@ func TestInvalidSpecRejectedWithReason(t *testing.T) {
 
 func TestScenarioReplay(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "../rtsim/testdata/dynamic.json"},
+	code := admit([]string{"-scenario", "testdata/dynamic.json"},
 		strings.NewReader(""), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, errOut.String(), out.String())
@@ -188,7 +195,7 @@ func TestScenarioReplay(t *testing.T) {
 
 func TestScenarioReplayQuiet(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "../rtsim/testdata/dynamic.json", "-q"},
+	code := admit([]string{"-scenario", "testdata/dynamic.json", "-q"},
 		strings.NewReader(""), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
@@ -200,14 +207,14 @@ func TestScenarioReplayQuiet(t *testing.T) {
 
 func TestScenarioReplayMissingFile(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-scenario", "nope.json"}, strings.NewReader(""), &out, &errOut); code != 1 {
+	if code := admit([]string{"-scenario", "nope.json"}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }
 
 func TestScenarioReplayDumpRejectedOnFabric(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "../rtsim/testdata/dynamic.json", "-dump"},
+	code := admit([]string{"-scenario", "testdata/dynamic.json", "-dump"},
 		strings.NewReader(""), &out, &errOut)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2 (up-front rejection)", code)

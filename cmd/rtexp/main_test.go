@@ -1,17 +1,23 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// rtexp runs one command line with empty stdin.
+func rtexp(args []string, stdout, stderr io.Writer) int {
+	return run(context.Background(), args, strings.NewReader(""), stdout, stderr)
+}
+
 func TestRunList(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
+	if code := rtexp([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	for _, want := range []string{"fig18.5", "dsweep", "multiswitch", "dpssearch"} {
@@ -23,7 +29,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "fig18.5"}, &out, &errOut); code != 0 {
+	if code := rtexp([]string{"-exp", "fig18.5"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "Fig. 18.5") {
@@ -36,7 +42,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "fig18.5", "-csv"}, &out, &errOut); code != 0 {
+	if code := rtexp([]string{"-exp", "fig18.5", "-csv"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "requested,accepted(SDPS),accepted(ADPS)") {
@@ -49,7 +55,7 @@ func TestRunCSV(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "nope"}, &out, &errOut); code != 2 {
+	if code := rtexp([]string{"-exp", "nope"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "unknown experiment") {
@@ -59,290 +65,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
+	if code := rtexp([]string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-func TestParseBenchJSON(t *testing.T) {
-	const benchOut = `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkAdmissionScale/10k/star-batch-ADPS-4         	       1	  41000000 ns/op
-BenchmarkAdmissionScaleVerifyWorkers/10k/star-batch-verify/workers=1 	       3	 146722567 ns/op
-BenchmarkFig18_5-4 	       2	   7700000 ns/op	        110 accepted-ADPS@200	         93.0 accepted-SDPS@200
-PASS
-ok  	repro	2.313s
-`
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(path, []byte(benchOut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-parsebench", path}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	var rep struct {
-		Goos       string `json:"goos"`
-		CPU        string `json:"cpu"`
-		Benchmarks []struct {
-			Name    string             `json:"name"`
-			Procs   int                `json:"procs"`
-			Runs    int64              `json:"runs"`
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Goos != "linux" || rep.CPU == "" {
-		t.Errorf("header not parsed: %+v", rep)
-	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3:\n%s", len(rep.Benchmarks), out.String())
-	}
-	b0 := rep.Benchmarks[0]
-	if b0.Name != "BenchmarkAdmissionScale/10k/star-batch-ADPS" || b0.Procs != 4 || b0.Runs != 1 {
-		t.Errorf("benchmark 0 parsed wrong: %+v", b0)
-	}
-	if b0.Metrics["ns/op"] != 41000000 {
-		t.Errorf("ns/op = %v", b0.Metrics["ns/op"])
-	}
-	// The workers=1 sub-benchmark name must survive (no procs suffix).
-	if rep.Benchmarks[1].Name != "BenchmarkAdmissionScaleVerifyWorkers/10k/star-batch-verify/workers=1" {
-		t.Errorf("benchmark 1 name = %q", rep.Benchmarks[1].Name)
-	}
-	// Custom b.ReportMetric units are captured.
-	if rep.Benchmarks[2].Metrics["accepted-ADPS@200"] != 110 {
-		t.Errorf("custom metric lost: %+v", rep.Benchmarks[2].Metrics)
-	}
-}
-
-// TestParseBenchMergesMultipleFiles feeds -parsebench one bench-text
-// file plus one previously emitted JSON artifact (rtload's output
-// format) and checks they merge into a single document, stably sorted
-// by benchmark name then source file — so the same input set yields
-// byte-identical JSON no matter how CI orders the arguments.
-func TestParseBenchMergesMultipleFiles(t *testing.T) {
-	dir := t.TempDir()
-	text := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(text, []byte("BenchmarkAlpha-4 \t 1 \t 100 ns/op\nPASS\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jsonArtifact := filepath.Join(dir, "BENCH_rtload.json")
-	artifact := `{"pkg":"repro/cmd/rtload","benchmarks":[{"name":"BenchmarkRTLoad/total","runs":42,"metrics":{"ops/s":9000}}]}`
-	if err := os.WriteFile(jsonArtifact, []byte(artifact), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-parsebench", text, jsonArtifact}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	var rep struct {
-		Benchmarks []struct {
-			Name    string             `json:"name"`
-			Runs    int64              `json:"runs"`
-			Source  string             `json:"source"`
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("merged %d benchmarks, want 2:\n%s", len(rep.Benchmarks), out.String())
-	}
-	if rep.Benchmarks[0].Name != "BenchmarkAlpha" || rep.Benchmarks[1].Name != "BenchmarkRTLoad/total" {
-		t.Errorf("merge order wrong: %+v", rep.Benchmarks)
-	}
-	if rep.Benchmarks[0].Source != text || rep.Benchmarks[1].Source != jsonArtifact {
-		t.Errorf("source annotations wrong: %+v", rep.Benchmarks)
-	}
-	if rep.Benchmarks[1].Metrics["ops/s"] != 9000 {
-		t.Errorf("JSON input metrics lost: %+v", rep.Benchmarks[1])
-	}
-
-	// Reversing the argument order must produce the identical document.
-	var swapped strings.Builder
-	if code := run([]string{"-parsebench", jsonArtifact, text}, &swapped, &errOut); code != 0 {
-		t.Fatalf("swapped exit %d: %s", code, errOut.String())
-	}
-	if swapped.String() != out.String() {
-		t.Errorf("merged JSON depends on argument order:\n--- a\n%s\n--- b\n%s", out.String(), swapped.String())
-	}
-}
-
-// TestParseBenchSameNameAcrossFiles pins the tie-breaker: two files
-// reporting the same benchmark name sort by source file.
-func TestParseBenchSameNameAcrossFiles(t *testing.T) {
-	dir := t.TempDir()
-	fileA := filepath.Join(dir, "a.txt")
-	fileB := filepath.Join(dir, "b.txt")
-	for _, p := range []string{fileB, fileA} {
-		if err := os.WriteFile(p, []byte("BenchmarkShared-4 \t 1 \t 100 ns/op\nPASS\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-parsebench", fileB, fileA}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	var rep struct {
-		Benchmarks []struct {
-			Source string `json:"source"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Source != fileA || rep.Benchmarks[1].Source != fileB {
-		t.Errorf("same-name entries not ordered by source: %+v", rep.Benchmarks)
-	}
-}
-
-func TestParseBenchEmptyInputFails(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.txt")
-	if err := os.WriteFile(path, []byte("PASS\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-parsebench", path}, &out, &errOut); code == 0 {
-		t.Fatal("empty bench output parsed successfully")
-	}
-}
-
-// TestParseBenchBaselineGate pins the CI regression gate: a benchmark
-// that slowed beyond -threshold fails the run with a REGRESSED delta
-// line; within threshold it passes and still prints the deltas.
-func TestParseBenchBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "prev.json")
-	prev := `{"benchmarks":[{"name":"BenchmarkX","runs":1,"metrics":{"ns/op":100}},{"name":"BenchmarkY","runs":1,"metrics":{"ns/op":100}}]}`
-	if err := os.WriteFile(baseline, []byte(prev), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	current := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(current, []byte("BenchmarkX-4 \t 1 \t 130 ns/op\nBenchmarkY-4 \t 1 \t 105 ns/op\nPASS\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errOut strings.Builder
-	if code := run([]string{"-parsebench", current, "-baseline", baseline, "-threshold", "15"}, &out, &errOut); code == 0 {
-		t.Fatalf("a +30%% slowdown passed the 15%% gate:\n%s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "REGRESSED") || !strings.Contains(errOut.String(), "BenchmarkX") {
-		t.Errorf("missing REGRESSED delta line:\n%s", errOut.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-parsebench", current, "-baseline", baseline, "-threshold", "50"}, &out, &errOut); code != 0 {
-		t.Fatalf("within-threshold run failed: %s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "BenchmarkY") {
-		t.Errorf("deltas not reported on a passing run:\n%s", errOut.String())
-	}
-	// The JSON artifact on stdout is unaffected by the gate.
-	if !strings.Contains(out.String(), `"BenchmarkX"`) {
-		t.Errorf("stdout JSON missing benchmarks:\n%s", out.String())
-	}
-}
-
-// TestBaselineEdgeCases pins the gate's matching and threshold
-// semantics case by case: what gets a delta line, what is skipped, and
-// exactly where the pass/fail boundary sits.
-func TestBaselineEdgeCases(t *testing.T) {
-	cases := []struct {
-		name      string
-		baseline  string // baseline BENCH JSON
-		current   string // current BENCH JSON (fed via -parsebench)
-		threshold string
-		wantCode  int
-		wantLines []string // substrings that must appear on stderr
-		skipLines []string // substrings that must NOT appear on stderr
-	}{
-		{
-			name:      "benchmark only in baseline is skipped",
-			baseline:  `{"benchmarks":[{"name":"BenchmarkGone","runs":1,"metrics":{"ns/op":100}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkNew","runs":1,"metrics":{"ns/op":100}}]}`,
-			threshold: "15",
-			wantCode:  0,
-			skipLines: []string{"BenchmarkGone", "REGRESSED"},
-		},
-		{
-			name:      "benchmark only in current is skipped",
-			baseline:  `{"benchmarks":[{"name":"BenchmarkA","runs":1,"metrics":{"ns/op":100}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkA","runs":1,"metrics":{"ns/op":100}},{"name":"BenchmarkFresh","runs":1,"metrics":{"ns/op":9999}}]}`,
-			threshold: "15",
-			wantCode:  0,
-			wantLines: []string{"BenchmarkA"},
-			skipLines: []string{"BenchmarkFresh", "REGRESSED"},
-		},
-		{
-			name: "exactly at threshold passes",
-			// 100 -> 125 is +25.0% sharp; the gate is strict (> threshold).
-			baseline:  `{"benchmarks":[{"name":"BenchmarkEdge","runs":1,"metrics":{"ns/op":100}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkEdge","runs":1,"metrics":{"ns/op":125}}]}`,
-			threshold: "25",
-			wantCode:  0,
-			wantLines: []string{"BenchmarkEdge", "+25.0%", "ok"},
-			skipLines: []string{"REGRESSED"},
-		},
-		{
-			name:      "one past threshold fails",
-			baseline:  `{"benchmarks":[{"name":"BenchmarkEdge","runs":1,"metrics":{"ns/op":100}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkEdge","runs":1,"metrics":{"ns/op":126}}]}`,
-			threshold: "25",
-			wantCode:  1,
-			wantLines: []string{"BenchmarkEdge", "REGRESSED", "FAILED: 1 benchmark(s)"},
-		},
-		{
-			name:      "zero ns/op baseline is skipped",
-			baseline:  `{"benchmarks":[{"name":"BenchmarkZero","runs":1,"metrics":{"ns/op":0}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkZero","runs":1,"metrics":{"ns/op":50}}]}`,
-			threshold: "15",
-			wantCode:  0,
-			skipLines: []string{"BenchmarkZero", "REGRESSED"},
-		},
-		{
-			name:      "zero ns/op current is skipped",
-			baseline:  `{"benchmarks":[{"name":"BenchmarkZero","runs":1,"metrics":{"ns/op":50}}]}`,
-			current:   `{"benchmarks":[{"name":"BenchmarkZero","runs":1,"metrics":{"ns/op":0}}]}`,
-			threshold: "15",
-			wantCode:  0,
-			skipLines: []string{"BenchmarkZero", "REGRESSED"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			basePath := filepath.Join(dir, "prev.json")
-			curPath := filepath.Join(dir, "cur.json")
-			if err := os.WriteFile(basePath, []byte(tc.baseline), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(curPath, []byte(tc.current), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var out, errOut strings.Builder
-			code := run([]string{"-parsebench", curPath, "-baseline", basePath, "-threshold", tc.threshold}, &out, &errOut)
-			if code != tc.wantCode {
-				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.wantCode, errOut.String())
-			}
-			for _, want := range tc.wantLines {
-				if !strings.Contains(errOut.String(), want) {
-					t.Errorf("stderr missing %q:\n%s", want, errOut.String())
-				}
-			}
-			for _, skip := range tc.skipLines {
-				if strings.Contains(errOut.String(), skip) {
-					t.Errorf("stderr unexpectedly contains %q:\n%s", skip, errOut.String())
-				}
-			}
-		})
 	}
 }
 
@@ -373,9 +97,9 @@ func sweepFixture(t *testing.T, gridDoc string) string {
 	return gridPath
 }
 
-// TestSweepCLIDeterministic drives the whole -sweep pipeline twice and
-// pins the platform contract at the CLI boundary: byte-identical BENCH
-// JSON on stdout for the same grid and seed.
+// TestSweepCLIDeterministic drives the whole sweep pipeline twice and
+// pins the platform contract at the CLI boundary: byte-identical JSON
+// on stdout for the same grid and seed.
 func TestSweepCLIDeterministic(t *testing.T) {
 	gridPath := sweepFixture(t, `{
 		"name": "cli",
@@ -384,10 +108,10 @@ func TestSweepCLIDeterministic(t *testing.T) {
 		"axes": {"scheme": ["sdps", "adps"]}
 	}`)
 	var a, b, errOut strings.Builder
-	if code := run([]string{"-sweep", gridPath}, &a, &errOut); code != 0 {
+	if code := rtexp([]string{"sweep", gridPath}, &a, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if code := run([]string{"-sweep", gridPath}, &b, &errOut); code != 0 {
+	if code := rtexp([]string{"sweep", gridPath}, &b, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if a.String() != b.String() {
@@ -399,7 +123,7 @@ func TestSweepCLIDeterministic(t *testing.T) {
 		} `json:"benchmarks"`
 	}
 	if err := json.Unmarshal([]byte(a.String()), &rep); err != nil {
-		t.Fatalf("stdout is not BENCH JSON: %v\n%s", err, a.String())
+		t.Fatalf("stdout is not JSON: %v\n%s", err, a.String())
 	}
 	if len(rep.Benchmarks) != 2 ||
 		!strings.Contains(a.String(), "scheme=sdps") || !strings.Contains(a.String(), "scheme=adps") {
@@ -411,23 +135,29 @@ func TestSweepCLIDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepCLIGate pins the trajectory gate on sweep output: a doctored
-// baseline that makes one cell look slower than -threshold fails the
-// run with a REGRESSED line naming the cell; a generous baseline
-// passes. Timing is enabled so cells carry ns/op.
-func TestSweepCLIGate(t *testing.T) {
-	gridPath := sweepFixture(t, `{
-		"name": "gate",
-		"scenario": "star.json",
-		"seed": 11,
-		"timing": true,
-		"axes": {"scheme": ["sdps", "adps"]}
-	}`)
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "BENCH_sweep.json")
+// TestSweepCLIBadGrid: loader diagnostics surface through the CLI with
+// a non-zero exit.
+func TestSweepCLIBadGrid(t *testing.T) {
+	gridPath := sweepFixture(t, `{"name": "bad", "scenario": "star.json", "axes": {"scheme": ["edf"]}}`)
 	var out, errOut strings.Builder
-	if code := run([]string{"-sweep", gridPath, "-out", outPath}, &out, &errOut); code != 0 {
+	if code := rtexp([]string{"sweep", gridPath}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), `axis "scheme"`) {
+		t.Errorf("axis diagnostic lost: %s", errOut.String())
+	}
+}
+
+// TestSweepCheckedInGrid runs the checked-in scheme × batch grid with
+// -out: four cells, each with admission decisions, and nothing on stdout.
+func TestSweepCheckedInGrid(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "sweep.json")
+	var out, errOut strings.Builder
+	if code := rtexp([]string{"sweep", "-out", outPath, "testdata/sweep_grid.json"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("-out run wrote to stdout:\n%s", out.String())
 	}
 	raw, err := os.ReadFile(outPath)
 	if err != nil {
@@ -436,84 +166,39 @@ func TestSweepCLIGate(t *testing.T) {
 	var rep struct {
 		Benchmarks []struct {
 			Name    string             `json:"name"`
-			Runs    int64              `json:"runs"`
 			Metrics map[string]float64 `json:"metrics"`
 		} `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("-out artifact is not BENCH JSON: %v", err)
+		t.Fatalf("-out file is not JSON: %v", err)
 	}
-	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Metrics["ns/op"] <= 0 {
-		t.Fatalf("timing cells malformed: %+v", rep.Benchmarks)
+	if len(rep.Benchmarks) != 4 {
+		t.Fatalf("got %d cells, want 4:\n%s", len(rep.Benchmarks), raw)
 	}
-
-	// A baseline claiming each cell used to be 1000x faster: everything
-	// regresses far beyond any threshold.
-	doctor := func(scale float64) string {
-		type bench struct {
-			Name    string             `json:"name"`
-			Runs    int64              `json:"runs"`
-			Metrics map[string]float64 `json:"metrics"`
+	for _, b := range rep.Benchmarks {
+		if b.Metrics["accepted"] == 0 {
+			t.Errorf("%s: nothing accepted: %v", b.Name, b.Metrics)
 		}
-		var doc struct {
-			Benchmarks []bench `json:"benchmarks"`
-		}
-		for _, b := range rep.Benchmarks {
-			doc.Benchmarks = append(doc.Benchmarks, bench{
-				Name: b.Name, Runs: b.Runs,
-				Metrics: map[string]float64{"ns/op": b.Metrics["ns/op"] * scale},
-			})
-		}
-		buf, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(dir, fmt.Sprintf("baseline_%g.json", scale))
-		if err := os.WriteFile(p, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	errOut.Reset()
-	out.Reset()
-	if code := run([]string{"-sweep", gridPath, "-out", outPath, "-baseline", doctor(0.001)}, &out, &errOut); code != 1 {
-		t.Fatalf("regressed sweep exited %d, want 1:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "REGRESSED") || !strings.Contains(errOut.String(), "scheme=sdps") {
-		t.Errorf("missing REGRESSED cell line:\n%s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "FAILED") {
-		t.Errorf("missing FAILED summary:\n%s", errOut.String())
-	}
-
-	errOut.Reset()
-	out.Reset()
-	if code := run([]string{"-sweep", gridPath, "-out", outPath, "-baseline", doctor(1000)}, &out, &errOut); code != 0 {
-		t.Fatalf("fast run failed the gate:\n%s", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "rtexp: delta") {
-		t.Errorf("passing gate printed no delta lines:\n%s", errOut.String())
 	}
 }
 
-// TestSweepCLIBadGrid: loader diagnostics surface through the CLI with
-// a non-zero exit.
-func TestSweepCLIBadGrid(t *testing.T) {
-	gridPath := sweepFixture(t, `{"name": "bad", "scenario": "star.json", "axes": {"scheme": ["edf"]}}`)
-	var out, errOut strings.Builder
-	if code := run([]string{"-sweep", gridPath}, &out, &errOut); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
+// TestSubcommands pins the dispatcher: paper is the default, and an
+// unknown subcommand is a usage error.
+func TestSubcommands(t *testing.T) {
+	var bare, paper, errOut strings.Builder
+	if code := rtexp([]string{"-list"}, &bare, &errOut); code != 0 {
+		t.Fatalf("bare -list: exit %d: %s", code, errOut.String())
 	}
-	if !strings.Contains(errOut.String(), `axis "scheme"`) {
-		t.Errorf("axis diagnostic lost: %s", errOut.String())
+	if code := rtexp([]string{"paper", "-list"}, &paper, &errOut); code != 0 {
+		t.Fatalf("paper -list: exit %d: %s", code, errOut.String())
 	}
-}
-
-// TestSweepExclusiveWithParsebench: the two front-ends cannot combine.
-func TestSweepExclusiveWithParsebench(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-sweep", "g.json", "-parsebench", "b.txt"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	if bare.String() != paper.String() {
+		t.Errorf("bare rtexp and rtexp paper differ:\n--- bare\n%s\n--- paper\n%s", bare.String(), paper.String())
+	}
+	if code := rtexp([]string{"bogus"}, &paper, &errOut); code != 2 {
+		t.Errorf("unknown subcommand: exit %d, want 2", code)
+	}
+	if code := rtexp([]string{"sweep"}, &paper, &errOut); code != 2 {
+		t.Errorf("sweep without a grid: exit %d, want 2", code)
 	}
 }

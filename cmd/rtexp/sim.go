@@ -1,20 +1,3 @@
-// Command rtsim runs one configurable simulation of the switched-Ethernet
-// real-time network and prints a measurement summary: acceptance,
-// per-channel worst-case delays against their guarantees, deadline
-// misses, and best-effort throughput.
-//
-// With -scenario the workload comes from a declarative JSON file
-// (internal/scenario, documented in docs/scenario-format.md) instead of
-// the flags: static channels, a multi-switch topology, an event timeline
-// (establish/release/reconfigure/setBackground at given slots) and churn
-// generators all play back deterministically, per-event admission
-// outcomes appear in the report, and -snapshot writes the final channel
-// table as JSON (star scenarios — multi-switch networks do not support
-// snapshots yet).
-//
-//	rtsim -masters 10 -slaves 50 -requests 200 -dps adps -slots 5000
-//	rtsim -dps sdps -bg-rate 0.2 -shaping=false -trace 20
-//	rtsim -scenario plant.json -events 0
 package main
 
 import (
@@ -30,12 +13,23 @@ import (
 	"repro/rtether"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("rtsim", flag.ContinueOnError)
+// runSim is `rtexp sim`: one configurable simulation of the
+// switched-Ethernet real-time network and a measurement summary —
+// acceptance, per-channel worst-case delays against their guarantees,
+// deadline misses, and best-effort throughput.
+//
+// With -scenario the workload comes from a declarative JSON file
+// (docs/scenario-format.md) instead of the flags: static channels, a
+// multi-switch topology, an event timeline and churn generators all play
+// back deterministically, per-event admission outcomes appear in the
+// report, and -snapshot writes the final channel table as JSON (star
+// scenarios only).
+//
+//	rtexp sim -masters 10 -slaves 50 -requests 200 -dps adps -slots 5000
+//	rtexp sim -dps sdps -bg-rate 0.2 -shaping=false -trace 20
+//	rtexp sim -scenario plant.json -events 0
+func runSim(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rtexp sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		masters  = fs.Int("masters", 10, "number of master nodes")
@@ -65,14 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runScenario(*scenFile, *snapPath, *eventCap, stdout, stderr)
 	}
 
-	var dps rtether.DPS
-	switch *dpsName {
-	case "sdps":
-		dps = rtether.SDPS()
-	case "adps":
-		dps = rtether.ADPS()
-	default:
-		fmt.Fprintf(stderr, "rtsim: unknown -dps %q\n", *dpsName)
+	dps, err := parseDPS(*dpsName)
+	if err != nil {
+		fmt.Fprintf(stderr, "rtexp sim: %v\n", err)
 		return 2
 	}
 
@@ -111,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			off = rng.Int63n(*offsets + 1)
 		}
 		if err := ch.Start(off); err != nil {
-			fmt.Fprintf(stderr, "rtsim: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp sim: %v\n", err)
 			return 1
 		}
 	}
@@ -196,24 +185,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runScenario(path, snapPath string, eventCap int, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(stderr, "rtsim: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp sim: %v\n", err)
 		return 1
 	}
 	defer f.Close()
 	scen, err := scenario.Load(f)
 	if err != nil {
-		fmt.Fprintf(stderr, "rtsim: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp sim: %v\n", err)
 		return 1
 	}
 	// Snapshots are a star feature; fail before running the whole
 	// simulation only to disappoint at the end.
 	if snapPath != "" && scen.Fabric() {
-		fmt.Fprintf(stderr, "rtsim: -snapshot needs a star scenario (snapshots are not supported on multi-switch networks yet)\n")
+		fmt.Fprintf(stderr, "rtexp sim: -snapshot needs a star scenario (snapshots are not supported on multi-switch networks yet)\n")
 		return 2
 	}
 	res, err := scen.Run()
 	if err != nil {
-		fmt.Fprintf(stderr, "rtsim: %v\n", err)
+		fmt.Fprintf(stderr, "rtexp sim: %v\n", err)
 		return 1
 	}
 	rep := res.Report
@@ -233,7 +222,7 @@ func runScenario(path, snapPath string, eventCap int, stdout, stderr io.Writer) 
 	}
 	if snapPath != "" {
 		if err := writeSnapshot(res, snapPath, stdout); err != nil {
-			fmt.Fprintf(stderr, "rtsim: snapshot: %v\n", err)
+			fmt.Fprintf(stderr, "rtexp sim: snapshot: %v\n", err)
 			return 1
 		}
 	}

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"context"
+	"io"
 	"strings"
 	"testing"
 )
 
+// sim runs `rtexp sim args`.
+func sim(args []string, stdout, stderr io.Writer) int {
+	return run(context.Background(), append([]string{"sim"}, args...), strings.NewReader(""), stdout, stderr)
+}
+
 func TestDefaultRunHoldsGuarantees(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-masters", "3", "-slaves", "9", "-requests", "30", "-slots", "1500"},
+	code := sim([]string{"-masters", "3", "-slaves", "9", "-requests", "30", "-slots", "1500"},
 		&out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, errOut.String(), out.String())
@@ -26,7 +33,7 @@ func TestDefaultRunHoldsGuarantees(t *testing.T) {
 
 func TestBackgroundTrafficRun(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-masters", "2", "-slaves", "4", "-requests", "8",
+	code := sim([]string{"-masters", "2", "-slaves", "4", "-requests", "8",
 		"-slots", "800", "-bg-rate", "0.1"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
@@ -38,7 +45,7 @@ func TestBackgroundTrafficRun(t *testing.T) {
 
 func TestTraceFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-masters", "1", "-slaves", "2", "-requests", "2",
+	code := sim([]string{"-masters", "1", "-slaves", "2", "-requests", "2",
 		"-slots", "300", "-trace", "5"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
@@ -50,14 +57,14 @@ func TestTraceFlag(t *testing.T) {
 
 func TestUnknownDPSFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-dps", "wat"}, &out, &errOut); code != 2 {
+	if code := sim([]string{"-dps", "wat"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
 
 func TestRandomOffsetsAndSDPS(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-dps", "sdps", "-masters", "2", "-slaves", "6",
+	code := sim([]string{"-dps", "sdps", "-masters", "2", "-slaves", "6",
 		"-requests", "20", "-slots", "1000", "-max-offset", "50", "-seed", "7"},
 		&out, &errOut)
 	if code != 0 {
@@ -70,7 +77,7 @@ func TestRandomOffsetsAndSDPS(t *testing.T) {
 
 func TestScenarioFile(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "testdata/cell.json"}, &out, &errOut)
+	code := sim([]string{"-scenario", "testdata/cell.json"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -84,14 +91,14 @@ func TestScenarioFile(t *testing.T) {
 
 func TestScenarioFileMissing(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-scenario", "testdata/nope.json"}, &out, &errOut); code != 1 {
+	if code := sim([]string{"-scenario", "testdata/nope.json"}, &out, &errOut); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }
 
 func TestDynamicScenario(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "testdata/dynamic.json", "-events", "0"}, &out, &errOut)
+	code := sim([]string{"-scenario", "testdata/dynamic.json", "-events", "0"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, errOut.String(), out.String())
 	}
@@ -118,7 +125,7 @@ func TestDynamicScenario(t *testing.T) {
 func TestDynamicScenarioDeterministic(t *testing.T) {
 	render := func() string {
 		var out, errOut strings.Builder
-		if code := run([]string{"-scenario", "testdata/dynamic.json", "-events", "0"}, &out, &errOut); code != 0 {
+		if code := sim([]string{"-scenario", "testdata/dynamic.json", "-events", "0"}, &out, &errOut); code != 0 {
 			t.Fatalf("exit %d: %s", code, errOut.String())
 		}
 		return out.String()
@@ -130,7 +137,7 @@ func TestDynamicScenarioDeterministic(t *testing.T) {
 
 func TestScenarioSnapshotFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "testdata/cell.json", "-snapshot", "-"}, &out, &errOut)
+	code := sim([]string{"-scenario", "testdata/cell.json", "-snapshot", "-"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -141,7 +148,7 @@ func TestScenarioSnapshotFlag(t *testing.T) {
 
 func TestScenarioSnapshotRejectedOnFabric(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "testdata/dynamic.json", "-snapshot", "-"}, &out, &errOut)
+	code := sim([]string{"-scenario", "testdata/dynamic.json", "-snapshot", "-"}, &out, &errOut)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2 (up-front rejection)", code)
 	}
@@ -156,7 +163,7 @@ func TestScenarioSnapshotRejectedOnFabric(t *testing.T) {
 
 func TestScenarioEventCap(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-scenario", "testdata/dynamic.json", "-events", "3"}, &out, &errOut)
+	code := sim([]string{"-scenario", "testdata/dynamic.json", "-events", "3"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}

@@ -32,21 +32,22 @@
 //     establishAll batches, release, reconfigure, background-rate
 //     changes at given slots) and seeded churn generators for 10k+
 //     channel add/remove workloads, all replaying deterministically.
-//     cmd/rtsim -scenario runs them; cmd/rtadmit -scenario replays the
-//     timeline against admission control alone. The schema reference is
-//     docs/scenario-format.md.
+//     `rtexp sim -scenario` runs them; `rtexp admit -scenario` replays
+//     the timeline against admission control alone. The schema
+//     reference is docs/scenario-format.md.
 //   - internal/server, rtether/wire and rtether/client — the rtetherd
 //     admission service: one hosted Network served over HTTP/JSON with
 //     a coalescing establish front-end (concurrent clients merge into
 //     per-spec batch decisions, Network.EstablishEach), a streaming
 //     /v1/watch event feed, the shared wire schema and the typed Go
-//     client. cmd/rtetherd is the daemon, cmd/rtload the multi-client
-//     load harness. The protocol reference is docs/server.md.
+//     client. cmd/rtetherd is the daemon; `rtexp load` drives it from
+//     many clients. The protocol reference is docs/server.md.
 //
-// This root package only anchors the module documentation and the
-// repository-level benchmarks (bench_test.go), which regenerate the
-// tables and figures of the paper's evaluation (cmd/rtexp runs them;
-// rtexp -list is the experiment index) and exercise the admission hot
-// paths at fleet scale (BenchmarkAdmissionScale, BenchmarkScenarioChurn).
-// See README.md for a tour of the API and the concurrency contract.
+// Two binaries sit on top: cmd/rtetherd, and cmd/rtexp, whose
+// subcommands regenerate the paper's tables (paper; rtexp -list is the
+// experiment index), answer admission what-ifs (admit), run one
+// simulation (sim), load a daemon (load) and run experiment grids
+// (sweep). `go run ./bench` is the end-to-end benchmark. This root
+// package only anchors the module documentation; see README.md for a
+// tour of the API and the concurrency contract.
 package repro

@@ -91,9 +91,9 @@ func formatValue(v float64) string {
 
 // ParseText parses a Prometheus text exposition into a flat map from
 // series (the full `name{labels}` string, or the bare name when
-// unlabeled) to value. It is the scrape half of the loop: sweep daemon
-// mode and rtload GET /metrics before and after a run and difference
-// the two maps to attribute server-side counters to the cell. Comment
+// unlabeled) to value. It is the scrape half of the loop: the benchmark
+// GETs /metrics before and after a run and differences the two maps to
+// attribute server-side counters to the run. Comment
 // and blank lines are skipped; malformed lines are ignored rather than
 // fatal, so a scrape never kills a run.
 func ParseText(r io.Reader) (map[string]float64, error) {

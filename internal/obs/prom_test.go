@@ -72,8 +72,8 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 // TestParseTextRoundTrip checks that ParseText recovers what
-// WritePrometheus rendered — the contract the sweep/loadgen scrapers
-// rely on.
+// WritePrometheus rendered — the contract client.MetricsProm relies
+// on.
 func TestParseTextRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("rt_ops_total", "ops")

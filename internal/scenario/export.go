@@ -45,8 +45,8 @@ func (s *Scenario) BuildNetwork(_ int, extra ...rtether.Option) (*rtether.Networ
 
 // WorkItem is one flattened admission operation of a scenario: an
 // establish (with the full spec) or a release of an earlier establish,
-// identified by the channel's scenario name. Load generators
-// (cmd/rtload) replay these against a remote daemon.
+// identified by the channel's scenario name. `rtexp load` replays these
+// against a remote daemon; `rtexp sweep` replays them in-process.
 type WorkItem struct {
 	// At is the scenario slot the operation was scheduled for. Load
 	// generators are free to ignore it and replay at full speed; the

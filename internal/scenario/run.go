@@ -94,8 +94,7 @@ func (s *Scenario) Run() (*Result, error) {
 // establishment goes through the management plane (no wire handshake),
 // no traffic source is started, and no virtual time passes. It answers
 // "which decisions would this workload produce" at full speed — the
-// what-if mode of cmd/rtadmit -scenario and the engine under
-// BenchmarkScenarioChurn.
+// what-if mode of `rtexp admit -scenario`.
 func (s *Scenario) Replay() (*Result, error) {
 	return s.execute(false)
 }

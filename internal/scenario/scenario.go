@@ -1,9 +1,9 @@
 // Package scenario loads declarative experiment descriptions from JSON
 // and turns them into configured, loaded rtether networks. It exists so
-// that experiments can be shared as data: cmd/rtsim -scenario plant.json
-// runs the exact same deterministic simulation everywhere, and
-// cmd/rtadmit -scenario plant.json replays the same timeline against the
-// admission kernel alone.
+// that experiments can be shared as data: `rtexp sim -scenario
+// plant.json` runs the exact same deterministic simulation everywhere,
+// and `rtexp admit -scenario plant.json` replays the same timeline
+// against the admission kernel alone.
 //
 // A scenario file describes
 //

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -168,5 +170,50 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("scenario runs diverged: %d vs %d", a, b)
+	}
+}
+
+// TestPlantFixture plays the schema reference's example plant — three
+// switches, deferred establishment, a mid-run reconfiguration and a
+// churn generator — the way the two front-ends do: the admission-only
+// replay decides every timeline event as the full run does, every
+// admitted frame meets its guarantee, and a second run reports the
+// same events.
+func TestPlantFixture(t *testing.T) {
+	load := func() *Scenario {
+		f, err := os.Open("testdata/plant.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		s, err := Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	replay, err := load().Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		res, err := load().Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	ra, rr, rs := replay.EventCounts()
+	aa, ar, as := a.EventCounts()
+	if len(a.Events) == 0 || ra != aa || rr != ar || rs != as {
+		t.Errorf("replay decided %d/%d/%d of %d events, run %d/%d/%d of %d",
+			ra, rr, rs, len(replay.Events), aa, ar, as, len(a.Events))
+	}
+	if a.Report.TotalDelivered() == 0 || a.Report.TotalMisses() != 0 {
+		t.Errorf("delivered %d frames with %d misses", a.Report.TotalDelivered(), a.Report.TotalMisses())
+	}
+	if fmt.Sprint(a.Events) != fmt.Sprint(b.Events) {
+		t.Errorf("runs diverged:\n%v\n%v", a.Events, b.Events)
 	}
 }

@@ -70,6 +70,34 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsExpositionBinary establishes over the binary transport:
+// those calls bypass HTTP, so the per-message dispatch histogram is the
+// series that must count them.
+func TestMetricsExpositionBinary(t *testing.T) {
+	cl, _ := newBinaryTestServer(t, starNet(4))
+	ctx := context.Background()
+	for dst := rtether.NodeID(2); dst <= 3; dst++ {
+		if _, err := cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: dst, C: 1, P: 100, D: 40}); err != nil {
+			t.Fatalf("establish: %v", err)
+		}
+	}
+	m, err := cl.MetricsProm(ctx)
+	if err != nil {
+		t.Fatalf("MetricsProm: %v", err)
+	}
+	for k, want := range map[string]float64{
+		`rtether_binary_request_duration_ns_count{msg="establish"}`: 2,
+		"rtether_admit_total": 2,
+	} {
+		if got := m[k]; got < want {
+			t.Errorf("%s = %v, want >= %v", k, got, want)
+		}
+	}
+	if got := m[`rtether_request_duration_ns_count{endpoint="/v1/establish"}`]; got != 0 {
+		t.Errorf("binary establishes counted as HTTP requests: %v", got)
+	}
+}
+
 // TestSpansFlightRecorder checks that every coalesced flight lands in
 // the /v1/spans ring with its verdict split and timing fields.
 func TestSpansFlightRecorder(t *testing.T) {

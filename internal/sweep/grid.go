@@ -1,14 +1,11 @@
-// Package sweep turns cmd/rtexp into an experiment platform: one JSON
-// document declares a parameter grid over the admission kernel's
-// degrees of freedom — partitioning scheme, scenario file, churn rate,
-// establishment batching, wire transport, failure policy — and the orchestrator expands it into the cartesian product
-// of runs, executes every cell (in-process against the scenario
-// machinery, or against rtetherd daemons it boots and drains itself)
-// and merges the results into a single BENCH document
-// (internal/benchfmt) keyed by axis=value labels. A stored document
-// from a previous run becomes the baseline of a whole-trajectory
-// regression gate: every cell is compared by name and any slowdown
-// beyond a threshold fails the process.
+// Package sweep is the engine behind `rtexp sweep`: one JSON document
+// declares a parameter grid over the admission kernel's degrees of
+// freedom — partitioning scheme, scenario file, churn rate,
+// establishment batching, failure policy — and the orchestrator expands
+// it into the cartesian product of runs, executes every cell in-process
+// against the scenario machinery and merges the results into one JSON
+// document keyed by axis=value labels. The document holds counts only,
+// so the same grid writes the same bytes on every run.
 package sweep
 
 import (
@@ -39,9 +36,6 @@ const (
 	// (consecutive establishes merged into EstablishEach groups, the
 	// coalesced path). Replay mode only.
 	AxisBatch = "batch"
-	// AxisTransport varies the client transport of daemon mode: "json"
-	// (HTTP) or "binary" (the length-prefixed framing).
-	AxisTransport = "transport"
 	// AxisFailurePolicy varies the degradation ladder applied to
 	// channels displaced by failure events: "reject", "degrade" or
 	// "preempt".
@@ -51,25 +45,14 @@ const (
 // axisOrder fixes the canonical axis expansion order.
 var axisOrder = []string{
 	AxisScheme, AxisScenario, AxisChurnRate,
-	AxisBatch, AxisTransport, AxisFailurePolicy,
+	AxisBatch, AxisFailurePolicy,
 }
 
-// Grid modes.
-const (
-	// ModeInProcess executes every cell inside the orchestrator process
-	// against the scenario machinery: an admission-plane workload replay
-	// by default, a full simulation with simulate: true. Deterministic —
-	// with timing off, the merged document is byte-identical run over
-	// run.
-	ModeInProcess = "inprocess"
-	// ModeDaemon boots one rtetherd-equivalent daemon per cell (an
-	// internal/server instance on an ephemeral localhost port, plus a
-	// binary listener when the transport axis asks for it), replays the
-	// workload over the wire from concurrent clients (internal/loadgen),
-	// then drains and tears the daemon down. parallel > 1 fans cells out
-	// across daemons running side by side.
-	ModeDaemon = "daemon"
-)
+// ModeInProcess is the one grid mode: every cell executes inside the
+// orchestrator process against the scenario machinery — an
+// admission-plane workload replay by default, a full simulation with
+// simulate: true.
+const ModeInProcess = "inprocess"
 
 // AxisError reports an invalid axis declaration, naming the offending
 // axis — the typed error the grid loader's fuzz contract pins.
@@ -89,27 +72,19 @@ type Grid struct {
 	// (resolved relative to the grid file). Omit it only when a
 	// "scenario" axis supplies one per cell.
 	Scenario string `json:"scenario,omitempty"`
-	// Mode picks the executor: "inprocess" (default) or "daemon".
+	// Mode names the executor; "inprocess" (the default) is the only one.
 	Mode string `json:"mode,omitempty"`
-	// Simulate switches in-process cells from an admission-plane
-	// workload replay to the full simulation (scenario Run): virtual
-	// time passes, traffic flows, and cells report delivery/miss
-	// profiles. In-process mode only.
+	// Simulate switches cells from an admission-plane workload replay to
+	// the full simulation (scenario Run): virtual time passes, traffic
+	// flows, and cells report delivery/miss profiles.
 	Simulate bool `json:"simulate,omitempty"`
-	// Timing adds wall-clock metrics (ns/op, wall-ns) to in-process
-	// cells. Off by default so in-process sweeps stay byte-identical run
-	// over run; daemon cells always carry latency metrics — measuring
-	// them is the point of booting a daemon.
-	Timing bool `json:"timing,omitempty"`
 	// Seed overrides the base scenario's seed when non-zero, so one grid
 	// document fully determines the synthesized workloads.
 	Seed int64 `json:"seed,omitempty"`
-	// Clients sizes daemon mode's concurrent client pool (default 8).
-	Clients int `json:"clients,omitempty"`
 	// MaxOps caps each cell's workload items (0 = whole workload).
 	MaxOps int `json:"maxOps,omitempty"`
 	// Parallel bounds how many cells execute concurrently (default 1 —
-	// sequential; raise it in daemon mode to fan out across daemons).
+	// sequential).
 	Parallel int `json:"parallel,omitempty"`
 	// Axes declares the grid dimensions: axis name → value list. Every
 	// combination of values (one per axis) becomes one cell.
@@ -160,22 +135,14 @@ func LoadGridFile(path string) (*Grid, error) {
 }
 
 // Validate checks the document: mode, axis names, every axis range and
-// the cross-field constraints (transport needs daemon mode, batch needs
-// the replay executor, a scenario must come from somewhere).
+// the cross-field constraints (batch needs the replay executor, a
+// scenario must come from somewhere).
 func (g *Grid) Validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("sweep: grid needs a name")
 	}
-	switch g.Mode {
-	case "", ModeInProcess, ModeDaemon:
-	default:
-		return fmt.Errorf("sweep: unknown mode %q (want %q or %q)", g.Mode, ModeInProcess, ModeDaemon)
-	}
-	if g.Simulate && g.Mode == ModeDaemon {
-		return fmt.Errorf("sweep: simulate is an in-process option (daemon cells always run the live network)")
-	}
-	if g.Clients < 0 {
-		return fmt.Errorf("sweep: negative clients")
+	if g.Mode != "" && g.Mode != ModeInProcess {
+		return fmt.Errorf("sweep: unknown mode %q (want %q)", g.Mode, ModeInProcess)
 	}
 	if g.MaxOps < 0 {
 		return fmt.Errorf("sweep: negative maxOps")
@@ -225,11 +192,8 @@ func (g *Grid) Validate() error {
 	if g.Scenario != "" && g.hasAxis(AxisScenario) {
 		return &AxisError{Axis: AxisScenario, Msg: "scenario axis and top-level scenario are mutually exclusive"}
 	}
-	if g.hasAxis(AxisTransport) && g.Mode != ModeDaemon {
-		return &AxisError{Axis: AxisTransport, Msg: "transport is a daemon-mode axis (set mode: daemon)"}
-	}
-	if g.hasAxis(AxisBatch) && (g.Mode == ModeDaemon || g.Simulate) {
-		return &AxisError{Axis: AxisBatch, Msg: "batch is an in-process replay axis (no daemon mode, no simulate)"}
+	if g.hasAxis(AxisBatch) && g.Simulate {
+		return &AxisError{Axis: AxisBatch, Msg: "batch is a replay axis (not with simulate)"}
 	}
 	return nil
 }
@@ -274,8 +238,6 @@ func parseAxisValue(axisName string, raw json.RawMessage) (string, any, error) {
 		return wantString("sdps", "adps")
 	case AxisBatch:
 		return wantString("sequential", "each")
-	case AxisTransport:
-		return wantString("json", "binary")
 	case AxisFailurePolicy:
 		return wantString("reject", "degrade", "preempt")
 	case AxisScenario:
@@ -337,13 +299,11 @@ type Cell struct {
 	Scenario      string  // "" = grid-level scenario
 	ChurnRate     float64 // 0 = scenario default
 	Batch         string  // "" = sequential
-	Transport     string  // "" = json
 	FailurePolicy string  // "" = scenario default
 }
 
 // Name renders the cell's identity: "scheme=adps/churnRate=0.5". The
-// grid name plus this string keys the cell in the merged BENCH document
-// and aligns it with its baseline across runs.
+// grid name plus this string keys the cell in the merged document.
 func (c *Cell) Name() string {
 	parts := make([]string, len(c.Labels))
 	for i, l := range c.Labels {
@@ -384,8 +344,6 @@ func (c *Cell) apply(axisName string, v any) {
 		c.ChurnRate = v.(float64)
 	case AxisBatch:
 		c.Batch = v.(string)
-	case AxisTransport:
-		c.Transport = v.(string)
 	case AxisFailurePolicy:
 		c.FailurePolicy = v.(string)
 	}

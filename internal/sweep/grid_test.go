@@ -38,9 +38,9 @@ func TestLoadGridValidation(t *testing.T) {
 			wantErr: `unknown mode "cluster"`,
 		},
 		{
-			name:    "simulate in daemon mode",
+			name:    "retired daemon mode",
 			doc:     `{"name": "g", "scenario": "s.json", "mode": "daemon", "simulate": true}`,
-			wantErr: "simulate is an in-process option",
+			wantErr: `unknown mode "daemon"`,
 		},
 		{
 			name:    "no scenario anywhere",
@@ -96,14 +96,14 @@ func TestLoadGridValidation(t *testing.T) {
 			wantAxis: AxisScenario,
 		},
 		{
-			name:     "transport without daemon mode",
+			name:     "retired transport axis",
 			doc:      `{"name": "g", "scenario": "s.json", "axes": {"transport": ["json"]}}`,
-			wantErr:  "daemon-mode axis",
-			wantAxis: AxisTransport,
+			wantErr:  "unknown axis",
+			wantAxis: "transport",
 		},
 		{
-			name:     "batch in daemon mode",
-			doc:      `{"name": "g", "scenario": "s.json", "mode": "daemon", "axes": {"batch": ["each"]}}`,
+			name:     "batch with simulate",
+			doc:      `{"name": "g", "scenario": "s.json", "simulate": true, "axes": {"batch": ["each"]}}`,
 			wantErr:  "replay axis",
 			wantAxis: AxisBatch,
 		},

@@ -2,14 +2,14 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/scenario"
 	"repro/rtether"
 )
@@ -23,16 +23,36 @@ type Options struct {
 	Progress io.Writer
 }
 
+// Report is a sweep's merged document: one entry per cell, sorted by
+// name.
+type Report struct {
+	Pkg        string   `json:"pkg"`
+	Benchmarks []Result `json:"benchmarks"`
+}
+
+// Result is one cell's entry: its full name, the operations it ran and
+// its counters keyed by metric name.
+type Result struct {
+	Name    string             `json:"name"`
+	Runs    int64              `json:"runs"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// WriteJSON emits the report as indented JSON.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
 // Run executes every cell of the grid and merges the results into one
-// BENCH document: one benchmark entry per cell, named
+// document: one entry per cell, named
 // "BenchmarkSweep/<grid>/<axis=value>/...", carrying the cell's verdict
-// counts, admission-kernel counters and (daemon mode, or timing: true)
-// latency metrics. Cells execute in canonical order, fanned out across
-// min(parallel, cells) goroutines; the merged document's entry order is
-// the cell order regardless of completion order, and Sort makes it a
-// pure function of the grid, so an in-process sweep without timing is
+// counts and admission-kernel counters. Cells execute in canonical
+// order, fanned out across min(parallel, cells) goroutines; the entries
+// are sorted by name regardless of completion order, so a sweep is
 // byte-identical run over run. The first cell failure aborts the sweep.
-func (g *Grid) Run(ctx context.Context, opts Options) (*benchfmt.Report, error) {
+func (g *Grid) Run(ctx context.Context, opts Options) (*Report, error) {
 	cells := g.Cells()
 	parallel := g.Parallel
 	if parallel < 1 {
@@ -43,7 +63,7 @@ func (g *Grid) Run(ctx context.Context, opts Options) (*benchfmt.Report, error) 
 	}
 
 	type outcome struct {
-		res benchfmt.Result
+		res Result
 		err error
 	}
 	results := make([]outcome, len(cells))
@@ -62,7 +82,7 @@ func (g *Grid) Run(ctx context.Context, opts Options) (*benchfmt.Report, error) 
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := g.runCell(cctx, &cells[i], opts)
+			res, err := g.runCell(&cells[i], opts)
 			results[i] = outcome{res: res, err: err}
 			if err != nil {
 				cancel() // abort the remaining cells
@@ -77,7 +97,7 @@ func (g *Grid) Run(ctx context.Context, opts Options) (*benchfmt.Report, error) 
 		}(i)
 	}
 	wg.Wait()
-	rep := &benchfmt.Report{Pkg: "repro/internal/sweep"}
+	rep := &Report{Pkg: "repro/internal/sweep"}
 	for i := range results {
 		if err := results[i].err; err != nil {
 			return nil, fmt.Errorf("sweep: cell %s: %w", cellTitle(g, &cells[i]), err)
@@ -87,7 +107,7 @@ func (g *Grid) Run(ctx context.Context, opts Options) (*benchfmt.Report, error) 
 		}
 		rep.Benchmarks = append(rep.Benchmarks, results[i].res)
 	}
-	rep.Sort()
+	sort.Slice(rep.Benchmarks, func(i, j int) bool { return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name })
 	return rep, nil
 }
 
@@ -100,8 +120,8 @@ func cellTitle(g *Grid, c *Cell) string {
 	return name
 }
 
-// sanitizeName makes a grid name benchmark-name-safe (no spaces — the
-// bench text format is whitespace-delimited).
+// sanitizeName makes a grid name whitespace-free, so cell names stay
+// one token.
 func sanitizeName(s string) string {
 	out := make([]rune, 0, len(s))
 	for _, r := range s {
@@ -115,20 +135,17 @@ func sanitizeName(s string) string {
 	return string(out)
 }
 
-// runCell derives the cell's scenario and dispatches on the grid mode.
-func (g *Grid) runCell(ctx context.Context, c *Cell, opts Options) (benchfmt.Result, error) {
+// runCell derives the cell's scenario and runs it as a replay or, with
+// simulate, as a full simulation.
+func (g *Grid) runCell(c *Cell, opts Options) (Result, error) {
 	s, err := g.cellScenario(c, opts)
 	if err != nil {
-		return benchfmt.Result{}, err
+		return Result{}, err
 	}
-	switch {
-	case g.Mode == ModeDaemon:
-		return g.runDaemonCell(ctx, c, s)
-	case g.Simulate:
+	if g.Simulate {
 		return g.runSimulateCell(c, s)
-	default:
-		return g.runReplayCell(c, s)
 	}
+	return g.runReplayCell(c, s)
 }
 
 // cellScenario loads the cell's base scenario and applies its axis
@@ -175,37 +192,35 @@ func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 }
 
 // runReplayCell replays the cell's flattened workload against the
-// admission plane in-process: the same establish/release stream daemon
-// mode sends over the wire, submitted sequentially or in merged
+// admission plane in-process: the same establish/release stream
+// `rtexp load` sends over the wire, submitted sequentially or in merged
 // EstablishEach groups per the batch axis.
-func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, error) {
+func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (Result, error) {
 	items, _, err := s.Workload()
 	if err != nil {
-		return benchfmt.Result{}, err
+		return Result{}, err
 	}
 	if g.MaxOps > 0 && len(items) > g.MaxOps {
 		items = items[:g.MaxOps]
 	}
 	network, err := s.BuildNetwork(0)
 	if err != nil {
-		return benchfmt.Result{}, err
+		return Result{}, err
 	}
 	defer network.Close()
 
 	m := cellCounts{}
-	start := time.Now()
 	if c.Batch == "each" {
 		err = replayEach(network, items, &m)
 	} else {
 		err = replaySequential(network, items, &m)
 	}
-	wall := time.Since(start)
 	if err != nil {
-		return benchfmt.Result{}, err
+		return Result{}, err
 	}
 
 	stats := network.AdmissionStats()
-	res := benchfmt.Result{
+	return Result{
 		Name: cellTitle(g, c),
 		Runs: int64(m.ops),
 		Metrics: map[string]float64{
@@ -216,11 +231,7 @@ func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, er
 			"repartitions":  float64(stats.Repartitions),
 			"links-checked": float64(stats.LinksChecked),
 		},
-	}
-	if g.Timing {
-		addTiming(res.Metrics, wall, m.ops)
-	}
-	return res, nil
+	}, nil
 }
 
 // cellCounts aggregates one cell's replay outcomes.
@@ -366,12 +377,10 @@ func replayEach(network *rtether.Network, items []scenario.WorkItem, m *cellCoun
 // runSimulateCell plays the cell's full scenario simulation — virtual
 // time, traffic sources, background load — and reports the delivery and
 // miss profile alongside the admission counts.
-func (g *Grid) runSimulateCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, error) {
-	start := time.Now()
+func (g *Grid) runSimulateCell(c *Cell, s *scenario.Scenario) (Result, error) {
 	res, err := s.Run()
-	wall := time.Since(start)
 	if err != nil {
-		return benchfmt.Result{}, err
+		return Result{}, err
 	}
 	defer res.Network.Close()
 
@@ -383,7 +392,7 @@ func (g *Grid) runSimulateCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, 
 	}
 	ops := len(res.Accepted) + res.Rejected + len(res.Events)
 	stats := res.Network.AdmissionStats()
-	out := benchfmt.Result{
+	return Result{
 		Name: cellTitle(g, c),
 		Runs: int64(ops),
 		Metrics: map[string]float64{
@@ -397,17 +406,5 @@ func (g *Grid) runSimulateCell(c *Cell, s *scenario.Scenario) (benchfmt.Result, 
 			"nonrt-delivered": float64(res.Report.NonRTDelivered),
 			"nonrt-drops":     float64(res.Report.NonRTDrops),
 		},
-	}
-	if g.Timing {
-		addTiming(out.Metrics, wall, ops)
-	}
-	return out, nil
-}
-
-// addTiming folds wall-clock metrics into a cell entry.
-func addTiming(m map[string]float64, wall time.Duration, ops int) {
-	m["wall-ns"] = float64(wall.Nanoseconds())
-	if ops > 0 {
-		m["ns/op"] = float64(wall.Nanoseconds()) / float64(ops)
-	}
+	}, nil
 }

@@ -73,7 +73,7 @@ func New(addr string, opts ...Option) *Client {
 		base = "http://" + base
 	}
 	// One daemon, many concurrent calls: keep enough idle connections
-	// per host that fan-in load (rtload's worker pool) reuses sockets
+	// per host that fan-in load (`rtexp load`'s workers) reuses sockets
 	// instead of churning through ephemeral ports.
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 128
@@ -281,7 +281,7 @@ func (c *Client) Metrics(ctx context.Context, id rtether.ChannelID) (wire.Metric
 // `name{labels}` string (or the bare name when unlabeled) keys each
 // sample. Scraping before and after a run and differencing the maps
 // attributes server-side counters — cache hit-rate, flights, coalesce
-// merges — to that run; the sweep daemon mode and rtload do exactly
+// merges — to that run; the benchmark (go run ./bench) does exactly
 // this.
 func (c *Client) MetricsProm(ctx context.Context) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)

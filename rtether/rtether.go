@@ -344,7 +344,8 @@ func (n *Network) EstablishMulticast(spec MulticastSpec) (*Channel, error) {
 // establishment handshake crosses the wire and no virtual time elapses
 // even on star networks. It is also the scalable path — admitting N
 // channels one Establish at a time repartitions the system N times, while
-// EstablishAll does it once (see BenchmarkAdmissionScale).
+// EstablishAll does it once (the bench's provision-bulk workload
+// measures both).
 func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
 	reqs := core.Unicast(specs)
 	chs, err := n.apply(nil, reqs)

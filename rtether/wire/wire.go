@@ -1,8 +1,8 @@
 // Package wire defines the JSON wire schema of the rtetherd admission
 // service: the request/response bodies of every /v1 endpoint, the error
 // envelope, and the /v1/watch event stream. It is shared by the server
-// (internal/server), the typed Go client (rtether/client) and the load
-// generator (cmd/rtload), so the schema exists in exactly one place;
+// (internal/server), the typed Go client (rtether/client) and through
+// it every caller, so the schema exists in exactly one place;
 // docs/server.md is the prose reference for the same contract.
 //
 // All channel quantities use the scenario-format field names (src, dst,
