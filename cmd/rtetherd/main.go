@@ -17,8 +17,10 @@
 //	rtetherd -scenario fabric.json -metrics-addr 127.0.0.1:9316 -heartbeat 5s
 //
 // -binaddr opens a second listener speaking the length-prefixed binary
-// protocol (docs/server.md#binary-protocol) for the latency-critical
-// calls; rtether/client selects it with WithTransport(TransportBinary).
+// protocol (docs/server.md#the-binary-protocol) for the operations the
+// op table of rtether/wire gives a message pair; rtether/client selects
+// it with WithTransport(TransportBinary). Concurrent establishes merge
+// into flights of at most 1024.
 // -pprof serves net/http/pprof profiles on a separate address.
 //
 // Observability (docs/observability.md): GET /metrics on the main
@@ -68,7 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 		scenFile = fs.String("scenario", "", "scenario document providing the topology and network options (required)")
 		coalesce = fs.Duration("coalesce", 0, "extra window to merge concurrent establishes (0 = merge in-flight only)")
-		maxBatch = fs.Int("maxbatch", 1024, "max establish requests merged into one admission pass")
 		quiet    = fs.Bool("quiet", false, "suppress request logging")
 		metrics  = fs.String("metrics-addr", "", "serve GET /metrics on a dedicated listener too (empty = main listener only; /metrics is always on -addr)")
 		hbEvery  = fs.Duration("heartbeat", 0, "publish a heartbeat event on /v1/watch at this interval (0 = disabled)")
@@ -105,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	srv := server.New(server.Config{
 		Network:           network,
 		CoalesceWindow:    *coalesce,
-		MaxBatch:          *maxBatch,
 		HeartbeatInterval: *hbEvery,
 		SpanRingSize:      *spanCap,
 		Log:               logger,

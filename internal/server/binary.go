@@ -14,14 +14,13 @@ import (
 )
 
 // ServeBinary accepts connections on l and serves the binary framing of
-// rtether/wire (the latency-critical subset: establish, establishAll,
-// multicast, release, reconfigure, stats) until the listener closes or
-// the server is Closed. Each connection carries pipelined frames: every
-// request frame is dispatched in its own goroutine — so concurrent
-// frames from one connection coalesce into merged admission flights
-// exactly like concurrent HTTP requests — and replies are written back
-// whenever their verdict lands, matched by request ID, not in request
-// order.
+// rtether/wire (the operations its op table gives a message pair) until
+// the listener closes or the server is Closed. Each connection carries
+// pipelined frames, handled concurrently by up to maxBatch handler
+// goroutines per connection — so concurrent frames from one connection
+// coalesce into merged admission flights exactly like concurrent HTTP
+// requests — and replies are written back whenever their verdict lands,
+// matched by request ID, not in request order.
 //
 // Verdicts feed the same watch hub, log and counters as the HTTP
 // handlers; the two listeners are one service on one network.
@@ -123,6 +122,21 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 	}()
 	bc := &binConn{s: s, conn: conn}
 	br := bufio.NewReaderSize(conn, 64<<10)
+	// Frames go to the connection's idle handlers. A frame no idle
+	// handler takes starts one more, up to maxBatch; past that the reader
+	// waits, so a peer that pipelines without reading its replies stalls
+	// on its own socket instead of growing the daemon. Handlers live as
+	// long as the connection: a fresh goroutine per frame would grow its
+	// stack again on every request.
+	frames := make(chan wire.Frame)
+	defer close(frames) // runs before the wg.Wait above
+	handlers := 0
+	handle := func(f wire.Frame) {
+		defer wg.Done()
+		for ok := true; ok; f, ok = <-frames {
+			bc.dispatch(ctx, f.Type, f.ReqID, f.Payload)
+		}
+	}
 	var buf []byte
 	for {
 		f, nbuf, err := wire.ReadFrame(br, buf)
@@ -135,12 +149,18 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		}
 		// The payload aliases the read buffer, which the next ReadFrame
 		// reuses — copy before handing it to a concurrent handler.
-		payload := append([]byte(nil), f.Payload...)
-		wg.Add(1)
-		go func(t wire.MsgType, reqID uint32, p []byte) {
-			defer wg.Done()
-			bc.dispatch(ctx, t, reqID, p)
-		}(f.Type, f.ReqID, payload)
+		f.Payload = append([]byte(nil), f.Payload...)
+		select {
+		case frames <- f:
+		default:
+			if handlers < maxBatch {
+				handlers++
+				wg.Add(1)
+				go handle(f)
+			} else {
+				frames <- f
+			}
+		}
 	}
 }
 
@@ -149,90 +169,15 @@ func badFrame(t wire.MsgType, err error) *wire.Error {
 	return &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("rtetherd: decoding %#x frame: %v", uint8(t), err)}
 }
 
-// dispatch decodes and executes one request frame, writing exactly one
-// reply frame with the same request ID.
+// dispatch executes one request frame through its op, writing exactly
+// one reply frame with the same request ID.
 func (bc *binConn) dispatch(ctx context.Context, t wire.MsgType, reqID uint32, payload []byte) {
-	s := bc.s
-	if h := s.metrics.binDur[t]; h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start).Nanoseconds()) }()
-	}
-	switch t {
-	case wire.MsgEstablish:
-		spec, err := wire.DecodeEstablish(payload)
-		if err != nil {
-			bc.sendErr(reqID, badFrame(t, err))
-			return
-		}
-		ch, err := s.coal.establish(ctx, spec.ChannelSpec())
-		if err != nil {
-			bc.sendErr(reqID, errorBody(err))
-			return
-		}
-		rep := channelReply(ch)
-		bc.send(func(dst []byte) []byte { return wire.AppendChannelReply(dst, reqID, rep) })
-
-	case wire.MsgMulticast:
-		spec, err := wire.DecodeMulticast(payload)
-		if err != nil {
-			bc.sendErr(reqID, badFrame(t, err))
-			return
-		}
-		ch, err := s.coal.establishMulticast(ctx, spec.MulticastSpec())
-		if err != nil {
-			bc.sendErr(reqID, errorBody(err))
-			return
-		}
-		rep := channelReply(ch)
-		bc.send(func(dst []byte) []byte { return wire.AppendChannelReply(dst, reqID, rep) })
-
-	case wire.MsgEstablishAll:
-		wspecs, err := wire.DecodeEstablishAll(payload)
-		if err != nil {
-			bc.sendErr(reqID, badFrame(t, err))
-			return
-		}
-		specs := make([]rtether.ChannelSpec, len(wspecs))
-		for i, sp := range wspecs {
-			specs[i] = sp.ChannelSpec()
-		}
-		rep, we := s.doEstablishAll(specs)
-		if we != nil {
-			bc.sendErr(reqID, we)
-			return
-		}
-		bc.send(func(dst []byte) []byte { return wire.AppendChannelList(dst, reqID, rep) })
-
-	case wire.MsgRelease:
-		id, err := wire.DecodeRelease(payload)
-		if err != nil {
-			bc.sendErr(reqID, badFrame(t, err))
-			return
-		}
-		if we := s.doRelease(id); we != nil {
-			bc.sendErr(reqID, we)
-			return
-		}
-		bc.send(func(dst []byte) []byte { return wire.AppendReleased(dst, reqID) })
-
-	case wire.MsgReconfigure:
-		req, err := wire.DecodeReconfigure(payload)
-		if err != nil {
-			bc.sendErr(reqID, badFrame(t, err))
-			return
-		}
-		rep, we := s.doReconfigure(req)
-		if we != nil {
-			bc.sendErr(reqID, we)
-			return
-		}
-		bc.send(func(dst []byte) []byte { return wire.AppendChannelReply(dst, reqID, rep) })
-
-	case wire.MsgStats:
-		rep := s.statsReply()
-		bc.send(func(dst []byte) []byte { return wire.AppendStatsReply(dst, reqID, rep) })
-
-	default:
+	op := bc.s.frames[t]
+	if op == nil {
 		bc.sendErr(reqID, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("rtetherd: unknown message type %#x", uint8(t))})
+		return
 	}
+	start := time.Now()
+	op.frame(ctx, bc, reqID, payload)
+	op.dur.Observe(time.Since(start).Nanoseconds())
 }

@@ -54,9 +54,8 @@ type verdict struct {
 // happen naturally — everything that queued during the previous
 // EstablishEach is drained into the next flight in one gulp.
 type coalescer struct {
-	net      *rtether.Network
-	window   time.Duration
-	maxBatch int
+	net    *rtether.Network
+	window time.Duration
 	// note receives every verdict and noteRelease every
 	// released-after-cancel channel (for the watch feed); either may be
 	// nil.
@@ -76,18 +75,18 @@ type coalescer struct {
 	maxMerged   atomic.Int64
 }
 
+// maxBatch caps how many establish requests merge into one flight, and
+// how many frames one binary connection may have in flight.
+const maxBatch = 1024
+
 // newCoalescer starts the dispatcher. window > 0 additionally holds the
 // first request of a batch back up to that long to let more requests
 // join; window == 0 (the recommended default) merges exactly what
 // queued while the previous flight ran, adding no idle latency.
-func newCoalescer(net *rtether.Network, window time.Duration, maxBatch int, note func(rtether.ChannelSpec, []rtether.NodeID, *rtether.Channel, error), noteRelease func(rtether.ChannelID), noteFlight func(flightRecord)) *coalescer {
-	if maxBatch <= 0 {
-		maxBatch = 1024
-	}
+func newCoalescer(net *rtether.Network, window time.Duration, note func(rtether.ChannelSpec, []rtether.NodeID, *rtether.Channel, error), noteRelease func(rtether.ChannelID), noteFlight func(flightRecord)) *coalescer {
 	c := &coalescer{
 		net:         net,
 		window:      window,
-		maxBatch:    maxBatch,
 		note:        note,
 		noteRelease: noteRelease,
 		noteFlight:  noteFlight,
@@ -211,7 +210,7 @@ func (c *coalescer) run() {
 // always joins (that is the merge-while-in-flight behaviour); with a
 // positive window the dispatcher also waits up to window for more.
 func (c *coalescer) gather(batch []*pending) []*pending {
-	for len(batch) < c.maxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case p := <-c.reqs:
 			batch = append(batch, p)
@@ -220,12 +219,12 @@ func (c *coalescer) gather(batch []*pending) []*pending {
 		}
 		break
 	}
-	if c.window <= 0 || len(batch) >= c.maxBatch {
+	if c.window <= 0 || len(batch) >= maxBatch {
 		return batch
 	}
 	timer := time.NewTimer(c.window)
 	defer timer.Stop()
-	for len(batch) < c.maxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case p := <-c.reqs:
 			batch = append(batch, p)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -31,8 +30,6 @@ type serverMetrics struct {
 	flightMerged *obs.Histogram
 	flightWait   *obs.Histogram
 	flightAdmit  *obs.Histogram
-
-	binDur map[wire.MsgType]*obs.Histogram
 
 	// lastSweepNs attributes verification-sweep time to flights by
 	// differencing the kernel's cumulative sweep counter. Only the
@@ -115,23 +112,6 @@ func newServerMetrics(s *Server, spanCap int) *serverMetrics {
 	m.flightWait = r.Histogram("rtether_flight_wait_ns", "Longest coalesce-queue wait per flight.")
 	m.flightAdmit = r.Histogram("rtether_flight_admit_ns", "Merged kernel admission pass duration per flight.")
 
-	// Binary-transport dispatch latency, one series per message type.
-	m.binDur = make(map[wire.MsgType]*obs.Histogram)
-	for _, mt := range []struct {
-		t    wire.MsgType
-		name string
-	}{
-		{wire.MsgEstablish, "establish"},
-		{wire.MsgMulticast, "multicast"},
-		{wire.MsgEstablishAll, "establishAll"},
-		{wire.MsgRelease, "release"},
-		{wire.MsgReconfigure, "reconfigure"},
-		{wire.MsgStats, "stats"},
-	} {
-		m.binDur[mt.t] = r.Histogram("rtether_binary_request_duration_ns",
-			"Binary frame dispatch duration by message type.",
-			obs.Label{Key: "msg", Value: mt.name})
-	}
 	return m
 }
 
@@ -159,48 +139,46 @@ func (s *Server) onFlight(fr flightRecord) {
 	})
 }
 
-// route pairs one mux pattern with its handler for instrumented
-// mounting.
-type route struct {
-	pattern string
-	fn      http.HandlerFunc
-}
-
-// mountRoutes registers every route on the mux wrapped in the
-// per-endpoint request counter and duration histogram. All counters are
+// mountRoutes registers every op and the two streams on the mux,
+// wrapped in the per-endpoint request counter and duration histogram,
+// and gives each binary op its dispatch histogram. All counters are
 // registered before all histograms so each family stays contiguous in
 // the exposition (one HELP/TYPE header per family). For streaming
 // endpoints (watch, subscribe) the recorded duration spans the whole
 // stream lifetime.
-func (s *Server) mountRoutes(routes []route) {
+func (s *Server) mountRoutes(ops []binding) {
 	reg := s.metrics.reg
+	routes := append(ops[:len(ops):len(ops)],
+		binding{method: http.MethodGet, path: wire.WatchPath, http: s.handleWatch},
+		binding{method: http.MethodGet, path: wire.SubscribePath, http: s.handleSubscribe})
 	counters := make([]*obs.Counter, len(routes))
 	for i, rt := range routes {
 		counters[i] = reg.Counter("rtether_requests_total", "HTTP requests served by endpoint.",
-			obs.Label{Key: "endpoint", Value: endpointOf(rt.pattern)})
+			obs.Label{Key: "endpoint", Value: rt.path})
 	}
 	durs := make([]*obs.Histogram, len(routes))
 	for i, rt := range routes {
 		durs[i] = reg.Histogram("rtether_request_duration_ns", "HTTP request duration by endpoint.",
-			obs.Label{Key: "endpoint", Value: endpointOf(rt.pattern)})
+			obs.Label{Key: "endpoint", Value: rt.path})
 	}
 	for i, rt := range routes {
-		c, h, fn := counters[i], durs[i], rt.fn
-		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+		c, h, fn := counters[i], durs[i], rt.http
+		s.mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			fn(w, r)
 			c.Inc()
 			h.Observe(time.Since(start).Nanoseconds())
 		})
 	}
-}
-
-// endpointOf strips the method from a "METHOD /path" mux pattern.
-func endpointOf(pattern string) string {
-	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		return pattern[i+1:]
+	s.frames = make(map[wire.MsgType]*binding)
+	for i := range ops {
+		if op := &ops[i]; op.frame != nil {
+			op.dur = reg.Histogram("rtether_binary_request_duration_ns",
+				"Binary frame dispatch duration by message type.",
+				obs.Label{Key: "msg", Value: op.name})
+			s.frames[op.msg] = op
+		}
 	}
-	return pattern
 }
 
 // handlePromMetrics serves the Prometheus text exposition
@@ -214,26 +192,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 // on an additional listener (rtetherd -metrics-addr), so scrapers need
 // no access to the admission API.
 func (s *Server) MetricsHandler() http.HandlerFunc { return s.handlePromMetrics }
-
-// handleSpans dumps the flight recorder (GET /v1/spans), oldest first.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	spans := s.metrics.spans.Snapshot()
-	rep := wire.SpansReply{Spans: make([]wire.SpanInfo, len(spans))}
-	for i, sp := range spans {
-		rep.Spans[i] = wire.SpanInfo{
-			Flight:        sp.Flight,
-			StartUnixNano: sp.Start.UnixNano(),
-			Merged:        sp.Merged,
-			WaitNs:        sp.WaitNs,
-			AdmitNs:       sp.AdmitNs,
-			VerifyNs:      sp.VerifyNs,
-			PublishNs:     sp.PublishNs,
-			Accepted:      sp.Accepted,
-			Rejected:      sp.Rejected,
-		}
-	}
-	writeJSON(w, rep)
-}
 
 // heartbeatLoop publishes one heartbeat watch event per interval until
 // the server closes: a liveness beacon carrying the feed's sequence

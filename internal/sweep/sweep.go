@@ -310,7 +310,7 @@ func replaySequential(network *rtether.Network, items []scenario.WorkItem, m *ce
 
 // maxEachGroup caps how many consecutive establishes merge into one
 // EstablishEach pass — the in-process analogue of the daemon
-// coalescer's MaxBatch.
+// coalescer's batch cap (1024).
 const maxEachGroup = 512
 
 // replayEach groups consecutive unicast establishes into merged

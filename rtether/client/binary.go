@@ -6,11 +6,13 @@
 // only the bytes on the socket change. Everything else (watch streams,
 // topics, metrics, health) always uses HTTP/JSON.
 //
-// The transport keeps a small pool of persistent connections and
-// pipelines concurrent requests on them with per-request IDs, so N
-// goroutines issuing establishes present the server's coalescer with
-// the same concurrency as N parallel HTTP requests — merged admission
-// flights work identically under either transport.
+// A Client keeps one persistent connection, dialed on first use and
+// redialed once it dies, and pipelines concurrent requests on it with
+// per-request IDs, so N goroutines issuing establishes present the
+// server's coalescer with the same concurrency as N parallel HTTP
+// requests — merged admission flights work identically under either
+// transport. Which operations travel this way is declared by the op
+// table of rtether/wire: those with a binary message pair.
 package client
 
 import (
@@ -21,7 +23,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/rtether"
 	"repro/rtether/wire"
 )
 
@@ -49,67 +50,25 @@ func WithTransport(t Transport) Option {
 // WithBinaryAddr sets the daemon's binary listener address
 // ("host:port", rtetherd -binaddr).
 func WithBinaryAddr(addr string) Option {
-	return func(c *Client) { c.bin = newBinPool(addr) }
+	return func(c *Client) { c.binAddr = addr }
 }
 
-// binPool is a fixed-size pool of persistent pipelined connections.
-// Requests round-robin across the pool; each connection multiplexes any
-// number of in-flight requests by ID.
-type binPool struct {
-	addr string
-	mu   sync.Mutex
-	conn []*binConn
-	next int
-}
-
-// binPoolSize is the number of persistent connections the pool grows
-// to. Pipelining carries the concurrency; a few sockets are only there
-// to spread kernel-side wakeups.
-const binPoolSize = 4
-
-func newBinPool(addr string) *binPool {
-	return &binPool{addr: addr}
-}
-
-// get returns a live connection, dialing if the pool has room or the
-// slot's previous connection died.
-func (p *binPool) get() (*binConn, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.conn) > 0 {
-		for range p.conn {
-			bc := p.conn[p.next%len(p.conn)]
-			p.next++
-			if !bc.dead() {
-				return bc, nil
-			}
+// binConn returns the client's one binary connection, dialing it on
+// first use and again once it has died (a daemon restart).
+func (c *Client) binConn() (*binConn, error) {
+	if c.binAddr == "" {
+		return nil, ErrNoBinaryAddr
+	}
+	c.binMu.Lock()
+	defer c.binMu.Unlock()
+	if c.bin == nil || c.bin.dead() {
+		nc, err := net.Dial("tcp", c.binAddr)
+		if err != nil {
+			return nil, fmt.Errorf("client: dialing binary listener: %w", err)
 		}
-		// Every pooled connection died (daemon restart): drop them all
-		// and redial below.
-		p.conn = p.conn[:0]
+		c.bin = newBinConn(nc)
 	}
-	c, err := net.Dial("tcp", p.addr)
-	if err != nil {
-		return nil, fmt.Errorf("client: dialing binary listener: %w", err)
-	}
-	bc := newBinConn(c)
-	if len(p.conn) < binPoolSize {
-		p.conn = append(p.conn, bc)
-	}
-	return bc, nil
-}
-
-// closeIdle tears the pool down; in-flight requests fail over to a
-// fresh dial on the next call.
-func (p *binPool) closeIdle() {
-	p.mu.Lock()
-	conns := p.conn
-	p.conn = nil
-	p.next = 0
-	p.mu.Unlock()
-	for _, bc := range conns {
-		bc.close(errors.New("client: connection pool closed"))
-	}
+	return c.bin, nil
 }
 
 // binConn is one persistent pipelined connection: a writer side guarded
@@ -214,10 +173,7 @@ func (bc *binConn) abandon(id uint32) {
 // reply frame, map MsgError to the typed error, and require wantType
 // otherwise.
 func (c *Client) binCall(ctx context.Context, wantType wire.MsgType, enc func(dst []byte, reqID uint32) []byte) (wire.Frame, error) {
-	if c.bin == nil {
-		return wire.Frame{}, ErrNoBinaryAddr
-	}
-	bc, err := c.bin.get()
+	bc, err := c.binConn()
 	if err != nil {
 		return wire.Frame{}, err
 	}
@@ -231,9 +187,6 @@ func (c *Client) binCall(ctx context.Context, wantType wire.MsgType, enc func(ds
 			bc.mu.Lock()
 			err := bc.err
 			bc.mu.Unlock()
-			if err == nil {
-				err = errors.New("client: binary connection closed")
-			}
 			return wire.Frame{}, err
 		}
 		if f.Type == wire.MsgError {
@@ -251,91 +204,4 @@ func (c *Client) binCall(ctx context.Context, wantType wire.MsgType, enc func(ds
 		bc.abandon(id)
 		return wire.Frame{}, ctx.Err()
 	}
-}
-
-// ---- binary counterparts of the latency-critical calls ----
-
-func (c *Client) binEstablish(ctx context.Context, spec rtether.ChannelSpec) (Channel, error) {
-	ws := wire.FromSpec(spec)
-	f, err := c.binCall(ctx, wire.MsgChannel, func(dst []byte, id uint32) []byte {
-		return wire.AppendEstablish(dst, id, ws)
-	})
-	if err != nil {
-		return Channel{}, err
-	}
-	rep, err := wire.DecodeChannelReply(f.Payload)
-	if err != nil {
-		return Channel{}, fmt.Errorf("client: decoding channel reply: %w", err)
-	}
-	return channelOf(rep), nil
-}
-
-func (c *Client) binEstablishMulticast(ctx context.Context, spec rtether.MulticastSpec) (Channel, error) {
-	ws := wire.FromMulticastSpec(spec)
-	f, err := c.binCall(ctx, wire.MsgChannel, func(dst []byte, id uint32) []byte {
-		return wire.AppendMulticast(dst, id, ws)
-	})
-	if err != nil {
-		return Channel{}, err
-	}
-	rep, err := wire.DecodeChannelReply(f.Payload)
-	if err != nil {
-		return Channel{}, fmt.Errorf("client: decoding channel reply: %w", err)
-	}
-	return channelOf(rep), nil
-}
-
-func (c *Client) binEstablishAll(ctx context.Context, specs []rtether.ChannelSpec) ([]Channel, error) {
-	wspecs := make([]wire.Spec, len(specs))
-	for i, s := range specs {
-		wspecs[i] = wire.FromSpec(s)
-	}
-	f, err := c.binCall(ctx, wire.MsgChannelList, func(dst []byte, id uint32) []byte {
-		return wire.AppendEstablishAll(dst, id, wspecs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := wire.DecodeChannelList(f.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("client: decoding channel list: %w", err)
-	}
-	chs := make([]Channel, len(rep.Channels))
-	for i, ch := range rep.Channels {
-		chs[i] = channelOf(ch)
-	}
-	return chs, nil
-}
-
-func (c *Client) binRelease(ctx context.Context, id rtether.ChannelID) error {
-	_, err := c.binCall(ctx, wire.MsgReleased, func(dst []byte, req uint32) []byte {
-		return wire.AppendRelease(dst, req, uint32(id))
-	})
-	return err
-}
-
-func (c *Client) binReconfigure(ctx context.Context, req wire.ReconfigureRequest) (Channel, error) {
-	f, err := c.binCall(ctx, wire.MsgChannel, func(dst []byte, id uint32) []byte {
-		return wire.AppendReconfigure(dst, id, req)
-	})
-	if err != nil {
-		return Channel{}, err
-	}
-	rep, err := wire.DecodeChannelReply(f.Payload)
-	if err != nil {
-		return Channel{}, fmt.Errorf("client: decoding channel reply: %w", err)
-	}
-	return channelOf(rep), nil
-}
-
-func (c *Client) binStats(ctx context.Context) (wire.StatsReply, error) {
-	f, err := c.binCall(ctx, wire.MsgStatsReply, wire.AppendStats)
-	if err != nil {
-		return wire.StatsReply{}, err
-	}
-	rep, err := wire.DecodeStatsReply(f.Payload)
-	if err != nil {
-		return wire.StatsReply{}, fmt.Errorf("client: decoding stats reply: %w", err)
-	}
-	return rep, nil
 }

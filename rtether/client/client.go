@@ -21,6 +21,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -50,10 +51,13 @@ type Client struct {
 	retries   int
 	retryBase time.Duration
 
-	// transport and bin select the binary fast path for the
-	// latency-critical calls (binary.go); zero values mean HTTP/JSON.
+	// transport and binAddr select the binary fast path for the ops
+	// that have one (binary.go); zero values mean HTTP/JSON. bin is the
+	// one binary connection, guarded by binMu.
 	transport Transport
-	bin       *binPool
+	binAddr   string
+	binMu     sync.Mutex
+	bin       *binConn
 }
 
 // Option customizes a Client.
@@ -89,11 +93,17 @@ func New(addr string, opts ...Option) *Client {
 	return c
 }
 
-// CloseIdleConnections releases pooled connections on both transports.
+// CloseIdleConnections releases the pooled HTTP connections and the
+// binary connection; in-flight binary requests fail, and the next call
+// dials afresh.
 func (c *Client) CloseIdleConnections() {
 	c.hc.CloseIdleConnections()
-	if c.bin != nil {
-		c.bin.closeIdle()
+	c.binMu.Lock()
+	bc := c.bin
+	c.bin = nil
+	c.binMu.Unlock()
+	if bc != nil {
+		bc.close(errors.New("client: connection closed"))
 	}
 }
 
@@ -157,9 +167,47 @@ func (c *Client) call(ctx context.Context, method, path string, body, out any) e
 	return nil
 }
 
+// roundTrip runs one attempt of op: over the binary connection when the
+// client is binary and the op has a message pair, over HTTP/JSON
+// otherwise. A failed attempt returns the zero reply.
+func roundTrip[Req, Rep any](ctx context.Context, c *Client, op *wire.Op[Req, Rep], req Req) (Rep, error) {
+	var zero Rep
+	if c.transport == TransportBinary && op.Msg != 0 {
+		f, err := c.binCall(ctx, op.Reply, func(dst []byte, id uint32) []byte { return op.AppendReq(dst, id, req) })
+		if err != nil {
+			return zero, err
+		}
+		rep, err := op.DecodeRep(f.Payload)
+		if err != nil {
+			return zero, fmt.Errorf("client: decoding %s reply: %w", op.Name, err)
+		}
+		return rep, nil
+	}
+	var body any
+	path := op.Path
+	if op.Method == http.MethodPost {
+		body = req
+	} else if q, ok := any(req).(interface{ Query() string }); ok {
+		path += "?" + q.Query()
+	}
+	var rep Rep
+	if err := c.call(ctx, op.Method, path, body, &rep); err != nil {
+		return zero, err
+	}
+	return rep, nil
+}
+
 // channelOf converts a wire reply to the client value.
 func channelOf(rep wire.ChannelReply) Channel {
 	return Channel{ID: rtether.ChannelID(rep.ID), Budgets: rep.Budgets, GuaranteedDelay: rep.GuaranteedDelay}
+}
+
+// channelOrErr converts a channel reply, or passes the call's error on.
+func channelOrErr(rep wire.ChannelReply, err error) (Channel, error) {
+	if err != nil {
+		return Channel{}, err
+	}
+	return channelOf(rep), nil
 }
 
 // Establish requests one RT channel. The daemon may coalesce the
@@ -167,29 +215,18 @@ func channelOf(rep wire.ChannelReply) Channel {
 // admission pass; the verdict is this spec's own either way. A
 // feasibility rejection is a *rtether.AdmissionError.
 func (c *Client) Establish(ctx context.Context, spec rtether.ChannelSpec) (Channel, error) {
-	if c.transport == TransportBinary {
-		return c.binEstablish(ctx, spec)
-	}
-	var rep wire.ChannelReply
-	err := c.call(ctx, http.MethodPost, "/v1/establish", wire.EstablishRequest{Spec: wire.FromSpec(spec)}, &rep)
-	if err != nil {
-		return Channel{}, err
-	}
-	return channelOf(rep), nil
+	return channelOrErr(do(ctx, c, wire.OpEstablish, wire.EstablishRequest{Spec: wire.FromSpec(spec)}))
 }
 
 // EstablishAll requests an atomic all-or-nothing batch: either every
 // spec is admitted (channels returned in spec order) or none is.
 func (c *Client) EstablishAll(ctx context.Context, specs []rtether.ChannelSpec) ([]Channel, error) {
-	if c.transport == TransportBinary {
-		return c.binEstablishAll(ctx, specs)
-	}
 	req := wire.EstablishAllRequest{Specs: make([]wire.Spec, len(specs))}
 	for i, s := range specs {
 		req.Specs[i] = wire.FromSpec(s)
 	}
-	var rep wire.EstablishAllReply
-	if err := c.call(ctx, http.MethodPost, "/v1/establishAll", req, &rep); err != nil {
+	rep, err := do(ctx, c, wire.OpEstablishAll, req)
+	if err != nil {
 		return nil, err
 	}
 	chs := make([]Channel, len(rep.Channels))
@@ -201,10 +238,8 @@ func (c *Client) EstablishAll(ctx context.Context, specs []rtether.ChannelSpec) 
 
 // Release frees an established channel.
 func (c *Client) Release(ctx context.Context, id rtether.ChannelID) error {
-	if c.transport == TransportBinary {
-		return c.binRelease(ctx, id)
-	}
-	return c.call(ctx, http.MethodPost, "/v1/release", wire.ReleaseRequest{ID: uint32(id)}, nil)
+	_, err := do(ctx, c, wire.OpRelease, wire.ReleaseRequest{ID: uint32(id)})
+	return err
 }
 
 // Reconfigure replaces a unicast channel's parameters with the non-zero
@@ -212,16 +247,8 @@ func (c *Client) Release(ctx context.Context, id rtether.ChannelID) error {
 // (see wire.ReconfigureRequest). A rejected reconfiguration leaves the
 // channel exactly as it was.
 func (c *Client) Reconfigure(ctx context.Context, id rtether.ChannelID, overrideC, overrideP, overrideD int64) (Channel, error) {
-	if c.transport == TransportBinary {
-		return c.binReconfigure(ctx, wire.ReconfigureRequest{ID: uint32(id), C: overrideC, P: overrideP, D: overrideD})
-	}
-	var rep wire.ChannelReply
-	err := c.call(ctx, http.MethodPost, "/v1/reconfigure",
-		wire.ReconfigureRequest{ID: uint32(id), C: overrideC, P: overrideP, D: overrideD}, &rep)
-	if err != nil {
-		return Channel{}, err
-	}
-	return channelOf(rep), nil
+	return channelOrErr(do(ctx, c, wire.OpReconfigure,
+		wire.ReconfigureRequest{ID: uint32(id), C: overrideC, P: overrideP, D: overrideD}))
 }
 
 // SetLinkUp fails (up=false) or repairs (up=true) the trunk between
@@ -231,49 +258,33 @@ func (c *Client) Reconfigure(ctx context.Context, id rtether.ChannelID, override
 // summarizes every affected channel's fate; the same outcomes appear
 // on the watch feed as reroute/degrade/preempt/lost events.
 func (c *Client) SetLinkUp(ctx context.Context, a, b rtether.SwitchID, up bool) (wire.FailReply, error) {
-	var rep wire.FailReply
-	err := c.call(ctx, http.MethodPost, "/v1/fail",
-		wire.FailRequest{Kind: "link", A: uint16(a), B: uint16(b), Up: up}, &rep)
-	return rep, err
+	return do(ctx, c, wire.OpFail, wire.FailRequest{Kind: "link", A: uint16(a), B: uint16(b), Up: up})
 }
 
 // SetSwitchUp fails or repairs a whole switch on the daemon's network
 // (POST /v1/fail), with the same recovery semantics as SetLinkUp.
 func (c *Client) SetSwitchUp(ctx context.Context, s rtether.SwitchID, up bool) (wire.FailReply, error) {
-	var rep wire.FailReply
-	err := c.call(ctx, http.MethodPost, "/v1/fail",
-		wire.FailRequest{Kind: "switch", S: uint16(s), Up: up}, &rep)
-	return rep, err
+	return do(ctx, c, wire.OpFail, wire.FailRequest{Kind: "switch", S: uint16(s), Up: up})
 }
 
 // Stats reads the daemon's admission and coalescing counters. Like all
 // idempotent reads it retries transient transport and 5xx failures with
 // jittered exponential backoff (see WithRetry).
 func (c *Client) Stats(ctx context.Context) (wire.StatsReply, error) {
-	if c.transport == TransportBinary {
-		return c.binStats(ctx)
-	}
-	var rep wire.StatsReply
-	err := c.getRetry(ctx, "/v1/stats", &rep)
-	return rep, err
+	return do(ctx, c, wire.OpStats, struct{}{})
 }
 
 // Channels lists the daemon's established channels, retrying transient
 // failures.
 func (c *Client) Channels(ctx context.Context) ([]wire.ChannelInfo, error) {
-	var rep wire.ChannelsReply
-	if err := c.getRetry(ctx, "/v1/channels", &rep); err != nil {
-		return nil, err
-	}
-	return rep.Channels, nil
+	rep, err := do(ctx, c, wire.OpChannels, struct{}{})
+	return rep.Channels, err
 }
 
 // Metrics reads one channel's delivery measurements, retrying transient
 // failures.
 func (c *Client) Metrics(ctx context.Context, id rtether.ChannelID) (wire.MetricsReply, error) {
-	var rep wire.MetricsReply
-	err := c.getRetry(ctx, fmt.Sprintf("/v1/metrics?id=%d", id), &rep)
-	return rep, err
+	return do(ctx, c, wire.OpMetrics, wire.MetricsRequest{ID: uint32(id)})
 }
 
 // MetricsProm scrapes the daemon's Prometheus text exposition
@@ -307,23 +318,20 @@ func (c *Client) MetricsProm(ctx context.Context) (map[string]float64, error) {
 // the most recent coalesced flights with their wait / admit / verify /
 // publish split, oldest first.
 func (c *Client) Spans(ctx context.Context) (wire.SpansReply, error) {
-	var rep wire.SpansReply
-	err := c.getRetry(ctx, "/v1/spans", &rep)
-	return rep, err
+	return do(ctx, c, wire.OpSpans, struct{}{})
 }
 
-// Healthz probes daemon liveness, discarding the body. Use HealthzInfo
-// for the operational summary.
+// Healthz probes daemon liveness. Use HealthzInfo for the operational
+// summary.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.getRetry(ctx, "/v1/healthz", nil)
+	_, err := c.HealthzInfo(ctx)
+	return err
 }
 
 // HealthzInfo reads the daemon's liveness summary: uptime, build
 // identity, watch-feed high-water mark and open channel/topic counts.
 func (c *Client) HealthzInfo(ctx context.Context) (wire.HealthzReply, error) {
-	var rep wire.HealthzReply
-	err := c.getRetry(ctx, "/v1/healthz", &rep)
-	return rep, err
+	return do(ctx, c, wire.OpHealthz, struct{}{})
 }
 
 // Watcher is an open /v1/watch stream.
@@ -338,7 +346,17 @@ type Watcher struct {
 // behind is dropped by the daemon (Next returns io.EOF; Seq gaps on
 // reconnect reveal the missed events).
 func (c *Client) Watch(ctx context.Context) (*Watcher, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/watch", nil)
+	body, err := c.openStream(ctx, "watch", wire.WatchPath)
+	if err != nil {
+		return nil, err
+	}
+	return &Watcher{body: body, dec: json.NewDecoder(body)}, nil
+}
+
+// openStream opens a newline-delimited JSON stream, mapping a refusal to
+// its typed error.
+func (c *Client) openStream(ctx context.Context, what, path string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
@@ -350,11 +368,11 @@ func (c *Client) Watch(ctx context.Context) (*Watcher, error) {
 		defer resp.Body.Close()
 		var env wire.Envelope
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			return nil, fmt.Errorf("client: watch: HTTP %d", resp.StatusCode)
+			return nil, fmt.Errorf("client: %s: HTTP %d", what, resp.StatusCode)
 		}
 		return nil, goError(env.Err)
 	}
-	return &Watcher{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
+	return resp.Body, nil
 }
 
 // Next blocks for the next event. It returns io.EOF (possibly wrapped)

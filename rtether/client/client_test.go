@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,5 +98,49 @@ func TestWatchStreamsAcrossClients(t *testing.T) {
 	}
 	if errors.Is(err, io.EOF) {
 		t.Error("stream ended unexpectedly")
+	}
+}
+
+// TestBinaryRedialsAfterDrop serves each binary connection exactly one
+// reply and then drops it, the way a restarting daemon does. The client
+// keeps one connection: every later call must notice the dead one,
+// redial and succeed — including a call issued before the client saw
+// the drop, which an idempotent op retries on the fresh connection.
+func TestBinaryRedialsAfterDrop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			f, _, err := wire.ReadFrame(conn, nil)
+			if err == nil {
+				_, _ = conn.Write(wire.AppendStatsReply(nil, f.ReqID, wire.StatsReply{Server: wire.ServerStats{Channels: 7}}))
+			}
+			conn.Close()
+		}
+	}()
+	cl := client.New("127.0.0.1:0", client.WithTransport(client.TransportBinary),
+		client.WithBinaryAddr(ln.Addr().String()), client.WithRetry(3, time.Millisecond))
+	defer cl.CloseIdleConnections()
+	const calls = 200
+	for i := 0; i < calls; i++ {
+		st, err := cl.Stats(context.Background())
+		if err != nil {
+			t.Fatalf("call %d after %d dropped connections: %v", i, i, err)
+		}
+		if st.Server.Channels != 7 {
+			t.Fatalf("call %d: stats = %+v", i, st)
+		}
+	}
+	if got := dials.Load(); got < calls {
+		t.Errorf("%d calls over one-reply connections dialed %d times, want >= %d", calls, got, calls)
 	}
 }

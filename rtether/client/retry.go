@@ -3,9 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
-	"net/url"
 	"time"
 
 	"repro/rtether/wire"
@@ -21,7 +22,8 @@ const (
 )
 
 // WithRetry overrides the backoff policy for idempotent read calls
-// (Stats, Channels, Metrics, Healthz): up to retries re-attempts after
+// (Stats, Channels, Metrics, Spans, Healthz, Topics — the ops the
+// rtether/wire table marks Idempotent): up to retries re-attempts after
 // the first failure, with exponential backoff starting at base.
 // WithRetry(0, 0) disables retrying entirely.
 func WithRetry(retries int, base time.Duration) Option {
@@ -44,15 +46,15 @@ func (e *httpStatusError) Error() string {
 }
 
 // retryable reports whether err is worth re-attempting on an idempotent
-// call: transport-level failures (connection refused/reset — the dial
-// never reached a verdict) and 5xx-class server errors. Typed verdicts
-// (rejections, unknown IDs, invalid specs) and context cancellation are
-// final.
+// call: transport-level failures on either transport (a dial refused, a
+// connection reset or dropped before the reply — no verdict reached the
+// caller) and 5xx-class server errors. Typed verdicts (rejections,
+// unknown IDs, invalid specs) and context cancellation are final.
 func retryable(err error) bool {
-	var ue *url.Error
-	if errors.As(err, &ue) {
-		// The request never produced a response; context errors come back
-		// wrapped in *url.Error too, and those must not be retried.
+	var ne net.Error
+	if errors.As(err, &ne) || errors.Is(err, io.EOF) {
+		// Context errors come back wrapped in *url.Error (a net.Error)
+		// too, and those must not be retried.
 		return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 	}
 	var se *httpStatusError
@@ -66,15 +68,15 @@ func retryable(err error) bool {
 	return false
 }
 
-// getRetry performs an idempotent GET with jittered exponential
-// backoff: attempt k sleeps a uniformly random duration in
+// do runs op. Idempotent ops retry transient failures with jittered
+// exponential backoff: attempt k sleeps a uniformly random duration in
 // (0, base·2^k], capped at retryCap, so a thundering herd of readers
 // decorrelates instead of re-arriving in lockstep.
-func (c *Client) getRetry(ctx context.Context, path string, out any) error {
+func do[Req, Rep any](ctx context.Context, c *Client, op *wire.Op[Req, Rep], req Req) (Rep, error) {
 	for attempt := 0; ; attempt++ {
-		err := c.call(ctx, http.MethodGet, path, nil, out)
-		if err == nil || attempt >= c.retries || !retryable(err) {
-			return err
+		rep, err := roundTrip(ctx, c, op, req)
+		if err == nil || !op.Idempotent || attempt >= c.retries || !retryable(err) {
+			return rep, err
 		}
 		ceil := c.retryBase << attempt
 		if ceil > retryCap || ceil <= 0 {
@@ -84,7 +86,7 @@ func (c *Client) getRetry(ctx context.Context, path string, out any) error {
 		select {
 		case <-ctx.Done():
 			timer.Stop()
-			return err
+			return rep, err
 		case <-timer.C:
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 
 	"repro/rtether"
@@ -28,43 +27,29 @@ var (
 // feasibility rejection is a *rtether.AdmissionError whose Branch/Sink
 // name the failing branch.
 func (c *Client) EstablishMulticast(ctx context.Context, spec rtether.MulticastSpec) (Channel, error) {
-	if c.transport == TransportBinary {
-		return c.binEstablishMulticast(ctx, spec)
-	}
-	var rep wire.ChannelReply
-	err := c.call(ctx, http.MethodPost, "/v1/multicast",
-		wire.EstablishMulticastRequest{Spec: wire.FromMulticastSpec(spec)}, &rep)
-	if err != nil {
-		return Channel{}, err
-	}
-	return channelOf(rep), nil
+	return channelOrErr(do(ctx, c, wire.OpMulticast, wire.EstablishMulticastRequest{Spec: wire.FromMulticastSpec(spec)}))
 }
 
 // CreateTopic declares a pub/sub topic: a named publisher endpoint at
 // src with the RT contract {C, P, D}. Nothing is reserved until the
 // first subscriber joins.
 func (c *Client) CreateTopic(ctx context.Context, name string, src rtether.NodeID, cBudget, period, deadline int64) error {
-	return c.call(ctx, http.MethodPost, "/v1/topics",
-		wire.CreateTopicRequest{Name: name, Src: uint16(src), C: cBudget, P: period, D: deadline}, nil)
+	_, err := do(ctx, c, wire.OpCreateTopic,
+		wire.CreateTopicRequest{Name: name, Src: uint16(src), C: cBudget, P: period, D: deadline})
+	return err
 }
 
 // Topics lists the daemon's topics sorted by name.
 func (c *Client) Topics(ctx context.Context) ([]wire.TopicInfo, error) {
-	var rep wire.TopicsReply
-	if err := c.getRetry(ctx, "/v1/topics", &rep); err != nil {
-		return nil, err
-	}
-	return rep.Topics, nil
+	rep, err := do(ctx, c, wire.OpListTopics, struct{}{})
+	return rep.Topics, err
 }
 
 // Publish pushes one message to a topic's current subscribers and
 // returns its sequence number in the topic's publish order plus the
 // number of feeds it reached.
 func (c *Client) Publish(ctx context.Context, topic, payload string) (wire.PublishReply, error) {
-	var rep wire.PublishReply
-	err := c.call(ctx, http.MethodPost, "/v1/topics/publish",
-		wire.PublishRequest{Topic: topic, Payload: payload}, &rep)
-	return rep, err
+	return do(ctx, c, wire.OpPublish, wire.PublishRequest{Topic: topic, Payload: payload})
 }
 
 // TopicFeed is an open topic subscription stream.
@@ -79,24 +64,12 @@ type TopicFeed struct {
 // existing subscribers. Cancel the context or Close the feed to leave
 // the topic (shrinking the tree again).
 func (c *Client) SubscribeTopic(ctx context.Context, topic string, node rtether.NodeID) (*TopicFeed, error) {
-	path := fmt.Sprintf("/v1/topics/subscribe?topic=%s&node=%d", url.QueryEscape(topic), node)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	path := fmt.Sprintf("%s?topic=%s&node=%d", wire.SubscribePath, url.QueryEscape(topic), node)
+	body, err := c.openStream(ctx, "subscribe", path)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		var env wire.Envelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			return nil, fmt.Errorf("client: subscribe: HTTP %d", resp.StatusCode)
-		}
-		return nil, goError(env.Err)
-	}
-	return &TopicFeed{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
+	return &TopicFeed{body: body, dec: json.NewDecoder(body)}, nil
 }
 
 // Next blocks for the next published message. It returns io.EOF
