@@ -71,7 +71,7 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if skippedKinds > 0 {
-		fmt.Fprintf(stderr, "rtexp load: note: %d timeline events have no wire equivalent (reconfigure/setBackground) and were skipped\n", skippedKinds)
+		fmt.Fprintf(stderr, "rtexp load: note: %d timeline events (reconfigure/publish/setBackground/linkDown/switchDown/repair) are not replayed by rtexp load and were skipped\n", skippedKinds)
 	}
 
 	var copts []client.Option

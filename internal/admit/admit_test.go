@@ -68,15 +68,15 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 			return &toyChan{id: id, c: 1, p: 100, links: links}
 		}
 	}
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(10)}
-	if _, rej := e.Apply(nil, 1, mk(1, 2), schemes); rej != nil {
+	scheme := constScheme(10)
+	if _, rej := e.Apply(nil, 1, mk(1, 2), scheme); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
-	if _, rej := e.Apply(nil, 1, mk(3, 4), schemes); rej != nil {
+	if _, rej := e.Apply(nil, 1, mk(3, 4), scheme); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
 	// A repartition to the same value must report nothing as changed.
-	if _, rej := e.Apply(nil, 1, mk(1, 3), schemes); rej != nil {
+	if _, rej := e.Apply(nil, 1, mk(1, 3), scheme); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
 	ids := e.Repartitioned()
@@ -87,9 +87,9 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 
 func TestApplyPanicsOnUnknownChannel(t *testing.T) {
 	e := newToyEngine(Config{})
-	stray := []Scheme[int, *toyChan, int64]{func(*State[int, *toyChan, int64], []int) map[ID]int64 {
+	stray := Scheme[int, *toyChan, int64](func(*State[int, *toyChan, int64], []int) map[ID]int64 {
 		return map[ID]int64{999: 10}
-	}}
+	})
 	defer func() {
 		if recover() == nil {
 			t.Error("partition for an unknown channel did not panic")
@@ -102,7 +102,7 @@ func TestApplyPanicsOnUnknownChannel(t *testing.T) {
 
 func TestApplyPanicsOnInvalidPartition(t *testing.T) {
 	e := newToyEngine(Config{})
-	bad := []Scheme[int, *toyChan, int64]{constScheme(1)} // below C=2
+	bad := constScheme(1) // below C=2
 	defer func() {
 		if recover() == nil {
 			t.Error("invalid partition did not panic")
@@ -155,7 +155,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	}
 	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}
-	}, []Scheme[int, *toyChan, int64]{scheme})
+	}, scheme)
 	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
 		t.Fatalf("rejection %v after %d checks, want link 40 after 41", rej, e.LinksChecked())
 	}
@@ -174,13 +174,13 @@ func TestSweepStopsAtSummaryFailure(t *testing.T) {
 			return &toyChan{id: id, c: 50, p: 50, links: []int{0}} // two full-period tasks: U = 2
 		}
 		return &toyChan{id: id, c: 1, p: 50, links: []int{i}}
-	}, []Scheme[int, *toyChan, int64]{func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
+	}, func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
 		parts := make(map[ID]int64)
 		for _, ch := range st.Channels() {
 			parts[ch.id] = ch.c // D = C: a later link's busy period reaches its deadline
 		}
 		return parts
-	}})
+	})
 	if rej == nil || rej.Link != 0 || rej.Result.Verdict != edf.InfeasibleUtilization {
 		t.Fatalf("rejection %+v, want link 0 over utilization", rej)
 	}
@@ -207,7 +207,7 @@ func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
 	admit := func(d int64, links ...int) *Rejection[int] {
 		_, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: 2, p: 100, links: links}
-		}, []Scheme[int, *toyChan, int64]{constScheme(d)})
+		}, constScheme(d))
 		return rej
 	}
 	if rej := admit(10, 5, 9); rej != nil {

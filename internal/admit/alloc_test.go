@@ -11,12 +11,12 @@ import (
 // smaller c the link's summary decides it without the walk.
 func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64], c int64) []int32 {
 	t.Helper()
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(40)}
+	scheme := constScheme(40)
 	for i := 0; i < 64; i++ {
 		a, b := i%16, 16+(i%16)
 		_, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: c, p: 400, links: []int{a, b}}
-		}, schemes)
+		}, scheme)
 		if rej != nil {
 			t.Fatalf("setup admit %d rejected: %v", i, rej.Result)
 		}

@@ -14,7 +14,7 @@ import (
 // rational utilization sums: math/big keeps temporaries on the heap.)
 // The scheme repartitions nothing, so only the kernel counts.
 func TestReleaseZeroAllocs(t *testing.T) {
-	keep := []Scheme[int, *toyChan, int64]{func(*State[int, *toyChan, int64], []int) map[ID]int64 { return nil }}
+	keep := Scheme[int, *toyChan, int64](func(*State[int, *toyChan, int64], []int) map[ID]int64 { return nil })
 	load := func() (*Engine[int, *toyChan, int64], []ID) {
 		e := newToyEngine(Config{})
 		chs, rej := e.Apply(nil, 300, func(i int, id ID) *toyChan {
@@ -55,11 +55,11 @@ func TestReleaseZeroAllocs(t *testing.T) {
 // ID allocator included.
 func TestApplyReplaceKeepsID(t *testing.T) {
 	e := newToyEngine(Config{})
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(20)}
+	scheme := constScheme(20)
 	for _, links := range [][]int{{1, 2}, {1, 3}, {1, 4}} {
 		if _, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: 4, p: 40, links: links}
-		}, schemes); rej != nil {
+		}, scheme); rej != nil {
 			t.Fatalf("setup: %v", rej.Result)
 		}
 	}
@@ -72,7 +72,7 @@ func TestApplyReplaceKeepsID(t *testing.T) {
 	replace := func(c int64) *Rejection[int] {
 		_, rej := e.Apply([]ID{2}, 1, func(_ int, _ ID) *toyChan {
 			return &toyChan{id: 2, c: c, p: 40, links: []int{1, 3}}
-		}, schemes)
+		}, scheme)
 		return rej
 	}
 
@@ -103,7 +103,7 @@ func TestApplyReplaceKeepsID(t *testing.T) {
 // verdicts, diagnostics, IDs and committed states. A group that fits,
 // removal included, costs one repartition pass.
 func TestAdmitEachWithRemovalMatchesSequential(t *testing.T) {
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(8)}
+	scheme := constScheme(8)
 	rng := rand.New(rand.NewSource(21))
 	merged, seq := newToyEngine(Config{}), newToyEngine(Config{})
 	var live []ID
@@ -116,11 +116,11 @@ func TestAdmitEachWithRemovalMatchesSequential(t *testing.T) {
 		mk := func(i int, id ID) *toyChan { return mks[i](id) }
 
 		passes := merged.Repartitions()
-		chs, rejs := merged.AdmitEach(remove, len(mks), mk, schemes)
-		seq.Apply(remove, 0, nil, schemes)
+		chs, rejs := merged.AdmitEach(remove, len(mks), mk, scheme)
+		seq.Apply(remove, 0, nil, scheme)
 		accepted := 0
 		for i := range mks {
-			sch, srej := seq.Apply(nil, 1, func(_ int, id ID) *toyChan { return mks[i](id) }, schemes)
+			sch, srej := seq.Apply(nil, 1, func(_ int, id ID) *toyChan { return mks[i](id) }, scheme)
 			switch {
 			case (srej == nil) != (rejs[i] == nil):
 				t.Fatalf("round %d request %d: merged rejected=%v, sequential rejected=%v", round, i, rejs[i] != nil, srej != nil)

@@ -23,7 +23,7 @@ import "slices"
 // once for the same index while the engine narrows down failures.
 //
 // The decision procedure is greedy bisection. First the removal and the
-// whole group are tried as one Apply (one repartition pass per scheme).
+// whole group are tried as one Apply (one repartition pass).
 // If it verifies, every request is accepted; if not, the group is split
 // in half and each half decided recursively, the left half first and
 // carrying the removal, so each half is decided against exactly the
@@ -49,15 +49,15 @@ import "slices"
 // partition changed across all committed sub-decisions (including the
 // new channels), ascending — the precise set a running simulation must
 // re-sync, exactly as after Apply.
-func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, []*Rejection[K]) {
+func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P]) ([]Ch, []*Rejection[K]) {
 	chs := make([]Ch, n)
 	rejs := make([]*Rejection[K], n)
 	if n == 0 {
-		e.Apply(remove, 0, nil, schemes)
+		e.Apply(remove, 0, nil, scheme)
 		return chs, rejs
 	}
 	repart := make(map[ID]struct{})
-	e.admitRange(remove, 0, n, mk, schemes, chs, rejs, repart)
+	e.admitRange(remove, 0, n, mk, scheme, chs, rejs, repart)
 	ids := make([]ID, 0, len(repart))
 	for id := range repart {
 		ids = append(ids, id)
@@ -70,8 +70,8 @@ func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) C
 // admitRange decides requests [lo, hi) together with the removal by
 // greedy bisection, writing verdicts into chs/rejs and accumulating the
 // repartitioned-channel union into repart.
-func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P], chs []Ch, rejs []*Rejection[K], repart map[ID]struct{}) {
-	got, rej := e.Apply(remove, hi-lo, func(i int, id ID) Ch { return mk(lo+i, id) }, schemes)
+func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P], chs []Ch, rejs []*Rejection[K], repart map[ID]struct{}) {
+	got, rej := e.Apply(remove, hi-lo, func(i int, id ID) Ch { return mk(lo+i, id) }, scheme)
 	switch {
 	case rej == nil:
 		copy(chs[lo:hi], got)
@@ -80,11 +80,11 @@ func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id
 		if len(remove) == 0 {
 			return
 		}
-		e.Apply(remove, 0, nil, schemes)
+		e.Apply(remove, 0, nil, scheme)
 	default:
 		mid := lo + (hi-lo)/2
-		e.admitRange(remove, lo, mid, mk, schemes, chs, rejs, repart)
-		e.admitRange(nil, mid, hi, mk, schemes, chs, rejs, repart)
+		e.admitRange(remove, lo, mid, mk, scheme, chs, rejs, repart)
+		e.admitRange(nil, mid, hi, mk, scheme, chs, rejs, repart)
 		return
 	}
 	for _, id := range e.repartitioned {

@@ -32,18 +32,18 @@ func randomToySpecs(rng *rand.Rand, n int) []func(id ID) *toyChan {
 // coalescing decision-equivalence contract (constScheme is monotone, so
 // equivalence is exact by construction).
 func TestAdmitEachMatchesSequential(t *testing.T) {
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(8)}
+	scheme := constScheme(8)
 	for _, n := range []int{1, 2, 7, 64, 200} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		mks := randomToySpecs(rng, n)
 
 		merged := newToyEngine(Config{})
-		chs, rejs := merged.AdmitEach(nil, n, func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
+		chs, rejs := merged.AdmitEach(nil, n, func(i int, id ID) *toyChan { return mks[i](id) }, scheme)
 
 		seq := newToyEngine(Config{})
 		accepted := 0
 		for i := 0; i < n; i++ {
-			sch, srej := seq.Apply(nil, 1, func(_ int, id ID) *toyChan { return mks[i](id) }, schemes)
+			sch, srej := seq.Apply(nil, 1, func(_ int, id ID) *toyChan { return mks[i](id) }, scheme)
 			if (srej == nil) != (rejs[i] == nil) {
 				t.Fatalf("n=%d spec %d: merged rejected=%v, sequential rejected=%v", n, i, rejs[i] != nil, srej != nil)
 			}
@@ -79,7 +79,7 @@ func TestAdmitEachMatchesSequential(t *testing.T) {
 // sub-decisions (the budget re-sync set), even when bisection split the
 // group.
 func TestAdmitEachRepartitionedUnion(t *testing.T) {
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(8)}
+	scheme := constScheme(8)
 	// Three acceptable channels and one rejected one: the third saturates
 	// link 1 (two C=5/P=6 tasks push U past 1), so bisection must split
 	// the group and the re-sync union must still cover all three accepts.
@@ -90,7 +90,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 		func(id ID) *toyChan { return &toyChan{id: id, c: 1, p: 100, links: []int{2}} },
 	}
 	e := newToyEngine(Config{})
-	chs, rejs := e.AdmitEach(nil, len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, schemes)
+	chs, rejs := e.AdmitEach(nil, len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, scheme)
 	wantRejected := map[int]bool{2: true}
 	var wantIDs []ID
 	for i := range mks {
@@ -119,7 +119,7 @@ func TestAdmitEachRepartitionedUnion(t *testing.T) {
 // TestAdmitEachEmpty covers the degenerate empty group.
 func TestAdmitEachEmpty(t *testing.T) {
 	e := newToyEngine(Config{})
-	chs, rejs := e.AdmitEach(nil, 0, nil, []Scheme[int, *toyChan, int64]{constScheme(8)})
+	chs, rejs := e.AdmitEach(nil, 0, nil, constScheme(8))
 	if len(chs) != 0 || len(rejs) != 0 {
 		t.Fatalf("AdmitEach(0) = %v, %v", chs, rejs)
 	}

@@ -172,10 +172,9 @@ func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
 func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs }
 
 // Repartitions returns the cumulative number of repartition passes the
-// engine has run: one per scheme attempted per Apply (a decision covering
-// a whole batch, or a removal together with its replacement, counts once
-// per scheme, which is what makes batch admission scale). The count is
-// deterministic.
+// engine has run: one per Apply (a decision covering a whole batch, or a
+// removal together with its replacement, counts once, which is what makes
+// batch admission scale). The count is deterministic.
 func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 
 // Repartitioned returns the IDs (ascending) of the channels whose
@@ -186,78 +185,67 @@ func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 // Apply is the engine's one decision: it removes the channels listed in
 // remove (active and distinct), adds n new ones — mk(i, id) constructs
 // the i-th with its allocated ID (the adapter has validated and routed
-// the specs already) — and verifies the result. The schemes are tried in
-// order, the paper's fallback search, and the first whose tentative state
-// verifies commits. Each attempt cuts the removed channels out of the live
-// state, adds the new ones, repartitions what the scheme recomputes on the
-// links of both (one touched set), verifies only the links whose task sets
-// changed, and rolls everything back on rejection: the removed channels go
-// back into the slots they were cut from, so the committed state is
-// bit-identical to before — task table, summaries, establishment order
-// and ID allocator. The first scheme's rejection is returned.
+// the specs already) — and verifies the result. It cuts the removed
+// channels out of the live state, adds the new ones, repartitions what
+// the scheme recomputes on the links of both (one touched set), verifies
+// only the links whose task sets changed, and rolls everything back on
+// rejection: the removed channels go back into the slots they were cut
+// from, so the committed state is bit-identical to before — task table,
+// summaries, establishment order and ID allocator.
 //
-// A pure removal (n == 0) never fails. It repartitions with the primary
-// scheme only, and if that fails verification every remaining channel
-// keeps the partition it had: removing load can never invalidate the
-// schedule under unchanged partitions. A kept-back partition stays until
-// a later decision touches one of its channel's links, which recomputes
-// it as usual; decisions elsewhere never see it.
-func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, schemes []Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
-	if n == 0 {
-		schemes = schemes[:1]
-	}
+// A pure removal (n == 0) never fails. If its repartition fails
+// verification every remaining channel keeps the partition it had:
+// removing load can never invalidate the schedule under unchanged
+// partitions. A kept-back partition stays until a later decision touches
+// one of its channel's links, which recomputes it as usual; decisions
+// elsewhere never see it.
+func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
 	st := e.state
 	chs := make([]Ch, n)
-	var firstRej *Rejection[K]
-	for _, scheme := range schemes {
-		st.begin()
-		savedNext := st.nextID
-		e.cuts = e.cuts[:0]
-		for _, id := range remove {
-			e.cuts = append(e.cuts, st.cut(id))
-		}
-		for i := range chs {
-			chs[i] = mk(i, st.AllocID())
-			st.Add(chs[i])
-		}
-		e.newSet()
-		e.touchIdx = e.touchIdx[:0]
-		for _, c := range e.cuts {
-			e.touchIdx = e.addToSet(e.touchIdx, c.idx)
-		}
-		for _, ch := range chs {
-			e.touchIdx = e.addToSet(e.touchIdx, st.channels[e.ops.ID(ch)].idx)
-		}
-
-		e.repartitions++
-		undo, changed, changedIDs := e.applyDelta(scheme(st, e.touchedKeys()))
-		rej := e.verify(changed)
-		if rej == nil || n == 0 {
-			if rej == nil {
-				e.commitSlack()
-			} else {
-				e.rollback(undo) // the removal alone stands
-				changedIDs = nil
-			}
-			st.end()
-			st.compact()
-			e.repartitioned = changedIDs
-			return chs, nil
-		}
-		e.rollback(undo)
-		for i := n - 1; i >= 0; i-- {
-			st.UndoAdd(chs[i])
-		}
-		for k := len(e.cuts) - 1; k >= 0; k-- {
-			st.restore(e.cuts[k])
-		}
-		st.nextID = savedNext
-		st.abort()
-		if firstRej == nil {
-			firstRej = rej
-		}
+	st.begin()
+	savedNext := st.nextID
+	e.cuts = e.cuts[:0]
+	for _, id := range remove {
+		e.cuts = append(e.cuts, st.cut(id))
 	}
-	return nil, firstRej
+	for i := range chs {
+		chs[i] = mk(i, st.AllocID())
+		st.Add(chs[i])
+	}
+	e.newSet()
+	e.touchIdx = e.touchIdx[:0]
+	for _, c := range e.cuts {
+		e.touchIdx = e.addToSet(e.touchIdx, c.idx)
+	}
+	for _, ch := range chs {
+		e.touchIdx = e.addToSet(e.touchIdx, st.channels[e.ops.ID(ch)].idx)
+	}
+
+	e.repartitions++
+	undo, changed, changedIDs := e.applyDelta(scheme(st, e.touchedKeys()))
+	rej := e.verify(changed)
+	if rej == nil || n == 0 {
+		if rej == nil {
+			e.commitSlack()
+		} else {
+			e.rollback(undo) // the removal alone stands
+			changedIDs = nil
+		}
+		st.end()
+		st.compact()
+		e.repartitioned = changedIDs
+		return chs, nil
+	}
+	e.rollback(undo)
+	for i := n - 1; i >= 0; i-- {
+		st.UndoAdd(chs[i])
+	}
+	for k := len(e.cuts) - 1; k >= 0; k-- {
+		st.restore(e.cuts[k])
+	}
+	st.nextID = savedNext
+	st.abort()
+	return nil, rej
 }
 
 // touchedKeys returns the link keys of the touched set built in touchIdx,

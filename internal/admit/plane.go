@@ -25,7 +25,7 @@ func (e *ReqError) Unwrap() error { return e.Err }
 // not established, and Reject, its error for a kernel rejection.
 type Plane[K comparable, Ch any, P any] struct {
 	Eng     *Engine[K, Ch, P]
-	Schemes []Scheme[K, Ch, P]
+	Scheme  Scheme[K, Ch, P]
 	Stats   Stats
 	Unknown func(ID) error
 	Reject  func(*Rejection[K]) error
@@ -58,7 +58,7 @@ func (p *Plane[K, Ch, P]) Apply(remove []ID, n int, prepare func(i int) error, m
 	if n == 0 && len(remove) == 0 {
 		return nil, nil
 	}
-	chs, rej := p.Eng.Apply(remove, n, mk, p.Schemes)
+	chs, rej := p.Eng.Apply(remove, n, mk, p.Scheme)
 	if rej != nil {
 		return nil, p.reject(rej)
 	}
@@ -87,7 +87,7 @@ func (p *Plane[K, Ch, P]) AdmitEach(remove []ID, n int, prepare func(i int) erro
 			valid = append(valid, i)
 		}
 	}
-	got, rejs := p.Eng.AdmitEach(remove, len(valid), func(vi int, id ID) Ch { return mk(valid[vi], id) }, p.Schemes)
+	got, rejs := p.Eng.AdmitEach(remove, len(valid), func(vi int, id ID) Ch { return mk(valid[vi], id) }, p.Scheme)
 	p.Stats.Released += len(remove)
 	for vi, i := range valid {
 		if rejs[vi] != nil {

@@ -196,7 +196,7 @@ func TestLinksMatchFreshSort(t *testing.T) {
 // identical state. A per-link table surviving the swap would read
 // another link's history.
 func TestReplaceStateMatchesFreshEngine(t *testing.T) {
-	schemes := []Scheme[int, *toyChan, int64]{constScheme(8)}
+	scheme := constScheme(8)
 	assemble := func() *State[int, *toyChan, int64] {
 		st := NewState(toyOps)
 		for i := 0; i < 12; i++ {
@@ -210,7 +210,7 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 	used := newToyEngine(Config{})
 	rng := rand.New(rand.NewSource(11))
 	for _, mk := range randomToySpecs(rng, 40) {
-		used.Apply(nil, 1, func(_ int, id ID) *toyChan { return mk(id) }, schemes)
+		used.Apply(nil, 1, func(_ int, id ID) *toyChan { return mk(id) }, scheme)
 	}
 	if len(used.slackHist) == 0 || used.LinksChecked() == 0 {
 		t.Fatal("history engine built no history")
@@ -231,8 +231,8 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 			return ch
 		}
 		c0, s0 := fresh.LinksChecked(), fresh.SweepSkips()
-		_, ru := used.Apply(nil, 1, gen, schemes)
-		_, rf := fresh.Apply(nil, 1, gen, schemes)
+		_, ru := used.Apply(nil, 1, gen, scheme)
+		_, rf := fresh.Apply(nil, 1, gen, scheme)
 		if checked, skips := fresh.LinksChecked()-c0, fresh.SweepSkips()-s0; skips > checked {
 			t.Fatalf("decision %d: %d cache hits out of %d checks", i, skips, checked)
 		}
@@ -244,8 +244,8 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 		}
 		if i%5 == 4 {
 			victim := fresh.State().Channels()[0].id
-			used.Apply([]ID{victim}, 0, nil, schemes)
-			fresh.Apply([]ID{victim}, 0, nil, schemes)
+			used.Apply([]ID{victim}, 0, nil, scheme)
+			fresh.Apply([]ID{victim}, 0, nil, scheme)
 		}
 	}
 	if got, want := used.LinksChecked()-checked0, fresh.LinksChecked(); got != want {
@@ -275,7 +275,7 @@ func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
 	}
 	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
-	}, []Scheme[int, *toyChan, int64]{scheme})
+	}, scheme)
 	if rej == nil || rej.Link != 40 || e.LinksChecked() != 41 {
 		t.Fatalf("rejection %v after %d checks, want link 40 after 41", rej, e.LinksChecked())
 	}
@@ -414,7 +414,7 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 			}
 			e.ReplaceState(st)
 			before := rawState(st)
-			chs, rej := e.Apply(remove, n, mk, []Scheme[int, *toyChan, int64]{scheme})
+			chs, rej := e.Apply(remove, n, mk, scheme)
 			if doomed {
 				if rej == nil {
 					t.Fatalf("step %d: a doomed Apply committed", step)

@@ -36,13 +36,6 @@ type Config struct {
 	// DPS is the deadline partitioning scheme; nil means SDPS (the paper's
 	// baseline).
 	DPS DPS
-	// Fallbacks are additional schemes tried in order when the primary
-	// DPS yields an infeasible partitioning for a request. The paper
-	// frames a DPS as one point in a vector field of possible splits;
-	// searching a handful of points before rejecting squeezes out extra
-	// capacity at the cost of extra feasibility tests (experiment E9).
-	// The committed state always reflects exactly one scheme's output.
-	Fallbacks []DPS
 	// Feasibility passes through to the per-link EDF test.
 	Feasibility edf.Options
 	// Latency is T_latency of Eq. 18.1: the constant medium propagation
@@ -78,10 +71,8 @@ func NewController(cfg Config) *Controller {
 	c.p.Eng = admit.NewEngine(coreOps, admit.Config{Feasibility: cfg.Feasibility})
 	c.p.Unknown = func(id ChannelID) error { return fmt.Errorf("core: release of unknown RT channel %d", id) }
 	c.p.Reject = func(rej *admit.Rejection[Link]) error { return &RejectionError{Link: rej.Link, Result: rej.Result} }
-	for _, d := range append([]DPS{cfg.DPS}, cfg.Fallbacks...) {
-		c.p.Schemes = append(c.p.Schemes, func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
-			return d.PartitionTouched(&State{k: k}, touched)
-		})
+	c.p.Scheme = func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
+		return cfg.DPS.PartitionTouched(&State{k: k}, touched)
 	}
 	return c
 }
@@ -298,7 +289,7 @@ func (c *Controller) ForceAdd(spec ChannelSpec, part Partition) (*Channel, error
 }
 
 // Release tears down an established channel: Apply with one removal. The
-// channels sharing a link with it are repartitioned by the primary DPS
+// channels sharing a link with it are repartitioned by the DPS
 // (which depends on the system state); in the unlikely event that this
 // makes some link infeasible, every remaining channel keeps its previous
 // partition — removing load can never invalidate the schedule under

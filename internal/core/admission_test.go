@@ -248,106 +248,6 @@ func TestGuaranteedDelay(t *testing.T) {
 	}
 }
 
-func TestFallbackDPSRescuesRejections(t *testing.T) {
-	// Primary SDPS saturates master uplinks at 6 channels; an ADPS
-	// fallback must rescue requests SDPS alone rejects.
-	requests := masterSlaveRequests(200)
-	plain := acceptedCount(NewController(Config{DPS: SDPS{}}), requests)
-	withFallback := acceptedCount(NewController(Config{
-		DPS:       SDPS{},
-		Fallbacks: []DPS{ADPS{}},
-	}), requests)
-	if plain != 60 {
-		t.Fatalf("SDPS-only accepted %d, want 60", plain)
-	}
-	if withFallback <= plain {
-		t.Errorf("fallback accepted %d, want > %d", withFallback, plain)
-	}
-}
-
-// TestFallbackMonotonePerRequest pins the correct monotonicity property:
-// from an identical committed state, any request the primary-only
-// controller accepts is also accepted with fallbacks configured (the
-// primary is tried first). Whole *sequences* are not monotone — an extra
-// early acceptance can block several later requests — which is exactly
-// why experiment E9 reports sequence-level numbers separately.
-func TestFallbackMonotonePerRequest(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	rescues, agreements := 0, 0
-	for trial := 0; trial < 20; trial++ {
-		primary := NewController(Config{DPS: ADPS{}})
-		search := NewController(Config{
-			DPS:       ADPS{},
-			Fallbacks: []DPS{SDPS{}, FixedDPS{UpNum: 2, UpDen: 3}, FixedDPS{UpNum: 1, UpDen: 3}},
-		})
-		for step := 0; step < 120; step++ {
-			cc := int64(rng.Intn(4) + 1)
-			spec := ChannelSpec{
-				Src: NodeID(rng.Intn(5)),
-				Dst: NodeID(10 + rng.Intn(10)),
-				C:   cc,
-				P:   int64(rng.Intn(150) + 50),
-				D:   2*cc + int64(rng.Intn(50)),
-			}
-			_, errP := primary.Request(spec)
-			_, errS := search.Request(spec)
-			if errP == nil {
-				agreements++
-				if errS != nil {
-					t.Fatalf("trial %d step %d: primary accepted %v but search rejected: %v",
-						trial, step, spec, errS)
-				}
-				continue
-			}
-			if errS == nil {
-				// A genuine rescue; states now diverge, end the trial.
-				rescues++
-				break
-			}
-		}
-	}
-	if agreements == 0 {
-		t.Fatal("fuzz produced no accepted requests")
-	}
-	t.Logf("per-request agreement on %d accepts; %d fallback rescues observed", agreements, rescues)
-}
-
-func TestFallbackCommittedStateStaysFeasible(t *testing.T) {
-	ctrl := NewController(Config{
-		DPS:       SDPS{},
-		Fallbacks: []DPS{ADPS{}, FixedDPS{UpNum: 5, UpDen: 6}},
-	})
-	for _, s := range masterSlaveRequests(200) {
-		_, _ = ctrl.Request(s)
-	}
-	for _, l := range ctrl.State().Links() {
-		if res := edf.TestDefault(ctrl.State().TasksOn(l)); !res.OK() {
-			t.Fatalf("committed state infeasible on %v after fallback search: %v", l, res)
-		}
-	}
-	for _, ch := range ctrl.State().Channels() {
-		if !ch.Part.ValidFor(ch.Spec) {
-			t.Fatalf("channel %v has invalid partition", ch)
-		}
-	}
-}
-
-func TestFallbackRejectionReportsPrimaryReason(t *testing.T) {
-	ctrl := NewController(Config{DPS: SDPS{}, Fallbacks: []DPS{ADPS{}}})
-	// Saturate utterly: C=50/P=100 channels, two fill each link direction.
-	spec := ChannelSpec{Src: 1, Dst: 2, C: 50, P: 100, D: 200}
-	for i := 0; i < 2; i++ {
-		if _, err := ctrl.Request(spec.withDst(NodeID(2 + i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := ctrl.Request(spec.withDst(9))
-	var rej *RejectionError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err = %v, want RejectionError after all schemes fail", err)
-	}
-}
-
 func TestForceAddBypassesFeasibility(t *testing.T) {
 	c := NewController(Config{DPS: SDPS{}})
 	// Cram 10 channels onto one uplink; Request would stop at 6.

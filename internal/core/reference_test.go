@@ -23,8 +23,8 @@ func (st *State) clone() *State { return &State{k: st.k.Clone()} }
 
 // Reference is the clone oracle for a Controller with the same Config.
 type Reference struct {
-	st      *State
-	schemes []DPS
+	st  *State
+	dps DPS
 	// Checked counts the per-link EDF tests the oracle has run.
 	Checked int
 }
@@ -34,7 +34,7 @@ func newReference(cfg Config) *Reference {
 	if cfg.DPS == nil {
 		cfg.DPS = SDPS{}
 	}
-	return &Reference{st: NewState(), schemes: append([]DPS{cfg.DPS}, cfg.Fallbacks...)}
+	return &Reference{st: NewState(), dps: cfg.DPS}
 }
 
 // State returns the oracle's committed state.
@@ -44,36 +44,28 @@ func (r *Reference) State() *State { return r.st }
 func (r *Reference) Admit(reqs []Req) ([]*Channel, []Link) { return r.Replace(nil, reqs) }
 
 // Replace decides a release together with a non-empty list of valid
-// requests as Controller.Apply does: the schemes in order, the first
-// whose tentative state — the released channels gone, the requests added,
-// the channels on the links of both repartitioned — is feasible commits.
-// On rejection it returns every link the first scheme's tentative state
-// fails on.
+// requests as Controller.Apply does: the tentative state — the released
+// channels gone, the requests added, the channels on the links of both
+// repartitioned — commits if it is feasible. On rejection it returns
+// every link the tentative state fails on.
 func (r *Reference) Replace(remove []ChannelID, reqs []Req) ([]*Channel, []Link) {
-	var firstBad []Link
-	for _, d := range r.schemes {
-		next := r.st.clone()
-		var touched []Link
-		for _, id := range remove {
-			touched = append(touched, coreOps.Links(next.Get(id))...)
-			next.remove(id)
-		}
-		chs := make([]*Channel, len(reqs))
-		for i, q := range reqs {
-			chs[i] = newChannel(q, next.allocID())
-			next.add(chs[i])
-			touched = append(touched, coreOps.Links(chs[i])...)
-		}
-		bad := r.repartition(next, d, touched)
-		if len(bad) == 0 {
-			r.st = next
-			return chs, nil
-		}
-		if firstBad == nil {
-			firstBad = bad
-		}
+	next := r.st.clone()
+	var touched []Link
+	for _, id := range remove {
+		touched = append(touched, coreOps.Links(next.Get(id))...)
+		next.remove(id)
 	}
-	return nil, firstBad
+	chs := make([]*Channel, len(reqs))
+	for i, q := range reqs {
+		chs[i] = newChannel(q, next.allocID())
+		next.add(chs[i])
+		touched = append(touched, coreOps.Links(chs[i])...)
+	}
+	if bad := r.repartition(next, r.dps, touched); len(bad) > 0 {
+		return nil, bad
+	}
+	r.st = next
+	return chs, nil
 }
 
 // Release removes a channel and keeps the repartition of the channels on
@@ -82,7 +74,7 @@ func (r *Reference) Release(id ChannelID) {
 	ch := r.st.Get(id)
 	r.st.remove(id)
 	next := r.st.clone()
-	if len(r.repartition(next, r.schemes[0], coreOps.Links(ch))) == 0 {
+	if len(r.repartition(next, r.dps, coreOps.Links(ch))) == 0 {
 		r.st = next
 	}
 }

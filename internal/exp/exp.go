@@ -212,25 +212,24 @@ func AltSched() *stats.Table {
 // master→slave plus reverse slave→master channels), where no single
 // static weighting fits both directions.
 func DPSSearch() *stats.Table {
-	fallbacks := []core.DPS{
+	searched := []core.DPS{ // the primary, then the fallbacks in order
+		core.ADPS{},
 		core.SDPS{},
 		core.FixedDPS{UpNum: 2, UpDen: 3},
 		core.FixedDPS{UpNum: 1, UpDen: 3},
 		core.FixedDPS{UpNum: 5, UpDen: 6},
 	}
-	run := func(requests []core.ChannelSpec, dps core.DPS, withFallback bool) int {
-		cfg := core.Config{DPS: dps}
-		if withFallback {
-			cfg.Fallbacks = fallbacks
-		}
-		ctrl := core.NewController(cfg)
-		accepted := 0
-		for _, s := range requests {
-			if _, err := ctrl.Request(s); err == nil {
+	// run requests every spec under the first scheme, searching the rest
+	// on a rejection, and returns how many were accepted and how many
+	// link tests it ran.
+	run := func(requests []core.ChannelSpec, schemes ...core.DPS) (accepted, checked int) {
+		s := newSearch(schemes...)
+		for _, spec := range requests {
+			if _, err := s.Request(spec); err == nil {
 				accepted++
 			}
 		}
-		return accepted
+		return accepted, s.ctrl.Stats().LinksChecked
 	}
 
 	forward := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
@@ -251,29 +250,50 @@ func DPSSearch() *stats.Table {
 		{"master→slave (Fig 18.5)", forward},
 		{"bidirectional master↔slave", bidi},
 	} {
-		ctrlA := core.NewController(core.Config{DPS: core.ADPS{}})
-		adps := 0
-		for _, s := range w.reqs {
-			if _, err := ctrlA.Request(s); err == nil {
-				adps++
-			}
-		}
-		ctrlS := core.NewController(core.Config{DPS: core.ADPS{}, Fallbacks: fallbacks})
-		search := 0
-		for _, s := range w.reqs {
-			if _, err := ctrlS.Request(s); err == nil {
-				search++
-			}
-		}
-		tb.AddRowf(w.name,
-			run(w.reqs, core.SDPS{}, false),
-			adps,
-			search,
-			ctrlA.Stats().LinksChecked,
-			ctrlS.Stats().LinksChecked,
-		)
+		sdps, _ := run(w.reqs, core.SDPS{})
+		adps, adpsChecked := run(w.reqs, core.ADPS{})
+		found, foundChecked := run(w.reqs, searched...)
+		tb.AddRowf(w.name, sdps, adps, found, adpsChecked, foundChecked)
 	}
 	return tb
+}
+
+// search is E9's controller. It is itself the controller's DPS: the
+// scheme in force, which a rejected request switches to each fallback in
+// turn for a retry.
+type search struct {
+	core.DPS
+	ctrl    *core.Controller
+	schemes []core.DPS // the primary, then the fallbacks in order
+}
+
+func newSearch(schemes ...core.DPS) *search {
+	s := &search{DPS: schemes[0], schemes: schemes}
+	s.ctrl = core.NewController(core.Config{DPS: s})
+	return s
+}
+
+// Request admits spec under the primary scheme and, if it is rejected,
+// retries it under each fallback in turn; the first scheme that admits
+// it commits. A rejected request leaves the committed state
+// bit-identical, so every retry decides against the state the primary
+// saw. When every scheme fails, the primary's rejection is returned.
+// Between requests the primary is in force, so later decisions
+// (releases included) repartition with it.
+func (s *search) Request(spec core.ChannelSpec) (*core.Channel, error) {
+	defer func() { s.DPS = s.schemes[0] }()
+	var first error
+	for _, d := range s.schemes {
+		s.DPS = d
+		ch, err := s.ctrl.Request(spec)
+		if err == nil {
+			return ch, nil
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return nil, first
 }
 
 // passFail renders a guarantee-compliance verdict cell.

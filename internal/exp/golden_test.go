@@ -54,3 +54,15 @@ func TestAltSchedGolden(t *testing.T) {
 		t.Errorf("E7 output changed.\ngot:\n%s\nwant:\n%s", got, altSchedGoldenCSV)
 	}
 }
+
+const dpsSearchGoldenCSV = `workload,SDPS,ADPS,ADPS+search,tests run (ADPS),tests run (search)
+master→slave (Fig 18.5),60,110,110,560,920
+bidirectional master↔slave,120,200,200,890,890
+`
+
+func TestDPSSearchGolden(t *testing.T) {
+	got := DPSSearch().CSV()
+	if got != dpsSearchGoldenCSV {
+		t.Errorf("E9 output changed.\ngot:\n%s\nwant:\n%s", got, dpsSearchGoldenCSV)
+	}
+}

@@ -14,7 +14,7 @@ import (
 //
 // Failures are modeled as state, not structure: a downed trunk or switch
 // stays in the graph (so repair is a pure flag flip) but is skipped by
-// every Router traversal. With nothing down, traversal order is
+// every route traversal. With nothing down, traversal order is
 // bit-identical to the historical immutable topology.
 type Graph struct {
 	switches map[SwitchID]struct{}

@@ -1,15 +1,15 @@
 // Package route owns all path and tree computation over the switch
-// fabric. It was extracted from internal/topo so that routing policy is
-// pluggable and the physical layout is mutable at runtime:
+// fabric. It was extracted from internal/topo so that the physical
+// layout is mutable at runtime:
 //
 //   - Graph is the fabric itself — switches, trunks and node
 //     attachments — plus the live up/down state of every element.
 //     SetLinkUp and SetSwitchUp flip availability and bump a version
 //     counter so consumers know cached routes may be stale.
-//   - Router is the policy seam: Route picks a unicast path, Tree a
-//     multicast distribution tree. Shortest reproduces the historical
-//     deterministic BFS bit-for-bit on a fully-up graph; LeastLoaded
-//     trades path length against a caller-supplied per-edge cost.
+//   - Shortest is the one routing policy: Route picks a unicast path,
+//     Tree a multicast distribution tree, both along deterministic BFS
+//     shortest paths over the live graph (bit-for-bit the historical
+//     fixed routes on a fully-up graph).
 //
 // internal/topo consumes this package for admission-control routing and
 // re-exports the shared vocabulary types (SwitchID, Endpoint, Edge) as

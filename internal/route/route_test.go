@@ -205,69 +205,3 @@ func TestAvailabilityQueries(t *testing.T) {
 		t.Fatal("downed switch reports up")
 	}
 }
-
-// TestLeastLoadedSteersAroundLoad builds the ring's diamond (0→2 via 1
-// or via 3): with heavy load reported on the 0→1 trunk, LeastLoaded must
-// take the via-3 path that plain Shortest rejects on ID order — and with
-// a nil Load hook it must degrade to exactly the Shortest choice.
-func TestLeastLoadedSteersAroundLoad(t *testing.T) {
-	g := ring4()
-	loaded := LeastLoaded{Load: func(e Edge) int64 {
-		if e.From == SwitchEnd(0) && e.To == SwitchEnd(1) {
-			return 100
-		}
-		return 0
-	}}
-	edges, err := loaded.Route(g, 1, 3)
-	if err != nil {
-		t.Fatalf("route: %v", err)
-	}
-	if got, want := pathString(edges), "n1→sw0 sw0→sw3 sw3→sw2 sw2→n3 "; got != want {
-		t.Fatalf("loaded route %q, want %q", got, want)
-	}
-
-	sEdges, err := Shortest{}.Route(g, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nEdges, err := LeastLoaded{}.Route(g, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pathString(nEdges) != pathString(sEdges) {
-		t.Fatalf("nil-Load LeastLoaded diverges from Shortest: %q vs %q",
-			pathString(nEdges), pathString(sEdges))
-	}
-}
-
-// TestLeastLoadedNeverLengthensPaths verifies load only breaks ties:
-// even infinite load on every trunk of the unique shortest path must not
-// push the router onto a longer detour.
-func TestLeastLoadedSticksToShortest(t *testing.T) {
-	// Line 0-1-2 plus a long detour 0-3-4-2.
-	g := NewGraph()
-	for s := SwitchID(0); s < 5; s++ {
-		if err := g.AddSwitch(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tr := range [][2]SwitchID{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {4, 2}} {
-		if err := g.ConnectSwitches(tr[0], tr[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AttachNode(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AttachNode(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	r := LeastLoaded{Load: func(Edge) int64 { return 1 << 40 }}
-	edges, err := r.Route(g, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pathString(edges), "n1→sw0 sw0→sw1 sw1→sw2 sw2→n2 "; got != want {
-		t.Fatalf("uniform load changed the path: %q, want %q", got, want)
-	}
-}

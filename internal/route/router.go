@@ -2,36 +2,20 @@ package route
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 )
 
-// Router is the pluggable path-selection policy. Route picks the
-// directed links of a unicast path, Tree a multicast distribution tree
-// (see Shortest.Tree for the exact return contract). Implementations
-// must be deterministic: the same graph state yields the same answer.
-//
-// Routers only read the graph; failures enter routing purely through the
-// graph's up/down state, which every implementation must respect.
-type Router interface {
-	// Route returns the directed links of a path from src to dst:
-	// src→home(src), a trunk sequence, home(dst)→dst.
-	Route(g *Graph, src, dst core.NodeID) ([]Edge, error)
-	// Tree returns a distribution tree from src to every sink: the
-	// tree's directed edges (edge 0 is the source uplink), the parent
-	// index of each edge (-1 for the root; always parents[i] < i), and
-	// for each sink the index of its delivering leaf edge.
-	Tree(g *Graph, src core.NodeID, sinks []core.NodeID) (route []Edge, parents []int, leaves []int, err error)
-}
-
 // Shortest routes along deterministic shortest paths: BFS over the trunk
 // graph with sorted adjacency, so the choice among equal-length paths is
 // stable. On a fully-up graph it reproduces the historical fixed-route
-// behavior bit-for-bit; downed trunks and switches are skipped.
+// behavior bit-for-bit; downed trunks and switches are skipped. It only
+// reads the graph: failures enter routing purely through the graph's
+// up/down state.
 type Shortest struct{}
 
-// Route implements Router.
+// Route returns the directed links of a path from src to dst:
+// src→home(src), a trunk sequence, home(dst)→dst.
 func (Shortest) Route(g *Graph, src, dst core.NodeID) ([]Edge, error) {
 	sSrc, sDst, err := endpoints(g, src, dst)
 	if err != nil {
@@ -44,10 +28,13 @@ func (Shortest) Route(g *Graph, src, dst core.NodeID) ([]Edge, error) {
 	return assemble(src, dst, swPath), nil
 }
 
-// Tree implements Router: one BFS from home(src) fixes a deterministic
-// shortest path to every reachable switch, each sink's path is read off
-// the same predecessor map, and shared prefixes therefore dedupe into
-// single tree edges.
+// Tree returns a distribution tree from src to every sink: the tree's
+// directed edges (edge 0 is the source uplink), the parent index of each
+// edge (-1 for the root; always parents[i] < i), and for each sink the
+// index of its delivering leaf edge. One BFS from home(src) fixes a
+// deterministic shortest path to every reachable switch, each sink's
+// path is read off the same predecessor map, and shared prefixes
+// therefore dedupe into single tree edges.
 func (Shortest) Tree(g *Graph, src core.NodeID, sinks []core.NodeID) (route []Edge, parents []int, leaves []int, err error) {
 	sSrc, ok := g.home[src]
 	if !ok {
@@ -104,9 +91,9 @@ func assemble(src, dst core.NodeID, swPath []SwitchID) []Edge {
 	return edges
 }
 
-// graft builds the tree-edge structure shared by every Router: walk each
-// sink's path back to the source switch on the predecessor map, then
-// graft the not-yet-spanned suffix onto the tree front to back.
+// graft builds Tree's edges: walk each sink's path back to the source
+// switch on the predecessor map, then graft the not-yet-spanned suffix
+// onto the tree front to back.
 func graft(g *Graph, src core.NodeID, sinks []core.NodeID, sSrc SwitchID, prev map[SwitchID]SwitchID) (route []Edge, parents []int, leaves []int, err error) {
 	route = append(route, Edge{From: NodeEnd(src), To: SwitchEnd(sSrc)})
 	parents = append(parents, -1)
@@ -183,115 +170,4 @@ func shortestSwitchPath(g *Graph, from, to SwitchID) ([]SwitchID, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: sw%d to sw%d", ErrNoRoute, from, to)
-}
-
-// LeastLoaded routes by lexicographic (hops, load) cost: among the
-// shortest paths it prefers the one whose trunks carry the least load as
-// reported by the Load hook, steering new channels around saturated
-// trunks. Ties beyond load break on sorted adjacency, so the choice
-// stays deterministic. A nil Load degenerates to hop count only.
-type LeastLoaded struct {
-	// Load reports the cost currently carried by a directed trunk edge —
-	// typically the number of admitted channel tasks on it. It is
-	// consulted once per candidate edge per routing call.
-	Load func(Edge) int64
-}
-
-// Route implements Router.
-func (r LeastLoaded) Route(g *Graph, src, dst core.NodeID) ([]Edge, error) {
-	sSrc, sDst, err := endpoints(g, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	prev, reach := r.spt(g, sSrc)
-	if !reach[sDst] {
-		return nil, fmt.Errorf("%w: sw%d to sw%d", ErrNoRoute, sSrc, sDst)
-	}
-	var rev []SwitchID
-	for at := sDst; ; at = prev[at] {
-		rev = append(rev, at)
-		if at == sSrc {
-			break
-		}
-	}
-	path := make([]SwitchID, len(rev))
-	for i, s := range rev {
-		path[len(rev)-1-i] = s
-	}
-	return assemble(src, dst, path), nil
-}
-
-// Tree implements Router: the least-loaded shortest-path tree from the
-// source switch (a tree by construction, since every switch has one
-// predecessor), grafted per sink exactly like Shortest.Tree.
-func (r LeastLoaded) Tree(g *Graph, src core.NodeID, sinks []core.NodeID) ([]Edge, []int, []int, error) {
-	sSrc, ok := g.home[src]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %d", ErrUnknownNode, src)
-	}
-	prev, _ := r.spt(g, sSrc)
-	return graft(g, src, sinks, sSrc, prev)
-}
-
-// spt computes the single-source lexicographic (hops, load) shortest-path
-// tree from one switch. Selection order and relaxation are both
-// deterministic: candidates are scanned in ascending switch-ID order and
-// an equal-cost candidate never displaces the incumbent predecessor.
-func (r LeastLoaded) spt(g *Graph, from SwitchID) (prev map[SwitchID]SwitchID, reach map[SwitchID]bool) {
-	prev = make(map[SwitchID]SwitchID)
-	reach = make(map[SwitchID]bool)
-	if !g.SwitchUp(from) {
-		return prev, reach
-	}
-	ids := make([]SwitchID, 0, len(g.switches))
-	for s := range g.switches {
-		ids = append(ids, s)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	hops := map[SwitchID]int64{from: 0}
-	load := map[SwitchID]int64{from: 0}
-	prev[from] = from
-	done := make(map[SwitchID]bool)
-	for {
-		// Pick the cheapest unfinished reachable switch, lowest ID first.
-		cur, found := SwitchID(0), false
-		for _, s := range ids {
-			if done[s] {
-				continue
-			}
-			if _, ok := hops[s]; !ok {
-				continue
-			}
-			if !found || hops[s] < hops[cur] || (hops[s] == hops[cur] && load[s] < load[cur]) {
-				cur, found = s, true
-			}
-		}
-		if !found {
-			break
-		}
-		done[cur] = true
-		reach[cur] = true
-		for _, next := range g.adj[cur] {
-			if done[next] || !g.usable(cur, next) {
-				continue
-			}
-			h := hops[cur] + 1
-			l := load[cur] + r.edgeLoad(cur, next)
-			oh, seen := hops[next]
-			if seen && (oh < h || (oh == h && load[next] <= l)) {
-				continue
-			}
-			hops[next], load[next], prev[next] = h, l, cur
-		}
-	}
-	return prev, reach
-}
-
-// edgeLoad consults the Load hook for one directed trunk.
-func (r LeastLoaded) edgeLoad(a, b SwitchID) int64 {
-	if r.Load == nil {
-		return 0
-	}
-	return r.Load(Edge{From: SwitchEnd(a), To: SwitchEnd(b)})
 }

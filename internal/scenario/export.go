@@ -46,7 +46,8 @@ func (s *Scenario) BuildNetwork(_ int, extra ...rtether.Option) (*rtether.Networ
 // WorkItem is one flattened admission operation of a scenario: an
 // establish (with the full spec) or a release of an earlier establish,
 // identified by the channel's scenario name. `rtexp load` replays these
-// against a remote daemon; `rtexp sweep` replays them in-process.
+// against a remote daemon; an `rtexp sweep` cell with batch "each"
+// replays them in-process.
 type WorkItem struct {
 	// At is the scenario slot the operation was scheduled for. Load
 	// generators are free to ignore it and replay at full speed; the
@@ -72,9 +73,10 @@ type WorkItem struct {
 // flattens the result into a replayable establish/release stream: first
 // the static channel population in declaration order, then every
 // timeline establish, establishAll (one item per batch member) and
-// release in deterministic playback order. Reconfigure and
-// setBackground events have no wire-operation equivalent and are
-// counted in skipped instead.
+// release in deterministic playback order. Every other event kind —
+// reconfigure, publish, setBackground and the failure events linkDown,
+// switchDown and repair — is left out and counted in skipped; Replay
+// plays the whole timeline.
 func (s *Scenario) Workload() (items []WorkItem, skipped int, err error) {
 	tl, err := s.compile()
 	if err != nil {

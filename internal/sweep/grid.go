@@ -32,9 +32,11 @@ const (
 	// one).
 	AxisChurnRate = "churnRate"
 	// AxisBatch varies how in-process replay submits establishes:
-	// "sequential" (one management-plane decision each) or "each"
-	// (consecutive establishes merged into EstablishEach groups, the
-	// coalesced path). Replay mode only.
+	// "sequential" (the scenario's whole timeline, one management-plane
+	// decision per event) or "each" (the establish/release workload,
+	// consecutive establishes merged into EstablishEach groups, the
+	// coalesced path). Replay only, and not with failurePolicy: the
+	// "each" workload has no failure events for a policy to act on.
 	AxisBatch = "batch"
 	// AxisFailurePolicy varies the degradation ladder applied to
 	// channels displaced by failure events: "reject", "degrade" or
@@ -47,12 +49,6 @@ var axisOrder = []string{
 	AxisScheme, AxisScenario, AxisChurnRate,
 	AxisBatch, AxisFailurePolicy,
 }
-
-// ModeInProcess is the one grid mode: every cell executes inside the
-// orchestrator process against the scenario machinery — an
-// admission-plane workload replay by default, a full simulation with
-// simulate: true.
-const ModeInProcess = "inprocess"
 
 // AxisError reports an invalid axis declaration, naming the offending
 // axis — the typed error the grid loader's fuzz contract pins.
@@ -72,17 +68,13 @@ type Grid struct {
 	// (resolved relative to the grid file). Omit it only when a
 	// "scenario" axis supplies one per cell.
 	Scenario string `json:"scenario,omitempty"`
-	// Mode names the executor; "inprocess" (the default) is the only one.
-	Mode string `json:"mode,omitempty"`
-	// Simulate switches cells from an admission-plane workload replay to
-	// the full simulation (scenario Run): virtual time passes, traffic
+	// Simulate switches cells from an admission-plane replay to the full
+	// simulation (scenario Run): virtual time passes, traffic
 	// flows, and cells report delivery/miss profiles.
 	Simulate bool `json:"simulate,omitempty"`
 	// Seed overrides the base scenario's seed when non-zero, so one grid
 	// document fully determines the synthesized workloads.
 	Seed int64 `json:"seed,omitempty"`
-	// MaxOps caps each cell's workload items (0 = whole workload).
-	MaxOps int `json:"maxOps,omitempty"`
 	// Parallel bounds how many cells execute concurrently (default 1 —
 	// sequential).
 	Parallel int `json:"parallel,omitempty"`
@@ -134,18 +126,12 @@ func LoadGridFile(path string) (*Grid, error) {
 	return g, nil
 }
 
-// Validate checks the document: mode, axis names, every axis range and
-// the cross-field constraints (batch needs the replay executor, a
-// scenario must come from somewhere).
+// Validate checks the document: axis names, every axis range and the
+// cross-field constraints (batch needs the workload replay, a scenario
+// must come from somewhere).
 func (g *Grid) Validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("sweep: grid needs a name")
-	}
-	if g.Mode != "" && g.Mode != ModeInProcess {
-		return fmt.Errorf("sweep: unknown mode %q (want %q)", g.Mode, ModeInProcess)
-	}
-	if g.MaxOps < 0 {
-		return fmt.Errorf("sweep: negative maxOps")
 	}
 	if g.Parallel < 0 {
 		return fmt.Errorf("sweep: negative parallel")
@@ -194,6 +180,9 @@ func (g *Grid) Validate() error {
 	}
 	if g.hasAxis(AxisBatch) && g.Simulate {
 		return &AxisError{Axis: AxisBatch, Msg: "batch is a replay axis (not with simulate)"}
+	}
+	if g.hasAxis(AxisBatch) && g.hasAxis(AxisFailurePolicy) {
+		return &AxisError{Axis: AxisBatch, Msg: "batch replays establishes and releases only (not with failurePolicy)"}
 	}
 	return nil
 }

@@ -35,12 +35,12 @@ func TestLoadGridValidation(t *testing.T) {
 		{
 			name:    "unknown mode",
 			doc:     `{"name": "g", "scenario": "s.json", "mode": "cluster"}`,
-			wantErr: `unknown mode "cluster"`,
+			wantErr: "sweep: parse",
 		},
 		{
 			name:    "retired daemon mode",
 			doc:     `{"name": "g", "scenario": "s.json", "mode": "daemon", "simulate": true}`,
-			wantErr: `unknown mode "daemon"`,
+			wantErr: "sweep: parse",
 		},
 		{
 			name:    "no scenario anywhere",
@@ -106,6 +106,17 @@ func TestLoadGridValidation(t *testing.T) {
 			doc:      `{"name": "g", "scenario": "s.json", "simulate": true, "axes": {"batch": ["each"]}}`,
 			wantErr:  "replay axis",
 			wantAxis: AxisBatch,
+		},
+		{
+			name:     "batch with failurePolicy",
+			doc:      `{"name": "g", "scenario": "s.json", "axes": {"batch": ["each"], "failurePolicy": ["reject"]}}`,
+			wantErr:  "not with failurePolicy",
+			wantAxis: AxisBatch,
+		},
+		{
+			name:    "retired maxOps field",
+			doc:     `{"name": "g", "scenario": "s.json", "maxOps": 10}`,
+			wantErr: "sweep: parse",
 		},
 	}
 	for _, tc := range cases {

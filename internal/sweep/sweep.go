@@ -191,32 +191,35 @@ func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 	return s, nil
 }
 
-// runReplayCell replays the cell's flattened workload against the
-// admission plane in-process: the same establish/release stream
-// `rtexp load` sends over the wire, submitted sequentially or in merged
-// EstablishEach groups per the batch axis.
+// runReplayCell runs the cell against the admission plane in-process,
+// with no virtual time passing. A sequential cell (the default) plays
+// the whole timeline through scenario Replay, the executor of `rtexp
+// admit -scenario`: reconfigure, publish and failure events included. A
+// batch=each cell replays the flattened establish/release Workload
+// instead, merging consecutive establishes into EstablishEach groups.
 func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (Result, error) {
-	items, _, err := s.Workload()
-	if err != nil {
-		return Result{}, err
-	}
-	if g.MaxOps > 0 && len(items) > g.MaxOps {
-		items = items[:g.MaxOps]
-	}
-	network, err := s.BuildNetwork(0)
-	if err != nil {
-		return Result{}, err
-	}
-	defer network.Close()
-
-	m := cellCounts{}
+	var network *rtether.Network
+	var m cellCounts
 	if c.Batch == "each" {
-		err = replayEach(network, items, &m)
+		items, _, err := s.Workload()
+		if err != nil {
+			return Result{}, err
+		}
+		if network, err = s.BuildNetwork(0); err != nil {
+			return Result{}, err
+		}
+		defer network.Close()
+		if err := replayEach(network, items, &m); err != nil {
+			return Result{}, err
+		}
 	} else {
-		err = replaySequential(network, items, &m)
-	}
-	if err != nil {
-		return Result{}, err
+		res, err := s.Replay()
+		if err != nil {
+			return Result{}, err
+		}
+		network = res.Network
+		defer network.Close()
+		m = replayCounts(res)
 	}
 
 	stats := network.AdmissionStats()
@@ -236,31 +239,45 @@ func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (Result, error) {
 
 // cellCounts aggregates one cell's replay outcomes.
 type cellCounts struct {
-	ops      int // operations attempted (establishes + releases)
-	accepted int // establishes admitted
+	ops      int // operations attempted: static channels plus timeline events
+	accepted int // admissions committed (establishes, reconfigures)
 	rejected int // tolerated admission rejections
 	released int // releases applied
-	skipped  int // releases of never-established channels
+	skipped  int // events naming a channel that is not established
 }
 
-// establishItem submits one establish WorkItem through the management
-// plane and records the outcome. Mandatory rejections are fatal,
-// matching scenario replay semantics.
-func establishItem(network *rtether.Network, it scenario.WorkItem, handles map[string]*rtether.Channel, m *cellCounts) error {
-	m.ops++
-	var h *rtether.Channel
-	var err error
-	if len(it.Sinks) > 0 {
-		h, err = network.EstablishMulticast(rtether.MulticastSpec{
-			Src: it.Spec.Src, Sinks: it.Sinks, C: it.Spec.C, P: it.Spec.P, D: it.Spec.D, Priority: it.Spec.Priority,
-		})
-	} else {
-		var hs []*rtether.Channel
-		hs, err = network.EstablishAll([]rtether.ChannelSpec{it.Spec})
-		if err == nil {
-			h = hs[0]
+// replayCounts tallies a scenario Replay. An establishAll event is one
+// operation; failure, publish and setBackground events count only as
+// operations.
+func replayCounts(res *scenario.Result) cellCounts {
+	m := cellCounts{
+		ops:      len(res.Accepted) + res.Rejected + len(res.Events),
+		accepted: len(res.Accepted),
+		rejected: res.Rejected,
+	}
+	for _, ev := range res.Events {
+		switch {
+		case ev.Skipped:
+			m.skipped++
+		case !ev.Accepted:
+			m.rejected++
+		case ev.Kind == scenario.KindRelease:
+			m.released++
+		case ev.Kind == scenario.KindEstablish, ev.Kind == scenario.KindEstablishAll, ev.Kind == scenario.KindReconfigure:
+			m.accepted++
 		}
 	}
+	return m
+}
+
+// establishMulticast submits one multicast establish WorkItem through
+// the management plane and records the outcome. Mandatory rejections
+// are fatal, matching scenario replay semantics.
+func establishMulticast(network *rtether.Network, it scenario.WorkItem, handles map[string]*rtether.Channel, m *cellCounts) error {
+	m.ops++
+	h, err := network.EstablishMulticast(rtether.MulticastSpec{
+		Src: it.Spec.Src, Sinks: it.Sinks, C: it.Spec.C, P: it.Spec.P, D: it.Spec.D, Priority: it.Spec.Priority,
+	})
 	if err != nil {
 		if !it.Optional {
 			return fmt.Errorf("channel %q rejected: %w", it.Name, err)
@@ -288,23 +305,6 @@ func releaseItem(it scenario.WorkItem, handles map[string]*rtether.Channel, m *c
 		return fmt.Errorf("release %q: %w", it.Name, err)
 	}
 	m.released++
-	return nil
-}
-
-// replaySequential submits every item as its own admission decision.
-func replaySequential(network *rtether.Network, items []scenario.WorkItem, m *cellCounts) error {
-	handles := make(map[string]*rtether.Channel)
-	for _, it := range items {
-		var err error
-		if it.Release {
-			err = releaseItem(it, handles, m)
-		} else {
-			err = establishItem(network, it, handles, m)
-		}
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -359,7 +359,7 @@ func replayEach(network *rtether.Network, items []scenario.WorkItem, m *cellCoun
 			if err := flush(); err != nil {
 				return err
 			}
-			if err := establishItem(network, it, handles, m); err != nil {
+			if err := establishMulticast(network, it, handles, m); err != nil {
 				return err
 			}
 		default:

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -157,5 +158,35 @@ func TestSweepChurnRateAxisNeedsChurn(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), AxisChurnRate) || !strings.Contains(err.Error(), "no churn generators") {
 		t.Errorf("error does not explain the axis problem: %v", err)
+	}
+}
+
+// TestSweepFailurePolicyAxis: a replay cell plays the scenario's failure
+// events, so the policy axis reaches the recovery pass. When trunk 0-1
+// of the ring fails, both of its channels detour over five hops: "ctl"
+// no longer meets its deadline there, and "drive" overloads the trunk
+// "bulk" holds. Reject loses both, degrade re-admits "ctl" at twice its
+// deadline, and preempt evicts the lower-priority "bulk" for "drive" —
+// three different decision sequences.
+func TestSweepFailurePolicyAxis(t *testing.T) {
+	const doc = `{
+		"name": "ring",
+		"scenario": "ring_failover.json",
+		"axes": {"failurePolicy": ["reject", "degrade", "preempt"]}
+	}`
+	rep, err := loadTestGrid(t, doc).Run(context.Background(), Options{Dir: "testdata"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("got %d cells, want 3", len(rep.Benchmarks))
+	}
+	seen := map[string]string{}
+	for _, b := range rep.Benchmarks {
+		key := fmt.Sprint(b.Metrics["links-checked"], b.Metrics["repartitions"])
+		if other, dup := seen[key]; dup {
+			t.Errorf("%s and %s report the same kernel counters: %v", other, b.Name, b.Metrics)
+		}
+		seen[key] = b.Name
 	}
 }

@@ -47,7 +47,7 @@ type Config struct {
 type Controller struct {
 	topo *Topology
 	cfg  Config
-	p    admit.Plane[Edge, *HChannel, []int64] // one scheme: fabrics have no fallback search
+	p    admit.Plane[Edge, *HChannel, []int64]
 }
 
 // NewController builds a controller over a fixed topology.
@@ -60,10 +60,8 @@ func NewController(t *Topology, cfg Config) *Controller {
 	c.p.Eng = admit.NewEngine(topoOps, admit.Config{Feasibility: cfg.Feasibility})
 	c.p.Unknown = func(id core.ChannelID) error { return fmt.Errorf("topo: release of unknown channel %d", id) }
 	c.p.Reject = func(rej *admit.Rejection[Edge]) error { return &RejectionError{Edge: rej.Link, Result: rej.Result} }
-	c.p.Schemes = []admit.Scheme[Edge, *HChannel, []int64]{
-		func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
-			return cfg.DPS.PartitionTouched(&State{k: k}, touched)
-		},
+	c.p.Scheme = func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
+		return cfg.DPS.PartitionTouched(&State{k: k}, touched)
 	}
 	return c
 }

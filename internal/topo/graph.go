@@ -1,10 +1,10 @@
 // Package topo extends the paper's star network to the multi-switch
 // topologies its future-work section calls for (§18.5: "networks
 // consisting of many interconnected Switches"). End-nodes attach to
-// switches, switches interconnect arbitrarily, channels are routed by a
-// pluggable route.Router (deterministic shortest paths by default), and
-// the deadline of a channel is partitioned over every directed link of
-// its route — generalizing SDPS/ADPS from two hops to h hops. Admission
+// switches, switches interconnect arbitrarily, channels are routed along
+// deterministic shortest paths (route.Shortest), and the deadline of a
+// channel is partitioned over every directed link of its route —
+// generalizing SDPS/ADPS from two hops to h hops. Admission
 // control tests EDF feasibility of every directed link, exactly as in
 // the star case.
 //
@@ -57,32 +57,19 @@ var (
 )
 
 // Topology is the physical layout: switches, inter-switch links and node
-// attachments, owned by a route.Graph, plus the Router that picks paths
-// over it. Construction and mutation are not safe for concurrent use.
+// attachments, owned by a route.Graph and routed by route.Shortest.
+// Construction and mutation are not safe for concurrent use.
 type Topology struct {
-	graph  *route.Graph
-	router route.Router
+	graph *route.Graph
 }
 
-// NewTopology returns an empty fabric routed by route.Shortest.
+// NewTopology returns an empty fabric.
 func NewTopology() *Topology {
-	return &Topology{graph: route.NewGraph(), router: route.Shortest{}}
+	return &Topology{graph: route.NewGraph()}
 }
 
 // Graph exposes the underlying mutable route.Graph.
 func (t *Topology) Graph() *route.Graph { return t.graph }
-
-// Router returns the active routing policy.
-func (t *Topology) Router() route.Router { return t.router }
-
-// SetRouter swaps the routing policy. Existing admitted channels keep
-// the routes they were admitted with; only new routing calls change.
-func (t *Topology) SetRouter(r route.Router) {
-	if r == nil {
-		r = route.Shortest{}
-	}
-	t.router = r
-}
 
 // AddSwitch registers a switch.
 func (t *Topology) AddSwitch(id SwitchID) error { return t.graph.AddSwitch(id) }
@@ -112,22 +99,22 @@ func (t *Topology) SetSwitchUp(s SwitchID, up bool) (bool, error) {
 // Version counts route-invalidating graph mutations (see route.Graph.Version).
 func (t *Topology) Version() uint64 { return t.graph.Version() }
 
-// Route returns the directed links of the active router's path from src
-// to dst: src→home(src), a trunk sequence, and home(dst)→dst. The
-// default route.Shortest uses BFS with sorted adjacency, making the
-// choice deterministic among equal-length paths.
+// Route returns the directed links of the path from src to dst:
+// src→home(src), a trunk sequence, and home(dst)→dst. route.Shortest
+// uses BFS with sorted adjacency, making the choice deterministic among
+// equal-length paths.
 func (t *Topology) Route(src, dst core.NodeID) ([]Edge, error) {
-	return t.router.Route(t.graph, src, dst)
+	return route.Shortest{}.Route(t.graph, src, dst)
 }
 
-// MulticastTree routes a distribution tree from src to every sink via
-// the active router (deterministic shortest-path tree by default, with
-// shared prefixes deduped into single tree edges). It returns the tree's
+// MulticastTree routes a distribution tree from src to every sink
+// (route.Shortest.Tree: a deterministic shortest-path tree, with shared
+// prefixes deduped into single tree edges). It returns the tree's
 // directed edges (edge 0 is the source uplink), the parent index of each
 // edge (-1 for the root; always parents[i] < i), and for each sink the
 // index of its delivering leaf edge.
-func (t *Topology) MulticastTree(src core.NodeID, sinks []core.NodeID) (route []Edge, parents []int, leaves []int, err error) {
-	return t.router.Tree(t.graph, src, sinks)
+func (t *Topology) MulticastTree(src core.NodeID, sinks []core.NodeID) (edges []Edge, parents []int, leaves []int, err error) {
+	return route.Shortest{}.Tree(t.graph, src, sinks)
 }
 
 // RouteOf routes a request: a chain (nil parents and leaves) for a
