@@ -30,15 +30,15 @@ import (
 // core.ChannelID is an alias of this type.
 type ID uint32
 
-// Ref locates one hop of one channel on a link's task list: the channel
-// and the index of the link within the channel's traversed-links sequence
-// (0 = first hop; on a star, 0 = uplink and 1 = downlink).
-type Ref[Ch any] struct {
-	Ch  Ch
-	Hop int
-	// pos points at the channel entry's record of this hop's position on
-	// the link's lists, so a removal renumbers the hops it shifts without
-	// looking their channels up.
+// ref locates one hop of one channel on a link's task list: the channel's
+// entry and the index of the link within the channel's traversed-links
+// sequence (0 = first hop; on a star, 0 = uplink and 1 = downlink).
+type ref[Ch any] struct {
+	e   *entry[Ch]
+	hop int
+	// pos points at the entry's record of this hop's position on the
+	// link's lists (&e.pos[hop]), so a removal renumbers the hops it
+	// shifts with one store each.
 	pos *int32
 }
 
@@ -62,8 +62,9 @@ type Ops[K comparable, Ch any, P any] struct {
 	Task func(ch Ch, hop int) edf.Task
 	// Less is the deterministic verification order on link keys.
 	Less func(a, b K) bool
-	// Part snapshots the channel's current partition for the undo log.
-	Part func(Ch) P
+	// Part snapshots the channel's current partition for the undo log,
+	// reusing dst's storage (a partition the log recycles, or zero).
+	Part func(ch Ch, dst P) P
 	// SetPart installs a partition on the channel (cache invalidation is
 	// the kernel's job; adapters must route all repartitioning through
 	// State.SetPart).
@@ -82,12 +83,14 @@ var ratOne = big.NewRat(1, 1)
 // entry is one channel plus its traversed-links sequence as dense link
 // indices (idx[hop] is the index of Ops.Links(ch)[hop]), the position of
 // each hop on its link's lists (byLink[idx[hop]][pos[hop]] is the hop,
-// tasks[idx[hop]][pos[hop]] its task) and the index of its slot in the
-// establishment order.
+// tasks[idx[hop]][pos[hop]] its task), the index of its slot in the
+// establishment order, and the stamp of the last repartition walk that
+// visited it (State.walk). Every ref of the channel points at its entry.
 type entry[Ch any] struct {
 	ch       Ch
 	idx, pos []int32
 	at       int
+	seen     uint64
 }
 
 // State is the generic system state SS = {N, K}: the set of currently
@@ -116,7 +119,7 @@ type entry[Ch any] struct {
 type State[K comparable, Ch any, P any] struct {
 	ops *Ops[K, Ch, P]
 
-	channels map[ID]entry[Ch]
+	channels map[ID]*entry[Ch]
 	// order lists channel IDs in establishment order. A slot is live while
 	// its channel's entry points back at it (entry.at): a removal leaves a
 	// dead slot behind, dropped by compaction once over half are dead, and
@@ -137,7 +140,7 @@ type State[K comparable, Ch any, P any] struct {
 	loaded int
 
 	loads   []int
-	byLink  [][]Ref[Ch]
+	byLink  [][]ref[Ch]
 	tasks   [][]edf.Task
 	utilSum []*big.Rat
 	// sums summarizes each link's task set for the verify sweep, which
@@ -166,6 +169,11 @@ type State[K comparable, Ch any, P any] struct {
 	sumSeen []uint64
 	sumLog  []sumSave
 
+	// walk stamps the channel entries a repartition walk has visited
+	// (entry.seen == walk), so a channel crossing several touched links is
+	// recomputed once.
+	walk uint64
+
 	// ratTmp and diffLinks are scratch buffers.
 	ratTmp    big.Rat
 	diffLinks []int32
@@ -181,7 +189,7 @@ type sumSave struct {
 func NewState[K comparable, Ch any, P any](ops *Ops[K, Ch, P]) *State[K, Ch, P] {
 	return &State[K, Ch, P]{
 		ops:      ops,
-		channels: make(map[ID]entry[Ch]),
+		channels: make(map[ID]*entry[Ch]),
 		nextID:   1,
 		index:    make(map[K]int32),
 	}
@@ -251,7 +259,13 @@ func (st *State[K, Ch, P]) Len() int { return len(st.channels) }
 
 // Get returns the channel with the given ID, or the zero Ch (nil for
 // pointer channel types).
-func (st *State[K, Ch, P]) Get(id ID) Ch { return st.channels[id].ch }
+func (st *State[K, Ch, P]) Get(id ID) Ch {
+	if e := st.channels[id]; e != nil {
+		return e.ch
+	}
+	var zero Ch
+	return zero
+}
 
 // Has reports whether a channel with the given ID exists.
 func (st *State[K, Ch, P]) Has(id ID) bool {
@@ -263,21 +277,11 @@ func (st *State[K, Ch, P]) Has(id ID) bool {
 func (st *State[K, Ch, P]) Channels() []Ch {
 	out := make([]Ch, 0, len(st.channels))
 	for at, id := range st.order {
-		if e, ok := st.channels[id]; ok && e.at == at {
+		if e := st.channels[id]; e != nil && e.at == at {
 			out = append(out, e.ch)
 		}
 	}
 	return out
-}
-
-// ChannelsOn returns the channel hops traversing a link in establishment
-// order. The returned slice is the live cache — callers must not mutate
-// or retain it.
-func (st *State[K, Ch, P]) ChannelsOn(l K) []Ref[Ch] {
-	if i, ok := st.index[l]; ok {
-		return st.byLink[i]
-	}
-	return nil
 }
 
 // LinkLoad returns LL(l): the number of channels traversing the link.
@@ -289,10 +293,14 @@ func (st *State[K, Ch, P]) LinkLoad(l K) int {
 }
 
 // HopLoads appends LL of every link the channel traverses, in hop order,
-// to dst: LinkLoad of each LinksOf key, read through the channel's
-// interned indices with no key lookup. The channel must be active.
+// to dst: LinkLoad of each Ops.Links key. The channel must be active.
 func (st *State[K, Ch, P]) HopLoads(ch Ch, dst []int64) []int64 {
-	for _, i := range st.channels[st.ops.ID(ch)].idx {
+	return st.hopLoads(st.channels[st.ops.ID(ch)], dst)
+}
+
+// hopLoads is HopLoads read through the entry's interned link indices.
+func (st *State[K, Ch, P]) hopLoads(e *entry[Ch], dst []int64) []int64 {
+	for _, i := range e.idx {
 		dst = append(dst, int64(st.loads[i]))
 	}
 	return dst
@@ -344,7 +352,10 @@ func (st *State[K, Ch, P]) AllocID() ID {
 
 // Add inserts a channel and updates link loads and per-link caches. The
 // channel's ID must be unused.
-func (st *State[K, Ch, P]) Add(ch Ch) {
+func (st *State[K, Ch, P]) Add(ch Ch) { st.add(ch) }
+
+// add is Add returning the channel's entry.
+func (st *State[K, Ch, P]) add(ch Ch) *entry[Ch] {
 	id := st.ops.ID(ch)
 	if _, dup := st.channels[id]; dup {
 		panic(fmt.Sprintf("admit: duplicate channel ID %d", id))
@@ -352,7 +363,7 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 	links := st.ops.Links(ch)
 	n := len(links)
 	buf := make([]int32, 2*n)
-	e := entry[Ch]{ch: ch, idx: buf[:n:n], pos: buf[n:], at: len(st.order)}
+	e := &entry[Ch]{ch: ch, idx: buf[:n:n], pos: buf[n:], at: len(st.order)}
 	for hop, l := range links {
 		e.idx[hop] = st.intern(l)
 	}
@@ -365,7 +376,7 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		}
 		st.loads[i]++
 		e.pos[hop] = int32(len(st.byLink[i]))
-		st.byLink[i] = append(st.byLink[i], Ref[Ch]{Ch: ch, Hop: hop, pos: &e.pos[hop]})
+		st.byLink[i] = append(st.byLink[i], ref[Ch]{e: e, hop: hop, pos: &e.pos[hop]})
 		t := st.ops.Task(ch, hop)
 		st.tasks[i] = append(st.tasks[i], t)
 		st.bumpGen(i)
@@ -375,6 +386,7 @@ func (st *State[K, Ch, P]) Add(ch Ch) {
 		st.sums[i].Add(t)
 		st.sums[i].Over = u.Cmp(ratOne) > 0
 	}
+	return e
 }
 
 // unload takes the channel hop at position j off link i: it cuts the hop
@@ -388,7 +400,7 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	n := int32(len(refs)) - 1
 	copy(refs[j:], refs[j+1:])
 	copy(tasks[j:], tasks[j+1:])
-	refs[n] = Ref[Ch]{}
+	refs[n] = ref[Ch]{}
 	for k := j; k < n; k++ {
 		*refs[k].pos = k
 	}
@@ -410,7 +422,7 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 // beyond the interned link indices, which are never reused anyway.
 func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	id := st.ops.ID(ch)
-	if e, ok := st.channels[id]; !ok || e.at != len(st.order)-1 {
+	if e := st.channels[id]; e == nil || e.at != len(st.order)-1 {
 		panic(fmt.Sprintf("admit: UndoAdd of channel %d out of order", id))
 	}
 	st.cut(id) // last on each of its links: no other hop shifts
@@ -431,9 +443,9 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 // cut takes an active channel off its links and out of the channel map,
 // leaving its order slot dead, and returns its entry: restore puts it back
 // exactly, and the entry's positions are where its hops were cut.
-func (st *State[K, Ch, P]) cut(id ID) entry[Ch] {
-	e, ok := st.channels[id]
-	if !ok {
+func (st *State[K, Ch, P]) cut(id ID) *entry[Ch] {
+	e := st.channels[id]
+	if e == nil {
 		panic(fmt.Sprintf("admit: removal of unknown channel %d", id))
 	}
 	delete(st.channels, id)
@@ -448,12 +460,12 @@ func (st *State[K, Ch, P]) cut(id ID) entry[Ch] {
 // slot it was cut from, last hop first (a channel crossing one link twice
 // cut its first hop first), shifting the tails up again, and the channel's
 // order slot comes alive again. Cuts are restored in reverse order.
-func (st *State[K, Ch, P]) restore(e entry[Ch]) {
+func (st *State[K, Ch, P]) restore(e *entry[Ch]) {
 	st.channels[st.ops.ID(e.ch)] = e
 	c, p := st.ops.UtilCP(e.ch)
 	for hop := len(e.idx) - 1; hop >= 0; hop-- {
 		i, j := e.idx[hop], e.pos[hop]
-		st.byLink[i] = slices.Insert(st.byLink[i], int(j), Ref[Ch]{Ch: e.ch, Hop: hop, pos: &e.pos[hop]})
+		st.byLink[i] = slices.Insert(st.byLink[i], int(j), ref[Ch]{e: e, hop: hop, pos: &e.pos[hop]})
 		st.tasks[i] = slices.Insert(st.tasks[i], int(j), st.ops.Task(e.ch, hop))
 		for k := j + 1; k < int32(len(st.byLink[i])); k++ {
 			*st.byLink[i][k].pos = k
@@ -477,9 +489,8 @@ func (st *State[K, Ch, P]) compact() {
 	}
 	kept := st.order[:0]
 	for at, id := range st.order {
-		if e, ok := st.channels[id]; ok && e.at == at {
+		if e := st.channels[id]; e != nil && e.at == at {
 			e.at = len(kept)
-			st.channels[id] = e
 			kept = append(kept, id)
 		}
 	}
@@ -491,11 +502,13 @@ func (st *State[K, Ch, P]) compact() {
 // the new partition actually moves them. All repartitioning goes through
 // here or setPartDiff so the task table and the summaries can never go
 // stale.
-func (st *State[K, Ch, P]) SetPart(ch Ch, p P) {
-	st.ops.SetPart(ch, p)
-	e := st.channels[st.ops.ID(ch)]
+func (st *State[K, Ch, P]) SetPart(ch Ch, p P) { st.setPart(st.channels[st.ops.ID(ch)], p) }
+
+// setPart is SetPart on the channel's entry.
+func (st *State[K, Ch, P]) setPart(e *entry[Ch], p P) {
+	st.ops.SetPart(e.ch, p)
 	for hop, i := range e.idx {
-		st.patch(i, e.pos[hop], st.ops.Task(ch, hop))
+		st.patch(i, e.pos[hop], st.ops.Task(e.ch, hop))
 		st.bumpGen(i)
 	}
 }
@@ -526,12 +539,11 @@ func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
 // A freshly added channel needs no special case: its stored tasks are
 // placeholders with D = 0, and a valid partition gives every hop
 // D >= C >= 1, so every hop it loads compares changed.
-func (st *State[K, Ch, P]) setPartDiff(ch Ch, p P) []int32 {
-	e := st.channels[st.ops.ID(ch)]
-	st.ops.SetPart(ch, p)
+func (st *State[K, Ch, P]) setPartDiff(e *entry[Ch], p P) []int32 {
+	st.ops.SetPart(e.ch, p)
 	diff := st.diffLinks[:0]
 	for hop, i := range e.idx {
-		if st.patch(i, e.pos[hop], st.ops.Task(ch, hop)) {
+		if st.patch(i, e.pos[hop], st.ops.Task(e.ch, hop)) {
 			st.bumpGen(i)
 			diff = append(diff, i)
 		}
@@ -588,7 +600,7 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 	n := len(st.keys)
 	cp := &State[K, Ch, P]{
 		ops:      st.ops,
-		channels: make(map[ID]entry[Ch], len(st.channels)),
+		channels: make(map[ID]*entry[Ch], len(st.channels)),
 		order:    slices.Clone(st.order),
 		nextID:   st.nextID,
 		index:    maps.Clone(st.index),
@@ -597,25 +609,26 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		rank:     slices.Clone(st.rank),
 		loaded:   st.loaded,
 		loads:    slices.Clone(st.loads),
-		byLink:   make([][]Ref[Ch], n),
+		byLink:   make([][]ref[Ch], n),
 		tasks:    make([][]edf.Task, n),
 		utilSum:  make([]*big.Rat, n),
 		sums:     slices.Clone(st.sums),
 		genCtr:   st.genCtr,
 		gens:     slices.Clone(st.gens),
 		sumSeen:  make([]uint64, n),
+		walk:     st.walk,
 	}
 	for id, e := range st.channels {
-		cp.channels[id] = entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx, pos: slices.Clone(e.pos), at: e.at}
+		cp.channels[id] = &entry[Ch]{ch: st.ops.Clone(e.ch), idx: e.idx, pos: slices.Clone(e.pos), at: e.at, seen: e.seen}
 	}
 	for i, refs := range st.byLink {
 		if len(refs) == 0 {
 			continue
 		}
-		rs := make([]Ref[Ch], len(refs))
+		rs := make([]ref[Ch], len(refs))
 		for j, r := range refs {
-			e := cp.channels[st.ops.ID(r.Ch)]
-			rs[j] = Ref[Ch]{Ch: e.ch, Hop: r.Hop, pos: &e.pos[r.Hop]}
+			e := cp.channels[st.ops.ID(r.e.ch)]
+			rs[j] = ref[Ch]{e: e, hop: r.hop, pos: &e.pos[r.hop]}
 		}
 		cp.byLink[i] = rs
 		cp.tasks[i] = slices.Clone(st.tasks[i])

@@ -26,7 +26,7 @@ var toyOps = &Ops[int, *toyChan, int64]{
 		return edf.Task{C: ch.c, P: ch.p, D: ch.part}
 	},
 	Less:    func(a, b int) bool { return a < b },
-	Part:    func(ch *toyChan) int64 { return ch.part },
+	Part:    func(ch *toyChan, _ int64) int64 { return ch.part },
 	SetPart: func(ch *toyChan, p int64) { ch.part = p },
 	HasPart: func(ch *toyChan, p int64) bool { return ch.part == p },
 	Validate: func(ch *toyChan, p int64) {
@@ -45,20 +45,19 @@ func newToyEngine(cfg Config) *Engine[int, *toyChan, int64] {
 	return NewEngine(toyOps, cfg)
 }
 
+// toyScheme partitions a channel by split. An adaptive one recomputes
+// every channel on a touched link, a spec-only one the new channels only.
+func toyScheme(adaptive bool, split func(*toyChan) int64) Scheme[*toyChan, int64] {
+	return Scheme[*toyChan, int64]{
+		Part:     func(ch *toyChan, _ []int64, _ int64) int64 { return split(ch) },
+		Adaptive: func() bool { return adaptive },
+	}
+}
+
 // constScheme partitions every channel on a touched link to the given
 // deadline.
-func constScheme(d int64) Scheme[int, *toyChan, int64] {
-	return func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
-		parts := make(map[ID]int64)
-		for _, l := range touched {
-			for _, r := range st.ChannelsOn(l) {
-				if r.Ch.part != d {
-					parts[r.Ch.id] = d
-				}
-			}
-		}
-		return parts
-	}
+func constScheme(d int64) Scheme[*toyChan, int64] {
+	return toyScheme(true, func(*toyChan) int64 { return d })
 }
 
 func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
@@ -83,21 +82,6 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 	if len(ids) != 1 || ids[0] != 3 {
 		t.Fatalf("Repartitioned = %v, want just the new channel 3", ids)
 	}
-}
-
-func TestApplyPanicsOnUnknownChannel(t *testing.T) {
-	e := newToyEngine(Config{})
-	stray := Scheme[int, *toyChan, int64](func(*State[int, *toyChan, int64], []int) map[ID]int64 {
-		return map[ID]int64{999: 10}
-	})
-	defer func() {
-		if recover() == nil {
-			t.Error("partition for an unknown channel did not panic")
-		}
-	}()
-	e.Apply(nil, 1, func(_ int, id ID) *toyChan {
-		return &toyChan{id: id, c: 1, p: 100, links: []int{1}}
-	}, stray)
 }
 
 func TestApplyPanicsOnInvalidPartition(t *testing.T) {
@@ -142,17 +126,12 @@ func TestLinkSetDedupPreservesOrder(t *testing.T) {
 // order after exactly its checks, and the rejection commits nothing.
 func TestParallelSweepDeterministic(t *testing.T) {
 	e := newToyEngine(Config{})
-	scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
-		parts := make(map[ID]int64)
-		for _, ch := range st.Channels() {
-			d := int64(10)
-			if ch.links[0] >= 40 {
-				d = 3
-			}
-			parts[ch.id] = d
+	scheme := toyScheme(false, func(ch *toyChan) int64 {
+		if ch.links[0] >= 40 {
+			return 3
 		}
-		return parts
-	}
+		return 10
+	})
 	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{i % 64}}
 	}, scheme)
@@ -174,13 +153,9 @@ func TestSweepStopsAtSummaryFailure(t *testing.T) {
 			return &toyChan{id: id, c: 50, p: 50, links: []int{0}} // two full-period tasks: U = 2
 		}
 		return &toyChan{id: id, c: 1, p: 50, links: []int{i}}
-	}, func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
-		parts := make(map[ID]int64)
-		for _, ch := range st.Channels() {
-			parts[ch.id] = ch.c // D = C: a later link's busy period reaches its deadline
-		}
-		return parts
-	})
+	}, toyScheme(false, func(ch *toyChan) int64 {
+		return ch.c // D = C: a later link's busy period reaches its deadline
+	}))
 	if rej == nil || rej.Link != 0 || rej.Result.Verdict != edf.InfeasibleUtilization {
 		t.Fatalf("rejection %+v, want link 0 over utilization", rej)
 	}

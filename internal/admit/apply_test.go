@@ -14,7 +14,7 @@ import (
 // rational utilization sums: math/big keeps temporaries on the heap.)
 // The scheme repartitions nothing, so only the kernel counts.
 func TestReleaseZeroAllocs(t *testing.T) {
-	keep := Scheme[int, *toyChan, int64](func(*State[int, *toyChan, int64], []int) map[ID]int64 { return nil })
+	keep := toyScheme(false, func(ch *toyChan) int64 { return ch.part })
 	load := func() (*Engine[int, *toyChan, int64], []ID) {
 		e := newToyEngine(Config{})
 		chs, rej := e.Apply(nil, 300, func(i int, id ID) *toyChan {

@@ -49,28 +49,24 @@ import "slices"
 // partition changed across all committed sub-decisions (including the
 // new channels), ascending — the precise set a running simulation must
 // re-sync, exactly as after Apply.
-func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P]) ([]Ch, []*Rejection[K]) {
+func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P]) ([]Ch, []*Rejection[K]) {
 	chs := make([]Ch, n)
 	rejs := make([]*Rejection[K], n)
 	if n == 0 {
 		e.Apply(remove, 0, nil, scheme)
 		return chs, rejs
 	}
-	repart := make(map[ID]struct{})
-	e.admitRange(remove, 0, n, mk, scheme, chs, rejs, repart)
-	ids := make([]ID, 0, len(repart))
-	for id := range repart {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.repartitioned = ids
+	var repart []ID
+	e.admitRange(remove, 0, n, mk, scheme, chs, rejs, &repart)
+	slices.Sort(repart)
+	e.repartitioned = slices.Compact(repart)
 	return chs, rejs
 }
 
 // admitRange decides requests [lo, hi) together with the removal by
-// greedy bisection, writing verdicts into chs/rejs and accumulating the
-// repartitioned-channel union into repart.
-func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P], chs []Ch, rejs []*Rejection[K], repart map[ID]struct{}) {
+// greedy bisection, writing verdicts into chs/rejs and appending each
+// committed sub-decision's repartitioned channels to repart.
+func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P], chs []Ch, rejs []*Rejection[K], repart *[]ID) {
 	got, rej := e.Apply(remove, hi-lo, func(i int, id ID) Ch { return mk(lo+i, id) }, scheme)
 	switch {
 	case rej == nil:
@@ -87,7 +83,5 @@ func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id
 		e.admitRange(nil, mid, hi, mk, scheme, chs, rejs, repart)
 		return
 	}
-	for _, id := range e.repartitioned {
-		repart[id] = struct{}{}
-	}
+	*repart = append(*repart, e.repartitioned...)
 }

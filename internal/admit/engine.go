@@ -2,7 +2,6 @@ package admit
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -18,13 +17,29 @@ type Rejection[K comparable] struct {
 	Result edf.Result
 }
 
-// Scheme is one deadline partitioning scheme as the kernel sees it: after a
-// mutation that touched the given links, it returns the new partition of
-// every channel it recomputes. It must return one for every channel that
-// holds none yet (the decision's new channels) and may return one only
-// for a channel traversing a touched link; every channel it omits keeps
-// the partition it holds.
-type Scheme[K comparable, Ch any, P any] func(st *State[K, Ch, P], touched []K) map[ID]P
+// Scheme is one deadline partitioning scheme as the kernel sees it: a
+// channel's partition as a function of its own spec and the loads LL of
+// the links it traverses, and nothing else. That is what lets a decision
+// recompute only the channels whose split can have moved; the kernel
+// walks them (Engine.Apply).
+type Scheme[Ch any, P any] struct {
+	// Part computes ch's partition from hopLoads, the loads of the links
+	// it traverses in hop order. It may build the result in dst's storage
+	// (kernel-owned scratch: its previous result, or zero), which the
+	// kernel reuses for the next channel, so it keeps only a copy.
+	Part func(ch Ch, hopLoads []int64, dst P) P
+	// Adaptive reports whether Part reads hopLoads. When it does, a
+	// decision recomputes every channel on a link it touched, whose load
+	// moved; when it does not, the split is fixed by the spec and only the
+	// decision's new channels are partitioned. It is asked at every
+	// decision, so a scheme may change between decisions.
+	Adaptive func() bool
+}
+
+// maxPooledParts bounds the undo log's recycled partitions: the log of a
+// decision that moved more channels (a bulk admission, a failover) is
+// dropped when the next decision starts, not recycled.
+const maxPooledParts = 1024
 
 // Config tunes an Engine.
 type Config struct {
@@ -47,6 +62,7 @@ type Engine[K comparable, Ch any, P any] struct {
 	linksChecked  int
 	repartitions  int
 	repartitioned []ID
+	nextIDs       []ID // the running decision's moved channels; swapped in on commit
 
 	// The per-link tables below are slices over the state's dense link
 	// index (see State), grown by fit as the state interns links.
@@ -86,18 +102,22 @@ type Engine[K comparable, Ch any, P any] struct {
 	marks []uint64
 	epoch uint64
 
-	// Reusable sweep buffers: with these the steady-state verify sweep
-	// allocates nothing.
+	// Reusable decision buffers: with these the steady-state repartition
+	// walk and verify sweep allocate nothing.
 	scratch      edf.Scratch
 	touchIdx     []int32
-	touchKeys    []K
+	added        []*entry[Ch]
+	changed      []int32
+	undo         []partUndo[Ch, P]
+	loads        []int64
+	part         P
 	sweepLinks   []int32
 	sweepSkip    []bool
 	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test
 	sweepResults []edf.Result
 	sweepOK      int // feasible prefix length of the last sweep
 
-	cuts []entry[Ch] // the running decision's removed channels, in cut order
+	cuts []*entry[Ch] // the running decision's removed channels, in cut order
 }
 
 // NewEngine returns an engine over an empty state.
@@ -186,12 +206,14 @@ func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 // remove (active and distinct), adds n new ones — mk(i, id) constructs
 // the i-th with its allocated ID (the adapter has validated and routed
 // the specs already) — and verifies the result. It cuts the removed
-// channels out of the live state, adds the new ones, repartitions what
-// the scheme recomputes on the links of both (one touched set), verifies
-// only the links whose task sets changed, and rolls everything back on
-// rejection: the removed channels go back into the slots they were cut
-// from, so the committed state is bit-identical to before — task table,
-// summaries, establishment order and ID allocator.
+// channels out of the live state, adds the new ones, repartitions
+// (repartition) the channels whose split can have moved — under a
+// load-adaptive scheme every channel on the links of both (one touched
+// set), otherwise the new channels alone — verifies only the links whose
+// task sets changed, and rolls everything back on rejection: the removed
+// channels go back into the slots they were cut from, so the committed
+// state is bit-identical to before — task table, summaries, establishment
+// order and ID allocator.
 //
 // A pure removal (n == 0) never fails. If its repartition fails
 // verification every remaining channel keeps the partition it had:
@@ -199,7 +221,7 @@ func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 // partitions. A kept-back partition stays until a later decision touches
 // one of its channel's links, which recomputes it as usual; decisions
 // elsewhere never see it.
-func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[K, Ch, P]) ([]Ch, *Rejection[K]) {
+func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P]) ([]Ch, *Rejection[K]) {
 	st := e.state
 	chs := make([]Ch, n)
 	st.begin()
@@ -208,35 +230,36 @@ func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, s
 	for _, id := range remove {
 		e.cuts = append(e.cuts, st.cut(id))
 	}
+	e.added = e.added[:0]
 	for i := range chs {
 		chs[i] = mk(i, st.AllocID())
-		st.Add(chs[i])
+		e.added = append(e.added, st.add(chs[i]))
 	}
 	e.newSet()
 	e.touchIdx = e.touchIdx[:0]
 	for _, c := range e.cuts {
 		e.touchIdx = e.addToSet(e.touchIdx, c.idx)
 	}
-	for _, ch := range chs {
-		e.touchIdx = e.addToSet(e.touchIdx, st.channels[e.ops.ID(ch)].idx)
+	for _, a := range e.added {
+		e.touchIdx = e.addToSet(e.touchIdx, a.idx)
 	}
 
 	e.repartitions++
-	undo, changed, changedIDs := e.applyDelta(scheme(st, e.touchedKeys()))
-	rej := e.verify(changed)
+	changedIDs := e.repartition(scheme)
+	rej := e.verify(e.changed)
 	if rej == nil || n == 0 {
 		if rej == nil {
 			e.commitSlack()
 		} else {
-			e.rollback(undo) // the removal alone stands
-			changedIDs = nil
+			e.rollback() // the removal alone stands
+			changedIDs = changedIDs[:0]
 		}
+		e.nextIDs, e.repartitioned = e.repartitioned[:0], changedIDs
 		st.end()
 		st.compact()
-		e.repartitioned = changedIDs
 		return chs, nil
 	}
-	e.rollback(undo)
+	e.rollback()
 	for i := n - 1; i >= 0; i-- {
 		st.UndoAdd(chs[i])
 	}
@@ -248,68 +271,89 @@ func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, s
 	return nil, rej
 }
 
-// touchedKeys returns the link keys of the touched set built in touchIdx,
-// in first-occurrence order (the scheme's vocabulary). The slice is
-// reused by the next call.
-func (e *Engine[K, Ch, P]) touchedKeys() []K {
-	keys := e.touchKeys[:0]
-	for _, i := range e.touchIdx {
-		keys = append(keys, e.state.keys[i])
-	}
-	e.touchKeys = keys
-	return keys
-}
-
 // partUndo records one channel's previous partition so a tentative
-// repartition can be rolled back in place.
+// repartition can be rolled back in place. The log's entries are
+// recycled across decisions, old's storage with them.
 type partUndo[Ch any, P any] struct {
-	ch  Ch
+	e   *entry[Ch]
 	old P
 }
 
-// applyDelta installs a scheme's partitions directly into the live state,
-// returning an undo log (for rollback on rejection), the set of links
-// whose task-set content changed, and the IDs of the channels that moved
-// (ascending). Channels absent from parts keep their partitions.
-func (e *Engine[K, Ch, P]) applyDelta(parts map[ID]P) ([]partUndo[Ch, P], []int32, []ID) {
+// repartition recomputes the partition of every channel the running
+// decision can have moved — under a load-adaptive scheme each channel on
+// a touched link, visited once however many touched links it crosses;
+// otherwise only the decision's new channels — and installs the ones
+// that differ (visit). It leaves the set of links to sweep in e.changed
+// and e.undo holding the old partitions, and returns the IDs of the
+// channels that moved, ascending.
+func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 	st := e.state
-	var undo []partUndo[Ch, P]
 	e.newSet()
-	var changed []int32
-	var changedIDs []ID
-	for id, p := range parts {
-		entry, ok := st.channels[id]
-		if !ok {
-			panic(fmt.Sprintf("admit: scheme returned a partition for unknown channel %d", id))
-		}
-		ch := entry.ch
-		e.ops.Validate(ch, p)
-		if e.ops.HasPart(ch, p) {
-			continue
-		}
-		undo = append(undo, partUndo[Ch, P]{ch: ch, old: e.ops.Part(ch)})
-		changedIDs = append(changedIDs, id)
-		// The changed (= to-sweep) set is channel-granular: every link of
-		// every repartitioned channel. The generation bumps underneath are
-		// finer: setPartDiff stamps only the hops whose materialized task
-		// actually moved (all of a new channel's, whose placeholder tasks
-		// have D = 0), which is what lets the verdict cache skip the links
-		// a repartition pass touched but did not change — without ever
-		// shrinking the swept set itself, so the sweep order and the
-		// LinksChecked accounting do not depend on the cache.
-		st.setPartDiff(ch, p)
-		changed = e.addToSet(changed, entry.idx)
+	e.changed = e.changed[:0]
+	if cap(e.undo) > maxPooledParts {
+		e.undo = nil
 	}
-	slices.Sort(changedIDs)
-	return undo, changed, changedIDs
+	e.undo = e.undo[:0]
+	ids := e.nextIDs[:0]
+	if scheme.Adaptive() {
+		st.walk++
+		for _, i := range e.touchIdx {
+			for _, r := range st.byLink[i] {
+				if r.e.seen != st.walk {
+					r.e.seen = st.walk
+					ids = e.visit(r.e, scheme, ids)
+				}
+			}
+		}
+	} else {
+		for _, a := range e.added {
+			ids = e.visit(a, scheme, ids)
+		}
+	}
+	slices.Sort(ids)
+	e.nextIDs = ids
+	return ids
 }
 
-// rollback restores the previous partitions recorded by applyDelta.
-// SetPart (not setPartDiff) on purpose: it bumps every affected link's
+// visit recomputes one channel's partition from its hop loads and, when
+// it differs from the one the channel holds, logs the old one, installs
+// the new one and appends the channel's ID to ids.
+//
+// The changed (= to-sweep) set is channel-granular: every link of every
+// repartitioned channel. The generation bumps underneath are finer:
+// setPartDiff stamps only the hops whose materialized task actually moved
+// (all of a new channel's, whose placeholder tasks have D = 0), which is
+// what lets the verdict cache skip the links a repartition pass touched
+// but did not change — without ever shrinking the swept set itself, so
+// the sweep order and the LinksChecked accounting do not depend on the
+// cache.
+func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P], ids []ID) []ID {
+	st := e.state
+	e.loads = st.hopLoads(en, e.loads[:0])
+	e.part = scheme.Part(en.ch, e.loads, e.part)
+	e.ops.Validate(en.ch, e.part)
+	if e.ops.HasPart(en.ch, e.part) {
+		return ids
+	}
+	k := len(e.undo)
+	if k < cap(e.undo) {
+		e.undo = e.undo[:k+1]
+	} else {
+		e.undo = append(e.undo, partUndo[Ch, P]{})
+	}
+	u := &e.undo[k]
+	u.e, u.old = en, e.ops.Part(en.ch, u.old)
+	st.setPartDiff(en, e.part)
+	e.changed = e.addToSet(e.changed, en.idx)
+	return append(ids, e.ops.ID(en.ch))
+}
+
+// rollback restores the previous partitions recorded by repartition.
+// setPart (not setPartDiff) on purpose: it bumps every affected link's
 // generation, invalidating any verdict the failed attempt recorded.
-func (e *Engine[K, Ch, P]) rollback(undo []partUndo[Ch, P]) {
-	for _, u := range undo {
-		e.state.SetPart(u.ch, u.old)
+func (e *Engine[K, Ch, P]) rollback() {
+	for _, u := range e.undo {
+		e.state.setPart(u.e, u.old)
 	}
 }
 

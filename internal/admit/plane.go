@@ -25,7 +25,7 @@ func (e *ReqError) Unwrap() error { return e.Err }
 // not established, and Reject, its error for a kernel rejection.
 type Plane[K comparable, Ch any, P any] struct {
 	Eng     *Engine[K, Ch, P]
-	Scheme  Scheme[K, Ch, P]
+	Scheme  Scheme[Ch, P]
 	Stats   Stats
 	Unknown func(ID) error
 	Reject  func(*Rejection[K]) error

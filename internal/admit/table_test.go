@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/edf"
 )
@@ -87,7 +88,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		out := fmt.Sprintf("len=%d next=%d loaded=%d gen=%d mean=%v|", s.Len(), s.NextID(), s.LoadedLinks(), s.genCtr, s.MeanLinkUtilization())
 		for _, l := range s.Links() {
 			i := s.index[l]
-			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v:%+v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.ChannelsOn(l)[0].Ch.part, s.sums[i])
+			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v:%+v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.byLink[i][0].e.ch.part, s.sums[i])
 		}
 		return out
 	}
@@ -97,7 +98,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	cp := st.Clone()
 	first := cp.Channels()[0]
 	cp.SetPart(first, 5)
-	cp.setPartDiff(cp.Channels()[1], 7)
+	cp.setPartDiff(cp.channels[cp.Channels()[1].id], 7)
 	cp.Remove(cp.Channels()[2].id)
 	cp.Add(toy(cp, 3, 10, 8, 42))
 	cp.Add(toy(cp, 1, 10, 0))
@@ -263,16 +264,12 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 // failing link 63.
 func TestSweepTiesFollowLessNotInternOrder(t *testing.T) {
 	e := newToyEngine(Config{})
-	scheme := func(st *State[int, *toyChan, int64], _ []int) map[ID]int64 {
-		parts := make(map[ID]int64)
-		for _, ch := range st.Channels() {
-			parts[ch.id] = 10
-			if ch.links[0] >= 40 {
-				parts[ch.id] = 3 // two C=2 tasks cannot meet D=3
-			}
+	scheme := toyScheme(false, func(ch *toyChan) int64 {
+		if ch.links[0] >= 40 {
+			return 3 // two C=2 tasks cannot meet D=3
 		}
-		return parts
-	}
+		return 10
+	})
 	_, rej := e.Apply(nil, 128, func(i int, id ID) *toyChan {
 		return &toyChan{id: id, c: 2, p: 100, links: []int{63 - i%64}}
 	}, scheme)
@@ -294,13 +291,14 @@ var hopOps = func() *Ops[int, *toyChan, int64] {
 // checkTaskTable fails t unless every link's hop list is the per-link
 // restriction of the establishment order, its task list equals a fresh
 // Ops.Task pass over that hop list, and every position a channel entry
-// records (and every Ref's pointer to it) names the hop's own slot.
+// records (and every ref's pointer to it) names the hop's own slot.
 func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 	t.Helper()
-	want := make([][]Ref[*toyChan], len(st.keys))
+	want := make([][]ref[*toyChan], len(st.keys))
 	for _, ch := range st.Channels() {
-		for hop, i := range st.channels[ch.id].idx {
-			want[i] = append(want[i], Ref[*toyChan]{Ch: ch, Hop: hop})
+		e := st.channels[ch.id]
+		for hop, i := range e.idx {
+			want[i] = append(want[i], ref[*toyChan]{e: e, hop: hop})
 		}
 	}
 	for i, refs := range st.byLink {
@@ -309,11 +307,11 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 				step, st.keys[i], len(refs), len(st.tasks[i]), st.loads[i], len(want[i]))
 		}
 		for j, r := range refs {
-			if r.Ch != want[i][j].Ch || r.Hop != want[i][j].Hop {
+			if r.e != want[i][j].e || r.hop != want[i][j].hop {
 				t.Fatalf("step %d: link %d slot %d holds channel %d hop %d, establishment order has channel %d hop %d",
-					step, st.keys[i], j, r.Ch.id, r.Hop, want[i][j].Ch.id, want[i][j].Hop)
+					step, st.keys[i], j, r.e.ch.id, r.hop, want[i][j].e.ch.id, want[i][j].hop)
 			}
-			if got, fresh := st.tasks[i][j], st.ops.Task(r.Ch, r.Hop); got != fresh {
+			if got, fresh := st.tasks[i][j], st.ops.Task(r.e.ch, r.hop); got != fresh {
 				t.Fatalf("step %d: link %d slot %d: task %v, rebuild %v", step, st.keys[i], j, got, fresh)
 			}
 			if *r.pos != int32(j) {
@@ -323,8 +321,8 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 	}
 	for id, e := range st.channels {
 		for hop, i := range e.idx {
-			if r := st.byLink[i][e.pos[hop]]; r.Ch.id != id || r.Hop != hop || r.pos != &e.pos[hop] {
-				t.Fatalf("step %d: channel %d hop %d: position %d holds channel %d hop %d", step, id, hop, e.pos[hop], r.Ch.id, r.Hop)
+			if r := st.byLink[i][e.pos[hop]]; r.e != e || r.hop != hop || r.pos != &e.pos[hop] {
+				t.Fatalf("step %d: channel %d hop %d: position %d holds channel %d hop %d", step, id, hop, e.pos[hop], r.e.ch.id, r.hop)
 			}
 		}
 	}
@@ -371,17 +369,18 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 		case r < 15:
 			st.SetPart(pick(), int64(1+rng.Intn(30)))
 		case r < 17:
-			st.setPartDiff(pick(), int64(1+rng.Intn(30)))
+			st.setPartDiff(st.channels[pick().id], int64(1+rng.Intn(30)))
 		case r < 19:
 			var undo []partUndo[*toyChan, int64]
 			for k := 0; k < 3; k++ {
-				ch := pick()
-				undo = append(undo, partUndo[*toyChan, int64]{ch: ch, old: ch.part})
-				st.setPartDiff(ch, int64(1+rng.Intn(30)))
+				en := st.channels[pick().id]
+				undo = append(undo, partUndo[*toyChan, int64]{e: en, old: en.ch.part})
+				st.setPartDiff(en, int64(1+rng.Intn(30)))
 			}
 			slices.Reverse(undo) // a channel picked twice restores its oldest partition last
 			e.ReplaceState(st)
-			e.rollback(undo)
+			e.undo = undo
+			e.rollback()
 		case r < 20:
 			st.verdict(int32(rng.Intn(len(st.keys))))
 		case r < 22:
@@ -403,15 +402,9 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 				}
 				return &toyChan{id: id, c: c, p: p, links: []int{l, rng.Intn(12)}}
 			}
-			scheme := func(st *State[int, *toyChan, int64], touched []int) map[ID]int64 {
-				parts := make(map[ID]int64)
-				for _, l := range touched {
-					for _, ref := range st.ChannelsOn(l) {
-						parts[ref.Ch.id] = max(min(ref.Ch.p, math.MaxInt64/2), ref.Ch.c)
-					}
-				}
-				return parts
-			}
+			scheme := toyScheme(true, func(ch *toyChan) int64 {
+				return max(min(ch.p, math.MaxInt64/2), ch.c)
+			})
 			e.ReplaceState(st)
 			before := rawState(st)
 			chs, rej := e.Apply(remove, n, mk, scheme)
@@ -472,7 +465,7 @@ func linkState(st *State[int, *toyChan, int64]) string {
 		}
 		fmt.Fprintf(&b, "|%d:%d:%v:%+v:", st.keys[i], st.loads[i], st.utilSum[i], st.sums[i])
 		for j, r := range st.byLink[i] {
-			fmt.Fprintf(&b, "%d.%d=%v,", r.Ch.id, r.Hop, st.tasks[i][j])
+			fmt.Fprintf(&b, "%d.%d=%v,", r.e.ch.id, r.hop, st.tasks[i][j])
 		}
 	}
 	return b.String()
@@ -537,7 +530,7 @@ func TestFreshChannelLinksAllChange(t *testing.T) {
 	st.Add(ch)
 	before := slices.Clone(st.gens)
 	idx := st.channels[ch.id].idx
-	if diff := st.setPartDiff(ch, ch.c); !slices.Equal(diff, idx) {
+	if diff := st.setPartDiff(st.channels[ch.id], ch.c); !slices.Equal(diff, idx) {
 		t.Fatalf("setPartDiff on a fresh channel changed links %v, want every hop %v", diff, idx)
 	}
 	for _, i := range idx {
@@ -572,5 +565,14 @@ func TestRepartitionSweepZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("repartition + verify sweep allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestRefIsThreeWords pins a hop's ref at three words: a removal shifts
+// every later ref on its links, which on a trunk carrying thousands of
+// channels is a memmove whose cost grows with the ref's size.
+func TestRefIsThreeWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(ref[*toyChan]{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("ref is %d bytes, want %d", got, want)
 	}
 }

@@ -71,8 +71,9 @@ func NewController(cfg Config) *Controller {
 	c.p.Eng = admit.NewEngine(coreOps, admit.Config{Feasibility: cfg.Feasibility})
 	c.p.Unknown = func(id ChannelID) error { return fmt.Errorf("core: release of unknown RT channel %d", id) }
 	c.p.Reject = func(rej *admit.Rejection[Link]) error { return &RejectionError{Link: rej.Link, Result: rej.Result} }
-	c.p.Scheme = func(k *admit.State[Link, *Channel, Partition], touched []Link) map[ChannelID]Partition {
-		return cfg.DPS.PartitionTouched(&State{k: k}, touched)
+	c.p.Scheme = admit.Scheme[*Channel, Partition]{
+		Part:     func(ch *Channel, hopLoads []int64, _ Partition) Partition { return cfg.DPS.Split(ch.Spec, hopLoads) },
+		Adaptive: cfg.DPS.LoadAdaptive,
 	}
 	return c
 }

@@ -6,28 +6,40 @@ import "fmt"
 // deadline d_i of every channel in a system state into the pair
 // {d_iu, d_id} such that d_iu + d_id = d_i (condition (8)). The paper
 // stresses that a DPS is not optional — the system cannot operate without
-// one — and that it is a function of the whole system state, so Partition
-// receives the full (tentative) state and returns a split for every
-// channel in it.
+// one — and that it is a function of the system state. Every scheme here
+// reads the state only through the loads LL of the links the channel
+// traverses, so a DPS is declared per channel (Split): that is what lets
+// the admission kernel recompute only the channels whose split can have
+// moved — under a LoadAdaptive scheme each channel on a link a decision
+// touched, otherwise the decision's new channels alone.
 //
 // Implementations must be deterministic and must return partitions
 // satisfying ValidFor for every channel (the helper clampPartition takes
-// care of condition (9) rounding at the boundaries). A channel's split
-// may depend only on its own spec and the loads of the links it
-// traverses (true for SDPS, ADPS and FixedDPS): that is what lets the
-// admission controller repartition only the channels on the links a
-// mutation touched.
+// care of condition (9) rounding at the boundaries).
 type DPS interface {
 	// Name identifies the scheme in reports ("SDPS", "ADPS", ...).
 	Name() string
-	// Partition computes {d_iu, d_id} for every channel in st.
+	// Split computes {d_iu, d_id} for a channel with spec s from hopLoads,
+	// the loads of the links it traverses in hop order: its uplink, then
+	// its downlink (one per sink for a multicast channel).
+	Split(s ChannelSpec, hopLoads []int64) Partition
+	// LoadAdaptive reports whether Split reads hopLoads; a scheme that
+	// does not is fixed by the spec, so no committed split ever moves.
+	LoadAdaptive() bool
+	// Partition computes {d_iu, d_id} for every channel in st: Split under
+	// each channel's current hop loads.
 	Partition(st *State) map[ChannelID]Partition
-	// PartitionTouched returns new partitions after a mutation that
-	// touched the given links: one for every channel without a partition
-	// yet, and, for every other returned channel (all of which traverse
-	// a touched link), what Partition(st) would return. Channels it omits
-	// keep their committed partitions.
-	PartitionTouched(st *State, touched []Link) map[ChannelID]Partition
+}
+
+// partition is the full-state Partition every scheme shares.
+func partition(st *State, d DPS) map[ChannelID]Partition {
+	parts := make(map[ChannelID]Partition, st.Len())
+	var loads []int64
+	for _, ch := range st.Channels() {
+		loads = st.k.HopLoads(ch, loads[:0])
+		parts[ch.ID] = d.Split(ch.Spec, loads)
+	}
+	return parts
 }
 
 // clampPartition builds the partition with the requested uplink share,
@@ -55,68 +67,14 @@ type SDPS struct{}
 // Name implements DPS.
 func (SDPS) Name() string { return "SDPS" }
 
+// Split implements DPS.
+func (SDPS) Split(s ChannelSpec, _ []int64) Partition { return clampPartition(s, s.D/2) }
+
+// LoadAdaptive implements DPS: the symmetric split is fixed by the spec.
+func (SDPS) LoadAdaptive() bool { return false }
+
 // Partition implements DPS.
-func (SDPS) Partition(st *State) map[ChannelID]Partition {
-	parts := make(map[ChannelID]Partition, st.Len())
-	for _, ch := range st.Channels() {
-		parts[ch.ID] = clampPartition(ch.Spec, ch.Spec.D/2)
-	}
-	return parts
-}
-
-// partitionTouched is the shared shell of the load-adaptive
-// PartitionTouched implementations: collect the split of each channel
-// traversing a touched link, deduplicating channels that traverse two of
-// them.
-func partitionTouched(st *State, touched []Link, split func(*Channel) Partition) map[ChannelID]Partition {
-	parts := make(map[ChannelID]Partition)
-	for _, l := range touched {
-		for _, r := range st.channelsOn(l) {
-			ch := r.Ch
-			if _, done := parts[ch.ID]; done {
-				continue
-			}
-			parts[ch.ID] = split(ch)
-		}
-	}
-	return parts
-}
-
-// partitionTouchedNew is partitionTouched for schemes whose split depends
-// only on the channel's own spec: only channels that carry no partition
-// yet — the ones the current request just added — get a split, keeping
-// incremental admission O(new channels) per request. Under such a scheme
-// (SDPS, FixedDPS) a committed or forced partition is never recomputed:
-// a ForceAdd partition that differs from the scheme's split stays as
-// forced for the channel's lifetime.
-//
-// It reads each touched link's hops from the tail and stops at the first
-// partitioned channel. That finds every new channel because the channels
-// without a partition form a suffix of every link's list: an admission
-// appends its new channels at the tail of every link it touches, a
-// removal keeps the order of the rest, and every committed or ForceAdded
-// channel holds a partition.
-func partitionTouchedNew(st *State, touched []Link, split func(*Channel) Partition) map[ChannelID]Partition {
-	parts := make(map[ChannelID]Partition)
-	for _, l := range touched {
-		refs := st.channelsOn(l)
-		for k := len(refs) - 1; k >= 0 && refs[k].Ch.Part == (Partition{}); k-- {
-			ch := refs[k].Ch
-			if _, done := parts[ch.ID]; !done {
-				parts[ch.ID] = split(ch)
-			}
-		}
-	}
-	return parts
-}
-
-// PartitionTouched implements DPS. The symmetric split depends only on
-// the spec, so beyond the request's own new channels nothing can move.
-func (SDPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
-	return partitionTouchedNew(st, touched, func(ch *Channel) Partition {
-		return clampPartition(ch.Spec, ch.Spec.D/2)
-	})
-}
+func (d SDPS) Partition(st *State) map[ChannelID]Partition { return partition(st, d) }
 
 // ADPS is the Asymmetric Deadline Partitioning Scheme (§18.4.2): the
 // deadline budget is distributed to where it is most needed, in proportion
@@ -134,50 +92,30 @@ type ADPS struct{}
 // Name implements DPS.
 func (ADPS) Name() string { return "ADPS" }
 
-// Partition implements DPS.
-func (a ADPS) Partition(st *State) map[ChannelID]Partition {
-	parts := make(map[ChannelID]Partition, st.Len())
-	for _, ch := range st.Channels() {
-		parts[ch.ID] = a.partitionOf(st, ch)
-	}
-	return parts
-}
-
-// partitionOf computes the load-weighted split of one channel (Eq. 18.16)
-// — shared by the full and incremental paths so they agree bit for bit.
-// For a multicast channel the downlink weight is the load of its most
-// loaded sink downlink: the shared d_id must hold on every branch, so
-// the bottleneck branch sets the asymmetry. The loads are read by hop
-// (uplink first, then the downlinks; Dst is Sinks[0] for multicast).
-func (ADPS) partitionOf(st *State, ch *Channel) Partition {
-	var buf [2]int64
+// Split implements DPS: the load-weighted split of Eq. 18.16. For a
+// multicast channel the downlink weight is the load of its most loaded
+// sink downlink: the shared d_id must hold on every branch, so the
+// bottleneck branch sets the asymmetry.
+func (ADPS) Split(s ChannelSpec, hopLoads []int64) Partition {
 	var llUp, llDown int64
-	if ll := st.k.HopLoads(ch, buf[:0]); len(ll) > 0 {
-		llUp = ll[0]
-		for _, l := range ll[1:] {
+	if len(hopLoads) > 0 {
+		llUp = hopLoads[0]
+		for _, l := range hopLoads[1:] {
 			llDown = max(llDown, l)
 		}
 	}
-	total := llUp + llDown
-	var up int64
-	if total == 0 {
-		// Unreachable for channels inside st (their own traversal
-		// counts), but keep a sane symmetric fallback.
-		up = ch.Spec.D / 2
-	} else {
-		up = ch.Spec.D * llUp / total
+	up := s.D / 2 // unreachable for an admitted channel, which loads its own links
+	if total := llUp + llDown; total > 0 {
+		up = s.D * llUp / total
 	}
-	return clampPartition(ch.Spec, up)
+	return clampPartition(s, up)
 }
 
-// PartitionTouched implements DPS. A channel's split depends on the loads
-// of its own two links only, so after a mutation that touched a link set,
-// exactly the channels traversing those links can move.
-func (a ADPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
-	return partitionTouched(st, touched, func(ch *Channel) Partition {
-		return a.partitionOf(st, ch)
-	})
-}
+// LoadAdaptive implements DPS: the split follows the link loads.
+func (ADPS) LoadAdaptive() bool { return true }
+
+// Partition implements DPS.
+func (a ADPS) Partition(st *State) map[ChannelID]Partition { return partition(st, a) }
 
 // FixedDPS assigns every channel the same uplink fraction of its deadline.
 // It is not part of the paper; it generalizes SDPS (fraction 0.5) and is
@@ -191,24 +129,18 @@ type FixedDPS struct {
 // Name implements DPS.
 func (f FixedDPS) Name() string { return fmt.Sprintf("Fixed(%d/%d)", f.UpNum, f.UpDen) }
 
+// Split implements DPS.
+func (f FixedDPS) Split(s ChannelSpec, _ []int64) Partition {
+	return clampPartition(s, s.D*f.UpNum/f.UpDen)
+}
+
+// LoadAdaptive implements DPS: like SDPS the split is fixed by the spec.
+func (FixedDPS) LoadAdaptive() bool { return false }
+
 // Partition implements DPS.
-func (f FixedDPS) Partition(st *State) map[ChannelID]Partition {
-	parts := make(map[ChannelID]Partition, st.Len())
-	for _, ch := range st.Channels() {
-		up := ch.Spec.D * f.UpNum / f.UpDen
-		parts[ch.ID] = clampPartition(ch.Spec, up)
-	}
-	return parts
-}
+func (f FixedDPS) Partition(st *State) map[ChannelID]Partition { return partition(st, f) }
 
-// PartitionTouched implements DPS: like SDPS the split depends only on
-// the spec, so only the request's own new channels matter.
-func (f FixedDPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
-	return partitionTouchedNew(st, touched, func(ch *Channel) Partition {
-		return clampPartition(ch.Spec, ch.Spec.D*f.UpNum/f.UpDen)
-	})
-}
-
-// Partition installation — writing the computed splits into the state,
-// tracking which links changed, and rolling back rejected repartitions —
-// is the shared kernel's job; see internal/admit.Engine.
+// Partition installation — walking the channels whose split can have
+// moved, writing the computed splits into the state, tracking which links
+// changed, and rolling back rejected repartitions — is the shared
+// kernel's job; see internal/admit.Engine.

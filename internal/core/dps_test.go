@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math/rand"
 	"testing"
 )
@@ -204,63 +203,3 @@ func TestADPSLocality(t *testing.T) {
 // Partition installation (changed-link tracking, missing/invalid
 // partition panics) moved into the shared kernel; see the apply tests in
 // internal/admit.
-
-// tailWalkDPS is a spec-only scheme whose PartitionTouched also walks
-// every hop of every touched link in full, and fails the test unless the
-// tail walk of partitionTouchedNew found exactly the unpartitioned
-// channels the full walk finds.
-type tailWalkDPS struct {
-	FixedDPS
-	t     *testing.T
-	calls int
-}
-
-func (d *tailWalkDPS) PartitionTouched(st *State, touched []Link) map[ChannelID]Partition {
-	got := d.FixedDPS.PartitionTouched(st, touched)
-	want := make(map[ChannelID]Partition)
-	for _, l := range touched {
-		for _, r := range st.channelsOn(l) {
-			if s := r.Ch.Spec; r.Ch.Part == (Partition{}) {
-				want[r.Ch.ID] = clampPartition(s, s.D*d.UpNum/d.UpDen)
-			}
-		}
-	}
-	if !maps.Equal(got, want) {
-		d.t.Fatalf("tail walk over %v partitioned %v, full walk %v", touched, got, want)
-	}
-	d.calls++
-	return got
-}
-
-// TestPartitionTouchedNewTailWalk pins the invariant the tail walk rests
-// on — the channels without a partition are a suffix of every link's
-// list — through ForceAdded channels, multi-channel batches and a
-// multicast on shared links, and releases between them.
-func TestPartitionTouchedNewTailWalk(t *testing.T) {
-	d := &tailWalkDPS{FixedDPS: FixedDPS{UpNum: 1, UpDen: 2}, t: t}
-	c := NewController(Config{DPS: d})
-	spec := func(src, dst NodeID) ChannelSpec { return ChannelSpec{Src: src, Dst: dst, C: 1, P: 100, D: 40} }
-	if _, err := c.ForceAdd(spec(1, 2), Partition{Up: 30, Down: 10}); err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.RequestAll([]ChannelSpec{spec(1, 2), spec(3, 2), spec(1, 4), spec(3, 4), spec(1, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(first[1].ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ForceAdd(spec(3, 2), Partition{Up: 5, Down: 35}); err != nil {
-		t.Fatal(err)
-	}
-	reqs := append(Unicast([]ChannelSpec{spec(3, 2), spec(1, 4)}), Req{Spec: spec(1, 2), Sinks: []NodeID{2, 4, 5}})
-	if _, err := c.Admit(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if _, errs := c.AdmitEach(nil, Unicast([]ChannelSpec{spec(1, 4), spec(5, 2), spec(3, 4)})); errs[0] != nil || errs[1] != nil || errs[2] != nil {
-		t.Fatalf("group rejected: %v", errs)
-	}
-	if d.calls != 4 { // two admissions, a release and one group pass
-		t.Fatalf("the scheme ran %d times, want every decision checked", d.calls)
-	}
-}

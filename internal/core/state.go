@@ -42,7 +42,7 @@ var coreOps = &admit.Ops[Link, *Channel, Partition]{
 		}
 		return a.Dir < b.Dir
 	},
-	Part:    func(ch *Channel) Partition { return ch.Part },
+	Part:    func(ch *Channel, _ Partition) Partition { return ch.Part },
 	SetPart: func(ch *Channel, p Partition) { ch.Part = p },
 	HasPart: func(ch *Channel, p Partition) bool { return ch.Part == p },
 	Validate: func(ch *Channel, p Partition) {
@@ -86,11 +86,6 @@ func (st *State) Get(id ChannelID) *Channel { return st.k.Get(id) }
 // Channels returns the active channels in establishment order. The caller
 // must not mutate the returned channels.
 func (st *State) Channels() []*Channel { return st.k.Channels() }
-
-// channelsOn returns the channel hops traversing a link in establishment
-// order. The returned slice is the live kernel cache — callers must not
-// mutate or retain it.
-func (st *State) channelsOn(l Link) []admit.Ref[*Channel] { return st.k.ChannelsOn(l) }
 
 // allocID returns the next unused network-unique channel ID (see
 // admit.State.AllocID for the wrap-around rules).

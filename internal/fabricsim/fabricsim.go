@@ -169,7 +169,7 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 		route:    append([]topo.Edge(nil), hch.Route...),
 		parents:  parents,
 		children: treeChildren(parents),
-		cum:      cumBudgets(hch.Hops, parents),
+		cum:      cumBudgets(make([]int64, len(hch.Hops)), hch.Hops, parents),
 		metrics:  &Metrics{Delays: stats.NewDelay(0)},
 	}
 	old := s.byID[hch.ID]
@@ -203,10 +203,11 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 
 // SetBudgets replaces a channel's per-hop deadline budgets (the DPS is a
 // function of the whole system state, so admitting or releasing one
-// channel may repartition the others). Frames released from now on use
-// the new budgets; frames in flight keep moving under the vector they
-// were released with, hop indices being stable because routes never
-// change. The route length must match.
+// channel may repartition the others). Every frame of the channel, in
+// flight or released from now on, is queued at its next hop under the
+// new budgets, hop indices being stable because routes never change. The
+// route length must match. It recomputes the cumulative budgets in place
+// and allocates nothing.
 func (s *Sim) SetBudgets(id core.ChannelID, hops []int64) error {
 	ch := s.byID[id]
 	if ch == nil {
@@ -215,7 +216,7 @@ func (s *Sim) SetBudgets(id core.ChannelID, hops []int64) error {
 	if len(hops) != len(ch.route) {
 		return fmt.Errorf("fabricsim: budget vector length %d for %d hops", len(hops), len(ch.route))
 	}
-	ch.cum = cumBudgets(hops, ch.parents)
+	cumBudgets(ch.cum, hops, ch.parents)
 	return nil
 }
 
@@ -325,11 +326,11 @@ func treeChildren(parents []int) [][]int {
 	return children
 }
 
-// cumBudgets accumulates per-edge deadline budgets down the tree:
-// cum[i] = hops[i] + cum[parents[i]] is the frame's hop-local absolute
-// deadline offset at edge i. On a chain this is the plain prefix sum.
-func cumBudgets(hops []int64, parents []int) []int64 {
-	cum := make([]int64, len(hops))
+// cumBudgets accumulates per-edge deadline budgets down the tree into cum
+// (of len(hops)) and returns it: cum[i] = hops[i] + cum[parents[i]] is
+// the frame's hop-local absolute deadline offset at edge i. On a chain
+// this is the plain prefix sum.
+func cumBudgets(cum, hops []int64, parents []int) []int64 {
 	for i, h := range hops {
 		cum[i] = h
 		if p := parents[i]; p >= 0 {

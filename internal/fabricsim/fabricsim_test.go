@@ -2,6 +2,7 @@ package fabricsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -170,5 +171,41 @@ func TestChannelLookup(t *testing.T) {
 	}
 	if s.Channel(9999) != nil {
 		t.Error("phantom channel found")
+	}
+}
+
+// TestSetBudgetsInPlace pins SetBudgets at 0 allocs/op — it recomputes
+// the cumulative budgets frames read at every hop in place, since a
+// repartition resyncs hundreds of channels per decision — and checks the
+// cumulative budgets it leaves behind.
+func TestSetBudgetsInPlace(t *testing.T) {
+	ctrl := loadLine(t, 3, topo.HADPS{}, 6, core.ChannelSpec{C: 1, P: 50, D: 40})
+	s, err := New(ctrl.State(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := ctrl.State().Channels()[0]
+	alt := slices.Clone(ch.Hops)
+	alt[0]++
+	alt[len(alt)-1]--
+	vecs := [][]int64{ch.Hops, alt}
+	k := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.SetBudgets(ch.ID, vecs[k%2]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}); allocs != 0 {
+		t.Errorf("SetBudgets allocates %.1f allocs/op, want 0", allocs)
+	}
+	if err := s.SetBudgets(ch.ID, alt); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for i, h := range alt {
+		sum += h
+		if got := s.byID[ch.ID].cum[i]; got != sum {
+			t.Fatalf("cumulative budget at hop %d = %d, want %d (hops %v)", i, got, sum, alt)
+		}
 	}
 }

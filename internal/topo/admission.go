@@ -60,9 +60,7 @@ func NewController(t *Topology, cfg Config) *Controller {
 	c.p.Eng = admit.NewEngine(topoOps, admit.Config{Feasibility: cfg.Feasibility})
 	c.p.Unknown = func(id core.ChannelID) error { return fmt.Errorf("topo: release of unknown channel %d", id) }
 	c.p.Reject = func(rej *admit.Rejection[Edge]) error { return &RejectionError{Edge: rej.Link, Result: rej.Result} }
-	c.p.Scheme = func(k *admit.State[Edge, *HChannel, []int64], touched []Edge) map[core.ChannelID][]int64 {
-		return cfg.DPS.PartitionTouched(&State{k: k}, touched)
-	}
+	c.p.Scheme = admit.Scheme[*HChannel, []int64]{Part: cfg.DPS.Split, Adaptive: cfg.DPS.LoadAdaptive}
 	return c
 }
 

@@ -14,7 +14,10 @@ import (
 // establish (one in eight a 3-5 sink multicast) or release per
 // iteration, with the churn population of each direction held in the
 // band the shared trunks cannot all carry, so a steady share of
-// establishes is refused. One iteration is one kernel decision.
+// establishes is refused. The population counts requested channels, as
+// the fabric-churn generator does: a refused establish keeps its slot,
+// and drawing that slot for release releases nothing, so the draw
+// repeats. One iteration is one kernel decision.
 //
 //	go test -run '^$' -bench HADPSChurn -benchmem ./internal/topo
 func BenchmarkHADPSChurn(b *testing.B) {
@@ -32,7 +35,7 @@ func BenchmarkHADPSChurn(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	type side struct {
 		src, dst int
-		live     []core.ChannelID
+		slots    []core.ChannelID // requested channels; 0 where refused
 	}
 	sides := []*side{{src: 0, dst: 100}, {src: 100, dst: 0}}
 	node := func(base int) core.NodeID { return core.NodeID(base + 1 + rng.Intn(perSide)) }
@@ -68,20 +71,28 @@ func BenchmarkHADPSChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sides[i%2]
-		if len(s.live) < lo || (len(s.live) < hi && rng.Intn(2) == 0) {
-			chs, err := c.Admit([]Req{req(s)})
-			if err != nil {
-				rejected++
+		for {
+			if n := len(s.slots); n < lo || (n < hi && rng.Intn(2) == 0) {
+				var id core.ChannelID
+				if chs, err := c.Admit([]Req{req(s)}); err != nil {
+					rejected++
+				} else {
+					id = chs[0].ID
+				}
+				s.slots = append(s.slots, id)
+				break
+			}
+			j := rng.Intn(len(s.slots))
+			id := s.slots[j]
+			s.slots = append(s.slots[:j], s.slots[j+1:]...)
+			if id == 0 {
 				continue
 			}
-			s.live = append(s.live, chs[0].ID)
-			continue
+			if err := c.Release(id); err != nil {
+				b.Fatal(err)
+			}
+			break
 		}
-		j := rng.Intn(len(s.live))
-		if err := c.Release(s.live[j]); err != nil {
-			b.Fatal(err)
-		}
-		s.live = append(s.live[:j], s.live[j+1:]...)
 	}
 	b.ReportMetric(float64(rejected)/float64(b.N), "rejects/op")
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -85,7 +86,7 @@ var topoOps = &admit.Ops[Edge, *HChannel, []int64]{
 		return t
 	},
 	Less: edgeLess,
-	Part: func(ch *HChannel) []int64 { return append([]int64(nil), ch.Hops...) },
+	Part: func(ch *HChannel, dst []int64) []int64 { return append(dst[:0], ch.Hops...) },
 	SetPart: func(ch *HChannel, v []int64) {
 		ch.Hops = append(ch.Hops[:0], v...)
 	},
@@ -161,11 +162,6 @@ func edgeLess(a, b Edge) bool {
 // returned slice is a copy of the kernel's live task table.
 func (st *State) TasksOn(e Edge) []edf.Task { return st.k.TasksOn(e) }
 
-// channelsOn returns the channel hops traversing an edge in establishment
-// order. The returned slice is the live kernel cache — callers must not
-// mutate or retain it.
-func (st *State) channelsOn(e Edge) []admit.Ref[*HChannel] { return st.k.ChannelsOn(e) }
-
 // MeanLinkUtilization returns the mean of the per-edge task-set
 // utilizations over all loaded edges. Returns 0 for an empty state.
 func (st *State) MeanLinkUtilization() float64 { return st.k.MeanLinkUtilization() }
@@ -177,23 +173,52 @@ func (st *State) remove(id core.ChannelID) bool { return st.k.Remove(id) }
 func (st *State) allocID() core.ChannelID       { return st.k.AllocID() }
 
 // HDPS is a hop-count-general deadline partitioning scheme: it assigns a
-// per-hop deadline vector to every channel in the state such that the
-// vector sums to d_i (condition (8) generalized) and every element is at
-// least C_i (condition (9) generalized). A channel's vector may depend
-// only on its own spec/route and the loads of the edges it traverses
-// (true for HSDPS and HADPS), which is what lets the fabric admission
-// controller repartition copy-on-write.
+// per-hop deadline vector to every channel such that the vector sums to
+// d_i (condition (8) generalized; on a multicast tree, every root→leaf
+// path does) and every element is at least C_i (condition (9)
+// generalized). A channel's vector depends only on its own spec and
+// route and the loads of the edges it traverses (true for HSDPS and
+// HADPS), so a scheme is declared per channel (Split): that is what lets
+// the admission kernel recompute only the channels whose vector can have
+// moved — under a LoadAdaptive scheme each channel on an edge a decision
+// touched, otherwise the decision's new channels alone.
 type HDPS interface {
 	// Name identifies the scheme in reports.
 	Name() string
-	// Partition returns per-hop deadline vectors for all channels.
+	// Split computes ch's vector from hopLoads, the loads of its route's
+	// edges in hop order, building it in dst's storage (which may be
+	// nil): the caller keeps a copy if it reuses dst.
+	Split(ch *HChannel, hopLoads, dst []int64) []int64
+	// LoadAdaptive reports whether Split reads hopLoads; a scheme that
+	// does not is fixed by the spec and route, so no committed vector
+	// ever moves.
+	LoadAdaptive() bool
+	// Partition returns per-hop deadline vectors for all channels: Split
+	// under each channel's current hop loads.
 	Partition(st *State) map[core.ChannelID][]int64
-	// PartitionTouched returns new vectors after a mutation that touched
-	// the given edges: one for every channel without a vector yet, and,
-	// for every other returned channel (all of which traverse a touched
-	// edge), what Partition(st) would return. Channels it omits keep
-	// their committed vectors.
-	PartitionTouched(st *State, touched []Edge) map[core.ChannelID][]int64
+}
+
+// partition is the full-state Partition both schemes share.
+func partition(st *State, h HDPS) map[core.ChannelID][]int64 {
+	parts := make(map[core.ChannelID][]int64, st.Len())
+	var loads []int64
+	for _, ch := range st.Channels() {
+		loads = st.k.HopLoads(ch, loads[:0])
+		parts[ch.ID] = slices.Clip(h.Split(ch, loads, nil))
+	}
+	return parts
+}
+
+// split distributes ch's deadline over its route in proportion to the
+// weights (equally when they are nil) into dst's storage: splitDeadline
+// on a unicast chain, splitDeadlineTree on a multicast tree.
+func split(ch *HChannel, weights, dst []int64) []int64 {
+	if ch.Multicast() {
+		return splitDeadlineTree(dst, ch, weights)
+	}
+	out := slices.Grow(dst[:0], len(ch.Route))[:len(ch.Route)]
+	splitDeadline(out, ch.Spec.D, ch.Spec.C, weights)
+	return out
 }
 
 // HSDPS splits every channel's deadline equally over its hops —
@@ -203,79 +228,14 @@ type HSDPS struct{}
 // Name implements HDPS.
 func (HSDPS) Name() string { return "H-SDPS" }
 
-// vectorOf computes the equal split of one channel — shared by the full
-// and incremental paths so they agree bit for bit. Unicast chains use
-// splitDeadline exactly as before; multicast trees use the tree
-// recursion with unit weights.
-func (HSDPS) vectorOf(ch *HChannel) []int64 {
-	weights := make([]int64, len(ch.Route))
-	for i := range weights {
-		weights[i] = 1
-	}
-	if ch.Multicast() {
-		return splitDeadlineTree(ch, weights)
-	}
-	return splitDeadline(ch.Spec.D, ch.Spec.C, weights)
-}
+// Split implements HDPS: the equal split.
+func (HSDPS) Split(ch *HChannel, _, dst []int64) []int64 { return split(ch, nil, dst) }
+
+// LoadAdaptive implements HDPS: the equal split is fixed by the route.
+func (HSDPS) LoadAdaptive() bool { return false }
 
 // Partition implements HDPS.
-func (h HSDPS) Partition(st *State) map[core.ChannelID][]int64 {
-	parts := make(map[core.ChannelID][]int64, st.Len())
-	for _, ch := range st.Channels() {
-		parts[ch.ID] = h.vectorOf(ch)
-	}
-	return parts
-}
-
-// partitionTouched is the shared shell of the load-adaptive
-// PartitionTouched implementations: collect the vector of each channel
-// traversing a touched edge, deduplicating channels that traverse several
-// of them.
-func partitionTouched(st *State, touched []Edge, vector func(*HChannel) []int64) map[core.ChannelID][]int64 {
-	parts := make(map[core.ChannelID][]int64)
-	for _, e := range touched {
-		for _, r := range st.channelsOn(e) {
-			if _, done := parts[r.Ch.ID]; done {
-				continue
-			}
-			parts[r.Ch.ID] = vector(r.Ch)
-		}
-	}
-	return parts
-}
-
-// partitionTouchedNew is partitionTouched for schemes whose vector
-// depends only on the channel's own spec and route: only channels without
-// one — the request's own new channels — get a vector, keeping
-// incremental admission O(new channels) per request. Under such a scheme
-// (HSDPS) a committed vector is never recomputed.
-//
-// It reads each touched edge's hops from the tail and stops at the first
-// channel holding a vector. That finds every new channel because the
-// channels without one form a suffix of every edge's list: an admission
-// appends its new channels at the tail of every edge it touches, a
-// removal keeps the order of the rest, and every committed channel holds
-// a vector.
-func partitionTouchedNew(st *State, touched []Edge, vector func(*HChannel) []int64) map[core.ChannelID][]int64 {
-	parts := make(map[core.ChannelID][]int64)
-	for _, e := range touched {
-		refs := st.channelsOn(e)
-		for k := len(refs) - 1; k >= 0 && len(refs[k].Ch.Hops) == 0; k-- {
-			ch := refs[k].Ch
-			if _, done := parts[ch.ID]; !done {
-				parts[ch.ID] = vector(ch)
-			}
-		}
-	}
-	return parts
-}
-
-// PartitionTouched implements HDPS. The equal split depends
-// only on the spec and hop count, so beyond the request's own new
-// channels nothing can move.
-func (h HSDPS) PartitionTouched(st *State, touched []Edge) map[core.ChannelID][]int64 {
-	return partitionTouchedNew(st, touched, h.vectorOf)
-}
+func (h HSDPS) Partition(st *State) map[core.ChannelID][]int64 { return partition(st, h) }
 
 // HADPS weights each hop's share by that directed edge's link load —
 // ADPS generalized (on two-hop routes it reduces to ADPS up to rounding).
@@ -284,59 +244,32 @@ type HADPS struct{}
 // Name implements HDPS.
 func (HADPS) Name() string { return "H-ADPS" }
 
-// vectorOf computes the load-weighted split of one channel — shared by
-// the full and incremental paths so they agree bit for bit. Unicast
-// chains use splitDeadline exactly as before; multicast trees use the
-// tree recursion with per-edge link-load weights.
-func (HADPS) vectorOf(st *State, ch *HChannel) []int64 {
-	weights := st.k.HopLoads(ch, make([]int64, 0, len(ch.Route)))
-	if ch.Multicast() {
-		return splitDeadlineTree(ch, weights)
-	}
-	return splitDeadline(ch.Spec.D, ch.Spec.C, weights)
-}
+// Split implements HDPS: the load-weighted split.
+func (HADPS) Split(ch *HChannel, hopLoads, dst []int64) []int64 { return split(ch, hopLoads, dst) }
+
+// LoadAdaptive implements HDPS: the split follows the edge loads.
+func (HADPS) LoadAdaptive() bool { return true }
 
 // Partition implements HDPS.
-func (h HADPS) Partition(st *State) map[core.ChannelID][]int64 {
-	parts := make(map[core.ChannelID][]int64, st.Len())
-	for _, ch := range st.Channels() {
-		parts[ch.ID] = h.vectorOf(st, ch)
-	}
-	return parts
-}
+func (h HADPS) Partition(st *State) map[core.ChannelID][]int64 { return partition(st, h) }
 
-// PartitionTouched implements HDPS. A channel's vector depends
-// on the loads of its own route edges only, so after a mutation that
-// touched an edge set, exactly the channels traversing those edges can
-// move.
-func (h HADPS) PartitionTouched(st *State, touched []Edge) map[core.ChannelID][]int64 {
-	return partitionTouched(st, touched, func(ch *HChannel) []int64 {
-		return h.vectorOf(st, ch)
-	})
-}
-
-// splitDeadline distributes D over len(weights) hops proportionally to
-// the weights, with every hop getting at least C, summing exactly to D.
-// Requires D >= len(weights)*C (checked by admission). Deterministic.
-func splitDeadline(d, c int64, weights []int64) []int64 {
-	h := len(weights)
-	out := make([]int64, h)
+// splitDeadline distributes D over the len(out) hops proportionally to
+// the weights (equally when they are nil or all zero), with every hop
+// getting at least C, summing exactly to D, and writes the shares into
+// out. Requires D >= len(out)*C (checked by admission). Deterministic.
+func splitDeadline(out []int64, d, c int64, weights []int64) {
+	h := len(out)
 	var totalW int64
 	for _, w := range weights {
 		totalW += w
 	}
-	if totalW == 0 {
-		totalW = int64(h)
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
 	var acc int64
-	for i, w := range weights {
-		share := d * w / totalW
-		if share < c {
-			share = c
+	for i := range out {
+		share := d / int64(h)
+		if totalW != 0 {
+			share = d * weights[i] / totalW
 		}
+		share = max(share, c)
 		out[i] = share
 		acc += share
 	}
@@ -352,72 +285,61 @@ func splitDeadline(d, c int64, weights []int64) []int64 {
 		out[i]++
 		acc++
 	}
-	return out
 }
 
 // splitDeadlineTree distributes D over the edges of a multicast tree so
 // that every root→leaf path's budgets sum exactly to D and every edge
 // gets at least C — the tree generalization of splitDeadline (to which
-// it reduces on a chain, up to rounding). It recurses top-down: at an
-// edge with remaining deadline R it splits R over the deepest
-// descendant chain through that edge (weight-proportionally, via
-// splitDeadline), keeps the chain's first share for itself, and hands
-// R minus that share to every child subtree; a leaf edge absorbs all
-// remaining deadline, which is what makes each path sum exact. Shared
-// prefix edges are budgeted once — the whole point of tree admission.
-// Requires D >= depth*C along every path (checked at validation) and
-// Parents[i] < i. Deterministic.
-func splitDeadlineTree(ch *HChannel, weights []int64) []int64 {
+// it reduces on a chain, up to rounding). Top-down, an edge with
+// remaining deadline R splits R over the deepest descendant chain
+// through that edge (weight-proportionally, via splitDeadline; ties: the
+// first child in edge order), keeps the chain's first share for itself,
+// and hands R minus that share to every child subtree; a leaf edge
+// absorbs all remaining deadline, which is what makes each path sum
+// exact. Shared prefix edges are budgeted once — the whole point of tree
+// admission. Nil weights split equally. Requires D >= depth*C along every
+// path (checked at validation) and Parents[i] < i. Deterministic.
+//
+// The result is dst[:n], built in dst's storage, grown to 5n: the rest is
+// the split's scratch, so a reused dst makes it allocation-free.
+func splitDeadlineTree(dst []int64, ch *HChannel, weights []int64) []int64 {
 	n := len(ch.Route)
-	children := make([][]int, n)
-	root := 0
-	for i := 0; i < n; i++ {
-		if p := ch.parentOf(i); p < 0 {
-			root = i
-		} else {
-			children[p] = append(children[p], i)
-		}
+	buf := slices.Grow(dst[:0], 5*n)[:5*n]
+	out, rem, next, cw, cs := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n:4*n], buf[4*n:]
+	// Bottom-up (children have higher indices): rem[i] is the length of
+	// the deepest chain from edge i to a leaf, and next[i] the child that
+	// chain continues through (-1 at a leaf). Children arrive in
+	// descending index order, so on a tie the first child wins.
+	for i := range rem {
+		rem[i], next[i] = 1, -1
 	}
-	// depth[i] is the longest chain length from edge i to a leaf,
-	// inclusive; children have higher indices, so one reverse pass works.
-	depth := make([]int, n)
 	for i := n - 1; i >= 0; i-- {
-		depth[i] = 1
-		for _, c := range children[i] {
-			if depth[c]+1 > depth[i] {
-				depth[i] = depth[c] + 1
-			}
+		if p := ch.parentOf(i); p >= 0 && rem[i]+1 >= rem[p] {
+			rem[p], next[p] = rem[i]+1, int64(i)
 		}
 	}
-	out := make([]int64, n)
-	var assign func(e int, r int64)
-	assign = func(e int, r int64) {
-		if len(children[e]) == 0 {
-			out[e] = r
-			return
+	// Top-down (parents have lower indices): rem[i] becomes the deadline
+	// remaining at edge i, out[i] its share.
+	for i := 0; i < n; i++ {
+		r := ch.Spec.D
+		if p := ch.parentOf(i); p >= 0 {
+			r = rem[p] - out[p]
 		}
-		// Weight chain down the deepest descendant path (ties: first
-		// child in edge order) — the path that constrains e's share most.
-		chain := make([]int64, 0, depth[e])
-		for cur := e; ; {
-			chain = append(chain, weights[cur])
-			if len(children[cur]) == 0 {
-				break
+		rem[i] = r
+		if next[i] < 0 {
+			out[i] = r
+			continue
+		}
+		w := cw[:0]
+		for cur := int64(i); cur >= 0; cur = next[cur] {
+			if weights == nil {
+				w = append(w, 1)
+			} else {
+				w = append(w, weights[cur])
 			}
-			best := children[cur][0]
-			for _, c := range children[cur][1:] {
-				if depth[c] > depth[best] {
-					best = c
-				}
-			}
-			cur = best
 		}
-		share := splitDeadline(r, ch.Spec.C, chain)[0]
-		out[e] = share
-		for _, c := range children[e] {
-			assign(c, r-share)
-		}
+		splitDeadline(cs[:len(w)], r, ch.Spec.C, w)
+		out[i] = cs[0]
 	}
-	assign(root, ch.Spec.D)
 	return out
 }

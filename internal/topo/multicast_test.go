@@ -157,7 +157,7 @@ func TestSplitDeadlineTreeInvariants(t *testing.T) {
 		for i := range weights {
 			weights[i] = int64(rng.Intn(5)) // zeros allowed
 		}
-		v := splitDeadlineTree(ch, weights)
+		v := splitDeadlineTree(nil, ch, weights)
 		for i, b := range v {
 			if b < c {
 				t.Fatalf("iter %d: edge %d budget %d < C=%d (v=%v, parents=%v)", iter, i, b, c, v, parents)
@@ -200,7 +200,7 @@ func (r *fabricRef) admitMulticast(spec core.MulticastSpec) ([]int64, bool) {
 			return nil, false
 		}
 	}
-	v := HSDPS{}.vectorOf(ch)
+	v := HSDPS{}.Split(ch, nil, nil)
 	var adds []Edge
 	added := make(map[int]bool)
 	ok := true
