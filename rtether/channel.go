@@ -42,21 +42,24 @@ func (c *Channel) ID() ChannelID { return c.id }
 // Spec returns the committed channel spec {Src, Dst, P, C, D}. For a
 // multicast channel, Dst is the first sink; see Sinks for the full set.
 func (c *Channel) Spec() ChannelSpec {
-	defer c.net.lk.runlock(c.net.lk.rlock())
+	c.net.mu.RLock()
+	defer c.net.mu.RUnlock()
 	return c.spec
 }
 
 // Sinks returns the sink set of a multicast channel in request order,
 // or nil for a unicast channel. The returned slice is a copy.
 func (c *Channel) Sinks() []NodeID {
-	defer c.net.lk.runlock(c.net.lk.rlock())
+	c.net.mu.RLock()
+	defer c.net.mu.RUnlock()
 	return slices.Clone(c.sinks)
 }
 
 // Multicast reports whether this channel was established with
 // EstablishMulticast.
 func (c *Channel) Multicast() bool {
-	defer c.net.lk.runlock(c.net.lk.rlock())
+	c.net.mu.RLock()
+	defer c.net.mu.RUnlock()
 	return len(c.sinks) > 0
 }
 

@@ -174,3 +174,23 @@ func TestCloseConcurrent(t *testing.T) {
 		t.Errorf("%d channels left after concurrent Close", got)
 	}
 }
+
+// TestScheduleCallbackAfterCloseDoesNotRun: Schedule is a no-op after
+// Close, and that covers callbacks registered before it — one due later
+// in the very run during which Close happened does not fire.
+func TestScheduleCallbackAfterCloseDoesNotRun(t *testing.T) {
+	star := New()
+	star.MustAddNode(1)
+	star.MustAddNode(2)
+	for name, net := range map[string]*Network{"star": star, "fabric": testFabricNet(t)} {
+		t.Run(name, func(t *testing.T) {
+			ran := false
+			net.Schedule(net.Now()+10, func() { net.Close() })
+			net.Schedule(net.Now()+20, func() { ran = true })
+			net.RunFor(100)
+			if ran {
+				t.Error("a callback due after Close ran")
+			}
+		})
+	}
+}

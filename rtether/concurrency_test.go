@@ -139,8 +139,8 @@ func TestConcurrentFabricStress(t *testing.T) {
 }
 
 // TestScheduleCallbackReentrancy verifies the documented callback
-// contract: a Schedule callback runs with the network lock held and may
-// call back into the Network — including mutating calls — without
+// contract: a Schedule callback runs with the network lock released and
+// may call back into the Network — including mutating calls — without
 // deadlocking, while other goroutines contend for the same lock.
 func TestScheduleCallbackReentrancy(t *testing.T) {
 	net := New()

@@ -152,7 +152,8 @@ var ErrNoNodeLinks = errors.New("rtether: node-link failures are modeled on star
 // routes. Unknown trunks return an error; failing an already-down (or
 // repairing an already-up) trunk is a no-op with an empty report.
 func (n *Network) SetLinkUp(a, b SwitchID, up bool) (*FailoverReport, error) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
@@ -171,7 +172,8 @@ func (n *Network) SetLinkUp(a, b SwitchID, up bool) (*FailoverReport, error) {
 // at a dead switch have no residual route and are lost regardless of
 // policy. Repair returns an empty report, as for SetLinkUp.
 func (n *Network) SetSwitchUp(s SwitchID, up bool) (*FailoverReport, error) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
@@ -191,7 +193,8 @@ func (n *Network) SetSwitchUp(s SwitchID, up bool) (*FailoverReport, error) {
 // (multi-switch networks model failures at trunks and switches
 // instead; see SetLinkUp and SetSwitchUp).
 func (n *Network) SetNodeLinkUp(id NodeID, up bool) error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return ErrClosed
 	}

@@ -1,11 +1,13 @@
 package rtether
 
-// Tests for netLock's arm/disarm discipline: reentrancy exists only while
-// a Schedule callback runs, on the goroutine that runs it, and is gone
-// the moment the write-lock hold that fired the callback ends. Run with
-// -race (CI repeats the Lock|Reentr tests 20 times).
+// Tests for the Network lock around Schedule callbacks: a callback runs
+// with the lock released, so it may call back into the Network through
+// every method class while other goroutines do too, and the lock is free
+// again once the run returns. Run with -race (CI repeats the Lock|Reentr
+// tests 20 times).
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -71,7 +73,7 @@ func reenter(t *testing.T, net *Network, live *Channel, src, dst NodeID) {
 // TestLockReentrantEveryMethodClass: an outer callback re-enters through
 // reads and writes, runs a nested RunFor that fires a second callback
 // which re-enters again, and then re-enters once more itself — the
-// nested run's unlock must not have disarmed the outer hold.
+// nested run must hand the lock back the way it found it.
 func TestLockReentrantEveryMethodClass(t *testing.T) {
 	for name, c := range lockTestNets(t) {
 		net, live := c.net, c.ch
@@ -113,9 +115,10 @@ func TestLockReentrantEveryMethodClass(t *testing.T) {
 			if afterNested < 50 {
 				t.Errorf("nested RunFor(50) advanced %d slots", afterNested)
 			}
-			if o := net.lk.owner.Load(); o != 0 {
-				t.Errorf("owner = %d after the run returned, want disarmed", o)
+			if !net.mu.TryLock() {
+				t.Fatal("lock still held after the run returned")
 			}
+			net.mu.Unlock()
 			if m := live.Metrics(); m == nil || m.Delivered == 0 {
 				t.Error("live channel delivered nothing across the nested runs")
 			}
@@ -125,7 +128,7 @@ func TestLockReentrantEveryMethodClass(t *testing.T) {
 
 // TestLockReentrantDuringEstablishHandshake: the star's Establish steps
 // the engine for its wire handshake, so a callback due in that window
-// fires under Establish's write-lock hold and must be able to re-enter.
+// fires inside Establish's write-lock hold and must be able to re-enter.
 func TestLockReentrantDuringEstablishHandshake(t *testing.T) {
 	c := lockTestNets(t)["star"]
 	net, live := c.net, c.ch
@@ -146,25 +149,28 @@ func TestLockReentrantDuringEstablishHandshake(t *testing.T) {
 	if !fired {
 		t.Fatal("callback due during the handshake did not fire inside Establish")
 	}
-	if o := net.lk.owner.Load(); o != 0 {
-		t.Errorf("owner = %d after Establish returned, want disarmed", o)
+	if !net.mu.TryLock() {
+		t.Fatal("lock still held after Establish returned")
 	}
+	net.mu.Unlock()
 }
 
-// TestLockContendersBlockWhileCallbackParked: reentrancy belongs to the
-// callback's goroutine alone. While a callback is parked, another
-// goroutine's write and read wait for the run to return; afterwards the
-// lock is an ordinary RWMutex again.
-func TestLockContendersBlockWhileCallbackParked(t *testing.T) {
+// TestLockContendersRunWhileCallbackParked: a callback runs with the
+// lock released, so while one is parked another goroutine's write, read
+// and even run go through. The parked run then resumes, reaches its
+// horizon, and the clock never goes back; afterwards the lock is free.
+func TestLockContendersRunWhileCallbackParked(t *testing.T) {
 	for name, c := range lockTestNets(t) {
 		net, live := c.net, c.ch
 		t.Run(name, func(t *testing.T) {
+			start := net.Now()
+			var clock []int64 // the clock as the callback and the contenders see it, in order
 			parked, resume := make(chan struct{}), make(chan struct{})
-			net.Schedule(net.Now()+10, func() {
-				_ = net.Now() // armed and in use
+			net.Schedule(start+10, func() {
+				clock = append(clock, net.Now())
 				close(parked)
 				<-resume
-				_ = net.Now()
+				clock = append(clock, net.Now())
 			})
 			ran := make(chan struct{})
 			go func() {
@@ -176,44 +182,39 @@ func TestLockContendersBlockWhileCallbackParked(t *testing.T) {
 			released, read := make(chan error, 1), make(chan *ChannelMetrics, 1)
 			go func() { released <- live.Release() }()
 			go func() { read <- live.Metrics() }()
-			select {
-			case err := <-released:
-				t.Errorf("Release from another goroutine got through a held write lock (err %v)", err)
-				released <- err
-			case m := <-read:
-				t.Error("Metrics from another goroutine got through a held write lock")
-				read <- m
-			case <-time.After(20 * time.Millisecond):
+			for i := 0; i < 2; i++ {
+				select {
+				case err := <-released:
+					if err != nil {
+						t.Errorf("Release while a callback is parked: %v", err)
+					}
+				case <-read:
+				case <-time.After(10 * time.Second):
+					t.Fatal("another goroutine's Release or Metrics blocked on a parked callback")
+				}
 			}
+			net.RunFor(5) // this goroutine runs the parked instant's other events and moves on
+			clock = append(clock, net.Now())
 
 			close(resume)
 			<-ran
-			if err := <-released; err != nil {
-				t.Errorf("release after the run: %v", err)
+			clock = append(clock, net.Now())
+			if !slices.IsSorted(clock) {
+				t.Errorf("clock went back: %v", clock)
 			}
-			<-read
-
-			if o := net.lk.owner.Load(); o != 0 {
-				t.Errorf("owner = %d after the run returned, want disarmed", o)
+			if clock[0] != start+10 || clock[len(clock)-1] != start+100 {
+				t.Errorf("clock %v: callback due at %d, run horizon %d", clock, start+10, start+100)
 			}
-			now := make(chan int64, 1)
-			go func() { now <- net.Now() }() // a third goroutine, plain read
-			select {
-			case <-now:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Now() deadlocked after a run that fired a callback")
-			}
-			if !net.lk.mu.TryLock() {
+			if !net.mu.TryLock() {
 				t.Fatal("lock still held after every caller returned")
 			}
-			net.lk.mu.Unlock()
+			net.mu.Unlock()
 		})
 	}
 }
 
-// TestLockReadsDoNotAllocate pins the fast path: outside a callback a
-// read acquisition never walks the stack (goid's buffer escapes, so the
-// walk shows up as one allocation per call).
+// TestLockReadsDoNotAllocate pins the fast path: a read acquisition is
+// a plain RLock, with nothing to allocate.
 func TestLockReadsDoNotAllocate(t *testing.T) {
 	for name, c := range lockTestNets(t) {
 		net, id := c.net, c.ch.ID()
@@ -260,4 +261,22 @@ func BenchmarkNetworkRead(b *testing.B) {
 			benchSink += ch.Metrics().Delivered
 		}
 	})
+}
+
+// BenchmarkScheduleCallback measures the data-plane benchmark's
+// best-effort generator: one Schedule, and one SendBestEffort from the
+// callback when it fires, per op. Callbacks are due one per slot.
+func BenchmarkScheduleCallback(b *testing.B) {
+	net := New()
+	net.MustAddNode(1)
+	net.MustAddNode(2)
+	send := func() { net.SendBestEffort(1, 2, []byte("bg")) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; {
+		now, k := net.Now(), 0
+		for ; k < 1000 && i < b.N; k, i = k+1, i+1 {
+			net.Schedule(now+int64(k), send)
+		}
+		net.RunFor(int64(k))
+	}
 }

@@ -52,9 +52,10 @@
 // GuaranteedDelay, AdmissionStats, Lookup, Now, Report, link loads) take
 // a shared read lock and proceed in parallel. Callbacks registered with
 // Schedule run on the goroutine driving the simulation with the lock
-// held, and may call freely back into the Network: the lock is reentrant
-// for a Schedule callback and for nothing else — any other code invoked
-// under it (a Tracer) must not call back in.
+// released around them: the run waits at the callback's slot while the
+// callback calls freely back into the Network — and other goroutines'
+// calls may run meanwhile. Code invoked under the lock (a Tracer) must
+// not call back in.
 //
 // Concurrency does not cost determinism where it matters: the virtual
 // clock only advances under the exclusive lock, admission decisions are
@@ -68,6 +69,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -223,7 +225,7 @@ func WithDiscipline(d Discipline) Option {
 // WithTopology. Safe for concurrent use; see the package-level
 // Concurrency section for the contract.
 type Network struct {
-	lk      netLock
+	mu      sync.RWMutex
 	be      backend
 	handles map[ChannelID]*Channel
 
@@ -264,7 +266,8 @@ func New(opts ...Option) *Network {
 // multi-switch network nodes are attached via Topology.Attach before New
 // and AddNode returns an error.
 func (n *Network) AddNode(id NodeID) error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return ErrClosed
 	}
@@ -287,7 +290,8 @@ func (n *Network) MustAddNode(id NodeID) {
 // A feasibility rejection is returned as an *AdmissionError naming the
 // saturated link; errors.Is(err, ErrInfeasible) matches it.
 func (n *Network) Establish(spec ChannelSpec) (*Channel, error) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
@@ -359,7 +363,8 @@ func (n *Network) EstablishAll(specs []ChannelSpec) ([]*Channel, error) {
 // ones, and hands a KeepID request — a reconfiguration, which must keep
 // its source node and its kind — the handle it re-admits.
 func (n *Network) apply(remove []*Channel, reqs []core.Req) ([]*Channel, error) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
@@ -425,7 +430,8 @@ func (n *Network) EstablishEach(specs []ChannelSpec) ([]*Channel, []error) {
 // admitEach is the per-verdict adapter behind EstablishEach and
 // EstablishEachMixed.
 func (n *Network) admitEach(reqs []core.Req) ([]*Channel, []error) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	chs := make([]*Channel, len(reqs))
 	if n.closed {
 		errs := make([]error, len(reqs))
@@ -482,11 +488,13 @@ func (n *Network) EstablishEachMixed(reqs []EstablishReq) ([]*Channel, []error) 
 // Establish, EstablishAll, EstablishEach, AddNode, channel lifecycle
 // methods — returns ErrClosed (handles also report ErrChannelClosed,
 // since Close released them). RunFor, RunUntil and Schedule become
-// no-ops and SendBestEffort reports false. Read-only queries keep
+// no-ops, callbacks scheduled before Close no longer run, and
+// SendBestEffort reports false. Read-only queries keep
 // serving the final state. Close is idempotent and safe to call
 // concurrently with any other method; it always returns nil.
 func (n *Network) Close() error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return nil
 	}
@@ -508,7 +516,8 @@ func (n *Network) Close() error {
 // Lookup returns the handle of an established channel, or nil. Handles
 // exist only for channels established through this Network value.
 func (n *Network) Lookup(id ChannelID) *Channel {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	ch := n.handles[id]
 	if ch == nil || ch.closed {
 		return nil
@@ -529,7 +538,8 @@ func (n *Network) reconfigureChannel(c *Channel, req EstablishReq) error {
 // (the reservation itself is freed when the Teardown frame reaches the
 // switch).
 func (n *Network) teardownChannel(c *Channel) error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return ErrClosed
 	}
@@ -545,7 +555,8 @@ func (n *Network) teardownChannel(c *Channel) error {
 
 // startChannel attaches a channel's periodic source.
 func (n *Network) startChannel(c *Channel, offset int64) error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return ErrClosed
 	}
@@ -557,7 +568,8 @@ func (n *Network) startChannel(c *Channel, offset int64) error {
 
 // stopChannel detaches a channel's periodic source.
 func (n *Network) stopChannel(c *Channel) error {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return ErrClosed
 	}
@@ -569,7 +581,8 @@ func (n *Network) stopChannel(c *Channel) error {
 
 // channelBudgets reads a channel's committed per-hop budgets.
 func (n *Network) channelBudgets(c *Channel) []int64 {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if c.closed {
 		return nil
 	}
@@ -578,7 +591,8 @@ func (n *Network) channelBudgets(c *Channel) []int64 {
 
 // channelMetrics snapshots a channel's measurements.
 func (n *Network) channelMetrics(c *Channel) *ChannelMetrics {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.metrics(c.id)
 }
 
@@ -594,7 +608,8 @@ func (n *Network) closeHandle(id ChannelID) {
 // or the network does not carry best-effort traffic (fabrics model RT
 // traffic only).
 func (n *Network) SendBestEffort(src, dst NodeID, payload []byte) bool {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return false
 	}
@@ -603,28 +618,37 @@ func (n *Network) SendBestEffort(src, dst NodeID, payload []byte) bool {
 
 // Schedule registers fn to run at the absolute slot t (clamped to the
 // current time), for custom traffic generators and experiment drivers.
-// fn runs on the goroutine driving the simulation with the network lock
-// held and may call back into the Network and its channel handles.
+// fn runs on the goroutine driving the simulation, with the network lock
+// released around it: the run waits at slot t while fn may call back
+// into the Network and its channel handles, and other goroutines' calls
+// may run meanwhile. fn does not run if the network is closed by then.
 func (n *Network) Schedule(t int64, fn func()) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
 	n.be.schedule(t, func() {
-		n.lk.arm()
+		if n.closed {
+			return
+		}
+		n.mu.Unlock()
+		defer n.mu.Lock()
 		fn()
 	})
 }
 
 // Now returns the current virtual time in slots.
 func (n *Network) Now() int64 {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.now()
 }
 
 // RunFor advances the simulation by d slots.
 func (n *Network) RunFor(d int64) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
@@ -633,7 +657,8 @@ func (n *Network) RunFor(d int64) {
 
 // RunUntil advances the simulation to the absolute slot t.
 func (n *Network) RunUntil(t int64) {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
@@ -645,7 +670,8 @@ func (n *Network) RunUntil(t int64) {
 // is an independent copy — it does not change as the simulation
 // continues.
 func (n *Network) Report() *Report {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.report()
 }
 
@@ -655,7 +681,8 @@ func (n *Network) Report() *Report {
 // have no route on this network — no guarantee can be stated for a
 // channel admission control could never accept.
 func (n *Network) GuaranteedDelay(spec ChannelSpec) int64 {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.guaranteedDelay(0, core.Req{Spec: spec})
 }
 
@@ -663,39 +690,45 @@ func (n *Network) GuaranteedDelay(spec ChannelSpec) int64 {
 // bound of its committed route, for a multicast tree that of the
 // farthest sink.
 func (n *Network) channelGuarantee(c *Channel) int64 {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.guaranteedDelay(c.id, core.Req{Spec: c.spec, Sinks: c.sinks})
 }
 
 // LinkLoadUp returns the number of channels on a node's uplink — LL in
 // the paper's ADPS definition.
 func (n *Network) LinkLoadUp(id NodeID) int {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.linkLoadUp(id)
 }
 
 // LinkLoadDown returns the number of channels on a node's downlink.
 func (n *Network) LinkLoadDown(id NodeID) int {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.linkLoadDown(id)
 }
 
 // AdmissionStats summarizes admission-control activity so far.
 func (n *Network) AdmissionStats() AdmissionStats {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.admissionStats()
 }
 
 // WriteSnapshot serializes the established channels as indented JSON
 // (star networks; see core snapshot format).
 func (n *Network) WriteSnapshot(w io.Writer) error {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.writeSnapshot(w)
 }
 
 // Channels lists established channel IDs in establishment order.
 func (n *Network) Channels() []ChannelID {
-	defer n.lk.runlock(n.lk.rlock())
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return n.be.channelIDs()
 }
 

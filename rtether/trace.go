@@ -40,9 +40,9 @@ func NewRingTracer(capacity int) *RingTracer { return netsim.NewRingTracer(capac
 // parity test pins it), so the result is true on every current
 // topology. The tracer is invoked on the goroutine driving the
 // simulation, under the network lock, and must not call back into the
-// Network or its channel handles: the lock is reentrant only for
-// Schedule callbacks, so a tracer that did would deadlock.
+// Network or its channel handles: a tracer that did would deadlock.
 func (n *Network) SetTracer(t Tracer) bool {
-	defer n.lk.unlock(n.lk.lock())
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.be.setTracer(t)
 }
