@@ -17,15 +17,15 @@ import (
 )
 
 // runLoad is `rtexp load`, the load harness for rtetherd: it replays a
-// scenario document's establish/release workload — including the
-// synthesized churn-generator streams (docs/scenario-format.md) —
-// against a running daemon from many concurrent client goroutines, at
-// full speed, and prints one summary line. -proto selects the transport
-// (json over HTTP, or the daemon's binary listener via -binaddr).
-// Admission rejections are expected outcomes (saturating the network is
-// usually the point); transport failures and unclassified server errors
-// are protocol errors, and any protocol error makes the run exit
-// non-zero.
+// scenario document's whole admission stream — static channels, then
+// every timeline event including the synthesized churn-generator
+// streams (docs/scenario-format.md) — against a running daemon from
+// many concurrent client goroutines, at full speed, and prints one
+// summary line. -proto selects the transport (json over HTTP, or the
+// daemon's binary listener via -binaddr). Admission rejections are
+// counted verdicts (saturating the network is usually the point);
+// transport failures and unclassified server errors are protocol
+// errors, and any protocol error makes the run exit non-zero.
 //
 //	rtexp load -addr 127.0.0.1:8316 -scenario fabric.json -clients 16
 //	rtexp load -proto binary -binaddr 127.0.0.1:8317 -scenario fabric.json
@@ -38,7 +38,7 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		proto    = fs.String("proto", "json", "transport for the latency-critical calls: json or binary")
 		scenFile = fs.String("scenario", "", "scenario document providing the workload (required)")
 		clients  = fs.Int("clients", 8, "concurrent client goroutines")
-		maxOps   = fs.Int("maxops", 0, "cap on workload items (0 = whole workload)")
+		maxOps   = fs.Int("maxops", 0, "cap on workload steps (0 = whole workload)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,20 +58,17 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rtexp load: %v\n", err)
 		return 1
 	}
-	items, skippedKinds, err := sc.Workload()
+	steps, err := sc.Steps()
 	if err != nil {
 		fmt.Fprintf(stderr, "rtexp load: %v\n", err)
 		return 1
 	}
-	if *maxOps > 0 && len(items) > *maxOps {
-		items = items[:*maxOps]
+	if *maxOps > 0 && len(steps) > *maxOps {
+		steps = steps[:*maxOps]
 	}
-	if len(items) == 0 {
-		fmt.Fprintln(stderr, "rtexp load: scenario has no establish/release workload")
+	if len(steps) == 0 {
+		fmt.Fprintln(stderr, "rtexp load: scenario has no channels or events to replay")
 		return 1
-	}
-	if skippedKinds > 0 {
-		fmt.Fprintf(stderr, "rtexp load: note: %d timeline events (reconfigure/publish/setBackground/linkDown/switchDown/repair) are not replayed by rtexp load and were skipped\n", skippedKinds)
 	}
 
 	var copts []client.Option
@@ -95,13 +92,12 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	est, rel := replay(ctx, cl, items, *clients)
+	c, protoErrs := replay(ctx, cl, steps, *clients)
 	wall := time.Since(start)
-	ops := est.ok + est.rejected + est.protoErr + rel.ok + rel.protoErr
-	protoErrs := est.protoErr + rel.protoErr
-	fmt.Fprintf(stdout, "%d ops in %v (%.0f ops/s) · establish %d ok / %d rejected · release %d ok / %d skipped · %d protocol errors\n",
+	ops := c.Ops + protoErrs
+	fmt.Fprintf(stdout, "%d ops in %v (%.0f ops/s) · %d accepted / %d rejected / %d released / %d skipped · %d protocol errors\n",
 		ops, wall.Round(time.Millisecond), float64(ops)/wall.Seconds(),
-		est.ok, est.rejected, rel.ok, rel.skipped, protoErrs)
+		c.Accepted, c.Rejected, c.Released, c.Skipped, protoErrs)
 	if protoErrs > 0 {
 		fmt.Fprintf(stderr, "rtexp load: FAILED: %d protocol errors\n", protoErrs)
 		return 1
@@ -109,105 +105,81 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// opCounts tallies one operation kind's outcomes.
-type opCounts struct {
-	ok       int // operations the daemon applied
-	rejected int // admission rejections (expected outcomes, not failures)
-	skipped  int // releases whose establish was rejected
-	protoErr int // transport failures and unclassified server errors
-}
-
-// shard splits the workload across n workers, by channel name: each
-// channel's establish→release order is preserved within one worker
-// while shards proceed independently — exactly the concurrent-client
-// pattern the daemon's coalescing front-end merges. Unnamed items
-// spread round-robin.
-func shard(items []scenario.WorkItem, n int) [][]scenario.WorkItem {
+// shard splits the steps across n players by channel name, so each
+// channel's steps keep their order within one player while players
+// proceed independently — the concurrent-client pattern the daemon's
+// coalescing front-end merges. The members of an establishAll share a
+// player, and with them every step on any of them; steps that name no
+// channel spread round-robin.
+func shard(steps []scenario.Step, n int) [][]scenario.Step {
 	if n < 1 {
 		n = 1
 	}
-	shards := make([][]scenario.WorkItem, n)
-	for i, it := range items {
+	// Union the names each establishAll ties together; a group is keyed
+	// by its root name.
+	parent := make(map[string]string)
+	var root func(string) string
+	root = func(name string) string {
+		if p, ok := parent[name]; ok && p != name {
+			r := root(p)
+			parent[name] = r
+			return r
+		}
+		return name
+	}
+	for _, st := range steps {
+		if names := st.Names(); len(names) > 1 {
+			for _, name := range names[1:] {
+				if a, b := root(names[0]), root(name); a != b {
+					parent[b] = a
+				}
+			}
+		}
+	}
+	shards := make([][]scenario.Step, n)
+	for i, st := range steps {
 		w := i % n
-		if it.Name != "" {
+		if names := st.Names(); len(names) > 0 && names[0] != "" {
 			h := fnv.New32a()
-			_, _ = io.WriteString(h, it.Name)
+			_, _ = io.WriteString(h, root(names[0]))
 			w = int(h.Sum32() % uint32(n))
 		}
-		shards[w] = append(shards[w], it)
+		shards[w] = append(shards[w], st)
 	}
 	return shards
 }
 
-// replay runs the workload against the daemon behind cl from clients
-// goroutines (split by shard) and sums their outcomes. ctx cancellation
-// stops the replay early; calls already issued still complete.
-func replay(ctx context.Context, cl *client.Client, items []scenario.WorkItem, clients int) (est, rel opCounts) {
-	shards := shard(items, clients)
-	ests := make([]opCounts, len(shards))
-	rels := make([]opCounts, len(shards))
+// replay plays the steps on the daemon behind cl from clients players
+// (split by shard) and sums their verdicts. A rejection is a verdict; a
+// failure that is not an admission rejection is a protocol error. ctx
+// cancellation stops the replay early; calls already issued still
+// complete.
+func replay(ctx context.Context, cl *client.Client, steps []scenario.Step, clients int) (total scenario.Counts, protoErrs int) {
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := range shards {
+	for _, sh := range shard(steps, clients) {
 		wg.Add(1)
-		go func(w int) {
+		go func(sh []scenario.Step) {
 			defer wg.Done()
-			ests[w], rels[w] = replayShard(ctx, cl, shards[w])
-		}(w)
+			p := scenario.NewPlayer(cl)
+			for _, st := range sh {
+				if ctx.Err() != nil {
+					return
+				}
+				out, err := p.Play(ctx, st)
+				if err == nil {
+					err = out.Err
+				}
+				mu.Lock()
+				if err != nil && !errors.Is(err, rtether.ErrInfeasible) {
+					protoErrs++
+				} else {
+					total.Add(out)
+				}
+				mu.Unlock()
+			}
+		}(sh)
 	}
 	wg.Wait()
-	for w := range shards {
-		est.ok += ests[w].ok
-		est.rejected += ests[w].rejected
-		est.protoErr += ests[w].protoErr
-		rel.ok += rels[w].ok
-		rel.skipped += rels[w].skipped
-		rel.protoErr += rels[w].protoErr
-	}
-	return est, rel
-}
-
-// replayShard replays one worker's items in order, tracking the channel
-// IDs its establishes were assigned so later releases find them.
-func replayShard(ctx context.Context, cl *client.Client, items []scenario.WorkItem) (est, rel opCounts) {
-	ids := make(map[string]rtether.ChannelID)
-	for _, it := range items {
-		if ctx.Err() != nil {
-			return est, rel
-		}
-		if it.Release {
-			id, ok := ids[it.Name]
-			if !ok {
-				rel.skipped++ // its establish was rejected
-				continue
-			}
-			delete(ids, it.Name)
-			if err := cl.Release(ctx, id); err != nil {
-				rel.protoErr++
-			} else {
-				rel.ok++
-			}
-			continue
-		}
-		var ch client.Channel
-		var err error
-		if len(it.Sinks) > 0 {
-			ch, err = cl.EstablishMulticast(ctx, rtether.MulticastSpec{
-				Src: it.Spec.Src, Sinks: it.Sinks, C: it.Spec.C, P: it.Spec.P, D: it.Spec.D,
-			})
-		} else {
-			ch, err = cl.Establish(ctx, it.Spec)
-		}
-		switch {
-		case err == nil:
-			est.ok++
-			if it.Name != "" {
-				ids[it.Name] = ch.ID
-			}
-		case errors.Is(err, rtether.ErrInfeasible):
-			est.rejected++ // an admission verdict, not a failure
-		default:
-			est.protoErr++
-		}
-	}
-	return est, rel
+	return total, protoErrs
 }

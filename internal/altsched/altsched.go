@@ -8,8 +8,6 @@
 package altsched
 
 import (
-	"sort"
-
 	"repro/internal/edf"
 )
 
@@ -144,21 +142,4 @@ func CapacityOnLink(a Analysis, task edf.Task, max int) int {
 		}
 	}
 	return max
-}
-
-// DMPriorityOrder exposes the deadline-monotonic priority order used by
-// the RTA (for tests and documentation): indices into the input sorted by
-// increasing deadline.
-func DMPriorityOrder(tasks []edf.Task) []int {
-	idx := make([]int, len(tasks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if tasks[idx[a]].D != tasks[idx[b]].D {
-			return tasks[idx[a]].D < tasks[idx[b]].D
-		}
-		return tasks[idx[a]].P < tasks[idx[b]].P
-	})
-	return idx
 }

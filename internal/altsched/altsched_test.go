@@ -173,18 +173,3 @@ func TestCapacityOnLinkOrdering(t *testing.T) {
 		t.Error("EDF capacity 0 for a trivially schedulable task")
 	}
 }
-
-func TestDMPriorityOrder(t *testing.T) {
-	tasks := []edf.Task{
-		{C: 1, P: 10, D: 30},
-		{C: 1, P: 10, D: 10},
-		{C: 1, P: 5, D: 20},
-	}
-	order := DMPriorityOrder(tasks)
-	want := []int{1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("priority order = %v, want %v", order, want)
-		}
-	}
-}

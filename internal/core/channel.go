@@ -102,16 +102,6 @@ func (p Partition) ValidFor(s ChannelSpec) bool {
 	return p.Up+p.Down == s.D && p.Up >= s.C && p.Down >= s.C
 }
 
-// UpFraction returns U_part,i = d_iu / d_i (Eq. 18.11), the normalized form
-// the paper uses to describe a DPS as a vector field.
-func (p Partition) UpFraction() float64 {
-	total := p.Up + p.Down
-	if total == 0 {
-		return 0
-	}
-	return float64(p.Up) / float64(total)
-}
-
 // Channel is an established RT channel: the accepted spec, the network
 // unique ID assigned by the switch, and the current deadline partition.
 type Channel struct {

@@ -61,18 +61,6 @@ func TestPartitionValidFor(t *testing.T) {
 	}
 }
 
-func TestPartitionUpFraction(t *testing.T) {
-	if got := (Partition{20, 20}).UpFraction(); got != 0.5 {
-		t.Errorf("UpFraction(20,20) = %v, want 0.5", got)
-	}
-	if got := (Partition{30, 10}).UpFraction(); got != 0.75 {
-		t.Errorf("UpFraction(30,10) = %v, want 0.75", got)
-	}
-	if got := (Partition{}).UpFraction(); got != 0 {
-		t.Errorf("UpFraction(zero) = %v, want 0", got)
-	}
-}
-
 func TestSpecAndChannelString(t *testing.T) {
 	spec := ChannelSpec{Src: 1, Dst: 2, C: 3, P: 100, D: 40}
 	ch := &Channel{ID: 7, Spec: spec, Part: Partition{33, 7}}

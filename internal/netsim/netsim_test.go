@@ -378,7 +378,7 @@ func TestReleaseChannelStopsTraffic(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no traffic before release")
 	}
-	if err := n.ReleaseChannel(id); err != nil {
+	if _, err := n.Apply([]core.ChannelID{id}, nil); err != nil {
 		t.Fatal(err)
 	}
 	n.Run(n.Engine().Now() + 500)
@@ -388,7 +388,7 @@ func TestReleaseChannelStopsTraffic(t *testing.T) {
 	if after > before+3 {
 		t.Errorf("traffic continued after release: %d -> %d", before, after)
 	}
-	if err := n.ReleaseChannel(id); err == nil {
+	if _, err := n.Apply([]core.ChannelID{id}, nil); err == nil {
 		t.Error("double release did not error")
 	}
 }

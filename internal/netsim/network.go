@@ -259,13 +259,6 @@ func (n *Network) EstablishChannels(specs []core.ChannelSpec) ([]core.ChannelID,
 	return ids, core.BatchError(reqs, err)
 }
 
-// ReleaseChannel is Apply of one release: it tears down an established
-// channel and stops its traffic source if one is attached.
-func (n *Network) ReleaseChannel(id core.ChannelID) error {
-	_, err := n.Apply([]core.ChannelID{id}, nil)
-	return err
-}
-
 // olds returns the established channels a decision is to release (nil
 // for an unknown ID, which the controller refuses).
 func (n *Network) olds(ids []core.ChannelID) []*core.Channel {

@@ -116,12 +116,6 @@ func (g *Graph) NodesAt(s SwitchID) []core.NodeID { return g.nodesAt[s] }
 // up/down state. The slice is shared; callers must not mutate it.
 func (g *Graph) Neighbors(s SwitchID) []SwitchID { return g.adj[s] }
 
-// HasSwitch reports whether a switch is registered.
-func (g *Graph) HasSwitch(s SwitchID) bool {
-	_, ok := g.switches[s]
-	return ok
-}
-
 // SetLinkUp marks the trunk between a and b as up or down. The trunk
 // must exist; a downed trunk stays in the graph (repair is SetLinkUp
 // true) but is skipped by routing. It reports whether the state changed.

@@ -42,71 +42,3 @@ func (s *Scenario) BuildNetwork(_ int, extra ...rtether.Option) (*rtether.Networ
 	}
 	return s.build(extra...)
 }
-
-// WorkItem is one flattened admission operation of a scenario: an
-// establish (with the full spec) or a release of an earlier establish,
-// identified by the channel's scenario name. `rtexp load` replays these
-// against a remote daemon; an `rtexp sweep` cell with batch "each"
-// replays them in-process.
-type WorkItem struct {
-	// At is the scenario slot the operation was scheduled for. Load
-	// generators are free to ignore it and replay at full speed; the
-	// relative order of items sharing a Name must be preserved.
-	At int64
-	// Release marks a release of the named channel; otherwise the item
-	// is an establish of Spec.
-	Release bool
-	// Name is the scenario channel name. It may be empty for statically
-	// declared unnamed channels, which are never released later.
-	Name string
-	// Spec is the requested channel (establish items).
-	Spec rtether.ChannelSpec
-	// Sinks marks a multicast establish: one distribution tree from
-	// Spec.Src over every sink, requested atomically (Spec.Dst is 0).
-	Sinks []rtether.NodeID
-	// Optional marks establishes whose rejection the scenario
-	// tolerates (churn arrivals, optional channels).
-	Optional bool
-}
-
-// Workload validates the document, synthesizes its churn generators and
-// flattens the result into a replayable establish/release stream: first
-// the static channel population in declaration order, then every
-// timeline establish, establishAll (one item per batch member) and
-// release in deterministic playback order. Every other event kind —
-// reconfigure, publish, setBackground and the failure events linkDown,
-// switchDown and repair — is left out and counted in skipped; Replay
-// plays the whole timeline.
-func (s *Scenario) Workload() (items []WorkItem, skipped int, err error) {
-	tl, err := s.compile()
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, ch := range s.Channels {
-		if ch.Name != "" && tl.deferred[ch.Name] {
-			continue
-		}
-		items = append(items, WorkItem{
-			Name: ch.Name, Spec: ch.spec(), Sinks: ch.mspec().Sinks, Optional: ch.Optional,
-		})
-	}
-	for _, ev := range tl.events {
-		switch ev.kind {
-		case KindEstablish, KindEstablishAll:
-			for _, name := range ev.names {
-				def := tl.defs[name]
-				items = append(items, WorkItem{
-					At: ev.at, Name: name,
-					Spec:     def.spec(),
-					Sinks:    def.mspec().Sinks,
-					Optional: ev.optional || def.Optional,
-				})
-			}
-		case KindRelease:
-			items = append(items, WorkItem{At: ev.at, Release: true, Name: ev.names[0]})
-		default:
-			skipped++
-		}
-	}
-	return items, skipped, nil
-}

@@ -52,63 +52,53 @@ func TestBuildNetworkRejectsInvalidDoc(t *testing.T) {
 	}
 }
 
+// TestWorkload checks the compiled admission stream: the static
+// channels first, then every timeline event in playback order, with
+// each channel's establish before its release.
 func TestWorkload(t *testing.T) {
 	sc, err := Load(strings.NewReader(exportDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, skipped, err := sc.Workload()
+	steps, err := sc.Steps()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 {
-		t.Errorf("skipped = %d, want 1 (the reconfigure)", skipped)
-	}
 	// Static channels first: "a" and the unnamed one ("late" is deferred
 	// to its timeline establish).
-	if len(items) < 4 {
-		t.Fatalf("only %d items: %+v", len(items), items)
+	if len(steps) < 5 {
+		t.Fatalf("only %d steps: %+v", len(steps), steps)
 	}
-	if items[0].Name != "a" || items[0].Release || items[1].Name != "" {
-		t.Errorf("static load items wrong: %+v", items[:2])
+	if !steps[0].static || steps[0].Names()[0] != "a" || !steps[1].static || steps[1].Names()[0] != "" || steps[2].static {
+		t.Errorf("static load steps wrong: %+v", steps[:3])
 	}
-	seenLate, seenReleaseA, churnItems := false, false, 0
-	established := map[string]bool{"a": true, "": true}
-	for _, it := range items[2:] {
-		if it.Release {
-			if !established[it.Name] {
-				t.Errorf("release of %q before its establish", it.Name)
-			}
-			established[it.Name] = false
-			if it.Name == "a" {
-				seenReleaseA = true
-			}
-			continue
-		}
-		established[it.Name] = true
-		if it.Name == "late" {
-			seenLate = true
-			if it.At != 100 || it.Optional {
-				t.Errorf("late item wrong: %+v", it)
-			}
-		}
-		if strings.HasPrefix(it.Name, "g#") {
-			churnItems++
-			if !it.Optional {
-				t.Errorf("churn arrival not optional: %+v", it)
-			}
-		}
-	}
-	if !seenLate || !seenReleaseA || churnItems == 0 {
-		t.Errorf("workload incomplete: late=%v releaseA=%v churn=%d", seenLate, seenReleaseA, churnItems)
-	}
-	// Items must be replayable in order: At never decreases after the
-	// static prefix.
+	kinds := make(map[string]int)
+	established := map[string]bool{"a": true}
 	last := int64(0)
-	for _, it := range items[2:] {
-		if it.At < last {
-			t.Fatalf("timeline out of order: %d after %d", it.At, last)
+	for _, st := range steps[2:] {
+		kinds[st.kind]++
+		if st.at < last {
+			t.Fatalf("timeline out of order: %d after %d", st.at, last)
 		}
-		last = it.At
+		last = st.at
+		name := st.Names()[0]
+		switch st.kind {
+		case KindRelease:
+			if !established[name] {
+				t.Errorf("release of %q before its establish", name)
+			}
+			established[name] = false
+		case KindEstablish:
+			established[name] = true
+			if name == "late" && (st.at != 100 || st.optional) {
+				t.Errorf("late step wrong: %+v", st)
+			}
+			if strings.HasPrefix(name, "g#") && !st.optional {
+				t.Errorf("churn arrival not optional: %+v", st)
+			}
+		}
+	}
+	if kinds[KindReconfigure] != 1 || kinds[KindRelease] < 2 || kinds[KindEstablish] < 2 {
+		t.Errorf("stream incomplete: %v", kinds)
 	}
 }

@@ -168,9 +168,9 @@ func TestMulticastScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestMulticastWorkload checks the flattened load-generator export: a
-// multicast establish carries its sink set; publish events have no wire
-// operation and are skipped.
+// TestMulticastWorkload checks the compiled admission stream of a
+// multicast channel: its establish carries the sink set, and the
+// publish and the release follow as steps of their own.
 func TestMulticastWorkload(t *testing.T) {
 	doc := `{
 		"slots": 100,
@@ -185,20 +185,14 @@ func TestMulticastWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	items, skipped, err := s.Workload()
+	steps, err := s.Steps()
 	if err != nil {
-		t.Fatalf("workload: %v", err)
+		t.Fatalf("steps: %v", err)
 	}
-	if skipped != 1 {
-		t.Errorf("skipped = %d, want 1 (the publish)", skipped)
+	if len(steps) != 3 || steps[0].kind != KindEstablish || steps[1].kind != KindPublish || steps[2].kind != KindRelease {
+		t.Fatalf("steps = %+v, want establish, publish, release", steps)
 	}
-	if len(items) != 2 {
-		t.Fatalf("items = %+v, want establish + release", items)
-	}
-	if got := items[0].Sinks; len(got) != 2 || got[0] != rtether.NodeID(2) || got[1] != rtether.NodeID(3) {
-		t.Errorf("establish item sinks = %v, want [2 3]", got)
-	}
-	if !items[1].Release {
-		t.Errorf("second item is not the release: %+v", items[1])
+	if got := steps[0].defs[0].mspec().Sinks; len(got) != 2 || got[0] != rtether.NodeID(2) || got[1] != rtether.NodeID(3) {
+		t.Errorf("establish step sinks = %v, want [2 3]", got)
 	}
 }

@@ -1,13 +1,15 @@
 package scenario
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"repro/internal/traffic"
 	"repro/rtether"
+	"repro/rtether/client"
+	"repro/rtether/wire"
 )
 
 // EventOutcome records what one timeline event did when it was applied.
@@ -24,6 +26,12 @@ type EventOutcome struct {
 	// Detail carries the admission outcome: assigned IDs and per-hop
 	// budgets on acceptance, the *AdmissionError text on rejection.
 	Detail string
+	// IDs lists the channels an accepted establish or establishAll
+	// admitted.
+	IDs []rtether.ChannelID
+	// Err is the rejection of an establish, establishAll or reconfigure
+	// that was not accepted.
+	Err error
 }
 
 // Result is a completed scenario run (or admission-only replay).
@@ -67,17 +75,25 @@ func (ev EventOutcome) String() string {
 // admission rejections (tolerated ones — fatal rejections abort the
 // run), and events skipped because their channel was never established.
 func (r *Result) EventCounts() (accepted, rejected, skipped int) {
+	var c Counts
 	for _, ev := range r.Events {
-		switch {
-		case ev.Skipped:
-			skipped++
-		case ev.Accepted:
-			accepted++
-		default:
-			rejected++
-		}
+		c.Add(ev)
 	}
-	return
+	return c.Ops - c.Rejected - c.Skipped, c.Rejected, c.Skipped
+}
+
+// Counts tallies the whole run: the static channels, then every
+// timeline event.
+func (r *Result) Counts() Counts {
+	c := Counts{
+		Ops:      len(r.Accepted) + r.Rejected,
+		Accepted: len(r.Accepted),
+		Rejected: r.Rejected,
+	}
+	for _, ev := range r.Events {
+		c.Add(ev)
+	}
+	return c
 }
 
 // Run builds the network, establishes the static channel population over
@@ -87,7 +103,7 @@ func (r *Result) EventCounts() (accepted, rejected, skipped int) {
 // Runs are deterministic: the same document produces byte-identical
 // results everywhere, including the synthesized churn streams.
 func (s *Scenario) Run() (*Result, error) {
-	return s.execute(true)
+	return s.execute(true, false)
 }
 
 // Replay plays the same timeline against admission control alone: every
@@ -96,10 +112,24 @@ func (s *Scenario) Run() (*Result, error) {
 // "which decisions would this workload produce" at full speed — the
 // what-if mode of `rtexp admit -scenario`.
 func (s *Scenario) Replay() (*Result, error) {
-	return s.execute(false)
+	return s.execute(false, false)
 }
 
-func (s *Scenario) execute(simulate bool) (*Result, error) {
+// ReplayEach is Replay with every run of consecutive unicast
+// establishes — static channels and timeline events alike — decided in
+// EstablishEach passes of at most maxEachGroup, each channel with its
+// own verdict: the in-process analogue of the daemon's coalescer. An
+// establishAll stays one atomic decision.
+func (s *Scenario) ReplayEach() (*Result, error) {
+	return s.execute(false, true)
+}
+
+// maxEachGroup caps how many consecutive establishes merge into one
+// EstablishEach pass — the in-process analogue of the daemon
+// coalescer's batch cap (1024).
+const maxEachGroup = 512
+
+func (s *Scenario) execute(simulate, each bool) (*Result, error) {
 	// One compile pass covers validation and churn synthesis.
 	tl, err := s.compile()
 	if err != nil {
@@ -110,261 +140,95 @@ func (s *Scenario) execute(simulate bool) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Network: net}
-	handles := make(map[string]*rtether.Channel, len(tl.defs))
+	target := netTarget{net: net, handshake: simulate}
+	p := NewPlayer(target)
+	steps := tl.steps(s.Channels)
+	play := func(st Step) error {
+		out, err := p.Play(context.TODO(), st)
+		res.record(st, out)
+		return err
+	}
 
-	// Static load phase: every channel not deferred to a timeline event,
-	// in declaration order. Establishment runs over the wire on stars —
-	// the paper's protocol — so it consumes virtual time; Replay takes
-	// the management plane instead.
-	for i, ch := range s.Channels {
-		if ch.Name != "" && tl.deferred[ch.Name] {
-			continue
-		}
-		h, err := s.establishDef(net, ch, simulate)
-		if err != nil {
-			if ch.Optional {
-				res.Rejected++
+	if !simulate {
+		for i := 0; i < len(steps); {
+			n := 0
+			if each {
+				n = unicastRun(steps[i:])
+			}
+			if n == 0 {
+				if err := play(steps[i]); err != nil {
+					return nil, err
+				}
+				i++
 				continue
 			}
-			return nil, fmt.Errorf("scenario: channel %d (%v) rejected: %w", i, ch.spec(), err)
-		}
-		if ch.Name != "" {
-			handles[ch.Name] = h
-		}
-		// Multicast sources stay idle until a publish event triggers a
-		// burst; unicast channels stream periodically from the start.
-		if simulate && !ch.multicast() {
-			if err := h.Start(ch.Offset); err != nil {
-				return nil, fmt.Errorf("scenario: channel %d: %w", i, err)
+			group := steps[i : i+n]
+			specs := make([]rtether.ChannelSpec, n)
+			for j, st := range group {
+				specs[j] = st.defs[0].spec()
 			}
+			chs, errs := target.establishEach(specs)
+			for j, st := range group {
+				out, err := p.established(st, chs[j:j+1], errs[j])
+				if res.record(st, out); err != nil {
+					return nil, err
+				}
+			}
+			i += n
 		}
-		res.Accepted = append(res.Accepted, h.ID())
+		return res, nil
 	}
 
+	// Static load phase: establishment runs over the wire on stars — the
+	// paper's protocol — so it consumes virtual time. The timeline starts
+	// once it is done.
+	p.sim = net
+	timed := 0
+	for timed < len(steps) && steps[timed].static {
+		if err := play(steps[timed]); err != nil {
+			return nil, err
+		}
+		timed++
+	}
 	start := net.Now()
-	if simulate {
-		res.BgSent = s.scheduleBackground(net, tl, start)
-	}
-
-	for _, ev := range tl.events {
-		if simulate {
-			net.RunUntil(start + ev.at)
-		}
-		out, err := s.applyEvent(net, tl, handles, ev, simulate)
-		res.Events = append(res.Events, out)
-		if err != nil {
+	res.BgSent = s.scheduleBackground(net, tl, start)
+	for _, st := range steps[timed:] {
+		net.RunUntil(start + st.at)
+		if err := play(st); err != nil {
 			return nil, err
 		}
 	}
-
-	if simulate {
-		net.RunUntil(start + s.Slots)
-		res.Report = net.Report()
-	}
+	net.RunUntil(start + s.Slots)
+	res.Report = net.Report()
 	return res, nil
 }
 
-// establishOne requests a single channel: over the wire when simulating
-// (stars play the establishment handshake; fabrics have none), through
-// the management-plane batch path in replay mode so no virtual time
-// passes. The admission decision is the same either way — both paths run
-// the same kernel.
-func (s *Scenario) establishOne(net *rtether.Network, spec rtether.ChannelSpec, simulate bool) (*rtether.Channel, error) {
-	if simulate {
-		return net.Establish(spec)
+// unicastRun counts the consecutive unicast establishes that open
+// steps, at most maxEachGroup.
+func unicastRun(steps []Step) int {
+	n := 0
+	for n < len(steps) && n < maxEachGroup && steps[n].kind == KindEstablish && !steps[n].defs[0].multicast() {
+		n++
 	}
-	chs, err := net.EstablishAll([]rtether.ChannelSpec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return chs[0], nil
+	return n
 }
 
-// establishDef requests a declared channel, dispatching on its kind:
-// multicast definitions admit their whole distribution tree atomically
-// through the management plane (there is no wire handshake for trees,
-// so no virtual time passes in either mode).
-func (s *Scenario) establishDef(net *rtether.Network, def ChannelDef, simulate bool) (*rtether.Channel, error) {
-	if def.multicast() {
-		return net.EstablishMulticast(def.mspec())
+// record files one step's outcome: a static channel under
+// Accepted/Rejected, a timeline event under Events.
+func (r *Result) record(st Step, out EventOutcome) {
+	switch {
+	case !st.static:
+		r.Events = append(r.Events, out)
+	case out.Accepted:
+		r.Accepted = append(r.Accepted, out.IDs...)
+	default:
+		r.Rejected++
 	}
-	return s.establishOne(net, def.spec(), simulate)
-}
-
-// applyEvent executes one timeline event against the live network. The
-// returned error is non-nil only for fatal conditions (a mandatory
-// rejection or an internal inconsistency); tolerated rejections land in
-// the outcome.
-func (s *Scenario) applyEvent(net *rtether.Network, tl *timeline, handles map[string]*rtether.Channel, ev timedEvent, simulate bool) (EventOutcome, error) {
-	out := EventOutcome{At: ev.at, Kind: ev.kind, Subject: strings.Join(ev.names, ",")}
-	fatal := func(err error) (EventOutcome, error) {
-		out.Detail = err.Error()
-		return out, fmt.Errorf("scenario: slot %d: %s %s rejected: %w", ev.at, ev.kind, out.Subject, err)
-	}
-	switch ev.kind {
-	case KindEstablish:
-		name := ev.names[0]
-		def := tl.defs[name]
-		h, err := s.establishDef(net, def, simulate)
-		if err != nil {
-			if !ev.optional {
-				return fatal(err)
-			}
-			out.Detail = err.Error()
-			return out, nil
-		}
-		handles[name] = h
-		if simulate && !def.multicast() {
-			if err := h.Start(startOffset(ev, def)); err != nil {
-				return fatal(err)
-			}
-		}
-		out.Accepted = true
-		out.Detail = describe(h)
-	case KindEstablishAll:
-		specs := make([]rtether.ChannelSpec, len(ev.names))
-		for i, name := range ev.names {
-			specs[i] = tl.defs[name].spec()
-		}
-		chs, err := net.EstablishAll(specs)
-		if err != nil {
-			if !ev.optional {
-				return fatal(err)
-			}
-			out.Detail = err.Error()
-			return out, nil
-		}
-		ids := make([]string, len(chs))
-		for i, h := range chs {
-			name := ev.names[i]
-			handles[name] = h
-			if simulate {
-				if err := h.Start(startOffset(ev, tl.defs[name])); err != nil {
-					return fatal(err)
-				}
-			}
-			ids[i] = describe(h)
-		}
-		out.Accepted = true
-		out.Detail = strings.Join(ids, " ")
-	case KindRelease:
-		name := ev.names[0]
-		h := handles[name]
-		if h == nil {
-			out.Skipped = true
-			out.Detail = "never established"
-			return out, nil
-		}
-		if err := h.Release(); err != nil {
-			// The channel was torn down behind the scenario's back by a
-			// failure-recovery pass (preempted or lost); nothing to free.
-			if errors.Is(err, rtether.ErrChannelClosed) {
-				delete(handles, name)
-				out.Skipped = true
-				out.Detail = "closed by failure recovery"
-				return out, nil
-			}
-			return fatal(err)
-		}
-		delete(handles, name)
-		out.Accepted = true
-	case KindReconfigure:
-		name := ev.names[0]
-		h := handles[name]
-		if h == nil {
-			out.Skipped = true
-			out.Detail = "never established"
-			return out, nil
-		}
-		err := h.Reconfigure(rtether.EstablishReq{Spec: reconfigured(h.Spec(), ev)})
-		switch {
-		case errors.Is(err, rtether.ErrChannelClosed):
-			delete(handles, name)
-			out.Skipped = true
-			out.Detail = "closed by failure recovery"
-			return out, nil
-		case err != nil:
-			// One atomic decision: a tolerated rejection leaves the channel
-			// exactly as it was.
-			if !ev.optional {
-				return fatal(err)
-			}
-			out.Detail = err.Error()
-			return out, nil
-		}
-		if simulate && ev.offset > 0 {
-			// The source carries on in phase unless the event re-phases it.
-			_ = h.Stop()
-			if err := h.Start(ev.offset); err != nil {
-				return fatal(err)
-			}
-		}
-		out.Accepted = true
-		out.Detail = describe(h)
-	case KindPublish:
-		name := ev.names[0]
-		h := handles[name]
-		if h == nil {
-			out.Skipped = true
-			out.Detail = "never established"
-			return out, nil
-		}
-		count := ev.count
-		if count == 0 {
-			count = 1
-		}
-		out.Detail = fmt.Sprintf("%d msg", count)
-		if simulate {
-			// A burst is the channel's periodic source running for count
-			// periods: attach it now, detach it after the last release.
-			// Validation guarantees bursts on one channel never overlap; a
-			// mid-burst release just makes the scheduled stop a no-op.
-			if err := h.Start(ev.offset); err != nil {
-				if errors.Is(err, rtether.ErrChannelClosed) {
-					out.Skipped = true
-					out.Detail = "closed by failure recovery"
-					return out, nil
-				}
-				return fatal(err)
-			}
-			stopAt := net.Now() + ev.offset + (count-1)*h.Spec().P + 1
-			net.Schedule(stopAt, func() { _ = h.Stop() })
-		}
-		out.Accepted = true
-	case KindSetBackground:
-		// The rate change itself was folded into the pre-scheduled
-		// arrival processes (scheduleBackground); in replay mode there is
-		// no traffic at all. Either way the event just records itself.
-		out.Subject = fmt.Sprintf("%d→%d", ev.src, ev.dst)
-		out.Accepted = true
-		out.Detail = fmt.Sprintf("rate=%g", ev.rate)
-	case KindLinkDown, KindSwitchDown, KindRepair:
-		up := ev.kind == KindRepair
-		var rep *rtether.FailoverReport
-		var err error
-		if ev.sw != nil {
-			out.Subject = fmt.Sprintf("switch %d", *ev.sw)
-			rep, err = net.SetSwitchUp(rtether.SwitchID(*ev.sw), up)
-		} else {
-			out.Subject = fmt.Sprintf("trunk %d-%d", ev.link[0], ev.link[1])
-			rep, err = net.SetLinkUp(rtether.SwitchID(ev.link[0]), rtether.SwitchID(ev.link[1]), up)
-		}
-		if err != nil {
-			return fatal(err)
-		}
-		// A failure event applies cleanly even when the policy ladder
-		// loses channels — that is the declared policy deciding, not the
-		// scenario failing. Handles closed here surface as SKIP on later
-		// events that reference them.
-		out.Accepted = true
-		out.Detail = summarizeFailover(rep)
-	}
-	return out, nil
 }
 
 // summarizeFailover condenses a recovery pass for the event log:
 // "3 affected: 2 rerouted, 1 lost".
-func summarizeFailover(rep *rtether.FailoverReport) string {
+func summarizeFailover(rep wire.FailReply) string {
 	if rep.Affected == 0 {
 		return "no channels affected"
 	}
@@ -372,7 +236,13 @@ func summarizeFailover(rep *rtether.FailoverReport) string {
 	for _, o := range []rtether.FailoverOutcome{
 		rtether.Rerouted, rtether.Degraded, rtether.Preempted, rtether.Lost,
 	} {
-		if n := rep.Count(o); n > 0 {
+		n := 0
+		for _, oc := range rep.Outcomes {
+			if oc.Outcome == o.String() {
+				n++
+			}
+		}
+		if n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", n, o))
 		}
 	}
@@ -391,13 +261,12 @@ func startOffset(ev timedEvent, def ChannelDef) int64 {
 
 // describe formats a channel's identity and committed per-hop budgets
 // for event outcomes: "RT#3[20+20]".
-func describe(h *rtether.Channel) string {
-	parts := h.Budgets()
-	strs := make([]string, len(parts))
-	for i, b := range parts {
+func describe(ch client.Channel) string {
+	strs := make([]string, len(ch.Budgets))
+	for i, b := range ch.Budgets {
 		strs[i] = fmt.Sprintf("%d", b)
 	}
-	return fmt.Sprintf("RT#%d[%s]", h.ID(), strings.Join(strs, "+"))
+	return fmt.Sprintf("RT#%d[%s]", ch.ID, strings.Join(strs, "+"))
 }
 
 // bgSegment is one constant-rate stretch of a background flow.

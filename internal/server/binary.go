@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"repro/rtether"
 	"repro/rtether/wire"
@@ -177,7 +176,5 @@ func (bc *binConn) dispatch(ctx context.Context, t wire.MsgType, reqID uint32, p
 		bc.sendErr(reqID, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("rtetherd: unknown message type %#x", uint8(t))})
 		return
 	}
-	start := time.Now()
 	op.frame(ctx, bc, reqID, payload)
-	op.dur.Observe(time.Since(start).Nanoseconds())
 }

@@ -146,11 +146,11 @@ func (s *Server) onFlight(fr flightRecord) {
 // the exposition (one HELP/TYPE header per family). For streaming
 // endpoints (watch, subscribe) the recorded duration spans the whole
 // stream lifetime.
-func (s *Server) mountRoutes(ops []binding) {
+func (s *Server) mountRoutes(ops []*binding) {
 	reg := s.metrics.reg
 	routes := append(ops[:len(ops):len(ops)],
-		binding{method: http.MethodGet, path: wire.WatchPath, http: s.handleWatch},
-		binding{method: http.MethodGet, path: wire.SubscribePath, http: s.handleSubscribe})
+		&binding{method: http.MethodGet, path: wire.WatchPath, http: s.handleWatch},
+		&binding{method: http.MethodGet, path: wire.SubscribePath, http: s.handleSubscribe})
 	counters := make([]*obs.Counter, len(routes))
 	for i, rt := range routes {
 		counters[i] = reg.Counter("rtether_requests_total", "HTTP requests served by endpoint.",
@@ -171,8 +171,8 @@ func (s *Server) mountRoutes(ops []binding) {
 		})
 	}
 	s.frames = make(map[wire.MsgType]*binding)
-	for i := range ops {
-		if op := &ops[i]; op.frame != nil {
+	for _, op := range ops {
+		if op.frame != nil {
 			op.dur = reg.Histogram("rtether_binary_request_duration_ns",
 				"Binary frame dispatch duration by message type.",
 				obs.Label{Key: "msg", Value: op.name})

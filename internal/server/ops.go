@@ -30,8 +30,8 @@ type binding struct {
 // bind derives both transports' handlers from one op and its body. A
 // body's error reaches the caller through errorBody: classified, or as
 // the *wire.Error the body built itself.
-func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (Rep, error)) binding {
-	b := binding{name: op.Name, method: op.Method, path: op.Path, msg: op.Msg, reply: op.Reply}
+func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (Rep, error)) *binding {
+	b := &binding{name: op.Name, method: op.Method, path: op.Path, msg: op.Msg, reply: op.Reply}
 	b.http = func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if we := decode(w, r, op.Method, &req); we != nil {
@@ -47,12 +47,19 @@ func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (
 	}
 	if op.Msg != 0 {
 		b.frame = func(ctx context.Context, bc *binConn, reqID uint32, p []byte) {
+			// The duration is recorded before the reply leaves, so a
+			// client that reads its reply and then scrapes /metrics
+			// always finds its own request counted.
+			start := time.Now()
+			observe := func() { b.dur.Observe(time.Since(start).Nanoseconds()) }
 			req, err := op.DecodeReq(p)
 			if err != nil {
+				observe()
 				bc.sendErr(reqID, badFrame(op.Msg, err))
 				return
 			}
 			rep, err := body(ctx, req)
+			observe()
 			if err != nil {
 				bc.sendErr(reqID, errorBody(err))
 				return
@@ -64,8 +71,8 @@ func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (
 }
 
 // ops binds every unary operation of the wire table to its body.
-func (s *Server) ops() []binding {
-	return []binding{
+func (s *Server) ops() []*binding {
+	return []*binding{
 		bind(wire.OpEstablish, s.establish),
 		bind(wire.OpEstablishAll, s.establishAll),
 		bind(wire.OpMulticast, s.multicast),
@@ -198,15 +205,7 @@ func (s *Server) fail(_ context.Context, req wire.FailRequest) (wire.FailReply, 
 	}
 	s.logf("%s: %d affected", cause, rep.Affected)
 	s.noteFailover(cause, rep)
-	reply := wire.FailReply{Affected: rep.Affected}
-	for _, oc := range rep.Outcomes {
-		reply.Outcomes = append(reply.Outcomes, wire.FailOutcome{
-			ID:      uint32(oc.ID),
-			Outcome: oc.Outcome.String(),
-			NewD:    oc.NewD,
-		})
-	}
-	return reply, nil
+	return wire.FromFailoverReport(rep), nil
 }
 
 // upDown renders a health flag for logs and watch causes.

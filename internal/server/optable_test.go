@@ -71,6 +71,43 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// TestBinaryDurationObservedBeforeReply pipelines binary establishes
+// on one connection and, after reading each reply, reads the establish
+// duration histogram: its count must already include every reply read
+// so far. The pipe is synchronous, so a reply becomes readable exactly
+// when the server writes it; an observation recorded after the write
+// shows up here as a count one short.
+func TestBinaryDurationObservedBeforeReply(t *testing.T) {
+	const n = 32
+	s := newStarServer(t, n+1)
+	var frames []byte
+	for i := 0; i < n; i++ {
+		frames = wire.AppendEstablish(frames, uint32(i+1), wire.Spec{Src: 1, Dst: uint16(i + 2), C: 1, P: 1000, D: 400})
+	}
+	peer, pc := net.Pipe()
+	done := make(chan struct{})
+	go func() { defer close(done); s.serveBinaryConn(pc) }()
+	go func() { _, _ = peer.Write(frames) }()
+	dur := s.frames[wire.MsgEstablish].dur
+	var buf []byte
+	for read := int64(1); read <= n; read++ {
+		var rep wire.Frame
+		var err error
+		if rep, buf, err = wire.ReadFrame(peer, buf); err != nil {
+			t.Fatalf("reading reply %d: %v", read, err)
+		}
+		if rep.Type == wire.MsgError {
+			we, _ := wire.DecodeError(rep.Payload)
+			t.Fatalf("request %d refused: %v", rep.ReqID, we)
+		}
+		if got := dur.Count(); got < read {
+			t.Fatalf("after %d replies the establish histogram counts %d", read, got)
+		}
+	}
+	peer.Close()
+	<-done
+}
+
 // fuzzRecords encodes request frames as the fuzz input format: per
 // frame, its type byte, a big-endian uint16 payload length, and the
 // payload.

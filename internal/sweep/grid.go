@@ -32,11 +32,11 @@ const (
 	// one).
 	AxisChurnRate = "churnRate"
 	// AxisBatch varies how in-process replay submits establishes:
-	// "sequential" (the scenario's whole timeline, one management-plane
-	// decision per event) or "each" (the establish/release workload,
-	// consecutive establishes merged into EstablishEach groups, the
-	// coalesced path). Replay only, and not with failurePolicy: the
-	// "each" workload has no failure events for a policy to act on.
+	// "sequential" (scenario Replay, one management-plane decision per
+	// step) or "each" (scenario ReplayEach, consecutive unicast
+	// establishes merged into EstablishEach groups, the coalesced path).
+	// Both play the whole timeline; an establishAll stays one atomic
+	// decision either way. Replay only (not with simulate).
 	AxisBatch = "batch"
 	// AxisFailurePolicy varies the degradation ladder applied to
 	// channels displaced by failure events: "reject", "degrade" or
@@ -127,8 +127,8 @@ func LoadGridFile(path string) (*Grid, error) {
 }
 
 // Validate checks the document: axis names, every axis range and the
-// cross-field constraints (batch needs the workload replay, a scenario
-// must come from somewhere).
+// cross-field constraints (batch needs the admission-only replay, a
+// scenario must come from somewhere).
 func (g *Grid) Validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("sweep: grid needs a name")
@@ -180,9 +180,6 @@ func (g *Grid) Validate() error {
 	}
 	if g.hasAxis(AxisBatch) && g.Simulate {
 		return &AxisError{Axis: AxisBatch, Msg: "batch is a replay axis (not with simulate)"}
-	}
-	if g.hasAxis(AxisBatch) && g.hasAxis(AxisFailurePolicy) {
-		return &AxisError{Axis: AxisBatch, Msg: "batch replays establishes and releases only (not with failurePolicy)"}
 	}
 	return nil
 }
@@ -336,14 +333,4 @@ func (c *Cell) apply(axisName string, v any) {
 	case AxisFailurePolicy:
 		c.FailurePolicy = v.(string)
 	}
-}
-
-// AxisNames returns the declared axis names in canonical order — the
-// column set of a sweep comparison table.
-func (g *Grid) AxisNames() []string {
-	names := make([]string, len(g.axes))
-	for i, ax := range g.axes {
-		names[i] = ax.name
-	}
-	return names
 }

@@ -108,12 +108,6 @@ func TestLoadGridValidation(t *testing.T) {
 			wantAxis: AxisBatch,
 		},
 		{
-			name:     "batch with failurePolicy",
-			doc:      `{"name": "g", "scenario": "s.json", "axes": {"batch": ["each"], "failurePolicy": ["reject"]}}`,
-			wantErr:  "not with failurePolicy",
-			wantAxis: AxisBatch,
-		},
-		{
 			name:    "retired maxOps field",
 			doc:     `{"name": "g", "scenario": "s.json", "maxOps": 10}`,
 			wantErr: "sweep: parse",
@@ -175,9 +169,6 @@ func TestCellsExpansion(t *testing.T) {
 	}
 	if cells[2].Scheme != "adps" || cells[2].ChurnRate != 0.25 {
 		t.Errorf("typed overrides not applied: %+v", cells[2])
-	}
-	if got := g.AxisNames(); len(got) != 2 || got[0] != AxisScheme || got[1] != AxisChurnRate {
-		t.Errorf("AxisNames = %v", got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/scenario"
-	"repro/rtether"
 )
 
 // Options configures a sweep execution.
@@ -192,186 +191,34 @@ func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 }
 
 // runReplayCell runs the cell against the admission plane in-process,
-// with no virtual time passing. A sequential cell (the default) plays
-// the whole timeline through scenario Replay, the executor of `rtexp
-// admit -scenario`: reconfigure, publish and failure events included. A
-// batch=each cell replays the flattened establish/release Workload
-// instead, merging consecutive establishes into EstablishEach groups.
+// with no virtual time passing: scenario Replay, the executor of `rtexp
+// admit -scenario`, or for a batch=each cell ReplayEach, which merges
+// consecutive establishes into EstablishEach groups. Either plays the
+// whole timeline: reconfigure, publish and failure events included.
 func (g *Grid) runReplayCell(c *Cell, s *scenario.Scenario) (Result, error) {
-	var network *rtether.Network
-	var m cellCounts
+	replay := s.Replay
 	if c.Batch == "each" {
-		items, _, err := s.Workload()
-		if err != nil {
-			return Result{}, err
-		}
-		if network, err = s.BuildNetwork(0); err != nil {
-			return Result{}, err
-		}
-		defer network.Close()
-		if err := replayEach(network, items, &m); err != nil {
-			return Result{}, err
-		}
-	} else {
-		res, err := s.Replay()
-		if err != nil {
-			return Result{}, err
-		}
-		network = res.Network
-		defer network.Close()
-		m = replayCounts(res)
+		replay = s.ReplayEach
 	}
-
-	stats := network.AdmissionStats()
+	res, err := replay()
+	if err != nil {
+		return Result{}, err
+	}
+	defer res.Network.Close()
+	m := res.Counts()
+	stats := res.Network.AdmissionStats()
 	return Result{
 		Name: cellTitle(g, c),
-		Runs: int64(m.ops),
+		Runs: int64(m.Ops),
 		Metrics: map[string]float64{
-			"accepted":      float64(m.accepted),
-			"rejected":      float64(m.rejected),
-			"released":      float64(m.released),
-			"skipped":       float64(m.skipped),
+			"accepted":      float64(m.Accepted),
+			"rejected":      float64(m.Rejected),
+			"released":      float64(m.Released),
+			"skipped":       float64(m.Skipped),
 			"repartitions":  float64(stats.Repartitions),
 			"links-checked": float64(stats.LinksChecked),
 		},
 	}, nil
-}
-
-// cellCounts aggregates one cell's replay outcomes.
-type cellCounts struct {
-	ops      int // operations attempted: static channels plus timeline events
-	accepted int // admissions committed (establishes, reconfigures)
-	rejected int // tolerated admission rejections
-	released int // releases applied
-	skipped  int // events naming a channel that is not established
-}
-
-// replayCounts tallies a scenario Replay. An establishAll event is one
-// operation; failure, publish and setBackground events count only as
-// operations.
-func replayCounts(res *scenario.Result) cellCounts {
-	m := cellCounts{
-		ops:      len(res.Accepted) + res.Rejected + len(res.Events),
-		accepted: len(res.Accepted),
-		rejected: res.Rejected,
-	}
-	for _, ev := range res.Events {
-		switch {
-		case ev.Skipped:
-			m.skipped++
-		case !ev.Accepted:
-			m.rejected++
-		case ev.Kind == scenario.KindRelease:
-			m.released++
-		case ev.Kind == scenario.KindEstablish, ev.Kind == scenario.KindEstablishAll, ev.Kind == scenario.KindReconfigure:
-			m.accepted++
-		}
-	}
-	return m
-}
-
-// establishMulticast submits one multicast establish WorkItem through
-// the management plane and records the outcome. Mandatory rejections
-// are fatal, matching scenario replay semantics.
-func establishMulticast(network *rtether.Network, it scenario.WorkItem, handles map[string]*rtether.Channel, m *cellCounts) error {
-	m.ops++
-	h, err := network.EstablishMulticast(rtether.MulticastSpec{
-		Src: it.Spec.Src, Sinks: it.Sinks, C: it.Spec.C, P: it.Spec.P, D: it.Spec.D, Priority: it.Spec.Priority,
-	})
-	if err != nil {
-		if !it.Optional {
-			return fmt.Errorf("channel %q rejected: %w", it.Name, err)
-		}
-		m.rejected++
-		return nil
-	}
-	m.accepted++
-	if it.Name != "" {
-		handles[it.Name] = h
-	}
-	return nil
-}
-
-// releaseItem applies one release WorkItem.
-func releaseItem(it scenario.WorkItem, handles map[string]*rtether.Channel, m *cellCounts) error {
-	m.ops++
-	h := handles[it.Name]
-	if h == nil {
-		m.skipped++ // its establish was rejected
-		return nil
-	}
-	delete(handles, it.Name)
-	if err := h.Release(); err != nil {
-		return fmt.Errorf("release %q: %w", it.Name, err)
-	}
-	m.released++
-	return nil
-}
-
-// maxEachGroup caps how many consecutive establishes merge into one
-// EstablishEach pass — the in-process analogue of the daemon
-// coalescer's batch cap (1024).
-const maxEachGroup = 512
-
-// replayEach groups consecutive unicast establishes into merged
-// EstablishEach admission passes (releases and multicast trees flush
-// the pending group first, preserving each channel's establish→release
-// order).
-func replayEach(network *rtether.Network, items []scenario.WorkItem, m *cellCounts) error {
-	handles := make(map[string]*rtether.Channel)
-	var group []scenario.WorkItem
-	flush := func() error {
-		if len(group) == 0 {
-			return nil
-		}
-		specs := make([]rtether.ChannelSpec, len(group))
-		for i, it := range group {
-			specs[i] = it.Spec
-		}
-		chs, errs := network.EstablishEach(specs)
-		for i, it := range group {
-			m.ops++
-			if errs[i] != nil {
-				if !it.Optional {
-					return fmt.Errorf("channel %q rejected: %w", it.Name, errs[i])
-				}
-				m.rejected++
-				continue
-			}
-			m.accepted++
-			if it.Name != "" {
-				handles[it.Name] = chs[i]
-			}
-		}
-		group = group[:0]
-		return nil
-	}
-	for _, it := range items {
-		switch {
-		case it.Release:
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := releaseItem(it, handles, m); err != nil {
-				return err
-			}
-		case len(it.Sinks) > 0:
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := establishMulticast(network, it, handles, m); err != nil {
-				return err
-			}
-		default:
-			group = append(group, it)
-			if len(group) >= maxEachGroup {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return flush()
 }
 
 // runSimulateCell plays the cell's full scenario simulation — virtual

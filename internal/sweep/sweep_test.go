@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -183,6 +185,70 @@ func TestSweepFailurePolicyAxis(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, b := range rep.Benchmarks {
+		key := fmt.Sprint(b.Metrics["links-checked"], b.Metrics["repartitions"])
+		if other, dup := seen[key]; dup {
+			t.Errorf("%s and %s report the same kernel counters: %v", other, b.Name, b.Metrics)
+		}
+		seen[key] = b.Name
+	}
+}
+
+// TestSweepEachKeepsEstablishAllAtomic: batch=each merges single
+// establishes only, so an establishAll stays one all-or-nothing
+// decision. On a 3-node star, "a" fits node 1's uplink but "b" (C = P)
+// cannot share it, so the optional batch of both is rejected whole
+// under either batching: one operation, nothing admitted.
+func TestSweepEachKeepsEstablishAllAtomic(t *testing.T) {
+	dir := t.TempDir()
+	const scen = `{
+		"name": "pair", "slots": 100, "nodes": [1, 2, 3],
+		"channels": [
+			{"name": "a", "src": 1, "dst": 2, "c": 1, "p": 100, "d": 40},
+			{"name": "b", "src": 1, "dst": 3, "c": 100, "p": 100, "d": 200}
+		],
+		"events": [{"at": 0, "kind": "establishAll", "channels": ["a", "b"], "optional": true}]
+	}`
+	if err := os.WriteFile(filepath.Join(dir, "pair.json"), []byte(scen), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := loadTestGrid(t, `{"name": "atomic", "scenario": "pair.json", "axes": {"batch": ["sequential", "each"]}}`)
+	rep, err := g.Run(context.Background(), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("got %d cells, want 2", len(rep.Benchmarks))
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Runs != 1 || b.Metrics["accepted"] != 0 || b.Metrics["rejected"] != 1 {
+			t.Errorf("%s: runs %d, metrics %v; want one rejected operation", b.Name, b.Runs, b.Metrics)
+		}
+	}
+}
+
+// TestSweepEachFailurePolicyAxis: a batch=each cell plays failure
+// events too, so the policy axis reaches the recovery pass as it does
+// for sequential cells (TestSweepFailurePolicyAxis): the four static
+// channels and the trunk failure are five operations, and the three
+// policies take three different decision sequences.
+func TestSweepEachFailurePolicyAxis(t *testing.T) {
+	const doc = `{
+		"name": "ring",
+		"scenario": "ring_failover.json",
+		"axes": {"batch": ["each"], "failurePolicy": ["reject", "degrade", "preempt"]}
+	}`
+	rep, err := loadTestGrid(t, doc).Run(context.Background(), Options{Dir: "testdata"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("got %d cells, want 3", len(rep.Benchmarks))
+	}
+	seen := map[string]string{}
+	for _, b := range rep.Benchmarks {
+		if b.Runs != 5 || b.Metrics["accepted"] != 4 {
+			t.Errorf("%s: runs %d, metrics %v; want 5 operations, 4 admissions", b.Name, b.Runs, b.Metrics)
+		}
 		key := fmt.Sprint(b.Metrics["links-checked"], b.Metrics["repartitions"])
 		if other, dup := seen[key]; dup {
 			t.Errorf("%s and %s report the same kernel counters: %v", other, b.Name, b.Metrics)

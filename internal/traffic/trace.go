@@ -142,21 +142,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteNDJSON emits the trace as one JSON object per line.
-func (t *Trace) WriteNDJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range t.Events {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // Horizon returns the slot just past the last event (0 for an empty
 // trace).
 func (t *Trace) Horizon() int64 {

@@ -74,64 +74,6 @@ func (l MasterSlaveLayout) ReverseRequests(n int, params core.ChannelSpec) []cor
 	return out
 }
 
-// RandomOptions bounds the random spec generator.
-type RandomOptions struct {
-	Sources      []core.NodeID
-	Destinations []core.NodeID
-	CMin, CMax   int64 // capacity range, inclusive
-	PMin, PMax   int64 // period range, inclusive
-	// DSlackMax bounds the deadline above its 2C floor: D = 2C + U(0, DSlackMax).
-	DSlackMax int64
-}
-
-// Validate fills defaults and rejects impossible bounds.
-func (o *RandomOptions) defaults() {
-	if o.CMin <= 0 {
-		o.CMin = 1
-	}
-	if o.CMax < o.CMin {
-		o.CMax = o.CMin + 4
-	}
-	if o.PMin <= 0 {
-		o.PMin = 50
-	}
-	if o.PMax < o.PMin {
-		o.PMax = o.PMin + 150
-	}
-	if o.DSlackMax < 0 {
-		o.DSlackMax = 0
-	}
-}
-
-// RandomSpecs generates n random valid channel specs. Endpoints are drawn
-// uniformly from the option sets (source and destination always differ
-// when the sets allow it). Deterministic for a given rng state.
-func RandomSpecs(rng *rand.Rand, n int, opts RandomOptions) []core.ChannelSpec {
-	opts.defaults()
-	out := make([]core.ChannelSpec, 0, n)
-	for k := 0; k < n; k++ {
-		src := opts.Sources[rng.Intn(len(opts.Sources))]
-		dst := opts.Destinations[rng.Intn(len(opts.Destinations))]
-		for tries := 0; src == dst && tries < 16; tries++ {
-			dst = opts.Destinations[rng.Intn(len(opts.Destinations))]
-		}
-		if src == dst {
-			continue // degenerate option sets
-		}
-		c := opts.CMin + rng.Int63n(opts.CMax-opts.CMin+1)
-		d := 2*c + rng.Int63n(opts.DSlackMax+1)
-		p := opts.PMin + rng.Int63n(opts.PMax-opts.PMin+1)
-		if p < c {
-			p = c
-		}
-		if d > p*2 { // keep deadlines in a realistic band
-			d = p * 2
-		}
-		out = append(out, core.ChannelSpec{Src: src, Dst: dst, C: c, P: p, D: d})
-	}
-	return out
-}
-
 // PoissonArrivals returns arrival slots of a Poisson process with the
 // given mean rate (frames per slot) over [0, horizon). Deterministic for
 // a given rng state.

@@ -57,45 +57,6 @@ func TestReverseRequests(t *testing.T) {
 	}
 }
 
-func TestRandomSpecsValidAndDeterministic(t *testing.T) {
-	opts := RandomOptions{
-		Sources:      []core.NodeID{0, 1, 2},
-		Destinations: []core.NodeID{10, 11, 12, 13},
-		CMin:         1, CMax: 5,
-		PMin: 50, PMax: 200,
-		DSlackMax: 60,
-	}
-	a := RandomSpecs(rand.New(rand.NewSource(3)), 200, opts)
-	b := RandomSpecs(rand.New(rand.NewSource(3)), 200, opts)
-	if len(a) != 200 {
-		t.Fatalf("generated %d specs", len(a))
-	}
-	for i, s := range a {
-		if err := s.Validate(); err != nil {
-			t.Fatalf("spec %d invalid: %v (%v)", i, err, s)
-		}
-		if s != b[i] {
-			t.Fatal("RandomSpecs not deterministic for equal seeds")
-		}
-		if s.C < 1 || s.C > 5 || s.P < 50 || s.P > 200 {
-			t.Fatalf("spec %d out of bounds: %v", i, s)
-		}
-	}
-}
-
-func TestRandomSpecsAvoidsSelfLoops(t *testing.T) {
-	opts := RandomOptions{
-		Sources:      []core.NodeID{1, 2},
-		Destinations: []core.NodeID{1, 2},
-	}
-	specs := RandomSpecs(rand.New(rand.NewSource(8)), 500, opts)
-	for _, s := range specs {
-		if s.Src == s.Dst {
-			t.Fatalf("self loop generated: %v", s)
-		}
-	}
-}
-
 func TestPoissonArrivals(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	arr := PoissonArrivals(rng, 0.1, 100000)

@@ -413,6 +413,19 @@ type FailReply struct {
 	Outcomes []FailOutcome `json:"outcomes,omitempty"`
 }
 
+// FromFailoverReport converts a recovery pass's report to its wire form.
+func FromFailoverReport(rep *rtether.FailoverReport) FailReply {
+	reply := FailReply{Affected: rep.Affected}
+	for _, oc := range rep.Outcomes {
+		reply.Outcomes = append(reply.Outcomes, FailOutcome{
+			ID:      uint32(oc.ID),
+			Outcome: oc.Outcome.String(),
+			NewD:    oc.NewD,
+		})
+	}
+	return reply
+}
+
 // CreateTopicRequest declares a pub/sub topic (POST /v1/topics): a
 // named publisher endpoint with the RT contract every delivery will
 // honor. Declaring a topic reserves nothing — the multicast channel
