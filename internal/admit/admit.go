@@ -555,16 +555,18 @@ func (st *State[K, Ch, P]) setPartDiff(e *entry[Ch], p P) []int32 {
 // verdict answers link i's feasibility test from its summary when one of
 // the test's early exits settles it, reporting whether it did. When only
 // loose bounds stand in the way it rescans the link's tasks once, so an
-// undecided link's summary is exact for the full test that follows.
-func (st *State[K, Ch, P]) verdict(i int32) (edf.Result, bool) {
+// undecided link's summary is exact for the full test that follows, and
+// reports the rescan.
+func (st *State[K, Ch, P]) verdict(i int32) (res edf.Result, ok, rescanned bool) {
 	s := &st.sums[i]
-	res, ok := s.Decide()
+	res, ok = s.Decide()
 	if !ok && s.Loose() {
 		st.saveSum(i)
 		s.Rescan(st.tasks[i])
 		res, ok = s.Decide()
+		rescanned = true
 	}
-	return res, ok
+	return res, ok, rescanned
 }
 
 // TasksOn returns a copy of the periodic task set of one link

@@ -78,6 +78,10 @@ type Engine[K comparable, Ch any, P any] struct {
 	feasGen    []uint64
 	sweepSkips int
 
+	// walks and rescans count the demand walks the sweeps ran and the
+	// summaries they rescanned (see Walks, Rescans).
+	walks, rescans int
+
 	// sweepNs accumulates wall time spent inside verification sweeps
 	// (cache hits included). It is observability accounting only — never
 	// part of a decision — so unlike the deterministic counters above it
@@ -111,11 +115,10 @@ type Engine[K comparable, Ch any, P any] struct {
 	undo         []partUndo[Ch, P]
 	loads        []int64
 	part         P
-	sweepLinks   []int32
+	sweepLinks   []int32 // the last sweep's changed links, in the order given
 	sweepSkip    []bool
-	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test
+	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test, in sweep order
 	sweepResults []edf.Result
-	sweepOK      int // feasible prefix length of the last sweep
 
 	cuts []*entry[Ch] // the running decision's removed channels, in cut order
 }
@@ -184,6 +187,18 @@ func (e *Engine[K, Ch, P]) LinksChecked() int { return e.linksChecked }
 // the verdict cache answered without running the EDF analysis: a subset
 // of the checks LinksChecked counts.
 func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
+
+// Walks returns the cumulative number of demand walks the verification
+// sweeps have run: full EDF tests of a link its summary could not decide,
+// which evaluate h(t) <= t over the busy period. Deterministic, like
+// LinksChecked.
+func (e *Engine[K, Ch, P]) Walks() int { return e.walks }
+
+// Rescans returns the cumulative number of link summaries the
+// verification sweeps have recomputed from the link's tasks because only
+// a loose bound (see edf.Summary) stood between the summary and a
+// decision. Deterministic, like LinksChecked.
+func (e *Engine[K, Ch, P]) Rescans() int { return e.rescans }
 
 // SweepNs returns the cumulative wall-clock nanoseconds spent in
 // verification sweeps. Unlike LinksChecked this is measured, not
@@ -357,73 +372,90 @@ func (e *Engine[K, Ch, P]) rollback() {
 	}
 }
 
-// verify tests feasibility of the changed links, ordered by historically
-// tightest slack first (ties: the adapter's deterministic link order), so
-// a repartition that breaks something fails as early in the sweep as
-// possible. Links whose task-set content did not change were feasible at
-// the previous commit and cannot have become infeasible, which is what
-// makes the restriction to the changed set decision-preserving. The slack
-// history advances only on commits, which makes the order — and therefore
-// the first failure — independent of the cache.
+// verify tests feasibility of the changed links and names the first
+// failure in sweep order: historically tightest slack first (ties: the
+// adapter's deterministic link order), so a repartition that breaks
+// something fails as early as possible. Links whose task-set content did
+// not change were feasible at the previous commit and cannot have become
+// infeasible, which is what makes the restriction to the changed set
+// decision-preserving. The slack history advances only on commits, which
+// makes the order — and therefore the first failure — independent of the
+// cache.
 //
-// Before the sweep, every link the cache does not answer asks its summary
+// Only the links the cheap answers leave open are sorted. First, in any
+// order, every link the verdict cache does not answer asks its summary
 // (State.verdict): a link the summary proves feasible gets the Result the
-// EDF test would give it, with no task read. Only the links left over — a
-// demand walk to run, or a failure to diagnose — run the full test, in
-// order.
+// EDF test would give it, with no task read. The links left over — a
+// demand walk to run, or a failure to diagnose — are sorted into sweep
+// order, cut after the first one a summary proved infeasible (no later
+// link can be the one named), and run the full test in that order. The
+// accounting is the fully sorted sweep's: on a rejection, LinksChecked,
+// SweepSkips and the cache's fresh proofs cover exactly the changed links
+// that sort before the failing one, counted in one pass.
 func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
 	st := e.state
 	e.fit()
-	links := append(e.sweepLinks[:0], changed...)
-	slices.SortFunc(links, func(a, b int32) int {
-		if c := cmp.Compare(e.slackHist[a], e.slackHist[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(st.rank[a], st.rank[b])
-	})
-	e.sweepLinks = links
-
 	// Verdict cache: a link whose generation still equals the one it was
 	// last proven feasible at cannot have changed content — skip the test.
-	skip := growBuf(e.sweepSkip, len(links))
-	results := growBuf(e.sweepResults, len(links))
+	skip := growBuf(e.sweepSkip, len(changed))
+	results := growBuf(e.sweepResults, len(changed))
 	test := e.sweepTest[:0]
-	doomed := false // a summary proved a link infeasible: later links cannot matter
-	for j, i := range links {
+	for j, i := range changed {
 		skip[j] = e.feasGen[i] == st.gens[i]
-		if skip[j] || doomed {
+		if skip[j] {
 			continue
 		}
-		res, ok := st.verdict(i)
-		if ok && res.OK() {
-			results[j] = res
-			continue
+		res, ok, rescanned := st.verdict(i)
+		if rescanned {
+			e.rescans++
 		}
-		test = append(test, int32(j))
-		doomed = ok
+		// An undecided link's res is Decide's provisional Feasible; only a
+		// summary-proven failure carries another verdict.
+		results[j] = res
+		if !ok || !res.OK() {
+			test = append(test, int32(j))
+		}
 	}
-	e.sweepSkip, e.sweepResults, e.sweepTest = skip, results, test
+	slices.SortFunc(test, func(a, b int32) int { return e.sweepOrder(changed[a], changed[b]) })
+	for k, j := range test {
+		if results[j].Verdict != edf.Feasible {
+			test = test[:k+1]
+			break
+		}
+	}
+	e.sweepLinks, e.sweepSkip, e.sweepResults, e.sweepTest = changed, skip, results, test
 
-	checked, rej := e.sweepSequential(links, test)
-	e.linksChecked += checked
-	e.sweepOK = checked
-	if rej != nil {
-		e.sweepOK = checked - 1
-	}
-	// Record fresh proofs for the feasible prefix, and count the cache hits
-	// the sweep reached. Sound even if this decision later rolls back:
-	// rollback bumps every swept link's generation, orphaning these entries
-	// harmlessly.
-	for i := 0; i < checked; i++ {
-		if skip[i] {
-			e.sweepSkips++
-		} else if i < e.sweepOK {
-			e.feasGen[links[i]] = st.gens[links[i]]
+	fail, rej := e.sweepSequential(changed, test)
+	// Record fresh proofs for the links the sweep reached and passed, and
+	// count the cache hits among them. Sound even if this decision later
+	// rolls back: rollback bumps every swept link's generation, orphaning
+	// these entries harmlessly.
+	for j, i := range changed {
+		if rej != nil && e.sweepOrder(i, changed[fail]) >= 0 {
+			continue
 		}
+		e.linksChecked++
+		if skip[j] {
+			e.sweepSkips++
+		} else {
+			e.feasGen[i] = st.gens[i]
+		}
+	}
+	if rej != nil {
+		e.linksChecked++ // the failing link
 	}
 	e.sweepNs += time.Since(sweepStart).Nanoseconds()
 	return rej
+}
+
+// sweepOrder compares two links in sweep order: ascending recorded slack,
+// then the adapter's link order.
+func (e *Engine[K, Ch, P]) sweepOrder(a, b int32) int {
+	if c := cmp.Compare(e.slackHist[a], e.slackHist[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.state.rank[a], e.state.rank[b])
 }
 
 // commitSlack folds the last sweep's measured slacks into the history.
@@ -431,11 +463,11 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 // attempts record nothing, keeping the history a pure function of the
 // committed decision sequence (see slackHist).
 func (e *Engine[K, Ch, P]) commitSlack() {
-	for i := 0; i < e.sweepOK; i++ {
-		if e.sweepSkip[i] {
+	for j, i := range e.sweepLinks {
+		if e.sweepSkip[j] {
 			continue // cache hit: content unchanged, recorded slack still exact
 		}
-		e.slackHist[e.sweepLinks[i]] = e.sweepResults[i].MinSlack
+		e.slackHist[i] = e.sweepResults[j].MinSlack
 	}
 }
 
@@ -448,20 +480,25 @@ func growBuf[T any](buf []T, n int) []T {
 }
 
 // sweepSequential runs the full EDF test on the links at the given
-// positions, in order, stopping at the first failure; it returns how many
-// sweep positions that accounts for. The first constraint (U > 1, exact)
-// comes from the link's summary, kept from the state's incrementally
-// maintained rational sum — rational arithmetic is exact, so the answer
-// matches a fresh summation bit for bit.
-func (e *Engine[K, Ch, P]) sweepSequential(links, test []int32) (int, *Rejection[K]) {
+// positions, in order, stopping at the first failure, whose position it
+// returns with the rejection. The first constraint (U > 1, exact) comes
+// from the link's summary, kept from the state's incrementally maintained
+// rational sum — rational arithmetic is exact, so the answer matches a
+// fresh summation bit for bit. Only the rejection reports the link's
+// utilization, so only the failing link sums it.
+func (e *Engine[K, Ch, P]) sweepSequential(links, test []int32) (int32, *Rejection[K]) {
 	st := e.state
 	for _, j := range test {
 		i := links[j]
 		res := st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, &e.scratch)
+		if res.BusyPeriod != 0 {
+			e.walks++ // past Decide's early exits, a busy period was walked
+		}
 		e.sweepResults[j] = res
 		if !res.OK() {
-			return int(j) + 1, &Rejection[K]{Link: st.keys[i], Result: res}
+			res.Utilization = edf.UtilizationFloat(st.tasks[i])
+			return j, &Rejection[K]{Link: st.keys[i], Result: res}
 		}
 	}
-	return len(links), nil
+	return -1, nil
 }

@@ -151,7 +151,7 @@ func (h deadlineHeap) down(i int) {
 // sweeps over thousands of links run allocation-free; the zero
 // value is ready to use. A Scratch must not be shared between goroutines.
 type Scratch struct {
-	heap deadlineHeap
+	heap deadlineHeap // the deadline heap, or walkDeadlines' sorted deadlines
 }
 
 // Checkpoints calls fn for every distinct t in {m*P_i + D_i : m >= 0} with

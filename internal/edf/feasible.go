@@ -1,9 +1,11 @@
 package edf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Verdict classifies the outcome of a feasibility test.
@@ -142,43 +144,100 @@ func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 // walk evaluates the demand criterion at every checkpoint up to
 // res.BusyPeriod, completing res, which holds the verdict so far.
 func walk(tasks []Task, opts Options, scratch *Scratch, res Result) Result {
-	bp := res.BusyPeriod
+	// The sweep maintains h(t) incrementally across checkpoints (each
+	// deadline instance contributes its C once), so the whole test is
+	// O(m log n) instead of O(m*n) calls into Demand.
+	w := newDemandWalk(opts, res)
+	demandCheckpoints(tasks, res.BusyPeriod, scratch, w.step)
+	return w.result()
+}
+
+// walkDeadlines is walk for a busy period no longer than any period, in
+// which every task has at most one checkpoint, its deadline: it sorts the
+// tasks with D <= res.BusyPeriod by deadline and walks the distinct
+// deadlines with h(t) as a prefix sum of their capacities, with no heap.
+// The Result is walk's, field for field.
+func walkDeadlines(tasks []Task, opts Options, scratch *Scratch, res Result) Result {
+	if scratch == nil {
+		scratch = new(Scratch)
+	}
+	ds := scratch.heap[:0]
+	sorted := true
+	for _, t := range tasks {
+		if t.D <= res.BusyPeriod {
+			sorted = sorted && (len(ds) == 0 || ds[len(ds)-1].next <= t.D)
+			ds = append(ds, deadlineCursor{next: t.D, c: t.C})
+		}
+	}
+	scratch.heap = ds
+	if !sorted {
+		slices.SortFunc(ds, func(a, b deadlineCursor) int { return cmp.Compare(a.next, b.next) })
+	}
+	w := newDemandWalk(opts, res)
+	var demand int64
+	for k := 0; k < len(ds); {
+		t := ds[k].next
+		for ; k < len(ds) && ds[k].next == t; k++ {
+			demand = addSat(demand, ds[k].c)
+		}
+		if !w.step(t, demand) {
+			break
+		}
+	}
+	return w.result()
+}
+
+// demandWalk folds the demand criterion h(t) <= t, checkpoint by
+// checkpoint in increasing t, into a Result, up to the checkpoint cap.
+type demandWalk struct {
+	res       Result
+	maxChecks int
+	exceeded  bool
+}
+
+// newDemandWalk starts a walk from the verdict so far, res, under opts'
+// checkpoint cap.
+func newDemandWalk(opts Options, res Result) demandWalk {
 	maxChecks := opts.MaxCheckpoints
 	if maxChecks <= 0 {
 		maxChecks = DefaultMaxCheckpoints
 	}
-	exceeded := false
-	// The sweep maintains h(t) incrementally across checkpoints (each
-	// deadline instance contributes its C once), so the whole test is
-	// O(m log n) instead of O(m*n) calls into Demand.
-	demandCheckpoints(tasks, bp, scratch, func(t, h int64) bool {
-		if res.Checked >= maxChecks {
-			exceeded = true
-			return false
-		}
-		res.Checked++
-		if h > t {
-			res.Verdict = InfeasibleDemand
-			res.ViolationAt = t
-			res.DemandAt = h
-			return false
-		}
-		if slack := t - h; slack < res.MinSlack {
-			res.MinSlack = slack
-		}
-		return true
-	})
-	if exceeded {
+	return demandWalk{res: res, maxChecks: maxChecks}
+}
+
+// step evaluates checkpoint t with demand h and reports whether the walk
+// goes on.
+func (w *demandWalk) step(t, h int64) bool {
+	if w.res.Checked >= w.maxChecks {
+		w.exceeded = true
+		return false
+	}
+	w.res.Checked++
+	if h > t {
+		w.res.Verdict = InfeasibleDemand
+		w.res.ViolationAt = t
+		w.res.DemandAt = h
+		return false
+	}
+	if slack := t - h; slack < w.res.MinSlack {
+		w.res.MinSlack = slack
+	}
+	return true
+}
+
+// result is the walk's Result: Inconclusive if the cap stopped it.
+func (w *demandWalk) result() Result {
+	if w.exceeded {
 		return Result{
 			Verdict:     Inconclusive,
-			Err:         fmt.Errorf("%w (limit %d, busy period %d)", ErrTooManyCheckpoints, maxChecks, bp),
-			Utilization: res.Utilization,
-			BusyPeriod:  bp,
+			Err:         fmt.Errorf("%w (limit %d, busy period %d)", ErrTooManyCheckpoints, w.maxChecks, w.res.BusyPeriod),
+			Utilization: w.res.Utilization,
+			BusyPeriod:  w.res.BusyPeriod,
 			MinSlack:    math.MaxInt64,
-			Checked:     res.Checked,
+			Checked:     w.res.Checked,
 		}
 	}
-	return res
+	return w.res
 }
 
 // TestDefault runs Test with default options.

@@ -15,12 +15,16 @@ import (
 //
 // A Summary is built task by task and patched as the set changes (Add,
 // Remove, Replace), which is how the admission kernel keeps one live per
-// link. Patching keeps the task count, sum C and the D < P count exact.
-// The shortest period and deadline become lower bounds when a task that
-// held a minimum leaves or grows: Decide only ever proves feasibility by
-// comparing sum C against them from below, so a lower bound can make it
-// give up but never makes it wrong. Loose reports when that may have
-// happened, and Rescan restores the exact values.
+// link. Patching keeps the task count, sum C and the D < P count exact,
+// and it counts the tasks that hold the shortest period and the shortest
+// deadline. A bound loosens only when the last of its holders leaves (a
+// Replace folds the new task in before it retires the old one, so a task
+// re-partitioned to the same minimum keeps the bound exact); it then
+// stays where it was, a lower bound on the new minimum. Decide only ever
+// proves feasibility by comparing sum C against the bounds from below, so
+// a lower bound can make it give up but never makes it wrong. Loose
+// reports when that may have happened, and Rescan restores the exact
+// values.
 //
 // A task with D = 0 is a placeholder: a channel that holds no deadline
 // partition yet. It counts toward sum C and the shortest period but not
@@ -38,7 +42,7 @@ type Summary struct {
 	short        int    // non-placeholder tasks with D < P
 	sumHi, sumLo uint64 // sum C as an exact 128-bit integer
 	minP, minD   int64  // lower bounds on the shortest period and (non-placeholder) deadline; MaxInt64: none
-	loose        bool   // minP or minD may lie below the true minimum
+	atP, atD     int    // tasks with P == minP, and non-placeholder tasks with D == minD
 }
 
 // count adds (sign = 1) or takes away (sign = -1) a task's share of the
@@ -58,11 +62,31 @@ func (s *Summary) count(t Task, sign int) {
 	}
 }
 
-// lower folds a task into the minimum bounds.
+// lower folds a task into the minimum bounds and their holder counts.
 func (s *Summary) lower(t Task) {
-	s.minP = min(s.minP, t.P)
-	if t.D != 0 {
-		s.minD = min(s.minD, t.D)
+	switch {
+	case t.P < s.minP:
+		s.minP, s.atP = t.P, 1
+	case t.P == s.minP:
+		s.atP++
+	}
+	switch {
+	case t.D == 0:
+	case t.D < s.minD:
+		s.minD, s.atD = t.D, 1
+	case t.D == s.minD:
+		s.atD++
+	}
+}
+
+// retire takes a task out of the holder counts. A bound whose last holder
+// leaves stays put, below the new minimum.
+func (s *Summary) retire(t Task) {
+	if t.P == s.minP {
+		s.atP--
+	}
+	if t.D != 0 && t.D == s.minD {
+		s.atD--
 	}
 }
 
@@ -75,25 +99,22 @@ func (s *Summary) Add(t Task) {
 	s.lower(t)
 }
 
-// Remove takes a task that was added out of the summary. A bound the task
-// held becomes loose.
+// Remove takes a task that was added out of the summary.
 func (s *Summary) Remove(t Task) {
 	if s.n == 1 {
 		*s = Summary{Over: s.Over}
 		return
 	}
-	s.loose = s.loose || t.P == s.minP || (t.D != 0 && t.D == s.minD)
 	s.count(t, -1)
+	s.retire(t)
 }
 
-// Replace swaps a task that was added for t. A bound loosens only when old
-// held it and t does not.
+// Replace swaps a task that was added for t.
 func (s *Summary) Replace(old, t Task) {
-	s.loose = s.loose || (old.P == s.minP && t.P > old.P) ||
-		(old.D != 0 && old.D == s.minD && (t.D == 0 || t.D > old.D))
-	s.count(old, -1)
 	s.count(t, 1)
 	s.lower(t)
+	s.count(old, -1)
+	s.retire(old)
 }
 
 // Rescan recomputes the summary from tasks, making every bound exact.
@@ -135,8 +156,12 @@ func (s *Summary) MinD() int64 {
 	return s.minD
 }
 
-// Loose reports whether MinP or MinD may lie below the true minimum.
-func (s *Summary) Loose() bool { return s.loose }
+// Loose reports whether MinP or MinD lies below the true minimum: no task
+// holds it any more. (A MinD of math.MaxInt64 held by no task is exact:
+// it means there is no deadline.)
+func (s *Summary) Loose() bool {
+	return s.n != 0 && (s.atP == 0 || (s.atD == 0 && s.minD != math.MaxInt64))
+}
 
 // Decide answers the feasibility test from the summary alone when one of
 // its early exits applies, returning the Result TestScratch would return
@@ -175,33 +200,40 @@ func (s *Summary) Decide() (Result, bool) {
 
 // Test runs the feasibility test on tasks for a caller that keeps their
 // summary s live, such as the admission kernel: it takes U > 1 from s.Over
-// instead of summing the exact rational utilization. The Result is
-// TestScratch's, field for field, even when s is Loose: a bound below the
-// true minimum can only send Decide to the fixed-point iteration, which
-// finds the same busy period, or to a walk that finds no checkpoint in it.
+// instead of summing the exact rational utilization, and it leaves
+// Utilization 0, as Decide does, so a caller that accepts the set never
+// pays for the sum; one that reports the Result fills it in with
+// UtilizationFloat(tasks). The Result is otherwise TestScratch's, field
+// for field, even when s is Loose: a bound below the true minimum can only
+// send Decide to the fixed-point iteration, which finds the same busy
+// period, or to a walk that finds no checkpoint in it.
 func (s *Summary) Test(tasks []Task, opts Options, scratch *Scratch) Result {
 	if !opts.SkipValidation {
 		if err := ValidateTasks(tasks); err != nil {
 			return Result{Verdict: InvalidTask, Err: err, MinSlack: math.MaxInt64}
 		}
 	}
-	return s.finish(tasks, UtilizationFloat(tasks), opts, scratch)
+	return s.finish(tasks, 0, opts, scratch)
 }
 
 // finish completes a test of tasks from their summary s, with u the
-// reporting utilization: Decide, then the busy period and the walk.
+// reporting utilization: Decide, then the busy period and the walk. A
+// closed-form busy period (sum C <= min P) holds at most one checkpoint
+// per task, its D, since every P is at least the busy period; then the
+// walk is a prefix sum over the deadlines in it (walkDeadlines).
 func (s *Summary) finish(tasks []Task, u float64, opts Options, scratch *Scratch) Result {
 	res, done := s.Decide()
 	res.Utilization = u
 	if done {
 		return res
 	}
-	if res.BusyPeriod == 0 {
-		bp, ok := BusyPeriod(tasks)
-		if !ok {
-			return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: u, MinSlack: math.MaxInt64}
-		}
-		res.BusyPeriod = bp
+	if res.BusyPeriod != 0 {
+		return walkDeadlines(tasks, opts, scratch, res)
 	}
+	bp, ok := BusyPeriod(tasks)
+	if !ok {
+		return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: u, MinSlack: math.MaxInt64}
+	}
+	res.BusyPeriod = bp
 	return walk(tasks, opts, scratch, res)
 }

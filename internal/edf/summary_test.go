@@ -46,8 +46,8 @@ func patchedSummary(tasks, extra []Task, mode []byte) Summary {
 // (exactly on them unless Loose), its decision equals the reference
 // walk's Result field for field wherever it decides, and Summary.Test —
 // the full test a rejected or undecided link runs — equals the reference
-// including Utilization.
-func checkSummary(t *testing.T, tasks []Task, s Summary) {
+// under opts but for Utilization, which it leaves 0.
+func checkSummary(t *testing.T, tasks []Task, s Summary, opts Options) {
 	t.Helper()
 	short := 0
 	minP, minD := int64(math.MaxInt64), int64(math.MaxInt64)
@@ -65,11 +65,17 @@ func checkSummary(t *testing.T, tasks []Task, s Summary) {
 		t.Fatalf("%v: bounds min P %d, min D %d (loose %v) against true %d, %d", tasks, s.MinP(), s.MinD(), s.Loose(), minP, minD)
 	}
 
-	want := walkReference(tasks, Options{})
-	if got := s.Test(tasks, Options{}, nil); !sameResult(got, want) {
+	want := walkReference(tasks, opts)
+	noU := want
+	noU.Utilization = 0
+	if got := s.Test(tasks, opts, nil); !sameResult(got, noU) {
 		t.Fatalf("%v: Summary.Test = %+v, walk = %+v", tasks, got, want)
 	}
-	if got := TestScratch(tasks, Options{}, nil); !sameResult(got, want) {
+	var scratch Scratch
+	if got := s.Test(tasks, opts, &scratch); !sameResult(got, noU) {
+		t.Fatalf("%v: Summary.Test with a Scratch = %+v, walk = %+v", tasks, got, want)
+	}
+	if got := TestScratch(tasks, opts, nil); !sameResult(got, want) {
 		t.Fatalf("%v: TestScratch = %+v, walk = %+v", tasks, got, want)
 	}
 	res, ok := s.Decide()
@@ -86,7 +92,7 @@ func checkSummary(t *testing.T, tasks []Task, s Summary) {
 		if exact.Loose() || exact != fresh(tasks) {
 			t.Fatalf("%v: rescan %+v, fresh summary %+v", tasks, exact, fresh(tasks))
 		}
-		checkSummary(t, tasks, exact)
+		checkSummary(t, tasks, exact, opts)
 		return
 	}
 	// An exact summary gives up only where the test needs the busy
@@ -132,7 +138,7 @@ func TestSummaryDecisionEdges(t *testing.T) {
 			for _, mode := range [][]byte{{0}, {1}, {2}, {3}, {2, 1, 3}} {
 				for _, extra := range [][]Task{nil, {{C: 1, P: 2, D: 1}}, {{C: 1, P: 1 << 40, D: 1}}, {{C: 1, P: 2, D: 1 << 40}}, {{C: 1, P: 3, D: 3}, {C: 2, P: 5, D: 2}}} {
 					s := patchedSummary(tc.tasks, extra, mode)
-					checkSummary(t, tc.tasks, s)
+					checkSummary(t, tc.tasks, s, Options{})
 				}
 			}
 			exact := fresh(tc.tasks)
@@ -189,16 +195,66 @@ func TestSummaryPlaceholderNeverLoosens(t *testing.T) {
 	}
 }
 
+// TestSummaryTieKeepsBoundExact: the shortest period and deadline stay
+// exact while any task holds them, so removing or raising one of two
+// tasks at the minimum leaves the summary exact, and only the last
+// holder's leaving loosens it. A Replace that keeps the minimum keeps it
+// exact even for the only holder.
+func TestSummaryTieKeepsBoundExact(t *testing.T) {
+	leaves := []struct {
+		name  string
+		leave func(s *Summary, t Task)
+	}{
+		{"remove", func(s *Summary, t Task) { s.Remove(t) }},
+		{"replace", func(s *Summary, t Task) { s.Replace(t, Task{C: t.C, P: 3 * t.P, D: 3 * t.D}) }},
+	}
+	cases := []struct {
+		name        string
+		a, b, other Task
+		minP, minD  int64
+	}{
+		{"tie at min D", Task{C: 1, P: 100, D: 40}, Task{C: 2, P: 150, D: 40}, Task{C: 1, P: 90, D: 80}, 90, 40},
+		{"tie at min P", Task{C: 1, P: 100, D: 50}, Task{C: 2, P: 100, D: 60}, Task{C: 1, P: 200, D: 40}, 100, 40},
+	}
+	for _, tc := range cases {
+		for _, l := range leaves {
+			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
+				var s Summary
+				s.Add(tc.a)
+				s.Add(tc.b)
+				s.Add(tc.other)
+				l.leave(&s, tc.a)
+				if s.Loose() || s.MinP() != tc.minP || s.MinD() != tc.minD {
+					t.Fatalf("one of two holders gone: loose %v min P %d min D %d, want exact %d, %d", s.Loose(), s.MinP(), s.MinD(), tc.minP, tc.minD)
+				}
+				l.leave(&s, tc.b)
+				if !s.Loose() {
+					t.Fatalf("last holder gone: summary still exact at min P %d min D %d", s.MinP(), s.MinD())
+				}
+			})
+		}
+	}
+	var s Summary
+	s.Add(Task{C: 1, P: 100, D: 40})
+	s.Add(Task{C: 1, P: 200, D: 80})
+	s.Replace(Task{C: 1, P: 100, D: 40}, Task{C: 5, P: 100, D: 40})
+	if s.Loose() || s.MinP() != 100 || s.MinD() != 40 || s.SumC() != 6 {
+		t.Fatalf("same-minimum replace: loose %v min P %d min D %d sum C %d", s.Loose(), s.MinP(), s.MinD(), s.SumC())
+	}
+}
+
 // FuzzSummaryDecisionMatchesTest builds summaries by patching (see
 // patchedSummary) over random valid task sets — scaled up to near the
 // int64 ceiling, with deadlines on both sides of the period — and checks
-// them against the reference walk with checkSummary.
+// them against the reference walk with checkSummary, under a checkpoint
+// cap that sometimes bites.
 func FuzzSummaryDecisionMatchesTest(f *testing.F) {
 	f.Add([]byte{0, 0, 200, 3, 40, 200, 2, 60})
 	f.Add([]byte{0, 1, 10, 3, 4, 10, 7, 7, 40, 1, 1})
 	f.Add([]byte{2, 2, 100, 2, 6, 50, 4, 9, 3, 1, 0})
 	f.Add([]byte{0x80, 5, 1, 0, 1, 1, 3, 4})
 	f.Add([]byte{13, 3, 250, 9, 120, 250, 7, 33, 250, 0, 249})
+	f.Add([]byte{0, 4, 40, 1, 0, 40, 1, 1, 40, 1, 2}) // a capped walk in a closed-form busy period
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -223,6 +279,7 @@ func FuzzSummaryDecisionMatchesTest(f *testing.F) {
 				tasks = append(tasks, task)
 			}
 		}
-		checkSummary(t, tasks, patchedSummary(tasks, extra, data[1:2]))
+		opts := Options{MaxCheckpoints: int(data[1]>>2) % 8} // 0: the default cap
+		checkSummary(t, tasks, patchedSummary(tasks, extra, data[1:2]), opts)
 	})
 }
