@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/scenario"
@@ -46,39 +44,9 @@ func runAdmit(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		dump    = fs.Bool("dump", false, "emit the accepted channels as a JSON snapshot instead of the summary")
 		batch   = fs.Bool("batch", false, "admit all requests as one atomic batch (EstablishAll) instead of one by one")
 		scen    = fs.String("scenario", "", "replay a JSON scenario timeline against admission control only (ignores -dps and request input)")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "rtexp admit: %v\n", err)
-			}
-			f.Close()
-		}()
 	}
 
 	if *scen != "" {

@@ -1,17 +1,26 @@
 // Package exp is the experiment harness: one function per table/figure of
 // the paper's evaluation (plus the supporting and future-work experiments
 // catalogued by rtexp -list), each returning a printable table with the
-// same rows/series the paper reports. The cmd/rtexp binary and the
-// repository benchmarks both drive these functions, so "regenerate the
-// figure" is one call.
+// same rows/series the paper reports. `rtexp paper` drives these
+// functions, so "regenerate the figure" is one call.
+//
+// The acceptance tables (E1 Fig. 18.5, E6, E8) are scenario streams
+// that one driver plays on any scenario.Target, so Fig185On,
+// MultiSwitchOn and DeadlineSweepOn reproduce them against rtetherd
+// too. The simulation tables (E2–E5, E11) keep their drivers: they
+// count delivered frames. So does E10, whose one-switch rows a scenario
+// run would put on the star simulator's wire handshake, and E9, whose
+// retry under fallback schemes no Target offers.
 package exp
 
 import (
+	"context"
+
 	"repro/internal/altsched"
 	"repro/internal/core"
 	"repro/internal/edf"
+	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -40,27 +49,85 @@ func All() []Experiment {
 	}
 }
 
-// acceptedAtCheckpoints feeds the request sequence to a fresh controller
-// and records the cumulative accepted count at each checkpoint index.
-func acceptedAtCheckpoints(dps core.DPS, requests []core.ChannelSpec, checkpoints []int) []int {
-	ctrl := core.NewController(core.Config{DPS: dps})
-	out := make([]int, 0, len(checkpoints))
-	next := 0
-	accepted := 0
-	for k, spec := range requests {
-		if _, err := ctrl.Request(spec); err == nil {
-			accepted++
+// Open hosts a fresh network as s describes it and returns the target
+// its admission stream plays on: InProcess, or a *client.Client of a
+// daemon serving s.BuildNetwork.
+type Open func(s *scenario.Scenario) (scenario.Target, error)
+
+// InProcess hosts the network in this process, deciding as Replay does.
+func InProcess(s *scenario.Scenario) (scenario.Target, error) {
+	net, err := s.BuildNetwork(0)
+	return scenario.NewTarget(net), err
+}
+
+// lineScenario is the acceptance workload: n optional channels of
+// params in the paper layout's round-robin master→slave order, on a
+// line of k switches with the masters on the first and the slaves on
+// the last; k = 1 is the paper's star. Only admission plays, so one
+// slot is horizon enough.
+func lineScenario(params core.ChannelSpec, n, k int) *scenario.Scenario {
+	l := traffic.PaperLayout
+	top := &scenario.TopologyDef{Switches: []uint16{0}}
+	for sw := uint16(1); sw < uint16(k); sw++ {
+		top.Switches = append(top.Switches, sw)
+		top.Trunks = append(top.Trunks, [2]uint16{sw - 1, sw})
+	}
+	for i, id := range l.Nodes() {
+		at := scenario.AttachDef{Node: uint16(id)}
+		if i >= l.Masters {
+			at.Switch = uint16(k - 1)
 		}
-		for next < len(checkpoints) && k+1 == checkpoints[next] {
-			out = append(out, accepted)
-			next++
+		top.Attachments = append(top.Attachments, at)
+	}
+	s := &scenario.Scenario{Slots: 1, Topology: top}
+	for _, r := range l.Requests(n, params) {
+		s.Channels = append(s.Channels, scenario.ChannelDef{
+			Src: uint16(r.Src), Dst: uint16(r.Dst), C: r.C, P: r.P, D: r.D, Optional: true})
+	}
+	return s
+}
+
+// acceptCounts is the one driver of the acceptance tables, in process
+// and against a daemon alike. It plays s's admission stream one step at
+// a time under SDPS and under ADPS (H-SDPS and H-ADPS on a fabric), each
+// on a fresh target from open, and returns both running counts of
+// accepted steps: counts[scheme][i] counts the accepted among the first
+// i steps.
+func acceptCounts(open Open, s *scenario.Scenario) ([2][]int, error) {
+	var counts [2][]int
+	steps, err := s.Steps()
+	if err != nil {
+		return counts, err
+	}
+	for i, dps := range []string{"sdps", "adps"} {
+		s.DPS = dps
+		target, err := open(s)
+		if err != nil {
+			return counts, err
+		}
+		p := scenario.NewPlayer(target)
+		counts[i] = make([]int, len(steps)+1)
+		for j, st := range steps {
+			out, err := p.Play(context.Background(), st)
+			if err != nil {
+				return counts, err
+			}
+			counts[i][j+1] = counts[i][j]
+			if out.Accepted {
+				counts[i][j+1]++
+			}
 		}
 	}
-	for next < len(checkpoints) {
-		out = append(out, accepted)
-		next++
+	return counts, nil
+}
+
+// must unwraps a table played in process, where the paper's workload
+// cannot fail.
+func must(tb *stats.Table, err error) *stats.Table {
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return tb
 }
 
 // Fig185 reproduces Figure 18.5: the number of accepted channels as a
@@ -69,89 +136,65 @@ func acceptedAtCheckpoints(dps core.DPS, requests []core.ChannelSpec, checkpoint
 //
 // Paper shape: SDPS plateaus at 60 (six channels per master uplink);
 // ADPS keeps climbing to ≈110.
-func Fig185() *stats.Table {
-	checkpoints := make([]int, 0, 10)
-	for r := 20; r <= 200; r += 20 {
-		checkpoints = append(checkpoints, r)
-	}
-	requests := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
-	sdps := acceptedAtCheckpoints(core.SDPS{}, requests, checkpoints)
-	adps := acceptedAtCheckpoints(core.ADPS{}, requests, checkpoints)
+func Fig185() *stats.Table { return must(Fig185On(InProcess)) }
 
+// Fig185On is Fig185 played on the targets open hosts.
+func Fig185On(open Open) (*stats.Table, error) {
+	c, err := acceptCounts(open, lineScenario(traffic.PaperSpec, 200, 1))
+	if err != nil {
+		return nil, err
+	}
 	tb := stats.NewTable(
 		"Fig. 18.5 — accepted channels vs requested (10 masters, 50 slaves, C=3 P=100 d=40)",
 		"requested", "accepted(SDPS)", "accepted(ADPS)")
-	for i, r := range checkpoints {
-		tb.AddRowf(r, sdps[i], adps[i])
+	for r := 20; r <= 200; r += 20 {
+		tb.AddRowf(r, c[0][r], c[1][r])
 	}
-	return tb
+	return tb, nil
 }
 
 // DeadlineSweep (E8) repeats the Fig. 18.5 acceptance comparison across
 // deadline tightness: the ADPS advantage is largest for mid-range
 // deadlines and vanishes when deadlines are so tight (d = 2C) that no
 // partition has slack, or so loose that utilization binds first.
-func DeadlineSweep() *stats.Table {
+func DeadlineSweep() *stats.Table { return must(DeadlineSweepOn(InProcess)) }
+
+// DeadlineSweepOn is DeadlineSweep played on the targets open hosts.
+func DeadlineSweepOn(open Open) (*stats.Table, error) {
 	tb := stats.NewTable(
 		"E8 — accepted of 200 requested vs deadline d (C=3, P=100)",
 		"d", "accepted(SDPS)", "accepted(ADPS)", "ADPS/SDPS")
 	for _, d := range []int64{6, 8, 10, 15, 20, 30, 40, 60, 80, 100} {
-		params := traffic.PaperSpec
-		params.D = d
-		requests := traffic.PaperLayout.Requests(200, params)
-		s := acceptedAtCheckpoints(core.SDPS{}, requests, []int{200})[0]
-		a := acceptedAtCheckpoints(core.ADPS{}, requests, []int{200})[0]
-		ratio := 0.0
-		if s > 0 {
-			ratio = float64(a) / float64(s)
+		c, err := acceptCounts(open, lineScenario(core.ChannelSpec{C: 3, P: 100, D: d}, 200, 1))
+		if err != nil {
+			return nil, err
 		}
-		tb.AddRowf(d, s, a, ratio)
+		// d >= 2C, so SDPS admits at least one channel per master.
+		s, a := c[0][200], c[1][200]
+		tb.AddRowf(d, s, a, float64(a)/float64(s))
 	}
-	return tb
+	return tb, nil
 }
 
 // MultiSwitch (E6) extends the acceptance experiment to line fabrics of
 // 1..4 switches with the masters homed on the first switch and the slaves
 // on the last, so every channel crosses every trunk. H-ADPS shifts
 // deadline budget onto the loaded trunks and dominates H-SDPS.
-func MultiSwitch() *stats.Table {
+func MultiSwitch() *stats.Table { return must(MultiSwitchOn(InProcess)) }
+
+// MultiSwitchOn is MultiSwitch played on the targets open hosts.
+func MultiSwitchOn(open Open) (*stats.Table, error) {
 	tb := stats.NewTable(
 		"E6 — accepted of 150 requested on line fabrics (C=3, P=300, d=60)",
 		"switches", "hops", "accepted(H-SDPS)", "accepted(H-ADPS)")
 	for _, k := range []int{1, 2, 3, 4} {
-		buildCtrl := func(dps topo.HDPS) *topo.Controller {
-			tp := topo.Line(k)
-			for m := 0; m < 10; m++ {
-				if err := tp.AttachNode(core.NodeID(m), 0); err != nil {
-					panic(err)
-				}
-			}
-			for s := 0; s < 50; s++ {
-				if err := tp.AttachNode(core.NodeID(100+s), topo.SwitchID(k-1)); err != nil {
-					panic(err)
-				}
-			}
-			return topo.NewController(tp, topo.Config{DPS: dps})
+		c, err := acceptCounts(open, lineScenario(core.ChannelSpec{C: 3, P: 300, D: 60}, 150, k))
+		if err != nil {
+			return nil, err
 		}
-		count := func(dps topo.HDPS) int {
-			ctrl := buildCtrl(dps)
-			accepted := 0
-			for q := 0; q < 150; q++ {
-				spec := core.ChannelSpec{
-					Src: core.NodeID(q % 10),
-					Dst: core.NodeID(100 + q%50),
-					C:   3, P: 300, D: 60,
-				}
-				if _, err := ctrl.Request(spec); err == nil {
-					accepted++
-				}
-			}
-			return accepted
-		}
-		hops := k + 1
-		tb.AddRowf(k, hops, count(topo.HSDPS{}), count(topo.HADPS{}))
+		tb.AddRowf(k, k+1, c[0][150], c[1][150])
 	}
-	return tb
+	return tb, nil
 }
 
 // capacityWithBase counts how many copies of add fit on a link already
@@ -234,10 +277,9 @@ func DPSSearch() *stats.Table {
 
 	forward := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
 	bidi := make([]core.ChannelSpec, 0, 200)
-	fwd := traffic.PaperLayout.Requests(100, traffic.PaperSpec)
 	rev := traffic.PaperLayout.ReverseRequests(100, traffic.PaperSpec)
 	for i := 0; i < 100; i++ {
-		bidi = append(bidi, fwd[i], rev[i])
+		bidi = append(bidi, forward[i], rev[i])
 	}
 
 	tb := stats.NewTable(

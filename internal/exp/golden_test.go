@@ -27,6 +27,26 @@ func TestFig185Golden(t *testing.T) {
 	}
 }
 
+const deadlineSweepGoldenCSV = `d,accepted(SDPS),accepted(ADPS),ADPS/SDPS
+6,10,10,1.000
+8,10,10,1.000
+10,10,20,2.000
+15,20,40,2.000
+20,30,50,1.667
+30,50,90,1.800
+40,60,110,1.833
+60,100,170,1.700
+80,130,200,1.538
+100,160,200,1.250
+`
+
+func TestDeadlineSweepGolden(t *testing.T) {
+	got := DeadlineSweep().CSV()
+	if got != deadlineSweepGoldenCSV {
+		t.Errorf("E8 output changed.\ngot:\n%s\nwant:\n%s", got, deadlineSweepGoldenCSV)
+	}
+}
+
 const multiSwitchGoldenCSV = `switches,hops,accepted(H-SDPS),accepted(H-ADPS)
 1,2,100,150
 2,3,6,18

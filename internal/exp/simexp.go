@@ -14,16 +14,17 @@ import (
 )
 
 // buildLoaded constructs a network with the paper layout, pushes the
-// request sequence through the wire-level establishment handshake, and
-// starts synchronized traffic on every accepted channel. It returns the
-// network and the accepted channel IDs.
-func buildLoaded(cfg netsim.Config, requests []core.ChannelSpec, offsets []int64) (*netsim.Network, []core.ChannelID) {
+// Fig. 18.5 request sequence through the wire-level establishment
+// handshake, and starts traffic on every accepted channel, synchronized
+// unless offsets are given. It returns the network and the accepted
+// channel IDs.
+func buildLoaded(cfg netsim.Config, offsets []int64) (*netsim.Network, []core.ChannelID) {
 	n := netsim.New(cfg)
 	for _, id := range traffic.PaperLayout.Nodes() {
 		n.MustAddNode(id)
 	}
 	var accepted []core.ChannelID
-	for _, spec := range requests {
+	for _, spec := range traffic.PaperLayout.Requests(200, traffic.PaperSpec) {
 		id, err := n.EstablishChannel(spec)
 		if err != nil {
 			continue
@@ -47,6 +48,15 @@ func buildLoaded(cfg netsim.Config, requests []core.ChannelSpec, offsets []int64
 // paper workload after load completes.
 const simHorizon = 3000
 
+// simulate runs n through the measurement window and returns its report
+// and the worst delay it observed.
+func simulate(n *netsim.Network) (*netsim.Report, int64) {
+	n.Run(n.Engine().Now() + simHorizon)
+	rep := n.Report()
+	_, worst := rep.WorstDelay()
+	return rep, worst
+}
+
 // DelayGuarantee (E3) simulates the full Fig. 18.5 workload under both
 // schemes and verifies Eq. 18.1: every frame of every admitted channel is
 // delivered within d_i + T_latency. It reports the worst observed delay
@@ -56,11 +66,8 @@ func DelayGuarantee() *stats.Table {
 		"E3 — simulated delay vs guarantee, Fig. 18.5 workload (3000 slots)",
 		"scheme", "accepted", "delivered", "misses", "worst delay", "guarantee", "verdict")
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}} {
-		requests := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
-		n, accepted := buildLoaded(netsim.Config{DPS: dps}, requests, nil)
-		n.Run(n.Engine().Now() + simHorizon)
-		rep := n.Report()
-		_, worst := rep.WorstDelay()
+		n, accepted := buildLoaded(netsim.Config{DPS: dps}, nil)
+		rep, worst := simulate(n)
 		guarantee := traffic.PaperSpec.D + n.ExtraLatency()
 		tb.AddRowf(dps.Name(), len(accepted), rep.TotalDelivered(), rep.TotalMisses(),
 			worst, guarantee, passFail(rep.TotalMisses() == 0 && worst <= guarantee))
@@ -78,62 +85,38 @@ func FeasibilityModes() *stats.Table {
 		"E2 — admission policy soundness, one master, C=3 P=100 d=40 (3000 slots)",
 		"policy", "accepted", "delivered", "misses", "worst delay", "guarantee", "verdict")
 
-	// Policy 1: the paper's full test (utilization + demand criterion).
-	{
-		n := netsim.New(netsim.Config{DPS: core.SDPS{}})
-		n.MustAddNode(0)
-		for s := 0; s < 40; s++ {
-			n.MustAddNode(core.NodeID(100 + s))
+	// The paper's full test (utilization + demand criterion) admits what
+	// fits of 40 requests. Utilization only: U = 3q/100 <= 1 admits q = 33
+	// channels, far past the demand bound, forced in unshaped; the
+	// synchronous burst then blows the end-to-end budget.
+	for _, forced := range []bool{false, true} {
+		n := netsim.New(netsim.Config{DPS: core.SDPS{}, DisableShaping: forced})
+		for _, id := range (traffic.MasterSlaveLayout{Masters: 1, Slaves: 40, SlaveBase: 100}).Nodes() {
+			n.MustAddNode(id)
+		}
+		admit, requests, policy := n.EstablishChannel, 40, "utilization+demand (paper)"
+		if forced {
+			requests, policy = 33, "utilization only (unsound)"
+			admit = func(spec core.ChannelSpec) (core.ChannelID, error) {
+				return n.ForceChannel(spec, core.Partition{})
+			}
 		}
 		var ids []core.ChannelID
-		for s := 0; s < 40; s++ {
-			id, err := n.EstablishChannel(core.ChannelSpec{
-				Src: 0, Dst: core.NodeID(100 + s), C: 3, P: 100, D: 40})
-			if err != nil {
-				continue
-			}
-			ids = append(ids, id)
-		}
-		for _, id := range ids {
-			ch := n.Controller().State().Get(id)
-			if err := n.Node(ch.Spec.Src).StartTraffic(id, 0); err != nil {
+		for s := 0; s < requests; s++ {
+			id, err := admit(core.ChannelSpec{Src: 0, Dst: core.NodeID(100 + s), C: 3, P: 100, D: 40})
+			if err == nil {
+				ids = append(ids, id)
+			} else if forced {
 				panic(err)
 			}
-		}
-		n.Run(n.Engine().Now() + simHorizon)
-		rep := n.Report()
-		_, worst := rep.WorstDelay()
-		tb.AddRowf("utilization+demand (paper)", len(ids), rep.TotalDelivered(),
-			rep.TotalMisses(), worst, 40, passFail(rep.TotalMisses() == 0))
-	}
-
-	// Policy 2: utilization-only. U = 3q/100 <= 1 admits q = 33 channels,
-	// far past the demand bound; the synchronous burst then blows the
-	// end-to-end budget.
-	{
-		n := netsim.New(netsim.Config{DPS: core.SDPS{}, DisableShaping: true})
-		n.MustAddNode(0)
-		for s := 0; s < 40; s++ {
-			n.MustAddNode(core.NodeID(100 + s))
-		}
-		var ids []core.ChannelID
-		for s := 0; s < 33; s++ {
-			id, err := n.ForceChannel(core.ChannelSpec{
-				Src: 0, Dst: core.NodeID(100 + s), C: 3, P: 100, D: 40}, core.Partition{})
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, id)
 		}
 		for _, id := range ids {
 			if err := n.Node(0).StartTraffic(id, 0); err != nil {
 				panic(err)
 			}
 		}
-		n.Run(n.Engine().Now() + simHorizon)
-		rep := n.Report()
-		_, worst := rep.WorstDelay()
-		tb.AddRowf("utilization only (unsound)", len(ids), rep.TotalDelivered(),
+		rep, worst := simulate(n)
+		tb.AddRowf(policy, len(ids), rep.TotalDelivered(),
 			rep.TotalMisses(), worst, 40, passFail(rep.TotalMisses() == 0))
 	}
 	return tb
@@ -149,23 +132,15 @@ func ShapingAblation() *stats.Table {
 		"E4 — release-guard shaping ablation, ADPS workload (3000 slots)",
 		"mode", "accepted", "delivered", "misses", "worst delay", "mean delay", "shaper holds")
 	for _, disable := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(77))
-		requests := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
-		offsets := traffic.UniformOffsets(rng, 200, 99)
-		n, accepted := buildLoaded(netsim.Config{DPS: core.ADPS{}, DisableShaping: disable},
-			requests, offsets)
-		n.Run(n.Engine().Now() + simHorizon)
-		rep := n.Report()
-		_, worst := rep.WorstDelay()
-		var meanSum float64
-		var meanN int
-		for _, m := range rep.Channels {
-			meanSum += m.Delays.Mean()
-			meanN++
-		}
+		offsets := traffic.UniformOffsets(rand.New(rand.NewSource(77)), 200, 99)
+		n, accepted := buildLoaded(netsim.Config{DPS: core.ADPS{}, DisableShaping: disable}, offsets)
+		rep, worst := simulate(n)
 		mean := 0.0
-		if meanN > 0 {
-			mean = meanSum / float64(meanN)
+		for _, m := range rep.Channels {
+			mean += m.Delays.Mean()
+		}
+		if len(rep.Channels) > 0 {
+			mean /= float64(len(rep.Channels))
 		}
 		_, _, shaped, _, _ := n.Switch().Counters()
 		mode := "shaped (release guard)"
@@ -189,23 +164,18 @@ func FabricDelay() *stats.Table {
 	for _, k := range []int{1, 2, 3, 4} {
 		for _, dps := range []topo.HDPS{topo.HSDPS{}, topo.HADPS{}} {
 			tp := topo.Line(k)
-			for m := 0; m < 10; m++ {
-				if err := tp.AttachNode(core.NodeID(m), 0); err != nil {
-					panic(err)
+			for i, id := range traffic.PaperLayout.Nodes() {
+				sw := topo.SwitchID(0)
+				if i >= traffic.PaperLayout.Masters {
+					sw = topo.SwitchID(k - 1)
 				}
-			}
-			for s := 0; s < 50; s++ {
-				if err := tp.AttachNode(core.NodeID(100+s), topo.SwitchID(k-1)); err != nil {
+				if err := tp.AttachNode(id, sw); err != nil {
 					panic(err)
 				}
 			}
 			ctrl := topo.NewController(tp, topo.Config{DPS: dps})
-			for q := 0; q < 150; q++ {
-				_, _ = ctrl.Request(core.ChannelSpec{
-					Src: core.NodeID(q % 10),
-					Dst: core.NodeID(100 + q%50),
-					C:   3, P: 300, D: 60,
-				})
+			for _, spec := range traffic.PaperLayout.Requests(150, core.ChannelSpec{C: 3, P: 300, D: 60}) {
+				_, _ = ctrl.Request(spec)
 			}
 			s, err := fabricsim.New(ctrl.State(), nil, fabricsim.Config{})
 			if err != nil {
@@ -234,29 +204,23 @@ func DisciplineMismatch() *stats.Table {
 	for _, disc := range []sched.Discipline{sched.DisciplineEDF, sched.DisciplineDM, sched.DisciplineFIFO} {
 		n := netsim.New(netsim.Config{DPS: core.SDPS{}, Discipline: disc})
 		const masters, slavesPerMaster = 4, 6
-		for m := 0; m < masters; m++ {
-			n.MustAddNode(core.NodeID(m))
-		}
-		for s := 0; s < masters*slavesPerMaster; s++ {
-			n.MustAddNode(core.NodeID(100 + s))
+		for _, id := range (traffic.MasterSlaveLayout{Masters: masters, Slaves: masters * slavesPerMaster, SlaveBase: 100}).Nodes() {
+			n.MustAddNode(id)
 		}
 		var loose, tight []core.ChannelID
 		for m := 0; m < masters; m++ {
-			base := 100 + m*slavesPerMaster
-			for k := 0; k < 5; k++ {
-				id, err := n.EstablishChannel(core.ChannelSpec{
-					Src: core.NodeID(m), Dst: core.NodeID(base + k), C: 3, P: 100, D: 80})
+			for k := 0; k < slavesPerMaster; k++ {
+				spec := core.ChannelSpec{Src: core.NodeID(m), Dst: core.NodeID(100 + m*slavesPerMaster + k), C: 3, P: 100, D: 80}
+				class := &loose
+				if k == slavesPerMaster-1 {
+					spec.C, spec.D, class = 2, 12, &tight
+				}
+				id, err := n.EstablishChannel(spec)
 				if err != nil {
 					panic(err)
 				}
-				loose = append(loose, id)
+				*class = append(*class, id)
 			}
-			id, err := n.EstablishChannel(core.ChannelSpec{
-				Src: core.NodeID(m), Dst: core.NodeID(base + 5), C: 2, P: 100, D: 12})
-			if err != nil {
-				panic(err)
-			}
-			tight = append(tight, id)
 		}
 		// Loose sources attach (and therefore release) first — the FIFO
 		// worst case the analysis must survive under EDF.
@@ -266,15 +230,13 @@ func DisciplineMismatch() *stats.Table {
 				panic(err)
 			}
 		}
-		n.Run(n.Engine().Now() + simHorizon)
-		rep := n.Report()
+		rep, worst := simulate(n)
 		var tightMisses int64
 		for _, id := range tight {
 			if m := rep.Channels[id]; m != nil {
 				tightMisses += m.Misses
 			}
 		}
-		_, worst := rep.WorstDelay()
 		tb.AddRowf(disc.String(), len(loose)+len(tight), rep.TotalDelivered(),
 			rep.TotalMisses(), tightMisses, worst, passFail(rep.TotalMisses() == 0))
 	}
@@ -290,27 +252,21 @@ func Coexistence() *stats.Table {
 		"E5 — RT/non-RT coexistence, ADPS workload + Poisson background (3000 slots)",
 		"bg rate (frames/slot/node)", "rt misses", "rt worst", "bg sent", "bg delivered", "bg drops", "bg mean delay")
 	for _, rate := range []float64{0, 0.05, 0.2, 0.5} {
-		requests := traffic.PaperLayout.Requests(200, traffic.PaperSpec)
-		n, _ := buildLoaded(netsim.Config{DPS: core.ADPS{}, NonRTQueueCap: 256}, requests, nil)
+		n, _ := buildLoaded(netsim.Config{DPS: core.ADPS{}, NonRTQueueCap: 256}, nil)
 		start := n.Engine().Now()
 		sent := 0
-		if rate > 0 {
-			rng := rand.New(rand.NewSource(99))
-			for m := 0; m < traffic.PaperLayout.Masters; m++ {
-				src := traffic.PaperLayout.Master(m)
-				dst := traffic.PaperLayout.Slave(m)
-				for _, at := range traffic.PoissonArrivals(rng, rate, simHorizon) {
-					src, dst := src, dst
-					n.Engine().At(start+at, func() {
-						n.Node(src).SendNonRT(dst, []byte("bg"))
-					})
-					sent++
-				}
+		rng := rand.New(rand.NewSource(99))
+		for m := 0; m < traffic.PaperLayout.Masters; m++ {
+			src := traffic.PaperLayout.Master(m)
+			dst := traffic.PaperLayout.Slave(m)
+			for _, at := range traffic.PoissonArrivals(rng, rate, simHorizon) {
+				n.Engine().At(start+at, func() {
+					n.Node(src).SendNonRT(dst, []byte("bg"))
+				})
+				sent++
 			}
 		}
-		n.Run(start + simHorizon)
-		rep := n.Report()
-		_, worst := rep.WorstDelay()
+		rep, worst := simulate(n)
 		tb.AddRowf(fmt.Sprintf("%.2f", rate), rep.TotalMisses(), worst,
 			sent, rep.NonRTDelivered, rep.NonRTDrops, rep.NonRTDelay.Mean())
 	}

@@ -68,8 +68,7 @@ type Network struct {
 	// linkDown marks node↔switch links whose cable is "unplugged": frames
 	// crossing a dead link in either direction are dropped, with RT data
 	// counted as misses at the receivers that lose them.
-	linkDown    map[core.NodeID]bool
-	rtLinkDrops int64
+	linkDown map[core.NodeID]bool
 
 	tracer  Tracer
 	horizon int64
@@ -338,10 +337,6 @@ func (n *Network) SetLinkUp(id core.NodeID, up bool) error {
 func (n *Network) LinkUp(id core.NodeID) bool {
 	return n.nodes[id] != nil && !n.linkDown[id]
 }
-
-// RTLinkDrops returns the cumulative count of RT data frames dropped on
-// dead links (each was also counted as a miss at its receiver).
-func (n *Network) RTLinkDrops() int64 { return n.rtLinkDrops }
 
 // StopTraffic detaches the periodic source of a channel without releasing
 // the reservation (the inverse of Node.StartTraffic).

@@ -248,7 +248,6 @@ func (nd *Node) receive(b []byte, _ sched.Class) {
 		// account RT data as a miss at this receiver.
 		if frame.Classify(b) == frame.KindRTData {
 			if _, chID, err := frame.PeekDeadline(b); err == nil {
-				nd.net.rtLinkDrops++
 				nd.noteLinkDrop(core.ChannelID(chID))
 			}
 		}

@@ -89,7 +89,6 @@ func (sw *Switch) dropDead(b []byte) {
 		return
 	}
 	id := core.ChannelID(chID)
-	sw.net.rtLinkDrops++
 	for _, dst := range sw.dataplane[id] {
 		if node := sw.net.nodes[dst]; node != nil {
 			node.noteLinkDrop(id)

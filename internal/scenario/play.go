@@ -331,6 +331,11 @@ type netTarget struct {
 	handshake bool
 }
 
+// NewTarget returns the target that plays on an in-process network as
+// Replay does: every establish takes the management-plane batch path,
+// so no virtual time passes.
+func NewTarget(net *rtether.Network) Target { return netTarget{net: net} }
+
 func (t netTarget) Establish(ctx context.Context, spec rtether.ChannelSpec) (client.Channel, error) {
 	if t.handshake {
 		return channelOf(t.net.Establish(spec))

@@ -95,6 +95,9 @@ var (
 	ErrTruncated = errors.New("wire: truncated payload")
 	// ErrTrailingBytes reports payload bytes past the end of the schema.
 	ErrTrailingBytes = errors.New("wire: trailing bytes in payload")
+	// ErrMalformed reports a field holding a value no encoder writes,
+	// such as a presence byte other than 0 or 1.
+	ErrMalformed = errors.New("wire: malformed payload")
 )
 
 // Frame is one decoded frame header plus its payload. The payload
@@ -541,7 +544,12 @@ func AppendError(dst []byte, reqID uint32, e *Error) []byte {
 func DecodeError(p []byte) (*Error, error) {
 	b := binReader{p: p}
 	e := &Error{Code: b.str(), Message: b.str()}
-	if b.u8() != 0 {
+	// Only 0 and 1 are written, so every payload has one encoding.
+	present := b.u8()
+	if present > 1 {
+		return nil, ErrMalformed
+	}
+	if present == 1 {
 		ae := &AdmissionError{}
 		ae.Spec = b.spec()
 		ae.Link = b.str()
