@@ -32,14 +32,13 @@ type ID uint32
 
 // ref locates one hop of one channel on a link's task list: the channel's
 // entry and the index of the link within the channel's traversed-links
-// sequence (0 = first hop; on a star, 0 = uplink and 1 = downlink).
+// sequence (0 = first hop; on a star, 0 = uplink and 1 = downlink). The
+// zero ref is a tombstone: the slot of a hop that was taken off the link
+// and not yet compacted away (see State). Compaction renumbers a hop it
+// moves through its entry, at e.pos[hop].
 type ref[Ch any] struct {
 	e   *entry[Ch]
 	hop int
-	// pos points at the entry's record of this hop's position on the
-	// link's lists (&e.pos[hop]), so a removal renumbers the hops it
-	// shifts with one store each.
-	pos *int32
 }
 
 // Ops is the adapter-supplied vocabulary the kernel manipulates channels
@@ -58,7 +57,9 @@ type Ops[K comparable, Ch any, P any] struct {
 	// Task materializes the EDF task the channel induces on its hop-th
 	// traversed link, under the channel's current partition. It must be
 	// total: on a channel with no partition yet it returns a task with
-	// D = 0 (Add stores it; the SetPart that follows overwrites it).
+	// D = 0 (Add stores it; the SetPart that follows overwrites it). Its
+	// period is at least 1, so it is never the zero Task, which marks a
+	// vacated slot (edf.Empty).
 	Task func(ch Ch, hop int) edf.Task
 	// Less is the deterministic verification order on link keys.
 	Less func(a, b K) bool
@@ -103,16 +104,29 @@ type entry[Ch any] struct {
 // slice over that index, so the hot path hashes no link key: byLink lists
 // the channel hops traversing each link (in establishment order, the
 // per-link restriction of the global order), tasks holds each link's EDF
-// task set aligned index for index with byLink, utilSum keeps each link's
+// task set aligned slot for slot with byLink, utilSum keeps each link's
 // exact rational utilization sum(C/P) — rational arithmetic is exact, so
-// the running sum always equals a fresh summation bit for bit — and sums
-// keeps each link's edf.Summary, whose Over is that sum's U > 1 answer.
-// All are live: Add appends a hop's task, Remove cuts it out at the
-// position its channel entry records, and SetPart overwrites it in place,
-// patching the summary alongside, so the verification sweep reads a
-// link's task set and summary as they stand and never rebuilds either.
-// The key type K stays the public vocabulary: methods taking a K look it
-// up once.
+// the running sum always equals a fresh summation bit for bit — sums
+// keeps each link's edf.Summary, whose Over is that sum's U > 1 answer,
+// and classes keeps each link's deadline-class table (edf.Classes), which
+// the demand walk reads instead of the tasks.
+//
+// All are live. Add appends a hop's task, and SetPart overwrites it in
+// place, patching the summary alongside. Remove leaves a tombstone at the
+// position its channel entry records (a zero ref and the zero Task) and
+// counts it in dead; the decision that removed the hop compacts the link
+// once its dead slots pass 1/deadShare of its list, so renumbering costs
+// O(1) per removal, amortized, and establishment order survives.
+//
+// A link's class table is built by the first walk of the link (it starts
+// stale) and kept live from then on by Add, Remove and a patch that gives
+// a placeholder (D = 0) its first partition or takes it back. A patch
+// that moves a partitioned task to another (D, P) marks it stale instead,
+// and the next walk rebuilds it: load-adaptive schemes move hundreds of
+// tasks per decision and walk almost never, and a link that is never
+// walked never pays for a table. So the verification sweep reads a link's
+// summary and classes as they stand. The key type K stays the public
+// vocabulary: methods taking a K look it up once.
 //
 // State is not safe for concurrent use; the surrounding controller
 // serializes access.
@@ -142,6 +156,8 @@ type State[K comparable, Ch any, P any] struct {
 	loads   []int
 	byLink  [][]ref[Ch]
 	tasks   [][]edf.Task
+	dead    []int32 // tombstones in each link's lists
+	classes []edf.Classes
 	utilSum []*big.Rat
 	// sums summarizes each link's task set for the verify sweep, which
 	// decides most links from it without reading their tasks. Its shortest
@@ -162,8 +178,11 @@ type State[K comparable, Ch any, P any] struct {
 	gens   []uint64
 
 	// While a decision runs (begin, then end or abort), sumLog records each
-	// link summary as it was before the decision first changed it
-	// (sumSeen[i] == txn), so an abort restores the summaries bit for bit.
+	// link summary and class-table staleness as they were before the
+	// decision first changed the link (sumSeen[i] == txn), so an abort
+	// restores the summaries bit for bit and the class tables too: a table
+	// stale before is marked stale again, and one live before that the
+	// decision left stale is rebuilt, which gives the same table.
 	txn     uint64
 	inTxn   bool
 	sumSeen []uint64
@@ -179,11 +198,17 @@ type State[K comparable, Ch any, P any] struct {
 	diffLinks []int32
 }
 
-// sumSave is one link summary as it stood before a decision changed it.
+// sumSave is one link summary, and whether its class table was stale, as
+// they stood before a decision changed the link.
 type sumSave struct {
-	i int32
-	s edf.Summary
+	i     int32
+	s     edf.Summary
+	stale bool
 }
+
+// deadShare sets when a link is compacted: once more than 1/deadShare of
+// its slots are tombstones.
+const deadShare = 4
 
 // NewState returns an empty state speaking the given adapter vocabulary.
 func NewState[K comparable, Ch any, P any](ops *Ops[K, Ch, P]) *State[K, Ch, P] {
@@ -207,6 +232,9 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.loads = append(st.loads, 0)
 	st.byLink = append(st.byLink, nil)
 	st.tasks = append(st.tasks, nil)
+	st.dead = append(st.dead, 0)
+	st.classes = append(st.classes, edf.Classes{})
+	st.classes[i].MarkStale() // built by the link's first walk
 	st.utilSum = append(st.utilSum, new(big.Rat))
 	st.sums = append(st.sums, edf.Summary{})
 	st.gens = append(st.gens, 0)
@@ -234,22 +262,29 @@ func (st *State[K, Ch, P]) begin() {
 	st.sumLog = st.sumLog[:0]
 }
 
-// saveSum records link i's summary before the running decision first
-// changes it.
+// saveSum records link i's summary and class-table staleness before the
+// running decision first changes the link.
 func (st *State[K, Ch, P]) saveSum(i int32) {
 	if st.inTxn && st.sumSeen[i] != st.txn {
 		st.sumSeen[i] = st.txn
-		st.sumLog = append(st.sumLog, sumSave{i: i, s: st.sums[i]})
+		st.sumLog = append(st.sumLog, sumSave{i: i, s: st.sums[i], stale: st.classes[i].Stale()})
 	}
 }
 
 // end stops recording: the decision's summaries stand.
 func (st *State[K, Ch, P]) end() { st.inTxn = false }
 
-// abort restores every summary the decision changed and stops recording.
+// abort restores every summary and class table the decision changed and
+// stops recording. The task lists must stand as before the decision.
 func (st *State[K, Ch, P]) abort() {
 	for _, sv := range st.sumLog {
 		st.sums[sv.i] = sv.s
+		switch cs := &st.classes[sv.i]; {
+		case sv.stale:
+			cs.MarkStale()
+		case cs.Stale():
+			cs.Rebuild(st.tasks[sv.i])
+		}
 	}
 	st.inTxn = false
 }
@@ -371,40 +406,47 @@ func (st *State[K, Ch, P]) add(ch Ch) *entry[Ch] {
 	st.order = append(st.order, id)
 	c, p := st.ops.UtilCP(ch)
 	for hop, i := range e.idx {
-		if st.loads[i] == 0 {
-			st.loaded++
-		}
-		st.loads[i]++
 		e.pos[hop] = int32(len(st.byLink[i]))
-		st.byLink[i] = append(st.byLink[i], ref[Ch]{e: e, hop: hop, pos: &e.pos[hop]})
+		st.byLink[i] = append(st.byLink[i], ref[Ch]{e: e, hop: hop})
 		t := st.ops.Task(ch, hop)
 		st.tasks[i] = append(st.tasks[i], t)
-		st.bumpGen(i)
-		u := st.utilSum[i]
-		u.Add(u, st.ratTmp.SetFrac64(c, p))
-		st.saveSum(i)
-		st.sums[i].Add(t)
-		st.sums[i].Over = u.Cmp(ratOne) > 0
+		st.load(i, t, c, p)
 	}
 	return e
 }
 
-// unload takes the channel hop at position j off link i: it cuts the hop
-// and its task out of the link's lists, shifting the tail down one place
-// (establishment order is kept) and renumbering the shifted hops, then
-// updates the load, the utilization sum, the summary and the generation.
+// load accounts for task t just put on link i by a hop of a channel of
+// capacity c and period p: the load, the utilization sum, the summary,
+// the class table and the generation.
+func (st *State[K, Ch, P]) load(i int32, t edf.Task, c, p int64) {
+	st.bumpGen(i)
+	if st.loads[i]++; st.loads[i] == 1 {
+		st.loaded++
+	}
+	u := st.utilSum[i]
+	u.Add(u, st.ratTmp.SetFrac64(c, p))
+	st.saveSum(i)
+	st.sums[i].Add(t)
+	st.sums[i].Over = u.Cmp(ratOne) > 0
+	st.classes[i].Add(t)
+}
+
+// unload takes the channel hop at position j off link i: the last slot
+// of the lists is dropped, any other one becomes a tombstone, so no other
+// hop moves. Then it updates the load, the utilization sum, the summary,
+// the class table and the generation.
 func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	refs, tasks := st.byLink[i], st.tasks[i]
+	t := tasks[j]
 	st.saveSum(i)
-	st.sums[i].Remove(tasks[j])
-	n := int32(len(refs)) - 1
-	copy(refs[j:], refs[j+1:])
-	copy(tasks[j:], tasks[j+1:])
-	refs[n] = ref[Ch]{}
-	for k := j; k < n; k++ {
-		*refs[k].pos = k
+	st.sums[i].Remove(t)
+	st.classes[i].Remove(t)
+	refs[j], tasks[j] = ref[Ch]{}, edf.Task{}
+	if int(j) == len(refs)-1 {
+		st.byLink[i], st.tasks[i] = refs[:j], tasks[:j]
+	} else {
+		st.dead[i]++
 	}
-	st.byLink[i], st.tasks[i] = refs[:n], tasks[:n]
 	st.bumpGen(i)
 	u := st.utilSum[i]
 	if st.loads[i]--; st.loads[i] == 0 {
@@ -425,7 +467,7 @@ func (st *State[K, Ch, P]) UndoAdd(ch Ch) {
 	if e := st.channels[id]; e == nil || e.at != len(st.order)-1 {
 		panic(fmt.Sprintf("admit: UndoAdd of channel %d out of order", id))
 	}
-	st.cut(id) // last on each of its links: no other hop shifts
+	st.cut(id) // last on each of its links: every slot is dropped, none left dead
 	st.order = st.order[:len(st.order)-1]
 }
 
@@ -435,14 +477,15 @@ func (st *State[K, Ch, P]) Remove(id ID) bool {
 	if !st.Has(id) {
 		return false
 	}
-	st.cut(id)
-	st.compact()
+	st.compact([]*entry[Ch]{st.cut(id)})
 	return true
 }
 
 // cut takes an active channel off its links and out of the channel map,
 // leaving its order slot dead, and returns its entry: restore puts it back
-// exactly, and the entry's positions are where its hops were cut.
+// exactly, and the entry's positions are where its hops were cut. Hops
+// are cut last first, so a channel that was the last to load a link it
+// crosses twice drops both slots rather than leaving one dead.
 func (st *State[K, Ch, P]) cut(id ID) *entry[Ch] {
 	e := st.channels[id]
 	if e == nil {
@@ -450,40 +493,47 @@ func (st *State[K, Ch, P]) cut(id ID) *entry[Ch] {
 	}
 	delete(st.channels, id)
 	c, p := st.ops.UtilCP(e.ch)
-	for hop, i := range e.idx {
-		st.unload(i, e.pos[hop], c, p)
+	for hop := len(e.idx) - 1; hop >= 0; hop-- {
+		st.unload(e.idx[hop], e.pos[hop], c, p)
 	}
 	return e
 }
 
 // restore reverses the cut that returned e: every hop goes back into the
-// slot it was cut from, last hop first (a channel crossing one link twice
-// cut its first hop first), shifting the tails up again, and the channel's
-// order slot comes alive again. Cuts are restored in reverse order.
+// slot it was cut from, first hop first — its tombstone, or the end of a
+// list the cut shortened — so the lists, tombstones and dead counts come
+// back bit for bit, and the channel's order slot comes alive again. Cuts
+// are restored in reverse order, and before the decision compacts
+// anything.
 func (st *State[K, Ch, P]) restore(e *entry[Ch]) {
 	st.channels[st.ops.ID(e.ch)] = e
 	c, p := st.ops.UtilCP(e.ch)
-	for hop := len(e.idx) - 1; hop >= 0; hop-- {
-		i, j := e.idx[hop], e.pos[hop]
-		st.byLink[i] = slices.Insert(st.byLink[i], int(j), ref[Ch]{e: e, hop: hop, pos: &e.pos[hop]})
-		st.tasks[i] = slices.Insert(st.tasks[i], int(j), st.ops.Task(e.ch, hop))
-		for k := j + 1; k < int32(len(st.byLink[i])); k++ {
-			*st.byLink[i][k].pos = k
+	for hop, i := range e.idx {
+		j := e.pos[hop]
+		r, t := ref[Ch]{e: e, hop: hop}, st.ops.Task(e.ch, hop)
+		if int(j) == len(st.byLink[i]) {
+			st.byLink[i] = append(st.byLink[i], r)
+			st.tasks[i] = append(st.tasks[i], t)
+		} else {
+			st.byLink[i][j], st.tasks[i][j] = r, t
+			st.dead[i]--
 		}
-		st.bumpGen(i)
-		if st.loads[i]++; st.loads[i] == 1 {
-			st.loaded++
-		}
-		u := st.utilSum[i]
-		u.Add(u, st.ratTmp.SetFrac64(c, p))
-		st.saveSum(i)
-		st.sums[i].Add(st.tasks[i][j])
-		st.sums[i].Over = u.Cmp(ratOne) > 0
+		st.load(i, t, c, p)
 	}
 }
 
-// compact drops the order slice's dead slots once over half are dead.
-func (st *State[K, Ch, P]) compact() {
+// compact reclaims what committed removals left dead: every link of a cut
+// channel whose tombstones pass 1/deadShare of its slots loses them
+// (compactLink), and the order slice drops its dead slots once over half
+// are dead.
+func (st *State[K, Ch, P]) compact(cuts []*entry[Ch]) {
+	for _, e := range cuts {
+		for _, i := range e.idx {
+			if int(st.dead[i])*deadShare > len(st.byLink[i]) {
+				st.compactLink(i)
+			}
+		}
+	}
 	if len(st.order) < 2*len(st.channels)+8 {
 		return
 	}
@@ -495,6 +545,23 @@ func (st *State[K, Ch, P]) compact() {
 		}
 	}
 	st.order = kept
+}
+
+// compactLink closes up link i's tombstones, keeping the order of its
+// hops, and renumbers every hop it moves.
+func (st *State[K, Ch, P]) compactLink(i int32) {
+	refs, tasks := st.byLink[i], st.tasks[i]
+	n := 0
+	for j, r := range refs {
+		if r.e == nil {
+			continue
+		}
+		refs[n], tasks[n] = r, tasks[j]
+		r.e.pos[r.hop] = int32(n)
+		n++
+	}
+	clear(refs[n:])
+	st.byLink[i], st.tasks[i], st.dead[i] = refs[:n], tasks[:n], 0
 }
 
 // SetPart installs a new partition on a channel, overwrites its tasks in
@@ -513,8 +580,9 @@ func (st *State[K, Ch, P]) setPart(e *entry[Ch], p P) {
 	}
 }
 
-// patch overwrites the task at slot j of link i, keeping its summary, and
-// reports whether the task changed.
+// patch overwrites the task at slot j of link i, keeping its summary and
+// class table, and reports whether the task changed. A move between two
+// partitioned (D, P) classes marks the table stale rather than keeping it.
 func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
 	slot := &st.tasks[i][j]
 	if t == *slot {
@@ -522,6 +590,14 @@ func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
 	}
 	st.saveSum(i)
 	st.sums[i].Replace(*slot, t)
+	if cs := &st.classes[i]; !cs.Stale() {
+		if slot.D != 0 && t.D != 0 {
+			cs.MarkStale()
+		} else {
+			cs.Remove(*slot)
+			cs.Add(t)
+		}
+	}
 	*slot = t
 	return true
 }
@@ -554,9 +630,9 @@ func (st *State[K, Ch, P]) setPartDiff(e *entry[Ch], p P) []int32 {
 
 // verdict answers link i's feasibility test from its summary when one of
 // the test's early exits settles it, reporting whether it did. When only
-// loose bounds stand in the way it rescans the link's tasks once, so an
-// undecided link's summary is exact for the full test that follows, and
-// reports the rescan.
+// loose bounds stand in the way it rescans the link's tasks once (skipping
+// tombstones), so an undecided link's summary is exact for the full test
+// that follows, and reports the rescan.
 func (st *State[K, Ch, P]) verdict(i int32) (res edf.Result, ok, rescanned bool) {
 	s := &st.sums[i]
 	res, ok = s.Decide()
@@ -569,11 +645,32 @@ func (st *State[K, Ch, P]) verdict(i int32) (res edf.Result, ok, rescanned bool)
 	return res, ok, rescanned
 }
 
+// test runs the full feasibility test on link i from its summary and its
+// class table, which the walk rebuilds first when it is stale (recorded
+// for an abort, like a summary change).
+func (st *State[K, Ch, P]) test(i int32, opts edf.Options, scratch *edf.Scratch) edf.Result {
+	st.saveSum(i)
+	return st.sums[i].Test(st.tasks[i], &st.classes[i], opts, scratch)
+}
+
+// utilization returns link i's utilization as edf.UtilizationFloat of its
+// task set in establishment order, tombstones skipped, for reports.
+func (st *State[K, Ch, P]) utilization(i int32) float64 {
+	var u float64
+	for _, t := range st.tasks[i] {
+		if !edf.Empty(t) {
+			u += float64(t.C) / float64(t.P)
+		}
+	}
+	return u
+}
+
 // TasksOn returns a copy of the periodic task set of one link
-// pseudo-processor, in establishment order; nil for an unloaded link.
+// pseudo-processor in establishment order, without the tombstones of
+// removed hops; nil for an unloaded link.
 func (st *State[K, Ch, P]) TasksOn(l K) []edf.Task {
 	if i, ok := st.index[l]; ok && st.loads[i] > 0 {
-		return slices.Clone(st.tasks[i])
+		return slices.DeleteFunc(slices.Clone(st.tasks[i]), edf.Empty)
 	}
 	return nil
 }
@@ -588,7 +685,7 @@ func (st *State[K, Ch, P]) MeanLinkUtilization() float64 {
 	var sum float64
 	for _, i := range st.sorted {
 		if st.loads[i] > 0 {
-			sum += edf.UtilizationFloat(st.tasks[i])
+			sum += st.utilization(i)
 		}
 	}
 	return sum / float64(st.loaded)
@@ -613,6 +710,8 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		loads:    slices.Clone(st.loads),
 		byLink:   make([][]ref[Ch], n),
 		tasks:    make([][]edf.Task, n),
+		dead:     slices.Clone(st.dead),
+		classes:  make([]edf.Classes, n),
 		utilSum:  make([]*big.Rat, n),
 		sums:     slices.Clone(st.sums),
 		genCtr:   st.genCtr,
@@ -629,11 +728,15 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		}
 		rs := make([]ref[Ch], len(refs))
 		for j, r := range refs {
-			e := cp.channels[st.ops.ID(r.e.ch)]
-			rs[j] = ref[Ch]{e: e, hop: r.hop, pos: &e.pos[r.hop]}
+			if r.e != nil {
+				rs[j] = ref[Ch]{e: cp.channels[st.ops.ID(r.e.ch)], hop: r.hop}
+			}
 		}
 		cp.byLink[i] = rs
 		cp.tasks[i] = slices.Clone(st.tasks[i])
+	}
+	for i := range st.classes {
+		cp.classes[i] = st.classes[i].Clone()
 	}
 	for i, u := range st.utilSum {
 		cp.utilSum[i] = new(big.Rat).Set(u)

@@ -79,8 +79,9 @@ type Engine[K comparable, Ch any, P any] struct {
 	sweepSkips int
 
 	// walks and rescans count the demand walks the sweeps ran and the
-	// summaries they rescanned (see Walks, Rescans).
-	walks, rescans int
+	// summaries they rescanned, walkReads the entries those walks read (see
+	// Walks, Rescans, WalkReads).
+	walks, rescans, walkReads int
 
 	// sweepNs accumulates wall time spent inside verification sweeps
 	// (cache hits included). It is observability accounting only — never
@@ -194,6 +195,12 @@ func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
 // LinksChecked.
 func (e *Engine[K, Ch, P]) Walks() int { return e.walks }
 
+// WalkReads returns the cumulative number of task-set entries the demand
+// walks have read: the deadline classes each walked (edf.Classes), plus
+// every task slot of a class table a walk rebuilt first because a
+// repartition had left it stale. Deterministic, like LinksChecked.
+func (e *Engine[K, Ch, P]) WalkReads() int { return e.walkReads }
+
 // Rescans returns the cumulative number of link summaries the
 // verification sweeps have recomputed from the link's tasks because only
 // a loose bound (see edf.Summary) stood between the summary and a
@@ -271,7 +278,7 @@ func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, s
 		}
 		e.nextIDs, e.repartitioned = e.repartitioned[:0], changedIDs
 		st.end()
-		st.compact()
+		st.compact(e.cuts)
 		return chs, nil
 	}
 	e.rollback()
@@ -314,7 +321,7 @@ func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 		st.walk++
 		for _, i := range e.touchIdx {
 			for _, r := range st.byLink[i] {
-				if r.e.seen != st.walk {
+				if r.e != nil && r.e.seen != st.walk {
 					r.e.seen = st.walk
 					ids = e.visit(r.e, scheme, ids)
 				}
@@ -490,13 +497,14 @@ func (e *Engine[K, Ch, P]) sweepSequential(links, test []int32) (int32, *Rejecti
 	st := e.state
 	for _, j := range test {
 		i := links[j]
-		res := st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, &e.scratch)
+		res := st.test(i, e.cfg.Feasibility, &e.scratch)
 		if res.BusyPeriod != 0 {
 			e.walks++ // past Decide's early exits, a busy period was walked
+			e.walkReads += e.scratch.Reads()
 		}
 		e.sweepResults[j] = res
 		if !res.OK() {
-			res.Utilization = edf.UtilizationFloat(st.tasks[i])
+			res.Utilization = st.utilization(i)
 			return j, &Rejection[K]{Link: st.keys[i], Result: res}
 		}
 	}

@@ -63,7 +63,7 @@ func (o *sortedEngine) sortedApply(remove []ID, n int, mk func(i int, id ID) *to
 		}
 		e.nextIDs, e.repartitioned = e.repartitioned[:0], changedIDs
 		st.end()
-		st.compact()
+		st.compact(e.cuts)
 		return nil
 	}
 	e.rollback()
@@ -113,8 +113,8 @@ func (o *sortedEngine) sortedVerify(changed []int32) *Rejection[int] {
 	checked, rej := len(links), (*Rejection[int])(nil)
 	for _, j := range test {
 		i := links[j]
-		res := st.sums[i].Test(st.tasks[i], e.cfg.Feasibility, &e.scratch)
-		res.Utilization = edf.UtilizationFloat(st.tasks[i])
+		res := st.test(i, e.cfg.Feasibility, &e.scratch)
+		res.Utilization = st.utilization(i)
 		results[j] = res
 		if !res.OK() {
 			checked, rej = int(j)+1, &Rejection[int]{Link: st.keys[i], Result: res}

@@ -288,10 +288,12 @@ var hopOps = func() *Ops[int, *toyChan, int64] {
 	return &ops
 }()
 
-// checkTaskTable fails t unless every link's hop list is the per-link
-// restriction of the establishment order, its task list equals a fresh
-// Ops.Task pass over that hop list, and every position a channel entry
-// records (and every ref's pointer to it) names the hop's own slot.
+// checkTaskTable fails t unless every link's hop list, tombstones
+// skipped, is the per-link restriction of the establishment order, its
+// task list equals a fresh Ops.Task pass over that hop list with the zero
+// Task in every tombstone's slot, its dead count is its tombstone count,
+// its class table when live equals a rebuild, and every position a
+// channel entry records names the hop's own slot.
 func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 	t.Helper()
 	want := make([][]ref[*toyChan], len(st.keys))
@@ -302,27 +304,44 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 		}
 	}
 	for i, refs := range st.byLink {
-		if len(refs) != len(want[i]) || len(st.tasks[i]) != len(refs) || st.loads[i] != len(refs) {
-			t.Fatalf("step %d: link %d: %d hops, %d tasks, load %d, want %d hops",
-				step, st.keys[i], len(refs), len(st.tasks[i]), st.loads[i], len(want[i]))
-		}
+		var live []ref[*toyChan]
 		for j, r := range refs {
-			if r.e != want[i][j].e || r.hop != want[i][j].hop {
-				t.Fatalf("step %d: link %d slot %d holds channel %d hop %d, establishment order has channel %d hop %d",
-					step, st.keys[i], j, r.e.ch.id, r.hop, want[i][j].e.ch.id, want[i][j].hop)
+			if r.e == nil {
+				if st.tasks[i][j] != (edf.Task{}) {
+					t.Fatalf("step %d: link %d tombstone %d holds task %v", step, st.keys[i], j, st.tasks[i][j])
+				}
+				continue
 			}
+			live = append(live, r)
 			if got, fresh := st.tasks[i][j], st.ops.Task(r.e.ch, r.hop); got != fresh {
 				t.Fatalf("step %d: link %d slot %d: task %v, rebuild %v", step, st.keys[i], j, got, fresh)
 			}
-			if *r.pos != int32(j) {
-				t.Fatalf("step %d: link %d slot %d: ref records position %d", step, st.keys[i], j, *r.pos)
+			if pos := r.e.pos[r.hop]; pos != int32(j) {
+				t.Fatalf("step %d: link %d slot %d: channel %d records position %d", step, st.keys[i], j, r.e.ch.id, pos)
+			}
+		}
+		if len(live) != len(want[i]) || len(st.tasks[i]) != len(refs) || st.loads[i] != len(live) || int(st.dead[i]) != len(refs)-len(live) {
+			t.Fatalf("step %d: link %d: %d slots, %d live, %d tasks, load %d, dead %d; want %d hops",
+				step, st.keys[i], len(refs), len(live), len(st.tasks[i]), st.loads[i], st.dead[i], len(want[i]))
+		}
+		for j, r := range live {
+			if r != want[i][j] {
+				t.Fatalf("step %d: link %d hop %d is channel %d hop %d, establishment order has channel %d hop %d",
+					step, st.keys[i], j, r.e.ch.id, r.hop, want[i][j].e.ch.id, want[i][j].hop)
+			}
+		}
+		if cs := st.classes[i]; !cs.Stale() {
+			var fresh edf.Classes
+			fresh.Rebuild(st.tasks[i])
+			if !slices.Equal(cs.All(), fresh.All()) {
+				t.Fatalf("step %d: link %d: live class table %+v, rebuild %+v", step, st.keys[i], cs.All(), fresh.All())
 			}
 		}
 	}
 	for id, e := range st.channels {
 		for hop, i := range e.idx {
-			if r := st.byLink[i][e.pos[hop]]; r.e != e || r.hop != hop || r.pos != &e.pos[hop] {
-				t.Fatalf("step %d: channel %d hop %d: position %d holds channel %d hop %d", step, id, hop, e.pos[hop], r.e.ch.id, r.hop)
+			if r := st.byLink[i][e.pos[hop]]; r.e != e || r.hop != hop {
+				t.Fatalf("step %d: channel %d hop %d: position %d holds %+v", step, id, hop, e.pos[hop], r)
 			}
 		}
 	}
@@ -430,7 +449,8 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 
 // rawState renders everything a rolled-back decision must restore: the
 // order slice with every channel's slot and hop positions, the loaded-link
-// count, the ID allocator and every link's state (linkState).
+// count, the ID allocator and every link's state as laid out
+// (linkState): tombstones, dead counts, class tables and their staleness.
 func rawState(st *State[int, *toyChan, int64]) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "next=%d loaded=%d order=%v|", st.nextID, st.loaded, st.order)
@@ -439,33 +459,46 @@ func rawState(st *State[int, *toyChan, int64]) string {
 			fmt.Fprintf(&b, "%d@%d:%v:%v:%d;", id, at, e.idx, e.pos, e.ch.part)
 		}
 	}
-	return b.String() + linkState(st)
+	return b.String() + linkState(st, true)
 }
 
-// liveState renders what a decision commits, leaving out how the order
-// slice holds it (dead slots, compaction): the channels in establishment
-// order with their partitions, every link's state, and the ID allocator.
+// liveState renders what a decision commits, leaving out how it is held
+// (dead order slots, tombstones, compaction, class tables): the channels
+// in establishment order with their partitions, every link's live state,
+// and the ID allocator.
 func liveState(st *State[int, *toyChan, int64]) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "next=%d loaded=%d|", st.nextID, st.loaded)
 	for _, ch := range st.Channels() {
 		fmt.Fprintf(&b, "%d:%v:%d;", ch.id, ch.links, ch.part)
 	}
-	return b.String() + linkState(st)
+	return b.String() + linkState(st, false)
 }
 
 // linkState renders each link's load, utilization, summary (unexported
-// fields included), hop list and task list. A link a decision interned
-// stays interned, empty, as documented; an empty link is not rendered.
-func linkState(st *State[int, *toyChan, int64]) string {
+// fields included) and hops with their tasks. raw adds the slot layout: a
+// tombstone renders as "+", followed by the dead count and the class
+// table, or "stale" for a stale one, whose content means nothing. A link a decision interned stays interned, empty, as
+// documented; an empty link is not rendered.
+func linkState(st *State[int, *toyChan, int64], raw bool) string {
 	var b strings.Builder
 	for i := range st.keys {
-		if st.loads[i] == 0 && st.utilSum[i].Sign() == 0 && st.sums[i] == (edf.Summary{}) {
+		if st.loads[i] == 0 && st.utilSum[i].Sign() == 0 && st.sums[i] == (edf.Summary{}) && (!raw || len(st.byLink[i]) == 0) {
 			continue
 		}
 		fmt.Fprintf(&b, "|%d:%d:%v:%+v:", st.keys[i], st.loads[i], st.utilSum[i], st.sums[i])
 		for j, r := range st.byLink[i] {
-			fmt.Fprintf(&b, "%d.%d=%v,", r.e.ch.id, r.hop, st.tasks[i][j])
+			switch {
+			case r.e != nil:
+				fmt.Fprintf(&b, "%d.%d=%v,", r.e.ch.id, r.hop, st.tasks[i][j])
+			case raw:
+				b.WriteString("+,")
+			}
+		}
+		if cs := &st.classes[i]; raw && cs.Stale() {
+			fmt.Fprintf(&b, "dead=%d:stale", st.dead[i])
+		} else if raw {
+			fmt.Fprintf(&b, "dead=%d:%+v", st.dead[i], cs.All())
 		}
 	}
 	return b.String()
@@ -493,7 +526,8 @@ func TestLinkSummaryMatchesRebuild(t *testing.T) {
 		return c, p
 	}
 	churnTable(t, 9, capacity, func(step int, st *State[int, *toyChan, int64]) {
-		for i, tasks := range st.tasks {
+		for i := range st.tasks {
+			tasks := slices.DeleteFunc(slices.Clone(st.tasks[i]), edf.Empty)
 			s := &st.sums[i]
 			short := 0
 			minP, minD := int64(math.MaxInt64), int64(math.MaxInt64)
@@ -568,11 +602,12 @@ func TestRepartitionSweepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRefIsThreeWords pins a hop's ref at three words: a removal shifts
-// every later ref on its links, which on a trunk carrying thousands of
-// channels is a memmove whose cost grows with the ref's size.
-func TestRefIsThreeWords(t *testing.T) {
-	if got, want := unsafe.Sizeof(ref[*toyChan]{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
+// TestRefIsTwoWords pins a hop's ref at two words: the repartition walk
+// reads every ref of a touched link, and compaction moves every live one,
+// which on a trunk carrying thousands of channels costs in proportion to
+// the ref's size.
+func TestRefIsTwoWords(t *testing.T) {
+	if got, want := unsafe.Sizeof(ref[*toyChan]{}), 2*unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("ref is %d bytes, want %d", got, want)
 	}
 }

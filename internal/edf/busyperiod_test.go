@@ -1,13 +1,17 @@
 package edf
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// walkReference is Test without the closed-form busy period: every set
-// that reaches the demand criterion gets its busy period from BusyPeriod's
-// fixed-point iteration and is walked by demandCheckpoints.
+// walkReference is Test computed the long way, sharing no demand walk
+// with it: every set that reaches the demand criterion gets its busy
+// period from a per-task fixed-point iteration (refBusyPeriod) and is
+// walked task by task through a heap of per-task deadline progressions
+// (refWalk), never through the class table Test walks.
 func walkReference(tasks []Task, opts Options) Result {
 	res := Result{Verdict: Feasible, MinSlack: math.MaxInt64}
 	if !opts.SkipValidation {
@@ -27,12 +31,116 @@ func walkReference(tasks []Task, opts Options) Result {
 		res.ShortCircuit = true
 		return res
 	}
-	bp, ok := BusyPeriod(tasks)
+	bp, ok := refBusyPeriod(tasks)
 	if !ok {
 		return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: res.Utilization, MinSlack: math.MaxInt64}
 	}
 	res.BusyPeriod = bp
-	return walk(tasks, opts, nil, res)
+	return refWalk(tasks, opts, res)
+}
+
+// refAdd and refMul are a + b and a * b for a, b >= 0, clamped at
+// math.MaxInt64.
+func refAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func refMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// refBusyPeriod is the least fixed point of L = sum ceil(L/P_i) * C_i from
+// L = sum C_i, task by task; not ok when it saturates or runs past
+// BusyPeriodLimit rounds.
+func refBusyPeriod(tasks []Task) (int64, bool) {
+	var l int64
+	for _, t := range tasks {
+		l = refAdd(l, t.C)
+	}
+	for iter := 0; iter < BusyPeriodLimit; iter++ {
+		var next int64
+		for _, t := range tasks {
+			jobs := l / t.P
+			if l%t.P != 0 {
+				jobs++
+			}
+			next = refAdd(next, refMul(jobs, t.C))
+		}
+		if next == math.MaxInt64 {
+			return 0, false
+		}
+		if next == l {
+			return l, true
+		}
+		l = next
+	}
+	return 0, false
+}
+
+// refCursors is a min-heap of per-task deadline progressions.
+type refCursors [][3]int64 // next checkpoint, period, capacity
+
+func (h refCursors) Len() int           { return len(h) }
+func (h refCursors) Less(i, j int) bool { return h[i][0] < h[j][0] }
+func (h refCursors) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refCursors) Push(x any)        { *h = append(*h, x.([3]int64)) }
+func (h *refCursors) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// refWalk evaluates h(t) <= t at every distinct checkpoint m*P_i + D_i up
+// to res.BusyPeriod, merging the tasks' progressions one instance at a
+// time, and completes res: the first violation, the least slack, the
+// checkpoints evaluated, or Inconclusive once the cap stops the walk.
+func refWalk(tasks []Task, opts Options, res Result) Result {
+	maxChecks := opts.MaxCheckpoints
+	if maxChecks <= 0 {
+		maxChecks = DefaultMaxCheckpoints
+	}
+	bound := res.BusyPeriod
+	h := &refCursors{}
+	for _, t := range tasks {
+		if t.D <= bound {
+			heap.Push(h, [3]int64{t.D, t.P, t.C})
+		}
+	}
+	var demand int64
+	for h.Len() > 0 {
+		t := (*h)[0][0]
+		for h.Len() > 0 && (*h)[0][0] == t {
+			cur := heap.Pop(h).([3]int64)
+			demand = refAdd(demand, cur[2])
+			if next := refAdd(t, cur[1]); next <= bound {
+				heap.Push(h, [3]int64{next, cur[1], cur[2]})
+			}
+		}
+		if res.Checked >= maxChecks {
+			return Result{
+				Verdict:     Inconclusive,
+				Err:         fmt.Errorf("%w (limit %d, busy period %d)", ErrTooManyCheckpoints, maxChecks, bound),
+				Utilization: res.Utilization,
+				BusyPeriod:  bound,
+				MinSlack:    math.MaxInt64,
+				Checked:     res.Checked,
+			}
+		}
+		res.Checked++
+		if demand > t {
+			res.Verdict, res.ViolationAt, res.DemandAt = InfeasibleDemand, t, demand
+			return res
+		}
+		res.MinSlack = min(res.MinSlack, t-demand)
+	}
+	return res
 }
 
 // sameResult compares every Result field, errors by message.

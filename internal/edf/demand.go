@@ -73,14 +73,23 @@ const BusyPeriodLimit = 1 << 20
 // under the synchronous pattern occurs within this interval, so the demand
 // criterion h(t) <= t only needs checking for t <= BusyPeriod (Eq. 18.4).
 func BusyPeriod(tasks []Task) (length int64, ok bool) {
-	if len(tasks) == 0 {
+	var s Scratch
+	return busyPeriod(s.table(tasks), TotalCapacity(tasks))
+}
+
+// busyPeriod is BusyPeriod over the task set's deadline classes, whose
+// capacities sum to total: the tasks of a class share one period, so the
+// class adds ceil(L/P) times its capacity sum, which saturates exactly
+// where the per-task terms do.
+func busyPeriod(cs []Class, total int64) (int64, bool) {
+	if len(cs) == 0 {
 		return 0, true
 	}
-	l := TotalCapacity(tasks)
+	l := total
 	for iter := 0; iter < BusyPeriodLimit; iter++ {
 		var next int64
-		for _, t := range tasks {
-			next = addSat(next, mulSat(ceilDiv(l, t.P), t.C))
+		for k := range cs {
+			next = addSat(next, mulSat(ceilDiv(l, cs[k].P), cs[k].C()))
 		}
 		if next == math.MaxInt64 {
 			// Saturated: the true fixed point (if any) is beyond what the
@@ -105,8 +114,8 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// deadlineHeap merges the per-task arithmetic progressions of absolute
-// deadlines t = m*P_i + D_i (Eq. 18.5) in increasing order without
+// deadlineHeap merges the per-class arithmetic progressions of absolute
+// deadlines t = m*P + D (Eq. 18.5) in increasing order without
 // materializing them. It is a hand-rolled binary min-heap rather than
 // container/heap: the interface-based API boxes every popped cursor into
 // an interface value, which costs one allocation per checkpoint — fatal
@@ -114,16 +123,9 @@ func ceilDiv(a, b int64) int64 {
 type deadlineHeap []deadlineCursor
 
 type deadlineCursor struct {
-	next   int64 // next checkpoint value for this task
+	next   int64 // next checkpoint value for this class
 	period int64
-	c      int64 // task capacity, added to the running demand per instance
-}
-
-// initHeap establishes the heap invariant over an arbitrary slice.
-func (h deadlineHeap) initHeap() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+	c      int64 // class capacity, added to the running demand per instance
 }
 
 // down restores the invariant after h[i] grew.
@@ -151,7 +153,20 @@ func (h deadlineHeap) down(i int) {
 // sweeps over thousands of links run allocation-free; the zero
 // value is ready to use. A Scratch must not be shared between goroutines.
 type Scratch struct {
-	heap deadlineHeap // the deadline heap, or walkDeadlines' sorted deadlines
+	heap    deadlineHeap // the heap walk's cursors
+	classes Classes      // the class table a test of a bare task list builds
+	reads   int          // see Reads
+}
+
+// Reads returns the number of task-set entries the demand walk of the
+// last test through s read: the classes it walked, plus every task slot
+// of a class table it rebuilt first. 0 when the last test walked nothing.
+func (s *Scratch) Reads() int { return s.reads }
+
+// table rebuilds the scratch's class table from tasks and returns it.
+func (s *Scratch) table(tasks []Task) []Class {
+	s.classes.Rebuild(tasks)
+	return s.classes.All()
 }
 
 // Checkpoints calls fn for every distinct t in {m*P_i + D_i : m >= 0} with
@@ -160,42 +175,43 @@ type Scratch struct {
 // increases, so they are the only instants the demand criterion must be
 // evaluated at.
 func Checkpoints(tasks []Task, bound int64, fn func(t int64) bool) {
-	demandCheckpoints(tasks, bound, nil, func(t, _ int64) bool { return fn(t) })
+	var s Scratch
+	demandCheckpoints(s.table(tasks), bound, &s, func(t, _ int64) bool { return fn(t) })
 }
 
-// demandCheckpoints enumerates the distinct checkpoints t <= bound in
-// strictly increasing order and calls fn(t, h) with h == Demand(tasks, t),
-// maintained incrementally: every deadline instance popped off the merged
-// progressions adds its task's capacity to the running sum exactly once.
-// This turns the full feasibility sweep from O(m*n) (m checkpoints, each
-// recomputing the n-task demand sum) into O(m log n), which is the
+// demandCheckpoints enumerates the distinct checkpoints t <= bound of the
+// deadline classes cs in strictly increasing order and calls fn(t, h) with
+// h == the task set's Demand at t, maintained incrementally: every
+// deadline instance popped off the merged progressions adds its class's
+// capacity to the running sum exactly once. This turns the full
+// feasibility sweep from O(m*n) (m checkpoints, each recomputing the
+// n-task demand sum) into O(m log k) for k classes, which is the
 // difference between milliseconds and seconds on the admission
 // controller's verify-bound links (n ≈ m ≈ thousands).
 //
 // Iteration stops early when fn returns false. s may be nil; a non-nil
-// Scratch makes repeated sweeps allocation-free.
-func demandCheckpoints(tasks []Task, bound int64, s *Scratch, fn func(t, h int64) bool) {
+// Scratch makes repeated sweeps allocation-free, and records the classes
+// read (Reads).
+func demandCheckpoints(cs []Class, bound int64, s *Scratch, fn func(t, h int64) bool) {
 	var h deadlineHeap
 	if s != nil {
 		h = s.heap[:0]
-	} else {
-		h = make(deadlineHeap, 0, len(tasks))
 	}
-	for _, t := range tasks {
-		if t.D <= bound {
-			h = append(h, deadlineCursor{next: t.D, period: t.P, c: t.C})
+	// The classes in reach are a prefix of the table, and sorted by D it
+	// is already a min-heap of first checkpoints.
+	for k := range cs {
+		if cs[k].D > bound {
+			break
 		}
+		h = append(h, deadlineCursor{next: cs[k].D, period: cs[k].P, c: cs[k].C()})
 	}
 	if s != nil {
 		s.heap = h // retain the (possibly grown) buffer for reuse
+		s.reads += len(h)
 	}
-	h.initHeap()
 	var demand int64
 	for len(h) > 0 {
 		t := h[0].next
-		if t > bound {
-			return // min exceeds bound, so every cursor does
-		}
 		// Consume every coincident instance at t before evaluating: h(t)
 		// includes all jobs whose deadline is exactly t.
 		for len(h) > 0 && h[0].next == t {

@@ -1,11 +1,9 @@
 package edf
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Verdict classifies the outcome of a feasibility test.
@@ -138,52 +136,40 @@ func TestScratch(tasks []Task, opts Options, scratch *Scratch) Result {
 		u += float64(t.C) / float64(t.P)
 	}
 	s.Over = UtilizationExceedsOne(tasks)
-	return s.finish(tasks, u, opts, scratch)
+	return s.finish(tasks, nil, u, opts, scratch)
 }
 
-// walk evaluates the demand criterion at every checkpoint up to
-// res.BusyPeriod, completing res, which holds the verdict so far.
-func walk(tasks []Task, opts Options, scratch *Scratch, res Result) Result {
+// walk evaluates the demand criterion over the deadline classes cs at
+// every checkpoint up to res.BusyPeriod, completing res, which holds the
+// verdict so far.
+func walk(cs []Class, opts Options, scratch *Scratch, res Result) Result {
 	// The sweep maintains h(t) incrementally across checkpoints (each
-	// deadline instance contributes its C once), so the whole test is
-	// O(m log n) instead of O(m*n) calls into Demand.
+	// deadline instance contributes its class's C once), so the whole test
+	// is O(m log k) instead of O(m*n) calls into Demand.
 	w := newDemandWalk(opts, res)
-	demandCheckpoints(tasks, res.BusyPeriod, scratch, w.step)
+	demandCheckpoints(cs, res.BusyPeriod, scratch, w.step)
 	return w.result()
 }
 
 // walkDeadlines is walk for a busy period no longer than any period, in
-// which every task has at most one checkpoint, its deadline: it sorts the
-// tasks with D <= res.BusyPeriod by deadline and walks the distinct
-// deadlines with h(t) as a prefix sum of their capacities, with no heap.
-// The Result is walk's, field for field.
-func walkDeadlines(tasks []Task, opts Options, scratch *Scratch, res Result) Result {
-	if scratch == nil {
-		scratch = new(Scratch)
-	}
-	ds := scratch.heap[:0]
-	sorted := true
-	for _, t := range tasks {
-		if t.D <= res.BusyPeriod {
-			sorted = sorted && (len(ds) == 0 || ds[len(ds)-1].next <= t.D)
-			ds = append(ds, deadlineCursor{next: t.D, c: t.C})
-		}
-	}
-	scratch.heap = ds
-	if !sorted {
-		slices.SortFunc(ds, func(a, b deadlineCursor) int { return cmp.Compare(a.next, b.next) })
-	}
+// which every class has at most one checkpoint, its deadline: it walks the
+// distinct deadlines up to res.BusyPeriod in table order with h(t) as a
+// prefix sum of the class capacities, with no heap, and adds the classes
+// it read to scratch's count. The Result is walk's, field for field.
+func walkDeadlines(cs []Class, opts Options, scratch *Scratch, res Result) Result {
 	w := newDemandWalk(opts, res)
 	var demand int64
-	for k := 0; k < len(ds); {
-		t := ds[k].next
-		for ; k < len(ds) && ds[k].next == t; k++ {
-			demand = addSat(demand, ds[k].c)
+	k := 0
+	for k < len(cs) && cs[k].D <= res.BusyPeriod {
+		t := cs[k].D
+		for ; k < len(cs) && cs[k].D == t; k++ {
+			demand = addSat(demand, cs[k].C())
 		}
 		if !w.step(t, demand) {
 			break
 		}
 	}
+	scratch.reads += k
 	return w.result()
 }
 

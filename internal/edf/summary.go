@@ -117,11 +117,14 @@ func (s *Summary) Replace(old, t Task) {
 	s.retire(old)
 }
 
-// Rescan recomputes the summary from tasks, making every bound exact.
+// Rescan recomputes the summary from tasks, empty slots (see Empty)
+// skipped, making every bound exact.
 func (s *Summary) Rescan(tasks []Task) {
 	*s = Summary{Over: s.Over}
 	for _, t := range tasks {
-		s.Add(t)
+		if !Empty(t) {
+			s.Add(t)
+		}
 	}
 }
 
@@ -207,33 +210,57 @@ func (s *Summary) Decide() (Result, bool) {
 // for field, even when s is Loose: a bound below the true minimum can only
 // send Decide to the fixed-point iteration, which finds the same busy
 // period, or to a walk that finds no checkpoint in it.
-func (s *Summary) Test(tasks []Task, opts Options, scratch *Scratch) Result {
+//
+// cs is the caller's class table of tasks, rebuilt from them first when
+// it is stale; with a nil cs the test builds one in scratch. tasks may
+// hold empty slots (see Empty), which the test skips.
+func (s *Summary) Test(tasks []Task, cs *Classes, opts Options, scratch *Scratch) Result {
 	if !opts.SkipValidation {
-		if err := ValidateTasks(tasks); err != nil {
-			return Result{Verdict: InvalidTask, Err: err, MinSlack: math.MaxInt64}
+		for _, t := range tasks {
+			if Empty(t) {
+				continue
+			}
+			if err := t.Validate(); err != nil {
+				return Result{Verdict: InvalidTask, Err: err, MinSlack: math.MaxInt64}
+			}
 		}
 	}
-	return s.finish(tasks, 0, opts, scratch)
+	return s.finish(tasks, cs, 0, opts, scratch)
 }
 
-// finish completes a test of tasks from their summary s, with u the
-// reporting utilization: Decide, then the busy period and the walk. A
-// closed-form busy period (sum C <= min P) holds at most one checkpoint
-// per task, its D, since every P is at least the busy period; then the
-// walk is a prefix sum over the deadlines in it (walkDeadlines).
-func (s *Summary) finish(tasks []Task, u float64, opts Options, scratch *Scratch) Result {
+// finish completes a test of tasks from their summary s and class table cs
+// (nil: built in scratch), with u the reporting utilization: Decide, then
+// the busy period and the walk, both over the classes. A closed-form busy
+// period (sum C <= min P) holds at most one checkpoint per class, its D,
+// since every P is at least the busy period; then the walk is a prefix sum
+// over the deadlines in it (walkDeadlines).
+func (s *Summary) finish(tasks []Task, cs *Classes, u float64, opts Options, scratch *Scratch) Result {
 	res, done := s.Decide()
 	res.Utilization = u
+	if scratch != nil {
+		scratch.reads = 0
+	}
 	if done {
 		return res
 	}
-	if res.BusyPeriod != 0 {
-		return walkDeadlines(tasks, opts, scratch, res)
+	if scratch == nil {
+		scratch = new(Scratch)
 	}
-	bp, ok := BusyPeriod(tasks)
+	if cs == nil {
+		cs = &scratch.classes
+		cs.MarkStale()
+	}
+	if cs.Stale() {
+		scratch.reads = len(tasks)
+		cs.Rebuild(tasks)
+	}
+	if res.BusyPeriod != 0 {
+		return walkDeadlines(cs.All(), opts, scratch, res)
+	}
+	bp, ok := busyPeriod(cs.All(), s.SumC())
 	if !ok {
 		return Result{Verdict: Inconclusive, Err: ErrBusyPeriodDiverged, Utilization: u, MinSlack: math.MaxInt64}
 	}
 	res.BusyPeriod = bp
-	return walk(tasks, opts, scratch, res)
+	return walk(cs.All(), opts, scratch, res)
 }

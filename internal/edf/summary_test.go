@@ -68,12 +68,19 @@ func checkSummary(t *testing.T, tasks []Task, s Summary, opts Options) {
 	want := walkReference(tasks, opts)
 	noU := want
 	noU.Utilization = 0
-	if got := s.Test(tasks, opts, nil); !sameResult(got, noU) {
+	if got := s.Test(tasks, nil, opts, nil); !sameResult(got, noU) {
 		t.Fatalf("%v: Summary.Test = %+v, walk = %+v", tasks, got, want)
 	}
 	var scratch Scratch
-	if got := s.Test(tasks, opts, &scratch); !sameResult(got, noU) {
+	if got := s.Test(tasks, nil, opts, &scratch); !sameResult(got, noU) {
 		t.Fatalf("%v: Summary.Test with a Scratch = %+v, walk = %+v", tasks, got, want)
+	}
+	var live Classes
+	for _, task := range tasks {
+		live.Add(task)
+	}
+	if got := s.Test(tasks, &live, opts, &scratch); !sameResult(got, noU) {
+		t.Fatalf("%v: Summary.Test with a live class table = %+v, walk = %+v", tasks, got, want)
 	}
 	if got := TestScratch(tasks, opts, nil); !sameResult(got, want) {
 		t.Fatalf("%v: TestScratch = %+v, walk = %+v", tasks, got, want)

@@ -15,7 +15,7 @@ func TestIncrementalDemandMatchesDirect(t *testing.T) {
 		tasks := randomTaskSet(rng, 8, 40)
 		bound := int64(rng.Intn(400))
 		var s Scratch
-		demandCheckpoints(tasks, bound, &s, func(cp, h int64) bool {
+		demandCheckpoints(s.table(tasks), bound, &s, func(cp, h int64) bool {
 			if want := Demand(tasks, cp); h != want {
 				t.Fatalf("trial %d: incremental h(%d)=%d, Demand=%d for %v (bound %d)",
 					trial, cp, h, want, tasks, bound)
@@ -28,10 +28,10 @@ func TestIncrementalDemandMatchesDirect(t *testing.T) {
 func TestIncrementalDemandEarlyStopLeavesScratchReusable(t *testing.T) {
 	tasks := []Task{{C: 1, P: 2, D: 2}, {C: 1, P: 3, D: 3}}
 	var s Scratch
-	demandCheckpoints(tasks, 100, &s, func(cp, h int64) bool { return cp < 4 })
+	demandCheckpoints(s.table(tasks), 100, &s, func(cp, h int64) bool { return cp < 4 })
 	// A second sweep with the same scratch must see the full sequence again.
 	var got []int64
-	demandCheckpoints(tasks, 12, &s, func(cp, h int64) bool {
+	demandCheckpoints(s.table(tasks), 12, &s, func(cp, h int64) bool {
 		got = append(got, cp)
 		if want := Demand(tasks, cp); h != want {
 			t.Fatalf("after early stop: h(%d)=%d, want %d", cp, h, want)

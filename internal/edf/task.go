@@ -16,13 +16,17 @@
 //   - the combined feasibility test, which skips the demand walk when
 //     every task has D >= P (then h(t) <= U*t, so U <= 1 is exact), and
 //     when the busy period, sum C in closed form whenever that fits in
-//     the shortest period, ends before the shortest deadline, and
+//     the shortest period, ends before the shortest deadline,
 //   - Summary, the few numbers those early exits read (sum C, the D < P
 //     count, the shortest period and deadline, U > 1). Test decides from
 //     a fresh one; the admission kernel patches one per link as tasks
 //     come and go and decides most links without reading their tasks.
 //     Patching may leave the shortest period and deadline as lower
-//     bounds, which keeps every proof of feasibility sound.
+//     bounds, which keeps every proof of feasibility sound, and
+//   - Classes, the deadline-class table the busy period and the demand
+//     walk run over: one entry per distinct (D, P) with its task count
+//     and capacity sum, so a walk reads classes, not tasks. Test builds
+//     one; the admission kernel keeps one live per walked link.
 package edf
 
 import (

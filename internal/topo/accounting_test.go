@@ -307,3 +307,52 @@ func TestBulkLineEstablishWalksOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestBulkLineWalkReadsClasses pins what the bulk line's establish walk
+// reads: the trunk's deadline classes, not its tasks. Every establish
+// walks the trunk that carries every channel (see
+// TestBulkLineEstablishWalksOnce), whose 500 tasks fall into a few (D, P)
+// pairs under H-SDPS; the walk reads at most one entry per pair, and no
+// release or establish leaves the trunk's class table stale, so no walk
+// rebuilds it from the tasks.
+func TestBulkLineWalkReadsClasses(t *testing.T) {
+	c := NewController(lineFabric(t, 20), Config{DPS: HSDPS{}})
+	rng := rand.New(rand.NewSource(5))
+	spec := func() core.ChannelSpec {
+		return core.ChannelSpec{Src: core.NodeID(1 + rng.Intn(20)), Dst: core.NodeID(101 + rng.Intn(20)), C: 1, P: 5000, D: 2500}
+	}
+	specs := make([]core.ChannelSpec, 500)
+	for i := range specs {
+		specs[i] = spec()
+	}
+	chs, err := c.RequestAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := c.p.Eng
+	st := eng.State()
+	var trunk Edge
+	for _, l := range st.Links() {
+		if st.LinkLoad(l) == len(chs) {
+			trunk = l
+		}
+	}
+	for i := 0; i < 200; i++ {
+		j := rng.Intn(len(chs))
+		if err := c.Release(chs[j].ID); err != nil {
+			t.Fatal(err)
+		}
+		walks, reads := eng.Walks(), eng.WalkReads()
+		if chs[j], err = c.Request(spec()); err != nil {
+			t.Fatal(err)
+		}
+		classes := map[[2]int64]bool{}
+		for _, task := range st.TasksOn(trunk) {
+			classes[[2]int64{task.D, task.P}] = true
+		}
+		if w, r := eng.Walks()-walks, eng.WalkReads()-reads; w != 1 || r == 0 || r > len(classes) {
+			t.Fatalf("establish %d: %d walks reading %d entries; want 1 walk reading at most the trunk's %d classes of %d tasks",
+				i, w, r, len(classes), st.LinkLoad(trunk))
+		}
+	}
+}
