@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/rtether"
 	"repro/rtether/wire"
 )
@@ -19,7 +20,10 @@ import (
 // goroutines per connection — so concurrent frames from one connection
 // coalesce into merged admission flights exactly like concurrent HTTP
 // requests — and replies are written back whenever their verdict lands,
-// matched by request ID, not in request order.
+// matched by request ID, not in request order. Replies that land while
+// a write is in flight leave together in the next write(2); the writer
+// yields once before its first write so that handlers finishing other
+// frames of the same read can join it (wire.GroupWriter).
 //
 // Verdicts feed the same watch hub, log and counters as the HTTP
 // handlers; the two listeners are one service on one network.
@@ -78,25 +82,38 @@ func (s *Server) dropBinaryConn(c net.Conn) {
 	s.binMu.Unlock()
 }
 
-// binConn serializes reply writes for one connection: request handlers
-// run concurrently, so the write side is a mutex around one reused
-// encode buffer.
+// binConn writes one connection's replies through a wire.GroupWriter:
+// a handler that finds a write in progress queues its reply and
+// returns, the leader writes everything queued in one write(2), and
+// a peer that does not read stalls the handlers once wire.MaxQueued
+// reply bytes wait behind the write in progress (and, past maxBatch
+// handlers, the reader).
 type binConn struct {
 	s    *Server
 	conn net.Conn
-	wmu  sync.Mutex
-	wbuf []byte
+	w    *wire.GroupWriter
 }
 
-// send encodes one reply frame under the write lock and ships it. A
-// write failure kills the connection; the reader loop notices and winds
-// the connection down.
+func newBinConn(s *Server, conn net.Conn) *binConn {
+	return &binConn{s: s, conn: conn, w: wire.NewGroupWriter(countedWrites{conn, s.metrics.binWrites})}
+}
+
+// countedWrites counts the writes made to a connection.
+type countedWrites struct {
+	net.Conn
+	n *obs.Counter
+}
+
+func (c countedWrites) Write(p []byte) (int, error) {
+	c.n.Inc()
+	return c.Conn.Write(p)
+}
+
+// send queues one reply frame, encoded by enc. A write failure kills
+// the connection; the reader loop notices and winds the connection
+// down, and every reply still queued is dropped.
 func (bc *binConn) send(enc func(dst []byte) []byte) {
-	bc.wmu.Lock()
-	bc.wbuf = enc(bc.wbuf[:0])
-	_, err := bc.conn.Write(bc.wbuf)
-	bc.wmu.Unlock()
-	if err != nil {
+	if bc.w.Queue(enc) != nil {
 		bc.conn.Close()
 	}
 }
@@ -119,7 +136,7 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		s.dropBinaryConn(conn)
 		wg.Wait()
 	}()
-	bc := &binConn{s: s, conn: conn}
+	bc := newBinConn(s, conn)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	// Frames go to the connection's idle handlers. A frame no idle
 	// handler takes starts one more, up to maxBatch; past that the reader

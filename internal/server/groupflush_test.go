@@ -1,0 +1,106 @@
+package server
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/rtether/wire"
+)
+
+// awaitCount waits until load returns at least n.
+func awaitCount(t *testing.T, load func() int64, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("count %d, want at least %d", load(), n)
+		}
+	}
+}
+
+// TestBinaryGroupFlush holds a connection's first reply write (the peer
+// is not reading yet) and queues seven more replies meanwhile: each of
+// those sends returns at once, the peer then reads every reply once,
+// under its own request ID, and rtether_binary_writes_total counts two
+// writes: the held one and the one that took the other seven.
+func TestBinaryGroupFlush(t *testing.T) {
+	s := newStarServer(t, 1)
+	peer, pc := net.Pipe()
+	defer peer.Close()
+	bc := newBinConn(s, pc)
+	reply := func(id uint32) func([]byte) []byte {
+		return func(dst []byte) []byte {
+			return wire.AppendError(dst, id, &wire.Error{Code: "c", Message: fmt.Sprint(id)})
+		}
+	}
+	writes := s.metrics.binWrites.Load
+	leader := make(chan struct{})
+	go func() { defer close(leader); bc.send(reply(1)) }()
+	awaitCount(t, writes, 1)
+	const n = 8
+	queued := make(chan struct{})
+	go func() {
+		defer close(queued)
+		for id := uint32(2); id <= n; id++ {
+			bc.send(reply(id))
+		}
+	}()
+	select {
+	case <-queued:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a send behind a write in progress waited for it instead of queueing")
+	}
+	var buf []byte
+	for want := uint32(1); want <= n; want++ {
+		var f wire.Frame
+		var err error
+		if f, buf, err = wire.ReadFrame(peer, buf); err != nil {
+			t.Fatalf("reading reply %d: %v", want, err)
+		}
+		we, err := wire.DecodeError(f.Payload)
+		if err != nil || f.ReqID != want || we.Message != fmt.Sprint(want) {
+			t.Fatalf("reply %d: ID %d, payload %+v (%v)", want, f.ReqID, we, err)
+		}
+	}
+	<-leader
+	if got := writes(); got != 2 {
+		t.Fatalf("%d replies left in %d writes, want 2", n, got)
+	}
+}
+
+// TestBinaryFailedWriteEndsConn fails a connection's first reply write
+// (a write deadline passes while the peer pipelines requests and reads
+// nothing): serveBinaryConn must end on the write error alone, and
+// leave no goroutine behind.
+func TestBinaryFailedWriteEndsConn(t *testing.T) {
+	s := newStarServer(t, 2)
+	base := runtime.NumGoroutine()
+	peer, pc := net.Pipe()
+	defer peer.Close()
+	done := make(chan struct{})
+	go func() { defer close(done); s.serveBinaryConn(pc) }()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		for i := uint32(1); i <= 64; i++ {
+			if _, err := peer.Write(wire.AppendStats(nil, i)); err != nil {
+				return
+			}
+		}
+	}()
+	awaitCount(t, s.metrics.binWrites.Load, 1)
+	_ = pc.SetWriteDeadline(time.Now())
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveBinaryConn still running after its reply write failed")
+	}
+	<-wrote
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind by the failed connection", runtime.NumGoroutine()-base)
+		}
+	}
+}

@@ -27,6 +27,8 @@ type serverMetrics struct {
 	topicAdmits *obs.Counter
 	heartbeats  *obs.Counter
 
+	binWrites *obs.Counter
+
 	flightMerged *obs.Histogram
 	flightWait   *obs.Histogram
 	flightAdmit  *obs.Histogram
@@ -170,6 +172,8 @@ func (s *Server) mountRoutes(ops []*binding) {
 			h.Observe(time.Since(start).Nanoseconds())
 		})
 	}
+	s.metrics.binWrites = reg.Counter("rtether_binary_writes_total",
+		"write(2) calls carrying binary reply frames; each writes every reply queued by then.")
 	s.frames = make(map[wire.MsgType]*binding)
 	for _, op := range ops {
 		if op.frame != nil {

@@ -10,7 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,16 +59,83 @@ func TestBinaryInFlightBounded(t *testing.T) {
 	}
 }
 
-// countingConn counts the frames the server writes (one Write per
-// reply frame).
+// countingConn counts the complete reply frames in the byte stream the
+// server writes, cutting it at each frame's 12-byte header and length
+// field, however the frames are grouped into writes. It counts every
+// byte the server tries to write, taken by the peer or not, so a reply
+// past the last one the peer reads is counted too. It also keeps the
+// length of every write as it is made.
 type countingConn struct {
 	net.Conn
-	writes atomic.Int64
+	mu     sync.Mutex
+	rest   []byte // written bytes of a frame not yet complete
+	frames int64
+	sizes  []int
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
+	c.mu.Lock()
+	c.sizes = append(c.sizes, len(p))
+	c.rest = append(c.rest, p...)
+	for len(c.rest) >= wire.FrameHeaderLen {
+		end := wire.FrameHeaderLen + int(binary.BigEndian.Uint32(c.rest[8:]))
+		if len(c.rest) < end {
+			break
+		}
+		c.frames++
+		c.rest = c.rest[end:]
+	}
+	c.mu.Unlock()
 	return c.Conn.Write(p)
+}
+
+// writes returns the lengths of the writes made so far.
+func (c *countingConn) writes() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.sizes...)
+}
+
+// TestBinaryUnreadPeerQueueBounded replays TestBinaryInFlightBounded's
+// peer, which pipelines 200 000 stats frames and reads nothing, and
+// bounds the reply bytes the daemon queues meanwhile. The first reply
+// write blocks, since nothing reads it; once the peer starts reading,
+// the next write carries everything queued behind it, which must stay
+// within wire.MaxQueued.
+func TestBinaryUnreadPeerQueueBounded(t *testing.T) {
+	s := newStarServer(t, 2)
+	var frames []byte
+	for i := uint32(0); i < 200000; i++ {
+		frames = wire.AppendStats(frames, i)
+	}
+	peer, pc := net.Pipe()
+	conn := &countingConn{Conn: pc}
+	done := make(chan struct{})
+	go func() { defer close(done); s.serveBinaryConn(conn) }()
+	go func() { _, _ = peer.Write(frames) }()
+	time.Sleep(500 * time.Millisecond)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(conn.writes()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no second write after the peer started reading")
+		}
+	}
+	peer.Close()
+	<-done
+	<-drained
+	w := conn.writes()
+	if w[1] > wire.MaxQueued {
+		t.Fatalf("a peer that read nothing for 500 ms left %d reply bytes queued, want at most %d", w[1], wire.MaxQueued)
+	}
 }
 
 // TestBinaryDurationObservedBeforeReply pipelines binary establishes
@@ -189,7 +256,7 @@ func FuzzBinaryDispatch(f *testing.F) {
 		}
 		peer.Close()
 		<-done
-		if got := conn.writes.Load(); got != int64(len(types)) {
+		if got := conn.frames; got != int64(len(types)) {
 			t.Fatalf("%d request frames got %d reply frames", len(types), got)
 		}
 	})

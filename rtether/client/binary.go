@@ -11,8 +11,11 @@
 // per-request IDs, so N goroutines issuing establishes present the
 // server's coalescer with the same concurrency as N parallel HTTP
 // requests — merged admission flights work identically under either
-// transport. Which operations travel this way is declared by the op
-// table of rtether/wire: those with a binary message pair.
+// transport. Requests issued while a write is in flight leave together
+// in the next write(2); the writing caller yields once before its first
+// write so that callers woken by the same reply burst can join it.
+// Which operations travel this way is declared by the op table of
+// rtether/wire: those with a binary message pair.
 package client
 
 import (
@@ -71,13 +74,12 @@ func (c *Client) binConn() (*binConn, error) {
 	return c.bin, nil
 }
 
-// binConn is one persistent pipelined connection: a writer side guarded
-// by a mutex over a reused encode buffer, and a reader goroutine that
+// binConn is one persistent pipelined connection: a wire.GroupWriter
+// that callers flush as a group, and a reader goroutine that
 // demultiplexes reply frames to the waiting requests by ID.
 type binConn struct {
-	c    net.Conn
-	wmu  sync.Mutex
-	wbuf []byte
+	c net.Conn
+	w *wire.GroupWriter
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -86,7 +88,7 @@ type binConn struct {
 }
 
 func newBinConn(c net.Conn) *binConn {
-	bc := &binConn{c: c, pending: make(map[uint32]chan wire.Frame)}
+	bc := &binConn{c: c, w: wire.NewGroupWriter(c), pending: make(map[uint32]chan wire.Frame)}
 	go bc.readLoop()
 	return bc
 }
@@ -136,8 +138,10 @@ func (bc *binConn) readLoop() {
 	}
 }
 
-// send registers a fresh request ID, encodes the frame with enc under
-// the write lock and ships it, returning the reply channel.
+// send registers a fresh request ID, queues the frame enc encodes for
+// it on the group writer and returns the reply channel. The request is
+// in pending before its bytes are queued, so a failed write, which
+// closes the connection, fails it and every other queued request.
 func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan wire.Frame, error) {
 	ch := make(chan wire.Frame, 1)
 	bc.mu.Lock()
@@ -150,14 +154,8 @@ func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan
 	id := bc.nextID
 	bc.pending[id] = ch
 	bc.mu.Unlock()
-
-	bc.wmu.Lock()
-	bc.wbuf = enc(bc.wbuf[:0], id)
-	_, err := bc.c.Write(bc.wbuf)
-	bc.wmu.Unlock()
-	if err != nil {
+	if err := bc.w.Queue(func(dst []byte) []byte { return enc(dst, id) }); err != nil {
 		bc.close(fmt.Errorf("client: binary connection: %w", err))
-		return 0, nil, err
 	}
 	return id, ch, nil
 }

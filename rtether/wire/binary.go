@@ -31,7 +31,9 @@
 // Encoders are append-style (Append*(dst, ...) []byte) so a client or
 // server can reuse one buffer across requests and encode without
 // allocating; decoders are pure bounds-checked reads that never panic
-// on truncated or corrupt input (binary_fuzz_test.go).
+// on truncated or corrupt input (binary_fuzz_test.go). Both ends send
+// frames through a GroupWriter (groupwrite.go), which writes the frames
+// queued behind a write in progress in one following write(2).
 package wire
 
 import (
