@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/edf"
@@ -86,8 +87,8 @@ type Engine[K comparable, Ch any, P any] struct {
 	// sweepNs accumulates wall time spent inside verification sweeps
 	// (cache hits included). It is observability accounting only — never
 	// part of a decision — so unlike the deterministic counters above it
-	// varies run to run.
-	sweepNs int64
+	// varies run to run. It is atomic so that a reader needs no lock.
+	sweepNs atomic.Int64
 
 	// slackHist[i] is the MinSlack (tightest demand-criterion margin) the
 	// link showed at its most recent COMMITTED sweep, noSlack before any.
@@ -211,7 +212,7 @@ func (e *Engine[K, Ch, P]) Rescans() int { return e.rescans }
 // verification sweeps. Unlike LinksChecked this is measured, not
 // deterministic; it exists for the observability surface
 // (rtether.AdmissionStats, /metrics), never for decisions.
-func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs }
+func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs.Load() }
 
 // Repartitions returns the cumulative number of repartition passes the
 // engine has run: one per Apply (a decision covering a whole batch, or a
@@ -452,7 +453,7 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	if rej != nil {
 		e.linksChecked++ // the failing link
 	}
-	e.sweepNs += time.Since(sweepStart).Nanoseconds()
+	e.sweepNs.Add(time.Since(sweepStart).Nanoseconds())
 	return rej
 }
 

@@ -45,41 +45,70 @@ type rtFrame struct {
 type channelRT struct {
 	id       core.ChannelID
 	spec     core.ChannelSpec
-	route    []topo.Edge
+	route    []*link // the route resolved: route[i] carries edge i
 	parents  []int   // tree shape: edge feeding edge i (-1 = root)
 	children [][]int // inverse of parents; empty children = leaf edge
 	cum      []int64 // cumulative deadline at edge i: Hops[i] + cum[parents[i]]
 	next     int64   // next release slot
 	metrics  *Metrics
 
-	started bool // a periodic source has been attached
-	stopped bool // traffic stopped (Stop/Remove); in-flight frames drain
-	armed   bool // a release event is scheduled
-	gen     int  // bumped by Start/Stop/Remove to invalidate armed events
+	started bool     // a periodic source has been attached
+	stopped bool     // traffic stopped (Stop/Remove); in-flight frames drain
+	armed   bool     // rel is scheduled
+	rel     *release // the release event, re-armed period after period
+}
+
+// release is a channel's periodic release event. One event serves every
+// period; Start, Stop, Remove and a re-Install orphan an armed one (its
+// channel goes nil, so it fires as a no-op) and the next arm makes a
+// fresh one.
+type release struct {
+	s    *Sim
+	ch   *channelRT
+	fire func() // run, bound once
 }
 
 // Metrics aggregates per-channel results.
 type Metrics struct {
 	Delivered int64
 	Misses    int64
-	Delays    *stats.Delay
+	// HopLate counts frame completions of a hop i after the frame's
+	// hop-local deadline, release + the cumulative budgets through hop
+	// i. Admission makes every hop feasible, so it stays 0 while the
+	// budgets hold; a repartition with frames in flight can break it.
+	HopLate int64
+	Delays  *stats.Delay
 }
 
 // link is one directed edge's transmitter: an EDF queue served one frame
-// per slot.
+// per slot. Its two events are bound once, and the frame on the wire
+// waits in cur: a link sends one frame per slot.
 type link struct {
-	eng   *sim.Engine
-	queue sched.EDFQueue
+	s     *Sim
+	e     topo.Edge
+	queue sched.EDF[rtFrame]
+	down  bool // the edge is dead: frames on it drop
 	busy  bool
 	armed bool
-	sim   *Sim
+	cur   rtFrame
+
+	decideFn, doneFn func() // decide and done, bound once
+}
+
+// hold is a frame the release guard keeps back until it becomes
+// eligible at its next hop. Fired holds return to the Sim's free list.
+type hold struct {
+	s    *Sim
+	f    rtFrame
+	next *hold
+	fire func() // run, bound once
 }
 
 // Sim is one fabric simulation run.
 type Sim struct {
 	eng      *sim.Engine
 	links    map[topo.Edge]*link
-	down     map[topo.Edge]bool // dead directed edges: frames on them drop
+	holds    *hold // free list
 	channels []*channelRT
 	byID     map[core.ChannelID]*channelRT
 	horizon  int64
@@ -127,7 +156,6 @@ func NewSim(cfg Config) *Sim {
 	return &Sim{
 		eng:     sim.NewEngine(),
 		links:   make(map[topo.Edge]*link),
-		down:    make(map[topo.Edge]bool),
 		byID:    make(map[core.ChannelID]*channelRT),
 		shaping: !cfg.DisableShaping,
 	}
@@ -150,14 +178,14 @@ func New(st *topo.State, offsets map[core.ChannelID]int64, cfg Config) (*Sim, er
 }
 
 // Install registers an admitted channel with the simulation without
-// attaching a traffic source. The route and hop budgets are copied; use
-// SetBudgets when a later admission repartitions the channel. A channel
-// still installed under the same ID — re-admitted by a reconfiguration or
-// a failure re-route — is replaced and keeps its identity: the old
-// incarnation's source is detached (in-flight frames drain, or die on
-// dead edges, under their old route), and the new one adopts its Metrics
-// aggregate and periodic release schedule, so delivery history and phase
-// both survive.
+// attaching a traffic source. The route is resolved to its links and the
+// hop budgets are copied; use SetBudgets when a later admission
+// repartitions the channel. A channel still installed under the same ID
+// — re-admitted by a reconfiguration or a failure re-route — is replaced
+// and keeps its identity: the old incarnation's source is detached
+// (in-flight frames drain, or die on dead edges, under their old route),
+// and the new one adopts its Metrics aggregate and periodic release
+// schedule, so delivery history and phase both survive.
 func (s *Sim) Install(hch *topo.HChannel) error {
 	if len(hch.Route) == 0 || len(hch.Hops) != len(hch.Route) {
 		return fmt.Errorf("fabricsim: channel %v has no installed hop budgets", hch)
@@ -166,7 +194,7 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 	rt := &channelRT{
 		id:       hch.ID,
 		spec:     hch.Spec,
-		route:    append([]topo.Edge(nil), hch.Route...),
+		route:    make([]*link, len(hch.Route)),
 		parents:  parents,
 		children: treeChildren(parents),
 		cum:      cumBudgets(make([]int64, len(hch.Hops)), hch.Hops, parents),
@@ -179,20 +207,17 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 			rt.started = true
 			rt.next = old.next
 			if old.armed {
-				rt.next -= old.spec.P // re-arm the release the gen bump orphans
+				rt.next -= old.spec.P // re-arm the release that disarm orphans
 			}
 			rt.next = max(rt.next, s.eng.Now())
 		}
 		old.stopped = true
-		old.gen++
-		old.armed = false
+		old.disarm()
 	}
 	s.channels = append(s.channels, rt)
 	s.byID[hch.ID] = rt
-	for _, e := range rt.route {
-		if s.links[e] == nil {
-			s.links[e] = &link{eng: s.eng, sim: s}
-		}
+	for i, e := range hch.Route {
+		rt.route[i] = s.link(e)
 	}
 	if old == nil {
 		s.emit(netsim.EvAdmitted, rt.spec.Src, rt.id, hch.Hops[0])
@@ -235,8 +260,7 @@ func (s *Sim) Start(id core.ChannelID, offset int64) error {
 	}
 	ch.started = true
 	ch.stopped = false
-	ch.gen++ // orphan any release event armed before the restart
-	ch.armed = false
+	ch.disarm() // orphan any release event armed before the restart
 	ch.next = s.eng.Now() + offset
 	s.armRelease(ch)
 	return nil
@@ -250,8 +274,7 @@ func (s *Sim) Stop(id core.ChannelID) error {
 		return fmt.Errorf("fabricsim: channel %d has no active source", id)
 	}
 	ch.stopped = true
-	ch.gen++
-	ch.armed = false
+	ch.disarm()
 	return nil
 }
 
@@ -263,8 +286,7 @@ func (s *Sim) Remove(id core.ChannelID) error {
 		return fmt.Errorf("fabricsim: unknown channel %d", id)
 	}
 	ch.stopped = true
-	ch.gen++
-	ch.armed = false
+	ch.disarm()
 	delete(s.byID, id)
 	return nil
 }
@@ -277,26 +299,38 @@ func (s *Sim) Remove(id core.ChannelID) error {
 // the next release.
 func (s *Sim) SetLinkUp(e topo.Edge, up bool) {
 	if up {
-		delete(s.down, e)
-		return
-	}
-	if s.down[e] {
-		return
-	}
-	s.down[e] = true
-	if l := s.links[e]; l != nil {
-		for {
-			it, ok := l.queue.Pop()
-			if !ok {
-				break
-			}
-			s.drop(it.Payload.(*rtFrame))
+		if l := s.links[e]; l != nil {
+			l.down = false
 		}
+		return
+	}
+	l := s.link(e)
+	if l.down {
+		return
+	}
+	l.down = true
+	for {
+		it, ok := l.queue.Pop()
+		if !ok {
+			break
+		}
+		s.drop(it.Payload)
 	}
 }
 
+// link returns the transmitter of a directed edge, made on first use.
+func (s *Sim) link(e topo.Edge) *link {
+	l := s.links[e]
+	if l == nil {
+		l = &link{s: s, e: e}
+		l.decideFn, l.doneFn = l.decide, l.done
+		s.links[e] = l
+	}
+	return l
+}
+
 // drop accounts one frame lost to a dead edge: a miss for its channel.
-func (s *Sim) drop(f *rtFrame) {
+func (s *Sim) drop(f rtFrame) {
 	f.ch.metrics.Misses++
 	s.emit(netsim.EvMiss, f.ch.spec.Dst, f.ch.id, -1)
 }
@@ -358,37 +392,68 @@ func (s *Sim) armRelease(ch *channelRT) {
 	if ch.armed || !ch.started || ch.stopped || ch.next > s.horizon {
 		return
 	}
-	release := ch.next
+	if ch.rel == nil {
+		ch.rel = &release{s: s, ch: ch}
+		ch.rel.fire = ch.rel.run
+	}
+	s.eng.AtPrio(ch.next, sim.PrioRelease, ch.rel.fire)
 	ch.next += ch.spec.P
 	ch.armed = true
-	gen := ch.gen
-	s.eng.AtPrio(release, sim.PrioRelease, func() {
-		if ch.gen != gen {
-			return // superseded by a Stop/Start cycle; the restart re-armed
-		}
-		ch.armed = false
-		if ch.stopped {
-			return
-		}
-		for k := int64(0); k < ch.spec.C; k++ {
-			s.emit(netsim.EvRelease, ch.spec.Src, ch.id, release+ch.spec.D)
-			s.inject(&rtFrame{ch: ch, release: release, hop: 0})
-		}
-		s.armRelease(ch)
-	})
+}
+
+// disarm orphans the channel's armed release event, if any.
+func (ch *channelRT) disarm() {
+	if ch.armed {
+		ch.rel.ch, ch.rel = nil, nil
+	}
+	ch.armed = false
+}
+
+// run releases one period's C frames and re-arms the event.
+func (r *release) run() {
+	s, ch := r.s, r.ch
+	if ch == nil {
+		return // superseded by a Stop/Start cycle; the restart re-armed
+	}
+	ch.armed = false
+	now := s.eng.Now()
+	for k := int64(0); k < ch.spec.C; k++ {
+		s.emit(netsim.EvRelease, ch.spec.Src, ch.id, now+ch.spec.D)
+		s.inject(rtFrame{ch: ch, release: now})
+	}
+	s.armRelease(ch)
 }
 
 // inject enqueues a frame at its current hop under the hop-local EDF key.
 // Frames bound for a dead edge are dropped as misses.
-func (s *Sim) inject(f *rtFrame) {
-	e := f.ch.route[f.hop]
-	if s.down[e] {
+func (s *Sim) inject(f rtFrame) {
+	l := f.ch.route[f.hop]
+	if l.down {
 		s.drop(f)
 		return
 	}
-	l := s.links[e]
 	l.queue.Push(f.release+f.ch.cum[f.hop], f)
 	l.kick()
+}
+
+// hold schedules f's injection at its current hop for slot at.
+func (s *Sim) hold(f rtFrame, at int64) {
+	h := s.holds
+	if h == nil {
+		h = &hold{s: s}
+		h.fire = h.run
+	} else {
+		s.holds = h.next
+	}
+	h.f = f
+	s.eng.At(at, h.fire)
+}
+
+// run injects the held frame and returns the hold to the free list.
+func (h *hold) run() {
+	s, f := h.s, h.f
+	h.f, h.next, s.holds = rtFrame{}, s.holds, h
+	s.inject(f)
 }
 
 func (l *link) kick() {
@@ -396,7 +461,7 @@ func (l *link) kick() {
 		return
 	}
 	l.armed = true
-	l.eng.AtPrio(l.eng.Now(), sim.PrioDecide, l.decide)
+	l.s.eng.AtPrio(l.s.eng.Now(), sim.PrioDecide, l.decideFn)
 }
 
 func (l *link) decide() {
@@ -408,33 +473,43 @@ func (l *link) decide() {
 	if !ok {
 		return
 	}
-	f := it.Payload.(*rtFrame)
+	l.cur = it.Payload
 	l.busy = true
-	l.eng.AtPrio(l.eng.Now()+1, sim.PrioDeliver, func() {
-		l.busy = false
-		l.kick()
-		l.sim.arrive(f)
-	})
+	l.s.eng.AtPrio(l.s.eng.Now()+1, sim.PrioDeliver, l.doneFn)
+}
+
+// done ends the slot: the link is free and its frame has completed the
+// hop.
+func (l *link) done() {
+	f := l.cur
+	l.cur = rtFrame{}
+	l.busy = false
+	l.kick()
+	l.s.arrive(f)
 }
 
 // arrive handles a frame completing one hop: final delivery measurement
 // at a leaf edge, or hand-off (optionally shaped) to every child edge —
 // at a multicast branch point the frame is replicated, one copy per
 // subtree, each measured independently at its own leaf.
-func (s *Sim) arrive(f *rtFrame) {
-	if s.down[f.ch.route[f.hop]] {
+func (s *Sim) arrive(f rtFrame) {
+	if f.ch.route[f.hop].down {
 		// The edge died while the frame was in transit on it.
 		s.drop(f)
 		return
 	}
 	now := s.eng.Now()
+	prevDeadline := f.release + f.ch.cum[f.hop]
+	if now > prevDeadline {
+		f.ch.metrics.HopLate++
+	}
 	kids := f.ch.children[f.hop]
 	if len(kids) == 0 {
 		delay := now - f.release
 		f.ch.metrics.Delivered++
 		f.ch.metrics.Delays.Observe(delay)
 		sink := f.ch.spec.Dst
-		if leaf := f.ch.route[f.hop].To; !leaf.Switch {
+		if leaf := f.ch.route[f.hop].e.To; !leaf.Switch {
 			sink = core.NodeID(leaf.ID) // multicast: attribute to the actual sink
 		}
 		s.emit(netsim.EvDeliver, sink, f.ch.id, delay)
@@ -444,17 +519,12 @@ func (s *Sim) arrive(f *rtFrame) {
 		}
 		return
 	}
-	prevDeadline := f.release + f.ch.cum[f.hop]
-	for i, next := range kids {
+	for _, next := range kids {
 		nf := f
-		if i > 0 {
-			nf = &rtFrame{ch: f.ch, release: f.release}
-		}
 		nf.hop = next
 		if s.shaping && prevDeadline > now {
-			held := nf
 			s.emit(netsim.EvShaperHold, f.ch.spec.Dst, f.ch.id, prevDeadline)
-			s.eng.At(prevDeadline, func() { s.inject(held) })
+			s.hold(nf, prevDeadline)
 			continue
 		}
 		s.inject(nf)

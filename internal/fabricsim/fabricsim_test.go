@@ -209,3 +209,26 @@ func TestSetBudgetsInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestHopLateCountsARepartitionedWait is the mode-change mechanism of a
+// repartition with frames in flight: a period's second frame waits at
+// hop 0 while SetBudgets shortens that hop's budget to 1 slot, so the
+// frame completes hop 0 after its new hop-local deadline. HopLate
+// counts it, though the end-to-end deadline still holds.
+func TestHopLateCountsARepartitionedWait(t *testing.T) {
+	ctrl := loadLine(t, 1, topo.HSDPS{}, 1, core.ChannelSpec{C: 2, P: 100, D: 20})
+	s, err := New(ctrl.State(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := ctrl.State().Channels()[0]
+	s.Run(0) // both frames released, the first one on the wire
+	if err := s.SetBudgets(ch.ID, []int64{1, 19}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(50)
+	m := s.Channel(ch.ID)
+	if m.HopLate != 1 || m.Delivered != 2 || m.Misses != 0 {
+		t.Fatalf("HopLate %d, delivered %d, misses %d; want 1, 2, 0", m.HopLate, m.Delivered, m.Misses)
+	}
+}

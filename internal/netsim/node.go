@@ -50,6 +50,7 @@ type Node struct {
 // source generates the periodic traffic of one RT channel: C_i maximal
 // frames every P_i slots, starting at the offset.
 type source struct {
+	fire    func() // the release event, bound once
 	channel core.ChannelID
 	spec    core.ChannelSpec
 	next    int64
@@ -119,7 +120,9 @@ func (nd *Node) StartTraffic(id core.ChannelID, offset int64) error {
 		return fmt.Errorf("netsim: channel %d already has a source", id)
 	}
 	start := nd.net.eng.Now() + offset
-	nd.sources[id] = &source{channel: id, spec: ch.Spec, next: start}
+	s := &source{channel: id, spec: ch.Spec, next: start}
+	s.fire = func() { nd.release(s) }
+	nd.sources[id] = s
 	nd.sourceOrder = append(nd.sourceOrder, id)
 	nd.armSources()
 	return nil
@@ -157,7 +160,7 @@ func (nd *Node) armSource(s *source) {
 		return
 	}
 	s.armed = true
-	nd.net.eng.AtPrio(s.next, sim.PrioRelease, func() { nd.release(s) })
+	nd.net.eng.AtPrio(s.next, sim.PrioRelease, s.fire)
 }
 
 // release emits one period's worth of frames (C_i maximal frames) for a

@@ -9,9 +9,13 @@ import (
 
 // ChannelMetrics aggregates receiver-side measurements for one RT channel.
 type ChannelMetrics struct {
-	Delivered int64        // RT frames delivered to the destination RT layer
-	Misses    int64        // frames arriving after d_i + T_latency
-	Delays    *stats.Delay // end-to-end delay distribution (slots)
+	Delivered int64 // RT frames delivered to the destination RT layer
+	Misses    int64 // frames arriving after d_i + T_latency
+	// HopLate counts frames that completed a hop after their hop-local
+	// deadline (release + the budgets through that hop). Only the
+	// fabric measures it; the star reports 0.
+	HopLate int64
+	Delays  *stats.Delay // end-to-end delay distribution (slots)
 }
 
 func newChannelMetrics() *ChannelMetrics {

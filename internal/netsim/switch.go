@@ -27,6 +27,8 @@ type Switch struct {
 	// destination's ResponseFrame: channel → requesting node.
 	pendingResp map[core.ChannelID]core.NodeID
 
+	holds *hold // free list
+
 	// Counters.
 	rtForwarded    int64
 	nonRTForwarded int64
@@ -43,6 +45,27 @@ func newSwitch(n *Network) *Switch {
 		dataplane:   make(map[core.ChannelID][]core.NodeID),
 		pendingResp: make(map[core.ChannelID]core.NodeID),
 	}
+}
+
+// hold is an RT frame the release guard keeps back from a downlink
+// until it becomes eligible. Fired holds return to the switch's free
+// list.
+type hold struct {
+	sw       *Switch
+	tx       *transmitter
+	ch       *core.Channel
+	deadline int64
+	b        []byte
+	next     *hold
+	fire     func() // run, bound once
+}
+
+// run queues the held frame under the channel's downlink budget and
+// returns the hold to the free list.
+func (h *hold) run() {
+	sw, tx, ch, deadline, b := h.sw, h.tx, h.ch, h.deadline, h.b
+	h.tx, h.ch, h.b, h.next, sw.holds = nil, nil, nil, sw.holds, h
+	tx.enqueueRT(deadline, ch.Part.Down, b)
 }
 
 func (sw *Switch) attachNode(node *Node) {
@@ -169,8 +192,15 @@ func (sw *Switch) ingressRTData(b []byte) {
 		if !sw.net.cfg.DisableShaping && eligible > now {
 			sw.shapedHolds++
 			sw.net.emit(EvShaperHold, dst, id, eligible)
-			held := copyB
-			sw.net.eng.At(eligible, func() { tx.enqueueRT(deadline, ch.Part.Down, held) })
+			h := sw.holds
+			if h == nil {
+				h = &hold{sw: sw}
+				h.fire = h.run
+			} else {
+				sw.holds = h.next
+			}
+			h.tx, h.ch, h.deadline, h.b = tx, ch, deadline, copyB
+			sw.net.eng.At(eligible, h.fire)
 			continue
 		}
 		tx.enqueueRT(deadline, ch.Part.Down, copyB)

@@ -21,10 +21,13 @@ import (
 )
 
 // transmitter drives one link direction: it owns the port's two output
-// queues and transmits one frame per slot while work is pending.
+// queues and transmits one frame per slot while work is pending. Its
+// three events are bound once, and the frames on the wire wait in a
+// FIFO: each lands a fixed 1+extra slots after its decision, one
+// decision per slot, so they land in the order they were sent.
 type transmitter struct {
 	eng     *sim.Engine
-	port    *sched.Port
+	port    *sched.Port[[]byte]
 	deliver func(payload []byte, class sched.Class)
 
 	// extra is the constant propagation delay added to every delivery,
@@ -39,16 +42,27 @@ type transmitter struct {
 	busy          bool
 	decidePending bool
 	busySlots     int64 // slots spent transmitting (observed utilization)
+
+	wire                     sched.FCFSQueue[sent]
+	decideFn, freeFn, landFn func() // decide, free and land, bound once
+}
+
+// sent is a frame on the wire.
+type sent struct {
+	b     []byte
+	class sched.Class
 }
 
 func newTransmitter(eng *sim.Engine, cfg *Config, deliver func([]byte, sched.Class)) *transmitter {
-	return &transmitter{
+	tx := &transmitter{
 		eng:     eng,
-		port:    sched.NewPortWithDiscipline(cfg.NonRTQueueCap, cfg.Discipline),
+		port:    sched.NewPortWithDiscipline[[]byte](cfg.NonRTQueueCap, cfg.Discipline),
 		deliver: deliver,
 		extra:   cfg.Propagation,
 		fault:   cfg.FaultInjector,
 	}
+	tx.decideFn, tx.freeFn, tx.landFn = tx.decide, tx.free, tx.land
+	return tx
 }
 
 // enqueueRT inserts an RT frame with its link-local absolute and relative
@@ -75,7 +89,7 @@ func (tx *transmitter) kick() {
 		return
 	}
 	tx.decidePending = true
-	tx.eng.AtPrio(tx.eng.Now(), sim.PrioDecide, tx.decide)
+	tx.eng.AtPrio(tx.eng.Now(), sim.PrioDecide, tx.decideFn)
 }
 
 // decide dequeues the next frame per the port policy (EDF first, then
@@ -91,22 +105,30 @@ func (tx *transmitter) decide() {
 	}
 	tx.busy = true
 	tx.busySlots++
-	frameBytes := payload.([]byte)
+	tx.wire.Push(sent{payload, class})
 	// The link is free again after one slot (transmission time); the frame
 	// lands after transmission plus propagation. Propagation does not
 	// occupy the transmitter — links pipeline.
-	tx.eng.AtPrio(tx.eng.Now()+1, sim.PrioDeliver, func() {
-		tx.busy = false
-		tx.kick()
-	})
-	tx.eng.AtPrio(tx.eng.Now()+1+tx.extra, sim.PrioDeliver, func() {
-		b := frameBytes
-		if tx.fault != nil {
-			if b = tx.fault(tx.eng.Now(), b); b == nil {
-				tx.dropped++
-				return
-			}
+	now := tx.eng.Now()
+	tx.eng.AtPrio(now+1, sim.PrioDeliver, tx.freeFn)
+	tx.eng.AtPrio(now+1+tx.extra, sim.PrioDeliver, tx.landFn)
+}
+
+// free ends the transmission slot.
+func (tx *transmitter) free() {
+	tx.busy = false
+	tx.kick()
+}
+
+// land delivers the oldest frame on the wire to the far end.
+func (tx *transmitter) land() {
+	f, _ := tx.wire.Pop()
+	b := f.b
+	if tx.fault != nil {
+		if b = tx.fault(tx.eng.Now(), b); b == nil {
+			tx.dropped++
+			return
 		}
-		tx.deliver(b, class)
-	})
+	}
+	tx.deliver(b, f.class)
 }

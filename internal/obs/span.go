@@ -27,7 +27,8 @@ type Span struct {
 	// VerifyNs is the portion of AdmitNs spent in the EDF verification
 	// sweep (from the kernel's sweep-time counter delta).
 	VerifyNs int64 `json:"verifyNs"`
-	// PublishNs is how long posting verdicts and watch events took.
+	// PublishNs is how long publishing the verdicts on the watch feed
+	// took; the flight is recorded before its verdicts are posted.
 	PublishNs int64 `json:"publishNs"`
 	// Accepted and Rejected split the flight's verdicts.
 	Accepted int `json:"accepted"`

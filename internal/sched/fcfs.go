@@ -8,8 +8,8 @@ package sched
 //
 // The zero value is an unbounded queue; use NewFCFSQueue for a bound.
 // Not safe for concurrent use.
-type FCFSQueue struct {
-	buf   []interface{}
+type FCFSQueue[T any] struct {
+	buf   []T
 	head  int
 	n     int
 	cap   int // 0 = unbounded
@@ -18,22 +18,22 @@ type FCFSQueue struct {
 
 // NewFCFSQueue returns a queue that holds at most capacity frames;
 // capacity <= 0 means unbounded.
-func NewFCFSQueue(capacity int) *FCFSQueue {
+func NewFCFSQueue[T any](capacity int) *FCFSQueue[T] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &FCFSQueue{cap: capacity}
+	return &FCFSQueue[T]{cap: capacity}
 }
 
 // Len returns the number of queued frames.
-func (q *FCFSQueue) Len() int { return q.n }
+func (q *FCFSQueue[T]) Len() int { return q.n }
 
 // Drops returns the number of frames rejected because the queue was full.
-func (q *FCFSQueue) Drops() int64 { return q.drops }
+func (q *FCFSQueue[T]) Drops() int64 { return q.drops }
 
 // Push appends a frame; it reports false (and counts a drop) when the
 // queue is at capacity.
-func (q *FCFSQueue) Push(payload interface{}) bool {
+func (q *FCFSQueue[T]) Push(payload T) bool {
 	if q.cap > 0 && q.n >= q.cap {
 		q.drops++
 		return false
@@ -47,26 +47,28 @@ func (q *FCFSQueue) Push(payload interface{}) bool {
 }
 
 // Pop removes and returns the oldest frame; false when empty.
-func (q *FCFSQueue) Pop() (interface{}, bool) {
+func (q *FCFSQueue[T]) Pop() (T, bool) {
+	var zero T
 	if q.n == 0 {
-		return nil, false
+		return zero, false
 	}
 	p := q.buf[q.head]
-	q.buf[q.head] = nil
+	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	return p, true
 }
 
 // Peek returns the oldest frame without removing it; false when empty.
-func (q *FCFSQueue) Peek() (interface{}, bool) {
+func (q *FCFSQueue[T]) Peek() (T, bool) {
 	if q.n == 0 {
-		return nil, false
+		var zero T
+		return zero, false
 	}
 	return q.buf[q.head], true
 }
 
-func (q *FCFSQueue) grow() {
+func (q *FCFSQueue[T]) grow() {
 	newCap := len(q.buf) * 2
 	if newCap == 0 {
 		newCap = 8
@@ -74,7 +76,7 @@ func (q *FCFSQueue) grow() {
 	if q.cap > 0 && newCap > q.cap {
 		newCap = q.cap
 	}
-	nb := make([]interface{}, newCap)
+	nb := make([]T, newCap)
 	for i := 0; i < q.n; i++ {
 		nb[i] = q.buf[(q.head+i)%len(q.buf)]
 	}

@@ -57,9 +57,9 @@ func (d Discipline) String() string {
 // exactly the paper's behaviour — frames are maximal-sized, so a non-RT
 // frame in flight delays an RT frame by less than one slot, which the
 // slot-quantized analysis already accounts for.
-type Port struct {
-	rt         EDFQueue
-	nonRT      *FCFSQueue
+type Port[T any] struct {
+	rt         EDF[T]
+	nonRT      *FCFSQueue[T]
 	discipline Discipline
 
 	sentRT    int64
@@ -68,13 +68,13 @@ type Port struct {
 
 // NewPort returns an EDF port whose non-RT queue holds at most nonRTCap
 // frames (<= 0 for unbounded).
-func NewPort(nonRTCap int) *Port {
-	return NewPortWithDiscipline(nonRTCap, DisciplineEDF)
+func NewPort[T any](nonRTCap int) *Port[T] {
+	return NewPortWithDiscipline[T](nonRTCap, DisciplineEDF)
 }
 
 // NewPortWithDiscipline returns a port using the given RT queue ordering.
-func NewPortWithDiscipline(nonRTCap int, d Discipline) *Port {
-	return &Port{nonRT: NewFCFSQueue(nonRTCap), discipline: d}
+func NewPortWithDiscipline[T any](nonRTCap int, d Discipline) *Port[T] {
+	return &Port[T]{nonRT: NewFCFSQueue[T](nonRTCap), discipline: d}
 }
 
 // EnqueueRT inserts an RT frame. absDeadline is the frame's link-local
@@ -82,7 +82,7 @@ func NewPortWithDiscipline(nonRTCap int, d Discipline) *Port {
 // deadline. Which one orders the queue depends on the discipline (FIFO
 // uses neither — the queue's insertion sequence already breaks ties in
 // arrival order).
-func (p *Port) EnqueueRT(absDeadline, relDeadline int64, payload interface{}) {
+func (p *Port[T]) EnqueueRT(absDeadline, relDeadline int64, payload T) {
 	switch p.discipline {
 	case DisciplineFIFO:
 		p.rt.Push(0, payload)
@@ -94,14 +94,14 @@ func (p *Port) EnqueueRT(absDeadline, relDeadline int64, payload interface{}) {
 }
 
 // EnqueueNonRT appends a best-effort frame; false if dropped.
-func (p *Port) EnqueueNonRT(payload interface{}) bool {
+func (p *Port[T]) EnqueueNonRT(payload T) bool {
 	return p.nonRT.Push(payload)
 }
 
 // Next dequeues the frame to transmit in the coming slot: the
 // earliest-deadline RT frame if any, otherwise the oldest non-RT frame.
 // ok is false when the port is idle.
-func (p *Port) Next() (payload interface{}, class Class, ok bool) {
+func (p *Port[T]) Next() (payload T, class Class, ok bool) {
 	if it, got := p.rt.Pop(); got {
 		p.sentRT++
 		return it.Payload, ClassRT, true
@@ -110,20 +110,20 @@ func (p *Port) Next() (payload interface{}, class Class, ok bool) {
 		p.sentNonRT++
 		return f, ClassNonRT, true
 	}
-	return nil, ClassRT, false
+	return payload, ClassRT, false
 }
 
 // Busy reports whether any frame is waiting.
-func (p *Port) Busy() bool { return p.rt.Len() > 0 || p.nonRT.Len() > 0 }
+func (p *Port[T]) Busy() bool { return p.rt.Len() > 0 || p.nonRT.Len() > 0 }
 
 // QueuedRT returns the RT backlog length.
-func (p *Port) QueuedRT() int { return p.rt.Len() }
+func (p *Port[T]) QueuedRT() int { return p.rt.Len() }
 
 // QueuedNonRT returns the non-RT backlog length.
-func (p *Port) QueuedNonRT() int { return p.nonRT.Len() }
+func (p *Port[T]) QueuedNonRT() int { return p.nonRT.Len() }
 
 // Sent returns cumulative transmit counts per class.
-func (p *Port) Sent() (rt, nonRT int64) { return p.sentRT, p.sentNonRT }
+func (p *Port[T]) Sent() (rt, nonRT int64) { return p.sentRT, p.sentNonRT }
 
 // Drops returns the non-RT drop count.
-func (p *Port) Drops() int64 { return p.nonRT.Drops() }
+func (p *Port[T]) Drops() int64 { return p.nonRT.Drops() }

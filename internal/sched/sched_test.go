@@ -76,7 +76,7 @@ func TestEDFQueuePopsSorted(t *testing.T) {
 		for i, d := range deadlines {
 			q.Push(int64(d), i)
 		}
-		var popped []Item
+		var popped []Item[any]
 		for {
 			it, ok := q.Pop()
 			if !ok {
@@ -125,7 +125,7 @@ func TestEDFQueueMatchesSortReference(t *testing.T) {
 }
 
 func TestFCFSQueueOrder(t *testing.T) {
-	q := NewFCFSQueue(0)
+	q := NewFCFSQueue[any](0)
 	for i := 0; i < 100; i++ {
 		if !q.Push(i) {
 			t.Fatal("unbounded queue rejected a push")
@@ -143,7 +143,7 @@ func TestFCFSQueueOrder(t *testing.T) {
 }
 
 func TestFCFSQueueBoundAndDrops(t *testing.T) {
-	q := NewFCFSQueue(3)
+	q := NewFCFSQueue[any](3)
 	for i := 0; i < 5; i++ {
 		q.Push(i)
 	}
@@ -160,7 +160,7 @@ func TestFCFSQueueBoundAndDrops(t *testing.T) {
 }
 
 func TestFCFSQueueWrapAround(t *testing.T) {
-	q := NewFCFSQueue(4)
+	q := NewFCFSQueue[any](4)
 	// Fill, drain half, refill: exercises the ring wrap.
 	for i := 0; i < 4; i++ {
 		q.Push(i)
@@ -179,7 +179,7 @@ func TestFCFSQueueWrapAround(t *testing.T) {
 }
 
 func TestFCFSQueuePeek(t *testing.T) {
-	q := NewFCFSQueue(0)
+	q := NewFCFSQueue[any](0)
 	if _, ok := q.Peek(); ok {
 		t.Error("peek on empty returned ok")
 	}
@@ -191,7 +191,7 @@ func TestFCFSQueuePeek(t *testing.T) {
 }
 
 func TestFCFSQueueGrowPreservesOrder(t *testing.T) {
-	q := NewFCFSQueue(0)
+	q := NewFCFSQueue[any](0)
 	// Force several grows with interleaved pops so head != 0 at grow time.
 	next := 0
 	for round := 0; round < 6; round++ {
@@ -215,7 +215,7 @@ func TestFCFSQueueGrowPreservesOrder(t *testing.T) {
 }
 
 func TestPortRTStrictPriority(t *testing.T) {
-	p := NewPort(0)
+	p := NewPort[any](0)
 	p.EnqueueNonRT("tcp1")
 	p.EnqueueRT(50, 20, "rt-late")
 	p.EnqueueNonRT("tcp2")
@@ -246,7 +246,7 @@ func TestPortRTStrictPriority(t *testing.T) {
 }
 
 func TestPortBusyAndBacklogs(t *testing.T) {
-	p := NewPort(2)
+	p := NewPort[any](2)
 	if p.Busy() {
 		t.Error("new port busy")
 	}
@@ -277,7 +277,7 @@ func TestDisciplineString(t *testing.T) {
 }
 
 func TestPortDisciplineFIFO(t *testing.T) {
-	p := NewPortWithDiscipline(0, DisciplineFIFO)
+	p := NewPortWithDiscipline[any](0, DisciplineFIFO)
 	// Arrival order wins regardless of deadlines.
 	p.EnqueueRT(50, 50, "first")
 	p.EnqueueRT(10, 10, "second")
@@ -291,7 +291,7 @@ func TestPortDisciplineFIFO(t *testing.T) {
 }
 
 func TestPortDisciplineDM(t *testing.T) {
-	p := NewPortWithDiscipline(0, DisciplineDM)
+	p := NewPortWithDiscipline[any](0, DisciplineDM)
 	// Static priority by relative deadline; absolute deadlines ignored.
 	p.EnqueueRT(5, 40, "loose-but-urgent-abs")
 	p.EnqueueRT(100, 10, "tight-class")
@@ -306,7 +306,7 @@ func TestPortDisciplineDM(t *testing.T) {
 }
 
 func TestPortDisciplineEDFDefault(t *testing.T) {
-	p := NewPort(0)
+	p := NewPort[any](0)
 	p.EnqueueRT(100, 10, "late-abs")
 	p.EnqueueRT(5, 40, "early-abs")
 	got, _, _ := p.Next()

@@ -61,8 +61,10 @@ type coalescer struct {
 	// nil.
 	note        func(spec rtether.ChannelSpec, sinks []rtether.NodeID, ch *rtether.Channel, err error)
 	noteRelease func(id rtether.ChannelID)
-	// noteFlight receives one record per merged flight, after its
-	// verdicts posted; nil disables flight recording.
+	// noteFlight receives one record per merged flight, before any of
+	// its verdicts is posted, so a client that reads the flight
+	// recorder after its verdict finds its flight; nil disables flight
+	// recording.
 	noteFlight func(flightRecord)
 
 	reqs     chan *pending
@@ -240,7 +242,8 @@ func (c *coalescer) gather(batch []*pending) []*pending {
 // fly decides one merged batch. Requests whose context died while
 // queued are answered with their context error without entering the
 // kernel; requests whose context died during the flight are decided,
-// then released if admitted.
+// then released if admitted. The watch feed and the flight record are
+// written before the first verdict is posted.
 func (c *coalescer) fly(batch []*pending) {
 	live := batch[:0]
 	for _, p := range batch {
@@ -283,10 +286,8 @@ func (c *coalescer) fly(batch []*pending) {
 			if ch.Release() == nil && c.noteRelease != nil {
 				c.noteRelease(id)
 			}
-			p.out <- verdict{err: p.ctx.Err()}
-			continue
+			chs[i], errs[i] = nil, p.ctx.Err()
 		}
-		p.out <- verdict{ch: ch, err: err}
 	}
 	if c.noteFlight != nil {
 		c.noteFlight(flightRecord{
@@ -298,6 +299,9 @@ func (c *coalescer) fly(batch []*pending) {
 			accepted:  accepted,
 			rejected:  len(live) - accepted,
 		})
+	}
+	for i, p := range live {
+		p.out <- verdict{ch: chs[i], err: errs[i]}
 	}
 }
 

@@ -119,10 +119,10 @@ func newServerMetrics(s *Server, spanCap int) *serverMetrics {
 
 // onFlight records one coalesced flight into the span ring and the
 // flight-shape histograms. Called from the coalescer's dispatcher
-// goroutine, once per flight.
+// goroutine, once per flight, before the flight's verdicts are posted.
 func (s *Server) onFlight(fr flightRecord) {
 	m := s.metrics
-	sweep := s.net.AdmissionStats().SweepNs
+	sweep := s.net.SweepNs()
 	verify := sweep - m.lastSweepNs
 	m.lastSweepNs = sweep
 	m.flightMerged.Observe(int64(fr.merged))

@@ -122,6 +122,29 @@ func TestSpansFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestSpansHoldEachFlightBeforeItsVerdict reads the flight recorder
+// right after each of a run of sequential verdicts, accepted or
+// rejected, and finds that verdict's flight there every time: the
+// coalescer records a flight before it posts any of its verdicts.
+func TestSpansHoldEachFlightBeforeItsVerdict(t *testing.T) {
+	cl, _ := newTestServer(t, starNet(4))
+	ctx := context.Background()
+	for flight := int64(1); flight <= 50; flight++ {
+		_, _ = cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 100, D: 40})
+		rep, err := cl.Spans(ctx)
+		if err != nil {
+			t.Fatalf("Spans: %v", err)
+		}
+		newest := int64(0)
+		if n := len(rep.Spans); n > 0 {
+			newest = rep.Spans[n-1].Flight
+		}
+		if newest != flight {
+			t.Fatalf("after verdict %d the newest span is flight %d, want %d", flight, newest, flight)
+		}
+	}
+}
+
 // TestHeartbeat checks the periodic watch-feed heartbeat: it must
 // arrive without any admission traffic, carry the feed's sequence
 // number and the current channel count, and be typed EventHeartbeat.

@@ -6,11 +6,12 @@
 // same scenario produce identical traces — the property that makes a Go
 // reproduction of a hard-real-time system meaningful despite GC jitter.
 // Pending events wait in a calendar queue: one-slot buckets for the next
-// 1024 slots, a min-heap for those further out.
+// 8192 slots, a min-heap for those further out.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -29,13 +30,15 @@ const (
 )
 
 // The wheel's span: sources re-arm at most a period ahead (100 slots on
-// the paper's star, 400–500 on the fabrics) and best-effort generators
-// up to 1000 slots, so their events land in a bucket; a fabric's shaper
-// holds, up to a deadline ahead, mostly wait in the heap.
+// the paper's star, 400–500 on the fabrics), best-effort generators up
+// to 1000 slots and a fabric's shaper holds up to a hop-local deadline
+// ahead (4 000–6 000 slots end to end on the fabric-churn line), so all
+// of them land in a bucket; only longer waits take the heap.
 const (
-	wheelSize = 1024
+	wheelSize = 8192
 	wheelMask = wheelSize - 1
-	sparseCap = 16 // largest array a drained bucket keeps
+	minCap    = 4 // capacity of a bucket's first array
+	dense     = 3 // pool of the arrays of minCap<<dense events or more
 )
 
 type event struct {
@@ -109,14 +112,19 @@ type Engine struct {
 	// wheel[t&wheelMask] holds the events due at instant t for
 	// now <= t < now+wheelSize, one instant per bucket, in (prio, seq)
 	// order; head counts the fired events of now's bucket, which is
-	// truncated once its last one fires. Only the instants next to now
-	// are dense (a slot's deliveries and transmit decisions), so a few
-	// large arrays circulate: a bucket that fills a sparseCap array
-	// trades it for a large one, and trades back once drained.
-	wheel        [wheelSize][]queued
-	head         int
-	inWheel      int
-	large, small [][]queued
+	// released once its last one fires. The wheel is made by the first
+	// event, so a network that only admits never pays for it. Only the
+	// instants next to now are dense (a slot's deliveries and transmit
+	// decisions), so bucket arrays circulate: pools[k] holds the free
+	// ones of capacity minCap<<k, and pools[dense] those of any larger
+	// size. A bucket that fills a sparse array trades it for one of the
+	// next class, a full dense array is replaced by one twice its size,
+	// and a drained bucket gives its array back. Once the dense arrays
+	// have grown to the densest instant, scheduling allocates nothing.
+	wheel   *[wheelSize][]queued
+	head    int
+	inWheel int
+	pools   [dense + 1][][]queued
 	// far holds the events scheduled wheelSize or more slots ahead until
 	// the clock brings them within reach.
 	far farHeap
@@ -138,7 +146,9 @@ func (e *Engine) Pending() int { return e.inWheel + len(e.far) }
 // past panics — that is always a model bug.
 func (e *Engine) At(t int64, fn func()) { e.AtPrio(t, PrioDeliver, fn) }
 
-// AtPrio schedules fn at absolute time t in the given phase.
+// AtPrio schedules fn at absolute time t in the given phase. A model
+// binds what it schedules again and again (a transmitter's slot, a
+// periodic release) once, so scheduling it allocates nothing.
 func (e *Engine) AtPrio(t int64, prio Priority, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
@@ -157,31 +167,51 @@ func (e *Engine) AtPrio(t int64, prio Priority, fn func()) {
 // before anything can be scheduled directly at its instant — so ev goes
 // behind all of them but those of a later phase.
 func (e *Engine) insert(ev event) {
+	if e.wheel == nil {
+		e.wheel = new([wheelSize][]queued)
+	}
 	b := &e.wheel[ev.at&wheelMask]
 	i, lo := len(*b), 0
 	if ev.at == e.now {
 		lo = e.head
 	}
-	if n := len(e.large) - 1; i == cap(*b) && i >= sparseCap && n >= 0 && cap(e.large[n]) > i {
-		full := *b
-		*b = append(pop(&e.large), full...)
+	if full := *b; i == cap(full) && i >= minCap<<dense {
+		*b = slices.Grow(full, i)
+	} else if i == cap(full) {
+		*b = append(e.take(bits.Len(uint(i/minCap))), full...)
 		clear(full)
-		e.small = append(e.small, full[:0])
+		e.give(full)
 	}
 	for i > lo && (*b)[i-1].prio > ev.prio {
 		i--
 	}
-	*b = slices.Insert(*b, i, queued{ev.prio, ev.fn})
+	if q := (queued{ev.prio, ev.fn}); i == len(*b) {
+		*b = append(*b, q)
+	} else {
+		*b = slices.Insert(*b, i, q)
+	}
 	e.inWheel++
 }
 
-// pop removes and returns the last array of a pool.
-func pop(pool *[][]queued) []queued {
-	s := *pool
-	a := s[len(s)-1]
-	s[len(s)-1] = nil
-	*pool = s[:len(s)-1]
-	return a
+// take returns an empty array of capacity minCap<<k, or at least that
+// for k = dense.
+func (e *Engine) take(k int) []queued {
+	if p := e.pools[k]; len(p) > 0 {
+		a := p[len(p)-1]
+		p[len(p)-1] = nil
+		e.pools[k] = p[:len(p)-1]
+		return a
+	}
+	return make([]queued, 0, minCap<<k)
+}
+
+// give returns a bucket's array, whose events have all fired or moved,
+// to its pool.
+func (e *Engine) give(a []queued) {
+	if cap(a) > 0 {
+		k := min(bits.Len(uint(cap(a)/minCap))-1, dense)
+		e.pools[k] = append(e.pools[k], a[:0])
+	}
 }
 
 // advance sets the clock to t and moves the far events now within the
@@ -218,14 +248,8 @@ func (e *Engine) fire(t int64) {
 		fn := (*b)[e.head].fn
 		(*b)[e.head].fn = nil
 		if e.head++; e.head == len(*b) {
-			*b, e.head = (*b)[:0], 0
-			if cap(*b) > sparseCap {
-				e.large = append(e.large, *b)
-				*b = nil
-				if len(e.small) > 0 {
-					*b = pop(&e.small)
-				}
-			}
+			e.give(*b)
+			*b, e.head = nil, 0
 		}
 		e.inWheel--
 		e.fired++

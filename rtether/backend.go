@@ -93,6 +93,7 @@ type backend interface {
 	linkLoadDown(id NodeID) int
 	setTracer(t Tracer) bool
 	admissionStats() AdmissionStats
+	sweepNs() int64
 	writeSnapshot(w io.Writer) error
 }
 
@@ -259,6 +260,8 @@ func assembleStats(st AdmissionStats, c interface {
 	st.MeanLinkUtilization = meanUtilization
 	return st
 }
+
+func (b *starBackend) sweepNs() int64 { return b.inner.Controller().SweepNs() }
 
 func (b *starBackend) writeSnapshot(w io.Writer) error {
 	return b.inner.Controller().WriteSnapshot(w)
@@ -479,7 +482,7 @@ func (b *fabricBackend) metrics(id ChannelID) *ChannelMetrics {
 	if m == nil || m.Delivered+m.Misses == 0 {
 		return nil
 	}
-	return &ChannelMetrics{Delivered: m.Delivered, Misses: m.Misses, Delays: m.Delays.Clone()}
+	return &ChannelMetrics{Delivered: m.Delivered, Misses: m.Misses, HopLate: m.HopLate, Delays: m.Delays.Clone()}
 }
 
 // guaranteedDelay pads D with one propagation delay per hop of the
@@ -528,6 +531,8 @@ func (b *fabricBackend) admissionStats() AdmissionStats {
 	state := b.ctrl.State()
 	return assembleStats(b.tally, b.ctrl, state.LoadedLinks(), state.MeanLinkUtilization())
 }
+
+func (b *fabricBackend) sweepNs() int64 { return b.ctrl.SweepNs() }
 
 func (b *fabricBackend) writeSnapshot(w io.Writer) error {
 	return fmt.Errorf("rtether: snapshots are not supported on multi-switch networks yet")

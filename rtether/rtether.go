@@ -717,6 +717,12 @@ func (n *Network) AdmissionStats() AdmissionStats {
 	return n.be.admissionStats()
 }
 
+// SweepNs is AdmissionStats().SweepNs read in O(1) and without the
+// network's lock: the kernel's cumulative verification-sweep time, an
+// atomic counter, without the walk over every loaded link that the
+// utilization fields cost.
+func (n *Network) SweepNs() int64 { return n.be.sweepNs() }
+
 // WriteSnapshot serializes the established channels as indented JSON
 // (star networks; see core snapshot format).
 func (n *Network) WriteSnapshot(w io.Writer) error {

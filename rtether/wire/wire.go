@@ -527,7 +527,8 @@ type SpanInfo struct {
 	// accumulated during this flight (attribution is approximate when
 	// non-coalesced passes run concurrently).
 	VerifyNs int64 `json:"verifyNs"`
-	// PublishNs is the time spent fanning the verdicts out.
+	// PublishNs is the time spent publishing the verdicts on the watch
+	// feed, before they are posted to their waiters.
 	PublishNs int64 `json:"publishNs"`
 	// Accepted and Rejected split the flight's verdicts.
 	Accepted int `json:"accepted"`
