@@ -17,6 +17,7 @@ package admit
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/big"
 	"slices"
 	"sort"
@@ -24,10 +25,10 @@ import (
 	"repro/internal/edf"
 )
 
-// ID is the network-unique RT channel identifier (32 bits on the wire
-// schema; the simulated Ethernet frame format keeps the paper's 16-bit
-// field and is only exercised by scenarios far below that ceiling).
-// core.ChannelID is an alias of this type.
+// ID is the network-unique RT channel identifier. It is 32 bits wide;
+// an adapter whose frames carry fewer bits bounds it (Ops.MaxID), as the
+// star does to the paper's 16-bit channel field. core.ChannelID is an
+// alias of this type.
 type ID uint32
 
 // ref locates one hop of one channel on a link's task list: the channel's
@@ -77,6 +78,9 @@ type Ops[K comparable, Ch any, P any] struct {
 	Validate func(Ch, P)
 	// Clone deep-copies a channel for State.Clone.
 	Clone func(Ch) Ch
+	// MaxID is the largest channel ID the adapter's frames can carry;
+	// zero means the full 32 bits.
+	MaxID ID
 }
 
 var ratOne = big.NewRat(1, 1)
@@ -367,22 +371,33 @@ func (st *State[K, Ch, P]) SetNextID(id ID) { st.nextID = id }
 // including dead slots not yet compacted (tests).
 func (st *State[K, Ch, P]) OrderLen() int { return len(st.order) }
 
-// AllocID returns the next unused network-unique channel ID. IDs wrap at
-// 32 bits (the width of the RT channel ID field on the wire schema);
-// AllocID skips IDs still in use. It panics when all 2^32-1 IDs are
-// active, which a real switch could not handle either.
+// AllocID returns the next unused network-unique channel ID. IDs run
+// from 1 to Ops.MaxID (0 is reserved as "unset": request frames carry
+// 0) and wrap, skipping IDs still in use, so with few channels live an
+// allocation past the wrap costs O(1) amortized. It panics when every ID
+// is in use; Engine.Apply refuses such a decision first
+// (ErrIDsExhausted).
 func (st *State[K, Ch, P]) AllocID() ID {
-	for i := uint64(0); i < 1<<32; i++ {
+	top := st.maxID()
+	for range uint64(top) {
 		id := st.nextID
-		st.nextID++
-		if st.nextID == 0 { // reserve 0 as "unset" (request frames carry 0)
-			st.nextID = 1
+		if id == 0 || id > top {
+			id = 1
 		}
-		if _, used := st.channels[id]; !used && id != 0 {
+		st.nextID = id + 1
+		if _, used := st.channels[id]; !used {
 			return id
 		}
 	}
 	panic("admit: all RT channel IDs in use")
+}
+
+// maxID is the largest ID AllocID hands out.
+func (st *State[K, Ch, P]) maxID() ID {
+	if st.ops.MaxID == 0 {
+		return math.MaxUint32
+	}
+	return st.ops.MaxID
 }
 
 // Add inserts a channel and updates link loads and per-link caches. The

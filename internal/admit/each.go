@@ -47,7 +47,7 @@ import "slices"
 //
 // On return, Repartitioned reports the union of every channel whose
 // partition changed across all committed sub-decisions (including the
-// new channels), ascending — the precise set a running simulation must
+// new channels), each once — the precise set a running simulation must
 // re-sync, exactly as after Apply.
 func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P]) ([]Ch, []*Rejection[K]) {
 	chs := make([]Ch, n)

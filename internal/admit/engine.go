@@ -220,8 +220,8 @@ func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs.Load() }
 // batch admission scale). The count is deterministic.
 func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 
-// Repartitioned returns the IDs (ascending) of the channels whose
-// partitions changed in the last decision that committed — admitted
+// Repartitioned returns the IDs, in no particular order, of the channels
+// whose partitions changed in the last decision that committed — admitted
 // channels included. The slice is invalidated by the next mutation.
 func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 
@@ -238,14 +238,19 @@ func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
 // state is bit-identical to before — task table, summaries, establishment
 // order and ID allocator.
 //
-// A pure removal (n == 0) never fails. If its repartition fails
-// verification every remaining channel keeps the partition it had:
-// removing load can never invalidate the schedule under unchanged
-// partitions. A kept-back partition stays until a later decision touches
-// one of its channel's links, which recomputes it as usual; decisions
-// elsewhere never see it.
+// A decision that would leave more channels live than Ops.MaxID IDs is
+// refused up front, with an Inconclusive result whose Err is
+// ErrIDsExhausted. A pure removal (n == 0) never fails. If its
+// repartition fails verification every remaining channel keeps the
+// partition it had: removing load can never invalidate the schedule
+// under unchanged partitions. A kept-back partition stays until a later
+// decision touches one of its channel's links, which recomputes it as
+// usual; decisions elsewhere never see it.
 func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P]) ([]Ch, *Rejection[K]) {
 	st := e.state
+	if st.Len()-len(remove)+n > int(st.maxID()) {
+		return nil, &Rejection[K]{Result: edf.Result{Verdict: edf.Inconclusive, Err: ErrIDsExhausted}}
+	}
 	chs := make([]Ch, n)
 	st.begin()
 	savedNext := st.nextID
@@ -308,7 +313,8 @@ type partUndo[Ch any, P any] struct {
 // otherwise only the decision's new channels — and installs the ones
 // that differ (visit). It leaves the set of links to sweep in e.changed
 // and e.undo holding the old partitions, and returns the IDs of the
-// channels that moved, ascending.
+// channels that moved, in walk order (deterministic, not sorted: the
+// one reader, a fabric's budget sync, needs no order).
 func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 	st := e.state
 	e.newSet()
@@ -333,7 +339,6 @@ func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 			ids = e.visit(a, scheme, ids)
 		}
 	}
-	slices.Sort(ids)
 	e.nextIDs = ids
 	return ids
 }

@@ -1,5 +1,11 @@
 package admit
 
+import "errors"
+
+// ErrIDsExhausted refuses an admission that needs a channel ID while
+// every ID the adapter's frames can carry (Ops.MaxID) is in use.
+var ErrIDsExhausted = errors.New("admit: every RT channel ID is in use")
+
 // ReqError is what Plane.Apply returns when request Index of the list
 // fails before the feasibility test (validation; on a fabric also
 // routing; on the simulated star an unattached endpoint). It reads as its
@@ -110,8 +116,12 @@ func (p *Plane[K, Ch, P]) known(remove []ID) error {
 	return nil
 }
 
-// reject counts a kernel rejection and converts it to the adapter's error.
+// reject counts a kernel rejection and converts it to the adapter's
+// error; a full ID space names no link and is returned as itself.
 func (p *Plane[K, Ch, P]) reject(rej *Rejection[K]) error {
 	p.Stats.NoteRejection(rej.Result)
+	if errors.Is(rej.Result.Err, ErrIDsExhausted) {
+		return rej.Result.Err
+	}
 	return p.Reject(rej)
 }

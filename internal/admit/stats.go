@@ -12,7 +12,7 @@ type Stats struct {
 	RejectedNoRoute      int // unroutable or unattached-endpoint rejections
 	RejectedUtilization  int // first-constraint rejections
 	RejectedDemand       int // second-constraint rejections
-	RejectedInconclusive int // analysis hit configured limits
+	RejectedInconclusive int // analysis hit configured limits, or no channel ID was free
 	Released             int // channels torn down
 	LinksChecked         int // cumulative feasibility tests run
 	Repartitions         int // repartition passes run by the kernel

@@ -24,10 +24,11 @@ import (
 type NodeID uint16
 
 // ChannelID is the network-unique RT channel identifier assigned by the
-// switch during establishment. The 16-bit width matches the RT channel ID
-// field of the establishment frames and of the stamped IP destination
-// address (§18.2.2). It aliases the admission kernel's ID type so the
-// star and fabric controllers share one allocator implementation.
+// switch during establishment. The star's IDs fit the 16-bit RT channel
+// ID field of the establishment frames and of the stamped IP destination
+// address (§18.2.2); a fabric's use all 32 bits. It aliases the admission
+// kernel's ID type so the star and fabric controllers share one allocator
+// implementation.
 type ChannelID = admit.ID
 
 // ChannelSpec is a request for an RT channel: the {P_i, C_i, d_i} triple of

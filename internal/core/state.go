@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/admit"
 	"repro/internal/edf"
@@ -13,7 +14,8 @@ import (
 // the two-way split {d_iu, d_id}. A multicast channel traverses the
 // source uplink (hop 0) plus one downlink per sink (hops 1..N), all
 // sharing the same {d_iu, d_id} split — the data crosses the uplink once
-// and is copied onto every sink downlink by the switch.
+// and is copied onto every sink downlink by the switch. Channel IDs fit
+// the 16-bit channel field of the paper's frames (Fig. 18.3).
 var coreOps = &admit.Ops[Link, *Channel, Partition]{
 	ID:     func(ch *Channel) admit.ID { return ch.ID },
 	UtilCP: func(ch *Channel) (int64, int64) { return ch.Spec.C, ch.Spec.P },
@@ -54,6 +56,7 @@ var coreOps = &admit.Ops[Link, *Channel, Partition]{
 		c := *ch
 		return &c
 	},
+	MaxID: math.MaxUint16,
 }
 
 // State is the system state SS = {N, K} of §18.3.2: the set of currently

@@ -20,6 +20,8 @@ package fabricsim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -44,6 +46,7 @@ type rtFrame struct {
 // per-sink deliveries).
 type channelRT struct {
 	id       core.ChannelID
+	seq      uint64 // admission order (topo.HChannel.Seq)
 	spec     core.ChannelSpec
 	route    []*link // the route resolved: route[i] carries edge i
 	parents  []int   // tree shape: edge feeding edge i (-1 = root)
@@ -55,6 +58,8 @@ type channelRT struct {
 	started bool     // a periodic source has been attached
 	stopped bool     // traffic stopped (Stop/Remove); in-flight frames drain
 	armed   bool     // rel is scheduled
+	fired   bool     // a period has released frames: metrics outlive Remove
+	gone    bool     // removed or replaced: out of byID, its live entry stale
 	rel     *release // the release event, re-armed period after period
 }
 
@@ -106,14 +111,15 @@ type hold struct {
 
 // Sim is one fabric simulation run.
 type Sim struct {
-	eng      *sim.Engine
-	links    map[topo.Edge]*link
-	holds    *hold // free list
-	channels []*channelRT
-	byID     map[core.ChannelID]*channelRT
-	horizon  int64
-	shaping  bool
-	tracer   netsim.Tracer
+	eng     *sim.Engine
+	links   map[topo.Edge]*link
+	holds   *hold // free list
+	byID    map[core.ChannelID]*channelRT
+	live    []*channelRT                // byID in admission order, and gone entries until Run
+	done    map[core.ChannelID]*Metrics // removed channels that released traffic
+	horizon int64
+	shaping bool
+	tracer  netsim.Tracer
 }
 
 // SetTracer installs a flight-recorder tracer; nil disables tracing
@@ -134,7 +140,7 @@ func (s *Sim) emit(kind netsim.EventKind, node core.NodeID, ch core.ChannelID, v
 // TraceAdmission reports an establishment verdict to the tracer: the
 // star switch emits these from its wire handshake, which the fabric does
 // not model, so the fabric backend calls this at the same decision
-// points (admitted channels also trace on Install).
+// points.
 func (s *Sim) TraceAdmission(src core.NodeID, ch core.ChannelID, accepted bool, firstHop int64) {
 	if accepted {
 		s.emit(netsim.EvAdmitted, src, ch, firstHop)
@@ -149,14 +155,15 @@ type Config struct {
 	DisableShaping bool
 }
 
-// NewSim returns an empty incremental simulation. Channels are installed
-// with Install as admission accepts them and start generating traffic
-// only after Start — the dynamic counterpart of the batch constructor New.
+// NewSim returns an empty incremental simulation. Admitted channels are
+// installed with Install and generate traffic only after Start — the
+// dynamic counterpart of the batch constructor New.
 func NewSim(cfg Config) *Sim {
 	return &Sim{
 		eng:     sim.NewEngine(),
 		links:   make(map[topo.Edge]*link),
 		byID:    make(map[core.ChannelID]*channelRT),
+		done:    make(map[core.ChannelID]*Metrics),
 		shaping: !cfg.DisableShaping,
 	}
 }
@@ -185,7 +192,8 @@ func New(st *topo.State, offsets map[core.ChannelID]int64, cfg Config) (*Sim, er
 // and keeps its identity: the old incarnation's source is detached
 // (in-flight frames drain, or die on dead edges, under their old route),
 // and the new one adopts its Metrics aggregate and periodic release
-// schedule, so delivery history and phase both survive.
+// schedule, so delivery history and phase both survive. Run arms in
+// admission order (hch.Seq), not in install order.
 func (s *Sim) Install(hch *topo.HChannel) error {
 	if len(hch.Route) == 0 || len(hch.Hops) != len(hch.Route) {
 		return fmt.Errorf("fabricsim: channel %v has no installed hop budgets", hch)
@@ -193,6 +201,7 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 	parents := treeParents(hch)
 	rt := &channelRT{
 		id:       hch.ID,
+		seq:      hch.Seq,
 		spec:     hch.Spec,
 		route:    make([]*link, len(hch.Route)),
 		parents:  parents,
@@ -202,7 +211,7 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 	}
 	old := s.byID[hch.ID]
 	if old != nil {
-		rt.metrics = old.metrics
+		rt.metrics, rt.fired = old.metrics, old.fired
 		if old.started && !old.stopped {
 			rt.started = true
 			rt.next = old.next
@@ -211,20 +220,29 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 			}
 			rt.next = max(rt.next, s.eng.Now())
 		}
-		old.stopped = true
-		old.disarm()
+		s.retire(old)
 	}
-	s.channels = append(s.channels, rt)
 	s.byID[hch.ID] = rt
+	at := sort.Search(len(s.live), func(i int) bool { return s.live[i].seq > rt.seq })
+	s.live = slices.Insert(s.live, at, rt)
 	for i, e := range hch.Route {
 		rt.route[i] = s.link(e)
-	}
-	if old == nil {
-		s.emit(netsim.EvAdmitted, rt.spec.Src, rt.id, hch.Hops[0])
 	}
 	s.armRelease(rt)
 	return nil
 }
+
+// retire stops ch and marks it gone: the next Run drops its live entry.
+func (s *Sim) retire(ch *channelRT) {
+	ch.stopped, ch.gone = true, true
+	ch.disarm()
+}
+
+// Holds reports whether a channel is installed.
+func (s *Sim) Holds(id core.ChannelID) bool { return s.byID[id] != nil }
+
+// Len returns the number of installed channels.
+func (s *Sim) Len() int { return len(s.byID) }
 
 // SetBudgets replaces a channel's per-hop deadline budgets (the DPS is a
 // function of the whole system state, so admitting or releasing one
@@ -248,15 +266,15 @@ func (s *Sim) SetBudgets(id core.ChannelID, hops []int64) error {
 // Start attaches the periodic source of an installed channel: C frames
 // every P slots, first release offset slots from now.
 func (s *Sim) Start(id core.ChannelID, offset int64) error {
+	if offset < 0 {
+		return fmt.Errorf("fabricsim: negative release offset %d", offset)
+	}
 	ch := s.byID[id]
 	if ch == nil {
 		return fmt.Errorf("fabricsim: unknown channel %d", id)
 	}
 	if ch.started && !ch.stopped {
 		return fmt.Errorf("fabricsim: channel %d already has a source", id)
-	}
-	if offset < 0 {
-		return fmt.Errorf("fabricsim: negative release offset %d", offset)
 	}
 	ch.started = true
 	ch.stopped = false
@@ -278,16 +296,19 @@ func (s *Sim) Stop(id core.ChannelID) error {
 	return nil
 }
 
-// Remove stops a channel and forgets its registration so the ID can be
-// reused by a later admission. Accumulated metrics remain readable.
+// Remove stops a channel and forgets it, so the ID can be reused by a
+// later admission. Only the Metrics of a channel that released traffic
+// remain (Channel, Totals); frames still in flight drain into them.
 func (s *Sim) Remove(id core.ChannelID) error {
 	ch := s.byID[id]
 	if ch == nil {
 		return fmt.Errorf("fabricsim: unknown channel %d", id)
 	}
-	ch.stopped = true
-	ch.disarm()
+	s.retire(ch)
 	delete(s.byID, id)
+	if ch.fired {
+		s.done[id] = ch.metrics
+	}
 	return nil
 }
 
@@ -380,7 +401,8 @@ func (s *Sim) Run(horizon int64) {
 	if horizon > s.horizon {
 		s.horizon = horizon
 	}
-	for _, ch := range s.channels {
+	s.live = slices.DeleteFunc(s.live, func(ch *channelRT) bool { return ch.gone })
+	for _, ch := range s.live {
 		s.armRelease(ch)
 	}
 	s.eng.RunUntil(s.horizon)
@@ -415,7 +437,7 @@ func (r *release) run() {
 	if ch == nil {
 		return // superseded by a Stop/Start cycle; the restart re-armed
 	}
-	ch.armed = false
+	ch.armed, ch.fired = false, true
 	now := s.eng.Now()
 	for k := int64(0); k < ch.spec.C; k++ {
 		s.emit(netsim.EvRelease, ch.spec.Src, ch.id, now+ch.spec.D)
@@ -531,44 +553,37 @@ func (s *Sim) arrive(f rtFrame) {
 	}
 }
 
-// Channel returns the metrics of one channel, or nil. For a removed
-// channel whose ID was since reused, the newest incarnation wins.
+// Channel returns the metrics of an installed channel, or of a removed
+// one that released traffic, or nil. An installed channel wins over a
+// removed one under the same ID.
 func (s *Sim) Channel(id core.ChannelID) *Metrics {
 	if ch := s.byID[id]; ch != nil {
 		return ch.metrics
 	}
-	for i := len(s.channels) - 1; i >= 0; i-- {
-		if s.channels[i].id == id {
-			return s.channels[i].metrics
-		}
-	}
-	return nil
+	return s.done[id]
 }
 
-// ChannelIDs returns the distinct ID of every channel ever installed, in
-// first-install order. Released channels stay listed — their accumulated
-// metrics remain readable through Channel, which reports the newest
-// incarnation when an ID was reused.
+// ChannelIDs returns the IDs Channel answers for, ascending: the
+// installed channels and the removed ones that released traffic.
 func (s *Sim) ChannelIDs() []core.ChannelID {
-	seen := make(map[core.ChannelID]bool, len(s.channels))
-	ids := make([]core.ChannelID, 0, len(s.channels))
-	for _, ch := range s.channels {
-		if !seen[ch.id] {
-			seen[ch.id] = true
-			ids = append(ids, ch.id)
-		}
+	ids := make([]core.ChannelID, 0, len(s.byID)+len(s.done))
+	for id := range s.byID {
+		ids = append(ids, id)
 	}
+	for id := range s.done {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	return ids
 }
 
 // Totals sums delivered frames, misses and the worst observed delay.
 func (s *Sim) Totals() (delivered, misses, worst int64) {
-	for _, ch := range s.channels {
-		delivered += ch.metrics.Delivered
-		misses += ch.metrics.Misses
-		if m := ch.metrics.Delays.Max(); m > worst {
-			worst = m
-		}
+	for _, id := range s.ChannelIDs() {
+		m := s.Channel(id)
+		delivered += m.Delivered
+		misses += m.Misses
+		worst = max(worst, m.Delays.Max())
 	}
 	return delivered, misses, worst
 }

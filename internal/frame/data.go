@@ -36,7 +36,10 @@ type Data struct {
 	DstMAC   MAC
 	Deadline int64  // absolute deadline in slots; 0 <= Deadline <= MaxDeadline
 	Channel  uint16 // RT channel ID
-	Payload  []byte // UDP payload (application data)
+	// Payload is the UDP payload (application data). DecodeData aliases
+	// it into the decoded frame's bytes, without a copy: it is valid while
+	// they are, and writing either writes both.
+	Payload []byte
 }
 
 // EncodeData serializes the datagram into a full Ethernet frame.
@@ -77,7 +80,8 @@ func EncodeData(d Data) ([]byte, error) {
 }
 
 // DecodeData parses an RT data frame, validating the IP version, ToS
-// marker, header checksum and length fields.
+// marker, header checksum and length fields. The result's Payload
+// aliases b.
 func DecodeData(b []byte) (Data, error) {
 	h, err := ParseHeader(b)
 	if err != nil {
@@ -120,7 +124,7 @@ func DecodeData(b []byte) (Data, error) {
 		Channel:  binary.BigEndian.Uint16(ip[18:20]),
 	}
 	if payload := udp[8:]; len(payload) > 0 {
-		d.Payload = append([]byte(nil), payload...)
+		d.Payload = payload
 	}
 	return d, nil
 }

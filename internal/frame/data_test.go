@@ -210,3 +210,23 @@ func TestChecksumOddLength(t *testing.T) {
 		t.Errorf("odd Checksum = %04x, want %04x", got, want)
 	}
 }
+
+// TestDecodeDataAliasesPayload pins the decode contract: the payload is
+// the frame's own bytes, not a copy, so a decode allocates nothing.
+func TestDecodeDataAliasesPayload(t *testing.T) {
+	b, err := EncodeData(sampleData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeData(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff
+	if want := b[len(b)-len(got.Payload):]; !bytes.Equal(got.Payload, want) || &got.Payload[0] != &want[0] {
+		t.Fatal("decoded payload does not alias the frame")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeData(b) }); allocs != 0 {
+		t.Errorf("DecodeData allocates %v times, want 0", allocs)
+	}
+}

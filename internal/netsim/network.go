@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/edf"
@@ -79,6 +80,11 @@ type Network struct {
 	// handshakes by stepping the simulation to completion — recovers the
 	// switch-side reason from here.
 	lastReject error
+
+	// topID is the highest channel ID admission has handed out, and
+	// measured whether any receiver holds metrics (see issued).
+	topID    core.ChannelID
+	measured bool
 }
 
 // New constructs an empty network.
@@ -291,9 +297,30 @@ func (n *Network) commit(olds, chs []*core.Channel) []core.ChannelID {
 		if s := n.nodes[ch.Spec.Src].sources[ch.ID]; s != nil {
 			s.spec = ch.Spec // reconfigured: the traffic carries on under the new contract
 		}
+		n.issued(ch.ID, olds)
 		ids[i] = ch.ID
 	}
 	return ids
+}
+
+// issued notes an ID admission has handed to a channel, in a decision
+// that released olds. Channel IDs wrap at the frames' 16-bit field, so
+// past the first wrap an ID comes back, and what the receivers measured
+// under it belongs to a released channel: it goes, and the newest
+// channel under an ID wins. A channel re-admitted under its ID keeps its
+// measurements. Until the wrap every ID is new, and until traffic has
+// been measured there is nothing to forget.
+func (n *Network) issued(id core.ChannelID, olds []*core.Channel) {
+	if id > n.topID {
+		n.topID = id
+		return
+	}
+	if !n.measured || slices.ContainsFunc(olds, func(old *core.Channel) bool { return old != nil && old.ID == id }) {
+		return
+	}
+	for _, node := range n.nodes {
+		delete(node.rxChannels, id)
+	}
 }
 
 // checkEndpoints verifies that the source and the destination — every
@@ -394,5 +421,6 @@ func (n *Network) ForceChannel(spec core.ChannelSpec, part core.Partition) (core
 		return 0, err
 	}
 	n.sw.dataplane[ch.ID] = fanout(ch)
+	n.issued(ch.ID, nil)
 	return ch.ID, nil
 }

@@ -34,9 +34,10 @@ type Node struct {
 
 	// Traffic sources for channels originating here. sourceOrder keeps
 	// attachment order so (re)arming is deterministic — map iteration
-	// order must never influence the schedule.
+	// order must never influence the schedule; armSources drops the
+	// stopped sources from it as it walks.
 	sources     map[core.ChannelID]*source
-	sourceOrder []core.ChannelID
+	sourceOrder []*source
 
 	// Receiver-side metrics.
 	rxChannels map[core.ChannelID]*ChannelMetrics
@@ -123,7 +124,7 @@ func (nd *Node) StartTraffic(id core.ChannelID, offset int64) error {
 	s := &source{channel: id, spec: ch.Spec, next: start}
 	s.fire = func() { nd.release(s) }
 	nd.sources[id] = s
-	nd.sourceOrder = append(nd.sourceOrder, id)
+	nd.sourceOrder = append(nd.sourceOrder, s)
 	nd.armSources()
 	return nil
 }
@@ -136,13 +137,18 @@ func (nd *Node) stopSource(id core.ChannelID) {
 }
 
 // armSources (re)schedules release events for all sources whose next
-// release falls within the network horizon, in attachment order.
+// release falls within the network horizon, in attachment order, and
+// forgets the stopped ones.
 func (nd *Node) armSources() {
-	for _, id := range nd.sourceOrder {
-		if s := nd.sources[id]; s != nil {
+	live := nd.sourceOrder[:0]
+	for _, s := range nd.sourceOrder {
+		if !s.stopped {
 			nd.armSource(s)
+			live = append(live, s)
 		}
 	}
+	clear(nd.sourceOrder[len(live):])
+	nd.sourceOrder = live
 }
 
 func (nd *Node) armSource(s *source) {
@@ -274,13 +280,17 @@ func (nd *Node) receive(b []byte, _ sched.Class) {
 // noteLinkDrop counts a frame lost to a dead link as a missed deadline
 // of the channel at this receiver — data that never arrives is the
 // hardest possible deadline miss.
-func (nd *Node) noteLinkDrop(id core.ChannelID) {
+func (nd *Node) noteLinkDrop(id core.ChannelID) { nd.rx(id).Misses++ }
+
+// rx returns the receiver metrics of a channel, made on first use.
+func (nd *Node) rx(id core.ChannelID) *ChannelMetrics {
 	m := nd.rxChannels[id]
 	if m == nil {
 		m = newChannelMetrics()
 		nd.rxChannels[id] = m
+		nd.net.measured = true
 	}
-	m.Misses++
+	return m
 }
 
 // receiveRTData validates and measures an RT datagram against the
@@ -292,11 +302,7 @@ func (nd *Node) receiveRTData(b []byte) {
 		return
 	}
 	id := core.ChannelID(d.Channel)
-	m := nd.rxChannels[id]
-	if m == nil {
-		m = newChannelMetrics()
-		nd.rxChannels[id] = m
-	}
+	m := nd.rx(id)
 	release := int64(binary.BigEndian.Uint64(d.Payload[0:8]))
 	now := nd.net.eng.Now()
 	delay := now - release

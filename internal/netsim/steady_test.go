@@ -32,11 +32,10 @@ func paperStar(tb testing.TB) *Network {
 }
 
 // TestSteadyStateAllocatesOnlyFrames pins the star's allocation count:
-// once the population runs, a 1000-slot block allocates exactly two
-// objects per RT frame, both in the frame codec: the sender's wire
-// encoding (frame.EncodeData) and the receiver's payload copy
-// (frame.DecodeData). Events, queue entries, frames on the wire and
-// shaper holds allocate nothing. Each channel's delay reservoir is
+// once the population runs, a 1000-slot block allocates exactly one
+// object per RT frame, the sender's wire encoding (frame.EncodeData).
+// The receiver decodes in place; events, queue entries, frames on the
+// wire and shaper holds allocate nothing. Each channel's delay reservoir is
 // filled first, so its one-time growth does not count.
 func TestSteadyStateAllocatesOnlyFrames(t *testing.T) {
 	n := paperStar(t)
@@ -55,8 +54,8 @@ func TestSteadyStateAllocatesOnlyFrames(t *testing.T) {
 	if frames < 1000 || rep.TotalMisses() != 0 {
 		t.Fatalf("%v frames a block, %d misses: the population is not running", frames, rep.TotalMisses())
 	}
-	if allocs != 2*frames {
-		t.Errorf("a 1000-slot block allocates %v times for %v frames, want two per frame", allocs, frames)
+	if allocs != frames {
+		t.Errorf("a 1000-slot block allocates %v times for %v frames, want one per frame", allocs, frames)
 	}
 }
 

@@ -245,6 +245,7 @@ func (sw *Switch) ingressConnect(from *Node, b []byte) {
 		sw.reply(from.id, frame.Response{Accept: false, ReqID: req.ReqID})
 		return
 	}
+	sw.net.issued(ch.ID, nil)
 	sw.net.emit(EvAdmitted, from.id, ch.ID, int64(ch.Part.Up))
 	// Feasible: forward the request, now carrying the assigned ID, to the
 	// destination for its consent.

@@ -48,6 +48,7 @@ type Controller struct {
 	topo *Topology
 	cfg  Config
 	p    admit.Plane[Edge, *HChannel, []int64]
+	seq  uint64 // the last HChannel.Seq handed out
 }
 
 // NewController builds a controller over a fixed topology.
@@ -135,12 +136,15 @@ func (c *Controller) prepare(r Req) (*HChannel, error) {
 
 // instance returns a tentative copy of a prepared channel for the kernel,
 // which may construct a request more than once while it narrows down
-// failures. IDs start at 1, so 0 marks "allocate".
-func instance(prepared *HChannel, id core.ChannelID) *HChannel {
+// failures. IDs start at 1, so 0 marks "allocate". Instances are numbered
+// (Seq): the kernel commits them in the order it constructs them.
+func (c *Controller) instance(prepared *HChannel, id core.ChannelID) *HChannel {
 	hc := *prepared
 	if hc.ID == 0 {
 		hc.ID = id
 	}
+	c.seq++
+	hc.Seq = c.seq
 	return &hc
 }
 
@@ -183,7 +187,7 @@ func (c *Controller) prepareAll(reqs []Req) (func(int) error, func(int, core.Cha
 			prepared[i], err = c.prepare(reqs[i])
 			return err
 		}, func(i int, id core.ChannelID) *HChannel {
-			return instance(prepared[i], id)
+			return c.instance(prepared[i], id)
 		}
 }
 

@@ -30,6 +30,9 @@ type HChannel struct {
 	// Leaves[k] is the index of the edge delivering to Sinks[k].
 	Sinks  []core.NodeID
 	Leaves []int
+
+	// Seq orders channels by admission; a re-admission gets a new one.
+	Seq uint64
 }
 
 // String implements fmt.Stringer.

@@ -56,7 +56,7 @@ func (r *reference) replace(remove []core.ChannelID, reqs []Req) ([]*HChannel, [
 		if err != nil {
 			panic(fmt.Sprintf("reference: request %v: %v", q, err))
 		}
-		chs[i] = instance(p, next.allocID())
+		chs[i] = r.router.instance(p, next.allocID())
 		next.add(chs[i])
 		touched = append(touched, chs[i].Route...)
 	}

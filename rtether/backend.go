@@ -25,7 +25,7 @@ type AdmissionStats struct {
 	RejectedNoRoute      int // unroutable/unknown-endpoint rejections
 	RejectedUtilization  int // first-constraint (U > 1) rejections
 	RejectedDemand       int // second-constraint (h(t) > t) rejections
-	RejectedInconclusive int // analysis hit configured limits
+	RejectedInconclusive int // analysis hit configured limits, or no channel ID was free
 	Released             int // channels torn down
 	LinksChecked         int // cumulative per-link feasibility tests
 	// VerifyCacheHits counts the LinksChecked answers the kernel's
@@ -273,7 +273,10 @@ func (b *starBackend) writeSnapshot(w io.Writer) error {
 type fabricBackend struct {
 	top  *Topology
 	ctrl *topo.Controller
+	// sim holds the started channels: installed at the first Start,
+	// removed at release. held counts them, to catch a lost one.
 	sim  *fabricsim.Sim
+	held int
 	prop int64
 
 	// policy is the survivability ladder rung applied when a
@@ -341,12 +344,13 @@ func (b *fabricBackend) applyEach(remove []ChannelID, reqs []core.Req) ([]Channe
 
 // commit brings the running simulation in line with one committed
 // decision that released remove and admitted chs (parallel to reqs; nil
-// entries are rejected requests). Admitted channels are installed — one
-// re-admitted under its ID keeps its measurements and release phase. A
-// released channel leaves the simulation unless a request of the decision
-// re-admits it under its ID: a refused re-admission is left to the
-// caller (failure recovery's policy ladder). The budgets the decision
-// repartitioned are re-synced once.
+// entries are rejected requests). A re-admitted channel the simulation
+// holds moves to its new route, keeping its measurements and release
+// phase; the others wait for their first Start. A released channel
+// leaves the simulation unless a request of the decision re-admits it
+// under its ID: a refused re-admission is left to the caller (failure
+// recovery's policy ladder). The budgets the decision repartitioned are
+// re-synced once.
 func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.HChannel) []ChannelID {
 	var readmitted map[ChannelID]bool
 	for _, r := range reqs {
@@ -367,10 +371,11 @@ func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.
 		if ch == nil {
 			continue
 		}
-		if err := b.sim.Install(ch); err != nil {
-			// Admission and the simulator disagree on the channel's identity —
-			// a programming error, not a runtime condition.
-			panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
+		switch {
+		case b.sim.Holds(ch.ID):
+			b.install(ch)
+		case !reqs[i].KeepID:
+			b.sim.TraceAdmission(ch.Spec.Src, ch.ID, true, ch.Hops[0])
 		}
 		ids[i] = ch.ID
 	}
@@ -378,27 +383,42 @@ func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.
 	return ids
 }
 
+// install puts an admitted channel into the simulation under its
+// committed route and budgets.
+func (b *fabricBackend) install(ch *topo.HChannel) {
+	if err := b.sim.Install(ch); err != nil {
+		// Admission and the simulator disagree on the channel's identity —
+		// a programming error, not a runtime condition.
+		panic(fmt.Sprintf("rtether: installing admitted channel: %v", err))
+	}
+}
+
 // simRemove takes a released channel's traffic out of the simulation.
 func (b *fabricBackend) simRemove(id ChannelID) {
-	if err := b.sim.Remove(id); err != nil {
-		// The controller released a channel the simulation does not know —
-		// admission state and the running sim have diverged, which is a
-		// programming error, not a runtime condition (same contract as the
-		// Install panic in commit).
-		panic(fmt.Sprintf("rtether: removing released channel from simulation: %v", err))
+	if b.sim.Holds(id) {
+		_ = b.sim.Remove(id) // held: it cannot fail
+		b.held--
+	} else if b.sim.Len() != b.held {
+		// The simulation lost a started channel: admission state and the
+		// running sim have diverged, which is a programming error, not a
+		// runtime condition (same contract as the Install panic).
+		panic(fmt.Sprintf("rtether: removing released channel %d: the simulation holds %d channels, not %d", id, b.sim.Len(), b.held))
 	}
 }
 
 // syncBudgets pushes committed per-hop budgets into the running
-// simulation for exactly the given channels — the controller reports the
-// precise set a mutation repartitioned (Repartitioned), so establish and
-// release touch only deltas instead of re-pushing all N channels.
+// simulation for exactly the given channels it holds — the controller
+// reports the precise set a mutation repartitioned (Repartitioned), so
+// establish and release touch only deltas instead of re-pushing all N.
 func (b *fabricBackend) syncBudgets(ids []core.ChannelID) {
+	if b.held == 0 {
+		return
+	}
 	st := b.ctrl.State()
 	for _, id := range ids {
 		hch := st.Get(id)
-		if hch == nil {
-			continue // repartition delta of a just-released channel
+		if hch == nil || !b.sim.Holds(id) {
+			continue // a just-released channel, or one not started
 		}
 		if err := b.sim.SetBudgets(hch.ID, hch.Hops); err != nil {
 			panic(fmt.Sprintf("rtether: syncing hop budgets: %v", err))
@@ -414,8 +434,13 @@ func (b *fabricBackend) teardown(id ChannelID) error {
 }
 
 func (b *fabricBackend) startTraffic(id ChannelID, offset int64) error {
-	if b.ctrl.State().Get(id) == nil {
+	hch := b.ctrl.State().Get(id)
+	if hch == nil {
 		return errUnknownChannel(id)
+	}
+	if !b.sim.Holds(id) && offset >= 0 {
+		b.install(hch)
+		b.held++
 	}
 	return b.sim.Start(id, offset)
 }

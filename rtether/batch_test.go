@@ -208,11 +208,15 @@ func TestFabricAllMissChannelInReport(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected fabric backend, got %T", n.be)
 	}
-	// Force the all-miss accounting shape directly on the simulator's
-	// metrics: misses recorded, nothing counted as delivered.
+	// The simulation holds the channel from its first Start on. Force
+	// the all-miss accounting shape directly on its metrics: misses
+	// recorded, nothing counted as delivered.
+	if err := ch.Start(0); err != nil {
+		t.Fatal(err)
+	}
 	m := fb.sim.Channel(ch.ID())
 	if m == nil {
-		t.Fatal("installed channel has no simulator metrics")
+		t.Fatal("started channel has no simulator metrics")
 	}
 	m.Misses = 4
 
@@ -265,13 +269,16 @@ func TestGuaranteedDelayNoRoute(t *testing.T) {
 }
 
 // TestFabricReleaseDivergencePanics pins the release error contract: if
-// the admission state releases a channel the running simulation does not
-// know, the backend must fail loudly (matching establish's Install
+// the admission state releases a started channel the running simulation
+// has lost, the backend must fail loudly (matching establish's Install
 // contract) instead of silently letting the two diverge.
 func TestFabricReleaseDivergencePanics(t *testing.T) {
 	n := New(WithTopology(lineTopology(t, 2)), WithHDPS(HSDPS()))
 	ch, err := n.Establish(ChannelSpec{Src: 0, Dst: 100, C: 3, P: 100, D: 60})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Start(0); err != nil { // the simulation holds it from here on
 		t.Fatal(err)
 	}
 	fb := n.be.(*fabricBackend)

@@ -35,8 +35,9 @@ type Channel struct {
 	closed bool
 }
 
-// ID returns the network-unique RT channel identifier (16 bits on the
-// wire), for logs and for correlating with Report.Channels.
+// ID returns the network-unique RT channel identifier (16 bits in a
+// star's frames, 32 on a fabric), for logs and for correlating with
+// Report.Channels.
 func (c *Channel) ID() ChannelID { return c.id }
 
 // Spec returns the committed channel spec {Src, Dst, P, C, D}. For a

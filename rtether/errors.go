@@ -3,10 +3,16 @@ package rtether
 import (
 	"fmt"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/edf"
 	"repro/internal/topo"
 )
+
+// ErrIDsExhausted refuses an establishment that finds every channel ID
+// in use. A star's IDs are the 16-bit channel field of the paper's frames
+// (1..65535); a fabric's are 32 bits.
+var ErrIDsExhausted = admit.ErrIDsExhausted
 
 // LinkDir classifies the direction of the pseudo-processor (one directed
 // half of a full-duplex physical link) named in an AdmissionError.

@@ -355,8 +355,8 @@ func (b *fabricBackend) failAndRecover(dead []topo.Edge) *FailoverReport {
 }
 
 // recoverFailed applies the configured policy ladder to one channel the
-// recovery pass rejected. Its reservation is gone, its traffic still in
-// the simulation.
+// recovery pass rejected. Its reservation is gone, its traffic, if
+// started, still in the simulation.
 func (b *fabricBackend) recoverFailed(req core.Req, admErr error, rep *FailoverReport) {
 	switch b.policy {
 	case FailDegrade:

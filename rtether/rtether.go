@@ -83,8 +83,8 @@ import (
 type (
 	// NodeID identifies an end-node.
 	NodeID = core.NodeID
-	// ChannelID is the network-unique RT channel identifier (16 bits on
-	// the wire).
+	// ChannelID is the network-unique RT channel identifier (16 bits in
+	// a star's frames, 32 on a fabric).
 	ChannelID = core.ChannelID
 	// ChannelSpec is a channel request {Src, Dst, P, C, D} in slots.
 	ChannelSpec = core.ChannelSpec
