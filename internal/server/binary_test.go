@@ -264,3 +264,33 @@ func TestBinaryServerCloseFailsCalls(t *testing.T) {
 		t.Fatal("establish after Close succeeded")
 	}
 }
+
+// TestIDsExhaustedTypedOverTheWire fills a star's ID space in process:
+// the next establishment is refused with ids_exhausted over JSON and
+// over binary, and the client maps it back to rtether.ErrIDsExhausted.
+func TestIDsExhaustedTypedOverTheWire(t *testing.T) {
+	rtnet := starNet(2)
+	spec := rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 1 << 20, D: 1 << 21}
+	specs := make([]rtether.ChannelSpec, 0xffff)
+	for i := range specs {
+		specs[i] = spec
+	}
+	if _, err := rtnet.EstablishAll(specs); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { <-done })
+	jsonCl, srv := newTestServer(t, rtnet)
+	go func() { defer close(done); _ = srv.ServeBinary(ln) }()
+	binCl := client.New("http://127.0.0.1:0", client.WithTransport(client.TransportBinary), client.WithBinaryAddr(ln.Addr().String()))
+	t.Cleanup(binCl.CloseIdleConnections)
+	for name, cl := range map[string]*client.Client{"json": jsonCl, "binary": binCl} {
+		if _, err := cl.Establish(context.Background(), spec); !errors.Is(err, rtether.ErrIDsExhausted) {
+			t.Errorf("%s establish with every ID live: %v, want ErrIDsExhausted", name, err)
+		}
+	}
+}

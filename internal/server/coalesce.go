@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,7 @@ type pending struct {
 	spec  rtether.ChannelSpec
 	sinks []rtether.NodeID
 	ctx   context.Context
-	out   chan verdict // buffered(1); the flight posts exactly one verdict
+	out   chan verdict // buffered(1); a flight or close posts exactly one verdict
 	enq   time.Time    // when the request entered the queue (coalesce-wait accounting)
 }
 
@@ -44,15 +45,15 @@ type verdict struct {
 // requests — unicast and multicast alike — that arrive while a merged
 // admission pass ("flight") is in progress, or within the configured
 // window, are batched into one Network.EstablishEachMixed call, so N
-// clients cost one repartition and one verification sweep instead of N. Each request still receives its own
-// accept/reject verdict (the kernel's per-spec batch admission), so
-// coalescing is invisible to callers except in latency and in
-// AdmissionStats.Repartitions.
+// clients cost one repartition and one verification sweep instead of
+// N. Each request still receives its own verdict, so coalescing is
+// invisible to callers except in latency and AdmissionStats.Repartitions.
 //
-// A single dispatcher goroutine owns the batching loop; requests queue
-// on a buffered channel, which is what makes "merge while in flight"
-// happen naturally — everything that queued during the previous
-// EstablishEach is drained into the next flight in one gulp.
+// Flights are group commits under one mutex, one at a time: a caller
+// that finds no flight in progress leads, flying the queue (its own
+// request included) inline. What queues during a flight merges into
+// the next, flown by one goroutine the leader starts, which exits when
+// the queue is empty.
 type coalescer struct {
 	net    *rtether.Network
 	window time.Duration
@@ -67,10 +68,11 @@ type coalescer struct {
 	// recording.
 	noteFlight func(flightRecord)
 
-	reqs     chan *pending
-	quit     chan struct{}
-	done     chan struct{}
-	quitOnce sync.Once
+	mu     sync.Mutex
+	landed sync.Cond  // broadcast when the flights stop: the queue is empty
+	queue  []*pending // requests waiting for the next flight, one per blocked caller
+	flying bool       // a flight is in progress or about to start
+	closed bool
 
 	establishes atomic.Int64
 	flights     atomic.Int64
@@ -81,10 +83,10 @@ type coalescer struct {
 // how many frames one binary connection may have in flight.
 const maxBatch = 1024
 
-// newCoalescer starts the dispatcher. window > 0 additionally holds the
-// first request of a batch back up to that long to let more requests
-// join; window == 0 (the recommended default) merges exactly what
-// queued while the previous flight ran, adding no idle latency.
+// newCoalescer builds the front-end; it starts nothing. window > 0
+// holds each flight back up to that long to let more requests join;
+// window == 0 (the recommended default) merges exactly what queued
+// while the previous flight ran, adding no idle latency.
 func newCoalescer(net *rtether.Network, window time.Duration, note func(rtether.ChannelSpec, []rtether.NodeID, *rtether.Channel, error), noteRelease func(rtether.ChannelID), noteFlight func(flightRecord)) *coalescer {
 	c := &coalescer{
 		net:         net,
@@ -92,19 +94,12 @@ func newCoalescer(net *rtether.Network, window time.Duration, note func(rtether.
 		note:        note,
 		noteRelease: noteRelease,
 		noteFlight:  noteFlight,
-		reqs:        make(chan *pending, maxBatch),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
-	go c.run()
+	c.landed.L = &c.mu
 	return c
 }
 
-// establish submits one spec and blocks until its verdict arrives, the
-// context is canceled, or the coalescer shuts down. If the context is
-// canceled after the request joined a flight, the flight still decides
-// it — and releases the channel again if it was admitted, so a vanished
-// client cannot leak a reservation.
+// establish submits one unicast spec (see submit).
 func (c *coalescer) establish(ctx context.Context, spec rtether.ChannelSpec) (*rtether.Channel, error) {
 	return c.submit(&pending{spec: spec, ctx: ctx, out: make(chan verdict, 1)})
 }
@@ -117,61 +112,53 @@ func (c *coalescer) establishMulticast(ctx context.Context, spec rtether.Multica
 	return c.submit(&pending{spec: spec.ChannelSpec(), sinks: spec.Sinks, ctx: ctx, out: make(chan verdict, 1)})
 }
 
-// submit enqueues one request and blocks until its verdict arrives, the
-// context is canceled, or the coalescer shuts down.
+// submit queues one request and blocks until its verdict arrives, the
+// context is canceled, or the coalescer shuts down. A leader that finds
+// more queued after its flight hands them to one goroutine and returns.
 func (c *coalescer) submit(p *pending) (*rtether.Channel, error) {
-	ctx := p.ctx
 	p.enq = time.Now()
 	c.establishes.Add(1)
-	select {
-	case <-c.quit:
-		return nil, rtether.ErrClosed
-	default:
-	}
-	select {
-	case c.reqs <- p:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-c.quit:
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return nil, rtether.ErrClosed
 	}
+	c.queue = append(c.queue, p)
+	lead := !c.flying
+	c.flying = true
+	c.mu.Unlock()
+	if !lead {
+		return c.await(p)
+	}
+	if c.flight() {
+		go func() {
+			for c.flight() {
+			}
+		}()
+	}
+	v := <-p.out
+	return v.ch, v.err
+}
+
+// await waits for a queued request's verdict. A caller whose context
+// ends takes its request off the queue; if it already joined a flight,
+// the caller waits for the verdict anyway, so that an admission is
+// given back, never stranded unread.
+func (c *coalescer) await(p *pending) (*rtether.Channel, error) {
 	select {
 	case v := <-p.out:
 		return v.ch, v.err
-	case <-ctx.Done():
-		// Once enqueued, the request is answered exactly once — by a
-		// flight or by the shutdown drain. Wait for that verdict even
-		// though the caller is gone: if it was an admission, the
-		// reservation must be given back, never stranded unread.
-		select {
-		case v := <-p.out:
-			c.releaseOrphan(v)
-			return nil, ctx.Err()
-		case <-c.done:
-			if v, ok := c.takeVerdict(p); ok {
-				c.releaseOrphan(v)
-			}
-			return nil, ctx.Err()
-		}
-	case <-c.done:
-		// Shutdown raced the enqueue. The dispatcher's final drain may
-		// already have passed before our request landed in the queue, so
-		// only a posted verdict counts — never block on one.
-		if v, ok := c.takeVerdict(p); ok {
-			return v.ch, v.err
-		}
-		return nil, rtether.ErrClosed
+	case <-p.ctx.Done():
 	}
-}
-
-// takeVerdict reads a posted verdict without blocking.
-func (c *coalescer) takeVerdict(p *pending) (verdict, bool) {
-	select {
-	case v := <-p.out:
-		return v, true
-	default:
-		return verdict{}, false
+	c.mu.Lock()
+	if i := slices.Index(c.queue, p); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
+		c.mu.Unlock()
+		return nil, p.ctx.Err()
 	}
+	c.mu.Unlock()
+	c.releaseOrphan(<-p.out)
+	return nil, p.ctx.Err()
 }
 
 // releaseOrphan gives back a channel admitted for a caller that is no
@@ -186,57 +173,43 @@ func (c *coalescer) releaseOrphan(v verdict) {
 	}
 }
 
-// close stops the dispatcher and fails queued requests with ErrClosed.
-// Idempotent.
+// flight holds the next flight back for the window, then flies up to
+// maxBatch queued requests. It reports whether more requests queued
+// meanwhile; if none did, the flights stop until the next leader.
+func (c *coalescer) flight() (more bool) {
+	time.Sleep(c.window) // at once when the window is 0
+	c.mu.Lock()
+	batch := c.queue
+	if len(batch) > maxBatch {
+		batch, c.queue = batch[:maxBatch:maxBatch], batch[maxBatch:]
+	} else {
+		c.queue = nil
+	}
+	c.mu.Unlock()
+	c.fly(batch)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.queue) > 0 {
+		return true
+	}
+	c.flying = false
+	c.landed.Broadcast()
+	return false
+}
+
+// close fails every queued request with ErrClosed, refuses later ones,
+// and waits for the flight in progress to land. Idempotent.
 func (c *coalescer) close() {
-	c.quitOnce.Do(func() { close(c.quit) })
-	<-c.done
-}
-
-// run is the dispatcher loop: wait for one request, gather the batch,
-// fly it, repeat.
-func (c *coalescer) run() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.quit:
-			c.failQueued()
-			return
-		case p := <-c.reqs:
-			c.fly(c.gather([]*pending{p}))
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for _, p := range c.queue {
+		p.out <- verdict{err: rtether.ErrClosed}
 	}
-}
-
-// gather accumulates requests into the batch: everything already queued
-// always joins (that is the merge-while-in-flight behaviour); with a
-// positive window the dispatcher also waits up to window for more.
-func (c *coalescer) gather(batch []*pending) []*pending {
-	for len(batch) < maxBatch {
-		select {
-		case p := <-c.reqs:
-			batch = append(batch, p)
-			continue
-		default:
-		}
-		break
+	c.queue = nil
+	for c.flying {
+		c.landed.Wait()
 	}
-	if c.window <= 0 || len(batch) >= maxBatch {
-		return batch
-	}
-	timer := time.NewTimer(c.window)
-	defer timer.Stop()
-	for len(batch) < maxBatch {
-		select {
-		case p := <-c.reqs:
-			batch = append(batch, p)
-		case <-timer.C:
-			return batch
-		case <-c.quit:
-			return batch
-		}
-	}
-	return batch
 }
 
 // fly decides one merged batch. Requests whose context died while
@@ -302,17 +275,5 @@ func (c *coalescer) fly(batch []*pending) {
 	}
 	for i, p := range live {
 		p.out <- verdict{ch: chs[i], err: errs[i]}
-	}
-}
-
-// failQueued rejects everything still queued at shutdown.
-func (c *coalescer) failQueued() {
-	for {
-		select {
-		case p := <-c.reqs:
-			p.out <- verdict{err: rtether.ErrClosed}
-		default:
-			return
-		}
 	}
 }

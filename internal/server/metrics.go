@@ -34,8 +34,9 @@ type serverMetrics struct {
 	flightAdmit  *obs.Histogram
 
 	// lastSweepNs attributes verification-sweep time to flights by
-	// differencing the kernel's cumulative sweep counter. Only the
-	// coalescer's single dispatcher goroutine touches it, so no lock;
+	// differencing the kernel's cumulative sweep counter. Only onFlight
+	// touches it, and the coalescer's mutex keeps flights one at a time
+	// and orders each after the last, so it needs no lock of its own;
 	// concurrent non-coalesced passes (establishAll, failover) make the
 	// attribution approximate, never wrong in total.
 	lastSweepNs int64
@@ -118,8 +119,8 @@ func newServerMetrics(s *Server, spanCap int) *serverMetrics {
 }
 
 // onFlight records one coalesced flight into the span ring and the
-// flight-shape histograms. Called from the coalescer's dispatcher
-// goroutine, once per flight, before the flight's verdicts are posted.
+// flight-shape histograms. Called once per flight, by whichever caller
+// or goroutine flies it, before the flight's verdicts are posted.
 func (s *Server) onFlight(fr flightRecord) {
 	m := s.metrics
 	sweep := s.net.SweepNs()
@@ -141,36 +142,25 @@ func (s *Server) onFlight(fr flightRecord) {
 	})
 }
 
-// mountRoutes registers every op and the two streams on the mux,
-// wrapped in the per-endpoint request counter and duration histogram,
-// and gives each binary op its dispatch histogram. All counters are
-// registered before all histograms so each family stays contiguous in
-// the exposition (one HELP/TYPE header per family). For streaming
-// endpoints (watch, subscribe) the recorded duration spans the whole
-// stream lifetime.
+// mountRoutes registers every op and the two streams on the mux with
+// their per-endpoint request counter and duration histogram, and gives
+// each binary op its dispatch histogram. All counters are registered
+// before all histograms so each family stays contiguous in the
+// exposition (one HELP/TYPE header per family). For streaming endpoints
+// (watch, subscribe) the recorded duration spans the whole stream
+// lifetime.
 func (s *Server) mountRoutes(ops []*binding) {
 	reg := s.metrics.reg
 	routes := append(ops[:len(ops):len(ops)],
-		&binding{method: http.MethodGet, path: wire.WatchPath, http: s.handleWatch},
-		&binding{method: http.MethodGet, path: wire.SubscribePath, http: s.handleSubscribe})
-	counters := make([]*obs.Counter, len(routes))
-	for i, rt := range routes {
-		counters[i] = reg.Counter("rtether_requests_total", "HTTP requests served by endpoint.",
+		streamed(wire.WatchPath, s.handleWatch), streamed(wire.SubscribePath, s.handleSubscribe))
+	for _, rt := range routes {
+		rt.reqs = reg.Counter("rtether_requests_total", "HTTP requests served by endpoint.",
 			obs.Label{Key: "endpoint", Value: rt.path})
 	}
-	durs := make([]*obs.Histogram, len(routes))
-	for i, rt := range routes {
-		durs[i] = reg.Histogram("rtether_request_duration_ns", "HTTP request duration by endpoint.",
+	for _, rt := range routes {
+		rt.httpDur = reg.Histogram("rtether_request_duration_ns", "HTTP request duration by endpoint.",
 			obs.Label{Key: "endpoint", Value: rt.path})
-	}
-	for i, rt := range routes {
-		c, h, fn := counters[i], durs[i], rt.http
-		s.mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			fn(w, r)
-			c.Inc()
-			h.Observe(time.Since(start).Nanoseconds())
-		})
+		s.mux.HandleFunc(rt.method+" "+rt.path, rt.http)
 	}
 	s.metrics.binWrites = reg.Counter("rtether_binary_writes_total",
 		"write(2) calls carrying binary reply frames; each writes every reply queued by then.")

@@ -2,11 +2,18 @@ package server_test
 
 import (
 	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/rtether"
+	"repro/rtether/client"
 	"repro/rtether/wire"
 )
 
@@ -178,5 +185,96 @@ func TestHeartbeat(t *testing.T) {
 			t.Fatalf("heartbeat channels = %d, want 1", ev.Channels)
 		}
 		return
+	}
+}
+
+// hookListener calls hook before every write the server makes on an
+// accepted connection: the moment a reply starts to leave.
+type hookListener struct {
+	net.Listener
+	hook func()
+}
+
+func (l hookListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return &hookConn{c, l.hook}, err
+}
+
+type hookConn struct {
+	net.Conn
+	hook func()
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	c.hook()
+	return c.Conn.Write(p)
+}
+
+// TestHTTPCountedBeforeReply sends N sequential HTTP requests, accepted
+// and rejected establishes and stats reads, and reads /metrics as each
+// reply starts to leave the server: the request must already be in
+// rtether_requests_total, so a client that scrapes right after its
+// reply always finds it counted.
+func TestHTTPCountedBeforeReply(t *testing.T) {
+	const n = 30
+	rtnet := starNet(n + 1)
+	srv := server.New(server.Config{Network: rtnet})
+	counted := func() float64 {
+		rec := httptest.NewRecorder()
+		srv.MetricsHandler()(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		m, err := obs.ParseText(rec.Body)
+		if err != nil {
+			return -1
+		}
+		total := 0.0
+		for k, v := range m {
+			if strings.HasPrefix(k, "rtether_requests_total{") {
+				total += v
+			}
+		}
+		return total
+	}
+	var (
+		mu     sync.Mutex
+		atSend []float64 // requests counted as each server write began
+	)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener = hookListener{ts.Listener, func() {
+		c := counted()
+		mu.Lock()
+		atSend = append(atSend, c)
+		mu.Unlock()
+	}}
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); srv.Close(); _ = rtnet.Close() })
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+	for i := 1; i <= n; i++ {
+		mu.Lock()
+		mark := len(atSend)
+		mu.Unlock()
+		var err error
+		switch i % 3 {
+		case 0:
+			_, err = cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: rtether.NodeID(2 + i%n), C: 1, P: 1000, D: 400})
+		case 1:
+			// An undeliverable deadline: the reply is an error envelope.
+			if _, err = cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: 2, C: 30, P: 100, D: 4}); err != nil {
+				err = nil
+			} else {
+				t.Fatal("infeasible establish accepted")
+			}
+		case 2:
+			_, err = cl.Stats(ctx)
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		mu.Lock()
+		got := atSend[mark]
+		mu.Unlock()
+		if got < float64(i) {
+			t.Fatalf("reply %d started to leave with %v requests counted", i, got)
+		}
 	}
 }

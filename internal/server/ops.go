@@ -17,28 +17,53 @@ import (
 )
 
 // binding is one operation of the wire table bound to its body: the
-// HTTP handler and, for operations with a binary frame pair, the frame
-// handler with its dispatch histogram (set by mountRoutes).
+// HTTP handler with its request counter and duration histogram and, for
+// operations with a binary frame pair, the frame handler with its
+// dispatch histogram (the metrics are set by mountRoutes).
 type binding struct {
 	name, method, path string
 	msg, reply         wire.MsgType
 	http               http.HandlerFunc
 	frame              func(ctx context.Context, bc *binConn, reqID uint32, payload []byte)
 	dur                *obs.Histogram
+	reqs               *obs.Counter
+	httpDur            *obs.Histogram
+}
+
+// served records one HTTP request that started at start.
+func (b *binding) served(start time.Time) {
+	b.reqs.Inc()
+	b.httpDur.Observe(time.Since(start).Nanoseconds())
+}
+
+// streamed binds a streaming endpoint, recorded when its stream ends.
+func streamed(path string, fn http.HandlerFunc) *binding {
+	b := &binding{method: http.MethodGet, path: path}
+	b.http = func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		fn(w, r)
+		b.served(start)
+	}
+	return b
 }
 
 // bind derives both transports' handlers from one op and its body. A
 // body's error reaches the caller through errorBody: classified, or as
-// the *wire.Error the body built itself.
+// the *wire.Error the body built itself. Both transports record a
+// request before its reply leaves, so a client that reads its reply and
+// then scrapes /metrics always finds its own request counted.
 func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (Rep, error)) *binding {
 	b := &binding{name: op.Name, method: op.Method, path: op.Path, msg: op.Msg, reply: op.Reply}
 	b.http = func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		var req Req
 		if we := decode(w, r, op.Method, &req); we != nil {
+			b.served(start)
 			writeErr(w, we)
 			return
 		}
 		rep, err := body(r.Context(), req)
+		b.served(start)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -47,9 +72,6 @@ func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (
 	}
 	if op.Msg != 0 {
 		b.frame = func(ctx context.Context, bc *binConn, reqID uint32, p []byte) {
-			// The duration is recorded before the reply leaves, so a
-			// client that reads its reply and then scrapes /metrics
-			// always finds its own request counted.
 			start := time.Now()
 			observe := func() { b.dur.Observe(time.Since(start).Nanoseconds()) }
 			req, err := op.DecodeReq(p)

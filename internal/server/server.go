@@ -4,10 +4,10 @@
 // and a streaming event feed to many concurrent clients over the wire
 // schema of rtether/wire (prose reference: docs/server.md).
 //
-// The heart is the coalescing front-end: concurrent POST /v1/establish
-// requests that arrive while a merged admission pass is in flight (or
-// within Config.CoalesceWindow) are batched into one per-spec kernel
-// decision (Network.EstablishEach), so N clients cost approximately one
+// The heart is the coalescing front-end: concurrent establish requests
+// that arrive while a merged admission pass is in flight (or within
+// Config.CoalesceWindow) are batched into one per-spec kernel decision
+// (Network.EstablishEachMixed), so N clients cost approximately one
 // repartition and one verification sweep instead of N — while every
 // client still receives exactly its own verdict, with the full
 // *rtether.AdmissionError diagnostics round-tripped on rejection.
@@ -79,8 +79,8 @@ type Server struct {
 	frames map[wire.MsgType]*binding
 }
 
-// New builds a Server over the given network and starts its coalescing
-// dispatcher.
+// New builds a Server over the given network. It starts no goroutine
+// unless Config.HeartbeatInterval asks for heartbeats.
 func New(cfg Config) *Server {
 	s := &Server{
 		net:    cfg.Network,
@@ -121,9 +121,9 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler serving the /v1 API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the coalescing dispatcher (queued establishes fail with
-// the "closed" error) and disconnects every watch stream. It does not
-// close the hosted Network. Close is idempotent.
+// Close fails queued establishes with the "closed" error, waits for the
+// admission flight in progress to land, and disconnects every watch
+// stream. It does not close the hosted Network. Close is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.hbQuit)
@@ -210,6 +210,8 @@ func errorBody(err error) *wire.Error {
 		return &wire.Error{Code: wire.CodeInfeasible, Message: err.Error(), Admission: wire.FromAdmissionError(ae)}
 	case errors.Is(err, rtether.ErrClosed):
 		return &wire.Error{Code: wire.CodeClosed, Message: err.Error()}
+	case errors.Is(err, rtether.ErrIDsExhausted):
+		return &wire.Error{Code: wire.CodeIDsExhausted, Message: err.Error()}
 	case errors.Is(err, rtether.ErrChannelClosed):
 		// A racing duplicate release/reconfigure lost to the winner after
 		// both passed Lookup — to the loser the channel is simply gone.
@@ -255,7 +257,7 @@ func statusOf(code string) int {
 		return http.StatusBadRequest
 	case wire.CodeInvalidSpec, wire.CodeNoRoute:
 		return http.StatusUnprocessableEntity
-	case wire.CodeInfeasible, wire.CodeDuplicateTopic:
+	case wire.CodeInfeasible, wire.CodeDuplicateTopic, wire.CodeIDsExhausted:
 		return http.StatusConflict
 	case wire.CodeUnknownChannel, wire.CodeUnknownTopic:
 		return http.StatusNotFound

@@ -116,6 +116,8 @@ func goError(we *wire.Error) error {
 		return we.Admission.AdmissionError()
 	case we.Code == wire.CodeClosed:
 		return fmt.Errorf("client: %s: %w", we.Message, rtether.ErrClosed)
+	case we.Code == wire.CodeIDsExhausted:
+		return fmt.Errorf("client: %s: %w", we.Message, rtether.ErrIDsExhausted)
 	case we.Code == wire.CodeUnknownChannel:
 		return fmt.Errorf("%w: %s", ErrUnknownChannel, we.Message)
 	case we.Code == wire.CodeUnknownTopic:

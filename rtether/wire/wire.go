@@ -160,6 +160,9 @@ const (
 	CodeUnknownTopic = "unknown_topic"
 	// CodeDuplicateTopic marks creating a topic whose name is taken.
 	CodeDuplicateTopic = "duplicate_topic"
+	// CodeIDsExhausted marks an establishment refused because every
+	// channel ID is in use (rtether.ErrIDsExhausted).
+	CodeIDsExhausted = "ids_exhausted"
 	// CodeClosed marks a request against a draining/closed daemon.
 	CodeClosed = "closed"
 	// CodeInternal marks an unclassified server-side failure.
