@@ -74,13 +74,17 @@ func TestApplyReportsChangedLinksAndIDs(t *testing.T) {
 	if _, rej := e.Apply(nil, 1, mk(3, 4), scheme); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
-	// A repartition to the same value must report nothing as changed.
+	// A repartition to the same value must leave only the new channel's
+	// links to sweep.
 	if _, rej := e.Apply(nil, 1, mk(1, 3), scheme); rej != nil {
 		t.Fatalf("admit: %v", rej.Result)
 	}
-	ids := e.Repartitioned()
-	if len(ids) != 1 || ids[0] != 3 {
-		t.Fatalf("Repartitioned = %v, want just the new channel 3", ids)
+	var swept []int
+	for _, i := range e.changed {
+		swept = append(swept, e.state.keys[i])
+	}
+	if !slices.Equal(swept, []int{1, 3}) {
+		t.Fatalf("changed links = %v, want just the new channel's [1 3]", swept)
 	}
 }
 

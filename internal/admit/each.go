@@ -1,7 +1,5 @@
 package admit
 
-import "slices"
-
 // AdmitEach is Apply with one verdict per new channel: the removal
 // commits, and each of the n requests is accepted or rejected on its own
 // — unlike Apply, which treats the whole change as one all-or-nothing
@@ -44,44 +42,28 @@ import "slices"
 // would not, but the adapters' replay suites pin decision equivalence
 // on representative star and fabric workloads for those schemes as
 // well.
-//
-// On return, Repartitioned reports the union of every channel whose
-// partition changed across all committed sub-decisions (including the
-// new channels), each once — the precise set a running simulation must
-// re-sync, exactly as after Apply.
 func (e *Engine[K, Ch, P]) AdmitEach(remove []ID, n int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P]) ([]Ch, []*Rejection[K]) {
 	chs := make([]Ch, n)
 	rejs := make([]*Rejection[K], n)
-	if n == 0 {
-		e.Apply(remove, 0, nil, scheme)
-		return chs, rejs
-	}
-	var repart []ID
-	e.admitRange(remove, 0, n, mk, scheme, chs, rejs, &repart)
-	slices.Sort(repart)
-	e.repartitioned = slices.Compact(repart)
+	e.admitRange(remove, 0, n, mk, scheme, chs, rejs)
 	return chs, rejs
 }
 
 // admitRange decides requests [lo, hi) together with the removal by
-// greedy bisection, writing verdicts into chs/rejs and appending each
-// committed sub-decision's repartitioned channels to repart.
-func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P], chs []Ch, rejs []*Rejection[K], repart *[]ID) {
+// greedy bisection, writing verdicts into chs/rejs.
+func (e *Engine[K, Ch, P]) admitRange(remove []ID, lo, hi int, mk func(i int, id ID) Ch, scheme Scheme[Ch, P], chs []Ch, rejs []*Rejection[K]) {
 	got, rej := e.Apply(remove, hi-lo, func(i int, id ID) Ch { return mk(lo+i, id) }, scheme)
 	switch {
 	case rej == nil:
 		copy(chs[lo:hi], got)
 	case hi-lo == 1:
 		rejs[lo] = rej
-		if len(remove) == 0 {
-			return
+		if len(remove) > 0 {
+			e.Apply(remove, 0, nil, scheme)
 		}
-		e.Apply(remove, 0, nil, scheme)
 	default:
 		mid := lo + (hi-lo)/2
-		e.admitRange(remove, lo, mid, mk, scheme, chs, rejs, repart)
-		e.admitRange(nil, mid, hi, mk, scheme, chs, rejs, repart)
-		return
+		e.admitRange(remove, lo, mid, mk, scheme, chs, rejs)
+		e.admitRange(nil, mid, hi, mk, scheme, chs, rejs)
 	}
-	*repart = append(*repart, e.repartitioned...)
 }

@@ -74,56 +74,11 @@ func TestAdmitEachMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAdmitEachRepartitionedUnion checks that Repartitioned after a
-// merged decision reports every accepted channel across all
-// sub-decisions (the budget re-sync set), even when bisection split the
-// group.
-func TestAdmitEachRepartitionedUnion(t *testing.T) {
-	scheme := constScheme(8)
-	// Three acceptable channels and one rejected one: the third saturates
-	// link 1 (two C=5/P=6 tasks push U past 1), so bisection must split
-	// the group and the re-sync union must still cover all three accepts.
-	mks := []func(id ID) *toyChan{
-		func(id ID) *toyChan { return &toyChan{id: id, c: 1, p: 100, links: []int{0}} },
-		func(id ID) *toyChan { return &toyChan{id: id, c: 5, p: 6, links: []int{1}} },
-		func(id ID) *toyChan { return &toyChan{id: id, c: 5, p: 6, links: []int{1}} }, // overloads link 1
-		func(id ID) *toyChan { return &toyChan{id: id, c: 1, p: 100, links: []int{2}} },
-	}
-	e := newToyEngine(Config{})
-	chs, rejs := e.AdmitEach(nil, len(mks), func(i int, id ID) *toyChan { return mks[i](id) }, scheme)
-	wantRejected := map[int]bool{2: true}
-	var wantIDs []ID
-	for i := range mks {
-		if wantRejected[i] {
-			if rejs[i] == nil {
-				t.Fatalf("spec %d unexpectedly accepted", i)
-			}
-			continue
-		}
-		if rejs[i] != nil {
-			t.Fatalf("spec %d rejected: %v", i, rejs[i].Result)
-		}
-		wantIDs = append(wantIDs, chs[i].id)
-	}
-	got := e.Repartitioned()
-	if len(got) != len(wantIDs) {
-		t.Fatalf("Repartitioned = %v, want %v", got, wantIDs)
-	}
-	for i, id := range wantIDs {
-		if got[i] != id {
-			t.Fatalf("Repartitioned = %v, want %v", got, wantIDs)
-		}
-	}
-}
-
 // TestAdmitEachEmpty covers the degenerate empty group.
 func TestAdmitEachEmpty(t *testing.T) {
 	e := newToyEngine(Config{})
 	chs, rejs := e.AdmitEach(nil, 0, nil, constScheme(8))
 	if len(chs) != 0 || len(rejs) != 0 {
 		t.Fatalf("AdmitEach(0) = %v, %v", chs, rejs)
-	}
-	if ids := e.Repartitioned(); len(ids) != 0 {
-		t.Fatalf("Repartitioned = %v after empty admit", ids)
 	}
 }

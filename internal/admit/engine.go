@@ -60,10 +60,8 @@ type Engine[K comparable, Ch any, P any] struct {
 	cfg   Config
 	state *State[K, Ch, P]
 
-	linksChecked  int
-	repartitions  int
-	repartitioned []ID
-	nextIDs       []ID // the running decision's moved channels; swapped in on commit
+	linksChecked int
+	repartitions int
 
 	// The per-link tables below are slices over the state's dense link
 	// index (see State), grown by fit as the state interns links.
@@ -220,11 +218,6 @@ func (e *Engine[K, Ch, P]) SweepNs() int64 { return e.sweepNs.Load() }
 // batch admission scale). The count is deterministic.
 func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 
-// Repartitioned returns the IDs, in no particular order, of the channels
-// whose partitions changed in the last decision that committed — admitted
-// channels included. The slice is invalidated by the next mutation.
-func (e *Engine[K, Ch, P]) Repartitioned() []ID { return e.repartitioned }
-
 // Apply is the engine's one decision: it removes the channels listed in
 // remove (active and distinct), adds n new ones — mk(i, id) constructs
 // the i-th with its allocated ID (the adapter has validated and routed
@@ -273,16 +266,14 @@ func (e *Engine[K, Ch, P]) Apply(remove []ID, n int, mk func(i int, id ID) Ch, s
 	}
 
 	e.repartitions++
-	changedIDs := e.repartition(scheme)
+	e.repartition(scheme)
 	rej := e.verify(e.changed)
 	if rej == nil || n == 0 {
 		if rej == nil {
 			e.commitSlack()
 		} else {
 			e.rollback() // the removal alone stands
-			changedIDs = changedIDs[:0]
 		}
-		e.nextIDs, e.repartitioned = e.repartitioned[:0], changedIDs
 		st.end()
 		st.compact(e.cuts)
 		return chs, nil
@@ -312,10 +303,10 @@ type partUndo[Ch any, P any] struct {
 // a touched link, visited once however many touched links it crosses;
 // otherwise only the decision's new channels — and installs the ones
 // that differ (visit). It leaves the set of links to sweep in e.changed
-// and e.undo holding the old partitions, and returns the IDs of the
-// channels that moved, in walk order (deterministic, not sorted: the
-// one reader, a fabric's budget sync, needs no order).
-func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
+// and e.undo holding the old partitions. It lists no moved channels:
+// every reader of a partition, a running simulation included, reads it
+// from the channel.
+func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) {
 	st := e.state
 	e.newSet()
 	e.changed = e.changed[:0]
@@ -323,29 +314,26 @@ func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 		e.undo = nil
 	}
 	e.undo = e.undo[:0]
-	ids := e.nextIDs[:0]
 	if scheme.Adaptive() {
 		st.walk++
 		for _, i := range e.touchIdx {
 			for _, r := range st.byLink[i] {
 				if r.e != nil && r.e.seen != st.walk {
 					r.e.seen = st.walk
-					ids = e.visit(r.e, scheme, ids)
+					e.visit(r.e, scheme)
 				}
 			}
 		}
 	} else {
 		for _, a := range e.added {
-			ids = e.visit(a, scheme, ids)
+			e.visit(a, scheme)
 		}
 	}
-	e.nextIDs = ids
-	return ids
 }
 
 // visit recomputes one channel's partition from its hop loads and, when
-// it differs from the one the channel holds, logs the old one, installs
-// the new one and appends the channel's ID to ids.
+// it differs from the one the channel holds, logs the old one and
+// installs the new one.
 //
 // The changed (= to-sweep) set is channel-granular: every link of every
 // repartitioned channel. The generation bumps underneath are finer:
@@ -355,13 +343,13 @@ func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) []ID {
 // but did not change — without ever shrinking the swept set itself, so
 // the sweep order and the LinksChecked accounting do not depend on the
 // cache.
-func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P], ids []ID) []ID {
+func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P]) {
 	st := e.state
 	e.loads = st.hopLoads(en, e.loads[:0])
 	e.part = scheme.Part(en.ch, e.loads, e.part)
 	e.ops.Validate(en.ch, e.part)
 	if e.ops.HasPart(en.ch, e.part) {
-		return ids
+		return
 	}
 	k := len(e.undo)
 	if k < cap(e.undo) {
@@ -373,7 +361,6 @@ func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P], ids []ID) 
 	u.e, u.old = en, e.ops.Part(en.ch, u.old)
 	st.setPartDiff(en, e.part)
 	e.changed = e.addToSet(e.changed, en.idx)
-	return append(ids, e.ops.ID(en.ch))
 }
 
 // rollback restores the previous partitions recorded by repartition.

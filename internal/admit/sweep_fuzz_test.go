@@ -48,7 +48,7 @@ func (o *sortedEngine) sortedApply(remove []ID, n int, mk func(i int, id ID) *to
 		e.touchIdx = e.addToSet(e.touchIdx, a.idx)
 	}
 	e.repartitions++
-	changedIDs := e.repartition(scheme)
+	e.repartition(scheme)
 	rej := o.sortedVerify(e.changed)
 	if rej == nil || n == 0 {
 		if rej == nil {
@@ -59,9 +59,7 @@ func (o *sortedEngine) sortedApply(remove []ID, n int, mk func(i int, id ID) *to
 			}
 		} else {
 			e.rollback()
-			changedIDs = changedIDs[:0]
 		}
-		e.nextIDs, e.repartitioned = e.repartitioned[:0], changedIDs
 		st.end()
 		st.compact(e.cuts)
 		return nil

@@ -97,11 +97,6 @@ func (c *Controller) SweepNs() int64 { return c.p.Eng.SweepNs() }
 // State returns the live system state. Callers must treat it as read-only.
 func (c *Controller) State() *State { return &State{k: c.p.Eng.State()} }
 
-// Repartitioned returns the IDs, in no particular order, of the channels
-// whose partitions changed in the last decision that committed — admitted
-// channels included. The slice is invalidated by the next state mutation.
-func (c *Controller) Repartitioned() []ChannelID { return c.p.Eng.Repartitioned() }
-
 // GuaranteedDelay returns T_maxdelay,i = d_i + T_latency (Eq. 18.1) for an
 // accepted spec.
 func (c *Controller) GuaranteedDelay(s ChannelSpec) int64 { return s.D + c.cfg.Latency }

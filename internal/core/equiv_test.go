@@ -147,9 +147,6 @@ func keptBackStar(t *testing.T) *core.Twin {
 		}
 	}
 	w.Release(1)
-	if got := w.Ctrl.Repartitioned(); len(got) != 0 {
-		t.Fatalf("release was not kept back: repartitioned %v", got)
-	}
 	if p := w.Ctrl.State().Get(2).Part; p != (core.Partition{Up: 7, Down: 3}) {
 		t.Fatalf("channel 2 holds %+v after the kept-back release, want {7 3}", p)
 	}

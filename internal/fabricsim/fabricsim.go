@@ -46,13 +46,14 @@ type rtFrame struct {
 // per-sink deliveries).
 type channelRT struct {
 	id       core.ChannelID
-	seq      uint64 // admission order (topo.HChannel.Seq)
 	spec     core.ChannelSpec
-	route    []*link // the route resolved: route[i] carries edge i
-	parents  []int   // tree shape: edge feeding edge i (-1 = root)
-	children [][]int // inverse of parents; empty children = leaf edge
-	cum      []int64 // cumulative deadline at edge i: Hops[i] + cum[parents[i]]
-	next     int64   // next release slot
+	route    []*link        // the route resolved: route[i] carries edge i
+	parents  []int          // tree shape: edge feeding edge i (-1 = root)
+	children [][]int        // inverse of parents; empty children = leaf edge
+	hch      *topo.HChannel // the admitted channel, its Hops the kernel's
+	rev      uint64         // the hch.Rev cum was built from
+	cum      []int64        // cumulative deadline at edge i: Hops[i] + cum[parents[i]] (cumAt)
+	next     int64          // next release slot
 	metrics  *Metrics
 
 	started bool     // a periodic source has been attached
@@ -185,9 +186,10 @@ func New(st *topo.State, offsets map[core.ChannelID]int64, cfg Config) (*Sim, er
 }
 
 // Install registers an admitted channel with the simulation without
-// attaching a traffic source. The route is resolved to its links and the
-// hop budgets are copied; use SetBudgets when a later admission
-// repartitions the channel. A channel still installed under the same ID
+// attaching a traffic source. The route is resolved to its links; the
+// hop budgets stay the admission kernel's, read from hch as frames move
+// (cumAt), so a later decision that repartitions the channel needs no
+// call here. A channel still installed under the same ID
 // — re-admitted by a reconfiguration or a failure re-route — is replaced
 // and keeps its identity: the old incarnation's source is detached
 // (in-flight frames drain, or die on dead edges, under their old route),
@@ -201,11 +203,12 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 	parents := treeParents(hch)
 	rt := &channelRT{
 		id:       hch.ID,
-		seq:      hch.Seq,
 		spec:     hch.Spec,
 		route:    make([]*link, len(hch.Route)),
 		parents:  parents,
 		children: treeChildren(parents),
+		hch:      hch,
+		rev:      hch.Rev,
 		cum:      cumBudgets(make([]int64, len(hch.Hops)), hch.Hops, parents),
 		metrics:  &Metrics{Delays: stats.NewDelay(0)},
 	}
@@ -223,7 +226,7 @@ func (s *Sim) Install(hch *topo.HChannel) error {
 		s.retire(old)
 	}
 	s.byID[hch.ID] = rt
-	at := sort.Search(len(s.live), func(i int) bool { return s.live[i].seq > rt.seq })
+	at := sort.Search(len(s.live), func(i int) bool { return s.live[i].hch.Seq > hch.Seq })
 	s.live = slices.Insert(s.live, at, rt)
 	for i, e := range hch.Route {
 		rt.route[i] = s.link(e)
@@ -243,25 +246,6 @@ func (s *Sim) Holds(id core.ChannelID) bool { return s.byID[id] != nil }
 
 // Len returns the number of installed channels.
 func (s *Sim) Len() int { return len(s.byID) }
-
-// SetBudgets replaces a channel's per-hop deadline budgets (the DPS is a
-// function of the whole system state, so admitting or releasing one
-// channel may repartition the others). Every frame of the channel, in
-// flight or released from now on, is queued at its next hop under the
-// new budgets, hop indices being stable because routes never change. The
-// route length must match. It recomputes the cumulative budgets in place
-// and allocates nothing.
-func (s *Sim) SetBudgets(id core.ChannelID, hops []int64) error {
-	ch := s.byID[id]
-	if ch == nil {
-		return fmt.Errorf("fabricsim: unknown channel %d", id)
-	}
-	if len(hops) != len(ch.route) {
-		return fmt.Errorf("fabricsim: budget vector length %d for %d hops", len(hops), len(ch.route))
-	}
-	cumBudgets(ch.cum, hops, ch.parents)
-	return nil
-}
 
 // Start attaches the periodic source of an installed channel: C frames
 // every P slots, first release offset slots from now.
@@ -395,6 +379,19 @@ func cumBudgets(cum, hops []int64, parents []int) []int64 {
 	return cum
 }
 
+// cumAt returns the frame's hop-local deadline offset at edge i, first
+// rebuilding the cumulative budgets when the kernel has rewritten the
+// channel's hop budgets since the last read (a repartition bumps
+// hch.Rev). Frames read it when they are queued at a hop and when they
+// complete one, so a repartition reaches the frames already in flight.
+func (ch *channelRT) cumAt(i int) int64 {
+	if ch.rev != ch.hch.Rev {
+		cumBudgets(ch.cum, ch.hch.Hops, ch.parents)
+		ch.rev = ch.hch.Rev
+	}
+	return ch.cum[i]
+}
+
 // Run advances the simulation to the absolute slot horizon; callable
 // repeatedly with increasing horizons.
 func (s *Sim) Run(horizon int64) {
@@ -454,7 +451,7 @@ func (s *Sim) inject(f rtFrame) {
 		s.drop(f)
 		return
 	}
-	l.queue.Push(f.release+f.ch.cum[f.hop], f)
+	l.queue.Push(f.release+f.ch.cumAt(f.hop), f)
 	l.kick()
 }
 
@@ -521,7 +518,7 @@ func (s *Sim) arrive(f rtFrame) {
 		return
 	}
 	now := s.eng.Now()
-	prevDeadline := f.release + f.ch.cum[f.hop]
+	prevDeadline := f.release + f.ch.cumAt(f.hop)
 	if now > prevDeadline {
 		f.ch.metrics.HopLate++
 	}

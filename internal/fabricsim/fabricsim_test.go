@@ -2,7 +2,6 @@ package fabricsim
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -174,45 +173,9 @@ func TestChannelLookup(t *testing.T) {
 	}
 }
 
-// TestSetBudgetsInPlace pins SetBudgets at 0 allocs/op — it recomputes
-// the cumulative budgets frames read at every hop in place, since a
-// repartition resyncs hundreds of channels per decision — and checks the
-// cumulative budgets it leaves behind.
-func TestSetBudgetsInPlace(t *testing.T) {
-	ctrl := loadLine(t, 3, topo.HADPS{}, 6, core.ChannelSpec{C: 1, P: 50, D: 40})
-	s, err := New(ctrl.State(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := ctrl.State().Channels()[0]
-	alt := slices.Clone(ch.Hops)
-	alt[0]++
-	alt[len(alt)-1]--
-	vecs := [][]int64{ch.Hops, alt}
-	k := 0
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := s.SetBudgets(ch.ID, vecs[k%2]); err != nil {
-			t.Fatal(err)
-		}
-		k++
-	}); allocs != 0 {
-		t.Errorf("SetBudgets allocates %.1f allocs/op, want 0", allocs)
-	}
-	if err := s.SetBudgets(ch.ID, alt); err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for i, h := range alt {
-		sum += h
-		if got := s.byID[ch.ID].cum[i]; got != sum {
-			t.Fatalf("cumulative budget at hop %d = %d, want %d (hops %v)", i, got, sum, alt)
-		}
-	}
-}
-
 // TestHopLateCountsARepartitionedWait is the mode-change mechanism of a
 // repartition with frames in flight: a period's second frame waits at
-// hop 0 while SetBudgets shortens that hop's budget to 1 slot, so the
+// hop 0 while a repartition shortens that hop's budget to 1 slot, so the
 // frame completes hop 0 after its new hop-local deadline. HopLate
 // counts it, though the end-to-end deadline still holds.
 func TestHopLateCountsARepartitionedWait(t *testing.T) {
@@ -223,9 +186,10 @@ func TestHopLateCountsARepartitionedWait(t *testing.T) {
 	}
 	ch := ctrl.State().Channels()[0]
 	s.Run(0) // both frames released, the first one on the wire
-	if err := s.SetBudgets(ch.ID, []int64{1, 19}); err != nil {
-		t.Fatal(err)
-	}
+	// Rewrite the budgets the way the kernel installs a new split: in
+	// place, with a new revision.
+	ch.Hops[0], ch.Hops[1] = 1, 19
+	ch.Rev++
 	s.Run(50)
 	m := s.Channel(ch.ID)
 	if m.HopLate != 1 || m.Delivered != 2 || m.Misses != 0 {

@@ -255,10 +255,7 @@ func (c *coalescer) fly(batch []*pending) {
 		}
 		if ch != nil && p.ctx.Err() != nil {
 			// Admitted for a client that hung up: give the bandwidth back.
-			id := ch.ID()
-			if ch.Release() == nil && c.noteRelease != nil {
-				c.noteRelease(id)
-			}
+			c.releaseOrphan(verdict{ch: ch})
 			chs[i], errs[i] = nil, p.ctx.Err()
 		}
 	}

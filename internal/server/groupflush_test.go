@@ -1,12 +1,17 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/rtether"
+	"repro/rtether/client"
 	"repro/rtether/wire"
 )
 
@@ -102,5 +107,67 @@ func TestBinaryFailedWriteEndsConn(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines left behind by the failed connection", runtime.NumGoroutine()-base)
 		}
+	}
+}
+
+// TestBinaryOversizedRequestKeepsConnection sends an establishAll whose
+// frame payload passes wire.MaxFramePayload (33 000 specs of 32 bytes)
+// while an establish on the same connection waits in the coalescer's
+// window. The client refuses the oversized frame itself, with the same
+// bad_request code the JSON transport answers: the daemon never reads
+// it, so it does not drop the connection, and the waiting establish
+// completes on it.
+func TestBinaryOversizedRequestKeepsConnection(t *testing.T) {
+	rtnet := rtether.New()
+	for i := 1; i <= 2; i++ {
+		rtnet.MustAddNode(rtether.NodeID(i))
+	}
+	s := New(Config{Network: rtnet, CoalesceWindow: 200 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { defer close(served); _ = s.ServeBinary(ln) }()
+	t.Cleanup(func() { s.Close(); <-served; _ = rtnet.Close() })
+	cl := client.New("http://127.0.0.1:0", client.WithTransport(client.TransportBinary), client.WithBinaryAddr(ln.Addr().String()))
+	ctx := context.Background()
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	conns := func() []net.Conn {
+		s.binMu.Lock()
+		defer s.binMu.Unlock()
+		var cs []net.Conn
+		for c := range s.binConns {
+			cs = append(cs, c)
+		}
+		return cs
+	}
+	before := conns()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 100, D: 40})
+		held <- err
+	}()
+	awaitCount(t, s.coal.establishes.Load, 1)
+	specs := make([]rtether.ChannelSpec, 33000)
+	for i := range specs {
+		specs[i] = rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 1000, D: 400}
+	}
+	_, err = cl.EstablishAll(ctx, specs)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("oversized establishAll = %v, want a %s *wire.Error", err, wire.CodeBadRequest)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("establish beside the oversized request: %v", err)
+	}
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatalf("stats after the oversized request: %v", err)
+	}
+	if after := conns(); len(before) != 1 || !slices.Equal(after, before) {
+		t.Fatalf("binary connections %v before, %v after: the connection did not stay up", before, after)
 	}
 }

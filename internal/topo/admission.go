@@ -75,12 +75,6 @@ func (c *Controller) DPS() HDPS { return c.cfg.DPS }
 // rejection classification the star controller reports.
 func (c *Controller) Stats() admit.Stats { return c.p.Counters() }
 
-// Repartitioned returns the IDs (ascending) of the channels whose hop
-// budgets changed in the last decision that committed — the precise set a
-// running simulation must re-sync. The slice is invalidated by the next
-// state mutation.
-func (c *Controller) Repartitioned() []core.ChannelID { return c.p.Eng.Repartitioned() }
-
 // LinksChecked returns the cumulative number of per-edge feasibility
 // tests the controller has run (deterministic; see
 // admit.Engine.LinksChecked).

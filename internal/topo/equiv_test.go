@@ -158,31 +158,3 @@ func TestFabricRequestAllMatchesSequential(t *testing.T) {
 		})
 	}
 }
-
-// TestRepartitionedReportsExactDelta verifies the changed-channel set the
-// controller reports is precisely what a full comparison of hop vectors
-// yields — the contract the simulation budget sync relies on.
-func TestRepartitionedReportsExactDelta(t *testing.T) {
-	ctrl := NewController(equivFabric(), Config{DPS: HADPS{}})
-	prev := map[core.ChannelID][]int64{}
-	for i, spec := range equivRequests(40) {
-		ch, err := ctrl.Request(spec)
-		if err != nil {
-			continue
-		}
-		_ = ch
-		reported := map[core.ChannelID]bool{}
-		for _, id := range ctrl.Repartitioned() {
-			reported[id] = true
-		}
-		cur := map[core.ChannelID][]int64{}
-		for _, hch := range ctrl.State().Channels() {
-			cur[hch.ID] = append([]int64(nil), hch.Hops...)
-			if equalVec(prev[hch.ID], hch.Hops) == reported[hch.ID] {
-				t.Fatalf("request %d: channel %d changed=%v but reported=%v (prev=%v cur=%v)",
-					i, hch.ID, !equalVec(prev[hch.ID], hch.Hops), reported[hch.ID], prev[hch.ID], hch.Hops)
-			}
-		}
-		prev = cur
-	}
-}

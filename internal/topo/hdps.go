@@ -20,6 +20,10 @@ type HChannel struct {
 	Spec  core.ChannelSpec
 	Route []Edge
 	Hops  []int64 // per-hop deadline budget, len == len(Route)
+	// Rev counts the writes of Hops: every partition the kernel installs
+	// (a first split, a repartition, a rollback) bumps it, so a reader
+	// that keeps something derived from Hops knows when to rebuild it.
+	Rev uint64
 
 	// Parents encodes the tree shape of a multicast route: Parents[i] is
 	// the index of the edge feeding Route[i], -1 for the root (source
@@ -92,6 +96,7 @@ var topoOps = &admit.Ops[Edge, *HChannel, []int64]{
 	Part: func(ch *HChannel, dst []int64) []int64 { return append(dst[:0], ch.Hops...) },
 	SetPart: func(ch *HChannel, v []int64) {
 		ch.Hops = append(ch.Hops[:0], v...)
+		ch.Rev++
 	},
 	HasPart:  func(ch *HChannel, v []int64) bool { return equalVec(ch.Hops, v) },
 	Validate: validateVector,

@@ -349,8 +349,8 @@ func (b *fabricBackend) applyEach(remove []ChannelID, reqs []core.Req) ([]Channe
 // phase; the others wait for their first Start. A released channel
 // leaves the simulation unless a request of the decision re-admits it
 // under its ID: a refused re-admission is left to the caller (failure
-// recovery's policy ladder). The budgets the decision repartitioned are
-// re-synced once.
+// recovery's policy ladder). Channels the decision repartitioned need
+// nothing: the simulation reads their budgets from the admitted channel.
 func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.HChannel) []ChannelID {
 	var readmitted map[ChannelID]bool
 	for _, r := range reqs {
@@ -379,7 +379,6 @@ func (b *fabricBackend) commit(remove []ChannelID, reqs []core.Req, chs []*topo.
 		}
 		ids[i] = ch.ID
 	}
-	b.syncBudgets(b.ctrl.Repartitioned())
 	return ids
 }
 
@@ -403,26 +402,6 @@ func (b *fabricBackend) simRemove(id ChannelID) {
 		// running sim have diverged, which is a programming error, not a
 		// runtime condition (same contract as the Install panic).
 		panic(fmt.Sprintf("rtether: removing released channel %d: the simulation holds %d channels, not %d", id, b.sim.Len(), b.held))
-	}
-}
-
-// syncBudgets pushes committed per-hop budgets into the running
-// simulation for exactly the given channels it holds — the controller
-// reports the precise set a mutation repartitioned (Repartitioned), so
-// establish and release touch only deltas instead of re-pushing all N.
-func (b *fabricBackend) syncBudgets(ids []core.ChannelID) {
-	if b.held == 0 {
-		return
-	}
-	st := b.ctrl.State()
-	for _, id := range ids {
-		hch := st.Get(id)
-		if hch == nil || !b.sim.Holds(id) {
-			continue // a just-released channel, or one not started
-		}
-		if err := b.sim.SetBudgets(hch.ID, hch.Hops); err != nil {
-			panic(fmt.Sprintf("rtether: syncing hop budgets: %v", err))
-		}
 	}
 }
 

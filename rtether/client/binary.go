@@ -141,7 +141,10 @@ func (bc *binConn) readLoop() {
 // send registers a fresh request ID, queues the frame enc encodes for
 // it on the group writer and returns the reply channel. The request is
 // in pending before its bytes are queued, so a failed write, which
-// closes the connection, fails it and every other queued request.
+// closes the connection, fails it and every other queued request. A
+// frame whose payload passes wire.MaxFramePayload, which the daemon
+// would answer by dropping the connection, is taken back out of the
+// queue before it is written and refused as a bad request.
 func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan wire.Frame, error) {
 	ch := make(chan wire.Frame, 1)
 	bc.mu.Lock()
@@ -154,8 +157,23 @@ func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan
 	id := bc.nextID
 	bc.pending[id] = ch
 	bc.mu.Unlock()
-	if err := bc.w.Queue(func(dst []byte) []byte { return enc(dst, id) }); err != nil {
+	oversized := 0
+	err := bc.w.Queue(func(dst []byte) []byte {
+		n := len(dst)
+		dst = enc(dst, id)
+		if size := len(dst) - n - wire.FrameHeaderLen; size > wire.MaxFramePayload {
+			oversized = size
+			return dst[:n:n] // the queue keeps its frames, not the oversized buffer
+		}
+		return dst
+	})
+	if err != nil {
 		bc.close(fmt.Errorf("client: binary connection: %w", err))
+	}
+	if oversized > 0 {
+		bc.abandon(id)
+		return 0, nil, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf(
+			"request payload of %d bytes exceeds the binary frame limit of %d bytes", oversized, wire.MaxFramePayload)}
 	}
 	return id, ch, nil
 }

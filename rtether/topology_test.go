@@ -2,6 +2,7 @@ package rtether
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -233,6 +234,65 @@ func TestFabricRepartitionsOnLoad(t *testing.T) {
 	}
 	if sum != 60 {
 		t.Errorf("repartitioned budgets sum %d != 60", sum)
+	}
+}
+
+// TestFabricShaperFollowsARepartition checks that a channel carrying
+// traffic follows its budgets when later admissions move them: under
+// H-ADPS the trunk's share grows with its load, and every release-guard
+// hold from then on lasts until release plus the new cumulative budget of
+// the hop the frame has just completed, a frame in flight included.
+func TestFabricShaperFollowsARepartition(t *testing.T) {
+	net := New(WithTopology(lineTopology(t, 2)), WithHDPS(HADPS()))
+	tr := NewRingTracer(1024)
+	net.SetTracer(tr)
+	ch, err := net.Establish(ChannelSpec{Src: 0, Dst: 100, C: 1, P: 50, D: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(105) // the frame released at 100 waits out its first hop
+	before := slices.Clone(ch.Budgets())
+	for i := 1; i < 6; i++ {
+		if _, err := net.Establish(ChannelSpec{Src: NodeID(i), Dst: NodeID(100 + i), C: 3, P: 300, D: 60}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := ch.Budgets()
+	if slices.Equal(before, after) {
+		t.Fatalf("budgets did not move: %v", after)
+	}
+	t.Logf("budgets %v → %v", before, after)
+	moved := net.Now()
+	net.RunFor(200)
+
+	release, hop, checked := int64(-1), 0, 0
+	for _, e := range tr.Events() {
+		if e.Channel != ch.ID() {
+			continue
+		}
+		switch e.Kind {
+		case EvRelease:
+			release, hop = e.At, 0
+		case EvShaperHold:
+			if e.At >= moved {
+				want := release
+				for _, b := range after[:hop+1] {
+					want += b
+				}
+				if e.Value != want {
+					t.Errorf("hold at %d of the frame released at %d, hop %d: until %d, want %d (budgets %v)",
+						e.At, release, hop, e.Value, want, after)
+				}
+				checked++
+			}
+			hop++
+		}
+	}
+	if checked < 2*4 {
+		t.Fatalf("checked %d holds after the move, want both guarded hops of at least 4 periods", checked)
 	}
 }
 
