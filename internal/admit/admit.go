@@ -169,37 +169,26 @@ type State[K comparable, Ch any, P any] struct {
 	// rescans a link's tasks when only loose bounds stand in the way.
 	sums []edf.Summary
 
-	// gens assigns every interned link a generation stamp: the value of
-	// the monotone genCtr at the moment the link's task-set CONTENT last
-	// changed. Add/UndoAdd/Remove/SetPart bump every affected link;
-	// setPartDiff bumps only links whose materialized task actually
-	// differs, which is what lets the engine's feasibility-verdict cache
-	// skip links a repartition pass touched but did not move. genCtr is
-	// never rolled back (an undo bumps again rather than restoring), so a
-	// generation value is never reused for different content — the
-	// soundness invariant the verdict cache rests on. Stamps start at 1.
-	genCtr uint64
-	gens   []uint64
-
 	// While a decision runs (begin, then end or abort), sumLog records each
 	// link summary and class-table staleness as they were before the
 	// decision first changed the link (sumSeen[i] == txn), so an abort
 	// restores the summaries bit for bit and the class tables too: a table
 	// stale before is marked stale again, and one live before that the
 	// decision left stale is rebuilt, which gives the same table.
+	// moved[i] == txn marks a link the running decision loaded a hop onto
+	// or changed a hop's task on; the sweep tests no other (see Engine).
 	txn     uint64
 	inTxn   bool
 	sumSeen []uint64
 	sumLog  []sumSave
+	moved   []uint64
 
 	// walk stamps the channel entries a repartition walk has visited
 	// (entry.seen == walk), so a channel crossing several touched links is
 	// recomputed once.
 	walk uint64
 
-	// ratTmp and diffLinks are scratch buffers.
-	ratTmp    big.Rat
-	diffLinks []int32
+	ratTmp big.Rat // scratch
 }
 
 // sumSave is one link summary, and whether its class table was stale, as
@@ -241,8 +230,8 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.classes[i].MarkStale() // built by the link's first walk
 	st.utilSum = append(st.utilSum, new(big.Rat))
 	st.sums = append(st.sums, edf.Summary{})
-	st.gens = append(st.gens, 0)
 	st.sumSeen = append(st.sumSeen, 0)
+	st.moved = append(st.moved, 0)
 	pos := sort.Search(len(st.sorted), func(j int) bool { return st.ops.Less(l, st.keys[st.sorted[j]]) })
 	for _, j := range st.sorted[pos:] {
 		st.rank[j]++
@@ -250,13 +239,6 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.sorted = slices.Insert(st.sorted, pos, i)
 	st.rank = append(st.rank, int32(pos))
 	return i
-}
-
-// bumpGen stamps a link with a fresh generation: its task-set content
-// (set membership or task parameters) just changed.
-func (st *State[K, Ch, P]) bumpGen(i int32) {
-	st.genCtr++
-	st.gens[i] = st.genCtr
 }
 
 // begin starts a decision: summary changes are recorded for abort.
@@ -274,6 +256,9 @@ func (st *State[K, Ch, P]) saveSum(i int32) {
 		st.sumLog = append(st.sumLog, sumSave{i: i, s: st.sums[i], stale: st.classes[i].Stale()})
 	}
 }
+
+// isMoved reports whether the running decision moved link i.
+func (st *State[K, Ch, P]) isMoved(i int32) bool { return st.moved[i] == st.txn }
 
 // end stops recording: the decision's summaries stand.
 func (st *State[K, Ch, P]) end() { st.inTxn = false }
@@ -431,10 +416,10 @@ func (st *State[K, Ch, P]) add(ch Ch) *entry[Ch] {
 }
 
 // load accounts for task t just put on link i by a hop of a channel of
-// capacity c and period p: the load, the utilization sum, the summary,
-// the class table and the generation.
+// capacity c and period p: the load, the utilization sum, the summary
+// and the class table. The link counts as moved.
 func (st *State[K, Ch, P]) load(i int32, t edf.Task, c, p int64) {
-	st.bumpGen(i)
+	st.moved[i] = st.txn
 	if st.loads[i]++; st.loads[i] == 1 {
 		st.loaded++
 	}
@@ -448,8 +433,8 @@ func (st *State[K, Ch, P]) load(i int32, t edf.Task, c, p int64) {
 
 // unload takes the channel hop at position j off link i: the last slot
 // of the lists is dropped, any other one becomes a tombstone, so no other
-// hop moves. Then it updates the load, the utilization sum, the summary,
-// the class table and the generation.
+// hop moves. Then it updates the load, the utilization sum, the summary
+// and the class table. A removal does not move the link.
 func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	refs, tasks := st.byLink[i], st.tasks[i]
 	t := tasks[j]
@@ -462,7 +447,6 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	} else {
 		st.dead[i]++
 	}
-	st.bumpGen(i)
 	u := st.utilSum[i]
 	if st.loads[i]--; st.loads[i] == 0 {
 		st.loaded--
@@ -579,30 +563,31 @@ func (st *State[K, Ch, P]) compactLink(i int32) {
 	st.byLink[i], st.tasks[i], st.dead[i] = refs[:n], tasks[:n], 0
 }
 
-// SetPart installs a new partition on a channel, overwrites its tasks in
-// place and bumps the generation stamps of all its links, whether or not
-// the new partition actually moves them. All repartitioning goes through
-// here or setPartDiff so the task table and the summaries can never go
-// stale.
+// SetPart installs a new partition on a channel and overwrites its tasks
+// in place. All repartitioning goes through here, so the task table and
+// the summaries can never go stale.
 func (st *State[K, Ch, P]) SetPart(ch Ch, p P) { st.setPart(st.channels[st.ops.ID(ch)], p) }
 
-// setPart is SetPart on the channel's entry.
+// setPart is SetPart on the channel's entry. Only the links whose task
+// changes count as moved (patch). A fresh channel's stored tasks are
+// placeholders with D = 0, and a valid partition gives every hop
+// D >= C >= 1, so it moves every link it loads.
 func (st *State[K, Ch, P]) setPart(e *entry[Ch], p P) {
 	st.ops.SetPart(e.ch, p)
 	for hop, i := range e.idx {
 		st.patch(i, e.pos[hop], st.ops.Task(e.ch, hop))
-		st.bumpGen(i)
 	}
 }
 
 // patch overwrites the task at slot j of link i, keeping its summary and
-// class table, and reports whether the task changed. A move between two
+// class table; a changed task moves the link. A move between two
 // partitioned (D, P) classes marks the table stale rather than keeping it.
-func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
+func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) {
 	slot := &st.tasks[i][j]
 	if t == *slot {
-		return false
+		return
 	}
+	st.moved[i] = st.txn
 	st.saveSum(i)
 	st.sums[i].Replace(*slot, t)
 	if cs := &st.classes[i]; !cs.Stale() {
@@ -614,33 +599,6 @@ func (st *State[K, Ch, P]) patch(i, j int32, t edf.Task) bool {
 		}
 	}
 	*slot = t
-	return true
-}
-
-// setPartDiff installs a new partition on a channel and overwrites, and
-// bumps the generation of, only the links whose task actually changed,
-// leaving content-stable links intact. A repartition pass frequently
-// recomputes identical deadline budgets for most hops (the scheme is a
-// function of per-link load, and most loads did not change); keeping
-// their generations lets the engine's verdict cache skip re-sweeping
-// them.
-//
-// The returned slice lists the content-changed link indices in hop
-// order; it is a scratch buffer invalidated by the next setPartDiff call.
-// A freshly added channel needs no special case: its stored tasks are
-// placeholders with D = 0, and a valid partition gives every hop
-// D >= C >= 1, so every hop it loads compares changed.
-func (st *State[K, Ch, P]) setPartDiff(e *entry[Ch], p P) []int32 {
-	st.ops.SetPart(e.ch, p)
-	diff := st.diffLinks[:0]
-	for hop, i := range e.idx {
-		if st.patch(i, e.pos[hop], st.ops.Task(e.ch, hop)) {
-			st.bumpGen(i)
-			diff = append(diff, i)
-		}
-	}
-	st.diffLinks = diff
-	return diff
 }
 
 // verdict answers link i's feasibility test from its summary when one of
@@ -729,9 +687,8 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		classes:  make([]edf.Classes, n),
 		utilSum:  make([]*big.Rat, n),
 		sums:     slices.Clone(st.sums),
-		genCtr:   st.genCtr,
-		gens:     slices.Clone(st.gens),
 		sumSeen:  make([]uint64, n),
+		moved:    make([]uint64, n),
 		walk:     st.walk,
 	}
 	for id, e := range st.channels {

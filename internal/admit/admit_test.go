@@ -168,13 +168,12 @@ func TestSweepStopsAtSummaryFailure(t *testing.T) {
 	}
 }
 
-// TestSweepSkipsCountOnlyReachedLinks: a cache hit sorted after the link
-// a sweep rejects on was never reached, so it is no answer LinksChecked
-// counts and must not count as a skip either. Channel 1 crosses links 5
-// and 9, and its hop-1 task ignores the partition, so repartitioning it
-// leaves link 9's content (and its cached verdict) alone. The second
-// admission fails on link 5, first in slack order, before link 9.
-func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
+// fixedHop1Engine is an engine whose channels' hop-1 tasks ignore the
+// partition (D = P), and admit puts one channel of C = 2, P = 100 on the
+// given links, repartitioning every channel on them to deadline d.
+// Repartitioning a channel that crosses links 5 and 9 thus moves link 5
+// and leaves link 9 alone.
+func fixedHop1Engine() (e *Engine[int, *toyChan, int64], admit func(d int64, links ...int) *Rejection[int]) {
 	ops := *toyOps
 	ops.Task = func(ch *toyChan, hop int) edf.Task {
 		if hop == 1 {
@@ -182,13 +181,23 @@ func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
 		}
 		return edf.Task{C: ch.c, P: ch.p, D: ch.part}
 	}
-	e := NewEngine(&ops, Config{Feasibility: edf.Options{SkipValidation: true}})
-	admit := func(d int64, links ...int) *Rejection[int] {
+	e = NewEngine(&ops, Config{Feasibility: edf.Options{SkipValidation: true}})
+	return e, func(d int64, links ...int) *Rejection[int] {
 		_, rej := e.Apply(nil, 1, func(_ int, id ID) *toyChan {
 			return &toyChan{id: id, c: 2, p: 100, links: links}
 		}, constScheme(d))
 		return rej
 	}
+}
+
+// TestSweepSkipsCountOnlyReachedLinks: a skip sorted after the link a
+// sweep rejects on was never reached, so it is no answer LinksChecked
+// counts and must not count as a skip either. Channel 1 crosses links 5
+// and 9, and repartitioning it does not move link 9 (fixedHop1Engine).
+// The second admission fails on link 5, first in slack order, before
+// link 9.
+func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
+	e, admit := fixedHop1Engine()
 	if rej := admit(10, 5, 9); rej != nil {
 		t.Fatalf("first channel rejected: %v", rej.Result)
 	}
@@ -198,6 +207,34 @@ func TestSweepSkipsCountOnlyReachedLinks(t *testing.T) {
 		t.Fatalf("rejection %v, want link 5", rej)
 	}
 	if checked, skips := e.LinksChecked()-checked0, e.SweepSkips()-skips0; checked != 1 || skips != 0 {
-		t.Fatalf("rejection counted %d checks and %d cache hits, want 1 and 0", checked, skips)
+		t.Fatalf("rejection counted %d checks and %d skips, want 1 and 0", checked, skips)
+	}
+}
+
+// TestRolledBackLinkIsSkipped: a rejected decision under an adaptive
+// scheme repartitions channel 1, whose link 9 it does not move, and the
+// rollback restores channel 1's partition. The next decision repartitions
+// channel 1 again, still without moving link 9: link 9 is in its sweep
+// set and holds its committed tasks, so it counts as a check answered by
+// a skip, with no test.
+func TestRolledBackLinkIsSkipped(t *testing.T) {
+	e, admit := fixedHop1Engine()
+	if rej := admit(10, 5, 9); rej != nil {
+		t.Fatalf("first channel rejected: %v", rej.Result)
+	}
+	if rej := admit(3, 5); rej == nil || rej.Link != 5 {
+		t.Fatalf("rejection %v, want link 5", rej)
+	}
+	checked0, skips0 := e.LinksChecked(), e.SweepSkips()
+	if rej := admit(20, 5); rej != nil {
+		t.Fatalf("third channel rejected: %v", rej.Result)
+	}
+	if checked, skips := e.LinksChecked()-checked0, e.SweepSkips()-skips0; checked != 2 || skips != 1 {
+		t.Fatalf("decision after the rollback counted %d checks and %d skips, want 2 and 1", checked, skips)
+	}
+	for _, i := range e.sweepLinks {
+		if l := e.state.keys[i]; e.state.isMoved(i) == (l == 9) {
+			t.Fatalf("link %d moved = %v, want link 9 alone skipped", l, e.state.isMoved(i))
+		}
 	}
 }

@@ -28,14 +28,25 @@ func loadVerifyState(t testing.TB, e *Engine[int, *toyChan, int64], c int64) []i
 	return changed
 }
 
-// forgetVerdicts empties the verdict cache, so the next sweep runs the
-// full EDF analysis on every link instead of answering from the cache.
-func forgetVerdicts(e *Engine[int, *toyChan, int64]) { clear(e.feasGen) }
+// moveAll marks every link moved in the running decision, so the next
+// sweep runs the full EDF analysis on every link instead of skipping it.
+func moveAll(e *Engine[int, *toyChan, int64]) {
+	for i := range e.state.moved {
+		e.state.moved[i] = e.state.txn
+	}
+}
+
+// moveNone starts a decision that has moved no link yet, so the next
+// sweep skips every link.
+func moveNone(e *Engine[int, *toyChan, int64]) {
+	e.state.begin()
+	e.state.end()
+}
 
 // TestVerifySweepZeroAllocs pins the steady-state sequential verify
 // sweep at 0 allocs/op: with the engine-owned scratch arena, the reused
 // sweep buffers and the live task table, re-verifying every loaded link
-// must not touch the heap. The verdict cache is emptied before every
+// must not touch the heap. Every link is marked moved before every
 // sweep, and every link's busy period reaches its first deadline, so
 // every link runs the full EDF analysis with its demand walk rather than
 // a skip or a summary answer.
@@ -45,13 +56,13 @@ func TestVerifySweepZeroAllocs(t *testing.T) {
 
 	e.verify(changed) // warm the sweep buffers
 	if avg := testing.AllocsPerRun(100, func() {
-		forgetVerdicts(e)
+		moveAll(e)
 		before := e.sweepSkips
 		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
 		}
 		if e.sweepSkips != before || len(e.sweepTest) != len(changed) {
-			t.Fatalf("sweep answered %d cache hits and %d summaries, want the full test on all %d links",
+			t.Fatalf("sweep answered %d skips and %d summaries, want the full test on all %d links",
 				e.sweepSkips-before, len(changed)-len(e.sweepTest), len(changed))
 		}
 	}); avg != 0 {
@@ -59,68 +70,66 @@ func TestVerifySweepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestVerifySweepCachedZeroAllocs pins the all-hits cache path too: a
-// sweep where every link's verdict comes from the generation cache must
-// also be allocation-free.
-func TestVerifySweepCachedZeroAllocs(t *testing.T) {
+// TestVerifySweepAllSkipsZeroAllocs pins the all-skips path too: a sweep
+// of links the decision did not move must also be allocation-free.
+func TestVerifySweepAllSkipsZeroAllocs(t *testing.T) {
 	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 
-	e.verify(changed) // records feasGen for every link
+	moveNone(e)
+	e.verify(changed) // warm the sweep buffers
 	if avg := testing.AllocsPerRun(100, func() {
 		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
 		}
 	}); avg != 0 {
-		t.Errorf("cached verify sweep allocates %.1f allocs/op, want 0", avg)
+		t.Errorf("all-skips verify sweep allocates %.1f allocs/op, want 0", avg)
 	}
 }
 
-// TestSweepCacheSkipsUnchangedLinks proves the cache semantics at kernel
-// level: re-verifying an unchanged state is pure cache hits, and a
-// content change on one link invalidates exactly that link.
-func TestSweepCacheSkipsUnchangedLinks(t *testing.T) {
+// TestSweepSkipsUnmovedLinks proves the skip rule at kernel level: a
+// sweep in a decision that moved nothing is pure skips, and a partition
+// change on one channel moves exactly that channel's links.
+func TestSweepSkipsUnmovedLinks(t *testing.T) {
 	e := newToyEngine(Config{})
 	changed := loadVerifyState(t, e, 10)
 
-	e.verify(changed)
+	moveNone(e)
 	before := e.sweepSkips
 	e.verify(changed)
-	if hits := e.sweepSkips - before; hits != len(changed) {
-		t.Fatalf("unchanged re-sweep: %d cache hits, want %d", hits, len(changed))
+	if skips := e.sweepSkips - before; skips != len(changed) {
+		t.Fatalf("sweep of unmoved links: %d skips, want %d", skips, len(changed))
 	}
 
-	// Mutate one channel's partition: its links (and only its links) must
+	// Change one channel's partition: its links (and only its links) must
 	// be re-analyzed on the next sweep.
-	var victim *toyChan
-	for _, ch := range e.state.Channels() {
-		victim = ch
-		break
-	}
+	victim := e.state.Channels()[0]
 	e.state.SetPart(victim, 39)
 	before = e.sweepSkips
 	e.verify(changed)
-	if hits := e.sweepSkips - before; hits != len(changed)-len(victim.links) {
-		t.Fatalf("after one-channel change: %d hits, want %d", hits, len(changed)-len(victim.links))
+	if skips := e.sweepSkips - before; skips != len(changed)-len(victim.links) {
+		t.Fatalf("after one-channel change: %d skips, want %d", skips, len(changed)-len(victim.links))
 	}
 }
 
-// BenchmarkVerifySweep measures the steady-state sweep with and without
-// the verdict cache (sequential).
+// BenchmarkVerifySweep measures the steady-state sequential sweep over
+// links the decision did not move (skipped) and over links it moved
+// (tested: the full EDF analysis on every link).
 func BenchmarkVerifySweep(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		noCache bool
-	}{{"cached", false}, {"uncached", true}} {
+		name string
+		move bool
+	}{{"skipped", false}, {"tested", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			e := newToyEngine(Config{})
 			changed := loadVerifyState(b, e, 10)
+			moveNone(e)
 			e.verify(changed)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.noCache {
-					forgetVerdicts(e)
+				if mode.move {
+					moveAll(e)
 				}
 				e.verify(changed)
 			}

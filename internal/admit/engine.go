@@ -50,8 +50,10 @@ type Config struct {
 
 // Engine owns a State and runs admission decisions against it
 // copy-on-write: a decision (Apply) mutates the live state tentatively,
-// verifies only the links whose task sets changed, and rolls back on
-// rejection.
+// tests only the links it moved (loaded a hop onto, or changed a hop's
+// task on), and rolls back on rejection. A link it did not move holds a
+// subset of its committed task set, and EDF feasibility survives the
+// removal of tasks, so that link needs no test.
 //
 // Engine is not safe for concurrent use; the public rtether.Network
 // serializes access.
@@ -63,18 +65,6 @@ type Engine[K comparable, Ch any, P any] struct {
 	linksChecked int
 	repartitions int
 
-	// The per-link tables below are slices over the state's dense link
-	// index (see State), grown by fit as the state interns links.
-	//
-	// Feasibility-verdict cache: feasGen[i] is the generation stamp at
-	// which link i was last PROVEN feasible (0: never). A sweep skips
-	// any link whose current generation still equals its proven one — the
-	// link's task-set content has not changed, so the cached verdict
-	// stands. Generation stamps are never reused for different content
-	// (State.bumpGen is monotone and undo bumps again rather than
-	// restoring), which makes a stamp match a sound proof of content
-	// equality.
-	feasGen    []uint64
 	sweepSkips int
 
 	// walks and rescans count the demand walks the sweeps ran and the
@@ -83,11 +73,14 @@ type Engine[K comparable, Ch any, P any] struct {
 	walks, rescans, walkReads int
 
 	// sweepNs accumulates wall time spent inside verification sweeps
-	// (cache hits included). It is observability accounting only — never
+	// (skips included). It is observability accounting only — never
 	// part of a decision — so unlike the deterministic counters above it
 	// varies run to run. It is atomic so that a reader needs no lock.
 	sweepNs atomic.Int64
 
+	// The per-link tables below are slices over the state's dense link
+	// index (see State), grown by fit as the state interns links.
+	//
 	// slackHist[i] is the MinSlack (tightest demand-criterion margin) the
 	// link showed at its most recent COMMITTED sweep, noSlack before any.
 	// Sweeps visit links in ascending recorded slack — historically
@@ -95,8 +88,7 @@ type Engine[K comparable, Ch any, P any] struct {
 	// infeasible repartition fails as early as possible. Only committed
 	// sweeps update the history, so it is a pure function of the
 	// committed decision sequence: the sweep order — and therefore the
-	// named rejection link — does not depend on which verdicts the cache
-	// answered.
+	// named rejection link — does not depend on which links were skipped.
 	slackHist []int64
 
 	// Link sets (the touched set a repartition covers, the changed set a
@@ -116,7 +108,6 @@ type Engine[K comparable, Ch any, P any] struct {
 	loads        []int64
 	part         P
 	sweepLinks   []int32 // the last sweep's changed links, in the order given
-	sweepSkip    []bool
 	sweepTest    []int32 // positions in sweepLinks the summaries left to the full test, in sweep order
 	sweepResults []edf.Result
 
@@ -133,11 +124,9 @@ func NewEngine[K comparable, Ch any, P any](ops *Ops[K, Ch, P], cfg Config) *Eng
 func (e *Engine[K, Ch, P]) State() *State[K, Ch, P] { return e.state }
 
 // ReplaceState swaps in a state assembled elsewhere (snapshot restore).
-// Every per-link table is reset: link indices, like the verdict cache's
-// generations, belong to one state.
+// Every per-link table is reset: link indices belong to one state.
 func (e *Engine[K, Ch, P]) ReplaceState(st *State[K, Ch, P]) {
 	e.state = st
-	e.feasGen = e.feasGen[:0]
 	e.slackHist = e.slackHist[:0]
 	e.marks = e.marks[:0]
 }
@@ -149,8 +138,7 @@ const noSlack = math.MinInt64
 // fit grows the per-link tables to cover every link the state has
 // interned.
 func (e *Engine[K, Ch, P]) fit() {
-	for len(e.feasGen) < len(e.state.keys) {
-		e.feasGen = append(e.feasGen, 0)
+	for len(e.slackHist) < len(e.state.keys) {
 		e.slackHist = append(e.slackHist, noSlack)
 		e.marks = append(e.marks, 0)
 	}
@@ -178,14 +166,14 @@ func (e *Engine[K, Ch, P]) addToSet(set, idx []int32) []int32 {
 }
 
 // LinksChecked returns the cumulative number of per-link feasibility
-// tests the engine accounts for. The count is deterministic and
-// independent of the verdict cache: a cache hit counts as a check (the
-// cached verdict answers the same question).
+// answers the engine accounts for: every link of a sweep set the sweep
+// reached, whether it ran the test or skipped it (a link the decision
+// did not move is still feasible). The count is deterministic.
 func (e *Engine[K, Ch, P]) LinksChecked() int { return e.linksChecked }
 
-// SweepSkips returns the cumulative number of per-link feasibility tests
-// the verdict cache answered without running the EDF analysis: a subset
-// of the checks LinksChecked counts.
+// SweepSkips returns the cumulative number of per-link feasibility
+// answers given without running the EDF analysis, because the decision
+// did not move the link: a subset of the checks LinksChecked counts.
 func (e *Engine[K, Ch, P]) SweepSkips() int { return e.sweepSkips }
 
 // Walks returns the cumulative number of demand walks the verification
@@ -225,8 +213,8 @@ func (e *Engine[K, Ch, P]) Repartitions() int { return e.repartitions }
 // channels out of the live state, adds the new ones, repartitions
 // (repartition) the channels whose split can have moved — under a
 // load-adaptive scheme every channel on the links of both (one touched
-// set), otherwise the new channels alone — verifies only the links whose
-// task sets changed, and rolls everything back on rejection: the removed
+// set), otherwise the new channels alone — tests only the links it moved,
+// and rolls everything back on rejection: the removed
 // channels go back into the slots they were cut from, so the committed
 // state is bit-identical to before — task table, summaries, establishment
 // order and ID allocator.
@@ -336,13 +324,12 @@ func (e *Engine[K, Ch, P]) repartition(scheme Scheme[Ch, P]) {
 // installs the new one.
 //
 // The changed (= to-sweep) set is channel-granular: every link of every
-// repartitioned channel. The generation bumps underneath are finer:
-// setPartDiff stamps only the hops whose materialized task actually moved
-// (all of a new channel's, whose placeholder tasks have D = 0), which is
-// what lets the verdict cache skip the links a repartition pass touched
-// but did not change — without ever shrinking the swept set itself, so
-// the sweep order and the LinksChecked accounting do not depend on the
-// cache.
+// repartitioned channel. The moved marks underneath are finer: setPart
+// marks only the hops whose task actually changed (all of a new
+// channel's, whose placeholder tasks have D = 0), which lets the sweep
+// skip the links a repartition pass touched but did not move — without
+// ever shrinking the swept set itself, so the sweep order and the
+// LinksChecked accounting do not depend on the skips.
 func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P]) {
 	st := e.state
 	e.loads = st.hopLoads(en, e.loads[:0])
@@ -359,13 +346,11 @@ func (e *Engine[K, Ch, P]) visit(en *entry[Ch], scheme Scheme[Ch, P]) {
 	}
 	u := &e.undo[k]
 	u.e, u.old = en, e.ops.Part(en.ch, u.old)
-	st.setPartDiff(en, e.part)
+	st.setPart(en, e.part)
 	e.changed = e.addToSet(e.changed, en.idx)
 }
 
 // rollback restores the previous partitions recorded by repartition.
-// setPart (not setPartDiff) on purpose: it bumps every affected link's
-// generation, invalidating any verdict the failed attempt recorded.
 func (e *Engine[K, Ch, P]) rollback() {
 	for _, u := range e.undo {
 		e.state.setPart(u.e, u.old)
@@ -375,35 +360,29 @@ func (e *Engine[K, Ch, P]) rollback() {
 // verify tests feasibility of the changed links and names the first
 // failure in sweep order: historically tightest slack first (ties: the
 // adapter's deterministic link order), so a repartition that breaks
-// something fails as early as possible. Links whose task-set content did
-// not change were feasible at the previous commit and cannot have become
-// infeasible, which is what makes the restriction to the changed set
-// decision-preserving. The slack history advances only on commits, which
-// makes the order — and therefore the first failure — independent of the
-// cache.
+// something fails as early as possible. A link the running decision did
+// not move is skipped with no test (see Engine), a link that only lost
+// tasks to a cut or that a rollback restored included. The slack history
+// advances only on commits, which makes the order — and therefore the
+// first failure — independent of the skips.
 //
 // Only the links the cheap answers leave open are sorted. First, in any
-// order, every link the verdict cache does not answer asks its summary
-// (State.verdict): a link the summary proves feasible gets the Result the
-// EDF test would give it, with no task read. The links left over — a
-// demand walk to run, or a failure to diagnose — are sorted into sweep
-// order, cut after the first one a summary proved infeasible (no later
-// link can be the one named), and run the full test in that order. The
-// accounting is the fully sorted sweep's: on a rejection, LinksChecked,
-// SweepSkips and the cache's fresh proofs cover exactly the changed links
-// that sort before the failing one, counted in one pass.
+// order, every moved link asks its summary (State.verdict): a link the
+// summary proves feasible gets the Result the EDF test would give it,
+// with no task read. The links left over — a demand walk to run, or a
+// failure to diagnose — are sorted into sweep order, cut after the first
+// one a summary proved infeasible (no later link can be the one named),
+// and run the full test in that order. The accounting is the fully
+// sorted sweep's: on a rejection, LinksChecked and SweepSkips cover
+// exactly the changed links that sort before the failing one, counted in
+// one pass.
 func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 	sweepStart := time.Now()
 	st := e.state
-	e.fit()
-	// Verdict cache: a link whose generation still equals the one it was
-	// last proven feasible at cannot have changed content — skip the test.
-	skip := growBuf(e.sweepSkip, len(changed))
 	results := growBuf(e.sweepResults, len(changed))
 	test := e.sweepTest[:0]
 	for j, i := range changed {
-		skip[j] = e.feasGen[i] == st.gens[i]
-		if skip[j] {
+		if !st.isMoved(i) {
 			continue
 		}
 		res, ok, rescanned := st.verdict(i)
@@ -424,22 +403,17 @@ func (e *Engine[K, Ch, P]) verify(changed []int32) *Rejection[K] {
 			break
 		}
 	}
-	e.sweepLinks, e.sweepSkip, e.sweepResults, e.sweepTest = changed, skip, results, test
+	e.sweepLinks, e.sweepResults, e.sweepTest = changed, results, test
 
 	fail, rej := e.sweepSequential(changed, test)
-	// Record fresh proofs for the links the sweep reached and passed, and
-	// count the cache hits among them. Sound even if this decision later
-	// rolls back: rollback bumps every swept link's generation, orphaning
-	// these entries harmlessly.
-	for j, i := range changed {
+	// Count the links the sweep reached, and the skips among them.
+	for _, i := range changed {
 		if rej != nil && e.sweepOrder(i, changed[fail]) >= 0 {
 			continue
 		}
 		e.linksChecked++
-		if skip[j] {
+		if !st.isMoved(i) {
 			e.sweepSkips++
-		} else {
-			e.feasGen[i] = st.gens[i]
 		}
 	}
 	if rej != nil {
@@ -464,8 +438,8 @@ func (e *Engine[K, Ch, P]) sweepOrder(a, b int32) int {
 // committed decision sequence (see slackHist).
 func (e *Engine[K, Ch, P]) commitSlack() {
 	for j, i := range e.sweepLinks {
-		if e.sweepSkip[j] {
-			continue // cache hit: content unchanged, recorded slack still exact
+		if !e.state.isMoved(i) {
+			continue // no test ran: the recorded slack stands
 		}
 		e.slackHist[i] = e.sweepResults[j].MinSlack
 	}

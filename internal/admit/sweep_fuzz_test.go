@@ -2,6 +2,7 @@ package admit
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,16 +12,51 @@ import (
 // sortedEngine is the reference the verification sweep is checked
 // against: the fully sorted sweep the engine ran before it sorted only
 // the links its summaries leave open. Every changed link is sorted into
-// sweep order up front; the cache and the summaries are asked in that
-// order until a summary proves a link infeasible, and LinksChecked,
-// SweepSkips and the fresh proofs cover the sorted prefix up to the
-// failing link. It decides through sortedApply, Apply's copy.
+// sweep order up front; the moved marks and the summaries are asked in
+// that order until a summary proves a link infeasible, and LinksChecked
+// and SweepSkips cover the sorted prefix up to the failing link. It
+// decides through sortedApply, Apply's copy.
+//
+// It also checks the skip rule itself: committed holds every link's task
+// multiset as of the last commit, and a link the sweep skips must hold a
+// sub-multiset of it (unsound names the first one that does not).
 type sortedEngine struct {
 	*Engine[int, *toyChan, int64]
-	links   []int32
-	skip    []bool
-	results []edf.Result
-	ok      int // feasible prefix length of the last sweep
+	links     []int32
+	skip      []bool
+	results   []edf.Result
+	ok        int // feasible prefix length of the last sweep
+	committed map[int]map[edf.Task]int
+	unsound   string
+}
+
+// commit records every link's task multiset as the last commit left it.
+func (o *sortedEngine) commit() {
+	st := o.state
+	o.committed = map[int]map[edf.Task]int{}
+	for _, l := range st.Links() {
+		o.committed[l] = taskCounts(st.TasksOn(l))
+	}
+}
+
+// taskCounts is a task multiset.
+func taskCounts(tasks []edf.Task) map[edf.Task]int {
+	m := map[edf.Task]int{}
+	for _, t := range tasks {
+		m[t]++
+	}
+	return m
+}
+
+// checkSkipped records link i as unsound unless it holds a sub-multiset
+// of its committed tasks.
+func (o *sortedEngine) checkSkipped(i int32) {
+	l := o.state.keys[i]
+	for t, n := range taskCounts(o.state.TasksOn(l)) {
+		if n > o.committed[l][t] && o.unsound == "" {
+			o.unsound = fmt.Sprintf("skipped link %d holds %d of task %+v, %d at the last commit", l, n, t, o.committed[l][t])
+		}
+	}
 }
 
 // sortedApply is Engine.Apply with the reference sweep.
@@ -50,6 +86,7 @@ func (o *sortedEngine) sortedApply(remove []ID, n int, mk func(i int, id ID) *to
 	e.repartitions++
 	e.repartition(scheme)
 	rej := o.sortedVerify(e.changed)
+	defer o.commit() // committed or rolled back, the state stands as committed
 	if rej == nil || n == 0 {
 		if rej == nil {
 			for i := 0; i < o.ok; i++ {
@@ -94,7 +131,10 @@ func (o *sortedEngine) sortedVerify(changed []int32) *Rejection[int] {
 	var test []int32
 	doomed := false
 	for j, i := range links {
-		skip[j] = e.feasGen[i] == st.gens[i]
+		skip[j] = !st.isMoved(i)
+		if skip[j] {
+			o.checkSkipped(i)
+		}
 		if skip[j] || doomed {
 			continue
 		}
@@ -127,16 +167,14 @@ func (o *sortedEngine) sortedVerify(changed []int32) *Rejection[int] {
 	for i := 0; i < checked; i++ {
 		if skip[i] {
 			e.sweepSkips++
-		} else if i < o.ok {
-			e.feasGen[links[i]] = st.gens[links[i]]
 		}
 	}
 	return rej
 }
 
 // sweepFuzzOps is toyOps with every odd hop's deadline fixed at the
-// period, whatever the partition: repartitioning a channel leaves those
-// links' content alone, so the verdict cache answers them.
+// period, whatever the partition: repartitioning a channel does not move
+// those links, so the sweep skips them.
 var sweepFuzzOps = func() *Ops[int, *toyChan, int64] {
 	ops := *toyOps
 	ops.Task = func(ch *toyChan, hop int) edf.Task {
@@ -152,10 +190,12 @@ var sweepFuzzOps = func() *Ops[int, *toyChan, int64] {
 // to three channels over six links, removals, and both at once — through
 // the engine and through the reference fully sorted sweep, and requires
 // after every step the same verdict, rejecting link and Result, the same
-// LinksChecked and SweepSkips, and the same slack history and verdict
-// cache. Channels at C = P drive links past U > 1, which their summaries
-// prove; odd hops ignore the partition, which makes cache hits; a small
-// checkpoint cap sometimes makes a walk inconclusive.
+// LinksChecked and SweepSkips, and the same slack history, and that every
+// link the reference skipped held a sub-multiset of its committed tasks.
+// Channels at C = P drive links past U > 1, which their summaries prove;
+// odd hops ignore the partition, and removals only take tasks away, which
+// makes skips; a small checkpoint cap sometimes makes a walk
+// inconclusive.
 func FuzzSweepMatchesSortedSweep(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 9, 12, 4, 13, 10, 30, 1, 2, 15, 0, 2, 0, 0, 3, 0, 0, 5})
 	f.Add([]byte{5, 4, 20, 40, 3, 8, 31, 47, 8, 1, 3, 15, 0, 0, 14, 17, 9, 6, 2, 3, 7, 1, 11, 0})
@@ -182,6 +222,7 @@ func FuzzSweepMatchesSortedSweep(f *testing.F) {
 		}
 		e := NewEngine(sweepFuzzOps, cfg)
 		o := &sortedEngine{Engine: NewEngine(sweepFuzzOps, cfg)}
+		o.commit()
 
 		for k := 1; k+3 < len(data) && k < 1+4*48; k += 4 {
 			b := data[k : k+4]
@@ -225,8 +266,11 @@ func FuzzSweepMatchesSortedSweep(f *testing.F) {
 			}
 			e.fit()
 			o.fit()
-			if !slices.Equal(e.slackHist, o.slackHist) || !slices.Equal(e.feasGen, o.feasGen) {
-				t.Fatalf("step %d: slack history %v cache %v, reference %v and %v", k/4, e.slackHist, e.feasGen, o.slackHist, o.feasGen)
+			if !slices.Equal(e.slackHist, o.slackHist) {
+				t.Fatalf("step %d: slack history %v, reference %v", k/4, e.slackHist, o.slackHist)
+			}
+			if o.unsound != "" {
+				t.Fatalf("step %d: %s", k/4, o.unsound)
 			}
 		}
 	})

@@ -18,26 +18,15 @@ func toy(st *State[int, *toyChan, int64], c, p int64, links ...int) *toyChan {
 }
 
 // TestDrainedLinkKeepsIndex drains a link to load 0 through Remove and
-// through UndoAdd, reloads it, and checks it keeps its dense index, its
-// per-link tables restart from an exact zero, and its generation stamps
-// never repeat.
+// through UndoAdd, reloads it, and checks it keeps its dense index and
+// its per-link tables restart from an exact zero.
 func TestDrainedLinkKeepsIndex(t *testing.T) {
 	st := NewState(toyOps)
 	a := toy(st, 1, 3, 7, 3)
 	st.Add(a)
 	i7 := st.index[7]
-	gens := []uint64{st.gens[i7]}
-	stamp := func(what string) {
-		t.Helper()
-		g := st.gens[i7]
-		if g <= gens[len(gens)-1] {
-			t.Fatalf("%s: generation %d after %v, want strictly increasing", what, g, gens)
-		}
-		gens = append(gens, g)
-	}
 
 	st.Remove(a.id)
-	stamp("remove")
 	if st.LinkLoad(7) != 0 || st.LoadedLinks() != 0 || len(st.Links()) != 0 || st.TasksOn(7) != nil {
 		t.Fatalf("drained state: load %d, loaded %d, links %v, tasks %v",
 			st.LinkLoad(7), st.LoadedLinks(), st.Links(), st.TasksOn(7))
@@ -48,7 +37,6 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 
 	b := toy(st, 2, 5, 7)
 	st.Add(b)
-	stamp("reload")
 	if got := st.index[7]; got != i7 {
 		t.Fatalf("reloaded link 7 has index %d, had %d", got, i7)
 	}
@@ -61,10 +49,8 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 
 	c := toy(st, 1, 4, 7, 9)
 	st.Add(c)
-	stamp("add")
 	i9 := st.index[9]
 	st.UndoAdd(c)
-	stamp("undo")
 	if st.LinkLoad(9) != 0 || st.LoadedLinks() != 1 {
 		t.Fatalf("after UndoAdd: load(9)=%d loaded=%d", st.LinkLoad(9), st.LoadedLinks())
 	}
@@ -72,8 +58,6 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 	if st.index[9] != i9 {
 		t.Fatalf("link 9 re-interned after UndoAdd: %d, had %d", st.index[9], i9)
 	}
-	st.SetPart(b, 6)
-	stamp("setpart")
 }
 
 // TestCloneIsIndependent mutates a Clone every way the engines do and
@@ -85,10 +69,10 @@ func TestCloneIsIndependent(t *testing.T) {
 		st.Add(toy(st, 1, 10, links...))
 	}
 	fingerprint := func(s *State[int, *toyChan, int64]) string {
-		out := fmt.Sprintf("len=%d next=%d loaded=%d gen=%d mean=%v|", s.Len(), s.NextID(), s.LoadedLinks(), s.genCtr, s.MeanLinkUtilization())
+		out := fmt.Sprintf("len=%d next=%d loaded=%d mean=%v|", s.Len(), s.NextID(), s.LoadedLinks(), s.MeanLinkUtilization())
 		for _, l := range s.Links() {
 			i := s.index[l]
-			out += fmt.Sprintf("%d:%d:%v:%v:%d:%v:%+v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.gens[i], s.byLink[i][0].e.ch.part, s.sums[i])
+			out += fmt.Sprintf("%d:%d:%v:%v:%v:%+v;", l, s.LinkLoad(l), s.utilSum[i], s.TasksOn(l), s.byLink[i][0].e.ch.part, s.sums[i])
 		}
 		return out
 	}
@@ -98,7 +82,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	cp := st.Clone()
 	first := cp.Channels()[0]
 	cp.SetPart(first, 5)
-	cp.setPartDiff(cp.channels[cp.Channels()[1].id], 7)
+	cp.setPart(cp.channels[cp.Channels()[1].id], 7)
 	cp.Remove(cp.Channels()[2].id)
 	cp.Add(toy(cp, 3, 10, 8, 42))
 	cp.Add(toy(cp, 1, 10, 0))
@@ -189,11 +173,11 @@ func TestLinksMatchFreshSort(t *testing.T) {
 	}
 }
 
-// TestReplaceStateMatchesFreshEngine gives an engine a history (verdict
-// cache, slack history, interned links) on one state, swaps in a state
+// TestReplaceStateMatchesFreshEngine gives an engine a history (slack
+// history, interned links) on one state, swaps in a state
 // assembled elsewhere whose links are interned in a different order,
 // and requires every later decision — verdict, named link, diagnostic,
-// LinksChecked and cache hits — to match a fresh engine handed an
+// LinksChecked and skips — to match a fresh engine handed an
 // identical state. A per-link table surviving the swap would read
 // another link's history.
 func TestReplaceStateMatchesFreshEngine(t *testing.T) {
@@ -217,8 +201,8 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 		t.Fatal("history engine built no history")
 	}
 	used.ReplaceState(assemble())
-	if len(used.feasGen) != 0 || len(used.slackHist) != 0 {
-		t.Fatalf("ReplaceState kept %d verdicts and %d slack entries of the old state", len(used.feasGen), len(used.slackHist))
+	if len(used.slackHist) != 0 {
+		t.Fatalf("ReplaceState kept %d slack entries of the old state", len(used.slackHist))
 	}
 	fresh := newToyEngine(Config{})
 	fresh.ReplaceState(assemble())
@@ -235,7 +219,7 @@ func TestReplaceStateMatchesFreshEngine(t *testing.T) {
 		_, ru := used.Apply(nil, 1, gen, scheme)
 		_, rf := fresh.Apply(nil, 1, gen, scheme)
 		if checked, skips := fresh.LinksChecked()-c0, fresh.SweepSkips()-s0; skips > checked {
-			t.Fatalf("decision %d: %d cache hits out of %d checks", i, skips, checked)
+			t.Fatalf("decision %d: %d skips out of %d checks", i, skips, checked)
 		}
 		if (ru == nil) != (rf == nil) {
 			t.Fatalf("decision %d: replaced engine rejected=%v, fresh rejected=%v", i, ru != nil, rf != nil)
@@ -348,8 +332,7 @@ func checkTaskTable(t *testing.T, step int, st *State[int, *toyChan, int64]) {
 }
 
 // churnTable drives a state through every operation that edits the live
-// task table — Add, UndoAdd, Remove, SetPart, setPartDiff, an engine
-// rollback, an Apply that replaces channels and one that rolls back, and
+// task table — Add, UndoAdd, Remove, SetPart, an engine rollback, an Apply that replaces channels and one that rolls back, and
 // Clone (continuing on the clone) — plus the sweep's summary verdict,
 // which may rescan a link, with channels that sometimes cross one link
 // twice and sometimes hold no partition yet, and calls check after every
@@ -385,16 +368,14 @@ func churnTable(t *testing.T, seed int64, capacity func(*rand.Rand) (c, p int64)
 			k := rng.Intn(len(live))
 			st.Remove(live[k])
 			live = append(live[:k], live[k+1:]...)
-		case r < 15:
-			st.SetPart(pick(), int64(1+rng.Intn(30)))
 		case r < 17:
-			st.setPartDiff(st.channels[pick().id], int64(1+rng.Intn(30)))
+			st.SetPart(pick(), int64(1+rng.Intn(30)))
 		case r < 19:
 			var undo []partUndo[*toyChan, int64]
 			for k := 0; k < 3; k++ {
 				en := st.channels[pick().id]
 				undo = append(undo, partUndo[*toyChan, int64]{e: en, old: en.ch.part})
-				st.setPartDiff(en, int64(1+rng.Intn(30)))
+				st.setPart(en, int64(1+rng.Intn(30)))
 			}
 			slices.Reverse(undo) // a channel picked twice restores its oldest partition last
 			e.ReplaceState(st)
@@ -553,23 +534,22 @@ func TestLinkSummaryMatchesRebuild(t *testing.T) {
 	})
 }
 
-// TestFreshChannelLinksAllChange pins what lets applyDelta treat a new
+// TestFreshChannelLinksAllChange pins what lets a decision treat a new
 // channel like any other: its placeholder tasks (D = 0) differ from the
-// tasks of every valid partition, so setPartDiff reports and re-stamps
-// every link it loads, once per hop on a link it crosses twice.
+// tasks of every valid partition, so its first setPart moves every link
+// it loads, a link it crosses twice included, even in a decision that
+// did not add it.
 func TestFreshChannelLinksAllChange(t *testing.T) {
 	st := NewState(toyOps)
 	st.Add(toy(st, 1, 50, 1, 2))
 	ch := &toyChan{id: st.AllocID(), c: 1, p: 50, links: []int{2, 3, 2}}
 	st.Add(ch)
-	before := slices.Clone(st.gens)
-	idx := st.channels[ch.id].idx
-	if diff := st.setPartDiff(st.channels[ch.id], ch.c); !slices.Equal(diff, idx) {
-		t.Fatalf("setPartDiff on a fresh channel changed links %v, want every hop %v", diff, idx)
-	}
-	for _, i := range idx {
-		if st.gens[i] <= before[i] {
-			t.Fatalf("link %d kept generation %d", st.keys[i], st.gens[i])
+	st.begin()
+	defer st.end()
+	st.setPart(st.channels[ch.id], ch.c)
+	for _, l := range []int{1, 2, 3} {
+		if moved := st.isMoved(st.index[l]); moved != (l != 1) {
+			t.Fatalf("link %d moved = %v after partitioning a fresh channel on links %v", l, moved, ch.links)
 		}
 	}
 	if st.sums[st.index[2]].Loose() {
@@ -587,15 +567,20 @@ func TestRepartitionSweepZeroAllocs(t *testing.T) {
 	chs := e.state.Channels()
 	d := int64(40)
 	if avg := testing.AllocsPerRun(100, func() {
-		// Alternate 40 and 41, so no sweep is a cache hit: at 40 every link
-		// walks its demand (busy period 40), at 41 its summary answers
-		// after a rescan (raising every deadline loosened the bound).
+		// Alternate 40 and 41, so every link moves and no sweep skips one:
+		// at 40 every link walks its demand (busy period 40), at 41 its
+		// summary answers after a rescan (raising every deadline loosened
+		// the bound).
 		d = 81 - d
 		for _, ch := range chs {
 			e.state.SetPart(ch, d)
 		}
+		before := e.sweepSkips
 		if rej := e.verify(changed); rej != nil {
 			t.Fatalf("sweep rejected: %v", rej.Result)
+		}
+		if e.sweepSkips != before {
+			t.Fatalf("sweep skipped %d links, want the test on all %d", e.sweepSkips-before, len(changed))
 		}
 	}); avg != 0 {
 		t.Errorf("repartition + verify sweep allocates %.1f allocs/op, want 0", avg)

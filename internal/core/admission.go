@@ -85,8 +85,8 @@ func (c *Controller) DPS() DPS { return c.cfg.DPS }
 func (c *Controller) Stats() Stats { return c.p.Counters() }
 
 // SweepSkips returns how many of the LinksChecked feasibility answers
-// came from the kernel's generation-keyed verdict cache instead of a
-// fresh EDF analysis.
+// needed no EDF analysis, because the decision did not move the link
+// (see admit.Engine.SweepSkips).
 func (c *Controller) SweepSkips() int { return c.p.Eng.SweepSkips() }
 
 // SweepNs returns the cumulative wall-clock nanoseconds the engine has

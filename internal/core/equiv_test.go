@@ -2,7 +2,8 @@ package core_test
 
 // Decision-equivalence tests for the copy-on-write admission engine: the
 // controller (persistent per-link caches, delta repartitioning,
-// changed-links verification, the sweep verdict cache) must be
+// changed-links verification, skipping the links a decision did not
+// move) must be
 // indistinguishable from the clone oracle core.Reference — identical
 // accept/reject verdicts, identical committed states, and a named
 // rejection link the oracle's tentative state fails on. core.Twin checks
@@ -88,12 +89,12 @@ func TestAdmissionDecisionEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepCacheEquivalence replays a generation-invalidation churn
-// workload — establishes, releases of recent and old channels, and
-// immediate re-establishes that repeatedly flip the same links' task-set
-// generations — through the cached controller and the oracle, which runs
-// a from-scratch EDF test on every link: the verdict cache may only change
-// how many EDF analyses actually run.
+// TestSweepCacheEquivalence replays a churn workload — establishes,
+// releases of recent and old channels, and immediate re-establishes that
+// move the same links over and over — through the controller, which
+// skips the links a decision did not move, and the oracle, which runs a
+// from-scratch EDF test on every link: the skips may only change how many
+// EDF analyses actually run.
 func TestSweepCacheEquivalence(t *testing.T) {
 	requests := traffic.PaperLayout.Requests(400, traffic.PaperSpec)
 	for _, dps := range []core.DPS{core.SDPS{}, core.ADPS{}} {
@@ -105,9 +106,9 @@ func TestSweepCacheEquivalence(t *testing.T) {
 					accepted = append(accepted, ch.ID)
 				}
 				// Churn: release a mid-history victim and immediately
-				// re-establish its spec, bumping the same links' generations
-				// over and over — the invalidation pattern the cache must
-				// never serve stale verdicts across.
+				// re-establish its spec, moving the same links over and
+				// over — a link that only lost a task may be skipped, one
+				// that gained one never.
 				if i%5 == 4 && len(accepted) > 3 {
 					victim := accepted[len(accepted)/3]
 					accepted = append(accepted[:len(accepted)/3], accepted[len(accepted)/3+1:]...)
@@ -120,9 +121,9 @@ func TestSweepCacheEquivalence(t *testing.T) {
 			// No SweepSkips lower bound here: a star channel's partition is
 			// the complementary pair {d_iu, d_id}, so when ADPS moves a
 			// channel both hop tasks move with it and every swept link
-			// really did change content — zero cache hits is the correct
-			// outcome for 2-hop workloads. Positive hit-rate behavior is
-			// pinned at kernel level (admit.TestSweepCacheSkipsUnchangedLinks)
+			// really did move — zero skips is the correct outcome for
+			// 2-hop workloads. Skips are pinned at kernel level
+			// (admit.TestSweepSkipsUnmovedLinks)
 			// and on the fabric's longer hop vectors
 			// (topo.TestFabricSweepCacheEquivalence), where repartitions
 			// leave interior budgets untouched.

@@ -109,18 +109,24 @@ func (c countedWrites) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// send queues one reply frame, encoded by enc. A write failure kills
-// the connection; the reader loop notices and winds the connection
-// down, and every reply still queued is dropped.
-func (bc *binConn) send(enc func(dst []byte) []byte) {
-	if bc.w.Queue(enc) != nil {
+// send queues the reply frame enc encodes for request reqID, or a
+// bad_request error frame if the group writer refuses it as too large. A
+// write failure kills the connection; the reader loop notices and winds
+// the connection down, and every reply still queued is dropped.
+func (bc *binConn) send(reqID uint32, enc func(dst []byte) []byte) {
+	err := bc.w.Queue(enc)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		we := &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf("rtetherd: reply refused: %v, past the binary frame limit of %d bytes", err, wire.MaxFramePayload)}
+		err = bc.w.Queue(func(dst []byte) []byte { return wire.AppendError(dst, reqID, we) })
+	}
+	if err != nil {
 		bc.conn.Close()
 	}
 }
 
 // sendErr ships an error envelope reply.
 func (bc *binConn) sendErr(reqID uint32, we *wire.Error) {
-	bc.send(func(dst []byte) []byte { return wire.AppendError(dst, reqID, we) })
+	bc.send(reqID, func(dst []byte) []byte { return wire.AppendError(dst, reqID, we) })
 }
 
 // serveBinaryConn runs one connection's read loop. The per-connection

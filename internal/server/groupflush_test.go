@@ -42,14 +42,14 @@ func TestBinaryGroupFlush(t *testing.T) {
 	}
 	writes := s.metrics.binWrites.Load
 	leader := make(chan struct{})
-	go func() { defer close(leader); bc.send(reply(1)) }()
+	go func() { defer close(leader); bc.send(1, reply(1)) }()
 	awaitCount(t, writes, 1)
 	const n = 8
 	queued := make(chan struct{})
 	go func() {
 		defer close(queued)
 		for id := uint32(2); id <= n; id++ {
-			bc.send(reply(id))
+			bc.send(id, reply(id))
 		}
 	}()
 	select {
@@ -166,6 +166,81 @@ func TestBinaryOversizedRequestKeepsConnection(t *testing.T) {
 	}
 	if _, err := cl.Stats(ctx); err != nil {
 		t.Fatalf("stats after the oversized request: %v", err)
+	}
+	if after := conns(); len(before) != 1 || !slices.Equal(after, before) {
+		t.Fatalf("binary connections %v before, %v after: the connection did not stay up", before, after)
+	}
+}
+
+// TestBinaryOversizedReplyReleasesBatch is an atomic establishAll of
+// 27 600 specs on a 2-switch line: its request fits in a frame (32 bytes
+// a spec), but its reply would not (38 bytes a channel: three hop
+// budgets). The daemon refuses the batch with bad_request and releases
+// its channels in one decision, so the network holds none of them; an
+// establish waiting in the coalescer's window on the same connection
+// completes on it, and the connection stays up.
+func TestBinaryOversizedReplyReleasesBatch(t *testing.T) {
+	top := rtether.NewTopology()
+	for _, err := range []error{top.AddSwitch(0), top.AddSwitch(1), top.Trunk(0, 1), top.Attach(1, 0), top.Attach(2, 1)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rtnet := rtether.New(rtether.WithTopology(top), rtether.WithHDPS(rtether.HSDPS()))
+	s := New(Config{Network: rtnet, CoalesceWindow: 200 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { defer close(served); _ = s.ServeBinary(ln) }()
+	t.Cleanup(func() { s.Close(); <-served; _ = rtnet.Close() })
+	cl := client.New("http://127.0.0.1:0", client.WithTransport(client.TransportBinary), client.WithBinaryAddr(ln.Addr().String()))
+	ctx := context.Background()
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	conns := func() []net.Conn {
+		s.binMu.Lock()
+		defer s.binMu.Unlock()
+		var cs []net.Conn
+		for c := range s.binConns {
+			cs = append(cs, c)
+		}
+		return cs
+	}
+	before := conns()
+	reparts := rtnet.AdmissionStats().Repartitions
+
+	type verdict struct {
+		ch  client.Channel
+		err error
+	}
+	held := make(chan verdict, 1)
+	go func() {
+		ch, err := cl.Establish(ctx, rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 100, D: 60})
+		held <- verdict{ch, err}
+	}()
+	awaitCount(t, s.coal.establishes.Load, 1)
+	specs := make([]rtether.ChannelSpec, 27600)
+	for i := range specs {
+		specs[i] = rtether.ChannelSpec{Src: 1, Dst: 2, C: 1, P: 100000, D: 90000}
+	}
+	_, err = cl.EstablishAll(ctx, specs)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("establishAll with an oversized reply = %v, want a %s *wire.Error", err, wire.CodeBadRequest)
+	}
+	v := <-held
+	if v.err != nil {
+		t.Fatalf("establish beside the oversized reply: %v", v.err)
+	}
+	if got, want := rtnet.Channels(), []rtether.ChannelID{v.ch.ID}; !slices.Equal(got, want) {
+		t.Fatalf("channels after the refused batch: %d of them, want only the establish's %v", len(got), want)
+	}
+	// The batch's admission, its release and the establish's flight.
+	if got := rtnet.AdmissionStats().Repartitions - reparts; got != 3 {
+		t.Fatalf("%d repartitions, want 3: the batch must be released in one decision", got)
 	}
 	if after := conns(); len(before) != 1 || !slices.Equal(after, before) {
 		t.Fatalf("binary connections %v before, %v after: the connection did not stay up", before, after)

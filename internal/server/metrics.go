@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -20,6 +22,11 @@ import (
 type serverMetrics struct {
 	reg   *obs.Registry
 	spans *obs.SpanRing
+
+	// adm is the AdmissionStats snapshot every admission series of the
+	// running render reads, so a scrape's series describe one state.
+	scrapeMu sync.Mutex
+	adm      rtether.AdmissionStats
 
 	admits      *obs.Counter
 	rejects     *obs.Counter
@@ -61,15 +68,15 @@ func newServerMetrics(s *Server, spanCap int) *serverMetrics {
 	m.topicAdmits = r.Counter("rtether_topic_admissions_total", "Topic-tree (re-)admissions driven by pub/sub membership changes.")
 	m.heartbeats = r.Counter("rtether_heartbeats_total", "Heartbeat events published on the watch feed.")
 
-	// Admission-kernel counters, promoted from rtether.AdmissionStats.
+	// Admission-kernel counters, promoted from the render's snapshot.
 	stat := func(f func(rtether.AdmissionStats) float64) func() float64 {
-		return func() float64 { return f(s.net.AdmissionStats()) }
+		return func() float64 { return f(m.adm) }
 	}
 	r.CounterFunc("rtether_admit_requests_total", "Channel requests decided by the admission kernel.",
 		stat(func(a rtether.AdmissionStats) float64 { return float64(a.Requests) }))
-	r.CounterFunc("rtether_links_checked_total", "Per-link feasibility verifications, cached verdicts included.",
+	r.CounterFunc("rtether_links_checked_total", "Per-link feasibility verifications, skipped links included.",
 		stat(func(a rtether.AdmissionStats) float64 { return float64(a.LinksChecked) }))
-	r.CounterFunc("rtether_verify_cache_hits_total", "Per-link verifications answered by the generation-keyed verdict cache.",
+	r.CounterFunc("rtether_verify_cache_hits_total", "Per-link verifications answered with no test: a link the decision did not move needs no test.",
 		stat(func(a rtether.AdmissionStats) float64 { return float64(a.VerifyCacheHits) }))
 	r.CounterFunc("rtether_repartitions_total", "Deadline-repartition passes run by the kernel.",
 		stat(func(a rtether.AdmissionStats) float64 { return float64(a.Repartitions) }))
@@ -176,10 +183,21 @@ func (s *Server) mountRoutes(ops []*binding) {
 }
 
 // handlePromMetrics serves the Prometheus text exposition
-// (GET /metrics).
+// (GET /metrics) of one AdmissionStats snapshot.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.reg.WritePrometheus(w)
+	_, _ = w.Write(s.metrics.render(s.net.AdmissionStats()))
+}
+
+// render renders the exposition with every admission series read from
+// adm, one render at a time, into a buffer so a slow scraper holds none.
+func (m *serverMetrics) render(adm rtether.AdmissionStats) []byte {
+	m.scrapeMu.Lock()
+	defer m.scrapeMu.Unlock()
+	m.adm = adm
+	var b bytes.Buffer
+	_ = m.reg.WritePrometheus(&b)
+	return b.Bytes()
 }
 
 // MetricsHandler exposes the Prometheus exposition handler for mounting

@@ -65,7 +65,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", k, got, want)
 		}
 	}
-	// The verdict cache and sweep-time series must be present even when
+	// The sweep-skip and sweep-time series must be present even when
 	// zero — their absence means the promotion broke.
 	for _, k := range []string{"rtether_verify_cache_hits_total", "rtether_sweep_seconds_total", "rtether_repartitions_total"} {
 		if _, ok := m[k]; !ok {

@@ -86,7 +86,7 @@ func bind[Req, Rep any](op *wire.Op[Req, Rep], body func(context.Context, Req) (
 				bc.sendErr(reqID, errorBody(err))
 				return
 			}
-			bc.send(func(dst []byte) []byte { return op.AppendRep(dst, reqID, rep) })
+			bc.send(reqID, func(dst []byte) []byte { return op.AppendRep(dst, reqID, rep) })
 		}
 	}
 	return b
@@ -169,13 +169,28 @@ func (s *Server) multicast(ctx context.Context, req wire.EstablishMulticastReque
 
 // establishAll decides an explicit atomic batch, bypassing the
 // coalescer (all-or-nothing is the caller's requested semantic), and
-// publishes the verdicts.
+// publishes the verdicts. A batch whose reply would not fit in a binary
+// frame, which a binary client could not read, is refused on either
+// transport, its channels released in one decision before any verdict
+// is published (on a closed network, Close released them).
 func (s *Server) establishAll(_ context.Context, req wire.EstablishAllRequest) (wire.EstablishAllReply, error) {
 	specs := make([]rtether.ChannelSpec, len(req.Specs))
 	for i, sp := range req.Specs {
 		specs[i] = sp.ChannelSpec()
 	}
 	chs, err := s.net.EstablishAll(specs)
+	var rep wire.EstablishAllReply
+	if err == nil {
+		rep.Channels = make([]wire.ChannelReply, len(chs))
+		for i, ch := range chs {
+			rep.Channels[i] = channelReply(ch)
+		}
+		if size := wire.ChannelListLen(rep); size > wire.MaxFramePayload {
+			_ = s.net.ReleaseAll(chs)
+			err = &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf(
+				"rtetherd: the reply to %d channels would take %d bytes, past the frame limit of %d; split the batch", len(chs), size, wire.MaxFramePayload)}
+		}
+	}
 	if err != nil {
 		// Every rejection reaches the watch feed, whatever its class:
 		// feasibility failures name the attributed spec, other errors
@@ -194,9 +209,7 @@ func (s *Server) establishAll(_ context.Context, req wire.EstablishAllRequest) (
 		s.hub.publish(wire.WatchEvent{Type: wire.EventReject, Spec: &ws, Error: we})
 		return wire.EstablishAllReply{}, we
 	}
-	rep := wire.EstablishAllReply{Channels: make([]wire.ChannelReply, len(chs))}
 	for i, ch := range chs {
-		rep.Channels[i] = channelReply(ch)
 		s.noteVerdict(specs[i], nil, ch, nil)
 	}
 	return rep, nil

@@ -248,7 +248,7 @@ func decisionAccounting(t testing.TB) string {
 // and Repartitions each decision adds, on four workloads: the bulk star
 // and the bulk line churned with whole-link requests, Fig. 18.5 under
 // ADPS past saturation, and an H-ADPS line churned into rejections. Any
-// change to the verification sweep's order, its cache or its summaries
+// change to the verification sweep's order, its skips or its summaries
 // that moves one of these numbers shows here.
 func TestDecisionAccountingGolden(t *testing.T) {
 	got := decisionAccounting(t)

@@ -86,8 +86,8 @@ func (c *Controller) LinksChecked() int { return c.p.Eng.LinksChecked() }
 func (c *Controller) Repartitions() int { return c.p.Eng.Repartitions() }
 
 // SweepSkips returns how many of the LinksChecked feasibility answers
-// came from the kernel's generation-keyed verdict cache instead of a
-// fresh EDF analysis (see admit.Engine.SweepSkips).
+// needed no EDF analysis, because the decision did not move the link
+// (see admit.Engine.SweepSkips).
 func (c *Controller) SweepSkips() int { return c.p.Eng.SweepSkips() }
 
 // SweepNs returns the cumulative wall-clock nanoseconds the engine has

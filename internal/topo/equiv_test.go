@@ -102,10 +102,10 @@ func TestFabricDecisionEquivalence(t *testing.T) {
 }
 
 // TestFabricSweepCacheEquivalence replays a churn workload through the
-// cached controller and the oracle, which runs a from-scratch EDF test on
-// every edge: identical verdicts and committed states, with the cache
-// actually hitting. Releases that trigger kept-back partitions keep the
-// same trunks' generations churning.
+// controller, which skips the links a decision did not move, and the
+// oracle, which runs a from-scratch EDF test on every edge: identical
+// verdicts and committed states, with links actually skipped. Releases
+// that trigger kept-back partitions keep the same trunks moving.
 func TestFabricSweepCacheEquivalence(t *testing.T) {
 	for _, scheme := range []HDPS{HSDPS{}, HADPS{}} {
 		t.Run(scheme.Name(), func(t *testing.T) {
@@ -122,11 +122,11 @@ func TestFabricSweepCacheEquivalence(t *testing.T) {
 				}
 			}
 			// H-SDPS is static: existing channels are never repartitioned,
-			// so a sweep never contains a content-unchanged link and zero
-			// cache hits is the correct (and desirable) outcome. Only the
-			// adaptive scheme produces touched-but-unmoved links to skip.
+			// so a sweep never contains an unmoved link and zero skips is
+			// the correct (and desirable) outcome. Only the adaptive
+			// scheme produces touched-but-unmoved links to skip.
 			if _, adaptive := scheme.(HADPS); adaptive && w.ctrl.SweepSkips() == 0 {
-				t.Error("verdict cache never hit on the adaptive fabric workload")
+				t.Error("no link skipped on the adaptive fabric workload")
 			}
 		})
 	}

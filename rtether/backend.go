@@ -28,9 +28,9 @@ type AdmissionStats struct {
 	RejectedInconclusive int // analysis hit configured limits, or no channel ID was free
 	Released             int // channels torn down
 	LinksChecked         int // cumulative per-link feasibility tests
-	// VerifyCacheHits counts the LinksChecked answers the kernel's
-	// generation-keyed verdict cache served without running the EDF
-	// analysis (LinksChecked includes them, so the cache hit-rate is
+	// VerifyCacheHits counts the LinksChecked answers given without
+	// running the EDF analysis: a link the decision did not move needs no
+	// test (LinksChecked includes them, so the skip rate is
 	// VerifyCacheHits / LinksChecked).
 	VerifyCacheHits int
 	// SweepNs is the cumulative wall-clock time (nanoseconds) the kernel

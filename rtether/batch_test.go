@@ -296,3 +296,45 @@ func TestFabricReleaseDivergencePanics(t *testing.T) {
 	}()
 	_ = ch.Release()
 }
+
+// TestReleaseAllIsOneDecision releases six of eight ADPS star channels
+// through ReleaseAll, whose list also repeats one of them and names a
+// seventh released before and a handle of another network: the six go
+// in one repartition pass, the rest is skipped, and the eighth keeps its
+// handle open, as does the other network's.
+func TestReleaseAllIsOneDecision(t *testing.T) {
+	build := func() (*Network, []*Channel) {
+		n := New(WithADPS())
+		for id := NodeID(0); id < 4; id++ {
+			n.MustAddNode(id)
+		}
+		specs := make([]ChannelSpec, 8)
+		for i := range specs {
+			specs[i] = ChannelSpec{Src: NodeID(i % 2), Dst: NodeID(2 + i%2), C: 1, P: 100, D: 40}
+		}
+		chs, err := n.EstablishAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, chs
+	}
+	n, chs := build()
+	_, foreign := build()
+	if err := chs[6].Release(); err != nil {
+		t.Fatal(err)
+	}
+	before := n.AdmissionStats()
+	if err := n.ReleaseAll(append(chs[:6:6], chs[2], chs[6], foreign[7])); err != nil {
+		t.Fatalf("ReleaseAll: %v", err)
+	}
+	after := n.AdmissionStats()
+	if reparts, released := after.Repartitions-before.Repartitions, after.Released-before.Released; reparts != 1 || released != 6 {
+		t.Fatalf("ReleaseAll ran %d repartitions releasing %d channels, want 1 and 6", reparts, released)
+	}
+	if got, want := n.Channels(), []ChannelID{chs[7].ID()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("channels left %v, want %v", got, want)
+	}
+	if n.Lookup(chs[0].ID()) != nil || n.Lookup(chs[7].ID()) == nil || len(foreign[7].Budgets()) == 0 {
+		t.Fatal("ReleaseAll closed the wrong handles")
+	}
+}

@@ -142,9 +142,9 @@ func (bc *binConn) readLoop() {
 // it on the group writer and returns the reply channel. The request is
 // in pending before its bytes are queued, so a failed write, which
 // closes the connection, fails it and every other queued request. A
-// frame whose payload passes wire.MaxFramePayload, which the daemon
-// would answer by dropping the connection, is taken back out of the
-// queue before it is written and refused as a bad request.
+// frame the group writer refuses as too large (wire.ErrFrameTooLarge)
+// never reaches the daemon: the request is refused as a bad request,
+// and the connection stays up.
 func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan wire.Frame, error) {
 	ch := make(chan wire.Frame, 1)
 	bc.mu.Lock()
@@ -157,23 +157,14 @@ func (bc *binConn) send(enc func(dst []byte, reqID uint32) []byte) (uint32, chan
 	id := bc.nextID
 	bc.pending[id] = ch
 	bc.mu.Unlock()
-	oversized := 0
-	err := bc.w.Queue(func(dst []byte) []byte {
-		n := len(dst)
-		dst = enc(dst, id)
-		if size := len(dst) - n - wire.FrameHeaderLen; size > wire.MaxFramePayload {
-			oversized = size
-			return dst[:n:n] // the queue keeps its frames, not the oversized buffer
-		}
-		return dst
-	})
-	if err != nil {
-		bc.close(fmt.Errorf("client: binary connection: %w", err))
-	}
-	if oversized > 0 {
+	err := bc.w.Queue(func(dst []byte) []byte { return enc(dst, id) })
+	if errors.Is(err, wire.ErrFrameTooLarge) {
 		bc.abandon(id)
 		return 0, nil, &wire.Error{Code: wire.CodeBadRequest, Message: fmt.Sprintf(
-			"request payload of %d bytes exceeds the binary frame limit of %d bytes", oversized, wire.MaxFramePayload)}
+			"client: request refused: %v, past the binary frame limit of %d bytes", err, wire.MaxFramePayload)}
+	}
+	if err != nil {
+		bc.close(fmt.Errorf("client: binary connection: %w", err))
 	}
 	return id, ch, nil
 }

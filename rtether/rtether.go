@@ -513,6 +513,27 @@ func (n *Network) Close() error {
 	return nil
 }
 
+// ReleaseAll releases the channels of chs in one management-plane
+// decision, as Close does: one repartition pass, not one per channel. A
+// handle that is not open on this network (released, listed twice, or
+// another network's) is skipped.
+func (n *Network) ReleaseAll(chs []*Channel) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return ErrClosed
+	}
+	var ids []ChannelID
+	for _, c := range chs {
+		if n.handles[c.id] == c {
+			ids = append(ids, c.id)
+			n.closeHandle(c.id)
+		}
+	}
+	_, err := n.be.apply(ids, nil)
+	return err
+}
+
 // Lookup returns the handle of an established channel, or nil. Handles
 // exist only for channels established through this Network value.
 func (n *Network) Lookup(id ChannelID) *Channel {

@@ -446,6 +446,16 @@ func AppendChannelList(dst []byte, reqID uint32, r EstablishAllReply) []byte {
 	return endFrame(dst, start)
 }
 
+// ChannelListLen returns the payload length of the MsgChannelList frame
+// AppendChannelList writes for r, without encoding it.
+func ChannelListLen(r EstablishAllReply) int {
+	n := 4
+	for _, ch := range r.Channels {
+		n += 4 + 8 + 2 + 8*len(ch.Budgets)
+	}
+	return n
+}
+
 // DecodeChannelList parses a MsgChannelList payload.
 func DecodeChannelList(p []byte) (EstablishAllReply, error) {
 	b := binReader{p: p}

@@ -99,6 +99,9 @@ func TestBinaryChannelReplyRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotList, list) {
 		t.Errorf("round trip changed the list: %+v want %+v", gotList, list)
 	}
+	if got := ChannelListLen(list); got != len(f.Payload) {
+		t.Errorf("ChannelListLen = %d, encoded payload %d bytes", got, len(f.Payload))
+	}
 }
 
 func TestBinaryStatsRoundTrip(t *testing.T) {

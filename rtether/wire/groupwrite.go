@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -45,9 +46,11 @@ func NewGroupWriter(w io.Writer) *GroupWriter {
 }
 
 // Queue appends the frame enc encodes to the queue and writes it,
-// unless a write is in progress that will take it. It returns the
-// error of a failed write, this sender's or an earlier one's; the
-// caller then closes the connection.
+// unless a write is in progress that will take it. A frame whose
+// payload passes MaxFramePayload, which the peer's ReadFrame would
+// refuse, is taken back out: Queue returns ErrFrameTooLarge (wrapped)
+// and the writer stays usable. Any other error is a failed write's, this
+// sender's or an earlier one's; the caller then closes the connection.
 func (g *GroupWriter) Queue(enc func(dst []byte) []byte) error {
 	g.mu.Lock()
 	for {
@@ -56,8 +59,13 @@ func (g *GroupWriter) Queue(enc func(dst []byte) []byte) error {
 			g.mu.Unlock()
 			return err
 		}
-		n := len(g.queue)
+		prev, n := g.queue, len(g.queue)
 		g.queue = enc(g.queue)
+		if size := len(g.queue) - n - FrameHeaderLen; size > MaxFramePayload {
+			g.queue = prev // the frames queued before, not the oversized buffer
+			g.mu.Unlock()
+			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+		}
 		if !g.writing || n == 0 || len(g.queue) <= MaxQueued {
 			break
 		}

@@ -182,3 +182,37 @@ func TestGroupWriterQueueBounded(t *testing.T) {
 		t.Fatalf("%d frames written, want %d", len(ids), n+1)
 	}
 }
+
+// TestGroupWriterRefusesOversizedFrame queues, behind a held write, a
+// frame, then one whose payload passes MaxFramePayload, then another:
+// the oversized one is refused at once with ErrFrameTooLarge and never
+// written, the frames around it leave together in order, and the writer
+// stays usable, taking a frame of exactly MaxFramePayload.
+func TestGroupWriterRefusesOversizedFrame(t *testing.T) {
+	gate := newGateWriter(nil)
+	g := NewGroupWriter(gate)
+	leader := heldLeader(g, gate)
+	if err := g.Queue(sized(2, 100)); err != nil {
+		t.Fatalf("Queue behind a held write: %v", err)
+	}
+	if err := g.Queue(sized(3, MaxFramePayload+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized Queue returned %v, want ErrFrameTooLarge", err)
+	}
+	if err := g.Queue(sized(4, 0)); err != nil {
+		t.Fatalf("Queue after the refused frame: %v", err)
+	}
+	close(gate.release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := g.Queue(sized(5, MaxFramePayload)); err != nil {
+		t.Fatalf("Queue of a frame at the limit: %v", err)
+	}
+	var ids []uint32
+	for _, w := range gate.writes {
+		ids = append(ids, frameIDs(t, w)...)
+	}
+	if got, want := fmt.Sprint(ids), fmt.Sprint([]uint32{1, 2, 4, 5}); got != want {
+		t.Fatalf("frames written %s, want %s", got, want)
+	}
+}
