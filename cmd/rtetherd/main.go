@@ -82,13 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rtetherd: -scenario is required")
 		return 2
 	}
-	f, err := os.Open(*scenFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
-		return 1
-	}
-	sc, err := scenario.Load(f)
-	f.Close()
+	sc, err := scenario.LoadFile(*scenFile)
 	if err != nil {
 		fmt.Fprintf(stderr, "rtetherd: %v\n", err)
 		return 1

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -21,21 +20,21 @@ import (
 // every timeline event including the synthesized churn-generator
 // streams (docs/scenario-format.md) — against a running daemon from
 // many concurrent client goroutines, at full speed, and prints one
-// summary line. -proto selects the transport (json over HTTP, or the
-// daemon's binary listener via -binaddr). Admission rejections are
-// counted verdicts (saturating the network is usually the point);
-// transport failures and unclassified server errors are protocol
-// errors, and any protocol error makes the run exit non-zero.
+// summary line. The latency-critical calls go to the daemon's binary
+// listener exactly when -binaddr is set, as rtetherd serves one exactly
+// then; otherwise everything is HTTP/JSON to -addr. Admission
+// rejections are counted verdicts (saturating the network is usually
+// the point); transport failures and unclassified server errors are
+// protocol errors, and any protocol error makes the run exit non-zero.
 //
 //	rtexp load -addr 127.0.0.1:8316 -scenario fabric.json -clients 16
-//	rtexp load -proto binary -binaddr 127.0.0.1:8317 -scenario fabric.json
+//	rtexp load -binaddr 127.0.0.1:8317 -scenario fabric.json
 func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rtexp load", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8316", "rtetherd address (host:port or http:// URL)")
-		binaddr  = fs.String("binaddr", "", "daemon binary-protocol address (required with -proto binary)")
-		proto    = fs.String("proto", "json", "transport for the latency-critical calls: json or binary")
+		binaddr  = fs.String("binaddr", "", "daemon binary-protocol address: when set, the latency-critical calls go over it (empty = HTTP/JSON only)")
 		scenFile = fs.String("scenario", "", "scenario document providing the workload (required)")
 		clients  = fs.Int("clients", 8, "concurrent client goroutines")
 		maxOps   = fs.Int("maxops", 0, "cap on workload steps (0 = whole workload)")
@@ -43,20 +42,9 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *scenFile == "" {
-		fmt.Fprintln(stderr, "rtexp load: -scenario is required")
-		return 2
-	}
-	f, err := os.Open(*scenFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "rtexp load: %v\n", err)
-		return 1
-	}
-	sc, err := scenario.Load(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(stderr, "rtexp load: %v\n", err)
-		return 1
+	sc, code := loadScenario("rtexp load", *scenFile, stderr)
+	if sc == nil {
+		return code
 	}
 	steps, err := sc.Steps()
 	if err != nil {
@@ -72,17 +60,8 @@ func runLoad(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var copts []client.Option
-	switch *proto {
-	case "json":
-	case "binary":
-		if *binaddr == "" {
-			fmt.Fprintln(stderr, "rtexp load: -proto binary requires -binaddr")
-			return 2
-		}
+	if *binaddr != "" {
 		copts = append(copts, client.WithTransport(client.TransportBinary), client.WithBinaryAddr(*binaddr))
-	default:
-		fmt.Fprintf(stderr, "rtexp load: unknown -proto %q (want json or binary)\n", *proto)
-		return 2
 	}
 	cl := client.New(*addr, copts...)
 	defer cl.CloseIdleConnections()

@@ -18,29 +18,33 @@ import (
 
 // load runs `rtexp load args`.
 func load(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	return run(ctx, append([]string{"load"}, args...), strings.NewReader(""), stdout, stderr)
+	return run(ctx, append([]string{"load"}, args...), stdout, stderr)
 }
 
-// loadScenario reads a scenario document.
-func loadScenario(t *testing.T, path string) *scenario.Scenario {
+// mustLoad reads a scenario document.
+func mustLoad(t *testing.T, path string) *scenario.Scenario {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc, err := scenario.Load(f)
+	sc, err := scenario.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sc
 }
 
+// transport returns the load flags that pick proto: none for json, the
+// binary listener's address for binary.
+func transport(proto, binAddr string) []string {
+	if proto == "binary" {
+		return []string{"-binaddr", binAddr}
+	}
+	return nil
+}
+
 // bootDaemon serves the scenario's topology in-process over both
 // transports, returning the HTTP URL and the binary listener address.
 func bootDaemon(t *testing.T, path string) (httpURL, binAddr string) {
 	t.Helper()
-	rtnet, err := loadScenario(t, path).BuildNetwork(0)
+	rtnet, err := mustLoad(t, path).BuildNetwork(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +66,12 @@ func TestLoadRunCleanOverBothTransports(t *testing.T) {
 	url, binAddr := bootDaemon(t, "testdata/fabric_churn.json")
 	for _, proto := range []string{"json", "binary"} {
 		var stdout, stderr strings.Builder
-		code := load(context.Background(), []string{
+		code := load(context.Background(), append([]string{
 			"-addr", url,
-			"-proto", proto,
-			"-binaddr", binAddr,
 			"-scenario", "testdata/fabric_churn.json",
 			"-clients", "4",
 			"-maxops", "400",
-		}, &stdout, &stderr)
+		}, transport(proto, binAddr)...), &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("proto=%s: exit %d\nstderr: %s", proto, code, stderr.String())
 		}
@@ -98,7 +100,7 @@ func TestLoadRunBadDaemon(t *testing.T) {
 // events count the same either way.
 func TestLoadMatchesReplay(t *testing.T) {
 	for _, path := range []string{"testdata/fabric_churn.json", "../../internal/sweep/testdata/ring_failover.json"} {
-		res, err := loadScenario(t, path).Replay()
+		res, err := mustLoad(t, path).Replay()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +112,9 @@ func TestLoadMatchesReplay(t *testing.T) {
 		for _, proto := range []string{"json", "binary"} {
 			url, binAddr := bootDaemon(t, path)
 			var stdout, stderr strings.Builder
-			code := load(context.Background(), []string{
-				"-addr", url, "-proto", proto, "-binaddr", binAddr, "-scenario", path, "-clients", "1",
-			}, &stdout, &stderr)
+			code := load(context.Background(), append([]string{
+				"-addr", url, "-scenario", path, "-clients", "1",
+			}, transport(proto, binAddr)...), &stdout, &stderr)
 			got := stdout.String()
 			if code != 0 || !strings.HasPrefix(got, want) || !strings.HasSuffix(got, verdicts) {
 				t.Errorf("%s over %s: exit %d, summary %q; want %q…%q\nstderr: %s", path, proto, code, got, want, verdicts, stderr.String())

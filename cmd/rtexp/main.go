@@ -2,10 +2,14 @@
 // subcommands:
 //
 //	rtexp paper   regenerate the paper's evaluation tables (the default)
-//	rtexp admit   offline admission what-if over "src dst C P D" lines or a scenario
-//	rtexp sim     one simulation run with a measurement summary
+//	rtexp admit   replay a scenario's timeline against admission control alone
+//	rtexp sim     simulate a scenario and print a measurement summary
 //	rtexp load    replay a scenario's workload against a running rtetherd
 //	rtexp sweep   expand a grid document and run every cell in-process
+//
+// Every workload is a scenario document (docs/scenario-format.md):
+// admit, sim and load take it with -scenario, and a sweep grid names
+// the documents its cells run.
 //
 // A bare rtexp, or one whose first argument is a flag, runs paper:
 //
@@ -33,11 +37,11 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run dispatches on the subcommand and returns the exit code.
-func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	name := "paper"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name, args = args[0], args[1:]
@@ -46,7 +50,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	case "paper":
 		return runPaper(args, stdout, stderr)
 	case "admit":
-		return runAdmit(args, stdin, stdout, stderr)
+		return runAdmit(args, stdout, stderr)
 	case "sim":
 		return runSim(args, stdout, stderr)
 	case "load":

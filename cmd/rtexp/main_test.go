@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// rtexp runs one command line with empty stdin.
+// rtexp runs one command line.
 func rtexp(args []string, stdout, stderr io.Writer) int {
-	return run(context.Background(), args, strings.NewReader(""), stdout, stderr)
+	return run(context.Background(), args, stdout, stderr)
 }
 
 func TestRunList(t *testing.T) {
@@ -200,5 +200,30 @@ func TestSubcommands(t *testing.T) {
 	}
 	if code := rtexp([]string{"sweep"}, &paper, &errOut); code != 2 {
 		t.Errorf("sweep without a grid: exit %d, want 2", code)
+	}
+}
+
+// TestScenarioIsTheOnlyWorkloadInput pins the usage of the workload
+// commands: sim and admit without a document are usage errors that
+// point at the format, and the flag-built inputs they had are gone.
+func TestScenarioIsTheOnlyWorkloadInput(t *testing.T) {
+	for _, cmd := range []string{"sim", "admit"} {
+		var out, errOut strings.Builder
+		if code := rtexp([]string{cmd}, &out, &errOut); code != 2 {
+			t.Errorf("%s without -scenario: exit %d, want 2", cmd, code)
+		}
+		if !strings.Contains(errOut.String(), "docs/scenario-format.md") {
+			t.Errorf("%s without -scenario: stderr %q does not name the format", cmd, errOut.String())
+		}
+	}
+	for _, args := range [][]string{
+		{"sim", "-masters", "3", "-scenario", "testdata/cell.json"},
+		{"admit", "-batch", "-scenario", "testdata/uplink.json"},
+		{"load", "-proto", "binary", "-scenario", "testdata/fabric_churn.json"},
+	} {
+		var out, errOut strings.Builder
+		if code := rtexp(args, &out, &errOut); code != 2 {
+			t.Errorf("rtexp %s: exit %d, want 2", strings.Join(args, " "), code)
+		}
 	}
 }

@@ -9,33 +9,35 @@ import (
 
 // sim runs `rtexp sim args`.
 func sim(args []string, stdout, stderr io.Writer) int {
-	return run(context.Background(), append([]string{"sim"}, args...), strings.NewReader(""), stdout, stderr)
+	return run(context.Background(), append([]string{"sim"}, args...), stdout, stderr)
 }
 
+// TestDefaultRunHoldsGuarantees simulates the one-uplink document: six
+// channels admitted one event at a time, the seventh refused, and every
+// admitted channel meets its deadline.
 func TestDefaultRunHoldsGuarantees(t *testing.T) {
 	var out, errOut strings.Builder
-	code := sim([]string{"-masters", "3", "-slaves", "9", "-requests", "30", "-slots", "1500"},
-		&out, &errOut)
-	if code != 0 {
+	if code := sim([]string{"-scenario", "testdata/uplink.json"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s\n%s", code, errOut.String(), out.String())
 	}
 	s := out.String()
-	if !strings.Contains(s, "VERDICT: all guarantees held") {
-		t.Errorf("verdict missing:\n%s", s)
-	}
-	if !strings.Contains(s, "0 deadline misses") {
-		t.Errorf("miss line missing:\n%s", s)
-	}
-	if !strings.Contains(s, "per-channel summary") {
-		t.Errorf("table missing:\n%s", s)
+	for _, want := range []string{
+		"events: 7 played — 6 applied, 1 rejected (tolerated)",
+		"REJECT rtether: chan{1→106 C=3 P=100 D=40} rejected at link(1,up)",
+		" 0 deadline misses",
+		"VERDICT: all guarantees held",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
 	}
 }
 
+// TestBackgroundTrafficRun: a document's background flow prints the
+// non-RT summary line.
 func TestBackgroundTrafficRun(t *testing.T) {
 	var out, errOut strings.Builder
-	code := sim([]string{"-masters", "2", "-slaves", "4", "-requests", "8",
-		"-slots", "800", "-bg-rate", "0.1"}, &out, &errOut)
-	if code != 0 {
+	if code := sim([]string{"-scenario", "testdata/cell.json"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "non-RT: sent") {
@@ -43,35 +45,16 @@ func TestBackgroundTrafficRun(t *testing.T) {
 	}
 }
 
-func TestTraceFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	code := sim([]string{"-masters", "1", "-slaves", "2", "-requests", "2",
-		"-slots", "300", "-trace", "5"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "trace (last 5 of") {
-		t.Errorf("trace output missing:\n%s", out.String())
-	}
-}
-
+// TestUnknownDPSFlag: the scheme is the document's, checked when it
+// loads and before anything runs.
 func TestUnknownDPSFlag(t *testing.T) {
+	path := writeDoc(t, uplinkDoc("wat", 1, ""))
 	var out, errOut strings.Builder
-	if code := sim([]string{"-dps", "wat"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	if code := sim([]string{"-scenario", path}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
 	}
-}
-
-func TestRandomOffsetsAndSDPS(t *testing.T) {
-	var out, errOut strings.Builder
-	code := sim([]string{"-dps", "sdps", "-masters", "2", "-slaves", "6",
-		"-requests", "20", "-slots", "1000", "-max-offset", "50", "-seed", "7"},
-		&out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "SDPS") {
-		t.Error("scheme name missing")
+	if !strings.Contains(errOut.String(), `unknown dps "wat"`) || out.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q", out.String(), errOut.String())
 	}
 }
 

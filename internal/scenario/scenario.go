@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -162,6 +163,20 @@ func Load(r io.Reader) (*Scenario, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// LoadFile is Load over a file; its errors name the file.
+func LoadFile(path string) (*Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s, err := Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }
 
 // Validate checks the document for internal consistency: layout, channel

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -157,12 +156,7 @@ func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(opts.Dir, path)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := scenario.Load(f)
-	f.Close()
+	s, err := scenario.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}

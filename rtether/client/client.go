@@ -293,9 +293,9 @@ func (c *Client) Metrics(ctx context.Context, id rtether.ChannelID) (wire.Metric
 // (GET /metrics) into a flat series → value map: the full
 // `name{labels}` string (or the bare name when unlabeled) keys each
 // sample. Scraping before and after a run and differencing the maps
-// attributes server-side counters — cache hit-rate, flights, coalesce
-// merges — to that run; the benchmark (go run ./bench) does exactly
-// this.
+// attributes server-side counters — sweep skips (links a decision did
+// not move), flights, coalesce merges — to that run; the benchmark
+// (go run ./bench) does exactly this.
 func (c *Client) MetricsProm(ctx context.Context) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {

@@ -52,7 +52,8 @@ const (
 	// BinaryVersion is the framing version this package speaks.
 	// Version 2 widened channel IDs from 16 to 32 bits (ChannelReply,
 	// Release, Reconfigure) and extended the stats reply with the
-	// verify-cache hit counter and sweep-time accumulator.
+	// sweep-skip counter (links a decision did not move, so its sweep
+	// passed them untested) and the sweep-time accumulator.
 	BinaryVersion = 2
 	// FrameHeaderLen is the fixed frame header size.
 	FrameHeaderLen = 12

@@ -46,6 +46,26 @@ func FuzzDecodeBinary(f *testing.F) {
 					t.Errorf("error re-encode diverges: %x vs %x", got[FrameHeaderLen:], payload)
 				}
 			}
+			if id, err := DecodeRelease(payload); err == nil {
+				if got := AppendRelease(nil, fr.ReqID, id); !bytes.Equal(got[FrameHeaderLen:], payload) {
+					t.Errorf("release re-encode diverges: %x vs %x", got[FrameHeaderLen:], payload)
+				}
+			}
+			if r, err := DecodeReconfigure(payload); err == nil {
+				if got := AppendReconfigure(nil, fr.ReqID, r); !bytes.Equal(got[FrameHeaderLen:], payload) {
+					t.Errorf("reconfigure re-encode diverges: %x vs %x", got[FrameHeaderLen:], payload)
+				}
+			}
+			if r, err := DecodeChannelReply(payload); err == nil {
+				if got := AppendChannelReply(nil, fr.ReqID, r); !bytes.Equal(got[FrameHeaderLen:], payload) {
+					t.Errorf("channel reply re-encode diverges: %x vs %x", got[FrameHeaderLen:], payload)
+				}
+			}
+			if r, err := DecodeStatsReply(payload); err == nil {
+				if got := AppendStatsReply(nil, fr.ReqID, r); !bytes.Equal(got[FrameHeaderLen:], payload) {
+					t.Errorf("stats reply re-encode diverges: %x vs %x", got[FrameHeaderLen:], payload)
+				}
+			}
 		}
 		// Raw payload decoders (no frame header) must never panic either.
 		_, _ = DecodeEstablish(data)
