@@ -4,7 +4,7 @@
 // every channel's per-link tasks on link pseudo-processors, repartition
 // deadlines with a pluggable scheme, and verify EDF feasibility of every
 // link whose task set changed — so the state bookkeeping (persistent
-// per-link channel lists, task-set and exact rational utilization caches),
+// per-link channel lists, task sets and exact utilization sums),
 // the copy-on-write engine with undo-on-reject rollback and the
 // changed-set tracking live here exactly once, generic over the link-key
 // type K (core.Link or topo.Edge), the channel type Ch and the partition
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/big"
 	"slices"
 	"sort"
 
@@ -83,8 +82,6 @@ type Ops[K comparable, Ch any, P any] struct {
 	MaxID ID
 }
 
-var ratOne = big.NewRat(1, 1)
-
 // entry is one channel plus its traversed-links sequence as dense link
 // indices (idx[hop] is the index of Ops.Links(ch)[hop]), the position of
 // each hop on its link's lists (byLink[idx[hop]][pos[hop]] is the hop,
@@ -109,11 +106,12 @@ type entry[Ch any] struct {
 // the channel hops traversing each link (in establishment order, the
 // per-link restriction of the global order), tasks holds each link's EDF
 // task set aligned slot for slot with byLink, utilSum keeps each link's
-// exact rational utilization sum(C/P) — rational arithmetic is exact, so
-// the running sum always equals a fresh summation bit for bit — sums
-// keeps each link's edf.Summary, whose Over is that sum's U > 1 answer,
-// and classes keeps each link's deadline-class table (edf.Classes), which
-// the demand walk reads instead of the tasks.
+// exact utilization sum(C/P) as an edf.UtilSum — a numerator over the lcm
+// of the link's periods in machine words, with a big.Rat fallback should
+// a word overflow, so the running sum always equals a fresh summation —
+// sums keeps each link's edf.Summary, whose Over is that sum's U > 1
+// answer, and classes keeps each link's deadline-class table
+// (edf.Classes), which the demand walk reads instead of the tasks.
 //
 // All are live. Add appends a hop's task, and SetPart overwrites it in
 // place, patching the summary alongside. Remove leaves a tombstone at the
@@ -162,7 +160,7 @@ type State[K comparable, Ch any, P any] struct {
 	tasks   [][]edf.Task
 	dead    []int32 // tombstones in each link's lists
 	classes []edf.Classes
-	utilSum []*big.Rat
+	utilSum []edf.UtilSum
 	// sums summarizes each link's task set for the verify sweep, which
 	// decides most links from it without reading their tasks. Its shortest
 	// period and deadline may be lower bounds (see edf.Summary); verdict
@@ -187,8 +185,6 @@ type State[K comparable, Ch any, P any] struct {
 	// (entry.seen == walk), so a channel crossing several touched links is
 	// recomputed once.
 	walk uint64
-
-	ratTmp big.Rat // scratch
 }
 
 // sumSave is one link summary, and whether its class table was stale, as
@@ -228,7 +224,7 @@ func (st *State[K, Ch, P]) intern(l K) int32 {
 	st.dead = append(st.dead, 0)
 	st.classes = append(st.classes, edf.Classes{})
 	st.classes[i].MarkStale() // built by the link's first walk
-	st.utilSum = append(st.utilSum, new(big.Rat))
+	st.utilSum = append(st.utilSum, edf.UtilSum{})
 	st.sums = append(st.sums, edf.Summary{})
 	st.sumSeen = append(st.sumSeen, 0)
 	st.moved = append(st.moved, 0)
@@ -423,11 +419,10 @@ func (st *State[K, Ch, P]) load(i int32, t edf.Task, c, p int64) {
 	if st.loads[i]++; st.loads[i] == 1 {
 		st.loaded++
 	}
-	u := st.utilSum[i]
-	u.Add(u, st.ratTmp.SetFrac64(c, p))
+	st.utilSum[i].Add(c, p)
 	st.saveSum(i)
 	st.sums[i].Add(t)
-	st.sums[i].Over = u.Cmp(ratOne) > 0
+	st.sums[i].Over = st.utilSum[i].ExceedsOne()
 	st.classes[i].Add(t)
 }
 
@@ -447,14 +442,13 @@ func (st *State[K, Ch, P]) unload(i, j int32, c, p int64) {
 	} else {
 		st.dead[i]++
 	}
-	u := st.utilSum[i]
 	if st.loads[i]--; st.loads[i] == 0 {
 		st.loaded--
-		u.SetInt64(0)
+		st.utilSum[i] = edf.UtilSum{}
 	} else {
-		u.Sub(u, st.ratTmp.SetFrac64(c, p))
+		st.utilSum[i].Sub(c, p)
 	}
-	st.sums[i].Over = u.Cmp(ratOne) > 0
+	st.sums[i].Over = st.utilSum[i].ExceedsOne()
 }
 
 // UndoAdd reverses the most recent Add exactly: the channel must be the
@@ -685,7 +679,7 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 		tasks:    make([][]edf.Task, n),
 		dead:     slices.Clone(st.dead),
 		classes:  make([]edf.Classes, n),
-		utilSum:  make([]*big.Rat, n),
+		utilSum:  slices.Clone(st.utilSum),
 		sums:     slices.Clone(st.sums),
 		sumSeen:  make([]uint64, n),
 		moved:    make([]uint64, n),
@@ -709,9 +703,6 @@ func (st *State[K, Ch, P]) Clone() *State[K, Ch, P] {
 	}
 	for i := range st.classes {
 		cp.classes[i] = st.classes[i].Clone()
-	}
-	for i, u := range st.utilSum {
-		cp.utilSum[i] = new(big.Rat).Set(u)
 	}
 	return cp
 }

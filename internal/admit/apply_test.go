@@ -7,44 +7,32 @@ import (
 )
 
 // TestReleaseZeroAllocs pins a release — Apply of one removal and no
-// addition — at 0 allocs/op beyond the state edit itself: the touched
-// set, the journal, the sweep and the commit reuse the engine's and the
-// state's buffers, so a release allocates exactly what State.Remove of
-// the same channel on a twin state does. (Both allocate in the exact
-// rational utilization sums: math/big keeps temporaries on the heap.)
-// The scheme repartitions nothing, so only the kernel counts.
+// addition — at 0 allocs/op: the touched set, the journal, the sweep and
+// the commit reuse the engine's and the state's buffers, and the link
+// utilization sums subtract in machine words. The scheme repartitions
+// nothing, so only the kernel counts.
 func TestReleaseZeroAllocs(t *testing.T) {
 	keep := toyScheme(false, func(ch *toyChan) int64 { return ch.part })
-	load := func() (*Engine[int, *toyChan, int64], []ID) {
-		e := newToyEngine(Config{})
-		chs, rej := e.Apply(nil, 300, func(i int, id ID) *toyChan {
-			return &toyChan{id: id, c: 1, p: 100, links: []int{i % 16, 16 + i%7}, part: 50}
-		}, keep)
-		if rej != nil {
-			t.Fatalf("setup rejected: %v", rej.Result)
-		}
-		ids := make([]ID, len(chs))
-		for i, ch := range chs {
-			ids[i] = ch.id
-		}
-		return e, ids
+	e := newToyEngine(Config{})
+	chs, rej := e.Apply(nil, 300, func(i int, id ID) *toyChan {
+		return &toyChan{id: id, c: 1, p: 100, links: []int{i % 16, 16 + i%7}, part: 50}
+	}, keep)
+	if rej != nil {
+		t.Fatalf("setup rejected: %v", rej.Result)
 	}
-	e, ids := load()
-	twin, _ := load()
+	ids := make([]ID, len(chs))
+	for i, ch := range chs {
+		ids[i] = ch.id
+	}
 	k := 0
-	bare := testing.AllocsPerRun(200, func() {
-		twin.State().Remove(ids[k])
-		k++
-	})
-	k = 0
 	if got := testing.AllocsPerRun(200, func() {
 		e.Apply(ids[k:k+1], 0, nil, keep)
 		k++
-	}); got != bare {
-		t.Errorf("release allocates %.1f allocs/op, State.Remove %.1f: the decision adds %.1f, want 0", got, bare, got-bare)
+	}); got != 0 {
+		t.Errorf("release allocates %.1f allocs/op, want 0", got)
 	}
-	if e.State().Len() != 300-k || twin.State().Len() != 300-k {
-		t.Fatalf("%d and %d channels left after %d releases of 300", e.State().Len(), twin.State().Len(), k)
+	if e.State().Len() != 300-k {
+		t.Fatalf("%d channels left after %d releases of 300", e.State().Len(), k)
 	}
 }
 

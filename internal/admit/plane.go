@@ -49,15 +49,21 @@ func (p *Plane[K, Ch, P]) Counters() Stats {
 // Apply releases remove (established and distinct) and admits n requests
 // as one atomic decision (Engine.Apply). A request prepare fails comes
 // back as a *ReqError, with nothing decided; a kernel rejection comes
-// back through Reject, counted once for the list. On success the
-// released channels and the n accepted ones are counted.
+// back through Reject. A refused list counts each of its n requests
+// under its one cause. On success the released channels and the n
+// accepted ones are counted.
 func (p *Plane[K, Ch, P]) Apply(remove []ID, n int, prepare func(i int) error, mk func(i int, id ID) Ch) ([]Ch, error) {
 	if err := p.known(remove); err != nil {
 		return nil, err
 	}
 	p.Stats.Requests += n
+	was := p.Stats
 	for i := 0; i < n; i++ {
 		if err := prepare(i); err != nil {
+			// prepare counted request i's cause; the list's other n-1
+			// requests share it.
+			p.Stats.RejectedInvalid += (p.Stats.RejectedInvalid - was.RejectedInvalid) * (n - 1)
+			p.Stats.RejectedNoRoute += (p.Stats.RejectedNoRoute - was.RejectedNoRoute) * (n - 1)
 			return nil, &ReqError{Index: i, Err: err}
 		}
 	}
@@ -66,7 +72,7 @@ func (p *Plane[K, Ch, P]) Apply(remove []ID, n int, prepare func(i int) error, m
 	}
 	chs, rej := p.Eng.Apply(remove, n, mk, p.Scheme)
 	if rej != nil {
-		return nil, p.reject(rej)
+		return nil, p.reject(rej, n)
 	}
 	p.Stats.Accepted += n
 	p.Stats.Released += len(remove)
@@ -97,7 +103,7 @@ func (p *Plane[K, Ch, P]) AdmitEach(remove []ID, n int, prepare func(i int) erro
 	p.Stats.Released += len(remove)
 	for vi, i := range valid {
 		if rejs[vi] != nil {
-			errs[i] = p.reject(rejs[vi])
+			errs[i] = p.reject(rejs[vi], 1)
 			continue
 		}
 		p.Stats.Accepted++
@@ -116,10 +122,11 @@ func (p *Plane[K, Ch, P]) known(remove []ID) error {
 	return nil
 }
 
-// reject counts a kernel rejection and converts it to the adapter's
-// error; a full ID space names no link and is returned as itself.
-func (p *Plane[K, Ch, P]) reject(rej *Rejection[K]) error {
-	p.Stats.NoteRejection(rej.Result)
+// reject counts a kernel rejection of n requests and converts it to the
+// adapter's error; a full ID space names no link and is returned as
+// itself.
+func (p *Plane[K, Ch, P]) reject(rej *Rejection[K], n int) error {
+	p.Stats.NoteRejection(rej.Result, n)
 	if errors.Is(rej.Result.Err, ErrIDsExhausted) {
 		return rej.Result.Err
 	}

@@ -5,6 +5,8 @@ import "repro/internal/edf"
 // Stats counts admission outcomes, mirroring what the switch's RT channel
 // management software would expose. Both adapters (core.Controller,
 // topo.Controller) keep one and are the only code that advances it.
+// Every request not accepted counts under exactly one Rejected cause; a
+// refused atomic list counts all its requests under its cause.
 type Stats struct {
 	Requests             int // requests seen (an atomic list counts len(list))
 	Accepted             int // channels admitted
@@ -18,14 +20,15 @@ type Stats struct {
 	Repartitions         int // repartition passes run by the kernel
 }
 
-// NoteRejection classifies one feasibility rejection into the counters.
-func (s *Stats) NoteRejection(res edf.Result) {
+// NoteRejection classifies a feasibility rejection of n requests into the
+// counters.
+func (s *Stats) NoteRejection(res edf.Result, n int) {
 	switch res.Verdict {
 	case edf.InfeasibleUtilization:
-		s.RejectedUtilization++
+		s.RejectedUtilization += n
 	case edf.InfeasibleDemand:
-		s.RejectedDemand++
+		s.RejectedDemand += n
 	default:
-		s.RejectedInconclusive++
+		s.RejectedInconclusive += n
 	}
 }

@@ -31,7 +31,7 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 		t.Fatalf("drained state: load %d, loaded %d, links %v, tasks %v",
 			st.LinkLoad(7), st.LoadedLinks(), st.Links(), st.TasksOn(7))
 	}
-	if st.utilSum[i7].Sign() != 0 || st.sums[i7] != (edf.Summary{}) {
+	if st.utilSum[i7] != (edf.UtilSum{}) || st.sums[i7] != (edf.Summary{}) {
 		t.Fatalf("drained link keeps utilization %v (summary %+v)", st.utilSum[i7], st.sums[i7])
 	}
 
@@ -43,7 +43,7 @@ func TestDrainedLinkKeepsIndex(t *testing.T) {
 	if len(st.keys) != 2 {
 		t.Fatalf("reload interned a new index: keys %v", st.keys)
 	}
-	if st.utilSum[i7].Cmp(big.NewRat(2, 5)) != 0 || len(st.TasksOn(7)) != 1 {
+	if st.utilSum[i7].Rat().Cmp(big.NewRat(2, 5)) != 0 || len(st.TasksOn(7)) != 1 {
 		t.Fatalf("reloaded link: U=%v tasks %v, want 2/5 and one task", st.utilSum[i7], st.TasksOn(7))
 	}
 
@@ -457,14 +457,16 @@ func liveState(st *State[int, *toyChan, int64]) string {
 }
 
 // linkState renders each link's load, utilization, summary (unexported
-// fields included) and hops with their tasks. raw adds the slot layout: a
+// fields included) and hops with their tasks. The utilization renders as
+// its reduced rational: a refused decision may leave a link's sum over a
+// grown lcm denominator, but never at a different value. raw adds the slot layout: a
 // tombstone renders as "+", followed by the dead count and the class
 // table, or "stale" for a stale one, whose content means nothing. A link a decision interned stays interned, empty, as
 // documented; an empty link is not rendered.
 func linkState(st *State[int, *toyChan, int64], raw bool) string {
 	var b strings.Builder
 	for i := range st.keys {
-		if st.loads[i] == 0 && st.utilSum[i].Sign() == 0 && st.sums[i] == (edf.Summary{}) && (!raw || len(st.byLink[i]) == 0) {
+		if st.loads[i] == 0 && st.utilSum[i].Rat().Sign() == 0 && st.sums[i] == (edf.Summary{}) && (!raw || len(st.byLink[i]) == 0) {
 			continue
 		}
 		fmt.Fprintf(&b, "|%d:%d:%v:%+v:", st.keys[i], st.loads[i], st.utilSum[i], st.sums[i])

@@ -239,7 +239,7 @@ func (c *Controller) AdmitEach(remove []ChannelID, reqs []Req) ([]*Channel, []er
 // switch model does and reports here, so the counters have one owner.
 func (c *Controller) RejectNoRoute(n int) {
 	c.p.Stats.Requests += n
-	c.p.Stats.RejectedNoRoute++
+	c.p.Stats.RejectedNoRoute += n
 }
 
 // Request is Admit of one unicast channel.

@@ -89,6 +89,25 @@ func TestAdmissionBelowSaturationAllAccepted(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusedListCountsEveryMember refuses the seven channels of
+// TestAdmissionSDPSMasterCapacityIsSix as one atomic list: the demand
+// violation refuses all seven, so all seven count under it.
+func TestAdmissionRefusedListCountsEveryMember(t *testing.T) {
+	c := NewController(Config{DPS: SDPS{}})
+	specs := make([]ChannelSpec, 7)
+	for i := range specs {
+		specs[i] = paperSpec(1, NodeID(100+i))
+	}
+	if _, err := c.RequestAll(specs); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("seven-channel list: err = %v, want ErrInfeasible", err)
+	}
+	st := c.Stats()
+	if st.Requests != 7 || st.Accepted != 0 || st.RejectedDemand != 7 ||
+		st.RejectedInvalid+st.RejectedNoRoute+st.RejectedUtilization+st.RejectedInconclusive != 0 {
+		t.Errorf("stats = %+v, want 7 requests, all 7 rejected for demand", st)
+	}
+}
+
 func TestAdmissionInvalidSpecCounted(t *testing.T) {
 	c := NewController(Config{})
 	_, err := c.Request(ChannelSpec{Src: 1, Dst: 1, C: 1, P: 10, D: 10})

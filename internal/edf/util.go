@@ -19,7 +19,7 @@ func Utilization(tasks []Task) *big.Rat {
 }
 
 // UtilizationFloat returns U as a float64 for reporting. It may round; use
-// Utilization or UtilizationExceedsOne for admission decisions.
+// UtilizationExceedsOne or a UtilSum for admission decisions.
 func UtilizationFloat(tasks []Task) float64 {
 	var u float64
 	for _, t := range tasks {
@@ -28,13 +28,15 @@ func UtilizationFloat(tasks []Task) float64 {
 	return u
 }
 
-var ratOne = big.NewRat(1, 1)
-
-// UtilizationExceedsOne reports whether U > 1 exactly. This is the paper's
-// first constraint: a link is only feasible when its utilization is at most
-// 100%.
+// UtilizationExceedsOne reports whether U > 1 exactly, summing the tasks
+// through a UtilSum. This is the paper's first constraint: a link is only
+// feasible when its utilization is at most 100%.
 func UtilizationExceedsOne(tasks []Task) bool {
-	return Utilization(tasks).Cmp(ratOne) > 0
+	var u UtilSum
+	for _, t := range tasks {
+		u.Add(t.C, t.P)
+	}
+	return u.ExceedsOne()
 }
 
 // GCD returns the greatest common divisor of a and b. GCD(0, 0) == 0.

@@ -1,30 +1,6 @@
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"repro/rtether"
-)
-
-// Clone returns an independent deep copy of the document. The sweep
-// orchestrator (internal/sweep) derives one variant per grid cell —
-// overriding the scheme, churn rates, failure policy or seed — without
-// mutating the loaded base scenario; the copy still needs Validate (or
-// any runner, which validates implicitly) after its overrides land.
-func (s *Scenario) Clone() *Scenario {
-	// A Scenario is plain data (its own JSON document); the round trip
-	// cannot fail and copies every nested slice.
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: clone marshal: %v", err))
-	}
-	var out Scenario
-	if err := json.Unmarshal(b, &out); err != nil {
-		panic(fmt.Sprintf("scenario: clone unmarshal: %v", err))
-	}
-	return &out
-}
+import "repro/rtether"
 
 // BuildNetwork validates the document and constructs its configured —
 // but unloaded — network: the layout (nodes or topology section), the

@@ -155,30 +155,3 @@ func TestBackgroundTraceValidation(t *testing.T) {
 		})
 	}
 }
-
-// TestCloneIsDeep pins the sweep's export hook: mutating a clone's
-// nested sections leaves the base document untouched.
-func TestCloneIsDeep(t *testing.T) {
-	doc := `{
-		"name": "base", "dps": "sdps", "slots": 1000, "seed": 3,
-		"nodes": [1, 2, 3],
-		"channels": [{"name": "a", "src": 1, "dst": 2, "c": 1, "p": 100, "d": 40}],
-		"churn": [{"name": "g", "rate": 0.1, "holdMean": 50,
-			"sources": [1, 2], "destinations": [2, 3], "c": 1, "p": 200, "d": 60}]
-	}`
-	s, err := Load(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Clone()
-	c.DPS = "adps"
-	c.Seed = 99
-	c.Churn[0].Rate = 9.5
-	c.Channels[0].C = 7
-	if s.DPS != "sdps" || s.Seed != 3 || s.Churn[0].Rate != 0.1 || s.Channels[0].C != 1 {
-		t.Errorf("clone mutation leaked into base: %+v", s)
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("mutated clone does not validate: %v", err)
-	}
-}

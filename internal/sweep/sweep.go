@@ -147,7 +147,8 @@ func (g *Grid) runCell(c *Cell, opts Options) (Result, error) {
 }
 
 // cellScenario loads the cell's base scenario and applies its axis
-// overrides to an isolated clone.
+// overrides to it: each cell loads its own copy, which nothing else
+// holds.
 func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 	path := g.Scenario
 	if c.Scenario != "" {
@@ -160,7 +161,6 @@ func (g *Grid) cellScenario(c *Cell, opts Options) (*scenario.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s = s.Clone()
 	if c.Scheme != "" {
 		s.DPS = c.Scheme
 	}

@@ -8,7 +8,8 @@ import (
 // TestAdmissionStatsParityStarFabric pins the single accounting path: the
 // same establishment call counts the same requests and rejection causes
 // whether a star or a fabric decides it, and an atomic list names its
-// failing entry the same way on both.
+// failing entry the same way on both. A refused list counts every member
+// under its cause, so the causes always sum to the rejected requests.
 func TestAdmissionStatsParityStarFabric(t *testing.T) {
 	mkFabric := func(t *testing.T) *Network {
 		top := lineTopology(t, 2) // nodes 0..5 on switch 0, 100..105 on switch 1
@@ -39,7 +40,7 @@ func TestAdmissionStatsParityStarFabric(t *testing.T) {
 				_, err := n.EstablishAll([]ChannelSpec{ok(0, 100), ok(1, 99), ok(2, 102)})
 				return err
 			},
-			want:    counters{Requests: 3, NoRoute: 1},
+			want:    counters{Requests: 3, NoRoute: 3},
 			errPart: "batch spec 1 (chan{1→99 ",
 		},
 		{
@@ -48,7 +49,7 @@ func TestAdmissionStatsParityStarFabric(t *testing.T) {
 				_, err := n.EstablishAll([]ChannelSpec{ok(0, 100), {Src: 1, Dst: 1, C: 6, P: 10, D: 40}})
 				return err
 			},
-			want:    counters{Requests: 2, Invalid: 1},
+			want:    counters{Requests: 2, Invalid: 2},
 			errPart: "batch spec 1 (chan{1→1 ",
 		},
 		{
@@ -98,6 +99,10 @@ func TestAdmissionStatsParityStarFabric(t *testing.T) {
 				got := counters{st.Requests, st.Accepted, st.RejectedInvalid, st.RejectedNoRoute, st.RejectedUtilization, st.RejectedDemand}
 				if got != tc.want {
 					t.Errorf("%s: counters %+v, want %+v", layout, got, tc.want)
+				}
+				causes := st.RejectedInvalid + st.RejectedNoRoute + st.RejectedUtilization + st.RejectedDemand + st.RejectedInconclusive
+				if causes != st.Requests-st.Accepted {
+					t.Errorf("%s: rejection causes sum to %d, want %d rejected requests", layout, causes, st.Requests-st.Accepted)
 				}
 				if live := len(net.Channels()); live != tc.want.Accepted {
 					t.Errorf("%s: %d channels committed, want %d", layout, live, tc.want.Accepted)
